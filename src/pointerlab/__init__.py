@@ -25,11 +25,9 @@ from .hilbert import (
     MatrixOperator,
     ProductSpace,
     StateVector,
-    coefficients_of,
     outer,
     partial_trace,
     tensor,
-    tensor_op,
     trace_distance,
     von_neumann_entropy,
 )
@@ -39,13 +37,9 @@ from .lattice import (
     KernelOperator,
     LatticeGrid,
     LatticeWavefunction,
-    TwoParticleKernel,
     TwoParticleWavefunction,
-    collective_observable,
-    delta_kernel,
     dlocal_agreement_check,
     dlocal_residual,
-    exchange_swap,
     expectation_single,
     expectation_two_particle,
     gaussian_packet,
@@ -53,9 +47,7 @@ from .lattice import (
     localize,
     position_kernel,
     support,
-    symmetrization_factor,
     symmetrize,
-    symmetrized_observable,
 )
 from .objectification import (
     CorrelationReport,
@@ -66,7 +58,6 @@ from .objectification import (
     gemenge_density_matrix,
     observable_witness,
     pointer_block_coherence,
-    pointer_block_projection,
     shift_witness,
 )
 from .premeasurement import (

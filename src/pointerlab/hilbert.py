@@ -14,11 +14,12 @@ so spectra used in positivity and entropy checks are real by construction.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisNotOrthonormal, DimensionMismatch
+from .errors import DimensionMismatch
 from .tolerances import COMPARISON_TOL, ENTROPY_EIGENVALUE_FLOOR, INVARIANT_TOL
 
 __all__ = [
@@ -27,11 +28,9 @@ __all__ = [
     "MatrixOperator",
     "ProductSpace",
     "tensor",
-    "tensor_op",
     "outer",
     "partial_trace",
     "von_neumann_entropy",
-    "coefficients_of",
     "trace_distance",
 ]
 
@@ -168,15 +167,6 @@ def tensor(u: StateVector, v: StateVector) -> StateVector:
     return StateVector(np.kron(u.amplitudes, v.amplitudes))
 
 
-def tensor_op(m: MatrixOperator, n: MatrixOperator) -> MatrixOperator:
-    """Kronecker product consistent with `tensor`: (M(x)N)(u(x)v) = (Mu)(x)(Nv)."""
-    return MatrixOperator(
-        np.kron(m.entries, n.entries),
-        hermitian=m.hermitian and n.hermitian,
-        unitary=m.unitary and n.unitary,
-    )
-
-
 def outer(phi: StateVector) -> DensityMatrix:
     """Rank-one projector ``|phi><phi|``."""
     return DensityMatrix(np.outer(phi.amplitudes, phi.amplitudes.conj()))
@@ -220,18 +210,15 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return float(max(0.0, -np.sum(kept * np.log(kept))))
 
 
-def coefficients_of(phi: StateVector, basis: list[StateVector]) -> np.ndarray:
-    """Expansion coefficients ``c_i = <basis_i|phi>`` in an orthonormal family.
+def gram_deviation(vectors: Sequence[StateVector]) -> float:
+    """Largest entry of ``G - I`` for the Gram matrix ``G`` of a vector family.
 
-    Raises :class:`BasisNotOrthonormal` when the Gram matrix of the family
-    deviates from the identity beyond the invariant tolerance.
+    Zero exactly for an orthonormal family; callers compare it against their
+    own tolerance and raise their own error.
     """
-    columns = np.column_stack([b.amplitudes for b in basis])
+    columns = np.column_stack([v.amplitudes for v in vectors])
     gram = columns.conj().T @ columns
-    deviation = float(np.max(np.abs(gram - np.eye(len(basis)))))
-    if deviation > INVARIANT_TOL:
-        raise BasisNotOrthonormal(f"Gram matrix deviates from identity by {deviation:.3e}")
-    return columns.conj().T @ phi.amplitudes
+    return float(np.max(np.abs(gram - np.eye(len(vectors)))))
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:

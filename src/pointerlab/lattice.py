@@ -5,12 +5,12 @@ Wavefunctions are quadrature-normalized samples on a uniform grid
 the discrete contraction ``dx * sum`` reproduces the continuum composition
 rule; in particular the Dirac delta is ``identity / dx``.
 
-Two-particle operators are stored as sums of Kronecker factor pairs, so a
-512-point grid never materializes the ``(n^2, n^2)`` matrix; expectation
-values contract the factors directly at O(n^3) cost.  Exchange symmetry of
-pair states is exact by construction: boson (symmetric) and fermion
-(antisymmetric) combinations satisfy ``values[i, j] == sign * values[j, i]``
-bitwise.
+A symmetrized pair ``nu * (psi (x) phi +/- phi (x) psi)`` has rank two, so it
+is stored as its two orbitals, its exchange sign and ``nu``; exchange
+symmetry holds by construction and no ``n x n`` pair array is ever formed.
+The expectation of a one-body registration observable ``a (x) 1 + 1 (x) a``
+follows from the 2x2 orbital matrix elements of ``a`` and the orbital
+overlaps (the Slater-Condon/Lowdin rules), at the cost of one kernel product.
 """
 
 from __future__ import annotations
@@ -21,32 +21,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    CapacityExceeded,
     GridMismatch,
     NullState,
     SupportViolation,
     UnresolvableWidth,
 )
-from .hilbert import MatrixOperator
-from .tolerances import (
-    COMPARISON_TOL,
-    DENSE_DIM_CAP,
-    INVARIANT_TOL,
-    QUADRATURE_NORM_TOL,
-)
+from .tolerances import COMPARISON_TOL, INVARIANT_TOL, QUADRATURE_NORM_TOL
 
 __all__ = [
     "LatticeGrid",
     "LatticeWavefunction",
     "TwoParticleWavefunction",
     "KernelOperator",
-    "TwoParticleKernel",
     "Domain",
     "ExchangeSymmetry",
     "gaussian_packet",
     "symmetrize",
-    "symmetrization_factor",
-    "symmetrized_observable",
     "expectation_single",
     "expectation_two_particle",
     "localize",
@@ -54,10 +44,7 @@ __all__ = [
     "dlocal_residual",
     "dlocal_agreement_check",
     "support",
-    "collective_observable",
-    "exchange_swap",
     "position_kernel",
-    "delta_kernel",
 ]
 
 
@@ -126,31 +113,38 @@ class LatticeWavefunction:
         return complex(self.grid.dx * np.vdot(self.values, other.values))
 
 
+def _pair_norm_squared(
+    first: LatticeWavefunction, second: LatticeWavefunction, sym: ExchangeSymmetry
+) -> float:
+    """Quadrature norm of ``first (x) second + sign * second (x) first``, squared."""
+    _require_same_grid(first.grid, second.grid)
+    return 2.0 * (
+        first.inner(first).real * second.inner(second).real
+        + sym.sign * abs(first.inner(second)) ** 2
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class TwoParticleWavefunction:
-    """Pair wavefunction with exact exchange symmetry.
+    """Symmetrized pair ``nu * (first (x) second + sign * second (x) first)``.
 
-    ``values[i, j]`` samples the amplitude at ``(x_i, x_j)``; the quadrature
-    norm ``dx^2 * sum |values|^2`` is 1 and ``values == sign * values.T``
-    holds bitwise for the declared exchange sign.
+    Exchanging the particles multiplies the amplitude by the declared sign
+    by construction; ``nu`` must make the quadrature norm 1.
     """
 
-    grid: LatticeGrid
-    values: np.ndarray
+    first: LatticeWavefunction
+    second: LatticeWavefunction
     exchange: ExchangeSymmetry
+    nu: float
 
     def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=complex)
-        n = self.grid.n_points
-        if vals.shape != (n, n):
-            raise ValueError(f"values must have shape ({n}, {n})")
-        norm = float(self.grid.dx**2 * np.sum(np.abs(vals) ** 2))
-        if abs(norm - 1.0) > QUADRATURE_NORM_TOL:
+        norm = self.nu**2 * _pair_norm_squared(self.first, self.second, self.exchange)
+        if not abs(norm - 1.0) <= QUADRATURE_NORM_TOL:
             raise ValueError(f"quadrature norm {norm:.17g} is not 1 within {QUADRATURE_NORM_TOL}")
-        if not np.array_equal(vals, self.exchange.sign * vals.T):
-            raise ValueError("values do not respect the declared exchange symmetry")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+
+    @property
+    def grid(self) -> LatticeGrid:
+        return self.first.grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,76 +166,6 @@ class KernelOperator:
                 raise ValueError(f"hermitian flag violated; deviation {dev:.3e}")
         mat.setflags(write=False)
         object.__setattr__(self, "kernel", mat)
-
-
-@dataclass(frozen=True, eq=False)
-class TwoParticleKernel:
-    """Pair kernel stored as a sum of Kronecker factor pairs.
-
-    The represented operator is ``sum_t left_t (x) right_t`` in the shared
-    row-major tensor convention.  An exchange-symmetry spot check runs at
-    construction on seeded product probes; :meth:`to_dense` materializes the
-    full ``(n^2, n^2)`` matrix only while ``n^2`` stays within the dense cap.
-    """
-
-    grid: LatticeGrid
-    terms: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-    def __post_init__(self) -> None:
-        n = self.grid.n_points
-        frozen: list[tuple[np.ndarray, np.ndarray]] = []
-        for left, right in self.terms:
-            lmat = np.array(left, dtype=complex)
-            rmat = np.array(right, dtype=complex)
-            if lmat.shape != (n, n) or rmat.shape != (n, n):
-                raise ValueError(f"factor matrices must have shape ({n}, {n})")
-            lmat.setflags(write=False)
-            rmat.setflags(write=False)
-            frozen.append((lmat, rmat))
-        object.__setattr__(self, "terms", tuple(frozen))
-        self._check_exchange_symmetry()
-
-    def _check_exchange_symmetry(self) -> None:
-        # <u(x)v|A|w(x)z> must equal <v(x)u|A|z(x)w> for all product probes.
-        rng = np.random.default_rng(7)
-        n = self.grid.n_points
-        scale = max(
-            1.0,
-            sum(float(np.linalg.norm(l) * np.linalg.norm(r)) for l, r in self.terms),
-        )
-        for _ in range(4):
-            u, v, w, z = (
-                rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(4)
-            )
-            u, v, w, z = (c / np.linalg.norm(c) for c in (u, v, w, z))
-            direct = sum(
-                np.vdot(u, l @ w) * np.vdot(v, r @ z) for l, r in self.terms
-            )
-            swapped = sum(
-                np.vdot(v, l @ z) * np.vdot(u, r @ w) for l, r in self.terms
-            )
-            if abs(direct - swapped) > INVARIANT_TOL * scale:
-                raise ValueError("kernel is not exchange-symmetric")
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """Quadrature action on raw pair samples; returns unnormalized samples."""
-        vals = np.asarray(values, dtype=complex)
-        out = np.zeros_like(vals)
-        for left, right in self.terms:
-            out += left @ vals @ right.T
-        return self.grid.dx**2 * out
-
-    def to_dense(self) -> np.ndarray:
-        """Materialize the full pair matrix (small grids only)."""
-        n = self.grid.n_points
-        if n * n > DENSE_DIM_CAP:
-            raise CapacityExceeded(
-                f"dense pair kernel would be {n * n} x {n * n}; cap is {DENSE_DIM_CAP}"
-            )
-        total = np.zeros((n * n, n * n), dtype=complex)
-        for left, right in self.terms:
-            total += np.kron(left, right)
-        return total
 
 
 @dataclass(frozen=True)
@@ -306,43 +230,20 @@ def gaussian_packet(grid: LatticeGrid, center: float, width: float) -> LatticeWa
     return LatticeWavefunction(grid, raw)
 
 
-def _symmetrized_raw(
-    psi: LatticeWavefunction, phi: LatticeWavefunction, sym: ExchangeSymmetry
-) -> np.ndarray:
-    _require_same_grid(psi.grid, phi.grid)
-    product = np.outer(psi.values, phi.values)
-    return product + sym.sign * product.T
-
-
-def symmetrization_factor(
-    psi: LatticeWavefunction, phi: LatticeWavefunction, sym: ExchangeSymmetry
-) -> float:
-    """Positive normalization ``nu`` with ``Psi = nu * (psi phi +/- phi psi)``.
-
-    Evaluates to ``1/sqrt(2)`` for orthogonal inputs and ``1/2`` for the
-    bosonic identical case.
-    """
-    raw = _symmetrized_raw(psi, phi, sym)
-    norm = float(np.sqrt(psi.grid.dx**2 * np.sum(np.abs(raw) ** 2)))
-    if norm < COMPARISON_TOL:
-        raise NullState("symmetrized state is numerically null")
-    return 1.0 / norm
-
-
 def symmetrize(
     psi: LatticeWavefunction, phi: LatticeWavefunction, sym: ExchangeSymmetry
 ) -> TwoParticleWavefunction:
-    """Exchange-(anti)symmetric pair state built from two one-particle states."""
-    raw = _symmetrized_raw(psi, phi, sym)
-    norm = float(np.sqrt(psi.grid.dx**2 * np.sum(np.abs(raw) ** 2)))
-    if norm < COMPARISON_TOL:
+    """Exchange-(anti)symmetric pair state built from two one-particle states.
+
+    The normalization ``nu = (2 <psi|psi><phi|phi> + 2 sign |<psi|phi>|^2)^(-1/2)``
+    is ``1/sqrt(2)`` for orthogonal inputs and ``1/2`` for the bosonic
+    identical case.  For nearly parallel fermionic inputs the bracket
+    cancels, leaving an absolute roundoff of about 1e-16 in ``1/nu^2``.
+    """
+    norm_squared = _pair_norm_squared(psi, phi, sym)
+    if norm_squared < COMPARISON_TOL**2:
         raise NullState("symmetrized state is numerically null")
-    return TwoParticleWavefunction(psi.grid, raw * (1.0 / norm), sym)
-
-
-def delta_kernel(grid: LatticeGrid) -> KernelOperator:
-    """Discretized Dirac delta: ``identity / dx``."""
-    return KernelOperator(grid, np.eye(grid.n_points, dtype=complex) / grid.dx, hermitian=True)
+    return TwoParticleWavefunction(psi, phi, sym, norm_squared**-0.5)
 
 
 def position_kernel(grid: LatticeGrid) -> KernelOperator:
@@ -352,28 +253,29 @@ def position_kernel(grid: LatticeGrid) -> KernelOperator:
     )
 
 
-def symmetrized_observable(a: KernelOperator) -> TwoParticleKernel:
-    """Registration kernel acting on either particle: ``a (x) delta + delta (x) a``."""
-    ident = np.eye(a.grid.n_points, dtype=complex) / a.grid.dx
-    return TwoParticleKernel(a.grid, ((a.kernel, ident), (ident, a.kernel)))
-
-
 def expectation_single(a: KernelOperator, psi: LatticeWavefunction) -> complex:
     """Quadrature expectation ``dx^2 * sum conj(psi_i) a_ij psi_j``."""
     _require_same_grid(a.grid, psi.grid)
     return complex(a.grid.dx**2 * np.vdot(psi.values, a.kernel @ psi.values))
 
 
-def expectation_two_particle(A: TwoParticleKernel, Psi: TwoParticleWavefunction) -> complex:
-    """Quadrature expectation of a pair kernel, ``dx^4``-weighted quadratic form."""
-    _require_same_grid(A.grid, Psi.grid)
-    conj_vals = Psi.values.conj()
-    total = 0.0 + 0.0j
-    for left, right in A.terms:
-        total += np.einsum(
-            "ij,ik,jl,kl->", conj_vals, left, right, Psi.values, optimize=True
-        )
-    return complex(A.grid.dx**4 * total)
+def expectation_two_particle(a: KernelOperator, pair: TwoParticleWavefunction) -> complex:
+    """Pair expectation of the registration observable ``a (x) 1 + 1 (x) a``.
+
+    With orbitals ``psi, phi``, matrix elements ``a_uv = <u|a|v>`` and
+    overlaps ``<u|v>``, the value is
+    ``2 nu^2 [a_pp <phi|phi> + a_ff <psi|psi> + sign (a_pf <phi|psi> + a_fp <psi|phi>)]``.
+    """
+    _require_same_grid(a.grid, pair.grid)
+    orbitals = np.stack((pair.first.values, pair.second.values))
+    elements = a.grid.dx**2 * (orbitals.conj() @ (a.kernel @ orbitals.T))
+    overlaps = a.grid.dx * (orbitals.conj() @ orbitals.T)
+    total = (
+        elements[0, 0] * overlaps[1, 1]
+        + elements[1, 1] * overlaps[0, 0]
+        + pair.exchange.sign * (elements[0, 1] * overlaps[1, 0] + elements[1, 0] * overlaps[0, 1])
+    )
+    return complex(2.0 * pair.nu**2 * total)
 
 
 def localize(a: KernelOperator, D: Domain) -> KernelOperator:
@@ -438,9 +340,8 @@ def dlocal_agreement_check(
         raise SupportViolation(
             f"second packet leaves {stray_phi:.3e} probability inside the domain"
         )
-    localized_pair = symmetrized_observable(localize(a, D))
     pair_state = symmetrize(psi, phi, ExchangeSymmetry.BOSON)
-    two_particle = expectation_two_particle(localized_pair, pair_state)
+    two_particle = expectation_two_particle(localize(a, D), pair_state)
     single = expectation_single(a, psi)
     return two_particle, single, abs(two_particle - single)
 
@@ -464,32 +365,3 @@ def support(psi: LatticeWavefunction, mass_epsilon: float) -> Domain:
         if prefix[hi] - prefix[lo] >= target and hi - lo < best_hi - best_lo:
             best_lo, best_hi = lo, hi
     return Domain(((best_lo, best_hi),))
-
-
-def collective_observable(a: MatrixOperator, n_particles: int) -> MatrixOperator:
-    """One-particle operator summed over every slot: ``sum_k I (x) ... a ... (x) I``."""
-    if n_particles < 1:
-        raise ValueError("n_particles must be at least 1")
-    dim = a.dim
-    if dim**n_particles > DENSE_DIM_CAP:
-        raise CapacityExceeded(
-            f"collective operator dim {dim}^{n_particles} exceeds cap {DENSE_DIM_CAP}"
-        )
-    total_dim = dim**n_particles
-    total = np.zeros((total_dim, total_dim), dtype=complex)
-    for slot in range(n_particles):
-        before = np.eye(dim**slot, dtype=complex)
-        after = np.eye(dim ** (n_particles - slot - 1), dtype=complex)
-        total += np.kron(np.kron(before, a.entries), after)
-    return MatrixOperator(total, hermitian=a.hermitian)
-
-
-def exchange_swap(dim: int) -> MatrixOperator:
-    """Permutation exchanging the two factors of a ``dim (x) dim`` space."""
-    swap = (
-        np.eye(dim * dim, dtype=complex)
-        .reshape(dim, dim, dim, dim)
-        .transpose(1, 0, 2, 3)
-        .reshape(dim * dim, dim * dim)
-    )
-    return MatrixOperator(swap, hermitian=True, unitary=True)

@@ -23,6 +23,7 @@ from .hilbert import (
     MatrixOperator,
     ProductSpace,
     StateVector,
+    gram_deviation,
     outer,
     partial_trace,
     trace_distance,
@@ -38,7 +39,6 @@ __all__ = [
     "apply_rule2",
     "gemenge_density_matrix",
     "pointer_block_coherence",
-    "pointer_block_projection",
     "compare_states",
     "shift_witness",
     "observable_witness",
@@ -73,9 +73,7 @@ class GemengeDecomposition:
             ("pointer", [c.pointer_state for c in components]),
             ("system", [c.system_state for c in components]),
         ):
-            columns = np.column_stack([s.amplitudes for s in family])
-            gram = columns.conj().T @ columns
-            dev = float(np.max(np.abs(gram - np.eye(len(family)))))
+            dev = gram_deviation(family)
             if dev > INVARIANT_TOL:
                 raise BasisNotOrthonormal(
                     f"{label} states of the gemenge are not orthonormal; deviation {dev:.3e}"
@@ -133,9 +131,7 @@ def _pointer_projectors(
     pointer_basis: tuple[StateVector, ...] | list[StateVector], space: ProductSpace
 ) -> list[np.ndarray]:
     d_system, d_pointer = space.factor_dims
-    columns = np.column_stack([p.amplitudes for p in pointer_basis])
-    gram = columns.conj().T @ columns
-    dev = float(np.max(np.abs(gram - np.eye(len(pointer_basis)))))
+    dev = gram_deviation(pointer_basis)
     if dev > INVARIANT_TOL:
         raise BasisNotOrthonormal(f"pointer basis deviates from orthonormal by {dev:.3e}")
     identity = np.eye(d_system, dtype=complex)
@@ -168,26 +164,6 @@ def pointer_block_coherence(
             if k != j:
                 off_diagonal = off_diagonal + left @ rho.entries @ right
     return float(np.linalg.norm(off_diagonal))
-
-
-def pointer_block_projection(
-    rho: DensityMatrix,
-    pointer_basis: tuple[StateVector, ...] | list[StateVector],
-    space: ProductSpace,
-) -> DensityMatrix:
-    """Keep only the pointer-diagonal blocks ``sum_k Pi_k rho Pi_k``.
-
-    Acts as the identity on already objectified states.  The input must be
-    supported on the pointer sectors, otherwise the projected matrix loses
-    trace and is rejected.
-    """
-    if rho.dim != space.dim:
-        raise DimensionMismatch(f"state dim {rho.dim} does not match space dim {space.dim}")
-    projectors = _pointer_projectors(pointer_basis, space)
-    diagonal = np.zeros_like(rho.entries)
-    for projector in projectors:
-        diagonal = diagonal + projector @ rho.entries @ projector
-    return DensityMatrix(diagonal)
 
 
 @dataclass(frozen=True, eq=False)

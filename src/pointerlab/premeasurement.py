@@ -21,8 +21,16 @@ from .errors import (
     MeasurementConditionViolated,
     SpecInvalid,
 )
-from .hilbert import DensityMatrix, MatrixOperator, ProductSpace, StateVector, outer, partial_trace
-from .tolerances import INVARIANT_TOL, PROBABILITY_FLOOR
+from .hilbert import (
+    DensityMatrix,
+    MatrixOperator,
+    ProductSpace,
+    StateVector,
+    gram_deviation,
+    outer,
+    partial_trace,
+)
+from .tolerances import COMPLETION_NORM_FLOOR, INVARIANT_TOL, PROBABILITY_FLOOR
 
 __all__ = [
     "BclSpec",
@@ -33,16 +41,6 @@ __all__ = [
     "premeasure",
     "apparatus_marginal",
 ]
-
-
-def _family_matrix(vectors: list[StateVector]) -> np.ndarray:
-    return np.column_stack([v.amplitudes for v in vectors])
-
-
-def _gram_deviation(vectors: list[StateVector]) -> float:
-    columns = _family_matrix(vectors)
-    gram = columns.conj().T @ columns
-    return float(np.max(np.abs(gram - np.eye(len(vectors)))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,14 +92,14 @@ class BclSpec:
             raise SpecInvalid(
                 f"degeneracies sum to {len(flat_basis)} but the system dimension is {system_dim}"
             )
-        dev = _gram_deviation(flat_basis)
+        dev = gram_deviation(flat_basis)
         if dev > INVARIANT_TOL:
             raise SpecInvalid(f"system eigenbasis is not orthonormal; deviation {dev:.3e}")
 
         apparatus_dim = self.ready_state.dim
         if any(p.dim != apparatus_dim for p in pointers):
             raise SpecInvalid("pointer states and ready state live on different dimensions")
-        dev = _gram_deviation(list(pointers))
+        dev = gram_deviation(pointers)
         if dev > INVARIANT_TOL:
             raise SpecInvalid(f"pointer basis is not orthonormal; deviation {dev:.3e}")
 
@@ -112,7 +110,7 @@ class BclSpec:
                 raise SpecInvalid(f"transfer row {k} has the wrong degeneracy")
             if any(v.dim != system_dim for v in row):
                 raise SpecInvalid(f"transfer row {k} has vectors of the wrong dimension")
-            dev = _gram_deviation(list(row))
+            dev = gram_deviation(row)
             if dev > INVARIANT_TOL:
                 raise SpecInvalid(f"transfer row {k} is not orthonormal; deviation {dev:.3e}")
 
@@ -220,14 +218,14 @@ def validate_spec(spec: BclSpec) -> ValidationReport:
     flat_transfer = [v for sector in spec.transfer_family for v in sector]
     residuals = {
         "completeness": float(abs(len(flat_basis) - spec.system_dim)),
-        "eigenbasis_orthonormality": _gram_deviation(flat_basis),
-        "pointer_orthonormality": _gram_deviation(list(spec.pointer_basis)),
+        "eigenbasis_orthonormality": gram_deviation(flat_basis),
+        "pointer_orthonormality": gram_deviation(spec.pointer_basis),
         "transfer_row_orthonormality": max(
-            _gram_deviation(list(row)) for row in spec.transfer_family
+            gram_deviation(row) for row in spec.transfer_family
         ),
         "pointer_count": float(abs(len(spec.pointer_basis) - spec.sector_count)),
     }
-    cross_residual = _gram_deviation(flat_transfer)
+    cross_residual = gram_deviation(flat_transfer)
     return ValidationReport(
         residuals=residuals,
         measurement_condition=cross_residual <= INVARIANT_TOL,
@@ -251,7 +249,7 @@ def _complete_orthonormal(columns: np.ndarray, dim: int, completion_seed: int) -
         for _ in range(2):  # one reorthogonalization pass for numerical safety
             vec = vec - basis[:, :count] @ (basis[:, :count].conj().T @ vec)
         norm = np.linalg.norm(vec)
-        if norm < 1e-8:
+        if norm < COMPLETION_NORM_FLOOR:
             return None
         return vec / norm
 

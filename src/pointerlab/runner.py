@@ -38,9 +38,7 @@ from .lattice import (
     gaussian_packet,
     localize,
     position_kernel,
-    symmetrization_factor,
     symmetrize,
-    symmetrized_observable,
 )
 from .objectification import (
     apply_rule2,
@@ -52,6 +50,7 @@ from .objectification import (
 )
 from .premeasurement import BclSpec, apparatus_marginal, premeasure
 from .scenario import ScenarioConfig
+from .tolerances import ORTHOGONAL_OVERLAP_GATE
 
 __all__ = [
     "Verdict",
@@ -197,7 +196,6 @@ def _run_symmetrization(config: ScenarioConfig) -> tuple[dict, list[Verdict]]:
         psi = gaussian_packet(grid, config.packets[0].center, config.packets[0].width)
         phi = gaussian_packet(grid, config.packets[1].center, config.packets[1].width)
         kernel = position_kernel(grid)
-        pair_kernel = symmetrized_observable(kernel)
     with _stage("symmetrization"):
         single_first = expectation_single(kernel, psi).real
         single_second = expectation_single(kernel, phi).real
@@ -205,10 +203,9 @@ def _run_symmetrization(config: ScenarioConfig) -> tuple[dict, list[Verdict]]:
         nu = {}
         two_particle = {}
         for sym in (ExchangeSymmetry.BOSON, ExchangeSymmetry.FERMION):
-            nu[sym] = symmetrization_factor(psi, phi, sym)
-            two_particle[sym] = expectation_two_particle(
-                pair_kernel, symmetrize(psi, phi, sym)
-            ).real
+            pair = symmetrize(psi, phi, sym)
+            nu[sym] = pair.nu
+            two_particle[sym] = expectation_two_particle(kernel, pair).real
 
     values = {
         "single_particle_position_first": single_first,
@@ -237,7 +234,7 @@ def _run_symmetrization(config: ScenarioConfig) -> tuple[dict, list[Verdict]]:
             tol["exchange_sign_agreement"],
         ),
     ]
-    if overlap <= 1e-4:  # nu -> 1/sqrt(2) only holds for near-orthogonal packets
+    if overlap <= ORTHOGONAL_OVERLAP_GATE:
         verdicts.append(
             _verdict(
                 "normalization_factor_orthogonal",
@@ -261,7 +258,7 @@ def _run_dlocal(config: ScenarioConfig) -> tuple[dict, list[Verdict]]:
             kernel, domain, psi, phi, mass_epsilon=tol["support_mass"]
         )
         two_raw = expectation_two_particle(
-            symmetrized_observable(kernel), symmetrize(psi, phi, ExchangeSymmetry.BOSON)
+            kernel, symmetrize(psi, phi, ExchangeSymmetry.BOSON)
         ).real
         raw_difference = abs(two_raw - single.real)
         residual_raw = dlocal_residual(kernel, domain)
@@ -280,7 +277,7 @@ def _run_dlocal(config: ScenarioConfig) -> tuple[dict, list[Verdict]]:
         _verdict("agreement", difference, tol["agreement"]),
         _verdict(
             "unlocalized_discrepancy",
-            abs(raw_difference - config.packets[1].center),
+            abs(raw_difference - abs(config.packets[1].center)),
             tol["unlocalized_discrepancy"],
         ),
         _bool_verdict(
@@ -301,7 +298,7 @@ def _run_dlocal(config: ScenarioConfig) -> tuple[dict, list[Verdict]]:
 
 def _bcl_diagnostics(
     spec: BclSpec, phi: StateVector, tol: dict[str, float]
-) -> tuple[dict, list[Verdict], object]:
+) -> tuple[dict, list[Verdict], object, DensityMatrix]:
     with _stage("premeasure"):
         result = premeasure(spec, phi)
         unitary = result.unitary.entries
@@ -337,14 +334,13 @@ def _bcl_diagnostics(
             formula_residual = max(
                 formula_residual, abs(float(result.probabilities[k]) - coefficient_mass)
             )
-        pointer_mixture = np.zeros((spec.apparatus_dim, spec.apparatus_dim), dtype=complex)
+        mixture = np.zeros((spec.apparatus_dim, spec.apparatus_dim), dtype=complex)
         for k, pointer in enumerate(spec.pointer_basis):
-            pointer_mixture += result.probabilities[k] * np.outer(
+            mixture += result.probabilities[k] * np.outer(
                 pointer.amplitudes, pointer.amplitudes.conj()
             )
-        marginal_residual = trace_distance(
-            apparatus_marginal(result, spec), DensityMatrix(pointer_mixture)
-        )
+        pointer_mixture = DensityMatrix(mixture)
+        marginal_residual = trace_distance(apparatus_marginal(result, spec), pointer_mixture)
 
     values = {
         f"probability_{k}": float(p) for k, p in enumerate(result.probabilities)
@@ -361,14 +357,14 @@ def _bcl_diagnostics(
         _verdict("reconstruction", reconstruction_residual, tol["reconstruction"]),
         _verdict("apparatus_marginal", marginal_residual, tol["apparatus_marginal"]),
     ]
-    return values, verdicts, result
+    return values, verdicts, result, pointer_mixture
 
 
 def _run_bcl(config: ScenarioConfig) -> tuple[dict, list[Verdict]]:
     with _stage("build spec"):
         spec = config.bcl.build()
         phi = StateVector.normalized(np.array(config.initial_state))
-    values, verdicts, _ = _bcl_diagnostics(spec, phi, config.tolerances)
+    values, verdicts, _, _ = _bcl_diagnostics(spec, phi, config.tolerances)
     return values, verdicts
 
 
@@ -377,7 +373,7 @@ def _run_full_measurement(config: ScenarioConfig) -> tuple[dict, list[Verdict]]:
     with _stage("build spec"):
         spec = config.bcl.build()
         phi = StateVector.normalized(np.array(config.initial_state))
-    values, verdicts, result = _bcl_diagnostics(spec, phi, tol)
+    values, verdicts, result, pointer_mixture = _bcl_diagnostics(spec, phi, tol)
     with _stage("objectify"):
         gemenge = apply_rule2(result, spec)
         space = ProductSpace((spec.system_dim, spec.apparatus_dim))
@@ -390,13 +386,8 @@ def _run_full_measurement(config: ScenarioConfig) -> tuple[dict, list[Verdict]]:
             else shift_witness(spec)
         )
         report = compare_states(result, gemenge, spec, witness)
-        pointer_mixture = np.zeros((spec.apparatus_dim, spec.apparatus_dim), dtype=complex)
-        for k, pointer in enumerate(spec.pointer_basis):
-            pointer_mixture += result.probabilities[k] * np.outer(
-                pointer.amplitudes, pointer.amplitudes.conj()
-            )
         gemenge_apparatus_residual = trace_distance(
-            partial_trace(rho_rule2, space, keep=1), DensityMatrix(pointer_mixture)
+            partial_trace(rho_rule2, space, keep=1), pointer_mixture
         )
         probabilities = result.probabilities[result.probabilities > 0.0]
         expected_entropy = float(-np.sum(probabilities * np.log(probabilities)))

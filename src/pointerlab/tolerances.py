@@ -22,3 +22,11 @@ QUADRATURE_NORM_TOL = 1e-8
 
 #: Largest dimension for which dense matrices are materialized.
 DENSE_DIM_CAP = 4096
+
+#: Packet overlaps at or below this gate count as orthogonal, where the pair
+#: normalization factor must approach ``1/sqrt(2)``.
+ORTHOGONAL_OVERLAP_GATE = 1e-4
+
+#: Completion candidates whose orthogonalized norm falls below this floor are
+#: treated as linearly dependent and skipped.
+COMPLETION_NORM_FLOOR = 1e-8

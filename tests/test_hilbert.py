@@ -2,20 +2,18 @@ import numpy as np
 import pytest
 
 from pointerlab import (
-    BasisNotOrthonormal,
     DensityMatrix,
     DimensionMismatch,
     MatrixOperator,
     ProductSpace,
     StateVector,
-    coefficients_of,
     outer,
     partial_trace,
     tensor,
-    tensor_op,
     trace_distance,
     von_neumann_entropy,
 )
+from pointerlab.hilbert import gram_deviation
 from helpers import random_state, random_unitary
 
 LN2 = 0.6931471805599453
@@ -70,10 +68,8 @@ class TestTensor:
 
 
 class TestTensorOp:
-    def test_identity(self):
-        eye2 = MatrixOperator(np.eye(2))
-        assert np.array_equal(tensor_op(eye2, eye2).entries, np.eye(4, dtype=complex))
-
+    # the operator Kronecker convention behind the np.kron products in
+    # premeasurement and objectification: (M (x) N)(u (x) v) = (Mu) (x) (Nv)
     def test_acts_factorwise(self):
         rng = np.random.default_rng(2)
         m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
@@ -83,13 +79,6 @@ class TestTensorOp:
         left = np.kron(m, n) @ np.kron(u, v)
         right = np.kron(m @ u, n @ v)
         assert np.max(np.abs(left - right)) < 1e-12
-
-    def test_sigma_z_spectrum(self):
-        sigma_z = MatrixOperator(np.diag([1.0, -1.0]), hermitian=True)
-        eye2 = MatrixOperator(np.eye(2), hermitian=True, unitary=True)
-        product = tensor_op(sigma_z, eye2)
-        assert product.hermitian
-        assert np.allclose(np.linalg.eigvalsh(product.entries), [-1, -1, 1, 1])
 
 
 class TestPartialTrace:
@@ -170,32 +159,15 @@ class TestOuter:
             assert np.max(np.abs(rho.entries @ rho.entries - rho.entries)) < 1e-10
 
 
-class TestCoefficients:
-    def test_basis_vector(self):
-        basis = [StateVector.basis_state(3, i) for i in range(3)]
-        coeffs = coefficients_of(basis[0], basis)
-        assert np.allclose(coeffs, [1, 0, 0])
-
-    def test_complex_combination(self):
-        basis = [StateVector.basis_state(3, i) for i in range(3)]
-        phi = StateVector(np.array([1, 1j, 0]) / np.sqrt(2))
-        coeffs = coefficients_of(phi, basis)
-        assert np.allclose(coeffs, [1 / np.sqrt(2), 1j / np.sqrt(2), 0], atol=1e-15)
-
-    def test_reconstruction_round_trip(self):
+class TestGramDeviation:
+    def test_orthonormal_family(self):
         rng = np.random.default_rng(8)
         columns = random_unitary(rng, 4)
-        basis = [StateVector(columns[:, i]) for i in range(4)]
-        phi = random_state(rng, 4)
-        coeffs = coefficients_of(phi, basis)
-        assert abs(np.sum(np.abs(coeffs) ** 2) - 1.0) < 1e-10
-        rebuilt = sum(c * b.amplitudes for c, b in zip(coeffs, basis))
-        assert np.max(np.abs(rebuilt - phi.amplitudes)) < 1e-12
+        assert gram_deviation([StateVector(columns[:, i]) for i in range(4)]) < 1e-12
 
-    def test_rejects_non_orthonormal(self):
+    def test_repeated_vector(self):
         v = StateVector([1, 0])
-        with pytest.raises(BasisNotOrthonormal):
-            coefficients_of(v, [v, v])
+        assert gram_deviation([v, v]) == 1.0
 
 
 class TestDensityMatrixInvariants:

@@ -2,24 +2,18 @@ import numpy as np
 import pytest
 
 from pointerlab import (
-    CapacityExceeded,
     Domain,
     ExchangeSymmetry,
     GridMismatch,
     KernelOperator,
     LatticeGrid,
     LatticeWavefunction,
-    MatrixOperator,
     NullState,
-    StateVector,
     SupportViolation,
-    TwoParticleKernel,
+    TwoParticleWavefunction,
     UnresolvableWidth,
-    collective_observable,
-    delta_kernel,
     dlocal_agreement_check,
     dlocal_residual,
-    exchange_swap,
     expectation_single,
     expectation_two_particle,
     gaussian_packet,
@@ -27,10 +21,7 @@ from pointerlab import (
     localize,
     position_kernel,
     support,
-    symmetrization_factor,
     symmetrize,
-    symmetrized_observable,
-    tensor,
 )
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -49,6 +40,11 @@ def small_grid():
 @pytest.fixture(scope="module")
 def tiny_grid():
     return LatticeGrid.from_extent(-4.0, 4.0, 16)
+
+
+def identity_kernel(grid):
+    # discretized Dirac delta: identity / dx
+    return KernelOperator(grid, np.eye(grid.n_points) / grid.dx, hermitian=True)
 
 
 def quadrature_mean(psi):
@@ -103,7 +99,7 @@ class TestSymmetrize:
         # oracle: norm of the raw symmetrized matrix, computed directly
         raw = np.outer(psi.values, phi.values) + np.outer(phi.values, psi.values)
         nu_oracle = 1.0 / np.sqrt(grid.dx**2 * np.sum(np.abs(raw) ** 2))
-        nu = symmetrization_factor(psi, phi, ExchangeSymmetry.BOSON)
+        nu = symmetrize(psi, phi, ExchangeSymmetry.BOSON).nu
         assert nu == pytest.approx(nu_oracle, abs=1e-15)
         assert abs(nu - INV_SQRT2) < 1e-8
 
@@ -115,18 +111,21 @@ class TestSymmetrize:
     def test_identical_bosons_product(self, grid):
         psi = gaussian_packet(grid, 0.0, 1.0)
         pair = symmetrize(psi, psi, ExchangeSymmetry.BOSON)
-        assert np.max(np.abs(pair.values - np.outer(psi.values, psi.values))) < 1e-10
-        assert symmetrization_factor(psi, psi, ExchangeSymmetry.BOSON) == pytest.approx(
-            0.5, abs=1e-10
-        )
+        first, second = pair.first.values, pair.second.values
+        amplitude = pair.nu * (np.outer(first, second) + np.outer(second, first))
+        assert np.max(np.abs(amplitude - np.outer(psi.values, psi.values))) < 1e-10
+        assert pair.nu == pytest.approx(0.5, abs=1e-10)
 
     def test_swap_symmetry_exact(self, grid):
         psi = gaussian_packet(grid, -3.0, 1.0)
         phi = gaussian_packet(grid, 3.0, 1.0)
-        boson = symmetrize(psi, phi, ExchangeSymmetry.BOSON)
-        fermion = symmetrize(psi, phi, ExchangeSymmetry.FERMION)
-        assert np.array_equal(boson.values, boson.values.T)
-        assert np.array_equal(fermion.values, -fermion.values.T)
+        for sym in (ExchangeSymmetry.BOSON, ExchangeSymmetry.FERMION):
+            pair = symmetrize(psi, phi, sym)
+            first, second = pair.first.values, pair.second.values
+            amplitude = pair.nu * (
+                np.outer(first, second) + pair.exchange.sign * np.outer(second, first)
+            )
+            assert np.array_equal(amplitude, sym.sign * amplitude.T)
 
     def test_grid_mismatch(self, grid, small_grid):
         psi = gaussian_packet(grid, 0.0, 1.0)
@@ -134,37 +133,13 @@ class TestSymmetrize:
         with pytest.raises(GridMismatch):
             symmetrize(psi, phi, ExchangeSymmetry.BOSON)
 
-
-class TestSymmetrizedObservable:
-    def test_product_state_action(self, small_grid):
-        psi = gaussian_packet(small_grid, -2.0, 0.8)
-        phi = gaussian_packet(small_grid, 2.0, 0.8)
-        pair = symmetrized_observable(position_kernel(small_grid))
-        product = np.outer(psi.values, phi.values)
-        applied = pair.apply(product)
-        x = small_grid.coordinates
-        expected = np.outer(x * psi.values, phi.values) + np.outer(psi.values, x * phi.values)
-        assert np.max(np.abs(applied - expected)) < 1e-10
-
-    def test_exchange_symmetric_dense(self, tiny_grid):
-        pair = symmetrized_observable(position_kernel(tiny_grid))
-        dense = pair.to_dense()
-        n = tiny_grid.n_points
-        swap = exchange_swap(n).entries
-        assert np.max(np.abs(swap @ dense @ swap - dense)) < 1e-12
-
-    def test_asymmetric_kernel_rejected(self, tiny_grid):
-        n = tiny_grid.n_points
+    def test_record_rejects_wrong_normalization(self, grid):
+        psi = gaussian_packet(grid, 0.0, 1.0)
+        phi = gaussian_packet(grid, 10.0, 1.0)
         with pytest.raises(ValueError):
-            TwoParticleKernel(
-                tiny_grid,
-                ((np.diag(tiny_grid.coordinates.astype(complex)), np.eye(n, dtype=complex)),),
-            )
-
-    def test_dense_cap(self, grid):
-        pair = symmetrized_observable(position_kernel(grid))
-        with pytest.raises(CapacityExceeded):
-            pair.to_dense()
+            TwoParticleWavefunction(psi, phi, ExchangeSymmetry.BOSON, 0.5)
+        with pytest.raises(ValueError):
+            TwoParticleWavefunction(psi, phi, ExchangeSymmetry.BOSON, float("nan"))
 
 
 class TestExpectations:
@@ -181,7 +156,7 @@ class TestExpectations:
 
     def test_single_identity(self, grid):
         psi = gaussian_packet(grid, 3.0, 1.0)
-        assert abs(expectation_single(delta_kernel(grid), psi) - 1.0) < 1e-8
+        assert abs(expectation_single(identity_kernel(grid), psi) - 1.0) < 1e-8
 
     def test_single_grid_mismatch(self, grid, small_grid):
         with pytest.raises(GridMismatch):
@@ -190,28 +165,27 @@ class TestExpectations:
     def test_two_particle_discrepancy(self, grid):
         psi = gaussian_packet(grid, 0.0, 1.0)
         phi = gaussian_packet(grid, 10.0, 1.0)
-        pair_kernel = symmetrized_observable(position_kernel(grid))
+        kernel = position_kernel(grid)
         value = expectation_two_particle(
-            pair_kernel, symmetrize(psi, phi, ExchangeSymmetry.BOSON)
+            kernel, symmetrize(psi, phi, ExchangeSymmetry.BOSON)
         )
         assert abs(value - 10.0) < 1e-5
 
     def test_two_particle_identity_counts_particles(self, grid):
         psi = gaussian_packet(grid, 0.0, 1.0)
         phi = gaussian_packet(grid, 10.0, 1.0)
-        pair_kernel = symmetrized_observable(delta_kernel(grid))
         value = expectation_two_particle(
-            pair_kernel, symmetrize(psi, phi, ExchangeSymmetry.BOSON)
+            identity_kernel(grid), symmetrize(psi, phi, ExchangeSymmetry.BOSON)
         )
         assert abs(value - 2.0) < 1e-6
 
     def test_sign_independence_for_disjoint_packets(self, grid):
         psi = gaussian_packet(grid, 0.0, 1.0)
         phi = gaussian_packet(grid, 10.0, 1.0)
-        pair_kernel = symmetrized_observable(position_kernel(grid))
-        boson = expectation_two_particle(pair_kernel, symmetrize(psi, phi, ExchangeSymmetry.BOSON))
+        kernel = position_kernel(grid)
+        boson = expectation_two_particle(kernel, symmetrize(psi, phi, ExchangeSymmetry.BOSON))
         fermion = expectation_two_particle(
-            pair_kernel, symmetrize(psi, phi, ExchangeSymmetry.FERMION)
+            kernel, symmetrize(psi, phi, ExchangeSymmetry.FERMION)
         )
         assert abs(boson - fermion) < 1e-8
 
@@ -224,10 +198,9 @@ class TestExpectations:
         n = small_grid.n_points
         raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         kernel = KernelOperator(small_grid, (raw + raw.conj().T) / small_grid.dx, hermitian=True)
-        pair_kernel = symmetrized_observable(kernel)
         expected = expectation_single(kernel, psi) + expectation_single(kernel, phi)
         for sym in (ExchangeSymmetry.BOSON, ExchangeSymmetry.FERMION):
-            value = expectation_two_particle(pair_kernel, symmetrize(psi, phi, sym))
+            value = expectation_two_particle(kernel, symmetrize(psi, phi, sym))
             assert abs(value - expected) < 1e-6
 
 
@@ -281,8 +254,8 @@ class TestAgreementCheck:
     def test_unlocalized_kernel_disagrees_by_remote_mean(self, grid):
         psi = gaussian_packet(grid, 0.0, 1.0)
         phi = gaussian_packet(grid, 15.0, 1.0)
-        pair_kernel = symmetrized_observable(position_kernel(grid))
-        two = expectation_two_particle(pair_kernel, symmetrize(psi, phi, ExchangeSymmetry.BOSON))
+        kernel = position_kernel(grid)
+        two = expectation_two_particle(kernel, symmetrize(psi, phi, ExchangeSymmetry.BOSON))
         single = expectation_single(position_kernel(grid), psi)
         assert abs(abs(two - single) - 15.0) < 1e-4
 
@@ -290,7 +263,7 @@ class TestAgreementCheck:
         domain = Domain.from_interval(grid, -5.0, 5.0)
         psi = gaussian_packet(grid, 0.0, 0.8)
         phi = gaussian_packet(grid, 15.0, 0.8)
-        two, single, difference = dlocal_agreement_check(delta_kernel(grid), domain, psi, phi)
+        two, single, difference = dlocal_agreement_check(identity_kernel(grid), domain, psi, phi)
         assert abs(two - 1.0) < 1e-6
         assert abs(single - 1.0) < 1e-8
         assert difference < 1e-6
@@ -337,35 +310,46 @@ class TestSupport:
 
 
 class TestCollectiveObservable:
-    def test_number_operator_pattern(self):
-        counting = MatrixOperator(np.diag([0.0, 1.0]), hermitian=True)
-        total = collective_observable(counting, 2)
-        assert np.allclose(total.entries, np.diag([0.0, 1.0, 1.0, 2.0]))
+    # the collective observable a (x) 1 + 1 (x) a, evaluated on pair states
 
-    def test_product_state_linearity(self):
+    def test_number_operator_pattern(self, grid):
+        # the indicator of a domain counts the particles inside it
+        domain = Domain.from_interval(grid, -5.0, 5.0)
+        counting = KernelOperator(
+            grid, np.diag(domain.mask(grid.n_points).astype(complex)) / grid.dx, hermitian=True
+        )
+        inside = gaussian_packet(grid, 0.0, 0.8)
+        also_inside = gaussian_packet(grid, -0.5, 0.8)
+        outside = gaussian_packet(grid, 15.0, 0.8)
+        for sym in (ExchangeSymmetry.BOSON, ExchangeSymmetry.FERMION):
+            one = expectation_two_particle(counting, symmetrize(inside, outside, sym))
+            two = expectation_two_particle(counting, symmetrize(inside, also_inside, sym))
+            assert abs(one - 1.0) < 1e-6
+            assert abs(two - 2.0) < 1e-6
+
+    def test_product_state_linearity(self, small_grid):
+        # identical bosons form the product psi (x) psi: twice the one-particle mean
         rng = np.random.default_rng(11)
-        a = rng.normal(size=(3, 3))
-        a = MatrixOperator(a + a.T, hermitian=True)
-        u = StateVector.normalized(rng.normal(size=3) + 1j * rng.normal(size=3))
-        triple = tensor(tensor(u, u), u)
-        total = collective_observable(a, 3)
-        collective_mean = np.vdot(triple.amplitudes, total.entries @ triple.amplitudes)
-        single_mean = np.vdot(u.amplitudes, a.entries @ u.amplitudes)
-        assert abs(collective_mean - 3 * single_mean) < 1e-10
+        n = small_grid.n_points
+        raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        kernel = KernelOperator(small_grid, (raw + raw.conj().T) / small_grid.dx, hermitian=True)
+        psi = gaussian_packet(small_grid, 1.0, 0.9)
+        pair = symmetrize(psi, psi, ExchangeSymmetry.BOSON)
+        value = expectation_two_particle(kernel, pair)
+        assert abs(value - 2 * expectation_single(kernel, psi)) < 1e-10
 
-    def test_commutes_with_exchange(self):
+    def test_commutes_with_exchange(self, small_grid):
+        # swapping the orbitals only flips the global sign of a fermion pair
         rng = np.random.default_rng(12)
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        a = MatrixOperator(a + a.conj().T, hermitian=True)
-        total = collective_observable(a, 2)
-        swap = exchange_swap(4).entries
-        commutator = total.entries @ swap - swap @ total.entries
-        assert np.max(np.abs(commutator)) < 1e-12
-
-    def test_capacity_cap(self):
-        a = MatrixOperator(np.eye(8))
-        with pytest.raises(CapacityExceeded):
-            collective_observable(a, 5)
+        n = small_grid.n_points
+        raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        kernel = KernelOperator(small_grid, (raw + raw.conj().T) / small_grid.dx, hermitian=True)
+        psi = gaussian_packet(small_grid, -1.0, 0.8)
+        phi = gaussian_packet(small_grid, 1.5, 1.1)
+        for sym in (ExchangeSymmetry.BOSON, ExchangeSymmetry.FERMION):
+            forward = expectation_two_particle(kernel, symmetrize(psi, phi, sym))
+            backward = expectation_two_particle(kernel, symmetrize(phi, psi, sym))
+            assert abs(forward - backward) < 1e-10 * max(1.0, abs(forward))
 
 
 class TestDomain:

@@ -16,7 +16,6 @@ from pointerlab import (
     outer,
     partial_trace,
     pointer_block_coherence,
-    pointer_block_projection,
     premeasure,
     shift_witness,
     tensor,
@@ -130,22 +129,6 @@ class TestPointerBlockCoherence:
             np.kron(outer(random_state(rng, 2)).entries, outer(spec.pointer_basis[0]).entries)
         )
         assert pointer_block_coherence(rho, spec.pointer_basis, space) == 0.0
-
-    def test_projection_is_identity_on_objectified_states(self):
-        spec, _, gemenge = bell_case()
-        space = ProductSpace((2, 2))
-        rho = gemenge_density_matrix(gemenge, space)
-        projected = pointer_block_projection(rho, spec.pointer_basis, space)
-        assert np.max(np.abs(projected.entries - rho.entries)) < 1e-12
-
-    def test_projection_removes_bell_coherence(self):
-        spec, result, gemenge = bell_case()
-        space = ProductSpace((2, 2))
-        projected = pointer_block_projection(
-            outer(result.final_state), spec.pointer_basis, space
-        )
-        expected = gemenge_density_matrix(gemenge, space)
-        assert np.max(np.abs(projected.entries - expected.entries)) < 1e-12
 
 
 class TestCompareStates:

@@ -22,6 +22,13 @@ SYMMETRIZATION = {
     "packets": [{"center": 0.0, "width": 1.0}, {"center": 10.0, "width": 1.0}],
 }
 
+DLOCAL_REMOTE_LEFT = {
+    "scenario_kind": "dlocal",
+    "grid": {"x_min": -20.0, "dx": 0.078125, "n_points": 512},
+    "packets": [{"center": 0.0, "width": 1.0}, {"center": -15.0, "width": 1.0}],
+    "domain": {"lower": -5.0, "upper": 5.0},
+}
+
 FULL_MEASUREMENT = {
     "scenario_kind": "full_measurement",
     "bcl": {"eigenvalues": [1.0, -1.0], "degeneracies": [1, 1]},
@@ -103,6 +110,13 @@ class TestRunScenario:
         assert abs(report.values["two_particle_position_boson"] - 10.0) < 1e-5
         assert abs(report.values["single_particle_position_first"]) < 1e-6
         assert abs(report.values["single_particle_position_second"] - 10.0) < 1e-6
+
+    def test_dlocal_remote_packet_left_of_domain(self, tmp_path):
+        # the unlocalized difference is |<x>| of the remote packet, so a
+        # negative centre must pass just like its mirror image
+        report = run_scenario(load_scenario(write_scenario(tmp_path, DLOCAL_REMOTE_LEFT)))
+        assert report.all_passed
+        assert abs(report.values["unlocalized_difference"] - 15.0) < 1e-4
 
     def test_bcl_qubit_probabilities(self, tmp_path):
         config = load_scenario(write_scenario(tmp_path, MINIMAL_BCL))
