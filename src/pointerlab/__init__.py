@@ -6,7 +6,6 @@ non-unitary step erases."""
 from .errors import (
     BasisNotOrthonormal,
     CapacityExceeded,
-    CompletionFailure,
     DimensionMismatch,
     GridMismatch,
     MeasurementConditionViolated,

@@ -46,10 +46,6 @@ class MeasurementConditionViolated(SpecInvalid):
     """The transfer family is not orthonormal across outcome sectors."""
 
 
-class CompletionFailure(PointerlabError):
-    """Orthonormal completion of a partial isometry degenerated."""
-
-
 class ScenarioError(PointerlabError):
     """Base class for scenario-file problems."""
 

@@ -8,7 +8,10 @@ therefore stored explicitly rather than only as a density matrix.  The
 diagnostics in this module quantify exactly what the non-unitary step
 preserves (both marginals, every pointer-diagonal observable) and what it
 erases (pointer-off-diagonal coherence, witnessed by observables that do not
-commute with the measured one).
+commute with the measured one).  Pointer blocks are read from the
+``(d_system, d_pointer, d_system, d_pointer)`` view of a state with both
+apparatus indices rotated into the pointer basis; no product-space projector
+is ever built.
 """
 
 from __future__ import annotations
@@ -127,24 +130,6 @@ def gemenge_density_matrix(g: GemengeDecomposition, space: ProductSpace) -> Dens
     return DensityMatrix(matrix)
 
 
-def _pointer_projectors(
-    pointer_basis: tuple[StateVector, ...] | list[StateVector], space: ProductSpace
-) -> list[np.ndarray]:
-    d_system, d_pointer = space.factor_dims
-    dev = gram_deviation(pointer_basis)
-    if dev > INVARIANT_TOL:
-        raise BasisNotOrthonormal(f"pointer basis deviates from orthonormal by {dev:.3e}")
-    identity = np.eye(d_system, dtype=complex)
-    projectors = []
-    for pointer in pointer_basis:
-        if pointer.dim != d_pointer:
-            raise DimensionMismatch("pointer states do not match the apparatus factor")
-        projectors.append(
-            np.kron(identity, np.outer(pointer.amplitudes, pointer.amplitudes.conj()))
-        )
-    return projectors
-
-
 def pointer_block_coherence(
     rho: DensityMatrix,
     pointer_basis: tuple[StateVector, ...] | list[StateVector],
@@ -153,17 +138,28 @@ def pointer_block_coherence(
     """Frobenius norm of the pointer-off-diagonal blocks of a bipartite state.
 
     Zero exactly when the state is block-diagonal across pointer sectors,
-    which is what objectification enforces.
+    which is what objectification enforces.  Block ``(k, l)`` is
+    ``(1 (x) <pi_k|) rho (1 (x) |pi_l>)``: both apparatus indices of the
+    ``(d_system, d_pointer, d_system, d_pointer)`` view of ``rho`` are rotated
+    into the pointer basis and the ``k != l`` blocks are summed directly.
     """
     if rho.dim != space.dim:
         raise DimensionMismatch(f"state dim {rho.dim} does not match space dim {space.dim}")
-    projectors = _pointer_projectors(pointer_basis, space)
-    off_diagonal = np.zeros_like(rho.entries)
-    for k, left in enumerate(projectors):
-        for j, right in enumerate(projectors):
-            if k != j:
-                off_diagonal = off_diagonal + left @ rho.entries @ right
-    return float(np.linalg.norm(off_diagonal))
+    d_system, d_pointer = space.factor_dims
+    if any(pointer.dim != d_pointer for pointer in pointer_basis):
+        raise DimensionMismatch("pointer states do not match the apparatus factor")
+    dev = gram_deviation(pointer_basis)
+    if dev > INVARIANT_TOL:
+        raise BasisNotOrthonormal(f"pointer basis deviates from orthonormal by {dev:.3e}")
+    pointers = np.column_stack([pointer.amplitudes for pointer in pointer_basis])
+    blocks = np.einsum(
+        "ak,iajb,bl->klij",
+        pointers.conj(),
+        rho.entries.reshape(d_system, d_pointer, d_system, d_pointer),
+        pointers,
+        optimize=True,
+    )
+    return float(np.linalg.norm(blocks[~np.eye(len(pointer_basis), dtype=bool)]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,8 +4,10 @@ The model follows the Beltrametti-Cassinelli-Lahti scheme: a complete
 orthonormal eigenbasis of the system observable, partitioned into eigenvalue
 sectors, is mapped onto a transfer family while the apparatus moves from its
 ready state into the pointer state labelling the sector.  The coupling fixes
-the unitary only on the subspace spanned by ``eigenvector (x) ready``; the
-rest is filled by a deterministic orthonormal completion, and everything
+the unitary only on the subspace spanned by ``eigenvector (x) ready`` (the
+isometry of Beltrametti, Cassinelli and Lahti, J. Math. Phys. 31, 91 (1990));
+the rest is filled by a deterministic orthonormal completion, one Householder
+QR of the fixed columns followed by candidate vectors, and everything
 physical is independent of that completion choice.
 """
 
@@ -15,22 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CompletionFailure,
-    DimensionMismatch,
-    MeasurementConditionViolated,
-    SpecInvalid,
-)
-from .hilbert import (
-    DensityMatrix,
-    MatrixOperator,
-    ProductSpace,
-    StateVector,
-    gram_deviation,
-    outer,
-    partial_trace,
-)
-from .tolerances import COMPLETION_NORM_FLOOR, INVARIANT_TOL, PROBABILITY_FLOOR
+from .errors import DimensionMismatch, MeasurementConditionViolated, SpecInvalid
+from .hilbert import DensityMatrix, MatrixOperator, StateVector, gram_deviation
+from .tolerances import INVARIANT_TOL, PROBABILITY_FLOOR
 
 __all__ = [
     "BclSpec",
@@ -233,48 +222,39 @@ def validate_spec(spec: BclSpec) -> ValidationReport:
     )
 
 
-def _complete_orthonormal(columns: np.ndarray, dim: int, completion_seed: int) -> np.ndarray:
-    """Extend orthonormal columns to a full basis by modified Gram-Schmidt.
+def _isometry_columns(spec: BclSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Domain columns ``e (x) ready`` and range columns ``t (x) pointer``.
 
-    Seed 0 draws completion candidates from the canonical basis in index
-    order; any other seed draws deterministic Gaussian candidates, giving a
-    second completion to test completion independence against.
+    One column per eigenvector, in sector order; the premeasurement unitary
+    maps each domain column onto the range column beside it.
     """
-    basis = np.zeros((dim, dim), dtype=complex)
-    count = columns.shape[1]
-    basis[:, :count] = columns
+    eigvecs = np.column_stack([v.amplitudes for sector in spec.system_eigenbasis for v in sector])
+    transfer = np.column_stack([v.amplitudes for sector in spec.transfer_family for v in sector])
+    pointers = np.repeat(
+        np.column_stack([p.amplitudes for p in spec.pointer_basis]), spec.degeneracies, axis=1
+    )
+    total_dim = spec.system_dim * spec.apparatus_dim
+    domain = np.einsum("ic,j->ijc", eigvecs, spec.ready_state.amplitudes)
+    image = np.einsum("ic,jc->ijc", transfer, pointers)
+    return domain.reshape(total_dim, -1), image.reshape(total_dim, -1)
 
-    def orthogonalized(candidate: np.ndarray) -> np.ndarray | None:
-        vec = candidate.astype(complex)
-        for _ in range(2):  # one reorthogonalization pass for numerical safety
-            vec = vec - basis[:, :count] @ (basis[:, :count].conj().T @ vec)
-        norm = np.linalg.norm(vec)
-        if norm < COMPLETION_NORM_FLOOR:
-            return None
-        return vec / norm
 
+def _complete_orthonormal(columns: np.ndarray, completion_seed: int) -> np.ndarray:
+    """Extend orthonormal columns to a full basis with one Householder QR.
+
+    The candidates appended after ``columns`` are the canonical basis for
+    seed 0 and deterministic Gaussians for any other seed, giving a second
+    completion to test completion independence against.  QR reproduces
+    ``columns`` only up to unit phases, so they are written back verbatim.
+    """
+    dim, count = columns.shape
     if completion_seed == 0:
-        for index in range(dim):
-            if count == dim:
-                break
-            candidate = np.zeros(dim, dtype=complex)
-            candidate[index] = 1.0
-            vec = orthogonalized(candidate)
-            if vec is not None:
-                basis[:, count] = vec
-                count += 1
+        candidates = np.eye(dim, dtype=complex)
     else:
         rng = np.random.default_rng(completion_seed)
-        attempts = 0
-        while count < dim and attempts < 8 * dim:
-            candidate = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            vec = orthogonalized(candidate)
-            attempts += 1
-            if vec is not None:
-                basis[:, count] = vec
-                count += 1
-    if count != dim:
-        raise CompletionFailure("orthonormal completion did not span the full space")
+        candidates = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    basis, _ = np.linalg.qr(np.hstack([columns, candidates]))
+    basis[:, :count] = columns
     return basis
 
 
@@ -292,16 +272,9 @@ def build_premeasurement_unitary(spec: BclSpec, completion_seed: int = 0) -> Mat
             "transfer family is not orthonormal across sectors; residual "
             f"{report.measurement_condition_residual:.3e}"
         )
-    total_dim = spec.system_dim * spec.apparatus_dim
-    domain_cols = []
-    range_cols = []
-    for k, (eigsector, row) in enumerate(zip(spec.system_eigenbasis, spec.transfer_family)):
-        pointer = spec.pointer_basis[k].amplitudes
-        for eigvec, transfer_vec in zip(eigsector, row):
-            domain_cols.append(np.kron(eigvec.amplitudes, spec.ready_state.amplitudes))
-            range_cols.append(np.kron(transfer_vec.amplitudes, pointer))
-    domain_full = _complete_orthonormal(np.column_stack(domain_cols), total_dim, completion_seed)
-    range_full = _complete_orthonormal(np.column_stack(range_cols), total_dim, completion_seed)
+    domain, image = _isometry_columns(spec)
+    domain_full = _complete_orthonormal(domain, completion_seed)
+    range_full = _complete_orthonormal(image, completion_seed)
     return MatrixOperator(range_full @ domain_full.conj().T, unitary=True)
 
 
@@ -343,6 +316,11 @@ def premeasure(spec: BclSpec, phi: StateVector, completion_seed: int = 0) -> Pre
 
 
 def apparatus_marginal(result: PremeasurementResult, spec: BclSpec) -> DensityMatrix:
-    """Apparatus state after the coupling: trace the system out of the final projector."""
-    space = ProductSpace((spec.system_dim, spec.apparatus_dim))
-    return partial_trace(outer(result.final_state), space, keep=1)
+    """Apparatus state after the coupling: ``M^T M*`` for the amplitude matrix ``M``.
+
+    ``M[i, a]`` is the final-state amplitude of ``|i> (x) |a>``, so summing
+    over the system index traces the system out without a product-space
+    projector.
+    """
+    amplitudes = result.final_state.amplitudes.reshape(spec.system_dim, spec.apparatus_dim)
+    return DensityMatrix(amplitudes.T @ amplitudes.conj())

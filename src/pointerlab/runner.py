@@ -48,7 +48,7 @@ from .objectification import (
     pointer_block_coherence,
     shift_witness,
 )
-from .premeasurement import BclSpec, apparatus_marginal, premeasure
+from .premeasurement import BclSpec, _isometry_columns, apparatus_marginal, premeasure
 from .scenario import ScenarioConfig
 from .tolerances import ORTHOGONAL_OVERLAP_GATE
 
@@ -305,17 +305,8 @@ def _bcl_diagnostics(
         unitarity_residual = float(
             np.max(np.abs(unitary.conj().T @ unitary - np.eye(unitary.shape[0])))
         )
-        extension_residual = 0.0
-        for k, (eigsector, row) in enumerate(
-            zip(spec.system_eigenbasis, spec.transfer_family)
-        ):
-            pointer = spec.pointer_basis[k].amplitudes
-            for eigvec, transfer_vec in zip(eigsector, row):
-                image = unitary @ np.kron(eigvec.amplitudes, spec.ready_state.amplitudes)
-                expected = np.kron(transfer_vec.amplitudes, pointer)
-                extension_residual = max(
-                    extension_residual, float(np.linalg.norm(image - expected))
-                )
+        domain, image = _isometry_columns(spec)
+        extension_residual = float(np.max(np.linalg.norm(unitary @ domain - image, axis=0)))
         reconstruction = np.zeros(spec.system_dim * spec.apparatus_dim, dtype=complex)
         for k, conditional in enumerate(result.conditional_states):
             if conditional is None:

@@ -26,7 +26,3 @@ DENSE_DIM_CAP = 4096
 #: Packet overlaps at or below this gate count as orthogonal, where the pair
 #: normalization factor must approach ``1/sqrt(2)``.
 ORTHOGONAL_OVERLAP_GATE = 1e-4
-
-#: Completion candidates whose orthogonalized norm falls below this floor are
-#: treated as linearly dependent and skipped.
-COMPLETION_NORM_FLOOR = 1e-8

@@ -1,0 +1,69 @@
+"""Pointer-block coherence against dense Kronecker projectors.
+
+The dense reference builds ``P_k = 1 (x) |pi_k><pi_k|`` on the full product
+space and takes the Frobenius norm of ``sum_{k != l} P_k rho P_l``.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pointerlab import (
+    ProductSpace,
+    apply_rule2,
+    gemenge_density_matrix,
+    outer,
+    pointer_block_coherence,
+    premeasure,
+)
+from helpers import random_bcl_spec, random_state
+
+
+def dense_coherence(rho, pointer_basis, d_system):
+    identity = np.eye(d_system, dtype=complex)
+    projectors = [
+        np.kron(identity, np.outer(p.amplitudes, p.amplitudes.conj())) for p in pointer_basis
+    ]
+    off_diagonal = np.zeros_like(rho)
+    for k, left in enumerate(projectors):
+        for l, right in enumerate(projectors):
+            if k != l:
+                off_diagonal += left @ rho @ right
+    return float(np.linalg.norm(off_diagonal))
+
+
+def close(value, reference):
+    return abs(value - reference) <= 1e-12 * max(1.0, abs(reference))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    degeneracies=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    extra_apparatus=st.integers(0, 2),  # > 0 leaves K < d_pointer
+    state=st.sampled_from(["random_pure", "premeasured", "gemenge"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pointer_blocks_match_dense_projectors(degeneracies, extra_apparatus, state, seed):
+    rng = np.random.default_rng(seed)
+    spec = random_bcl_spec(
+        rng, degeneracies, apparatus_dim=len(degeneracies) + extra_apparatus
+    )
+    space = ProductSpace((spec.system_dim, spec.apparatus_dim))
+    if state == "random_pure":
+        rho = outer(random_state(rng, space.dim))
+    else:
+        result = premeasure(spec, random_state(rng, spec.system_dim))
+        if state == "premeasured":
+            rho = outer(result.final_state)
+        else:
+            rho = gemenge_density_matrix(apply_rule2(result, spec), space)
+
+    value = pointer_block_coherence(rho, spec.pointer_basis, space)
+    reference = dense_coherence(rho.entries, spec.pointer_basis, spec.system_dim)
+
+    assert close(value, reference)
+    if state == "gemenge":
+        # objectification leaves no pointer-off-diagonal block, even in a
+        # rotated pointer basis
+        assert value <= 1e-12
+

@@ -17,6 +17,7 @@ from pointerlab import (
     validate_spec,
     von_neumann_entropy,
 )
+from pointerlab.tolerances import INVARIANT_TOL
 from helpers import random_bcl_spec, random_state
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -232,17 +233,40 @@ class TestPremeasure:
 
     def test_completion_seed_independence(self):
         rng = np.random.default_rng(28)
-        spec = random_bcl_spec(rng, (2, 1))
-        phi = random_state(rng, spec.system_dim)
-        base = premeasure(spec, phi, completion_seed=0)
-        other = premeasure(spec, phi, completion_seed=5)
-        assert np.max(np.abs(base.probabilities - other.probabilities)) < 1e-10
-        assert np.max(np.abs(base.final_state.amplitudes - other.final_state.amplitudes)) < 1e-10
-        for a, b in zip(base.conditional_states, other.conditional_states):
-            if a is None:
-                assert b is None
-            else:
-                assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-10
+        # degenerate sectors, pointers spanning the apparatus, apparatus_dim > K
+        for degeneracies, apparatus_dim in (
+            ((2, 1), None),
+            ((1, 1, 1, 1), None),
+            ((3, 1, 2), 5),
+            ((1, 2), 4),
+            ((4,), 3),
+        ):
+            spec = random_bcl_spec(rng, degeneracies, apparatus_dim=apparatus_dim)
+            phi = random_state(rng, spec.system_dim)
+            for seed in (0, 5):
+                unitary = build_premeasurement_unitary(spec, completion_seed=seed).entries
+                dim = spec.system_dim * spec.apparatus_dim
+                assert np.max(np.abs(unitary.conj().T @ unitary - np.eye(dim))) < INVARIANT_TOL
+                for k, sector in enumerate(spec.system_eigenbasis):
+                    for l, eigvec in enumerate(sector):
+                        image = unitary @ np.kron(eigvec.amplitudes, spec.ready_state.amplitudes)
+                        expected = np.kron(
+                            spec.transfer_family[k][l].amplitudes,
+                            spec.pointer_basis[k].amplitudes,
+                        )
+                        assert np.linalg.norm(image - expected) < 1e-12
+            base = premeasure(spec, phi, completion_seed=0)
+            other = premeasure(spec, phi, completion_seed=5)
+            assert np.max(np.abs(base.probabilities - other.probabilities)) < 1e-10
+            assert (
+                np.max(np.abs(base.final_state.amplitudes - other.final_state.amplitudes))
+                < 1e-10
+            )
+            for a, b in zip(base.conditional_states, other.conditional_states):
+                if a is None:
+                    assert b is None
+                else:
+                    assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-10
 
     def test_wrong_dimension_rejected(self):
         with pytest.raises(DimensionMismatch):
