@@ -9,13 +9,14 @@ slowest, exactly as ``numpy.kron`` flattens, so a bipartite amplitude index
 reads ``i * dim_second + j``.  Hermitian matrices always go through numpy's
 Hermitian eigensolvers (``eigvalsh``), never the general nonsymmetric path,
 so spectra used in positivity and entropy checks are real by construction.
+A density matrix keeps its positivity check's spectrum, read-only, for reuse.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,6 +90,7 @@ class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix."""
 
     entries: np.ndarray
+    _spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         mat = np.array(self.entries, dtype=complex)
@@ -100,18 +102,19 @@ class DensityMatrix:
         trace_dev = abs(complex(np.trace(mat)) - 1.0)
         if trace_dev > INVARIANT_TOL:
             raise ValueError(f"density matrix trace off by {trace_dev:.3e}")
-        smallest = float(np.min(np.linalg.eigvalsh(mat)))
-        if smallest < -INVARIANT_TOL:
-            raise ValueError(f"density matrix has negative eigenvalue {smallest:.3e}")
+        spectrum = np.linalg.eigvalsh(mat)
+        if spectrum[0] < -INVARIANT_TOL:
+            raise ValueError(f"density matrix has negative eigenvalue {spectrum[0]:.3e}")
         object.__setattr__(self, "entries", _readonly(mat))
+        object.__setattr__(self, "_spectrum", _readonly(spectrum))
 
     @property
     def dim(self) -> int:
         return int(self.entries.shape[0])
 
     def eigenvalues(self) -> np.ndarray:
-        """Real spectrum in ascending order (Hermitian solver)."""
-        return np.linalg.eigvalsh(self.entries)
+        """Real spectrum in ascending order, computed once at construction."""
+        return self._spectrum
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,7 +206,7 @@ def partial_trace(rho: DensityMatrix, space: ProductSpace, keep: int) -> Density
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy ``-sum(p ln p)`` in nats over eigenvalues above the spectral floor."""
-    eigenvalues = np.linalg.eigvalsh(rho.entries)
+    eigenvalues = rho.eigenvalues()
     kept = eigenvalues[eigenvalues > ENTROPY_EIGENVALUE_FLOOR]
     if kept.size == 0:
         return 0.0

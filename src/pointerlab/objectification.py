@@ -11,7 +11,9 @@ erases (pointer-off-diagonal coherence, witnessed by observables that do not
 commute with the measured one).  Pointer blocks are read from the
 ``(d_system, d_pointer, d_system, d_pointer)`` view of a state with both
 apparatus indices rotated into the pointer basis; no product-space projector
-is ever built.
+is ever built.  The gemenge matrix is one product ``(B * p) @ B^dagger`` over
+its branch columns ``B[:, k] = Phi_k (x) psi_k``, built once per run and
+handed to :func:`compare_states`.
 """
 
 from __future__ import annotations
@@ -112,22 +114,17 @@ def apply_rule2(result: PremeasurementResult, spec: BclSpec) -> GemengeDecomposi
 
 
 def gemenge_density_matrix(g: GemengeDecomposition, space: ProductSpace) -> DensityMatrix:
-    """Mixed-state matrix ``sum_k p_k |Phi_k><Phi_k| (x) |psi_k><psi_k|``."""
+    """Mixed-state matrix ``(B * p) @ B^dagger`` with branch columns ``Phi_k (x) psi_k``."""
     if len(space.factor_dims) != 2:
         raise ValueError("gemenge states live on bipartite spaces")
     d_system, d_pointer = space.factor_dims
-    matrix = np.zeros((space.dim, space.dim), dtype=complex)
     for component in g.components:
         if component.system_state.dim != d_system or component.pointer_state.dim != d_pointer:
             raise DimensionMismatch("component dimensions do not match the product space")
-        sys_proj = np.outer(
-            component.system_state.amplitudes, component.system_state.amplitudes.conj()
-        )
-        ptr_proj = np.outer(
-            component.pointer_state.amplitudes, component.pointer_state.amplitudes.conj()
-        )
-        matrix += component.probability * np.kron(sys_proj, ptr_proj)
-    return DensityMatrix(matrix)
+    branches = np.column_stack(
+        [np.kron(c.system_state.amplitudes, c.pointer_state.amplitudes) for c in g.components]
+    )
+    return DensityMatrix((branches * g.probabilities) @ branches.conj().T)
 
 
 def pointer_block_coherence(
@@ -188,15 +185,16 @@ class CorrelationReport:
 
 def compare_states(
     result: PremeasurementResult,
-    g: GemengeDecomposition,
+    rho_rule2: DensityMatrix,
     spec: BclSpec,
     witness: MatrixOperator,
 ) -> CorrelationReport:
     """Diagnostics contrasting the unitary outcome with its objectified mixture.
 
+    ``rho_rule2`` is the gemenge matrix from :func:`gemenge_density_matrix`.
     Both marginals agree between the two states; the coherence norm and the
-    witness expectations expose the correlations that only the entangled
-    state carries.  The witness must be Hermitian on the product space.
+    witness expectations ``tr(rho W) = sum(rho * W^T)`` expose the correlations
+    that only the entangled state carries.  The witness must be Hermitian.
     """
     space = ProductSpace((spec.system_dim, spec.apparatus_dim))
     if witness.dim != space.dim:
@@ -208,7 +206,6 @@ def compare_states(
         raise ValueError(f"witness is not Hermitian; deviation {witness_dev:.3e}")
 
     rho_unitary = outer(result.final_state)
-    rho_rule2 = gemenge_density_matrix(g, space)
     return CorrelationReport(
         pointer_block_coherence_norm=pointer_block_coherence(
             rho_unitary, spec.pointer_basis, space
@@ -221,12 +218,8 @@ def compare_states(
             partial_trace(rho_unitary, space, keep=1),
             partial_trace(rho_rule2, space, keep=1),
         ),
-        witness_expectation_unitary=float(
-            np.real(np.trace(rho_unitary.entries @ witness.entries))
-        ),
-        witness_expectation_rule2=float(
-            np.real(np.trace(rho_rule2.entries @ witness.entries))
-        ),
+        witness_expectation_unitary=float(np.sum(rho_unitary.entries * witness.entries.T).real),
+        witness_expectation_rule2=float(np.sum(rho_rule2.entries * witness.entries.T).real),
         entropy_unitary_state=von_neumann_entropy(rho_unitary),
         entropy_rule2_state=von_neumann_entropy(rho_rule2),
     )

@@ -6,8 +6,8 @@ sectors, is mapped onto a transfer family while the apparatus moves from its
 ready state into the pointer state labelling the sector.  The coupling fixes
 the unitary only on the subspace spanned by ``eigenvector (x) ready`` (the
 isometry of Beltrametti, Cassinelli and Lahti, J. Math. Phys. 31, 91 (1990));
-the rest is filled by a deterministic orthonormal completion, one Householder
-QR of the fixed columns followed by candidate vectors, and everything
+the rest is filled by a deterministic orthonormal completion, one
+complete-mode Householder QR of the fixed columns alone, and everything
 physical is independent of that completion choice.
 """
 
@@ -239,22 +239,15 @@ def _isometry_columns(spec: BclSpec) -> tuple[np.ndarray, np.ndarray]:
     return domain.reshape(total_dim, -1), image.reshape(total_dim, -1)
 
 
-def _complete_orthonormal(columns: np.ndarray, completion_seed: int) -> np.ndarray:
-    """Extend orthonormal columns to a full basis with one Householder QR.
+def _complete_orthonormal(columns: np.ndarray) -> np.ndarray:
+    """Extend orthonormal columns to a full basis with one complete-mode QR.
 
-    The candidates appended after ``columns`` are the canonical basis for
-    seed 0 and deterministic Gaussians for any other seed, giving a second
-    completion to test completion independence against.  QR reproduces
-    ``columns`` only up to unit phases, so they are written back verbatim.
+    The leading columns of the unitary factor span ``columns`` and equal them
+    up to unit phases, so they are written back verbatim; the trailing ones
+    are an orthonormal basis of the complement.
     """
-    dim, count = columns.shape
-    if completion_seed == 0:
-        candidates = np.eye(dim, dtype=complex)
-    else:
-        rng = np.random.default_rng(completion_seed)
-        candidates = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    basis, _ = np.linalg.qr(np.hstack([columns, candidates]))
-    basis[:, :count] = columns
+    basis, _ = np.linalg.qr(columns, mode="complete")
+    basis[:, : columns.shape[1]] = columns
     return basis
 
 
@@ -262,9 +255,10 @@ def build_premeasurement_unitary(spec: BclSpec, completion_seed: int = 0) -> Mat
     """Unitary extension of ``eigenvector (x) ready -> transfer (x) pointer``.
 
     The map is fixed on the span of the ``eigenvector (x) ready`` columns;
-    domain and range are completed to full orthonormal bases deterministically
-    (paired in order), so repeated calls are reproducible and the physical
-    output never depends on the completion.
+    domain and range are completed to full orthonormal bases and their
+    complements paired in order.  A nonzero ``completion_seed`` re-pairs them
+    through a seeded Haar unitary on the range complement, a second valid
+    completion to test against: the physical output never depends on it.
     """
     report = validate_spec(spec)
     if not report.measurement_condition:
@@ -273,8 +267,14 @@ def build_premeasurement_unitary(spec: BclSpec, completion_seed: int = 0) -> Mat
             f"{report.measurement_condition_residual:.3e}"
         )
     domain, image = _isometry_columns(spec)
-    domain_full = _complete_orthonormal(domain, completion_seed)
-    range_full = _complete_orthonormal(image, completion_seed)
+    domain_full = _complete_orthonormal(domain)
+    range_full = _complete_orthonormal(image)
+    if completion_seed != 0:
+        fixed = image.shape[1]
+        free = range_full.shape[0] - fixed
+        rng = np.random.default_rng(completion_seed)
+        q, r = np.linalg.qr(rng.normal(size=(free, free)) + 1j * rng.normal(size=(free, free)))
+        range_full[:, fixed:] @= q * (np.diag(r) / np.abs(np.diag(r)))
     return MatrixOperator(range_full @ domain_full.conj().T, unitary=True)
 
 

@@ -307,13 +307,12 @@ def _bcl_diagnostics(
         )
         domain, image = _isometry_columns(spec)
         extension_residual = float(np.max(np.linalg.norm(unitary @ domain - image, axis=0)))
-        reconstruction = np.zeros(spec.system_dim * spec.apparatus_dim, dtype=complex)
-        for k, conditional in enumerate(result.conditional_states):
-            if conditional is None:
-                continue
-            reconstruction += np.sqrt(result.probabilities[k]) * np.kron(
-                conditional.amplitudes, spec.pointer_basis[k].amplitudes
-            )
+        kept = [k for k, c in enumerate(result.conditional_states) if c is not None]
+        branches = [
+            np.kron(result.conditional_states[k].amplitudes, spec.pointer_basis[k].amplitudes)
+            for k in kept
+        ]
+        reconstruction = np.column_stack(branches) @ np.sqrt(result.probabilities[kept])
         reconstruction_residual = float(
             np.linalg.norm(result.final_state.amplitudes - reconstruction)
         )
@@ -325,12 +324,8 @@ def _bcl_diagnostics(
             formula_residual = max(
                 formula_residual, abs(float(result.probabilities[k]) - coefficient_mass)
             )
-        mixture = np.zeros((spec.apparatus_dim, spec.apparatus_dim), dtype=complex)
-        for k, pointer in enumerate(spec.pointer_basis):
-            mixture += result.probabilities[k] * np.outer(
-                pointer.amplitudes, pointer.amplitudes.conj()
-            )
-        pointer_mixture = DensityMatrix(mixture)
+        pointers = np.column_stack([pointer.amplitudes for pointer in spec.pointer_basis])
+        pointer_mixture = DensityMatrix((pointers * result.probabilities) @ pointers.conj().T)
         marginal_residual = trace_distance(apparatus_marginal(result, spec), pointer_mixture)
 
     values = {
@@ -376,7 +371,7 @@ def _run_full_measurement(config: ScenarioConfig) -> tuple[dict, list[Verdict]]:
             if config.witness == "system_observable"
             else shift_witness(spec)
         )
-        report = compare_states(result, gemenge, spec, witness)
+        report = compare_states(result, rho_rule2, spec, witness)
         gemenge_apparatus_residual = trace_distance(
             partial_trace(rho_rule2, space, keep=1), pointer_mixture
         )

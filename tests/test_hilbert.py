@@ -132,6 +132,10 @@ class TestEntropy:
         assert abs(expected - 0.5623351446188083) < 1e-15
         rho = DensityMatrix(np.diag([0.25, 0.75]))
         assert abs(von_neumann_entropy(rho) - expected) < 1e-9
+        # the entropy reads the spectrum stored at construction, so it is shared
+        # state and must refuse writes
+        with pytest.raises(ValueError):
+            rho.eigenvalues()[0] = 1.0
 
     def test_unitary_invariance(self):
         rng = np.random.default_rng(6)

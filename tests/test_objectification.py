@@ -33,6 +33,11 @@ def qubit_spec():
     return BclSpec.canonical([1.0, -1.0], [1, 1])
 
 
+def rule2_matrix(spec, gemenge):
+    space = ProductSpace((spec.system_dim, spec.apparatus_dim))
+    return gemenge_density_matrix(gemenge, space)
+
+
 def bell_case():
     spec = qubit_spec()
     result = premeasure(spec, StateVector(np.array([1, 1]) / np.sqrt(2)))
@@ -136,7 +141,7 @@ class TestCompareStates:
         spec, result, gemenge = bell_case()
         witness = shift_witness(spec)
         assert np.array_equal(witness.entries, np.kron(SIGMA_X, SIGMA_X))
-        report = compare_states(result, gemenge, spec, witness)
+        report = compare_states(result, rule2_matrix(spec, gemenge), spec, witness)
         assert abs(report.witness_expectation_unitary - 1.0) < 1e-10
         assert abs(report.witness_expectation_rule2) < 1e-10
         assert abs(report.pointer_block_coherence_norm - INV_SQRT2) < 1e-10
@@ -147,14 +152,15 @@ class TestCompareStates:
 
     def test_observable_witness_survives(self):
         spec, result, gemenge = bell_case()
-        report = compare_states(result, gemenge, spec, observable_witness(spec))
+        rho_rule2 = rule2_matrix(spec, gemenge)
+        report = compare_states(result, rho_rule2, spec, observable_witness(spec))
         assert abs(report.witness_expectation_unitary - report.witness_expectation_rule2) < 1e-10
 
     def test_eigenstate_reports_zero_everything(self):
         spec = qubit_spec()
         result = premeasure(spec, spec.system_eigenbasis[0][0])
         gemenge = apply_rule2(result, spec)
-        report = compare_states(result, gemenge, spec, shift_witness(spec))
+        report = compare_states(result, rule2_matrix(spec, gemenge), spec, shift_witness(spec))
         assert report.pointer_block_coherence_norm < 1e-10
         assert report.marginal_agreement_system < 1e-10
         assert report.marginal_agreement_apparatus < 1e-10
@@ -165,7 +171,7 @@ class TestCompareStates:
         spec, result, gemenge = bell_case()
         bad = MatrixOperator(np.triu(np.ones((4, 4))))
         with pytest.raises(ValueError):
-            compare_states(result, gemenge, spec, bad)
+            compare_states(result, rule2_matrix(spec, gemenge), spec, bad)
 
 
 class TestInvariantProperties:
@@ -217,7 +223,10 @@ class TestInvariantProperties:
                 block, np.outer(pointer.amplitudes, pointer.amplitudes.conj())
             )
         report = compare_states(
-            result, gemenge, spec, MatrixOperator(witness_matrix, hermitian=True)
+            result,
+            rule2_matrix(spec, gemenge),
+            spec,
+            MatrixOperator(witness_matrix, hermitian=True),
         )
         assert abs(report.witness_expectation_unitary - report.witness_expectation_rule2) < 1e-10
 
@@ -227,7 +236,8 @@ class TestInvariantProperties:
         result = premeasure(spec, random_state(rng, spec.system_dim))
         gemenge = apply_rule2(result, spec)
         space = ProductSpace((spec.system_dim, spec.apparatus_dim))
-        report = compare_states(result, gemenge, spec, shift_witness(spec))
+        rho_rule2 = gemenge_density_matrix(gemenge, space)
+        report = compare_states(result, rho_rule2, spec, shift_witness(spec))
         p = result.probabilities[result.probabilities > 1e-15]
         assert report.entropy_unitary_state < 1e-9
         assert abs(report.entropy_rule2_state - float(-np.sum(p * np.log(p)))) < 1e-8

@@ -1,7 +1,10 @@
-"""Pointer-block coherence against dense Kronecker projectors.
+"""Pointer blocks, gemenge matrix, spectra and witnesses against dense oracles.
 
 The dense reference builds ``P_k = 1 (x) |pi_k><pi_k|`` on the full product
-space and takes the Frobenius norm of ``sum_{k != l} P_k rho P_l``.
+space and takes the Frobenius norm of ``sum_{k != l} P_k rho P_l``.  The
+gemenge matrix is checked against the Kronecker sum of its branch
+projectors, the stored spectrum against a fresh ``eigvalsh``, and the witness
+expectations against ``tr(rho W)``.
 """
 
 import numpy as np
@@ -11,10 +14,12 @@ from hypothesis import strategies as st
 from pointerlab import (
     ProductSpace,
     apply_rule2,
+    compare_states,
     gemenge_density_matrix,
     outer,
     pointer_block_coherence,
     premeasure,
+    shift_witness,
 )
 from helpers import random_bcl_spec, random_state
 
@@ -30,6 +35,15 @@ def dense_coherence(rho, pointer_basis, d_system):
             if k != l:
                 off_diagonal += left @ rho @ right
     return float(np.linalg.norm(off_diagonal))
+
+
+def dense_gemenge(gemenge):
+    matrix = 0
+    for c in gemenge.components:
+        system = np.outer(c.system_state.amplitudes, c.system_state.amplitudes.conj())
+        pointer = np.outer(c.pointer_state.amplitudes, c.pointer_state.amplitudes.conj())
+        matrix = matrix + c.probability * np.kron(system, pointer)
+    return matrix
 
 
 def close(value, reference):
@@ -53,11 +67,22 @@ def test_pointer_blocks_match_dense_projectors(degeneracies, extra_apparatus, st
         rho = outer(random_state(rng, space.dim))
     else:
         result = premeasure(spec, random_state(rng, spec.system_dim))
-        if state == "premeasured":
-            rho = outer(result.final_state)
-        else:
-            rho = gemenge_density_matrix(apply_rule2(result, spec), space)
+        gemenge = apply_rule2(result, spec)
+        rho_unitary = outer(result.final_state)
+        rho_rule2 = gemenge_density_matrix(gemenge, space)
+        rho = rho_unitary if state == "premeasured" else rho_rule2
+        assert np.max(np.abs(rho_rule2.entries - dense_gemenge(gemenge))) <= 1e-12
+        # complex and not symmetric on random bases, so W and W^T differ
+        witness = shift_witness(spec)
+        report = compare_states(result, rho_rule2, spec, witness)
+        for expectation, reference_state in (
+            (report.witness_expectation_unitary, rho_unitary),
+            (report.witness_expectation_rule2, rho_rule2),
+        ):
+            trace = np.trace(reference_state.entries @ witness.entries).real
+            assert close(expectation, trace)
 
+    assert np.array_equal(rho.eigenvalues(), np.linalg.eigvalsh(rho.entries))
     value = pointer_block_coherence(rho, spec.pointer_basis, space)
     reference = dense_coherence(rho.entries, spec.pointer_basis, spec.system_dim)
 

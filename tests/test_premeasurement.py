@@ -243,8 +243,10 @@ class TestPremeasure:
         ):
             spec = random_bcl_spec(rng, degeneracies, apparatus_dim=apparatus_dim)
             phi = random_state(rng, spec.system_dim)
+            unitaries = {}
             for seed in (0, 5):
                 unitary = build_premeasurement_unitary(spec, completion_seed=seed).entries
+                unitaries[seed] = unitary
                 dim = spec.system_dim * spec.apparatus_dim
                 assert np.max(np.abs(unitary.conj().T @ unitary - np.eye(dim))) < INVARIANT_TOL
                 for k, sector in enumerate(spec.system_eigenbasis):
@@ -255,6 +257,9 @@ class TestPremeasure:
                             spec.pointer_basis[k].amplitudes,
                         )
                         assert np.linalg.norm(image - expected) < 1e-12
+            # the seeds must give genuinely different completions, or the
+            # comparisons below test nothing
+            assert np.max(np.abs(unitaries[0] - unitaries[5])) > 0.1
             base = premeasure(spec, phi, completion_seed=0)
             other = premeasure(spec, phi, completion_seed=5)
             assert np.max(np.abs(base.probabilities - other.probabilities)) < 1e-10
