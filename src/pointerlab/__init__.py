@@ -62,11 +62,9 @@ from .objectification import (
 from .premeasurement import (
     BclSpec,
     PremeasurementResult,
-    ValidationReport,
     apparatus_marginal,
     build_premeasurement_unitary,
     premeasure,
-    validate_spec,
 )
 from .runner import RunReport, Verdict, emit_report, render_report, run_scenario
 from .scenario import ScenarioConfig, load_scenario

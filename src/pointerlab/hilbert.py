@@ -15,7 +15,6 @@ A density matrix keeps its positivity check's spectrum, read-only, for reuse.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,12 +121,15 @@ class MatrixOperator:
     """Square complex matrix with independently assertable flags.
 
     The ``hermitian`` and ``unitary`` flags are promises checked at
-    construction, not properties inferred from the entries.
+    construction, not properties inferred from the entries.  A unitary
+    operator keeps its check's deviation ``max |U^dagger U - I|``; it is
+    ``None`` for every other operator.
     """
 
     entries: np.ndarray
     hermitian: bool = False
     unitary: bool = False
+    _unitary_deviation: float | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         mat = np.array(self.entries, dtype=complex)
@@ -141,6 +143,7 @@ class MatrixOperator:
             dev = float(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))))
             if dev > INVARIANT_TOL:
                 raise ValueError(f"unitary flag violated; deviation {dev:.3e}")
+            object.__setattr__(self, "_unitary_deviation", dev)
         object.__setattr__(self, "entries", _readonly(mat))
 
     @property
@@ -213,15 +216,14 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return float(max(0.0, -np.sum(kept * np.log(kept))))
 
 
-def gram_deviation(vectors: Sequence[StateVector]) -> float:
-    """Largest entry of ``G - I`` for the Gram matrix ``G`` of a vector family.
+def gram_deviation(columns: np.ndarray) -> float:
+    """Largest entry of ``|G - I|`` for the Gram matrix ``G`` of a column matrix.
 
-    Zero exactly for an orthonormal family; callers compare it against their
-    own tolerance and raise their own error.
+    Zero exactly when the columns are orthonormal; callers compare it against
+    their own tolerance and raise their own error.
     """
-    columns = np.column_stack([v.amplitudes for v in vectors])
     gram = columns.conj().T @ columns
-    return float(np.max(np.abs(gram - np.eye(len(vectors)))))
+    return float(np.max(np.abs(gram - np.eye(columns.shape[1]))))
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:

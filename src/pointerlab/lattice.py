@@ -26,7 +26,7 @@ from .errors import (
     SupportViolation,
     UnresolvableWidth,
 )
-from .tolerances import COMPARISON_TOL, INVARIANT_TOL, QUADRATURE_NORM_TOL
+from .tolerances import COMPARISON_TOL, INVARIANT_TOL, QUADRATURE_NORM_TOL, SUPPORT_MASS_EPSILON
 
 __all__ = [
     "LatticeGrid",
@@ -317,7 +317,7 @@ def dlocal_agreement_check(
     D: Domain,
     psi: LatticeWavefunction,
     phi: LatticeWavefunction,
-    mass_epsilon: float = 1e-6,
+    mass_epsilon: float = SUPPORT_MASS_EPSILON,
 ) -> tuple[complex, complex, float]:
     """Compare the localized pair expectation against the lone-particle value.
 

@@ -78,7 +78,7 @@ class GemengeDecomposition:
             ("pointer", [c.pointer_state for c in components]),
             ("system", [c.system_state for c in components]),
         ):
-            dev = gram_deviation(family)
+            dev = gram_deviation(np.column_stack([state.amplitudes for state in family]))
             if dev > INVARIANT_TOL:
                 raise BasisNotOrthonormal(
                     f"{label} states of the gemenge are not orthonormal; deviation {dev:.3e}"
@@ -145,10 +145,10 @@ def pointer_block_coherence(
     d_system, d_pointer = space.factor_dims
     if any(pointer.dim != d_pointer for pointer in pointer_basis):
         raise DimensionMismatch("pointer states do not match the apparatus factor")
-    dev = gram_deviation(pointer_basis)
+    pointers = np.column_stack([pointer.amplitudes for pointer in pointer_basis])
+    dev = gram_deviation(pointers)
     if dev > INVARIANT_TOL:
         raise BasisNotOrthonormal(f"pointer basis deviates from orthonormal by {dev:.3e}")
-    pointers = np.column_stack([pointer.amplitudes for pointer in pointer_basis])
     blocks = np.einsum(
         "ak,iajb,bl->klij",
         pointers.conj(),
@@ -225,11 +225,10 @@ def compare_states(
     )
 
 
-def _adjacent_coupling(vectors: list[np.ndarray], dim: int) -> np.ndarray:
-    matrix = np.zeros((dim, dim), dtype=complex)
-    for first, second in zip(vectors, vectors[1:]):
-        matrix += np.outer(first, second.conj()) + np.outer(second, first.conj())
-    return matrix
+def _adjacent_coupling(columns: np.ndarray) -> np.ndarray:
+    """``sum_i |m_i><m_{i+1}| + h.c.`` over adjacent columns of ``columns``."""
+    forward = columns[:, :-1] @ columns[:, 1:].conj().T
+    return forward + forward.conj().T
 
 
 def shift_witness(spec: BclSpec) -> MatrixOperator:
@@ -240,11 +239,8 @@ def shift_witness(spec: BclSpec) -> MatrixOperator:
     this is exactly ``sigma_x (x) sigma_x``, which commutes with neither the
     measured observable nor the pointer projectors.
     """
-    flat_basis = [v.amplitudes for sector in spec.system_eigenbasis for v in sector]
-    system_part = _adjacent_coupling(flat_basis, spec.system_dim)
-    pointer_part = _adjacent_coupling(
-        [p.amplitudes for p in spec.pointer_basis], spec.apparatus_dim
-    )
+    system_part = _adjacent_coupling(spec._eigenvectors)
+    pointer_part = _adjacent_coupling(spec._pointers)
     return MatrixOperator(np.kron(system_part, pointer_part), hermitian=True)
 
 

@@ -9,11 +9,19 @@ isometry of Beltrametti, Cassinelli and Lahti, J. Math. Phys. 31, 91 (1990));
 the rest is filled by a deterministic orthonormal completion, one
 complete-mode Householder QR of the fixed columns alone, and everything
 physical is independent of that completion choice.
+
+A spec holds each of its three families as one column matrix, built and
+checked once at construction: the eigenvectors ``E`` and the transfer family
+``T`` in sector order, and the pointers ``P``.  One Gram product ``T^dagger T``
+gives both the per-sector orthonormality check and the cross-sector residual
+of the measurement condition.  Premeasurement is matrix products on these
+columns: the eigenbasis coefficients are ``c = E^dagger phi`` and the sector
+vectors are the per-sector column sums of ``T * c``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,9 +31,7 @@ from .tolerances import INVARIANT_TOL, PROBABILITY_FLOOR
 
 __all__ = [
     "BclSpec",
-    "ValidationReport",
     "PremeasurementResult",
-    "validate_spec",
     "build_premeasurement_unitary",
     "premeasure",
     "apparatus_marginal",
@@ -43,6 +49,10 @@ class BclSpec:
     state before the interaction, and ``transfer_family`` the system states
     the eigenvectors are carried into (same sector shape, orthonormal within
     each sector).  Eigenvalues are carried as distinct real labels only.
+
+    Construction also keeps, read-only, the column matrices of the three
+    families, the first column of each sector and the measurement-condition
+    residual ``max |T^dagger T - I|`` of the whole transfer family.
     """
 
     eigenvalues: tuple[float, ...]
@@ -50,6 +60,11 @@ class BclSpec:
     pointer_basis: tuple[StateVector, ...]
     ready_state: StateVector
     transfer_family: tuple[tuple[StateVector, ...], ...]
+    _eigenvectors: np.ndarray = field(init=False, repr=False)
+    _transfer: np.ndarray = field(init=False, repr=False)
+    _pointers: np.ndarray = field(init=False, repr=False)
+    _sector_starts: np.ndarray = field(init=False, repr=False)
+    _measurement_residual: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         eigenvalues = tuple(float(o) for o in self.eigenvalues)
@@ -81,14 +96,16 @@ class BclSpec:
             raise SpecInvalid(
                 f"degeneracies sum to {len(flat_basis)} but the system dimension is {system_dim}"
             )
-        dev = gram_deviation(flat_basis)
+        eigenvectors = np.column_stack([v.amplitudes for v in flat_basis])
+        dev = gram_deviation(eigenvectors)
         if dev > INVARIANT_TOL:
             raise SpecInvalid(f"system eigenbasis is not orthonormal; deviation {dev:.3e}")
 
         apparatus_dim = self.ready_state.dim
         if any(p.dim != apparatus_dim for p in pointers):
             raise SpecInvalid("pointer states and ready state live on different dimensions")
-        dev = gram_deviation(pointers)
+        pointer_columns = np.column_stack([p.amplitudes for p in pointers])
+        dev = gram_deviation(pointer_columns)
         if dev > INVARIANT_TOL:
             raise SpecInvalid(f"pointer basis is not orthonormal; deviation {dev:.3e}")
 
@@ -99,13 +116,25 @@ class BclSpec:
                 raise SpecInvalid(f"transfer row {k} has the wrong degeneracy")
             if any(v.dim != system_dim for v in row):
                 raise SpecInvalid(f"transfer row {k} has vectors of the wrong dimension")
-            dev = gram_deviation(row)
+        transfer_columns = np.column_stack([v.amplitudes for row in transfer for v in row])
+        # The diagonal blocks of the one Gram product are the per-row checks;
+        # its off-diagonal blocks only matter to the measurement condition.
+        residual = np.abs(transfer_columns.conj().T @ transfer_columns - np.eye(system_dim))
+        bounds = np.cumsum([0, *(len(sector) for sector in eigenbasis)])
+        for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            dev = float(np.max(residual[lo:hi, lo:hi]))
             if dev > INVARIANT_TOL:
                 raise SpecInvalid(f"transfer row {k} is not orthonormal; deviation {dev:.3e}")
 
-    @property
-    def sector_count(self) -> int:
-        return len(self.eigenvalues)
+        for name, matrix in (
+            ("_eigenvectors", eigenvectors),
+            ("_transfer", transfer_columns),
+            ("_pointers", pointer_columns),
+            ("_sector_starts", bounds[:-1]),
+        ):
+            matrix.setflags(write=False)
+            object.__setattr__(self, name, matrix)
+        object.__setattr__(self, "_measurement_residual", float(np.max(residual)))
 
     @property
     def degeneracies(self) -> tuple[int, ...]:
@@ -132,43 +161,36 @@ class BclSpec:
         degeneracies = tuple(int(d) for d in degeneracies)
         if len(eigenvalues) != len(degeneracies):
             raise SpecInvalid("eigenvalues and degeneracies must pair up")
-        system_dim = sum(degeneracies)
         if apparatus_dim is None:
             apparatus_dim = len(eigenvalues)
-        basis: list[tuple[StateVector, ...]] = []
-        index = 0
-        for deg in degeneracies:
-            basis.append(
-                tuple(StateVector.basis_state(system_dim, index + l) for l in range(deg))
-            )
-            index += deg
-        pointers = tuple(
-            StateVector.basis_state(apparatus_dim, k) for k in range(len(eigenvalues))
-        )
+        basis, pointers = _canonical_families(degeneracies, apparatus_dim)
         return cls(
             eigenvalues=eigenvalues,
-            system_eigenbasis=tuple(basis),
+            system_eigenbasis=basis,
             pointer_basis=pointers,
             ready_state=StateVector.basis_state(apparatus_dim, ready_index),
-            transfer_family=tuple(basis),
+            transfer_family=basis,
         )
 
     def system_observable(self) -> MatrixOperator:
-        """Reconstruct the measured observable ``sum_k o_k P_k`` from its sectors."""
-        matrix = np.zeros((self.system_dim, self.system_dim), dtype=complex)
-        for o, sector in zip(self.eigenvalues, self.system_eigenbasis):
-            for vec in sector:
-                matrix += o * np.outer(vec.amplitudes, vec.amplitudes.conj())
-        return MatrixOperator(matrix, hermitian=True)
+        """The measured observable ``sum_k o_k P_k`` as ``(E * o) @ E^dagger``."""
+        outcomes = np.repeat(self.eigenvalues, self.degeneracies)
+        eigenvectors = self._eigenvectors
+        return MatrixOperator((eigenvectors * outcomes) @ eigenvectors.conj().T, hermitian=True)
 
 
-@dataclass(frozen=True, eq=False)
-class ValidationReport:
-    """Invariant residuals plus the cross-sector orthonormality verdict."""
-
-    residuals: dict[str, float]
-    measurement_condition: bool
-    measurement_condition_residual: float
+def _canonical_families(
+    degeneracies: tuple[int, ...], apparatus_dim: int
+) -> tuple[tuple[tuple[StateVector, ...], ...], tuple[StateVector, ...]]:
+    """Canonical eigenvector sectors ``e_0, e_1, ...`` in order, and pointers ``e_k``."""
+    columns = np.eye(sum(degeneracies), dtype=complex)
+    bounds = np.cumsum([0, *degeneracies])
+    basis = tuple(
+        tuple(StateVector(columns[:, i]) for i in range(lo, hi))
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    )
+    pointers = tuple(StateVector.basis_state(apparatus_dim, k) for k in range(len(degeneracies)))
+    return basis, pointers
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,46 +218,16 @@ class PremeasurementResult:
         object.__setattr__(self, "conditional_states", tuple(self.conditional_states))
 
 
-def validate_spec(spec: BclSpec) -> ValidationReport:
-    """Report invariant residuals and check cross-sector transfer orthonormality.
-
-    The per-sector orthonormality of the transfer family is already enforced
-    at construction; the measurement condition demands the strictly stronger
-    statement that the whole family is orthonormal across sectors.
-    """
-    flat_basis = [v for sector in spec.system_eigenbasis for v in sector]
-    flat_transfer = [v for sector in spec.transfer_family for v in sector]
-    residuals = {
-        "completeness": float(abs(len(flat_basis) - spec.system_dim)),
-        "eigenbasis_orthonormality": gram_deviation(flat_basis),
-        "pointer_orthonormality": gram_deviation(spec.pointer_basis),
-        "transfer_row_orthonormality": max(
-            gram_deviation(row) for row in spec.transfer_family
-        ),
-        "pointer_count": float(abs(len(spec.pointer_basis) - spec.sector_count)),
-    }
-    cross_residual = gram_deviation(flat_transfer)
-    return ValidationReport(
-        residuals=residuals,
-        measurement_condition=cross_residual <= INVARIANT_TOL,
-        measurement_condition_residual=cross_residual,
-    )
-
-
 def _isometry_columns(spec: BclSpec) -> tuple[np.ndarray, np.ndarray]:
     """Domain columns ``e (x) ready`` and range columns ``t (x) pointer``.
 
     One column per eigenvector, in sector order; the premeasurement unitary
     maps each domain column onto the range column beside it.
     """
-    eigvecs = np.column_stack([v.amplitudes for sector in spec.system_eigenbasis for v in sector])
-    transfer = np.column_stack([v.amplitudes for sector in spec.transfer_family for v in sector])
-    pointers = np.repeat(
-        np.column_stack([p.amplitudes for p in spec.pointer_basis]), spec.degeneracies, axis=1
-    )
+    pointers = np.repeat(spec._pointers, spec.degeneracies, axis=1)
     total_dim = spec.system_dim * spec.apparatus_dim
-    domain = np.einsum("ic,j->ijc", eigvecs, spec.ready_state.amplitudes)
-    image = np.einsum("ic,jc->ijc", transfer, pointers)
+    domain = np.einsum("ic,j->ijc", spec._eigenvectors, spec.ready_state.amplitudes)
+    image = np.einsum("ic,jc->ijc", spec._transfer, pointers)
     return domain.reshape(total_dim, -1), image.reshape(total_dim, -1)
 
 
@@ -259,12 +251,14 @@ def build_premeasurement_unitary(spec: BclSpec, completion_seed: int = 0) -> Mat
     complements paired in order.  A nonzero ``completion_seed`` re-pairs them
     through a seeded Haar unitary on the range complement, a second valid
     completion to test against: the physical output never depends on it.
+    The transfer family must be orthonormal across sectors (the measurement
+    condition), a statement strictly stronger than the per-sector check the
+    spec runs at construction.
     """
-    report = validate_spec(spec)
-    if not report.measurement_condition:
+    if spec._measurement_residual > INVARIANT_TOL:
         raise MeasurementConditionViolated(
             "transfer family is not orthonormal across sectors; residual "
-            f"{report.measurement_condition_residual:.3e}"
+            f"{spec._measurement_residual:.3e}"
         )
     domain, image = _isometry_columns(spec)
     domain_full = _complete_orthonormal(domain)
@@ -281,10 +275,11 @@ def build_premeasurement_unitary(spec: BclSpec, completion_seed: int = 0) -> Mat
 def premeasure(spec: BclSpec, phi: StateVector, completion_seed: int = 0) -> PremeasurementResult:
     """Run the coupling on an arbitrary system state.
 
-    Expands ``phi`` in the eigenbasis, forms the per-sector transfer
-    combinations, reads off outcome probabilities from their inner products,
-    and evolves ``phi (x) ready`` with the actual unitary.  Sectors whose
-    probability falls below the floor carry no conditional state.
+    Expands ``phi`` in the eigenbasis, ``c = E^dagger phi``, sums the columns
+    of ``T * c`` within each sector into the sector vectors, reads off outcome
+    probabilities as their squared norms, and evolves ``phi (x) ready`` with
+    the actual unitary.  Sectors whose probability falls below the floor carry
+    no conditional state.
     """
     if phi.dim != spec.system_dim:
         raise DimensionMismatch(
@@ -294,24 +289,17 @@ def premeasure(spec: BclSpec, phi: StateVector, completion_seed: int = 0) -> Pre
     final = StateVector(
         unitary.entries @ np.kron(phi.amplitudes, spec.ready_state.amplitudes)
     )
-    probabilities = []
-    conditionals: list[StateVector | None] = []
-    for eigsector, row in zip(spec.system_eigenbasis, spec.transfer_family):
-        sector_vec = np.zeros(spec.system_dim, dtype=complex)
-        for eigvec, transfer_vec in zip(eigsector, row):
-            sector_vec += np.vdot(eigvec.amplitudes, phi.amplitudes) * transfer_vec.amplitudes
-        p = float(np.real(np.vdot(sector_vec, sector_vec)))
-        p = max(p, 0.0)
-        probabilities.append(p)
-        if p >= PROBABILITY_FLOOR:
-            conditionals.append(StateVector(sector_vec / np.sqrt(p)))
-        else:
-            conditionals.append(None)
+    coefficients = spec._eigenvectors.conj().T @ phi.amplitudes
+    sector_vectors = np.add.reduceat(spec._transfer * coefficients, spec._sector_starts, axis=1)
+    probabilities = np.sum(sector_vectors.real**2 + sector_vectors.imag**2, axis=0)
     return PremeasurementResult(
         unitary=unitary,
         final_state=final,
-        probabilities=np.array(probabilities),
-        conditional_states=tuple(conditionals),
+        probabilities=probabilities,
+        conditional_states=tuple(
+            StateVector(sector_vectors[:, k] / np.sqrt(p)) if p >= PROBABILITY_FLOOR else None
+            for k, p in enumerate(probabilities)
+        ),
     )
 
 

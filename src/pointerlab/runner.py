@@ -302,29 +302,21 @@ def _bcl_diagnostics(
     with _stage("premeasure"):
         result = premeasure(spec, phi)
         unitary = result.unitary.entries
-        unitarity_residual = float(
-            np.max(np.abs(unitary.conj().T @ unitary - np.eye(unitary.shape[0])))
-        )
         domain, image = _isometry_columns(spec)
         extension_residual = float(np.max(np.linalg.norm(unitary @ domain - image, axis=0)))
         kept = [k for k, c in enumerate(result.conditional_states) if c is not None]
-        branches = [
-            np.kron(result.conditional_states[k].amplitudes, spec.pointer_basis[k].amplitudes)
-            for k in kept
-        ]
-        reconstruction = np.column_stack(branches) @ np.sqrt(result.probabilities[kept])
+        conditionals = np.column_stack([result.conditional_states[k].amplitudes for k in kept])
+        pointers = spec._pointers
+        branches = np.einsum("ik,jk->ijk", conditionals, pointers[:, kept]).reshape(-1, len(kept))
+        reconstruction = branches @ np.sqrt(result.probabilities[kept])
         reconstruction_residual = float(
             np.linalg.norm(result.final_state.amplitudes - reconstruction)
         )
-        formula_residual = 0.0
-        for k, eigsector in enumerate(spec.system_eigenbasis):
-            coefficient_mass = sum(
-                abs(np.vdot(eigvec.amplitudes, phi.amplitudes)) ** 2 for eigvec in eigsector
-            )
-            formula_residual = max(
-                formula_residual, abs(float(result.probabilities[k]) - coefficient_mass)
-            )
-        pointers = np.column_stack([pointer.amplitudes for pointer in spec.pointer_basis])
+        # sum over each sector of |<e|phi>|^2, independent of the transfer family
+        coefficient_mass = np.add.reduceat(
+            np.abs(spec._eigenvectors.conj().T @ phi.amplitudes) ** 2, spec._sector_starts
+        )
+        formula_residual = float(np.max(np.abs(result.probabilities - coefficient_mass)))
         pointer_mixture = DensityMatrix((pointers * result.probabilities) @ pointers.conj().T)
         marginal_residual = trace_distance(apparatus_marginal(result, spec), pointer_mixture)
 
@@ -338,7 +330,7 @@ def _bcl_diagnostics(
             tol["probability_sum"],
         ),
         _verdict("probability_formula", formula_residual, tol["probability_formula"]),
-        _verdict("unitarity", unitarity_residual, tol["unitarity"]),
+        _verdict("unitarity", result.unitary._unitary_deviation, tol["unitarity"]),
         _verdict("extension_map", extension_residual, tol["extension_map"]),
         _verdict("reconstruction", reconstruction_residual, tol["reconstruction"]),
         _verdict("apparatus_marginal", marginal_residual, tol["apparatus_marginal"]),

@@ -18,9 +18,9 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .lattice import LatticeGrid
-from .premeasurement import BclSpec
+from .premeasurement import BclSpec, _canonical_families
 from .hilbert import StateVector
-from .tolerances import DENSE_DIM_CAP
+from .tolerances import DENSE_DIM_CAP, SUPPORT_MASS_EPSILON
 
 __all__ = [
     "ScenarioConfig",
@@ -54,7 +54,7 @@ TOLERANCE_DEFAULTS: dict[str, dict[str, float]] = {
     "dlocal": {
         "agreement": 1e-6,
         "unlocalized_discrepancy": 1e-4,
-        "support_mass": 1e-6,
+        "support_mass": SUPPORT_MASS_EPSILON,
         "dlocal": 0.0,
     },
     "bcl": dict(_BCL_TOLERANCES),
@@ -177,12 +177,8 @@ class BclBlockConfig:
 
     def build(self) -> BclSpec:
         if self.system_eigenbasis is None:
-            spec = BclSpec.canonical(
-                self.eigenvalues, self.degeneracies, apparatus_dim=self.apparatus_dim
-            )
-            eigenbasis = spec.system_eigenbasis
-            pointers = spec.pointer_basis
-            ready = spec.ready_state
+            eigenbasis, pointers = _canonical_families(self.degeneracies, self.apparatus_dim)
+            ready = pointers[0]
         else:
             eigenbasis = tuple(
                 tuple(StateVector(np.array(vec)) for vec in sector)

@@ -17,6 +17,10 @@ ENTROPY_EIGENVALUE_FLOOR = 1e-12
 #: Outcome probabilities below this floor carry no conditional state.
 PROBABILITY_FLOOR = 1e-12
 
+#: Largest quadrature probability a packet may leave on the wrong side of a
+#: domain in the domain-local agreement check.
+SUPPORT_MASS_EPSILON = 1e-6
+
 #: Quadrature normalization tolerance for lattice wavefunctions.
 QUADRATURE_NORM_TOL = 1e-8
 

@@ -167,11 +167,11 @@ class TestGramDeviation:
     def test_orthonormal_family(self):
         rng = np.random.default_rng(8)
         columns = random_unitary(rng, 4)
-        assert gram_deviation([StateVector(columns[:, i]) for i in range(4)]) < 1e-12
+        assert gram_deviation(columns) < 1e-12
 
     def test_repeated_vector(self):
-        v = StateVector([1, 0])
-        assert gram_deviation([v, v]) == 1.0
+        v = np.array([1.0, 0.0])
+        assert gram_deviation(np.column_stack([v, v])) == 1.0
 
 
 class TestDensityMatrixInvariants:
@@ -196,6 +196,16 @@ class TestMatrixOperatorFlags:
     def test_unitary_flag_checked(self):
         with pytest.raises(ValueError):
             MatrixOperator(np.diag([1.0, 2.0]), unitary=True)
+
+    def test_unitary_keeps_its_deviation(self):
+        u = random_unitary(np.random.default_rng(9), 5)
+        operator = MatrixOperator(u, unitary=True)
+        entries = operator.entries
+        recomputed = float(np.max(np.abs(entries.conj().T @ entries - np.eye(5))))
+        assert operator._unitary_deviation == recomputed
+        assert MatrixOperator(u)._unitary_deviation is None
+        with pytest.raises(AttributeError):
+            operator._unitary_deviation = 0.0
 
 
 class TestTraceDistance:

@@ -59,7 +59,7 @@ packet_params = st.tuples(
 )
 
 
-@settings(derandomize=True, max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(
     n=st.sampled_from([16, 32, 64]),
     first=packet_params,

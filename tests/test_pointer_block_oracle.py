@@ -50,7 +50,7 @@ def close(value, reference):
     return abs(value - reference) <= 1e-12 * max(1.0, abs(reference))
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     degeneracies=st.lists(st.integers(1, 3), min_size=1, max_size=4),
     extra_apparatus=st.integers(0, 2),  # > 0 leaves K < d_pointer

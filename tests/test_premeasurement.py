@@ -14,7 +14,6 @@ from pointerlab import (
     partial_trace,
     premeasure,
     trace_distance,
-    validate_spec,
     von_neumann_entropy,
 )
 from pointerlab.tolerances import INVARIANT_TOL
@@ -82,6 +81,17 @@ class TestBclSpecInvariants:
                 transfer_family=(bad_row, (basis[2],)),
             )
 
+    def test_rejects_non_orthonormal_later_transfer_row(self):
+        basis = [StateVector.basis_state(4, i) for i in range(4)]
+        with pytest.raises(SpecInvalid, match="transfer row 1 is not orthonormal"):
+            BclSpec(
+                eigenvalues=(1.0, 0.0, -1.0),
+                system_eigenbasis=((basis[0],), (basis[1], basis[2]), (basis[3],)),
+                pointer_basis=tuple(StateVector.basis_state(3, k) for k in range(3)),
+                ready_state=StateVector.basis_state(3, 0),
+                transfer_family=((basis[0],), (basis[1], basis[1]), (basis[3],)),
+            )
+
     def test_system_observable_reconstruction(self):
         rng = np.random.default_rng(21)
         spec = random_bcl_spec(rng, (2, 1))
@@ -91,16 +101,16 @@ class TestBclSpecInvariants:
                 assert np.max(np.abs(observable.entries @ vec.amplitudes - o * vec.amplitudes)) < 1e-10
 
 
-class TestValidateSpec:
+class TestBuildUnitary:
     def test_default_transfer_satisfies_condition(self):
-        report = validate_spec(qubit_spec())
-        assert report.measurement_condition
-        assert report.measurement_condition_residual < 1e-12
-        assert all(r < 1e-12 for r in report.residuals.values())
+        spec = qubit_spec()
+        build_premeasurement_unitary(spec)
+        assert spec._measurement_residual < 1e-12
 
     def test_cross_sector_duplicate_fails_condition(self):
         e0, e1 = StateVector([1, 0]), StateVector([0, 1])
         shared = StateVector([1, 0])
+        # each one-vector row is orthonormal, so the spec itself is accepted
         spec = BclSpec(
             eigenvalues=(1.0, -1.0),
             system_eigenbasis=((e0,), (e1,)),
@@ -108,19 +118,17 @@ class TestValidateSpec:
             ready_state=StateVector([1, 0]),
             transfer_family=((shared,), (shared,)),
         )
-        report = validate_spec(spec)
-        assert report.residuals["transfer_row_orthonormality"] < 1e-12
-        assert not report.measurement_condition
-        assert report.measurement_condition_residual == pytest.approx(1.0)
+        with pytest.raises(MeasurementConditionViolated, match=r"residual 1\.000e\+00"):
+            build_premeasurement_unitary(spec)
+        assert spec._measurement_residual == 1.0
 
     def test_sector_unitaries_preserve_condition(self):
         rng = np.random.default_rng(22)
         for _ in range(5):
             spec = random_bcl_spec(rng, (2, 2, 1), transfer="sector_unitary")
-            assert validate_spec(spec).measurement_condition
+            build_premeasurement_unitary(spec)
+            assert spec._measurement_residual <= INVARIANT_TOL
 
-
-class TestBuildUnitary:
     def test_qubit_columns(self):
         spec = qubit_spec()
         unitary = build_premeasurement_unitary(spec).entries

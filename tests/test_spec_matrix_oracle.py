@@ -1,0 +1,88 @@
+"""Column-matrix spec formulas against vector-by-vector loops.
+
+The references walk the eigenbasis, transfer and pointer families one
+``StateVector`` at a time: each sector vector is the sum of
+``<e|phi> t`` over the sector, the observable the sum of ``o |e><e|`` and
+the shift witness the Kronecker product of the adjacent couplings
+``sum_i |m_i><m_{i+1}| + h.c.`` of the eigenbasis and the pointers.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pointerlab import StateVector, premeasure, shift_witness
+from pointerlab.tolerances import PROBABILITY_FLOOR
+from helpers import random_bcl_spec, random_state
+
+
+def loop_premeasure(spec, phi):
+    probabilities, conditionals = [], []
+    for eigsector, row in zip(spec.system_eigenbasis, spec.transfer_family):
+        sector_vec = np.zeros(spec.system_dim, dtype=complex)
+        for eigvec, transfer_vec in zip(eigsector, row):
+            sector_vec += np.vdot(eigvec.amplitudes, phi.amplitudes) * transfer_vec.amplitudes
+        p = float(np.real(np.vdot(sector_vec, sector_vec)))
+        probabilities.append(p)
+        conditionals.append(sector_vec / np.sqrt(p) if p >= PROBABILITY_FLOOR else None)
+    return np.array(probabilities), conditionals
+
+
+def loop_observable(spec):
+    matrix = np.zeros((spec.system_dim, spec.system_dim), dtype=complex)
+    for o, sector in zip(spec.eigenvalues, spec.system_eigenbasis):
+        for vec in sector:
+            matrix += o * np.outer(vec.amplitudes, vec.amplitudes.conj())
+    return matrix
+
+
+def loop_adjacent_coupling(vectors, dim):
+    matrix = np.zeros((dim, dim), dtype=complex)
+    for first, second in zip(vectors, vectors[1:]):
+        matrix += np.outer(first, second.conj()) + np.outer(second, first.conj())
+    return matrix
+
+
+def loop_shift_witness(spec):
+    flat_basis = [v.amplitudes for sector in spec.system_eigenbasis for v in sector]
+    return np.kron(
+        loop_adjacent_coupling(flat_basis, spec.system_dim),
+        loop_adjacent_coupling([p.amplitudes for p in spec.pointer_basis], spec.apparatus_dim),
+    )
+
+
+def close(value, reference):
+    value, reference = np.asarray(value), np.asarray(reference)
+    return bool(np.all(np.abs(value - reference) <= 1e-12 * np.maximum(1.0, np.abs(reference))))
+
+
+@settings(max_examples=60)
+@given(
+    degeneracies=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    extra_apparatus=st.integers(0, 2),  # > 0 leaves K < d_pointer
+    transfer=st.sampled_from(["identity", "sector_unitary"]),
+    state=st.sampled_from(["random", "first_sector"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_spec_matrices_match_vector_loops(degeneracies, extra_apparatus, transfer, state, seed):
+    rng = np.random.default_rng(seed)
+    spec = random_bcl_spec(
+        rng, degeneracies, apparatus_dim=len(degeneracies) + extra_apparatus, transfer=transfer
+    )
+    if state == "random":
+        phi = random_state(rng, spec.system_dim)
+    else:
+        # every other sector then falls below the floor and has no conditional state
+        phi = StateVector.normalized(sum(v.amplitudes for v in spec.system_eigenbasis[0]))
+
+    result = premeasure(spec, phi)
+    probabilities, conditionals = loop_premeasure(spec, phi)
+    assert close(result.probabilities, probabilities)
+    for conditional, reference in zip(result.conditional_states, conditionals):
+        if reference is None:
+            assert conditional is None
+        else:
+            assert close(conditional.amplitudes, reference)
+
+    assert close(spec.system_observable().entries, loop_observable(spec))
+    assert close(shift_witness(spec).entries, loop_shift_witness(spec))
