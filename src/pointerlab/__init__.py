@@ -45,7 +45,6 @@ from .lattice import (
     is_d_local,
     localize,
     position_kernel,
-    support,
     symmetrize,
 )
 from .objectification import (

@@ -5,12 +5,16 @@ Wavefunctions are quadrature-normalized samples on a uniform grid
 the discrete contraction ``dx * sum`` reproduces the continuum composition
 rule; in particular the Dirac delta is ``identity / dx``.
 
+A kernel is held as the ``(n,)`` diagonal of a multiplication operator, such
+as the position observable, at ``O(n)`` per operation, or as a dense
+``(n, n)`` array at ``O(n^2)``.
+
 A symmetrized pair ``nu * (psi (x) phi +/- phi (x) psi)`` has rank two, so it
 is stored as its two orbitals, its exchange sign and ``nu``; exchange
 symmetry holds by construction and no ``n x n`` pair array is ever formed.
 The expectation of a one-body registration observable ``a (x) 1 + 1 (x) a``
 follows from the 2x2 orbital matrix elements of ``a`` and the orbital
-overlaps (the Slater-Condon/Lowdin rules), at the cost of one kernel product.
+overlaps (the Slater-Condon/Lowdin rules), at the cost of one kernel apply.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ __all__ = [
     "is_d_local",
     "dlocal_residual",
     "dlocal_agreement_check",
-    "support",
     "position_kernel",
 ]
 
@@ -72,13 +75,6 @@ class LatticeGrid:
             raise ValueError("dx must be positive")
         if self.n_points < 2:
             raise ValueError("a grid needs at least two points")
-
-    @classmethod
-    def from_extent(cls, x_min: float, x_max: float, n_points: int) -> "LatticeGrid":
-        """Half-open cover of ``[x_min, x_max)`` with ``dx = (x_max - x_min) / n_points``."""
-        if x_max <= x_min:
-            raise ValueError("x_max must exceed x_min")
-        return cls(x_min=x_min, dx=(x_max - x_min) / n_points, n_points=n_points)
 
     @property
     def coordinates(self) -> np.ndarray:
@@ -149,23 +145,40 @@ class TwoParticleWavefunction:
 
 @dataclass(frozen=True, eq=False)
 class KernelOperator:
-    """One-particle integral kernel ``a(x_i; x_j)`` in units of ``1/dx``."""
+    """One-particle integral kernel ``a(x_i; x_j)`` in units of ``1/dx``.
+
+    ``entries`` is the ``(n,)`` diagonal of a multiplication operator, whose
+    off-diagonal entries are exact zeros, or the dense ``(n, n)`` kernel;
+    ``conj().T`` is the adjoint of either.  Checks and :meth:`apply` cost
+    ``O(n)`` on a diagonal and ``O(n^2)`` on a dense kernel.
+    """
 
     grid: LatticeGrid
-    kernel: np.ndarray
+    entries: np.ndarray
     hermitian: bool = False
 
     def __post_init__(self) -> None:
-        mat = np.array(self.kernel, dtype=complex)
+        arr = np.array(self.entries, dtype=complex)
         n = self.grid.n_points
-        if mat.shape != (n, n):
-            raise ValueError(f"kernel must have shape ({n}, {n})")
+        if arr.shape not in ((n,), (n, n)):
+            raise ValueError(f"kernel must have shape ({n},) or ({n}, {n})")
         if self.hermitian:
-            dev = float(np.max(np.abs(mat - mat.conj().T)))
+            dev = float(np.max(np.abs(arr - arr.conj().T)))
             if dev > INVARIANT_TOL:
                 raise ValueError(f"hermitian flag violated; deviation {dev:.3e}")
-        mat.setflags(write=False)
-        object.__setattr__(self, "kernel", mat)
+        arr.setflags(write=False)
+        object.__setattr__(self, "entries", arr)
+
+    @property
+    def kernel(self) -> np.ndarray:
+        """Dense ``(n, n)`` view; a diagonal operator builds it on every call."""
+        return np.diag(self.entries) if self.entries.ndim == 1 else self.entries
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """Kernel times a column ``(n,)`` or a stack of columns ``(n, k)``."""
+        if self.entries.ndim == 1:
+            return self.entries.reshape((-1,) + (1,) * (values.ndim - 1)) * values
+        return self.entries @ values
 
 
 @dataclass(frozen=True)
@@ -247,16 +260,14 @@ def symmetrize(
 
 
 def position_kernel(grid: LatticeGrid) -> KernelOperator:
-    """Position observable ``x * delta(x - x')`` as a diagonal kernel."""
-    return KernelOperator(
-        grid, np.diag(grid.coordinates.astype(complex)) / grid.dx, hermitian=True
-    )
+    """Position observable ``x * delta(x - x')``, stored as its diagonal ``x / dx`` in ``O(n)``."""
+    return KernelOperator(grid, grid.coordinates.astype(complex) / grid.dx, hermitian=True)
 
 
 def expectation_single(a: KernelOperator, psi: LatticeWavefunction) -> complex:
     """Quadrature expectation ``dx^2 * sum conj(psi_i) a_ij psi_j``."""
     _require_same_grid(a.grid, psi.grid)
-    return complex(a.grid.dx**2 * np.vdot(psi.values, a.kernel @ psi.values))
+    return complex(a.grid.dx**2 * np.vdot(psi.values, a.apply(psi.values)))
 
 
 def expectation_two_particle(a: KernelOperator, pair: TwoParticleWavefunction) -> complex:
@@ -268,7 +279,7 @@ def expectation_two_particle(a: KernelOperator, pair: TwoParticleWavefunction) -
     """
     _require_same_grid(a.grid, pair.grid)
     orbitals = np.stack((pair.first.values, pair.second.values))
-    elements = a.grid.dx**2 * (orbitals.conj() @ (a.kernel @ orbitals.T))
+    elements = a.grid.dx**2 * (orbitals.conj() @ a.apply(orbitals.T))
     overlaps = a.grid.dx * (orbitals.conj() @ orbitals.T)
     total = (
         elements[0, 0] * overlaps[1, 1]
@@ -279,10 +290,14 @@ def expectation_two_particle(a: KernelOperator, pair: TwoParticleWavefunction) -
 
 
 def localize(a: KernelOperator, D: Domain) -> KernelOperator:
-    """Restrict a kernel to the domain: ``chi_D(i) a_ij chi_D(j)`` with exact zeros."""
+    """Restrict a kernel to the domain: ``chi_D(i) a_ij chi_D(j)`` with exact zeros.
+
+    A diagonal is masked by ``chi_D`` itself, a dense kernel by its outer product.
+    """
     mask = D.mask(a.grid.n_points)
-    kernel = np.where(np.outer(mask, mask), a.kernel, 0.0 + 0.0j)
-    return KernelOperator(a.grid, kernel, hermitian=a.hermitian)
+    if a.entries.ndim == 2:
+        mask = np.outer(mask, mask)
+    return KernelOperator(a.grid, np.where(mask, a.entries, 0.0 + 0.0j), hermitian=a.hermitian)
 
 
 def dlocal_residual(a: KernelOperator, D: Domain) -> float:
@@ -290,15 +305,16 @@ def dlocal_residual(a: KernelOperator, D: Domain) -> float:
 
     Delta spikes at every exterior point are exhaustive test functions on the
     lattice by linearity, so the residual is the maximum over exterior ``j`` of
-    the ``dx``-weighted absolute row and column sums.
+    the ``dx``-weighted absolute row and column sums.  Off the diagonal of a
+    diagonal kernel every term is an exact zero, so both sums are ``|a_jj|``.
     """
     exterior = ~D.mask(a.grid.n_points)
     if not np.any(exterior):
         return 0.0
-    magnitude = np.abs(a.kernel)
-    column_norms = a.grid.dx * magnitude.sum(axis=0)
-    row_norms = a.grid.dx * magnitude.sum(axis=1)
-    return float(max(column_norms[exterior].max(), row_norms[exterior].max()))
+    magnitude = np.abs(a.entries)
+    if magnitude.ndim == 2:
+        magnitude = np.maximum(magnitude.sum(axis=0), magnitude.sum(axis=1))
+    return float(a.grid.dx * magnitude[exterior].max())
 
 
 def is_d_local(a: KernelOperator, D: Domain, tol: float) -> bool:
@@ -345,23 +361,3 @@ def dlocal_agreement_check(
     single = expectation_single(a, psi)
     return two_particle, single, abs(two_particle - single)
 
-
-def support(psi: LatticeWavefunction, mass_epsilon: float) -> Domain:
-    """Smallest contiguous index interval holding at least ``1 - mass_epsilon`` mass."""
-    if not 0.0 < mass_epsilon < 1.0:
-        raise ValueError("mass_epsilon must lie strictly between 0 and 1")
-    masses = psi.grid.dx * np.abs(psi.values) ** 2
-    prefix = np.concatenate(([0.0], np.cumsum(masses)))
-    total = prefix[-1]
-    target = 1.0 - mass_epsilon
-    if total < target:
-        return Domain.full(psi.grid)
-    n = psi.grid.n_points
-    best_lo, best_hi = 0, n
-    lo = 0
-    for hi in range(1, n + 1):
-        while prefix[hi] - prefix[lo + 1] >= target:
-            lo += 1
-        if prefix[hi] - prefix[lo] >= target and hi - lo < best_hi - best_lo:
-            best_lo, best_hi = lo, hi
-    return Domain(((best_lo, best_hi),))

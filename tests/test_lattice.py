@@ -7,7 +7,6 @@ from pointerlab import (
     GridMismatch,
     KernelOperator,
     LatticeGrid,
-    LatticeWavefunction,
     NullState,
     SupportViolation,
     TwoParticleWavefunction,
@@ -20,7 +19,6 @@ from pointerlab import (
     is_d_local,
     localize,
     position_kernel,
-    support,
     symmetrize,
 )
 
@@ -29,17 +27,17 @@ INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 @pytest.fixture(scope="module")
 def grid():
-    return LatticeGrid.from_extent(-20.0, 20.0, 512)
+    return LatticeGrid(-20.0, 40.0 / 512, 512)
 
 
 @pytest.fixture(scope="module")
 def small_grid():
-    return LatticeGrid.from_extent(-8.0, 8.0, 64)
+    return LatticeGrid(-8.0, 16.0 / 64, 64)
 
 
 @pytest.fixture(scope="module")
 def tiny_grid():
-    return LatticeGrid.from_extent(-4.0, 4.0, 16)
+    return LatticeGrid(-4.0, 8.0 / 16, 16)
 
 
 def identity_kernel(grid):
@@ -57,9 +55,11 @@ class TestGrid:
         g = LatticeGrid(x_min=-1.0, dx=0.5, n_points=4)
         assert np.allclose(g.coordinates, [-1.0, -0.5, 0.0, 0.5])
 
-    def test_from_extent(self, grid):
+    def test_half_open_cover(self, grid):
+        # the fixture covers [-20, 20) with 512 points
         assert grid.dx == 0.078125
         assert grid.coordinates[0] == -20.0
+        assert grid.coordinates[-1] == 20.0 - grid.dx
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -277,36 +277,6 @@ class TestAgreementCheck:
         inside = gaussian_packet(grid, 0.0, 1.0)
         with pytest.raises(SupportViolation):
             dlocal_agreement_check(position_kernel(grid), domain, inside, straddling)
-
-
-class TestSupport:
-    def test_delta_spike(self, grid):
-        values = np.zeros(grid.n_points, dtype=complex)
-        values[100] = 1.0 / np.sqrt(grid.dx)
-        spike = LatticeWavefunction(grid, values)
-        for epsilon in (1e-10, 1e-4, 0.5):
-            assert support(spike, epsilon).index_ranges == ((100, 101),)
-
-    def test_gaussian_tails(self, grid):
-        psi = gaussian_packet(grid, 0.0, 1.0)
-        domain = support(psi, 1e-8)
-        (lo, hi), = domain.index_ranges
-        coords = grid.coordinates
-        assert -7.0 <= coords[lo] <= -5.0
-        assert 5.0 <= coords[hi - 1] <= 7.0
-
-    def test_monotone_shrink(self, grid):
-        psi = gaussian_packet(grid, 0.0, 1.0)
-        lengths = []
-        for epsilon in (1e-10, 1e-8, 1e-6, 1e-4, 1e-2):
-            (lo, hi), = support(psi, epsilon).index_ranges
-            lengths.append(hi - lo)
-        assert lengths == sorted(lengths, reverse=True)
-
-    def test_rejects_bad_epsilon(self, grid):
-        psi = gaussian_packet(grid, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            support(psi, 0.0)
 
 
 class TestCollectiveObservable:

@@ -68,7 +68,7 @@ packet_params = st.tuples(
     seed=st.integers(0, 2**32 - 1),
 )
 def test_orbital_pair_matches_dense_pair(n, first, second, sym, seed):
-    grid = LatticeGrid.from_extent(-8.0, 8.0, n)
+    grid = LatticeGrid(-8.0, 16.0 / n, n)
     psi = packet(grid, *first)
     phi = packet(grid, *second)
     overlap = abs(psi.inner(phi))

@@ -1,0 +1,18 @@
+"""The Python usage block of README.md runs as documented."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_quick_tour_runs():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.DOTALL)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(compile(blocks[0], str(README), "exec"), namespace)
+    pl = namespace["pl"]
+    assert abs(namespace["pair"].nu - 2**-0.5) < 1e-6
+    assert abs(pl.expectation_two_particle(namespace["x"], namespace["pair"]) - 10.0) < 1e-5
+    assert pl.is_d_local(namespace["local"], namespace["D"], tol=0.0)
+    assert abs(namespace["report"].witness_expectation_unitary - 1.0) < 1e-10
