@@ -26,7 +26,6 @@ from .hilbert import (
     StateVector,
     outer,
     partial_trace,
-    tensor,
     trace_distance,
     von_neumann_entropy,
 )

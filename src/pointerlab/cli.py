@@ -9,6 +9,7 @@ or runtime errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from importlib import resources
 
@@ -24,6 +25,7 @@ DEMO_SCENARIOS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pointerlab",
@@ -51,9 +53,7 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
 
 def _execute(config: ScenarioConfig, fmt: str, out: str | None) -> int:
     report = run_scenario(config)
-    target = out
-    if target is None:
-        target = config.output_json if fmt == "json" else config.output_csv
+    target = out if out is not None else config.document["output"][fmt]
     if target is None:
         sys.stdout.write(render_report(report, fmt))
     else:
@@ -68,7 +68,7 @@ def main(argv: list[str] | None = None) -> int:
             return _execute(load_scenario(args.scenario), args.format, args.out)
         if args.command == "validate":
             config = load_scenario(args.scenario)
-            print(f"{args.scenario}: valid {config.scenario_kind} scenario")
+            print(f"{args.scenario}: valid {config.document['scenario_kind']} scenario")
             return 0
         if args.command == "demo":
             if args.name not in DEMO_SCENARIOS:

@@ -27,7 +27,6 @@ __all__ = [
     "DensityMatrix",
     "MatrixOperator",
     "ProductSpace",
-    "tensor",
     "outer",
     "partial_trace",
     "von_neumann_entropy",
@@ -166,11 +165,6 @@ class ProductSpace:
     @property
     def dim(self) -> int:
         return int(math.prod(self.factor_dims))
-
-
-def tensor(u: StateVector, v: StateVector) -> StateVector:
-    """Product state ``u (x) v``; the index of ``u`` varies slowest."""
-    return StateVector(np.kron(u.amplitudes, v.amplitudes))
 
 
 def outer(phi: StateVector) -> DensityMatrix:

@@ -214,10 +214,6 @@ class Domain:
         ranges = tuple((int(edges[i]), int(edges[i + 1])) for i in range(0, len(edges), 2))
         return cls(ranges)
 
-    @classmethod
-    def full(cls, grid: LatticeGrid) -> "Domain":
-        return cls(((0, grid.n_points),))
-
     def mask(self, n_points: int) -> np.ndarray:
         flags = np.zeros(n_points, dtype=bool)
         for lo, hi in self.index_ranges:

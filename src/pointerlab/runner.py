@@ -31,6 +31,7 @@ from .hilbert import (
 from .lattice import (
     Domain,
     ExchangeSymmetry,
+    LatticeGrid,
     dlocal_agreement_check,
     dlocal_residual,
     expectation_single,
@@ -48,7 +49,13 @@ from .objectification import (
     pointer_block_coherence,
     shift_witness,
 )
-from .premeasurement import BclSpec, _isometry_columns, apparatus_marginal, premeasure
+from .premeasurement import (
+    BclSpec,
+    _canonical_families,
+    _isometry_columns,
+    apparatus_marginal,
+    premeasure,
+)
 from .scenario import ScenarioConfig
 from .tolerances import ORTHOGONAL_OVERLAP_GATE
 
@@ -170,9 +177,11 @@ def _json_text(value, indent: int = 0) -> str:
 
 @contextmanager
 def _stage(name: str):
+    # A ValueError is a constructor precondition that the schema cannot see,
+    # such as an unnormalized basis vector or a packet off the grid.
     try:
         yield
-    except PointerlabError as exc:
+    except (PointerlabError, ValueError) as exc:
         raise RunStageError(f"{name}: {exc}") from exc
 
 
@@ -189,12 +198,11 @@ def _bool_verdict(name: str, passed: bool, residual: float, tolerance: float) ->
     )
 
 
-def _run_symmetrization(config: ScenarioConfig) -> tuple[dict, list[Verdict]]:
-    tol = config.tolerances
+def _run_symmetrization(scenario: dict) -> tuple[dict, list[Verdict]]:
+    tol = scenario["tolerances"]
     with _stage("lattice setup"):
-        grid = config.grid.build()
-        psi = gaussian_packet(grid, config.packets[0].center, config.packets[0].width)
-        phi = gaussian_packet(grid, config.packets[1].center, config.packets[1].width)
+        grid = LatticeGrid(**scenario["grid"])
+        psi, phi = (gaussian_packet(grid, **packet) for packet in scenario["packets"])
         kernel = position_kernel(grid)
     with _stage("symmetrization"):
         single_first = expectation_single(kernel, psi).real
@@ -245,14 +253,13 @@ def _run_symmetrization(config: ScenarioConfig) -> tuple[dict, list[Verdict]]:
     return values, verdicts
 
 
-def _run_dlocal(config: ScenarioConfig) -> tuple[dict, list[Verdict]]:
-    tol = config.tolerances
+def _run_dlocal(scenario: dict) -> tuple[dict, list[Verdict]]:
+    tol = scenario["tolerances"]
     with _stage("lattice setup"):
-        grid = config.grid.build()
-        psi = gaussian_packet(grid, config.packets[0].center, config.packets[0].width)
-        phi = gaussian_packet(grid, config.packets[1].center, config.packets[1].width)
+        grid = LatticeGrid(**scenario["grid"])
+        psi, phi = (gaussian_packet(grid, **packet) for packet in scenario["packets"])
         kernel = position_kernel(grid)
-        domain = Domain.from_interval(grid, config.domain.lower, config.domain.upper)
+        domain = Domain.from_interval(grid, **scenario["domain"])
     with _stage("domain-local check"):
         two_local, single, difference = dlocal_agreement_check(
             kernel, domain, psi, phi, mass_epsilon=tol["support_mass"]
@@ -277,7 +284,7 @@ def _run_dlocal(config: ScenarioConfig) -> tuple[dict, list[Verdict]]:
         _verdict("agreement", difference, tol["agreement"]),
         _verdict(
             "unlocalized_discrepancy",
-            abs(raw_difference - abs(config.packets[1].center)),
+            abs(raw_difference - abs(scenario["packets"][1]["center"])),
             tol["unlocalized_discrepancy"],
         ),
         _bool_verdict(
@@ -338,19 +345,52 @@ def _bcl_diagnostics(
     return values, verdicts, result, pointer_mixture
 
 
-def _run_bcl(config: ScenarioConfig) -> tuple[dict, list[Verdict]]:
+def _complex(pairs) -> np.ndarray:
+    """Complex array from nested ``[re, im]`` pair lists, one axis fewer."""
+    return np.array(pairs, dtype=float).view(complex)[..., 0]
+
+
+def _sector_states(family: list, degeneracies: list[int]) -> tuple[tuple[StateVector, ...], ...]:
+    vectors = _complex([vector for sector in family for vector in sector])
+    bounds = np.cumsum([0, *degeneracies])
+    return tuple(
+        tuple(map(StateVector, vectors[lo:hi])) for lo, hi in zip(bounds[:-1], bounds[1:])
+    )
+
+
+def _build_spec(scenario: dict) -> tuple[BclSpec, StateVector]:
+    """The scenario's spec, one complex array per family, and its initial state."""
+    bcl = scenario["bcl"]
+    degeneracies, basis = bcl["degeneracies"], bcl["basis"]
     with _stage("build spec"):
-        spec = config.bcl.build()
-        phi = StateVector.normalized(np.array(config.initial_state))
-    values, verdicts, _, _ = _bcl_diagnostics(spec, phi, config.tolerances)
+        if basis == "canonical":
+            eigenbasis, pointers = _canonical_families(degeneracies, bcl["apparatus_dim"])
+            ready = pointers[0]
+        else:
+            eigenbasis = _sector_states(basis["system_eigenbasis"], degeneracies)
+            pointers = tuple(map(StateVector, _complex(basis["pointer_basis"])))
+            ready = StateVector(_complex(basis.get("ready_state", basis["pointer_basis"][0])))
+        transfer = bcl["transfer_family"]
+        transfer = eigenbasis if transfer == "default" else _sector_states(transfer, degeneracies)
+        spec = BclSpec(
+            eigenvalues=bcl["eigenvalues"],
+            system_eigenbasis=eigenbasis,
+            pointer_basis=pointers,
+            ready_state=ready,
+            transfer_family=transfer,
+        )
+        return spec, StateVector.normalized(_complex(scenario["initial_state"]))
+
+
+def _run_bcl(scenario: dict) -> tuple[dict, list[Verdict]]:
+    spec, phi = _build_spec(scenario)
+    values, verdicts, _, _ = _bcl_diagnostics(spec, phi, scenario["tolerances"])
     return values, verdicts
 
 
-def _run_full_measurement(config: ScenarioConfig) -> tuple[dict, list[Verdict]]:
-    tol = config.tolerances
-    with _stage("build spec"):
-        spec = config.bcl.build()
-        phi = StateVector.normalized(np.array(config.initial_state))
+def _run_full_measurement(scenario: dict) -> tuple[dict, list[Verdict]]:
+    tol = scenario["tolerances"]
+    spec, phi = _build_spec(scenario)
     values, verdicts, result, pointer_mixture = _bcl_diagnostics(spec, phi, tol)
     with _stage("objectify"):
         gemenge = apply_rule2(result, spec)
@@ -360,7 +400,7 @@ def _run_full_measurement(config: ScenarioConfig) -> tuple[dict, list[Verdict]]:
     with _stage("compare"):
         witness = (
             observable_witness(spec)
-            if config.witness == "system_observable"
+            if scenario["witness"] == "system_observable"
             else shift_witness(spec)
         )
         report = compare_states(result, rho_rule2, spec, witness)
@@ -414,10 +454,11 @@ _RUNNERS = {
 def run_scenario(config: ScenarioConfig) -> RunReport:
     """Execute a validated scenario; deterministic for identical configs."""
     start = time.perf_counter()
-    values, verdicts = _RUNNERS[config.scenario_kind](config)
+    scenario = config.document
+    values, verdicts = _RUNNERS[scenario["scenario_kind"]](scenario)
     duration = time.perf_counter() - start
     return RunReport(
-        scenario=config.to_dict(),
+        scenario=scenario,
         values={key: float(v) for key, v in values.items()},
         verdicts=tuple(verdicts),
         duration_seconds=duration,

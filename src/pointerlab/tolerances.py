@@ -27,6 +27,11 @@ QUADRATURE_NORM_TOL = 1e-8
 #: Largest dimension for which dense matrices are materialized.
 DENSE_DIM_CAP = 4096
 
+#: Smallest and largest lattice a scenario may ask for; its point count is
+#: also a power of two.
+GRID_POINTS_MIN = 64
+GRID_POINTS_MAX = 4096
+
 #: Packet overlaps at or below this gate count as orthogonal, where the pair
 #: normalization factor must approach ``1/sqrt(2)``.
 ORTHOGONAL_OVERLAP_GATE = 1e-4

@@ -9,7 +9,6 @@ from pointerlab import (
     StateVector,
     outer,
     partial_trace,
-    tensor,
     trace_distance,
     von_neumann_entropy,
 )
@@ -42,31 +41,6 @@ class TestStateVector:
             s.amplitudes[0] = 0.5
 
 
-class TestTensor:
-    def test_basis_product(self):
-        result = tensor(StateVector([1, 0]), StateVector([0, 1]))
-        assert np.array_equal(result.amplitudes, np.array([0, 1, 0, 0], dtype=complex))
-
-    def test_linearity(self):
-        u = StateVector(np.array([1, 1]) / np.sqrt(2))
-        v = StateVector([1, 0])
-        expected = np.array([1, 0, 1, 0]) / np.sqrt(2)
-        assert np.allclose(tensor(u, v).amplitudes, expected, atol=1e-15)
-
-    def test_norm_preserved(self):
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            w = tensor(random_state(rng, 3), random_state(rng, 4))
-            assert abs(np.linalg.norm(w.amplitudes) - 1.0) < 1e-12
-
-    def test_associativity_up_to_flattening(self):
-        rng = np.random.default_rng(1)
-        u, v, w = random_state(rng, 2), random_state(rng, 3), random_state(rng, 2)
-        left = tensor(tensor(u, v), w).amplitudes
-        right = tensor(u, tensor(v, w)).amplitudes
-        assert np.max(np.abs(left - right)) < 1e-12
-
-
 class TestTensorOp:
     # the operator Kronecker convention behind the np.kron products in
     # premeasurement and objectification: (M (x) N)(u (x) v) = (Mu) (x) (Nv)
@@ -83,7 +57,7 @@ class TestTensorOp:
 
 class TestPartialTrace:
     def test_product_basis_state(self):
-        rho = outer(tensor(StateVector([1, 0]), StateVector([1, 0])))
+        rho = outer(StateVector(np.kron([1, 0], [1, 0])))
         space = ProductSpace((2, 2))
         expected = np.diag([1.0, 0.0]).astype(complex)
         assert np.allclose(partial_trace(rho, space, 0).entries, expected)
@@ -108,7 +82,8 @@ class TestPartialTrace:
     def test_keeps_product_factor_of_pure_state(self):
         rng = np.random.default_rng(4)
         u, v = random_state(rng, 2), random_state(rng, 3)
-        reduced = partial_trace(outer(tensor(u, v)), ProductSpace((2, 3)), 1)
+        product = StateVector(np.kron(u.amplitudes, v.amplitudes))
+        reduced = partial_trace(outer(product), ProductSpace((2, 3)), 1)
         assert np.max(np.abs(reduced.entries - outer(v).entries)) < 1e-12
 
     def test_dimension_mismatch(self):

@@ -18,7 +18,6 @@ from pointerlab import (
     pointer_block_coherence,
     premeasure,
     shift_witness,
-    tensor,
     trace_distance,
     von_neumann_entropy,
 )
@@ -92,7 +91,8 @@ class TestGemengeDensityMatrix:
         u, v = StateVector([0, 1]), StateVector([1, 0])
         gemenge = GemengeDecomposition((GemengeComponent(1.0, u, v),))
         rho = gemenge_density_matrix(gemenge, ProductSpace((2, 2)))
-        assert np.array_equal(rho.entries, outer(tensor(u, v)).entries)
+        product = StateVector(np.kron(u.amplitudes, v.amplitudes))
+        assert np.array_equal(rho.entries, outer(product).entries)
 
     def test_bell_mixture_rank_and_entropy(self):
         _, _, gemenge = bell_case()

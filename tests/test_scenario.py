@@ -44,18 +44,15 @@ def write_scenario(tmp_path, data, name="scenario.json"):
 
 class TestLoadScenario:
     def test_minimal_bcl_defaults(self, tmp_path):
-        config = load_scenario(write_scenario(tmp_path, MINIMAL_BCL))
-        assert config.bcl.apparatus_dim == 2
-        assert config.bcl.transfer_family is None  # default: transfer = eigenbasis
-        assert config.bcl.system_eigenbasis is None  # default: canonical
-        assert config.tolerances["probability_sum"] == 1e-10
-        echo = config.to_dict()
+        echo = load_scenario(write_scenario(tmp_path, MINIMAL_BCL)).to_dict()
+        assert echo["bcl"]["apparatus_dim"] == 2
+        assert echo["bcl"]["transfer_family"] == "default"  # transfer = eigenbasis
         assert echo["bcl"]["basis"] == "canonical"
-        assert echo["bcl"]["transfer_family"] == "default"
+        assert echo["tolerances"]["probability_sum"] == 1e-10
 
     def test_full_measurement_witness_default(self, tmp_path):
         config = load_scenario(write_scenario(tmp_path, FULL_MEASUREMENT))
-        assert config.witness == "sigma_x_pattern"
+        assert config.to_dict()["witness"] == "sigma_x_pattern"
 
     def test_rejects_non_power_of_two_grid(self, tmp_path):
         data = dict(SYMMETRIZATION)
@@ -237,6 +234,35 @@ class TestCli:
         path = write_scenario(tmp_path, data)
         assert cli_main(["run", str(path)]) == 1
         assert "premeasure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "base, block, key, value, stage",
+        [
+            # an explicit eigenbasis vector of norm 2
+            (
+                MINIMAL_BCL,
+                "bcl",
+                "basis",
+                {"system_eigenbasis": [[[2, 0]], [[0, 1]]], "pointer_basis": [[1, 0], [0, 1]]},
+                "build spec",
+            ),
+            # a packet centre beyond the 40-wide grid
+            (SYMMETRIZATION, "packets", 1, {"center": 100.0, "width": 1.0}, "lattice setup"),
+            # a norm that overflows to infinity, so normalizing gives the zero vector
+            (MINIMAL_BCL, None, "initial_state", [1e308, 1e308], "build spec"),
+        ],
+        ids=["unnormalized-eigenvector", "packet-off-grid", "overflowing-norm"],
+    )
+    def test_precondition_failure_names_stage(
+        self, tmp_path, capsys, base, block, key, value, stage
+    ):
+        data = json.loads(json.dumps(base))
+        (data if block is None else data[block])[key] = value
+        path = write_scenario(tmp_path, data)
+        assert cli_main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {stage}: " in err
+        assert "Traceback" not in err
 
     def test_config_output_path_used(self, tmp_path, capsys):
         data = json.loads(json.dumps(MINIMAL_BCL))

@@ -1,0 +1,268 @@
+"""The validated scenario is its own echo, and every schema fault names its key path.
+
+Validating a report's ``scenario`` echo must give the same echo back, whatever
+key order, number literals and amplitude forms the original document used.
+A document with one fault must be refused with that fault's key path and a
+fixed message.
+"""
+
+import copy
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pointerlab import ValidationError
+from pointerlab.scenario import TOLERANCE_DEFAULTS, validate_scenario_data
+
+WITNESSES = ("sigma_x_pattern", "system_observable")
+
+
+def numbers(lo, hi):
+    """Int or float literals in ``[lo, hi]``."""
+    return st.one_of(st.integers(lo, hi), st.floats(lo, hi, allow_nan=False))
+
+
+def positive(hi):
+    return st.one_of(st.integers(1, hi), st.floats(0.01, hi))
+
+
+AMPLITUDE = st.one_of(numbers(-2, 2), st.lists(numbers(-2, 2), min_size=2, max_size=2))
+NONZERO_AMPLITUDE = st.one_of(positive(2), st.tuples(positive(2), numbers(-2, 2)).map(list))
+
+
+def vectors(size):
+    return st.lists(AMPLITUDE, min_size=size, max_size=size)
+
+
+@st.composite
+def optional_blocks(draw, document):
+    kind = document["scenario_kind"]
+    if draw(st.booleans()):
+        names = draw(st.lists(st.sampled_from(sorted(TOLERANCE_DEFAULTS[kind])), unique=True))
+        document["tolerances"] = {name: draw(numbers(0, 1)) for name in names}
+    if draw(st.booleans()):
+        keys = draw(st.lists(st.sampled_from(["json", "csv"]), unique=True))
+        document["output"] = {key: draw(st.none() | st.text(max_size=4)) for key in keys}
+    return document
+
+
+@st.composite
+def lattice_documents(draw, kind):
+    document = {
+        "scenario_kind": kind,
+        "grid": {
+            "x_min": draw(numbers(-50, 0)),
+            "dx": draw(positive(1)),
+            "n_points": draw(st.sampled_from([64, 128, 256, 512, 1024, 2048, 4096])),
+        },
+        "packets": [
+            {"center": draw(numbers(-50, 50)), "width": draw(positive(5))} for _ in range(2)
+        ],
+    }
+    if kind == "dlocal":
+        lower = draw(numbers(-10, 10))
+        document["domain"] = {"lower": lower, "upper": lower + draw(numbers(0, 5))}
+    return draw(optional_blocks(document))
+
+
+@st.composite
+def bcl_documents(draw, kind):
+    degeneracies = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    sectors, system_dim = len(degeneracies), sum(degeneracies)
+    bcl = {
+        "eigenvalues": draw(
+            st.lists(numbers(-5, 5), min_size=sectors, max_size=sectors, unique_by=float)
+        ),
+        "degeneracies": degeneracies,
+    }
+    apparatus_dim = sectors
+    if draw(st.booleans()):
+        apparatus_dim = bcl["apparatus_dim"] = draw(st.integers(sectors, sectors + 2))
+
+    def family():
+        return [[draw(vectors(system_dim)) for _ in range(d)] for d in degeneracies]
+
+    basis = draw(st.sampled_from(["absent", "canonical", "explicit"]))
+    if basis == "canonical":
+        bcl["basis"] = "canonical"
+    elif basis == "explicit":
+        bcl["basis"] = {
+            "system_eigenbasis": family(),
+            "pointer_basis": [draw(vectors(apparatus_dim)) for _ in range(sectors)],
+        }
+        if draw(st.booleans()):
+            bcl["basis"]["ready_state"] = draw(vectors(apparatus_dim))
+    transfer = draw(st.sampled_from(["absent", "default", "explicit"]))
+    if transfer != "absent":
+        bcl["transfer_family"] = "default" if transfer == "default" else family()
+    document = {
+        "scenario_kind": kind,
+        "bcl": bcl,
+        "initial_state": [draw(NONZERO_AMPLITUDE), *draw(vectors(system_dim - 1))],
+    }
+    if kind == "full_measurement" and draw(st.booleans()):
+        document["witness"] = draw(st.sampled_from(WITNESSES))
+    return draw(optional_blocks(document))
+
+
+DOCUMENTS = st.one_of(
+    *(lattice_documents(kind) for kind in ("symmetrization", "dlocal")),
+    *(bcl_documents(kind) for kind in ("bcl", "full_measurement")),
+)
+
+
+@st.composite
+def reordered(draw, value):
+    """The same JSON value with the keys of every object in a drawn order."""
+    if isinstance(value, dict):
+        keys = draw(st.permutations(list(value)))
+        return {key: draw(reordered(value[key])) for key in keys}
+    if isinstance(value, list):
+        return [draw(reordered(entry)) for entry in value]
+    return value
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_echo_is_a_fixed_point(data):
+    document = data.draw(DOCUMENTS)
+    echo = validate_scenario_data(document).to_dict()
+    again = validate_scenario_data(echo).to_dict()
+    assert again == echo
+    assert json.dumps(again) == json.dumps(echo)
+    shuffled = data.draw(reordered(document))
+    assert json.dumps(validate_scenario_data(shuffled).to_dict()) == json.dumps(echo)
+
+
+SYM = {
+    "scenario_kind": "symmetrization",
+    "grid": {"x_min": -20.0, "dx": 0.078125, "n_points": 512},
+    "packets": [{"center": 0.0, "width": 1.0}, {"center": 10.0, "width": 1.0}],
+}
+DLOCAL = {**SYM, "scenario_kind": "dlocal", "domain": {"lower": -5.0, "upper": 5.0}}
+BCL = {
+    "scenario_kind": "bcl",
+    "bcl": {"eigenvalues": [1.0, -1.0], "degeneracies": [1, 1]},
+    "initial_state": [1, [0, 1]],
+}
+FULL = {**BCL, "scenario_kind": "full_measurement"}
+EXPLICIT = {
+    **BCL,
+    "bcl": {
+        **BCL["bcl"],
+        "basis": {
+            "system_eigenbasis": [[[1, 0]], [[0, 1]]],
+            "pointer_basis": [[1, 0], [0, 1]],
+            "ready_state": [1, 0],
+        },
+    },
+}
+DROP = object()
+KINDS = "('symmetrization', 'dlocal', 'bcl', 'full_measurement')"
+POWER_OF_TWO = "scenario.grid.n_points: must be a power of two between 64 and 4096"
+
+# (base document, key path to the edited entry, new value or DROP, message)
+FAULTS = [
+    (SYM, [], [SYM], "scenario: expected an object"),
+    (SYM, ["scenario_kind"], DROP, f"scenario.scenario_kind: expected one of {KINDS}"),
+    (SYM, ["scenario_kind"], "nope", f"scenario.scenario_kind: expected one of {KINDS}"),
+    (SYM, ["grid"], DROP, "scenario: missing required key 'grid'"),
+    (SYM, ["extra"], 1, "scenario: unknown key 'extra'"),
+    (SYM, ["domain"], {"lower": 0, "upper": 1}, "scenario: unknown key 'domain'"),
+    (SYM, ["grid"], [1], "scenario.grid: expected an object"),
+    (SYM, ["grid", "dx"], DROP, "scenario.grid: missing required key 'dx'"),
+    (SYM, ["grid", "y"], 1, "scenario.grid: unknown key 'y'"),
+    (SYM, ["grid", "n_points"], 100, POWER_OF_TWO),
+    (SYM, ["grid", "n_points"], 32, POWER_OF_TWO),
+    (SYM, ["grid", "n_points"], 8192, POWER_OF_TWO),
+    (SYM, ["grid", "n_points"], 0, "scenario.grid.n_points: must be positive"),
+    (SYM, ["grid", "n_points"], 512.0, "scenario.grid.n_points: expected an integer"),
+    (SYM, ["grid", "n_points"], True, "scenario.grid.n_points: expected an integer"),
+    (SYM, ["grid", "dx"], 0, "scenario.grid.dx: must be positive"),
+    (SYM, ["grid", "dx"], "a", "scenario.grid.dx: expected a number"),
+    (SYM, ["grid", "x_min"], float("inf"), "scenario.grid.x_min: must be finite"),
+    (SYM, ["packets"], [{"center": 0, "width": 1}], "scenario.packets: expected a list of exactly two packets"),
+    (SYM, ["packets", 0], 3, "scenario.packets[0]: expected an object"),
+    (SYM, ["packets", 1, "width"], DROP, "scenario.packets[1]: missing required key 'width'"),
+    (SYM, ["packets", 1, "w"], 1, "scenario.packets[1]: unknown key 'w'"),
+    (SYM, ["packets", 0, "width"], -1, "scenario.packets[0].width: must be positive"),
+    (SYM, ["packets", 0, "center"], float("nan"), "scenario.packets[0].center: must be finite"),
+    (DLOCAL, ["domain"], DROP, "scenario: missing required key 'domain'"),
+    (DLOCAL, ["domain", "upper"], DROP, "scenario.domain: missing required key 'upper'"),
+    (DLOCAL, ["domain", "middle"], 0, "scenario.domain: unknown key 'middle'"),
+    (DLOCAL, ["domain", "lower"], None, "scenario.domain.lower: expected a number"),
+    (DLOCAL, ["domain", "upper"], -6, "scenario.domain: upper must not be below lower"),
+    (BCL, ["witness"], "sigma_x_pattern", "scenario: unknown key 'witness'"),
+    (BCL, ["bcl"], [], "scenario.bcl: expected an object"),
+    (BCL, ["bcl", "eigenvalues"], DROP, "scenario.bcl: missing required key 'eigenvalues'"),
+    (BCL, ["bcl", "mystery"], True, "scenario.bcl: unknown key 'mystery'"),
+    (BCL, ["bcl", "eigenvalues"], [], "scenario.bcl.eigenvalues: expected a non-empty list"),
+    (BCL, ["bcl", "eigenvalues"], [1, 1.0], "scenario.bcl.eigenvalues: must be distinct"),
+    (BCL, ["bcl", "eigenvalues", 1], "a", "scenario.bcl.eigenvalues[1]: expected a number"),
+    (BCL, ["bcl", "degeneracies"], [1], "scenario.bcl.degeneracies: expected one entry per eigenvalue"),
+    (BCL, ["bcl", "degeneracies", 1], 0, "scenario.bcl.degeneracies[1]: must be positive"),
+    (BCL, ["bcl", "degeneracies", 1], 1.0, "scenario.bcl.degeneracies[1]: expected an integer"),
+    (BCL, ["bcl", "apparatus_dim"], 1, "scenario.bcl.apparatus_dim: needs at least one dimension per sector"),
+    (BCL, ["bcl", "apparatus_dim"], None, "scenario.bcl.apparatus_dim: expected an integer"),
+    (BCL, ["bcl", "apparatus_dim"], 2049, "scenario.bcl: system_dim * apparatus_dim exceeds the cap 4096"),
+    (BCL, ["bcl", "basis"], "other", "scenario.bcl.basis: expected an object"),
+    (BCL, ["bcl", "transfer_family"], None, "scenario.bcl.transfer_family: expected one sector per eigenvalue (2)"),
+    (BCL, ["bcl", "transfer_family"], [[[1, 0]]], "scenario.bcl.transfer_family: expected one sector per eigenvalue (2)"),
+    (BCL, ["bcl", "transfer_family"], [[[1, 0]], []], "scenario.bcl.transfer_family[1]: expected a non-empty list of vectors"),
+    (BCL, ["bcl", "transfer_family"], [[[1, 0]], [[0, 1], [1, 0]]], "scenario.bcl.transfer_family[1]: expected exactly 1 vectors"),
+    (BCL, ["bcl", "transfer_family"], [[[1, 0]], [[]]], "scenario.bcl.transfer_family[1][0]: expected a non-empty list of amplitudes"),
+    (BCL, ["initial_state"], DROP, "scenario: missing required key 'initial_state'"),
+    (BCL, ["initial_state"], 3, "scenario.initial_state: expected a non-empty list of amplitudes"),
+    (BCL, ["initial_state"], [1], "scenario.initial_state: expected 2 amplitudes for the configured system"),
+    (BCL, ["initial_state"], [0, [0, -0.0]], "scenario.initial_state: must not be the zero vector"),
+    (BCL, ["initial_state", 1], [1, 2, 3], "scenario.initial_state[1]: expected a number or an [re, im] pair"),
+    (BCL, ["initial_state", 1], True, "scenario.initial_state[1]: expected a number or an [re, im] pair"),
+    (BCL, ["initial_state", 1], [float("inf"), 0], "scenario.initial_state[1][0]: must be finite"),
+    (BCL, ["initial_state", 1], ["a", 0], "scenario.initial_state[1][0]: expected a number"),
+    (BCL, ["initial_state", 0], float("nan"), "scenario.initial_state[0]: must be finite"),
+    (EXPLICIT, ["bcl", "basis", "pointer_basis"], DROP, "scenario.bcl.basis: missing required key 'pointer_basis'"),
+    (EXPLICIT, ["bcl", "basis", "extra"], 1, "scenario.bcl.basis: unknown key 'extra'"),
+    (EXPLICIT, ["bcl", "basis", "ready_state"], [], "scenario.bcl.basis.ready_state: expected a non-empty list of amplitudes"),
+    (EXPLICIT, ["bcl", "basis", "pointer_basis"], [[1, 0]], "scenario.bcl.basis.pointer_basis: expected exactly 2 vectors"),
+    (EXPLICIT, ["bcl", "basis", "system_eigenbasis", 0], [[1, 0], [0, 1]], "scenario.bcl.basis.system_eigenbasis[0]: expected exactly 1 vectors"),
+    (EXPLICIT, ["bcl", "basis", "system_eigenbasis", 1, 0, 1], "z", "scenario.bcl.basis.system_eigenbasis[1][0][1]: expected a number or an [re, im] pair"),
+    (FULL, ["witness"], "other", "scenario.witness: expected one of ('sigma_x_pattern', 'system_observable')"),
+    (BCL, ["tolerances"], [1], "scenario.tolerances: expected an object"),
+    (BCL, ["tolerances"], {"nonexistent": 1.0}, "scenario.tolerances.nonexistent: unknown tolerance for kind 'bcl'"),
+    (SYM, ["tolerances"], {"unitarity": 1.0}, "scenario.tolerances.unitarity: unknown tolerance for kind 'symmetrization'"),
+    (BCL, ["tolerances"], {"unitarity": -1}, "scenario.tolerances.unitarity: must be nonnegative"),
+    (FULL, ["tolerances"], {"rule2_coherence": float("-inf")}, "scenario.tolerances.rule2_coherence: must be finite"),
+    (SYM, ["output"], "x", "scenario.output: expected an object"),
+    (SYM, ["output"], {"pdf": "x"}, "scenario.output: unknown key 'pdf'"),
+    (SYM, ["output"], {"json": 3}, "scenario.output.json: expected a path string"),
+    (SYM, ["output"], {"csv": []}, "scenario.output.csv: expected a path string"),
+]
+
+
+def with_fault(base, keys, value):
+    if not keys:
+        return value
+    document = copy.deepcopy(base)
+    parent = document
+    for key in keys[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        del parent[keys[-1]]
+    else:
+        parent[keys[-1]] = value
+    return document
+
+
+@pytest.mark.parametrize(
+    "base, keys, value, message",
+    FAULTS,
+    ids=[f"{i}-{'.'.join(map(str, keys))}" for i, (_, keys, *_) in enumerate(FAULTS)],
+)
+def test_single_fault_names_its_key_path(base, keys, value, message):
+    validate_scenario_data(base)
+    with pytest.raises(ValidationError) as caught:
+        validate_scenario_data(with_fault(base, keys, value))
+    assert str(caught.value) == message
+
