@@ -21,6 +21,7 @@ from .errors import (
 )
 from .hilbert import (
     DensityMatrix,
+    KroneckerSum,
     MatrixOperator,
     ProductSpace,
     StateVector,
@@ -59,6 +60,7 @@ from .objectification import (
 )
 from .premeasurement import (
     BclSpec,
+    ControlledUnitary,
     PremeasurementResult,
     apparatus_marginal,
     build_premeasurement_unitary,

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra on finite-dimensional Hilbert spaces.
+"""Complex linear algebra on finite-dimensional Hilbert spaces.
 
 States and operators are thin immutable wrappers around numpy arrays that
 check their defining invariants once, at construction.  Unnormalized working
@@ -7,15 +7,23 @@ vectors stay plain ndarrays; only :class:`StateVector` promises unit norm.
 A single tensor index convention is used everywhere: the first factor varies
 slowest, exactly as ``numpy.kron`` flattens, so a bipartite amplitude index
 reads ``i * dim_second + j``.  Hermitian matrices always go through numpy's
-Hermitian eigensolvers (``eigvalsh``), never the general nonsymmetric path,
-so spectra used in positivity and entropy checks are real by construction.
-A density matrix keeps its positivity check's spectrum, read-only, for reuse.
+Hermitian eigensolvers (``eigh``, ``eigvalsh``), never the general
+nonsymmetric path, so spectra are real by construction.
+
+A density matrix is held as a weighted mixture ``sum_j w_j |v_j><v_j|`` of
+``r`` columns, never as a ``dim x dim`` array: a pure state is one column and
+a proper mixture one column per branch.  Its spectrum is that of the
+``r x r`` Gram matrix of the weighted columns (Hughston, Jozsa and Wootters,
+Phys. Lett. A 183, 14 (1993)), and on a bipartite space each column is read
+as its ``d_first x d_second`` amplitude matrix ``B_j``, so partial traces and
+expectations of Kronecker products are matrix products on the ``B_j``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +34,7 @@ __all__ = [
     "StateVector",
     "DensityMatrix",
     "MatrixOperator",
+    "KroneckerSum",
     "ProductSpace",
     "outer",
     "partial_trace",
@@ -37,6 +46,10 @@ __all__ = [
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _hermitian_deviation(mat: np.ndarray) -> float:
+    return float(np.max(np.abs(mat - mat.conj().T)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,12 +75,18 @@ class StateVector:
 
     @classmethod
     def normalized(cls, raw) -> "StateVector":
-        """Normalize a raw amplitude vector; rejects numerically null input."""
+        """Normalize a raw amplitude vector; rejects numerically null input.
+
+        The vector is first divided by its largest modulus ``m``, so the norm
+        ``m * ||a / m||`` of finite input never overflows.
+        """
         arr = np.asarray(raw, dtype=complex).reshape(-1)
-        norm = float(np.linalg.norm(arr))
-        if norm < COMPARISON_TOL:
+        scale = float(np.max(np.abs(arr), initial=0.0))
+        unit = arr / scale if scale > 0.0 else arr
+        unit_norm = float(np.linalg.norm(unit))
+        if scale * unit_norm < COMPARISON_TOL:
             raise ValueError("cannot normalize a numerically null vector")
-        return cls(arr / norm)
+        return cls(unit / unit_norm)
 
     @classmethod
     def basis_state(cls, dim: int, index: int) -> "StateVector":
@@ -83,71 +102,177 @@ class StateVector:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
-@dataclass(frozen=True, eq=False)
+def _eigenpairs(entries) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors and nonnegative eigenvalues of a dense Hermitian PSD matrix.
+
+    Rows that are exactly zero carry no weight, so ``eigh`` runs on the
+    remaining support only and the eigenvectors keep exact zeros there.
+    """
+    mat = np.array(entries, dtype=complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError("density matrix entries must form a square matrix")
+    herm_dev = _hermitian_deviation(mat)
+    if herm_dev > INVARIANT_TOL:
+        raise ValueError(f"density matrix not Hermitian; deviation {herm_dev:.3e}")
+    nonzero = mat != 0
+    support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+    if support.size == mat.shape[0]:
+        eigenvalues, columns = np.linalg.eigh(mat)
+    else:
+        eigenvalues, eigenvectors = np.linalg.eigh(mat[np.ix_(support, support)])
+        columns = np.zeros((mat.shape[0], support.size), dtype=complex)
+        columns[support] = eigenvectors
+    if eigenvalues.size and eigenvalues[0] < -INVARIANT_TOL:
+        raise ValueError(f"density matrix has negative eigenvalue {eigenvalues[0]:.3e}")
+    return columns, np.maximum(eigenvalues, 0.0)
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix."""
+    """Unit-trace positive-semidefinite matrix ``sum_j w_j |v_j><v_j|``.
 
-    entries: np.ndarray
-    _spectrum: np.ndarray = field(init=False, repr=False)
+    ``columns`` holds the vectors ``v_j`` (``dim x r``) and ``weights`` the
+    ``w_j``.  ``DensityMatrix(columns=V, weights=w)`` takes a mixture, which
+    is positive semidefinite exactly when every weight is nonnegative.
+    ``DensityMatrix(entries)`` takes a dense matrix, checks it Hermitian and
+    stores the eigenpairs of one ``eigh`` (an eigenvalue below
+    ``-INVARIANT_TOL`` is refused, roundoff ones are clipped to zero).
+    Columns of weight zero are dropped.  The dense matrix is built only on
+    demand, by :attr:`entries`.
+    """
 
-    def __post_init__(self) -> None:
-        mat = np.array(self.entries, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("density matrix entries must form a square matrix")
-        herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
-        if herm_dev > INVARIANT_TOL:
-            raise ValueError(f"density matrix not Hermitian; deviation {herm_dev:.3e}")
-        trace_dev = abs(complex(np.trace(mat)) - 1.0)
-        if trace_dev > INVARIANT_TOL:
-            raise ValueError(f"density matrix trace off by {trace_dev:.3e}")
-        spectrum = np.linalg.eigvalsh(mat)
-        if spectrum[0] < -INVARIANT_TOL:
-            raise ValueError(f"density matrix has negative eigenvalue {spectrum[0]:.3e}")
-        object.__setattr__(self, "entries", _readonly(mat))
-        object.__setattr__(self, "_spectrum", _readonly(spectrum))
+    columns: np.ndarray
+    weights: np.ndarray
+
+    def __init__(self, entries=None, *, columns=None, weights=None) -> None:
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "weights", weights)
+        self.__post_init__(entries)
+
+    def __post_init__(self, entries) -> None:
+        if entries is not None:
+            if self.columns is not None or self.weights is not None:
+                raise ValueError("give a density matrix either dense entries or a mixture")
+            columns, weights = _eigenpairs(entries)
+        else:
+            columns = np.array(self.columns, dtype=complex)
+            weights = np.array(self.weights, dtype=float).reshape(-1)
+            if columns.ndim != 2 or columns.shape[1] != weights.size:
+                raise ValueError("a mixture needs a column matrix and one weight per column")
+            if weights.size and weights.min() < 0.0:
+                raise ValueError(f"mixture has negative weight {weights.min():.3e}")
+        kept = weights > 0.0
+        if not kept.all():
+            columns, weights = columns[:, kept], weights[kept]
+        trace = float(weights @ np.sum(columns.real**2 + columns.imag**2, axis=0))
+        if abs(trace - 1.0) > INVARIANT_TOL:
+            raise ValueError(f"density matrix trace off by {abs(trace - 1.0):.3e}")
+        object.__setattr__(self, "columns", _readonly(columns))
+        object.__setattr__(self, "weights", _readonly(weights))
 
     @property
     def dim(self) -> int:
-        return int(self.entries.shape[0])
+        return int(self.columns.shape[0])
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense matrix ``(V * w) @ V^dagger``, built on each call."""
+        return (self.columns * self.weights) @ self.columns.conj().T
+
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        scaled = self.columns * np.sqrt(self.weights)
+        gram_spectrum = np.linalg.eigvalsh(scaled.conj().T @ scaled)
+        dim, rank = self.columns.shape
+        padded = np.concatenate((np.zeros(max(dim - rank, 0)), gram_spectrum[max(rank - dim, 0):]))
+        return _readonly(np.sort(padded))
 
     def eigenvalues(self) -> np.ndarray:
-        """Real spectrum in ascending order, computed once at construction."""
+        """Real spectrum in ascending order, read-only and computed once.
+
+        The nonzero eigenvalues are those of the ``r x r`` Gram matrix
+        ``sqrt(w) V^dagger V sqrt(w)``; the other ``dim - r`` are exact zeros.
+        """
         return self._spectrum
+
+    def blocks(self, space: "ProductSpace") -> np.ndarray:
+        """Weighted amplitude matrices ``sqrt(w_j) B_j``, shape ``(r, *space.factor_dims)``."""
+        if self.dim != space.dim:
+            raise DimensionMismatch(
+                f"state dim {self.dim} does not match factor dims {space.factor_dims}"
+            )
+        return (self.columns * np.sqrt(self.weights)).T.reshape(-1, *space.factor_dims)
 
 
 @dataclass(frozen=True, eq=False)
 class MatrixOperator:
-    """Square complex matrix with independently assertable flags.
-
-    The ``hermitian`` and ``unitary`` flags are promises checked at
-    construction, not properties inferred from the entries.  A unitary
-    operator keeps its check's deviation ``max |U^dagger U - I|``; it is
-    ``None`` for every other operator.
-    """
+    """Square complex matrix; a ``hermitian`` flag is a promise checked at construction."""
 
     entries: np.ndarray
     hermitian: bool = False
-    unitary: bool = False
-    _unitary_deviation: float | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         mat = np.array(self.entries, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("operator entries must form a square matrix")
         if self.hermitian:
-            dev = float(np.max(np.abs(mat - mat.conj().T)))
+            dev = _hermitian_deviation(mat)
             if dev > INVARIANT_TOL:
                 raise ValueError(f"hermitian flag violated; deviation {dev:.3e}")
-        if self.unitary:
-            dev = float(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))))
-            if dev > INVARIANT_TOL:
-                raise ValueError(f"unitary flag violated; deviation {dev:.3e}")
-            object.__setattr__(self, "_unitary_deviation", dev)
         object.__setattr__(self, "entries", _readonly(mat))
 
     @property
     def dim(self) -> int:
         return int(self.entries.shape[0])
+
+
+@dataclass(frozen=True, eq=False)
+class KroneckerSum:
+    """Hermitian operator ``sum_i S_i (x) A_i`` on a bipartite space, held as its factors.
+
+    ``terms`` lists the pairs ``(S_i, A_i)``.  Every factor is checked square
+    and Hermitian at construction, so the sum is Hermitian.  The dense
+    matrix is built only on demand, by :attr:`entries`.
+    """
+
+    terms: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    def __post_init__(self) -> None:
+        terms = tuple(
+            (np.array(first, dtype=complex), np.array(second, dtype=complex))
+            for first, second in self.terms
+        )
+        if not terms:
+            raise ValueError("a Kronecker sum needs at least one term")
+        dims = (terms[0][0].shape[0], terms[0][1].shape[0])
+        for term in terms:
+            for factor, dim in zip(term, dims):
+                if factor.shape != (dim, dim):
+                    raise ValueError("Kronecker factors must be square, with one shape per side")
+                dev = _hermitian_deviation(factor)
+                if dev > INVARIANT_TOL:
+                    raise ValueError(f"Kronecker factor is not Hermitian; deviation {dev:.3e}")
+                _readonly(factor)
+        object.__setattr__(self, "terms", terms)
+
+    @property
+    def factor_dims(self) -> tuple[int, int]:
+        return (self.terms[0][0].shape[0], self.terms[0][1].shape[0])
+
+    @property
+    def dim(self) -> int:
+        return int(math.prod(self.factor_dims))
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense matrix ``sum_i kron(S_i, A_i)``, built on each call."""
+        return sum(np.kron(first, second) for first, second in self.terms)
+
+    def expectation(self, rho: DensityMatrix) -> float:
+        """``tr(rho W) = sum_j w_j sum_i <B_j, S_i B_j A_i^T>`` over the amplitude matrices."""
+        blocks = rho.blocks(ProductSpace(self.factor_dims))
+        total = sum(np.vdot(blocks, first @ blocks @ second.T) for first, second in self.terms)
+        return float(total.real)
 
 
 @dataclass(frozen=True)
@@ -168,12 +293,16 @@ class ProductSpace:
 
 
 def outer(phi: StateVector) -> DensityMatrix:
-    """Rank-one projector ``|phi><phi|``."""
-    return DensityMatrix(np.outer(phi.amplitudes, phi.amplitudes.conj()))
+    """Rank-one projector ``|phi><phi|``: one column of weight one."""
+    return DensityMatrix(columns=phi.amplitudes[:, None], weights=np.ones(1))
 
 
 def partial_trace(rho: DensityMatrix, space: ProductSpace, keep: int) -> DensityMatrix:
     """Trace out one factor of a bipartite state.
+
+    Keeping the first factor gives ``sum_j w_j B_j B_j^dagger``, keeping the
+    second ``sum_j w_j B_j^T B_j^*``, each as one matrix product over the
+    stacked amplitude matrices ``B_j``.
 
     Parameters
     ----------
@@ -186,19 +315,14 @@ def partial_trace(rho: DensityMatrix, space: ProductSpace, keep: int) -> Density
     """
     if len(space.factor_dims) != 2:
         raise ValueError("partial_trace is defined for bipartite spaces only")
-    if rho.dim != space.dim:
-        raise DimensionMismatch(
-            f"state dim {rho.dim} does not match factor dims {space.factor_dims}"
-        )
-    d0, d1 = space.factor_dims
-    blocks = rho.entries.reshape(d0, d1, d0, d1)
+    blocks = rho.blocks(space)
     if keep == 0:
-        reduced = np.einsum("ijkj->ik", blocks)
+        factor = blocks.transpose(1, 0, 2).reshape(space.factor_dims[0], -1)
     elif keep == 1:
-        reduced = np.einsum("ijil->jl", blocks)
+        factor = blocks.transpose(2, 0, 1).reshape(space.factor_dims[1], -1)
     else:
         raise ValueError("keep must be 0 or 1")
-    return DensityMatrix(reduced)
+    return DensityMatrix(factor @ factor.conj().T)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -214,10 +338,11 @@ def gram_deviation(columns: np.ndarray) -> float:
     """Largest entry of ``|G - I|`` for the Gram matrix ``G`` of a column matrix.
 
     Zero exactly when the columns are orthonormal; callers compare it against
-    their own tolerance and raise their own error.
+    their own tolerance and raise their own error.  A stack of column
+    matrices gives the largest deviation over the stack.
     """
-    gram = columns.conj().T @ columns
-    return float(np.max(np.abs(gram - np.eye(columns.shape[1]))))
+    gram = np.swapaxes(columns.conj(), -1, -2) @ columns
+    return float(np.max(np.abs(gram - np.eye(columns.shape[-1]))))
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -8,12 +8,12 @@ therefore stored explicitly rather than only as a density matrix.  The
 diagnostics in this module quantify exactly what the non-unitary step
 preserves (both marginals, every pointer-diagonal observable) and what it
 erases (pointer-off-diagonal coherence, witnessed by observables that do not
-commute with the measured one).  Pointer blocks are read from the
-``(d_system, d_pointer, d_system, d_pointer)`` view of a state with both
-apparatus indices rotated into the pointer basis; no product-space projector
-is ever built.  The gemenge matrix is one product ``(B * p) @ B^dagger`` over
-its branch columns ``B[:, k] = Phi_k (x) psi_k``, built once per run and
-handed to :func:`compare_states`.
+commute with the measured one).  The gemenge state is held as its branch
+columns ``Phi_k (x) psi_k`` with their probabilities as weights, built once
+per run and handed to :func:`compare_states`.  Pointer blocks are read from
+the amplitude matrices ``B_j`` of a state's columns, rotated into the
+pointer basis as ``B_j P^*``, and witnesses are sums of Kronecker products
+evaluated on the same ``B_j``; no product-space matrix is ever built.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from .errors import BasisNotOrthonormal, DimensionMismatch
 from .hilbert import (
     DensityMatrix,
-    MatrixOperator,
+    KroneckerSum,
     ProductSpace,
     StateVector,
     gram_deviation,
@@ -114,17 +114,19 @@ def apply_rule2(result: PremeasurementResult, spec: BclSpec) -> GemengeDecomposi
 
 
 def gemenge_density_matrix(g: GemengeDecomposition, space: ProductSpace) -> DensityMatrix:
-    """Mixed-state matrix ``(B * p) @ B^dagger`` with branch columns ``Phi_k (x) psi_k``."""
+    """Mixed state ``sum_k p_k |b_k><b_k|`` over the branch columns ``b_k = Phi_k (x) psi_k``."""
     if len(space.factor_dims) != 2:
         raise ValueError("gemenge states live on bipartite spaces")
     d_system, d_pointer = space.factor_dims
     for component in g.components:
         if component.system_state.dim != d_system or component.pointer_state.dim != d_pointer:
             raise DimensionMismatch("component dimensions do not match the product space")
-    branches = np.column_stack(
-        [np.kron(c.system_state.amplitudes, c.pointer_state.amplitudes) for c in g.components]
+    branches = np.einsum(
+        "ik,jk->ijk",
+        np.column_stack([c.system_state.amplitudes for c in g.components]),
+        np.column_stack([c.pointer_state.amplitudes for c in g.components]),
     )
-    return DensityMatrix((branches * g.probabilities) @ branches.conj().T)
+    return DensityMatrix(columns=branches.reshape(space.dim, -1), weights=g.probabilities)
 
 
 def pointer_block_coherence(
@@ -136,27 +138,26 @@ def pointer_block_coherence(
 
     Zero exactly when the state is block-diagonal across pointer sectors,
     which is what objectification enforces.  Block ``(k, l)`` is
-    ``(1 (x) <pi_k|) rho (1 (x) |pi_l>)``: both apparatus indices of the
-    ``(d_system, d_pointer, d_system, d_pointer)`` view of ``rho`` are rotated
-    into the pointer basis and the ``k != l`` blocks are summed directly.
+    ``(1 (x) <pi_k|) rho (1 (x) |pi_l>) = A_k A_l^dagger``, where column
+    ``j`` of ``A_k`` is column ``k`` of ``sqrt(w_j) B_j P^*``.  Its squared
+    norm is ``tr(H_k H_l)`` for the ``r x r`` Gram matrices
+    ``H_k = A_k^dagger A_k``; each term is nonnegative, and the ``k != l``
+    terms are summed directly.
     """
     if rho.dim != space.dim:
         raise DimensionMismatch(f"state dim {rho.dim} does not match space dim {space.dim}")
-    d_system, d_pointer = space.factor_dims
+    d_pointer = space.factor_dims[1]
     if any(pointer.dim != d_pointer for pointer in pointer_basis):
         raise DimensionMismatch("pointer states do not match the apparatus factor")
     pointers = np.column_stack([pointer.amplitudes for pointer in pointer_basis])
     dev = gram_deviation(pointers)
     if dev > INVARIANT_TOL:
         raise BasisNotOrthonormal(f"pointer basis deviates from orthonormal by {dev:.3e}")
-    blocks = np.einsum(
-        "ak,iajb,bl->klij",
-        pointers.conj(),
-        rho.entries.reshape(d_system, d_pointer, d_system, d_pointer),
-        pointers,
-        optimize=True,
-    )
-    return float(np.linalg.norm(blocks[~np.eye(len(pointer_basis), dtype=bool)]))
+    rotated = (rho.blocks(space) @ pointers.conj()).transpose(2, 1, 0)  # A_k, stacked
+    grams = (rotated.conj().transpose(0, 2, 1) @ rotated).reshape(len(pointer_basis), -1)
+    overlaps = (grams @ grams.conj().T).real  # tr(H_k H_l)
+    off_diagonal = float(np.sum(overlaps[~np.eye(len(pointer_basis), dtype=bool)]))
+    return float(np.sqrt(max(off_diagonal, 0.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,23 +188,21 @@ def compare_states(
     result: PremeasurementResult,
     rho_rule2: DensityMatrix,
     spec: BclSpec,
-    witness: MatrixOperator,
+    witness: KroneckerSum,
 ) -> CorrelationReport:
     """Diagnostics contrasting the unitary outcome with its objectified mixture.
 
-    ``rho_rule2`` is the gemenge matrix from :func:`gemenge_density_matrix`.
+    ``rho_rule2`` is the gemenge state from :func:`gemenge_density_matrix`.
     Both marginals agree between the two states; the coherence norm and the
-    witness expectations ``tr(rho W) = sum(rho * W^T)`` expose the correlations
-    that only the entangled state carries.  The witness must be Hermitian.
+    witness expectations ``tr(rho W)`` expose the correlations that only the
+    entangled state carries.  The witness is Hermitian by construction and
+    its factors must match the system and apparatus dimensions.
     """
     space = ProductSpace((spec.system_dim, spec.apparatus_dim))
-    if witness.dim != space.dim:
+    if witness.factor_dims != space.factor_dims:
         raise DimensionMismatch(
-            f"witness dim {witness.dim} does not match product dim {space.dim}"
+            f"witness factor dims {witness.factor_dims} do not match {space.factor_dims}"
         )
-    witness_dev = float(np.max(np.abs(witness.entries - witness.entries.conj().T)))
-    if witness_dev > INVARIANT_TOL:
-        raise ValueError(f"witness is not Hermitian; deviation {witness_dev:.3e}")
 
     rho_unitary = outer(result.final_state)
     return CorrelationReport(
@@ -218,8 +217,8 @@ def compare_states(
             partial_trace(rho_unitary, space, keep=1),
             partial_trace(rho_rule2, space, keep=1),
         ),
-        witness_expectation_unitary=float(np.sum(rho_unitary.entries * witness.entries.T).real),
-        witness_expectation_rule2=float(np.sum(rho_rule2.entries * witness.entries.T).real),
+        witness_expectation_unitary=witness.expectation(rho_unitary),
+        witness_expectation_rule2=witness.expectation(rho_rule2),
         entropy_unitary_state=von_neumann_entropy(rho_unitary),
         entropy_rule2_state=von_neumann_entropy(rho_rule2),
     )
@@ -231,22 +230,20 @@ def _adjacent_coupling(columns: np.ndarray) -> np.ndarray:
     return forward + forward.conj().T
 
 
-def shift_witness(spec: BclSpec) -> MatrixOperator:
-    """Default erased-correlation witness.
+def shift_witness(spec: BclSpec) -> KroneckerSum:
+    """Default erased-correlation witness, one Kronecker product.
 
     Couples adjacent eigenbasis vectors on the system and adjacent pointer
     states on the apparatus; for a qubit measured against a qubit pointer
     this is exactly ``sigma_x (x) sigma_x``, which commutes with neither the
     measured observable nor the pointer projectors.
     """
-    system_part = _adjacent_coupling(spec._eigenvectors)
-    pointer_part = _adjacent_coupling(spec._pointers)
-    return MatrixOperator(np.kron(system_part, pointer_part), hermitian=True)
+    return KroneckerSum(
+        ((_adjacent_coupling(spec._eigenvectors), _adjacent_coupling(spec._pointers)),)
+    )
 
 
-def observable_witness(spec: BclSpec) -> MatrixOperator:
+def observable_witness(spec: BclSpec) -> KroneckerSum:
     """Witness ``O (x) I``: diagnostics that survive objectification untouched."""
     identity = np.eye(spec.apparatus_dim, dtype=complex)
-    return MatrixOperator(
-        np.kron(spec.system_observable().entries, identity), hermitian=True
-    )
+    return KroneckerSum(((spec.system_observable().entries, identity),))

@@ -4,11 +4,14 @@ The model follows the Beltrametti-Cassinelli-Lahti scheme: a complete
 orthonormal eigenbasis of the system observable, partitioned into eigenvalue
 sectors, is mapped onto a transfer family while the apparatus moves from its
 ready state into the pointer state labelling the sector.  The coupling fixes
-the unitary only on the subspace spanned by ``eigenvector (x) ready`` (the
-isometry of Beltrametti, Cassinelli and Lahti, J. Math. Phys. 31, 91 (1990));
-the rest is filled by a deterministic orthonormal completion, one
-complete-mode Householder QR of the fixed columns alone, and everything
-physical is independent of that completion choice.
+the unitary only on the subspace spanned by ``eigenvector (x) ready``
+(Beltrametti, Cassinelli and Lahti, J. Math. Phys. 31, 91 (1990)), and it
+has the controlled form ``U = sum_k Q_k (x) V_k``: ``Q_k = T_k E_k^dagger``
+carries sector ``k`` into its transfer vectors, and the apparatus unitary
+``V_k`` carries the ready state into pointer ``k``.  Everything physical is
+independent of how the ``V_k`` are completed off the ready state.  ``U`` is
+held as its factors and applied to a ``d_system x d_apparatus`` amplitude
+matrix ``X`` as ``sum_k Q_k X V_k^T``; no product-space matrix is built.
 
 A spec holds each of its three families as one column matrix, built and
 checked once at construction: the eigenvectors ``E`` and the transfer family
@@ -31,6 +34,7 @@ from .tolerances import INVARIANT_TOL, PROBABILITY_FLOOR
 
 __all__ = [
     "BclSpec",
+    "ControlledUnitary",
     "PremeasurementResult",
     "build_premeasurement_unitary",
     "premeasure",
@@ -51,8 +55,9 @@ class BclSpec:
     each sector).  Eigenvalues are carried as distinct real labels only.
 
     Construction also keeps, read-only, the column matrices of the three
-    families, the first column of each sector and the measurement-condition
-    residual ``max |T^dagger T - I|`` of the whole transfer family.
+    families, the first column of each sector, the eigenbasis deviation
+    ``max |E^dagger E - I|`` and the measurement-condition residual
+    ``max |T^dagger T - I|`` of the whole transfer family.
     """
 
     eigenvalues: tuple[float, ...]
@@ -64,6 +69,7 @@ class BclSpec:
     _transfer: np.ndarray = field(init=False, repr=False)
     _pointers: np.ndarray = field(init=False, repr=False)
     _sector_starts: np.ndarray = field(init=False, repr=False)
+    _eigenbasis_deviation: float = field(init=False, repr=False)
     _measurement_residual: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -97,9 +103,11 @@ class BclSpec:
                 f"degeneracies sum to {len(flat_basis)} but the system dimension is {system_dim}"
             )
         eigenvectors = np.column_stack([v.amplitudes for v in flat_basis])
-        dev = gram_deviation(eigenvectors)
-        if dev > INVARIANT_TOL:
-            raise SpecInvalid(f"system eigenbasis is not orthonormal; deviation {dev:.3e}")
+        eigenbasis_dev = gram_deviation(eigenvectors)
+        if eigenbasis_dev > INVARIANT_TOL:
+            raise SpecInvalid(
+                f"system eigenbasis is not orthonormal; deviation {eigenbasis_dev:.3e}"
+            )
 
         apparatus_dim = self.ready_state.dim
         if any(p.dim != apparatus_dim for p in pointers):
@@ -134,6 +142,7 @@ class BclSpec:
         ):
             matrix.setflags(write=False)
             object.__setattr__(self, name, matrix)
+        object.__setattr__(self, "_eigenbasis_deviation", eigenbasis_dev)
         object.__setattr__(self, "_measurement_residual", float(np.max(residual)))
 
     @property
@@ -194,6 +203,56 @@ def _canonical_families(
 
 
 @dataclass(frozen=True, eq=False)
+class ControlledUnitary:
+    """Premeasurement unitary ``U = sum_k Q_k (x) V_k``, held as its factors.
+
+    ``system_factors[k]`` is ``Q_k`` (``d_system x d_system``) and
+    ``apparatus_factors[k]`` is ``V_k`` (``d_apparatus x d_apparatus``).
+    ``deviation`` is the largest unitarity deviation ``max |M^dagger M - I|``
+    over the factors ``U`` was assembled from; construction refuses one above
+    ``INVARIANT_TOL``.
+    """
+
+    system_factors: np.ndarray
+    apparatus_factors: np.ndarray
+    deviation: float
+
+    def __post_init__(self) -> None:
+        system = np.array(self.system_factors, dtype=complex)
+        apparatus = np.array(self.apparatus_factors, dtype=complex)
+        if (
+            system.ndim != 3
+            or apparatus.ndim != 3
+            or system.shape[0] != apparatus.shape[0]
+            or system.shape[1] != system.shape[2]
+            or apparatus.shape[1] != apparatus.shape[2]
+        ):
+            raise ValueError("a controlled unitary needs one square factor per side and sector")
+        if not self.deviation <= INVARIANT_TOL:
+            raise ValueError(f"unitary factors deviate by {self.deviation:.3e}")
+        system.setflags(write=False)
+        apparatus.setflags(write=False)
+        object.__setattr__(self, "system_factors", system)
+        object.__setattr__(self, "apparatus_factors", apparatus)
+        object.__setattr__(self, "deviation", float(self.deviation))
+
+    @property
+    def dim(self) -> int:
+        return int(self.system_factors.shape[1] * self.apparatus_factors.shape[1])
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense matrix ``sum_k kron(Q_k, V_k)``, built on each call."""
+        dense = np.einsum("kij,kab->iajb", self.system_factors, self.apparatus_factors)
+        return dense.reshape(self.dim, self.dim)
+
+    def apply(self, amplitudes: np.ndarray) -> np.ndarray:
+        """``sum_k Q_k X V_k^T`` for the ``d_system x d_apparatus`` amplitude matrix ``X``."""
+        evolved = self.system_factors @ amplitudes @ self.apparatus_factors.transpose(0, 2, 1)
+        return evolved.sum(axis=0)
+
+
+@dataclass(frozen=True, eq=False)
 class PremeasurementResult:
     """Outputs of one premeasurement run.
 
@@ -202,7 +261,7 @@ class PremeasurementResult:
     below the probability floor.
     """
 
-    unitary: MatrixOperator
+    unitary: ControlledUnitary
     final_state: StateVector
     probabilities: np.ndarray
     conditional_states: tuple[StateVector | None, ...]
@@ -218,19 +277,6 @@ class PremeasurementResult:
         object.__setattr__(self, "conditional_states", tuple(self.conditional_states))
 
 
-def _isometry_columns(spec: BclSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Domain columns ``e (x) ready`` and range columns ``t (x) pointer``.
-
-    One column per eigenvector, in sector order; the premeasurement unitary
-    maps each domain column onto the range column beside it.
-    """
-    pointers = np.repeat(spec._pointers, spec.degeneracies, axis=1)
-    total_dim = spec.system_dim * spec.apparatus_dim
-    domain = np.einsum("ic,j->ijc", spec._eigenvectors, spec.ready_state.amplitudes)
-    image = np.einsum("ic,jc->ijc", spec._transfer, pointers)
-    return domain.reshape(total_dim, -1), image.reshape(total_dim, -1)
-
-
 def _complete_orthonormal(columns: np.ndarray) -> np.ndarray:
     """Extend orthonormal columns to a full basis with one complete-mode QR.
 
@@ -243,33 +289,58 @@ def _complete_orthonormal(columns: np.ndarray) -> np.ndarray:
     return basis
 
 
-def build_premeasurement_unitary(spec: BclSpec, completion_seed: int = 0) -> MatrixOperator:
-    """Unitary extension of ``eigenvector (x) ready -> transfer (x) pointer``.
+def build_premeasurement_unitary(spec: BclSpec, completion_seed: int = 0) -> ControlledUnitary:
+    """Controlled unitary ``sum_k Q_k (x) V_k`` extending ``e (x) ready -> t (x) pointer``.
 
-    The map is fixed on the span of the ``eigenvector (x) ready`` columns;
-    domain and range are completed to full orthonormal bases and their
-    complements paired in order.  A nonzero ``completion_seed`` re-pairs them
-    through a seeded Haar unitary on the range complement, a second valid
-    completion to test against: the physical output never depends on it.
-    The transfer family must be orthonormal across sectors (the measurement
-    condition), a statement strictly stronger than the per-sector check the
-    spec runs at construction.
+    ``Q_k = T_k E_k^dagger`` on sector ``k``.  ``Pbar`` completes the
+    pointers to a unitary and ``R`` the ready state, with the ready state as
+    its first column; ``V_k = Pbar S_k R^dagger``, where ``S_k`` swaps
+    columns 0 and ``k``, is unitary and carries the ready state into pointer
+    ``k``.  A nonzero ``completion_seed`` re-pairs ``R``'s complement through
+    a seeded Haar unitary on the complement of the ready state, a second
+    valid completion to test against: the physical output never depends on
+    it.  The transfer family must be orthonormal across sectors (the
+    measurement condition), a statement strictly stronger than the
+    per-sector check the spec runs at construction; it makes
+    ``sum_k Q_k^dagger Q_k`` the identity and ``Q_k^dagger Q_l`` vanish for
+    ``k != l``, so ``U`` is unitary exactly when ``E``, ``T``, ``Pbar``,
+    ``R`` and every ``V_k`` are.  The largest of their deviations is the
+    unitary's ``deviation``; that of ``T`` is the measurement residual.
     """
     if spec._measurement_residual > INVARIANT_TOL:
         raise MeasurementConditionViolated(
             "transfer family is not orthonormal across sectors; residual "
             f"{spec._measurement_residual:.3e}"
         )
-    domain, image = _isometry_columns(spec)
-    domain_full = _complete_orthonormal(domain)
-    range_full = _complete_orthonormal(image)
+    apparatus_dim = spec.apparatus_dim
+    pointers = _complete_orthonormal(spec._pointers)
+    ready = _complete_orthonormal(spec.ready_state.amplitudes[:, None])
     if completion_seed != 0:
-        fixed = image.shape[1]
-        free = range_full.shape[0] - fixed
+        free = apparatus_dim - 1
         rng = np.random.default_rng(completion_seed)
         q, r = np.linalg.qr(rng.normal(size=(free, free)) + 1j * rng.normal(size=(free, free)))
-        range_full[:, fixed:] @= q * (np.diag(r) / np.abs(np.diag(r)))
-    return MatrixOperator(range_full @ domain_full.conj().T, unitary=True)
+        ready[:, 1:] @= q * (np.diag(r) / np.abs(np.diag(r)))
+    sectors = len(spec.eigenvalues)
+    # row k lists the columns of Pbar in the order of Pbar S_k
+    swaps = np.tile(np.arange(apparatus_dim), (sectors, 1))
+    swaps[:, 0] = np.arange(sectors)
+    swaps[np.arange(1, sectors), np.arange(1, sectors)] = 0
+    apparatus = pointers[:, swaps].transpose(1, 0, 2) @ ready.conj().T
+    bounds = [*spec._sector_starts, spec.system_dim]
+    system = np.stack(
+        [
+            spec._transfer[:, lo:hi] @ spec._eigenvectors[:, lo:hi].conj().T
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+    )
+    deviation = max(
+        spec._eigenbasis_deviation,
+        spec._measurement_residual,
+        gram_deviation(pointers),
+        gram_deviation(ready),
+        gram_deviation(apparatus),
+    )
+    return ControlledUnitary(system, apparatus, deviation)
 
 
 def premeasure(spec: BclSpec, phi: StateVector, completion_seed: int = 0) -> PremeasurementResult:
@@ -278,8 +349,8 @@ def premeasure(spec: BclSpec, phi: StateVector, completion_seed: int = 0) -> Pre
     Expands ``phi`` in the eigenbasis, ``c = E^dagger phi``, sums the columns
     of ``T * c`` within each sector into the sector vectors, reads off outcome
     probabilities as their squared norms, and evolves ``phi (x) ready`` with
-    the actual unitary.  Sectors whose probability falls below the floor carry
-    no conditional state.
+    the actual unitary's factors.  Sectors whose probability falls below the
+    floor carry no conditional state.
     """
     if phi.dim != spec.system_dim:
         raise DimensionMismatch(
@@ -287,7 +358,7 @@ def premeasure(spec: BclSpec, phi: StateVector, completion_seed: int = 0) -> Pre
         )
     unitary = build_premeasurement_unitary(spec, completion_seed)
     final = StateVector(
-        unitary.entries @ np.kron(phi.amplitudes, spec.ready_state.amplitudes)
+        unitary.apply(np.outer(phi.amplitudes, spec.ready_state.amplitudes)).reshape(-1)
     )
     coefficients = spec._eigenvectors.conj().T @ phi.amplitudes
     sector_vectors = np.add.reduceat(spec._transfer * coefficients, spec._sector_starts, axis=1)

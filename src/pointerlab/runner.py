@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -52,7 +53,6 @@ from .objectification import (
 from .premeasurement import (
     BclSpec,
     _canonical_families,
-    _isometry_columns,
     apparatus_marginal,
     premeasure,
 )
@@ -136,10 +136,10 @@ class RunReport:
 
 def _float_repr(value: float) -> str:
     number = float(value)
-    if not np.isfinite(number):
+    if not math.isfinite(number):
         raise ValueError(f"cannot serialize non-finite value {number!r}")
     text = format(number, ".17g")
-    if not any(ch in text for ch in ".eE"):
+    if "." not in text and "e" not in text:
         text += ".0"
     return text
 
@@ -308,12 +308,21 @@ def _bcl_diagnostics(
 ) -> tuple[dict, list[Verdict], object, DensityMatrix]:
     with _stage("premeasure"):
         result = premeasure(spec, phi)
-        unitary = result.unitary.entries
-        domain, image = _isometry_columns(spec)
-        extension_residual = float(np.max(np.linalg.norm(unitary @ domain - image, axis=0)))
+        unitary = result.unitary
+        pointers = spec._pointers
+        # U maps each domain column e_c (x) ready to the product-vector sum
+        # sum_k (Q_k e_c) (x) (V_k ready), held as one d_system x d_apparatus
+        # matrix per column c, and should give t_c (x) pi_k(c).
+        images = (unitary.system_factors @ spec._eigenvectors).transpose(2, 1, 0) @ (
+            unitary.apparatus_factors @ spec.ready_state.amplitudes
+        )
+        sector_pointers = np.repeat(pointers.T, spec.degeneracies, axis=0)
+        images -= spec._transfer.T[:, :, None] * sector_pointers[:, None, :]
+        extension_residual = float(
+            np.max(np.linalg.norm(images.reshape(spec.system_dim, -1), axis=1))
+        )
         kept = [k for k, c in enumerate(result.conditional_states) if c is not None]
         conditionals = np.column_stack([result.conditional_states[k].amplitudes for k in kept])
-        pointers = spec._pointers
         branches = np.einsum("ik,jk->ijk", conditionals, pointers[:, kept]).reshape(-1, len(kept))
         reconstruction = branches @ np.sqrt(result.probabilities[kept])
         reconstruction_residual = float(
@@ -337,7 +346,7 @@ def _bcl_diagnostics(
             tol["probability_sum"],
         ),
         _verdict("probability_formula", formula_residual, tol["probability_formula"]),
-        _verdict("unitarity", result.unitary._unitary_deviation, tol["unitarity"]),
+        _verdict("unitarity", result.unitary.deviation, tol["unitarity"]),
         _verdict("extension_map", extension_residual, tol["extension_map"]),
         _verdict("reconstruction", reconstruction_residual, tol["reconstruction"]),
         _verdict("apparatus_marginal", marginal_residual, tol["apparatus_marginal"]),

@@ -18,10 +18,9 @@ when the scenario is executed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .errors import ParseError, ValidationError
 from .tolerances import DENSE_DIM_CAP, GRID_POINTS_MAX, GRID_POINTS_MIN, SUPPORT_MASS_EPSILON
@@ -118,7 +117,7 @@ def _number(value, path: str, record=None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(path, "expected a number")
     number = float(value)
-    if not np.isfinite(number):
+    if not math.isfinite(number):
         raise _fail(path, "must be finite")
     return number
 
@@ -161,19 +160,29 @@ def _amplitudes(value, path: str, record=None) -> list[list[float]]:
     return [_amplitude(entry, f"{path}[{i}]") for i, entry in enumerate(value)]
 
 
-def _vectors(value, path: str, count: int) -> list[list[list[float]]]:
+def _sized_amplitudes(value, path: str, length: int, factor: str) -> list[list[float]]:
+    amplitudes = _amplitudes(value, path)
+    if len(amplitudes) != length:
+        raise _fail(path, f"expected {length} amplitudes for the configured {factor}")
+    return amplitudes
+
+
+def _vectors(value, path: str, count: int, length: int, factor: str) -> list[list[list[float]]]:
     if not isinstance(value, list) or not value:
         raise _fail(path, "expected a non-empty list of vectors")
     if len(value) != count:
         raise _fail(path, f"expected exactly {count} vectors")
-    return [_amplitudes(entry, f"{path}[{i}]") for i, entry in enumerate(value)]
+    return [
+        _sized_amplitudes(entry, f"{path}[{i}]", length, factor) for i, entry in enumerate(value)
+    ]
 
 
 def _sectors(value, path: str, degeneracies: list[int]) -> list:
     if not isinstance(value, list) or len(value) != len(degeneracies):
         raise _fail(path, f"expected one sector per eigenvalue ({len(degeneracies)})")
+    system_dim = sum(degeneracies)
     return [
-        _vectors(sector, f"{path}[{k}]", count)
+        _vectors(sector, f"{path}[{k}]", count, system_dim, "system")
         for k, (sector, count) in enumerate(zip(value, degeneracies))
     ]
 
@@ -225,10 +234,13 @@ def _apparatus_dim(value, path: str, bcl: dict) -> int:
 def _basis(value, path: str, bcl: dict) -> str | dict:
     if value == "canonical":
         return value
+    apparatus_dim = bcl["apparatus_dim"]
     fields = {
         "system_eigenbasis": lambda v, p, _: _sectors(v, p, bcl["degeneracies"]),
-        "pointer_basis": lambda v, p, _: _vectors(v, p, len(bcl["eigenvalues"])),
-        "ready_state": (_amplitudes, None),
+        "pointer_basis": lambda v, p, _: _vectors(
+            v, p, len(bcl["eigenvalues"]), apparatus_dim, "apparatus"
+        ),
+        "ready_state": (lambda v, p, _: _sized_amplitudes(v, p, apparatus_dim, "apparatus"), None),
     }
     return _record(value, path, fields)
 
@@ -254,10 +266,7 @@ def _bcl(value, path: str, doc: dict) -> dict:
 
 
 def _initial_state(value, path: str, doc: dict) -> list[list[float]]:
-    state = _amplitudes(value, path)
-    system_dim = sum(doc["bcl"]["degeneracies"])
-    if len(state) != system_dim:
-        raise _fail(path, f"expected {system_dim} amplitudes for the configured system")
+    state = _sized_amplitudes(value, path, sum(doc["bcl"]["degeneracies"]), "system")
     if not any(re or im for re, im in state):
         raise _fail(path, "must not be the zero vector")
     return state

@@ -1,4 +1,4 @@
-"""Shared generators for randomized spec tests."""
+"""Shared generators and dense references for randomized spec tests."""
 
 import numpy as np
 
@@ -80,3 +80,23 @@ def random_degeneracies(rng, system_dim):
         parts.append(take)
         remaining -= take
     return tuple(parts)
+
+
+def close(value, reference):
+    """Elementwise ``|value - reference| <= 1e-12 * max(1, |reference|)``."""
+    value, reference = np.asarray(value), np.asarray(reference)
+    return bool(np.all(np.abs(value - reference) <= 1e-12 * np.maximum(1.0, np.abs(reference))))
+
+
+def dense_coherence(rho, pointer_basis, d_system):
+    """Frobenius norm of ``sum_{k != l} P_k rho P_l`` with ``P_k = 1 (x) |pi_k><pi_k|``."""
+    identity = np.eye(d_system, dtype=complex)
+    projectors = [
+        np.kron(identity, np.outer(p.amplitudes, p.amplitudes.conj())) for p in pointer_basis
+    ]
+    off_diagonal = np.zeros_like(rho)
+    for k, left in enumerate(projectors):
+        for l, right in enumerate(projectors):
+            if k != l:
+                off_diagonal += left @ rho @ right
+    return float(np.linalg.norm(off_diagonal))

@@ -1,0 +1,75 @@
+"""The controlled premeasurement unitary against a dense QR completion.
+
+The reference is the construction the factored unitary replaced: the domain
+columns ``e (x) ready`` and range columns ``t (x) pointer`` are each
+completed to a full orthonormal basis with one complete-mode QR, a nonzero
+seed re-pairs the range complement through a Haar unitary, and
+``U = range_full @ domain_full^dagger``.  The two unitaries differ off the
+fixed columns, so they must agree on every ``phi (x) ready``.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pointerlab import build_premeasurement_unitary, premeasure
+from helpers import random_bcl_spec, random_state
+
+
+def qr_unitary(spec, completion_seed=0):
+    pointers = np.repeat(spec._pointers, spec.degeneracies, axis=1)
+    total_dim = spec.system_dim * spec.apparatus_dim
+    domain = np.einsum("ic,j->ijc", spec._eigenvectors, spec.ready_state.amplitudes)
+    image = np.einsum("ic,jc->ijc", spec._transfer, pointers)
+    domain, image = domain.reshape(total_dim, -1), image.reshape(total_dim, -1)
+    completed = []
+    for columns in (domain, image):
+        basis, _ = np.linalg.qr(columns, mode="complete")
+        basis[:, : columns.shape[1]] = columns
+        completed.append(basis)
+    domain_full, range_full = completed
+    if completion_seed != 0:
+        fixed = image.shape[1]
+        free = total_dim - fixed
+        rng = np.random.default_rng(completion_seed)
+        q, r = np.linalg.qr(rng.normal(size=(free, free)) + 1j * rng.normal(size=(free, free)))
+        range_full[:, fixed:] @= q * (np.diag(r) / np.abs(np.diag(r)))
+    return range_full @ domain_full.conj().T
+
+
+@settings(max_examples=40)
+@given(
+    degeneracies=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    extra_apparatus=st.integers(0, 2),  # > 0 leaves K < d_pointer
+    transfer=st.sampled_from(["identity", "sector_unitary"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_controlled_unitary_matches_qr_completion(degeneracies, extra_apparatus, transfer, seed):
+    rng = np.random.default_rng(seed)
+    spec = random_bcl_spec(
+        rng, degeneracies, apparatus_dim=len(degeneracies) + extra_apparatus, transfer=transfer
+    )
+    dim = spec.system_dim * spec.apparatus_dim
+    reference = qr_unitary(spec)
+    for completion_seed in (0, 11):
+        unitary = build_premeasurement_unitary(spec, completion_seed=completion_seed)
+        entries = unitary.entries
+        assert np.max(np.abs(entries.conj().T @ entries - np.eye(dim))) <= 1e-12
+        assert unitary.deviation <= 1e-12
+        # apply and the materialized matrix are the same operator
+        amplitudes = rng.normal(size=(spec.system_dim, spec.apparatus_dim)) + 0j
+        assert np.max(
+            np.abs(unitary.apply(amplitudes).reshape(-1) - entries @ amplitudes.reshape(-1))
+        ) <= 1e-12
+        for _ in range(3):
+            phi = random_state(rng, spec.system_dim)
+            start = np.outer(phi.amplitudes, spec.ready_state.amplitudes)
+            expected = reference @ start.reshape(-1)
+            assert np.max(np.abs(unitary.apply(start).reshape(-1) - expected)) <= 1e-12
+
+    phi = random_state(rng, spec.system_dim)
+    base = premeasure(spec, phi, completion_seed=0).final_state.amplitudes
+    other = premeasure(spec, phi, completion_seed=11).final_state.amplitudes
+    assert np.max(np.abs(base - other)) <= 1e-12
+    start = np.kron(phi.amplitudes, spec.ready_state.amplitudes)
+    assert np.max(np.abs(other - qr_unitary(spec, 11) @ start)) <= 1e-12

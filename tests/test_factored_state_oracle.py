@@ -1,0 +1,128 @@
+"""Factored states and Kronecker witnesses against dense formulas on ``.entries``.
+
+A ``DensityMatrix`` holds weighted columns and a witness its Kronecker
+factors.  Every quantity read from those factors (trace, padded spectrum,
+both partial traces, pointer coherence, witness expectation, entropy) is
+compared with the textbook formula on the materialized ``dim x dim`` matrix.
+The top rung runs a canonical ``full_measurement`` at the dimension cap and
+pins that the run path allocates no ``dim x dim`` array.
+"""
+
+import tracemalloc
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pointerlab import (
+    DensityMatrix,
+    KroneckerSum,
+    ProductSpace,
+    apply_rule2,
+    gemenge_density_matrix,
+    observable_witness,
+    outer,
+    partial_trace,
+    pointer_block_coherence,
+    premeasure,
+    run_scenario,
+    shift_witness,
+    von_neumann_entropy,
+)
+from pointerlab.scenario import validate_scenario_data
+from pointerlab.tolerances import DENSE_DIM_CAP, ENTROPY_EIGENVALUE_FLOOR
+from helpers import close, dense_coherence, random_bcl_spec, random_state
+
+
+def random_mixture(rng, dim, rank):
+    """``rank`` random, generally non-orthogonal columns with unit total trace."""
+    columns = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    probabilities = rng.dirichlet(np.ones(rank))
+    return DensityMatrix(
+        columns=columns, weights=probabilities / np.sum(np.abs(columns) ** 2, axis=0)
+    )
+
+
+def dense_partial_trace(matrix, d_system, d_pointer, keep):
+    blocks = matrix.reshape(d_system, d_pointer, d_system, d_pointer)
+    return np.einsum("ijkj->ik", blocks) if keep == 0 else np.einsum("ijil->jl", blocks)
+
+
+def dense_entropy(matrix):
+    eigenvalues = np.linalg.eigvalsh(matrix)
+    kept = eigenvalues[eigenvalues > ENTROPY_EIGENVALUE_FLOOR]
+    return float(max(0.0, -np.sum(kept * np.log(kept))))
+
+
+@settings(max_examples=60)
+@given(
+    degeneracies=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    extra_apparatus=st.integers(0, 2),  # > 0 leaves K < d_pointer
+    transfer=st.sampled_from(["identity", "sector_unitary"]),
+    state=st.sampled_from(["premeasured", "gemenge", "mixture", "overfull_mixture"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_factored_quantities_match_dense_formulas(
+    degeneracies, extra_apparatus, transfer, state, seed
+):
+    rng = np.random.default_rng(seed)
+    spec = random_bcl_spec(
+        rng, degeneracies, apparatus_dim=len(degeneracies) + extra_apparatus, transfer=transfer
+    )
+    d_system, d_pointer = spec.system_dim, spec.apparatus_dim
+    space = ProductSpace((d_system, d_pointer))
+    if state in ("premeasured", "gemenge"):
+        result = premeasure(spec, random_state(rng, d_system))
+        rho = (
+            outer(result.final_state)
+            if state == "premeasured"
+            else gemenge_density_matrix(apply_rule2(result, spec), space)
+        )
+    else:
+        # an overfull mixture has more columns than dimensions
+        rank = space.dim + 2 if state == "overfull_mixture" else int(rng.integers(1, 5))
+        rho = random_mixture(rng, space.dim, rank)
+    dense = rho.entries
+
+    assert close(np.sum(rho.eigenvalues()), np.trace(dense).real)
+    assert close(rho.eigenvalues(), np.linalg.eigvalsh(dense))
+    for keep in (0, 1):
+        reduced = partial_trace(rho, space, keep).entries
+        assert close(reduced, dense_partial_trace(dense, d_system, d_pointer, keep))
+    assert close(
+        pointer_block_coherence(rho, spec.pointer_basis, space),
+        dense_coherence(dense, spec.pointer_basis, d_system),
+    )
+    block = rng.normal(size=(d_system, d_system)) + 1j * rng.normal(size=(d_system, d_system))
+    pointer_term = rng.normal(size=(d_pointer, d_pointer))
+    two_terms = KroneckerSum(
+        (
+            (block + block.conj().T, np.eye(d_pointer)),
+            (np.eye(d_system), pointer_term + pointer_term.T),
+        )
+    )
+    for witness in (shift_witness(spec), observable_witness(spec), two_terms):
+        assert close(witness.expectation(rho), np.trace(dense @ witness.entries).real)
+    assert close(von_neumann_entropy(rho), dense_entropy(dense))
+
+
+def test_top_rung_allocates_no_dense_product_matrix():
+    # one sector per level, K = d_system = d_pointer = 64, D = 4096
+    levels = int(np.sqrt(DENSE_DIM_CAP))
+    rng = np.random.default_rng(4096)
+    config = validate_scenario_data(
+        {
+            "scenario_kind": "full_measurement",
+            "bcl": {"eigenvalues": list(range(levels)), "degeneracies": [1] * levels},
+            "initial_state": rng.normal(size=(levels, 2)).tolist(),
+        }
+    )
+    tracemalloc.start()
+    try:
+        report = run_scenario(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_passed, [v.name for v in report.verdicts if not v.passed]
+    # one D x D complex array alone is 256 MiB
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"

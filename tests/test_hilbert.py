@@ -35,6 +35,10 @@ class TestStateVector:
         with pytest.raises(ValueError):
             StateVector.normalized([0.0, 0.0])
 
+    def test_normalized_survives_an_overflowing_norm(self):
+        huge = StateVector.normalized([1e308, -1e308j])
+        assert np.array_equal(huge.amplitudes, StateVector.normalized([1.0, -1j]).amplitudes)
+
     def test_amplitudes_read_only(self):
         s = StateVector([1.0, 0.0])
         with pytest.raises(ValueError):
@@ -162,25 +166,31 @@ class TestDensityMatrixInvariants:
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([1.5, -0.5]))
 
+    def test_mixture_positivity_is_the_sign_of_its_weights(self):
+        columns = np.eye(2)
+        with pytest.raises(ValueError, match="negative weight"):
+            DensityMatrix(columns=columns, weights=[1.5, -0.5])
+        with pytest.raises(ValueError, match="one weight per column"):
+            DensityMatrix(columns=columns, weights=[1.0])
+        with pytest.raises(ValueError, match="trace"):
+            DensityMatrix(columns=columns, weights=[0.5, 0.4])
+        rho = DensityMatrix(columns=columns, weights=[0.25, 0.75])
+        assert np.array_equal(rho.entries, np.diag([0.25, 0.75]).astype(complex))
+
+    def test_dense_input_becomes_eigenpairs_on_its_support(self):
+        # an exactly zero row carries no weight, so no eigenvector reaches it
+        rho = DensityMatrix(np.diag([0.25, 0.0, 0.75]))
+        assert rho.columns.shape == (3, 2)
+        assert np.all(rho.columns[1] == 0.0)
+        assert np.allclose(rho.eigenvalues(), [0.0, 0.25, 0.75], atol=1e-15)
+        with pytest.raises(ValueError, match="either dense entries or a mixture"):
+            DensityMatrix(np.eye(2) / 2, columns=np.eye(2), weights=[0.5, 0.5])
+
 
 class TestMatrixOperatorFlags:
     def test_hermitian_flag_checked(self):
         with pytest.raises(ValueError):
             MatrixOperator(np.array([[0, 1], [0, 0]], dtype=complex), hermitian=True)
-
-    def test_unitary_flag_checked(self):
-        with pytest.raises(ValueError):
-            MatrixOperator(np.diag([1.0, 2.0]), unitary=True)
-
-    def test_unitary_keeps_its_deviation(self):
-        u = random_unitary(np.random.default_rng(9), 5)
-        operator = MatrixOperator(u, unitary=True)
-        entries = operator.entries
-        recomputed = float(np.max(np.abs(entries.conj().T @ entries - np.eye(5))))
-        assert operator._unitary_deviation == recomputed
-        assert MatrixOperator(u)._unitary_deviation is None
-        with pytest.raises(AttributeError):
-            operator._unitary_deviation = 0.0
 
 
 class TestTraceDistance:

@@ -6,7 +6,7 @@ from pointerlab import (
     DensityMatrix,
     GemengeComponent,
     GemengeDecomposition,
-    MatrixOperator,
+    KroneckerSum,
     ProductSpace,
     StateVector,
     apply_rule2,
@@ -169,9 +169,11 @@ class TestCompareStates:
 
     def test_rejects_non_hermitian_witness(self):
         spec, result, gemenge = bell_case()
-        bad = MatrixOperator(np.triu(np.ones((4, 4))))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            bad = KroneckerSum(((np.triu(np.ones((2, 2))), np.eye(2)),))
             compare_states(result, rule2_matrix(spec, gemenge), spec, bad)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            KroneckerSum(((SIGMA_X, SIGMA_X), (np.eye(2), np.triu(np.ones((2, 2))))))
 
 
 class TestInvariantProperties:
@@ -213,21 +215,13 @@ class TestInvariantProperties:
         spec = random_bcl_spec(rng, (1, 1, 1))
         result = premeasure(spec, random_state(rng, spec.system_dim))
         gemenge = apply_rule2(result, spec)
-        witness_matrix = np.zeros(
-            (spec.system_dim * spec.apparatus_dim,) * 2, dtype=complex
-        )
+        terms = []
         for pointer in spec.pointer_basis:
             block = rng.normal(size=(spec.system_dim, spec.system_dim))
-            block = block + block.T
-            witness_matrix += np.kron(
-                block, np.outer(pointer.amplitudes, pointer.amplitudes.conj())
+            terms.append(
+                (block + block.T, np.outer(pointer.amplitudes, pointer.amplitudes.conj()))
             )
-        report = compare_states(
-            result,
-            rule2_matrix(spec, gemenge),
-            spec,
-            MatrixOperator(witness_matrix, hermitian=True),
-        )
+        report = compare_states(result, rule2_matrix(spec, gemenge), spec, KroneckerSum(terms))
         assert abs(report.witness_expectation_unitary - report.witness_expectation_rule2) < 1e-10
 
     def test_entropy_gap(self):

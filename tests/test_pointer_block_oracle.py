@@ -2,9 +2,9 @@
 
 The dense reference builds ``P_k = 1 (x) |pi_k><pi_k|`` on the full product
 space and takes the Frobenius norm of ``sum_{k != l} P_k rho P_l``.  The
-gemenge matrix is checked against the Kronecker sum of its branch
-projectors, the stored spectrum against a fresh ``eigvalsh``, and the witness
-expectations against ``tr(rho W)``.
+gemenge state is checked against the Kronecker sum of its branch
+projectors, the Gram spectrum against a fresh ``eigvalsh`` of the dense
+matrix, and the witness expectations against ``tr(rho W)``.
 """
 
 import numpy as np
@@ -21,20 +21,7 @@ from pointerlab import (
     premeasure,
     shift_witness,
 )
-from helpers import random_bcl_spec, random_state
-
-
-def dense_coherence(rho, pointer_basis, d_system):
-    identity = np.eye(d_system, dtype=complex)
-    projectors = [
-        np.kron(identity, np.outer(p.amplitudes, p.amplitudes.conj())) for p in pointer_basis
-    ]
-    off_diagonal = np.zeros_like(rho)
-    for k, left in enumerate(projectors):
-        for l, right in enumerate(projectors):
-            if k != l:
-                off_diagonal += left @ rho @ right
-    return float(np.linalg.norm(off_diagonal))
+from helpers import close, dense_coherence, random_bcl_spec, random_state
 
 
 def dense_gemenge(gemenge):
@@ -44,10 +31,6 @@ def dense_gemenge(gemenge):
         pointer = np.outer(c.pointer_state.amplitudes, c.pointer_state.amplitudes.conj())
         matrix = matrix + c.probability * np.kron(system, pointer)
     return matrix
-
-
-def close(value, reference):
-    return abs(value - reference) <= 1e-12 * max(1.0, abs(reference))
 
 
 @settings(max_examples=60)
@@ -82,7 +65,7 @@ def test_pointer_blocks_match_dense_projectors(degeneracies, extra_apparatus, st
             trace = np.trace(reference_state.entries @ witness.entries).real
             assert close(expectation, trace)
 
-    assert np.array_equal(rho.eigenvalues(), np.linalg.eigvalsh(rho.entries))
+    assert close(rho.eigenvalues(), np.linalg.eigvalsh(rho.entries))
     value = pointer_block_coherence(rho, spec.pointer_basis, space)
     reference = dense_coherence(rho.entries, spec.pointer_basis, spec.system_dim)
 

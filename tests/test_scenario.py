@@ -248,10 +248,8 @@ class TestCli:
             ),
             # a packet centre beyond the 40-wide grid
             (SYMMETRIZATION, "packets", 1, {"center": 100.0, "width": 1.0}, "lattice setup"),
-            # a norm that overflows to infinity, so normalizing gives the zero vector
-            (MINIMAL_BCL, None, "initial_state", [1e308, 1e308], "build spec"),
         ],
-        ids=["unnormalized-eigenvector", "packet-off-grid", "overflowing-norm"],
+        ids=["unnormalized-eigenvector", "packet-off-grid"],
     )
     def test_precondition_failure_names_stage(
         self, tmp_path, capsys, base, block, key, value, stage
@@ -263,6 +261,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"error: {stage}: " in err
         assert "Traceback" not in err
+
+    def test_huge_initial_state_runs_like_its_direction(self, tmp_path, capsys):
+        # the squared norm of [1e308, 1e308] overflows; the state is still [1, 1]
+        values = {}
+        for amplitude in (1.0, 1e308):
+            data = json.loads(json.dumps(MINIMAL_BCL))
+            data["initial_state"] = [amplitude, amplitude]
+            path = write_scenario(tmp_path, data)
+            assert cli_main(["run", str(path)]) == 0
+            values[amplitude] = json.loads(capsys.readouterr().out)["payload"]["values"]
+        assert values[1e308] == values[1.0]
 
     def test_config_output_path_used(self, tmp_path, capsys):
         data = json.loads(json.dumps(MINIMAL_BCL))

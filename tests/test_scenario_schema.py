@@ -238,6 +238,14 @@ FAULTS = [
     (SYM, ["output"], {"pdf": "x"}, "scenario.output: unknown key 'pdf'"),
     (SYM, ["output"], {"json": 3}, "scenario.output.json: expected a path string"),
     (SYM, ["output"], {"csv": []}, "scenario.output.csv: expected a path string"),
+    # vector lengths follow the configured dimensions, so an explicit basis
+    # cannot carry an apparatus larger than the one the dimension cap checked
+    (EXPLICIT, ["bcl", "basis", "system_eigenbasis", 1, 0], [0, 1, 0], "scenario.bcl.basis.system_eigenbasis[1][0]: expected 2 amplitudes for the configured system"),
+    (EXPLICIT, ["bcl", "basis", "pointer_basis", 1], [0, 1, 0], "scenario.bcl.basis.pointer_basis[1]: expected 2 amplitudes for the configured apparatus"),
+    (EXPLICIT, ["bcl", "basis", "ready_state"], [1], "scenario.bcl.basis.ready_state: expected 2 amplitudes for the configured apparatus"),
+    (EXPLICIT, ["bcl", "apparatus_dim"], 3, "scenario.bcl.basis.pointer_basis[0]: expected 3 amplitudes for the configured apparatus"),
+    (EXPLICIT, ["bcl", "basis"], {"system_eigenbasis": [[[1, 0]], [[0, 1]]], "pointer_basis": [[1, 0, 0], [0, 1, 0]], "ready_state": [1, 0, 0]}, "scenario.bcl.basis.pointer_basis[0]: expected 2 amplitudes for the configured apparatus"),
+    (BCL, ["bcl", "transfer_family"], [[[1, 0]], [[0, 1, 0]]], "scenario.bcl.transfer_family[1][0]: expected 2 amplitudes for the configured system"),
 ]
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from pointerlab import StateVector, premeasure, shift_witness
 from pointerlab.tolerances import PROBABILITY_FLOOR
-from helpers import random_bcl_spec, random_state
+from helpers import close, random_bcl_spec, random_state
 
 
 def loop_premeasure(spec, phi):
@@ -49,11 +49,6 @@ def loop_shift_witness(spec):
         loop_adjacent_coupling(flat_basis, spec.system_dim),
         loop_adjacent_coupling([p.amplitudes for p in spec.pointer_basis], spec.apparatus_dim),
     )
-
-
-def close(value, reference):
-    value, reference = np.asarray(value), np.asarray(reference)
-    return bool(np.all(np.abs(value - reference) <= 1e-12 * np.maximum(1.0, np.abs(reference))))
 
 
 @settings(max_examples=60)
