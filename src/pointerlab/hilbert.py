@@ -16,7 +16,10 @@ a proper mixture one column per branch.  Its spectrum is that of the
 ``r x r`` Gram matrix of the weighted columns (Hughston, Jozsa and Wootters,
 Phys. Lett. A 183, 14 (1993)), and on a bipartite space each column is read
 as its ``d_first x d_second`` amplitude matrix ``B_j``, so partial traces and
-expectations of Kronecker products are matrix products on the ``B_j``.
+expectations of Kronecker products are matrix products on the ``B_j``.  A
+partial trace is itself returned as a mixture, of the weighted ``B_j``
+columns (or rows), so reduced states are never diagonalized; only a dense
+``DensityMatrix(entries)`` runs ``eigh``.
 """
 
 from __future__ import annotations
@@ -181,17 +184,21 @@ class DensityMatrix:
 
     @cached_property
     def _spectrum(self) -> np.ndarray:
+        dim, rank = self.columns.shape
+        if rank > dim:
+            return _readonly(np.linalg.eigvalsh(self.entries))
         scaled = self.columns * np.sqrt(self.weights)
         gram_spectrum = np.linalg.eigvalsh(scaled.conj().T @ scaled)
-        dim, rank = self.columns.shape
-        padded = np.concatenate((np.zeros(max(dim - rank, 0)), gram_spectrum[max(rank - dim, 0):]))
-        return _readonly(np.sort(padded))
+        return _readonly(np.sort(np.concatenate((np.zeros(dim - rank), gram_spectrum))))
 
     def eigenvalues(self) -> np.ndarray:
         """Real spectrum in ascending order, read-only and computed once.
 
-        The nonzero eigenvalues are those of the ``r x r`` Gram matrix
-        ``sqrt(w) V^dagger V sqrt(w)``; the other ``dim - r`` are exact zeros.
+        ``eigvalsh`` runs on the smaller of two matrices.  With no more
+        columns than dimensions, the nonzero eigenvalues are those of the
+        ``r x r`` Gram matrix ``sqrt(w) V^dagger V sqrt(w)`` and the other
+        ``dim - r`` are exact zeros; a wider mixture, such as the partial
+        trace of a large state, takes the ``dim x dim`` :attr:`entries`.
         """
         return self._spectrum
 
@@ -298,11 +305,12 @@ def outer(phi: StateVector) -> DensityMatrix:
 
 
 def partial_trace(rho: DensityMatrix, space: ProductSpace, keep: int) -> DensityMatrix:
-    """Trace out one factor of a bipartite state.
+    """Trace out one factor of a bipartite state, as a mixture.
 
     Keeping the first factor gives ``sum_j w_j B_j B_j^dagger``, keeping the
-    second ``sum_j w_j B_j^T B_j^*``, each as one matrix product over the
-    stacked amplitude matrices ``B_j``.
+    second ``sum_j w_j B_j^T B_j^*``.  Either is returned without a matrix
+    product: its columns are those of the stacked weighted amplitude
+    matrices ``sqrt(w_j) B_j`` (or ``sqrt(w_j) B_j^T``), each of weight one.
 
     Parameters
     ----------
@@ -322,7 +330,7 @@ def partial_trace(rho: DensityMatrix, space: ProductSpace, keep: int) -> Density
         factor = blocks.transpose(2, 0, 1).reshape(space.factor_dims[1], -1)
     else:
         raise ValueError("keep must be 0 or 1")
-    return DensityMatrix(factor @ factor.conj().T)
+    return DensityMatrix(columns=factor, weights=np.ones(factor.shape[1]))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

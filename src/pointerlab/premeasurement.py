@@ -379,7 +379,8 @@ def apparatus_marginal(result: PremeasurementResult, spec: BclSpec) -> DensityMa
 
     ``M[i, a]`` is the final-state amplitude of ``|i> (x) |a>``, so summing
     over the system index traces the system out without a product-space
-    projector.
+    projector.  The state is returned as the mixture of the columns of
+    ``M^T``, one per system basis vector, each of weight one.
     """
     amplitudes = result.final_state.amplitudes.reshape(spec.system_dim, spec.apparatus_dim)
-    return DensityMatrix(amplitudes.T @ amplitudes.conj())
+    return DensityMatrix(columns=amplitudes.T, weights=np.ones(spec.system_dim))

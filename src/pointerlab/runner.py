@@ -5,18 +5,21 @@ re-judge the same numbers under different tolerances.  Every verdict carries
 its residual and the tolerance that judged it.  The JSON payload section is
 deterministic: identical configs produce byte-identical payloads, with the
 wall-clock duration kept in a separate ``meta`` section.  Floats are written
-with 17 significant digits so every value round-trips exactly.
+with 17 significant digits so every value round-trips exactly; JSON and CSV
+share that one float formatter.  The JSON writer makes one pass over the
+report, appending to one list of text pieces: it dispatches on each value's
+exact type, writes an array of floats in one join and escapes keys and
+strings with the stdlib's ASCII escaper, as ``json.dumps`` does.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
-import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -134,45 +137,76 @@ class RunReport:
         return buffer.getvalue()
 
 
-def _float_repr(value: float) -> str:
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"cannot serialize non-finite value {number!r}")
-    text = format(number, ".17g")
-    if "." not in text and "e" not in text:
-        text += ".0"
-    return text
+def _float_repr(value) -> str:
+    """JSON and CSV text of a finite float: 17 significant digits, ``.0`` added if integral."""
+    text = format(float(value), ".17g")
+    if "." in text or "e" in text:
+        return text
+    if text[-1].isdigit():
+        return text + ".0"
+    raise ValueError(f"cannot serialize non-finite value {float(value)!r}")
 
 
-def _json_text(value, indent: int = 0) -> str:
-    # Hand-rolled writer: the stdlib encoder cannot be told to format floats
-    # with a fixed significant-digit count.
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        parts = [
-            f"{inner}{json.dumps(str(key))}: {_json_text(entry, indent + 1)}"
-            for key, entry in value.items()
-        ]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        parts = [f"{inner}{_json_text(entry, indent + 1)}" for entry in value]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
+def _leaf_text(value) -> str:
+    """JSON text of a scalar, by ``isinstance``; :data:`_LEAVES` covers the common exact types."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return _float_repr(float(value))
+        return _float_repr(value)
     if isinstance(value, str):
-        return json.dumps(value)
+        return encode_basestring_ascii(value)
     if value is None:
         return "null"
     raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+_LEAVES = {float: _float_repr, str: encode_basestring_ascii, int: str}
+
+
+def _write_json(out: list[str], value, newline: str) -> None:
+    """Append the JSON text of ``value`` to ``out``; ``newline`` is a newline and its indent.
+
+    Objects and arrays put one entry per line, indented two spaces per
+    level.  An array of floats is written in one join.
+    """
+    kind = type(value)
+    if kind is not dict and kind is not list and kind is not tuple:
+        if isinstance(value, dict):
+            kind = dict
+        elif not isinstance(value, (list, tuple)):
+            out.append((_LEAVES.get(kind) or _leaf_text)(value))
+            return
+    if not value:
+        out.append("{}" if kind is dict else "[]")
+        return
+    inner = newline + "  "
+    separator = "," + inner
+    if kind is dict:
+        out.append("{")
+        for index, (key, entry) in enumerate(value.items()):
+            out.append(separator if index else inner)
+            out.append(encode_basestring_ascii(key if type(key) is str else str(key)))
+            out.append(": ")
+            _write_json(out, entry, inner)
+        out.append(newline + "}")
+    elif all(type(entry) is float for entry in value):
+        out.append("[" + inner + separator.join(map(_float_repr, value)) + newline + "]")
+    else:
+        out.append("[")
+        for index, entry in enumerate(value):
+            out.append(separator if index else inner)
+            _write_json(out, entry, inner)
+        out.append(newline + "]")
+
+
+def _json_text(value) -> str:
+    # Hand-rolled writer: the stdlib encoder cannot be told to format floats
+    # with a fixed significant-digit count.
+    out: list[str] = []
+    _write_json(out, value, "\n")
+    return "".join(out)
 
 
 @contextmanager
@@ -333,7 +367,7 @@ def _bcl_diagnostics(
             np.abs(spec._eigenvectors.conj().T @ phi.amplitudes) ** 2, spec._sector_starts
         )
         formula_residual = float(np.max(np.abs(result.probabilities - coefficient_mass)))
-        pointer_mixture = DensityMatrix((pointers * result.probabilities) @ pointers.conj().T)
+        pointer_mixture = DensityMatrix(columns=pointers, weights=result.probabilities)
         marginal_residual = trace_distance(apparatus_marginal(result, spec), pointer_mixture)
 
     values = {

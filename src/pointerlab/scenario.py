@@ -114,12 +114,16 @@ def _record(value, path: str, fields: dict) -> dict:
 
 
 def _number(value, path: str, record=None) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _fail(path, "expected a number")
-    number = float(value)
-    if not math.isfinite(number):
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise _fail(path, "expected a number")
+        try:
+            value = float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            raise _fail(path, "must be finite") from None
+    if not math.isfinite(value):
         raise _fail(path, "must be finite")
-    return number
+    return value
 
 
 def _positive_number(value, path: str, record=None) -> float:
@@ -146,18 +150,26 @@ def _grid_size(value, path: str, record=None) -> int:
     return n_points
 
 
-def _amplitude(value, path: str) -> list[float]:
+def _amplitude(value) -> list[float]:
+    """One amplitude as an ``[re, im]`` pair; a fault names its path below the entry."""
     if isinstance(value, list) and len(value) == 2:
-        return [_number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]")]
+        return [_number(value[0], "[0]"), _number(value[1], "[1]")]
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return [_number(value, path), 0.0]
-    raise _fail(path, "expected a number or an [re, im] pair")
+        return [_number(value, ""), 0.0]
+    raise _fail("", "expected a number or an [re, im] pair")
 
 
 def _amplitudes(value, path: str, record=None) -> list[list[float]]:
     if not isinstance(value, list) or not value:
         raise _fail(path, "expected a non-empty list of amplitudes")
-    return [_amplitude(entry, f"{path}[{i}]") for i, entry in enumerate(value)]
+    amplitudes = []
+    for i, entry in enumerate(value):
+        try:
+            amplitudes.append(_amplitude(entry))
+        except ValidationError as exc:
+            # the key path is built only for the entry that fails
+            raise ValidationError(f"{path}[{i}]{exc}") from None
+    return amplitudes
 
 
 def _sized_amplitudes(value, path: str, length: int, factor: str) -> list[list[float]]:

@@ -5,12 +5,16 @@ factors.  Every quantity read from those factors (trace, padded spectrum,
 both partial traces, pointer coherence, witness expectation, entropy) is
 compared with the textbook formula on the materialized ``dim x dim`` matrix.
 The top rung runs a canonical ``full_measurement`` at the dimension cap and
-pins that the run path allocates no ``dim x dim`` array.
+pins that the run path allocates no ``dim x dim`` array.  The marginals of a
+run are mixtures, so a run never diagonalizes a dense matrix with ``eigh``,
+and the spectrum of a mixture wider than its dimension comes from its
+``dim x dim`` matrix rather than its Gram matrix.
 """
 
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +22,7 @@ from pointerlab import (
     DensityMatrix,
     KroneckerSum,
     ProductSpace,
+    apparatus_marginal,
     apply_rule2,
     gemenge_density_matrix,
     observable_witness,
@@ -29,9 +34,10 @@ from pointerlab import (
     shift_witness,
     von_neumann_entropy,
 )
-from pointerlab.scenario import validate_scenario_data
+from pointerlab.runner import _bcl_diagnostics
+from pointerlab.scenario import TOLERANCE_DEFAULTS, validate_scenario_data
 from pointerlab.tolerances import DENSE_DIM_CAP, ENTROPY_EIGENVALUE_FLOOR
-from helpers import close, dense_coherence, random_bcl_spec, random_state
+from helpers import close, dense_coherence, random_bcl_spec, random_state, random_unitary
 
 
 def random_mixture(rng, dim, rank):
@@ -126,3 +132,92 @@ def test_top_rung_allocates_no_dense_product_matrix():
     assert report.all_passed, [v.name for v in report.verdicts if not v.passed]
     # one D x D complex array alone is 256 MiB
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def pairs(columns):
+    """``[re, im]`` pair lists of each column of a complex matrix."""
+    return np.stack([columns.real, columns.imag], axis=-1).transpose(1, 0, 2).tolist()
+
+
+@pytest.mark.parametrize("witness", ["sigma_x_pattern", "system_observable"])
+def test_haar_random_run_never_calls_eigh(monkeypatch, witness):
+    # three sectors of degeneracies 2, 1, 3 against a four-level pointer
+    rng = np.random.default_rng(2024)
+    degeneracies = [2, 1, 3]
+    eigenbasis, pointers = random_unitary(rng, 6), random_unitary(rng, 4)
+    bounds = np.cumsum([0, *degeneracies])
+    document = {
+        "scenario_kind": "full_measurement",
+        "bcl": {
+            "eigenvalues": [-1.0, 0.5, 2.0],
+            "degeneracies": degeneracies,
+            "apparatus_dim": 4,
+            "basis": {
+                "system_eigenbasis": [
+                    pairs(eigenbasis[:, lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])
+                ],
+                "pointer_basis": pairs(pointers[:, :3]),
+                "ready_state": pairs(pointers[:, 3:])[0],
+            },
+        },
+        "initial_state": rng.normal(size=(6, 2)).tolist(),
+        "witness": witness,
+        "tolerances": {"rule2_coherence": 1e-12},
+    }
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh called on the full_measurement path")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    report = run_scenario(validate_scenario_data(document))
+    assert report.all_passed, [v.name for v in report.verdicts if not v.passed]
+
+
+@settings(max_examples=30)
+@given(
+    degeneracies=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    extra_apparatus=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_marginal_mixtures_match_dense_products(degeneracies, extra_apparatus, seed):
+    rng = np.random.default_rng(seed)
+    spec = random_bcl_spec(rng, degeneracies, apparatus_dim=len(degeneracies) + extra_apparatus)
+    phi = random_state(rng, spec.system_dim)
+    tolerances = TOLERANCE_DEFAULTS["bcl"]
+    _, verdicts, result, pointer_mixture = _bcl_diagnostics(spec, phi, tolerances)
+    assert all(v.passed for v in verdicts)
+
+    amplitudes = result.final_state.amplitudes.reshape(spec.system_dim, spec.apparatus_dim)
+    marginal = apparatus_marginal(result, spec).entries
+    assert np.max(np.abs(marginal - amplitudes.T @ amplitudes.conj())) <= 1e-12
+    pointers = spec._pointers
+    expected = (pointers * result.probabilities) @ pointers.conj().T
+    assert np.max(np.abs(pointer_mixture.entries - expected)) <= 1e-12
+
+
+def test_wide_mixture_spectrum_allocates_no_gram_matrix():
+    # the system marginal of a rule-2 state at the cap: 4096 columns in 64 dims
+    levels = int(np.sqrt(DENSE_DIM_CAP))
+    rng = np.random.default_rng(64)
+    spec = random_bcl_spec(rng, [1] * levels, transfer="identity")
+    result = premeasure(spec, random_state(rng, levels))
+    space = ProductSpace((levels, levels))
+    rho_rule2 = gemenge_density_matrix(apply_rule2(result, spec), space)
+    tracemalloc.start()
+    try:
+        reduced = partial_trace(rho_rule2, space, keep=0)
+        spectrum = reduced.eigenvalues()
+        entropy = von_neumann_entropy(reduced)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reduced.columns.shape == (levels, DENSE_DIM_CAP)
+    # a 4096 x 4096 complex Gram matrix alone is 256 MiB
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    # the marginal is sum_k p_k |t_k><t_k| over the orthonormal transfer family
+    transfer, probabilities = spec._transfer, result.probabilities
+    dense = np.linalg.eigvalsh((transfer * probabilities) @ transfer.conj().T)
+    assert np.max(np.abs(spectrum - dense)) <= 1e-12
+    assert np.max(np.abs(spectrum - np.sort(probabilities))) <= 1e-12
+    assert close(entropy, dense_entropy((transfer * probabilities) @ transfer.conj().T))

@@ -1,0 +1,132 @@
+"""The one-pass report writer against the recursive writer it replaced.
+
+The reference below is that recursive writer: it builds the text of every
+value, escapes keys and strings with ``json.dumps`` and joins the parts of
+each object and array.  The one-pass writer must give byte-identical text
+on every value a report can hold, and refuse a non-finite float the same way.
+"""
+
+import json
+import math
+from importlib import resources
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pointerlab import load_scenario, run_scenario
+from pointerlab.cli import DEMO_SCENARIOS
+from pointerlab.runner import _float_repr, _json_text
+
+
+def reference_text(value, indent=0):
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        parts = [
+            f"{inner}{json.dumps(str(key))}: {reference_text(entry, indent + 1)}"
+            for key, entry in value.items()
+        ]
+        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        parts = [f"{inner}{reference_text(entry, indent + 1)}" for entry in value]
+        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        number = float(value)
+        if not math.isfinite(number):
+            raise ValueError(f"cannot serialize non-finite value {number!r}")
+        text = format(number, ".17g")
+        if "." not in text and "e" not in text:
+            text += ".0"
+        return text
+    if isinstance(value, str):
+        return json.dumps(value)
+    if value is None:
+        return "null"
+    raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+TEXT = st.text(st.characters(codec="utf-8"), max_size=6) | st.sampled_from(
+    ["", "\x00\x1f\x7f", 'q"uote\\', "é \U0001f600", "tab\tline\n"]
+)
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**60), 2**60).map(float),  # integral values
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e300, 1e16, 0.1]),
+)
+NUMPY_SCALARS = st.one_of(
+    FLOATS.map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(-128, 127).map(np.int8),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+)
+LEAVES = st.one_of(
+    FLOATS,
+    st.integers(-(2**80), 2**80),
+    st.booleans(),
+    st.none(),
+    NUMPY_SCALARS,
+    TEXT,
+)
+KEYS = TEXT | st.integers(-5, 5)
+VALUES = st.recursive(
+    LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(FLOATS, min_size=1, max_size=4),  # a float leaf list
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(KEYS, children, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300)
+@given(value=VALUES)
+def test_writer_matches_the_recursive_reference(value):
+    assert _json_text(value) == reference_text(value)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, np.float64("nan")])
+@pytest.mark.parametrize("where", ["leaf", "float list", "nested", "value"])
+def test_non_finite_float_raises_value_error(bad, where):
+    value = {
+        "leaf": bad,
+        "float list": [1.0, bad, 2.0],
+        "nested": {"a": [[0.5, bad]]},
+        "value": {"values": {"x": 1.0, "y": bad}},
+    }[where]
+    with pytest.raises(ValueError, match="non-finite"):
+        reference_text(value)
+    with pytest.raises(ValueError, match="non-finite"):
+        _json_text(value)
+    if where == "leaf":
+        with pytest.raises(ValueError, match="non-finite"):
+            _float_repr(bad)
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_SCENARIOS))
+def test_demo_reports_match_the_reference(name):
+    bundled = resources.files("pointerlab").joinpath("scenarios", DEMO_SCENARIOS[name])
+    with resources.as_file(bundled) as path:
+        report = run_scenario(load_scenario(path))
+    meta = {"duration_seconds": report.duration_seconds}
+    document = {"payload": report.payload_dict(), "meta": meta}
+    assert report.payload_text() == reference_text(report.payload_dict())
+    assert report.to_json_text() == reference_text(document) + "\n"
+
+
+@pytest.mark.parametrize("value", [np.bool_(True), {1, 2}, b"bytes", np.zeros(2)])
+def test_unsupported_types_raise_type_error(value):
+    for write in (reference_text, _json_text):
+        with pytest.raises(TypeError):
+            write({"key": [value]})

@@ -273,6 +273,14 @@ class TestCli:
             values[amplitude] = json.loads(capsys.readouterr().out)["payload"]["values"]
         assert values[1e308] == values[1.0]
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_huge_integer_literal_is_a_validation_error(self, tmp_path, capsys, command):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(MINIMAL_BCL).replace("0.7071067811865475", "1" * 400, 1))
+        assert cli_main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: scenario.initial_state[0][0]: must be finite\n"
+
     def test_config_output_path_used(self, tmp_path, capsys):
         data = json.loads(json.dumps(MINIMAL_BCL))
         target = tmp_path / "from-config.json"

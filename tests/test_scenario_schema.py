@@ -162,6 +162,7 @@ EXPLICIT = {
 DROP = object()
 KINDS = "('symmetrization', 'dlocal', 'bcl', 'full_measurement')"
 POWER_OF_TWO = "scenario.grid.n_points: must be a power of two between 64 and 4096"
+HUGE = 10**400  # an exact integer beyond the float range
 
 # (base document, key path to the edited entry, new value or DROP, message)
 FAULTS = [
@@ -246,6 +247,14 @@ FAULTS = [
     (EXPLICIT, ["bcl", "apparatus_dim"], 3, "scenario.bcl.basis.pointer_basis[0]: expected 3 amplitudes for the configured apparatus"),
     (EXPLICIT, ["bcl", "basis"], {"system_eigenbasis": [[[1, 0]], [[0, 1]]], "pointer_basis": [[1, 0, 0], [0, 1, 0]], "ready_state": [1, 0, 0]}, "scenario.bcl.basis.pointer_basis[0]: expected 2 amplitudes for the configured apparatus"),
     (BCL, ["bcl", "transfer_family"], [[[1, 0]], [[0, 1, 0]]], "scenario.bcl.transfer_family[1][0]: expected 2 amplitudes for the configured system"),
+    # an integer literal too large for a float is refused like an infinity
+    (BCL, ["initial_state", 1], HUGE, "scenario.initial_state[1]: must be finite"),
+    (BCL, ["initial_state", 0], [0, -HUGE], "scenario.initial_state[0][1]: must be finite"),
+    (EXPLICIT, ["bcl", "basis", "pointer_basis", 1, 0], HUGE, "scenario.bcl.basis.pointer_basis[1][0]: must be finite"),
+    (SYM, ["packets", 1, "center"], HUGE, "scenario.packets[1].center: must be finite"),
+    (SYM, ["grid", "dx"], HUGE, "scenario.grid.dx: must be finite"),
+    (BCL, ["bcl", "eigenvalues", 0], -HUGE, "scenario.bcl.eigenvalues[0]: must be finite"),
+    (BCL, ["tolerances"], {"unitarity": HUGE}, "scenario.tolerances.unitarity: must be finite"),
 ]
 
 
