@@ -22,7 +22,6 @@ from .errors import (
 from .hilbert import (
     DensityMatrix,
     KroneckerSum,
-    MatrixOperator,
     ProductSpace,
     StateVector,
     outer,
@@ -49,7 +48,6 @@ from .lattice import (
 )
 from .objectification import (
     CorrelationReport,
-    GemengeComponent,
     GemengeDecomposition,
     apply_rule2,
     compare_states,

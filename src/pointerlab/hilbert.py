@@ -36,7 +36,6 @@ from .tolerances import COMPARISON_TOL, ENTROPY_EIGENVALUE_FLOOR, INVARIANT_TOL
 __all__ = [
     "StateVector",
     "DensityMatrix",
-    "MatrixOperator",
     "KroneckerSum",
     "ProductSpace",
     "outer",
@@ -209,28 +208,6 @@ class DensityMatrix:
                 f"state dim {self.dim} does not match factor dims {space.factor_dims}"
             )
         return (self.columns * np.sqrt(self.weights)).T.reshape(-1, *space.factor_dims)
-
-
-@dataclass(frozen=True, eq=False)
-class MatrixOperator:
-    """Square complex matrix; a ``hermitian`` flag is a promise checked at construction."""
-
-    entries: np.ndarray
-    hermitian: bool = False
-
-    def __post_init__(self) -> None:
-        mat = np.array(self.entries, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("operator entries must form a square matrix")
-        if self.hermitian:
-            dev = _hermitian_deviation(mat)
-            if dev > INVARIANT_TOL:
-                raise ValueError(f"hermitian flag violated; deviation {dev:.3e}")
-        object.__setattr__(self, "entries", _readonly(mat))
-
-    @property
-    def dim(self) -> int:
-        return int(self.entries.shape[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,7 +27,6 @@ from .hilbert import (
     DensityMatrix,
     KroneckerSum,
     ProductSpace,
-    StateVector,
     gram_deviation,
     outer,
     partial_trace,
@@ -38,7 +37,6 @@ from .premeasurement import BclSpec, PremeasurementResult
 from .tolerances import INVARIANT_TOL, PROBABILITY_FLOOR
 
 __all__ = [
-    "GemengeComponent",
     "GemengeDecomposition",
     "CorrelationReport",
     "apply_rule2",
@@ -51,43 +49,46 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class GemengeComponent:
-    """One branch of a proper mixture: weight, system state, pointer state."""
-
-    probability: float
-    system_state: StateVector
-    pointer_state: StateVector
-
-
-@dataclass(frozen=True, eq=False)
 class GemengeDecomposition:
-    """Proper mixture over orthonormal system and pointer families."""
+    """Proper mixture over orthonormal system and pointer families.
 
-    components: tuple[GemengeComponent, ...]
+    Branch ``k`` has weight ``probabilities[k]``, system state
+    ``system_states[:, k]`` (``d_system x r``) and pointer state
+    ``pointer_states[:, k]`` (``d_pointer x r``).
+    """
+
+    probabilities: np.ndarray
+    system_states: np.ndarray
+    pointer_states: np.ndarray
 
     def __post_init__(self) -> None:
-        components = tuple(self.components)
-        if not components:
+        probabilities = np.array(self.probabilities, dtype=float).reshape(-1)
+        system = np.array(self.system_states, dtype=complex)
+        pointer = np.array(self.pointer_states, dtype=complex)
+        if probabilities.size == 0:
             raise ValueError("a gemenge needs at least one component")
-        if any(c.probability < 0.0 for c in components):
+        if system.ndim != 2 or pointer.ndim != 2 or not (
+            system.shape[1] == pointer.shape[1] == probabilities.size
+        ):
+            raise ValueError("a gemenge needs one system and one pointer column per component")
+        if probabilities.min() < 0.0:
             raise ValueError("component probabilities must be nonnegative")
-        total_dev = abs(sum(c.probability for c in components) - 1.0)
+        total_dev = abs(float(np.sum(probabilities)) - 1.0)
         if total_dev > INVARIANT_TOL:
             raise ValueError(f"component probabilities sum off by {total_dev:.3e}")
-        for label, family in (
-            ("pointer", [c.pointer_state for c in components]),
-            ("system", [c.system_state for c in components]),
-        ):
-            dev = gram_deviation(np.column_stack([state.amplitudes for state in family]))
+        for label, family in (("pointer", pointer), ("system", system)):
+            dev = gram_deviation(family)
             if dev > INVARIANT_TOL:
                 raise BasisNotOrthonormal(
                     f"{label} states of the gemenge are not orthonormal; deviation {dev:.3e}"
                 )
-        object.__setattr__(self, "components", components)
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        return np.array([c.probability for c in self.components])
+        for name, array in (
+            ("probabilities", probabilities),
+            ("system_states", system),
+            ("pointer_states", pointer),
+        ):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
 
 def apply_rule2(result: PremeasurementResult, spec: BclSpec) -> GemengeDecomposition:
@@ -98,65 +99,47 @@ def apply_rule2(result: PremeasurementResult, spec: BclSpec) -> GemengeDecomposi
     non-unitary but deterministic.  Sectors below the probability floor are
     omitted.
     """
-    components = []
-    for k, conditional in enumerate(result.conditional_states):
-        p = float(result.probabilities[k])
-        if conditional is None or p < PROBABILITY_FLOOR:
-            continue
-        components.append(
-            GemengeComponent(
-                probability=p,
-                system_state=conditional,
-                pointer_state=spec.pointer_basis[k],
-            )
-        )
-    return GemengeDecomposition(tuple(components))
+    kept = [
+        k
+        for k, conditional in enumerate(result.conditional_states)
+        if conditional is not None and result.probabilities[k] >= PROBABILITY_FLOOR
+    ]
+    return GemengeDecomposition(
+        probabilities=result.probabilities[kept],
+        system_states=np.column_stack([result.conditional_states[k].amplitudes for k in kept]),
+        pointer_states=spec.pointers[:, kept],
+    )
 
 
 def gemenge_density_matrix(g: GemengeDecomposition, space: ProductSpace) -> DensityMatrix:
     """Mixed state ``sum_k p_k |b_k><b_k|`` over the branch columns ``b_k = Phi_k (x) psi_k``."""
     if len(space.factor_dims) != 2:
         raise ValueError("gemenge states live on bipartite spaces")
-    d_system, d_pointer = space.factor_dims
-    for component in g.components:
-        if component.system_state.dim != d_system or component.pointer_state.dim != d_pointer:
-            raise DimensionMismatch("component dimensions do not match the product space")
-    branches = np.einsum(
-        "ik,jk->ijk",
-        np.column_stack([c.system_state.amplitudes for c in g.components]),
-        np.column_stack([c.pointer_state.amplitudes for c in g.components]),
-    )
+    if (g.system_states.shape[0], g.pointer_states.shape[0]) != space.factor_dims:
+        raise DimensionMismatch("component dimensions do not match the product space")
+    branches = np.einsum("ik,jk->ijk", g.system_states, g.pointer_states)
     return DensityMatrix(columns=branches.reshape(space.dim, -1), weights=g.probabilities)
 
 
-def pointer_block_coherence(
-    rho: DensityMatrix,
-    pointer_basis: tuple[StateVector, ...] | list[StateVector],
-    space: ProductSpace,
-) -> float:
+def pointer_block_coherence(rho: DensityMatrix, spec: BclSpec) -> float:
     """Frobenius norm of the pointer-off-diagonal blocks of a bipartite state.
 
-    Zero exactly when the state is block-diagonal across pointer sectors,
-    which is what objectification enforces.  Block ``(k, l)`` is
-    ``(1 (x) <pi_k|) rho (1 (x) |pi_l>) = A_k A_l^dagger``, where column
+    Zero exactly when the state is block-diagonal across the pointer sectors
+    of ``spec``, which is what objectification enforces.  Block ``(k, l)``
+    is ``(1 (x) <pi_k|) rho (1 (x) |pi_l>) = A_k A_l^dagger``, where column
     ``j`` of ``A_k`` is column ``k`` of ``sqrt(w_j) B_j P^*``.  Its squared
     norm is ``tr(H_k H_l)`` for the ``r x r`` Gram matrices
     ``H_k = A_k^dagger A_k``; each term is nonnegative, and the ``k != l``
-    terms are summed directly.
+    terms are summed directly.  The spec has already checked the pointers
+    orthonormal.
     """
-    if rho.dim != space.dim:
-        raise DimensionMismatch(f"state dim {rho.dim} does not match space dim {space.dim}")
-    d_pointer = space.factor_dims[1]
-    if any(pointer.dim != d_pointer for pointer in pointer_basis):
-        raise DimensionMismatch("pointer states do not match the apparatus factor")
-    pointers = np.column_stack([pointer.amplitudes for pointer in pointer_basis])
-    dev = gram_deviation(pointers)
-    if dev > INVARIANT_TOL:
-        raise BasisNotOrthonormal(f"pointer basis deviates from orthonormal by {dev:.3e}")
-    rotated = (rho.blocks(space) @ pointers.conj()).transpose(2, 1, 0)  # A_k, stacked
-    grams = (rotated.conj().transpose(0, 2, 1) @ rotated).reshape(len(pointer_basis), -1)
+    pointers = spec.pointers
+    sectors = pointers.shape[1]
+    blocks = rho.blocks(ProductSpace((spec.system_dim, spec.apparatus_dim)))
+    rotated = (blocks @ pointers.conj()).transpose(2, 1, 0)  # A_k, stacked
+    grams = (rotated.conj().transpose(0, 2, 1) @ rotated).reshape(sectors, -1)
     overlaps = (grams @ grams.conj().T).real  # tr(H_k H_l)
-    off_diagonal = float(np.sum(overlaps[~np.eye(len(pointer_basis), dtype=bool)]))
+    off_diagonal = float(np.sum(overlaps[~np.eye(sectors, dtype=bool)]))
     return float(np.sqrt(max(off_diagonal, 0.0)))
 
 
@@ -206,9 +189,7 @@ def compare_states(
 
     rho_unitary = outer(result.final_state)
     return CorrelationReport(
-        pointer_block_coherence_norm=pointer_block_coherence(
-            rho_unitary, spec.pointer_basis, space
-        ),
+        pointer_block_coherence_norm=pointer_block_coherence(rho_unitary, spec),
         marginal_agreement_system=trace_distance(
             partial_trace(rho_unitary, space, keep=0),
             partial_trace(rho_rule2, space, keep=0),
@@ -239,11 +220,11 @@ def shift_witness(spec: BclSpec) -> KroneckerSum:
     measured observable nor the pointer projectors.
     """
     return KroneckerSum(
-        ((_adjacent_coupling(spec._eigenvectors), _adjacent_coupling(spec._pointers)),)
+        ((_adjacent_coupling(spec.eigenvectors), _adjacent_coupling(spec.pointers)),)
     )
 
 
 def observable_witness(spec: BclSpec) -> KroneckerSum:
     """Witness ``O (x) I``: diagnostics that survive objectification untouched."""
     identity = np.eye(spec.apparatus_dim, dtype=complex)
-    return KroneckerSum(((spec.system_observable().entries, identity),))
+    return KroneckerSum(((spec.system_observable(), identity),))

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, MeasurementConditionViolated, SpecInvalid
-from .hilbert import DensityMatrix, MatrixOperator, StateVector, gram_deviation
+from .hilbert import DensityMatrix, StateVector, gram_deviation
 from .tolerances import INVARIANT_TOL, PROBABILITY_FLOOR
 
 __all__ = [
@@ -44,101 +44,91 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class BclSpec:
-    """Inputs of the premeasurement model.
+    """Inputs of the premeasurement model, one column matrix per family.
 
-    ``system_eigenbasis[k]`` lists the eigenvectors of outcome sector ``k``
-    (inner index runs over the degeneracy); together the sectors form a
-    complete orthonormal basis of the system space.  ``pointer_basis`` holds
-    one orthonormal apparatus state per sector, ``ready_state`` the apparatus
-    state before the interaction, and ``transfer_family`` the system states
-    the eigenvectors are carried into (same sector shape, orthonormal within
-    each sector).  Eigenvalues are carried as distinct real labels only.
+    ``eigenvectors`` (``E``, ``d_system x d_system``) holds a complete
+    orthonormal eigenbasis of the system observable in sector order: sector
+    ``k`` is the next ``degeneracies[k]`` columns.  ``transfer`` (``T``, the
+    same shape) holds the system states the eigenvectors are carried into,
+    orthonormal within each sector.  ``pointers`` (``P``,
+    ``d_apparatus x K``) holds one orthonormal apparatus state per sector and
+    ``ready_state`` the apparatus state before the interaction.  Eigenvalues
+    are carried as distinct real labels only.
 
-    Construction also keeps, read-only, the column matrices of the three
-    families, the first column of each sector, the eigenbasis deviation
-    ``max |E^dagger E - I|`` and the measurement-condition residual
-    ``max |T^dagger T - I|`` of the whole transfer family.
+    Construction copies the matrices read-only and keeps the first column of
+    each sector, the eigenbasis deviation ``max |E^dagger E - I|`` and the
+    measurement-condition residual ``max |T^dagger T - I|`` of the whole
+    transfer family.
     """
 
     eigenvalues: tuple[float, ...]
-    system_eigenbasis: tuple[tuple[StateVector, ...], ...]
-    pointer_basis: tuple[StateVector, ...]
+    degeneracies: tuple[int, ...]
+    eigenvectors: np.ndarray
+    transfer: np.ndarray
+    pointers: np.ndarray
     ready_state: StateVector
-    transfer_family: tuple[tuple[StateVector, ...], ...]
-    _eigenvectors: np.ndarray = field(init=False, repr=False)
-    _transfer: np.ndarray = field(init=False, repr=False)
-    _pointers: np.ndarray = field(init=False, repr=False)
-    _sector_starts: np.ndarray = field(init=False, repr=False)
+    sector_starts: np.ndarray = field(init=False, repr=False)
     _eigenbasis_deviation: float = field(init=False, repr=False)
     _measurement_residual: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         eigenvalues = tuple(float(o) for o in self.eigenvalues)
-        eigenbasis = tuple(tuple(sector) for sector in self.system_eigenbasis)
-        pointers = tuple(self.pointer_basis)
-        transfer = tuple(tuple(sector) for sector in self.transfer_family)
-        object.__setattr__(self, "eigenvalues", eigenvalues)
-        object.__setattr__(self, "system_eigenbasis", eigenbasis)
-        object.__setattr__(self, "pointer_basis", pointers)
-        object.__setattr__(self, "transfer_family", transfer)
+        degeneracies = tuple(int(d) for d in self.degeneracies)
+        eigenvectors, transfer, pointers = (
+            np.array(m, dtype=complex, order="C")
+            for m in (self.eigenvectors, self.transfer, self.pointers)
+        )
 
         sectors = len(eigenvalues)
         if sectors == 0:
             raise SpecInvalid("at least one eigenvalue sector is required")
         if len(set(eigenvalues)) != sectors:
             raise SpecInvalid("eigenvalues must be distinct")
-        if len(eigenbasis) != sectors:
+        if len(degeneracies) != sectors:
             raise SpecInvalid("one eigenvector sector per eigenvalue is required")
-        if len(pointers) != sectors:
+        if pointers.ndim != 2 or pointers.shape[1] != sectors:
             raise SpecInvalid("one pointer state per eigenvalue sector is required")
-        if any(len(sector) == 0 for sector in eigenbasis):
+        if min(degeneracies) < 1:
             raise SpecInvalid("every eigenvalue sector needs at least one eigenvector")
 
-        system_dim = eigenbasis[0][0].dim
-        flat_basis = [v for sector in eigenbasis for v in sector]
-        if any(v.dim != system_dim for v in flat_basis):
-            raise SpecInvalid("system eigenvectors live on inconsistent dimensions")
-        if len(flat_basis) != system_dim:
+        columns = sum(degeneracies)
+        if eigenvectors.ndim != 2 or eigenvectors.shape[1] != columns:
+            raise SpecInvalid(f"degeneracies sum to {columns}, not to the eigenvector count")
+        system_dim = eigenvectors.shape[0]
+        if columns != system_dim:
             raise SpecInvalid(
-                f"degeneracies sum to {len(flat_basis)} but the system dimension is {system_dim}"
+                f"degeneracies sum to {columns} but the system dimension is {system_dim}"
             )
-        eigenvectors = np.column_stack([v.amplitudes for v in flat_basis])
         eigenbasis_dev = gram_deviation(eigenvectors)
         if eigenbasis_dev > INVARIANT_TOL:
             raise SpecInvalid(
                 f"system eigenbasis is not orthonormal; deviation {eigenbasis_dev:.3e}"
             )
 
-        apparatus_dim = self.ready_state.dim
-        if any(p.dim != apparatus_dim for p in pointers):
+        if pointers.shape[0] != self.ready_state.dim:
             raise SpecInvalid("pointer states and ready state live on different dimensions")
-        pointer_columns = np.column_stack([p.amplitudes for p in pointers])
-        dev = gram_deviation(pointer_columns)
+        dev = gram_deviation(pointers)
         if dev > INVARIANT_TOL:
             raise SpecInvalid(f"pointer basis is not orthonormal; deviation {dev:.3e}")
 
-        if len(transfer) != sectors:
-            raise SpecInvalid("transfer family must have one row per eigenvalue sector")
-        for k, (eigsector, row) in enumerate(zip(eigenbasis, transfer)):
-            if len(row) != len(eigsector):
-                raise SpecInvalid(f"transfer row {k} has the wrong degeneracy")
-            if any(v.dim != system_dim for v in row):
-                raise SpecInvalid(f"transfer row {k} has vectors of the wrong dimension")
-        transfer_columns = np.column_stack([v.amplitudes for row in transfer for v in row])
+        if transfer.shape != eigenvectors.shape:
+            raise SpecInvalid(f"transfer family has shape {transfer.shape}, not that of E")
         # The diagonal blocks of the one Gram product are the per-row checks;
         # its off-diagonal blocks only matter to the measurement condition.
-        residual = np.abs(transfer_columns.conj().T @ transfer_columns - np.eye(system_dim))
-        bounds = np.cumsum([0, *(len(sector) for sector in eigenbasis)])
+        residual = np.abs(transfer.conj().T @ transfer - np.eye(system_dim))
+        bounds = np.cumsum([0, *degeneracies])
         for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
             dev = float(np.max(residual[lo:hi, lo:hi]))
             if dev > INVARIANT_TOL:
                 raise SpecInvalid(f"transfer row {k} is not orthonormal; deviation {dev:.3e}")
 
+        object.__setattr__(self, "eigenvalues", eigenvalues)
+        object.__setattr__(self, "degeneracies", degeneracies)
         for name, matrix in (
-            ("_eigenvectors", eigenvectors),
-            ("_transfer", transfer_columns),
-            ("_pointers", pointer_columns),
-            ("_sector_starts", bounds[:-1]),
+            ("eigenvectors", eigenvectors),
+            ("transfer", transfer),
+            ("pointers", pointers),
+            ("sector_starts", bounds[:-1]),
         ):
             matrix.setflags(write=False)
             object.__setattr__(self, name, matrix)
@@ -146,60 +136,61 @@ class BclSpec:
         object.__setattr__(self, "_measurement_residual", float(np.max(residual)))
 
     @property
-    def degeneracies(self) -> tuple[int, ...]:
-        return tuple(len(sector) for sector in self.system_eigenbasis)
-
-    @property
     def system_dim(self) -> int:
-        return self.system_eigenbasis[0][0].dim
+        return int(self.eigenvectors.shape[0])
 
     @property
     def apparatus_dim(self) -> int:
         return self.ready_state.dim
 
+    def _sector_vectors(self, columns: np.ndarray) -> tuple[tuple[StateVector, ...], ...]:
+        return tuple(
+            tuple(map(StateVector, sector.T))
+            for sector in np.split(columns, self.sector_starts[1:], axis=1)
+        )
+
+    @property
+    def system_eigenbasis(self) -> tuple[tuple[StateVector, ...], ...]:
+        """The eigenvectors as one tuple of states per sector, built on each access."""
+        return self._sector_vectors(self.eigenvectors)
+
+    @property
+    def transfer_family(self) -> tuple[tuple[StateVector, ...], ...]:
+        """The transfer family as one tuple of states per sector, built on each access."""
+        return self._sector_vectors(self.transfer)
+
+    @property
+    def pointer_basis(self) -> tuple[StateVector, ...]:
+        """The pointers as states, built on each access."""
+        return tuple(map(StateVector, self.pointers.T))
+
     @classmethod
-    def canonical(
-        cls,
-        eigenvalues,
-        degeneracies,
-        apparatus_dim: int | None = None,
-        ready_index: int = 0,
-    ) -> "BclSpec":
-        """Spec over canonical basis vectors, transfer family equal to the eigenbasis."""
+    def canonical(cls, eigenvalues, degeneracies, apparatus_dim: int | None = None) -> "BclSpec":
+        """Spec over canonical basis vectors, transfer family equal to the eigenbasis.
+
+        The eigenvectors are ``e_0, e_1, ...`` in sector order, pointer ``k``
+        is ``e_k`` and the ready state ``e_0``.
+        """
         eigenvalues = tuple(float(o) for o in eigenvalues)
         degeneracies = tuple(int(d) for d in degeneracies)
         if len(eigenvalues) != len(degeneracies):
             raise SpecInvalid("eigenvalues and degeneracies must pair up")
         if apparatus_dim is None:
             apparatus_dim = len(eigenvalues)
-        basis, pointers = _canonical_families(degeneracies, apparatus_dim)
+        eigenvectors = np.eye(sum(degeneracies), dtype=complex)
         return cls(
             eigenvalues=eigenvalues,
-            system_eigenbasis=basis,
-            pointer_basis=pointers,
-            ready_state=StateVector.basis_state(apparatus_dim, ready_index),
-            transfer_family=basis,
+            degeneracies=degeneracies,
+            eigenvectors=eigenvectors,
+            transfer=eigenvectors,
+            pointers=np.eye(apparatus_dim, len(eigenvalues), dtype=complex),
+            ready_state=StateVector.basis_state(apparatus_dim, 0),
         )
 
-    def system_observable(self) -> MatrixOperator:
+    def system_observable(self) -> np.ndarray:
         """The measured observable ``sum_k o_k P_k`` as ``(E * o) @ E^dagger``."""
         outcomes = np.repeat(self.eigenvalues, self.degeneracies)
-        eigenvectors = self._eigenvectors
-        return MatrixOperator((eigenvectors * outcomes) @ eigenvectors.conj().T, hermitian=True)
-
-
-def _canonical_families(
-    degeneracies: tuple[int, ...], apparatus_dim: int
-) -> tuple[tuple[tuple[StateVector, ...], ...], tuple[StateVector, ...]]:
-    """Canonical eigenvector sectors ``e_0, e_1, ...`` in order, and pointers ``e_k``."""
-    columns = np.eye(sum(degeneracies), dtype=complex)
-    bounds = np.cumsum([0, *degeneracies])
-    basis = tuple(
-        tuple(StateVector(columns[:, i]) for i in range(lo, hi))
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-    )
-    pointers = tuple(StateVector.basis_state(apparatus_dim, k) for k in range(len(degeneracies)))
-    return basis, pointers
+        return (self.eigenvectors * outcomes) @ self.eigenvectors.conj().T
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,7 +304,7 @@ def build_premeasurement_unitary(spec: BclSpec, completion_seed: int = 0) -> Con
             f"{spec._measurement_residual:.3e}"
         )
     apparatus_dim = spec.apparatus_dim
-    pointers = _complete_orthonormal(spec._pointers)
+    pointers = _complete_orthonormal(spec.pointers)
     ready = _complete_orthonormal(spec.ready_state.amplitudes[:, None])
     if completion_seed != 0:
         free = apparatus_dim - 1
@@ -326,10 +317,10 @@ def build_premeasurement_unitary(spec: BclSpec, completion_seed: int = 0) -> Con
     swaps[:, 0] = np.arange(sectors)
     swaps[np.arange(1, sectors), np.arange(1, sectors)] = 0
     apparatus = pointers[:, swaps].transpose(1, 0, 2) @ ready.conj().T
-    bounds = [*spec._sector_starts, spec.system_dim]
+    bounds = [*spec.sector_starts, spec.system_dim]
     system = np.stack(
         [
-            spec._transfer[:, lo:hi] @ spec._eigenvectors[:, lo:hi].conj().T
+            spec.transfer[:, lo:hi] @ spec.eigenvectors[:, lo:hi].conj().T
             for lo, hi in zip(bounds[:-1], bounds[1:])
         ]
     )
@@ -360,8 +351,8 @@ def premeasure(spec: BclSpec, phi: StateVector, completion_seed: int = 0) -> Pre
     final = StateVector(
         unitary.apply(np.outer(phi.amplitudes, spec.ready_state.amplitudes)).reshape(-1)
     )
-    coefficients = spec._eigenvectors.conj().T @ phi.amplitudes
-    sector_vectors = np.add.reduceat(spec._transfer * coefficients, spec._sector_starts, axis=1)
+    coefficients = spec.eigenvectors.conj().T @ phi.amplitudes
+    sector_vectors = np.add.reduceat(spec.transfer * coefficients, spec.sector_starts, axis=1)
     probabilities = np.sum(sector_vectors.real**2 + sector_vectors.imag**2, axis=0)
     return PremeasurementResult(
         unitary=unitary,

@@ -53,12 +53,7 @@ from .objectification import (
     pointer_block_coherence,
     shift_witness,
 )
-from .premeasurement import (
-    BclSpec,
-    _canonical_families,
-    apparatus_marginal,
-    premeasure,
-)
+from .premeasurement import BclSpec, apparatus_marginal, premeasure
 from .scenario import ScenarioConfig
 from .tolerances import ORTHOGONAL_OVERLAP_GATE
 
@@ -343,15 +338,15 @@ def _bcl_diagnostics(
     with _stage("premeasure"):
         result = premeasure(spec, phi)
         unitary = result.unitary
-        pointers = spec._pointers
+        pointers = spec.pointers
         # U maps each domain column e_c (x) ready to the product-vector sum
         # sum_k (Q_k e_c) (x) (V_k ready), held as one d_system x d_apparatus
         # matrix per column c, and should give t_c (x) pi_k(c).
-        images = (unitary.system_factors @ spec._eigenvectors).transpose(2, 1, 0) @ (
+        images = (unitary.system_factors @ spec.eigenvectors).transpose(2, 1, 0) @ (
             unitary.apparatus_factors @ spec.ready_state.amplitudes
         )
         sector_pointers = np.repeat(pointers.T, spec.degeneracies, axis=0)
-        images -= spec._transfer.T[:, :, None] * sector_pointers[:, None, :]
+        images -= spec.transfer.T[:, :, None] * sector_pointers[:, None, :]
         extension_residual = float(
             np.max(np.linalg.norm(images.reshape(spec.system_dim, -1), axis=1))
         )
@@ -364,7 +359,7 @@ def _bcl_diagnostics(
         )
         # sum over each sector of |<e|phi>|^2, independent of the transfer family
         coefficient_mass = np.add.reduceat(
-            np.abs(spec._eigenvectors.conj().T @ phi.amplitudes) ** 2, spec._sector_starts
+            np.abs(spec.eigenvectors.conj().T @ phi.amplitudes) ** 2, spec.sector_starts
         )
         formula_residual = float(np.max(np.abs(result.probabilities - coefficient_mass)))
         pointer_mixture = DensityMatrix(columns=pointers, weights=result.probabilities)
@@ -393,34 +388,32 @@ def _complex(pairs) -> np.ndarray:
     return np.array(pairs, dtype=float).view(complex)[..., 0]
 
 
-def _sector_states(family: list, degeneracies: list[int]) -> tuple[tuple[StateVector, ...], ...]:
-    vectors = _complex([vector for sector in family for vector in sector])
-    bounds = np.cumsum([0, *degeneracies])
-    return tuple(
-        tuple(map(StateVector, vectors[lo:hi])) for lo, hi in zip(bounds[:-1], bounds[1:])
-    )
+def _family(sectors: list) -> np.ndarray:
+    """Column matrix of a vector family given sector by sector as ``[re, im]`` pair lists."""
+    return _complex([vector for sector in sectors for vector in sector]).T
 
 
 def _build_spec(scenario: dict) -> tuple[BclSpec, StateVector]:
-    """The scenario's spec, one complex array per family, and its initial state."""
+    """The scenario's spec, one column matrix per family, and its initial state."""
     bcl = scenario["bcl"]
     degeneracies, basis = bcl["degeneracies"], bcl["basis"]
     with _stage("build spec"):
         if basis == "canonical":
-            eigenbasis, pointers = _canonical_families(degeneracies, bcl["apparatus_dim"])
-            ready = pointers[0]
+            eigenvectors = np.eye(sum(degeneracies), dtype=complex)
+            pointers = np.eye(bcl["apparatus_dim"], len(degeneracies), dtype=complex)
+            ready = pointers[:, 0]
         else:
-            eigenbasis = _sector_states(basis["system_eigenbasis"], degeneracies)
-            pointers = tuple(map(StateVector, _complex(basis["pointer_basis"])))
-            ready = StateVector(_complex(basis.get("ready_state", basis["pointer_basis"][0])))
+            eigenvectors = _family(basis["system_eigenbasis"])
+            pointers = _complex(basis["pointer_basis"]).T
+            ready = _complex(basis.get("ready_state", basis["pointer_basis"][0]))
         transfer = bcl["transfer_family"]
-        transfer = eigenbasis if transfer == "default" else _sector_states(transfer, degeneracies)
         spec = BclSpec(
             eigenvalues=bcl["eigenvalues"],
-            system_eigenbasis=eigenbasis,
-            pointer_basis=pointers,
-            ready_state=ready,
-            transfer_family=transfer,
+            degeneracies=degeneracies,
+            eigenvectors=eigenvectors,
+            transfer=eigenvectors if transfer == "default" else _family(transfer),
+            pointers=pointers,
+            ready_state=StateVector(ready),
         )
         return spec, StateVector.normalized(_complex(scenario["initial_state"]))
 
@@ -439,7 +432,7 @@ def _run_full_measurement(scenario: dict) -> tuple[dict, list[Verdict]]:
         gemenge = apply_rule2(result, spec)
         space = ProductSpace((spec.system_dim, spec.apparatus_dim))
         rho_rule2 = gemenge_density_matrix(gemenge, space)
-        coherence_rule2 = pointer_block_coherence(rho_rule2, spec.pointer_basis, space)
+        coherence_rule2 = pointer_block_coherence(rho_rule2, spec)
     with _stage("compare"):
         witness = (
             observable_witness(spec)

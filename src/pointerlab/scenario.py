@@ -69,13 +69,9 @@ TOLERANCE_DEFAULTS: dict[str, dict[str, float]] = {
 
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
-    """A validated scenario, held as its normalized document."""
+    """A validated scenario, held as its normalized document; reports echo it as ``scenario``."""
 
     document: dict
-
-    def to_dict(self) -> dict:
-        """The normalized document itself, not a copy; reports echo it as ``scenario``."""
-        return self.document
 
 
 def _fail(path: str, message: str) -> ValidationError:

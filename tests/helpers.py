@@ -31,38 +31,30 @@ def random_bcl_spec(rng, degeneracies, apparatus_dim=None, transfer="sector_unit
     if apparatus_dim is None:
         apparatus_dim = sectors
 
-    eigen_columns = random_unitary(rng, system_dim)
-    eigenbasis = []
-    index = 0
-    for deg in degeneracies:
-        eigenbasis.append(
-            tuple(StateVector(eigen_columns[:, index + l]) for l in range(deg))
-        )
-        index += deg
-
-    pointer_columns = random_unitary(rng, apparatus_dim)
-    pointers = tuple(StateVector(pointer_columns[:, k]) for k in range(sectors))
+    eigenvectors = random_unitary(rng, system_dim)
+    pointers = random_unitary(rng, apparatus_dim)[:, :sectors]
 
     if transfer == "identity":
-        transfer_family = tuple(eigenbasis)
+        transfer_columns = eigenvectors
     elif transfer == "sector_unitary":
-        transfer_family = []
-        index = 0
-        for deg in degeneracies:
-            block = eigen_columns[:, index : index + deg] @ random_unitary(rng, deg)
-            transfer_family.append(tuple(StateVector(block[:, l]) for l in range(deg)))
-            index += deg
-        transfer_family = tuple(transfer_family)
+        bounds = np.cumsum([0, *degeneracies])
+        transfer_columns = np.hstack(
+            [
+                eigenvectors[:, lo:hi] @ random_unitary(rng, hi - lo)
+                for lo, hi in zip(bounds[:-1], bounds[1:])
+            ]
+        )
     else:
         raise ValueError(f"unknown transfer mode {transfer!r}")
 
     eigenvalues = tuple(float(k) + rng.uniform(0.0, 0.25) for k in range(sectors))
     return BclSpec(
         eigenvalues=eigenvalues,
-        system_eigenbasis=tuple(eigenbasis),
-        pointer_basis=pointers,
+        degeneracies=degeneracies,
+        eigenvectors=eigenvectors,
+        transfer=transfer_columns,
+        pointers=pointers,
         ready_state=random_state(rng, apparatus_dim),
-        transfer_family=transfer_family,
     )
 
 
@@ -88,12 +80,13 @@ def close(value, reference):
     return bool(np.all(np.abs(value - reference) <= 1e-12 * np.maximum(1.0, np.abs(reference))))
 
 
-def dense_coherence(rho, pointer_basis, d_system):
-    """Frobenius norm of ``sum_{k != l} P_k rho P_l`` with ``P_k = 1 (x) |pi_k><pi_k|``."""
+def dense_coherence(rho, pointers, d_system):
+    """Frobenius norm of ``sum_{k != l} P_k rho P_l`` with ``P_k = 1 (x) |pi_k><pi_k|``.
+
+    ``pointers`` holds the pointer states ``pi_k`` as columns.
+    """
     identity = np.eye(d_system, dtype=complex)
-    projectors = [
-        np.kron(identity, np.outer(p.amplitudes, p.amplitudes.conj())) for p in pointer_basis
-    ]
+    projectors = [np.kron(identity, np.outer(p, p.conj())) for p in pointers.T]
     off_diagonal = np.zeros_like(rho)
     for k, left in enumerate(projectors):
         for l, right in enumerate(projectors):

@@ -17,10 +17,10 @@ from helpers import random_bcl_spec, random_state
 
 
 def qr_unitary(spec, completion_seed=0):
-    pointers = np.repeat(spec._pointers, spec.degeneracies, axis=1)
+    pointers = np.repeat(spec.pointers, spec.degeneracies, axis=1)
     total_dim = spec.system_dim * spec.apparatus_dim
-    domain = np.einsum("ic,j->ijc", spec._eigenvectors, spec.ready_state.amplitudes)
-    image = np.einsum("ic,jc->ijc", spec._transfer, pointers)
+    domain = np.einsum("ic,j->ijc", spec.eigenvectors, spec.ready_state.amplitudes)
+    image = np.einsum("ic,jc->ijc", spec.transfer, pointers)
     domain, image = domain.reshape(total_dim, -1), image.reshape(total_dim, -1)
     completed = []
     for columns in (domain, image):

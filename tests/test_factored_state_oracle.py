@@ -22,6 +22,7 @@ from pointerlab import (
     DensityMatrix,
     KroneckerSum,
     ProductSpace,
+    StateVector,
     apparatus_marginal,
     apply_rule2,
     gemenge_density_matrix,
@@ -96,8 +97,8 @@ def test_factored_quantities_match_dense_formulas(
         reduced = partial_trace(rho, space, keep).entries
         assert close(reduced, dense_partial_trace(dense, d_system, d_pointer, keep))
     assert close(
-        pointer_block_coherence(rho, spec.pointer_basis, space),
-        dense_coherence(dense, spec.pointer_basis, d_system),
+        pointer_block_coherence(rho, spec),
+        dense_coherence(dense, spec.pointers, d_system),
     )
     block = rng.normal(size=(d_system, d_system)) + 1j * rng.normal(size=(d_system, d_system))
     pointer_term = rng.normal(size=(d_pointer, d_pointer))
@@ -139,14 +140,13 @@ def pairs(columns):
     return np.stack([columns.real, columns.imag], axis=-1).transpose(1, 0, 2).tolist()
 
 
-@pytest.mark.parametrize("witness", ["sigma_x_pattern", "system_observable"])
-def test_haar_random_run_never_calls_eigh(monkeypatch, witness):
-    # three sectors of degeneracies 2, 1, 3 against a four-level pointer
+def haar_document(witness):
+    """An explicit-basis ``full_measurement``: degeneracies 2, 1, 3 against a four-level pointer."""
     rng = np.random.default_rng(2024)
     degeneracies = [2, 1, 3]
     eigenbasis, pointers = random_unitary(rng, 6), random_unitary(rng, 4)
     bounds = np.cumsum([0, *degeneracies])
-    document = {
+    return {
         "scenario_kind": "full_measurement",
         "bcl": {
             "eigenvalues": [-1.0, 0.5, 2.0],
@@ -165,12 +165,33 @@ def test_haar_random_run_never_calls_eigh(monkeypatch, witness):
         "tolerances": {"rule2_coherence": 1e-12},
     }
 
+
+@pytest.mark.parametrize("witness", ["sigma_x_pattern", "system_observable"])
+def test_haar_random_run_never_calls_eigh(monkeypatch, witness):
     def refuse(*args, **kwargs):
         raise AssertionError("eigh called on the full_measurement path")
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
-    report = run_scenario(validate_scenario_data(document))
+    report = run_scenario(validate_scenario_data(haar_document(witness)))
     assert report.all_passed, [v.name for v in report.verdicts if not v.passed]
+
+
+def test_haar_random_run_builds_no_state_per_basis_vector(monkeypatch):
+    # the families stay column matrices: only the initial, ready and final
+    # states and one conditional state per sector are StateVectors
+    document = haar_document("sigma_x_pattern")
+    config = validate_scenario_data(document)
+    calls = []
+    validate = StateVector.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        validate(self)
+
+    monkeypatch.setattr(StateVector, "__post_init__", counted)
+    report = run_scenario(config)
+    assert report.all_passed, [v.name for v in report.verdicts if not v.passed]
+    assert len(calls) <= len(document["bcl"]["degeneracies"]) + 3, len(calls)
 
 
 @settings(max_examples=30)
@@ -190,7 +211,7 @@ def test_marginal_mixtures_match_dense_products(degeneracies, extra_apparatus, s
     amplitudes = result.final_state.amplitudes.reshape(spec.system_dim, spec.apparatus_dim)
     marginal = apparatus_marginal(result, spec).entries
     assert np.max(np.abs(marginal - amplitudes.T @ amplitudes.conj())) <= 1e-12
-    pointers = spec._pointers
+    pointers = spec.pointers
     expected = (pointers * result.probabilities) @ pointers.conj().T
     assert np.max(np.abs(pointer_mixture.entries - expected)) <= 1e-12
 
@@ -216,7 +237,7 @@ def test_wide_mixture_spectrum_allocates_no_gram_matrix():
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     # the marginal is sum_k p_k |t_k><t_k| over the orthonormal transfer family
-    transfer, probabilities = spec._transfer, result.probabilities
+    transfer, probabilities = spec.transfer, result.probabilities
     dense = np.linalg.eigvalsh((transfer * probabilities) @ transfer.conj().T)
     assert np.max(np.abs(spectrum - dense)) <= 1e-12
     assert np.max(np.abs(spectrum - np.sort(probabilities))) <= 1e-12

@@ -4,7 +4,6 @@ import pytest
 from pointerlab import (
     DensityMatrix,
     DimensionMismatch,
-    MatrixOperator,
     ProductSpace,
     StateVector,
     outer,
@@ -185,12 +184,6 @@ class TestDensityMatrixInvariants:
         assert np.allclose(rho.eigenvalues(), [0.0, 0.25, 0.75], atol=1e-15)
         with pytest.raises(ValueError, match="either dense entries or a mixture"):
             DensityMatrix(np.eye(2) / 2, columns=np.eye(2), weights=[0.5, 0.5])
-
-
-class TestMatrixOperatorFlags:
-    def test_hermitian_flag_checked(self):
-        with pytest.raises(ValueError):
-            MatrixOperator(np.array([[0, 1], [0, 0]], dtype=complex), hermitian=True)
 
 
 class TestTraceDistance:

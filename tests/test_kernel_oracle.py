@@ -107,7 +107,7 @@ TOP_SCENARIOS = {
 @pytest.mark.parametrize("kind", sorted(TOP_SCENARIOS))
 def test_top_rung_run_allocates_no_dense_kernel(kind):
     config = validate_scenario_data(TOP_SCENARIOS[kind])
-    assert position_kernel(LatticeGrid(**config.to_dict()["grid"])).entries.ndim == 1
+    assert position_kernel(LatticeGrid(**config.document["grid"])).entries.ndim == 1
     tracemalloc.start()
     try:
         report = run_scenario(config)

@@ -4,7 +4,7 @@ import pytest
 from pointerlab import (
     BclSpec,
     DensityMatrix,
-    GemengeComponent,
+    DimensionMismatch,
     GemengeDecomposition,
     KroneckerSum,
     ProductSpace,
@@ -48,9 +48,8 @@ class TestApplyRule2:
         spec = qubit_spec()
         result = premeasure(spec, spec.system_eigenbasis[0][0])
         gemenge = apply_rule2(result, spec)
-        assert len(gemenge.components) == 1
-        component = gemenge.components[0]
-        assert component.probability == pytest.approx(1.0, abs=1e-12)
+        assert gemenge.probabilities.shape == (1,)
+        assert gemenge.probabilities[0] == pytest.approx(1.0, abs=1e-12)
         # with nothing to erase, the objectified state is the unitary projector
         space = ProductSpace((2, 2))
         rho = gemenge_density_matrix(gemenge, space)
@@ -58,12 +57,8 @@ class TestApplyRule2:
 
     def test_bell_two_components(self):
         spec, result, gemenge = bell_case()
-        assert len(gemenge.components) == 2
-        for k, component in enumerate(gemenge.components):
-            assert component.probability == pytest.approx(0.5, abs=1e-12)
-            assert np.array_equal(
-                component.pointer_state.amplitudes, spec.pointer_basis[k].amplitudes
-            )
+        assert np.allclose(gemenge.probabilities, [0.5, 0.5], atol=1e-12)
+        assert np.array_equal(gemenge.pointer_states, spec.pointers)
 
     def test_probabilities_pass_through_bitwise(self):
         rng = np.random.default_rng(41)
@@ -73,23 +68,23 @@ class TestApplyRule2:
         assert np.array_equal(gemenge.probabilities, result.probabilities)
 
     def test_invariants_rejected(self):
-        e0, e1 = StateVector([1, 0]), StateVector([0, 1])
-        with pytest.raises(ValueError):
-            GemengeDecomposition(
-                (GemengeComponent(0.4, e0, e0), GemengeComponent(0.4, e1, e1))
-            )
+        with pytest.raises(ValueError, match="sum off"):
+            GemengeDecomposition([0.4, 0.4], np.eye(2), np.eye(2))
+        with pytest.raises(ValueError, match="one pointer column per component"):
+            GemengeDecomposition([0.5, 0.5], np.eye(2), np.eye(2, 1))
         from pointerlab import BasisNotOrthonormal
 
-        with pytest.raises(BasisNotOrthonormal):
-            GemengeDecomposition(
-                (GemengeComponent(0.5, e0, e0), GemengeComponent(0.5, e0, e1))
-            )
+        with pytest.raises(BasisNotOrthonormal, match="system states"):
+            GemengeDecomposition([0.5, 0.5], np.eye(2)[:, [0, 0]], np.eye(2))
+        # a column of norm 2 fails the same Gram check
+        with pytest.raises(BasisNotOrthonormal, match="pointer states"):
+            GemengeDecomposition([0.5, 0.5], np.eye(2), np.diag([1.0, 2.0]))
 
 
 class TestGemengeDensityMatrix:
     def test_single_component_is_product_projector(self):
         u, v = StateVector([0, 1]), StateVector([1, 0])
-        gemenge = GemengeDecomposition((GemengeComponent(1.0, u, v),))
+        gemenge = GemengeDecomposition([1.0], u.amplitudes[:, None], v.amplitudes[:, None])
         rho = gemenge_density_matrix(gemenge, ProductSpace((2, 2)))
         product = StateVector(np.kron(u.amplitudes, v.amplitudes))
         assert np.array_equal(rho.entries, outer(product).entries)
@@ -118,22 +113,25 @@ class TestPointerBlockCoherence:
         spec, _, gemenge = bell_case()
         space = ProductSpace((2, 2))
         rho = gemenge_density_matrix(gemenge, space)
-        assert pointer_block_coherence(rho, spec.pointer_basis, space) == 0.0
+        assert pointer_block_coherence(rho, spec) == 0.0
 
     def test_bell_projector_coherence(self):
         spec, result, _ = bell_case()
-        space = ProductSpace((2, 2))
-        value = pointer_block_coherence(outer(result.final_state), spec.pointer_basis, space)
+        value = pointer_block_coherence(outer(result.final_state), spec)
         assert abs(value - INV_SQRT2) < 1e-10
 
     def test_product_state_single_block(self):
         spec = qubit_spec()
-        space = ProductSpace((2, 2))
         rng = np.random.default_rng(43)
         rho = DensityMatrix(
             np.kron(outer(random_state(rng, 2)).entries, outer(spec.pointer_basis[0]).entries)
         )
-        assert pointer_block_coherence(rho, spec.pointer_basis, space) == 0.0
+        assert pointer_block_coherence(rho, spec) == 0.0
+
+    def test_rejects_state_off_the_spec_space(self):
+        rng = np.random.default_rng(48)
+        with pytest.raises(DimensionMismatch):
+            pointer_block_coherence(outer(random_state(rng, 6)), qubit_spec())
 
 
 class TestCompareStates:
@@ -240,7 +238,7 @@ class TestInvariantProperties:
         spec = qubit_spec()
         pure_result = premeasure(spec, spec.system_eigenbasis[1][0])
         pure_gemenge = apply_rule2(pure_result, spec)
-        assert len(pure_gemenge.components) == 1
+        assert pure_gemenge.probabilities.shape == (1,)
         space = ProductSpace((2, 2))
         rho = gemenge_density_matrix(pure_gemenge, space)
         assert abs(np.max(rho.eigenvalues()) - 1.0) < 1e-12

@@ -26,10 +26,8 @@ from helpers import close, dense_coherence, random_bcl_spec, random_state
 
 def dense_gemenge(gemenge):
     matrix = 0
-    for c in gemenge.components:
-        system = np.outer(c.system_state.amplitudes, c.system_state.amplitudes.conj())
-        pointer = np.outer(c.pointer_state.amplitudes, c.pointer_state.amplitudes.conj())
-        matrix = matrix + c.probability * np.kron(system, pointer)
+    for p, s, a in zip(gemenge.probabilities, gemenge.system_states.T, gemenge.pointer_states.T):
+        matrix = matrix + p * np.kron(np.outer(s, s.conj()), np.outer(a, a.conj()))
     return matrix
 
 
@@ -66,8 +64,8 @@ def test_pointer_blocks_match_dense_projectors(degeneracies, extra_apparatus, st
             assert close(expectation, trace)
 
     assert close(rho.eigenvalues(), np.linalg.eigvalsh(rho.entries))
-    value = pointer_block_coherence(rho, spec.pointer_basis, space)
-    reference = dense_coherence(rho.entries, spec.pointer_basis, spec.system_dim)
+    value = pointer_block_coherence(rho, spec)
+    reference = dense_coherence(rho.entries, spec.pointers, spec.system_dim)
 
     assert close(value, reference)
     if state == "gemenge":

@@ -37,60 +37,117 @@ class TestBclSpecInvariants:
             BclSpec.canonical([1.0, 1.0], [1, 1])
 
     def test_rejects_incomplete_eigenbasis(self):
-        e0, e1 = StateVector([1, 0, 0]), StateVector([0, 1, 0])
-        with pytest.raises(SpecInvalid):
+        e = np.eye(3, 2)
+        with pytest.raises(SpecInvalid, match="degeneracies sum to 2 but the system dimension is 3"):
             BclSpec(
                 eigenvalues=(1.0, -1.0),
-                system_eigenbasis=((e0,), (e1,)),
-                pointer_basis=(StateVector([1, 0]), StateVector([0, 1])),
+                degeneracies=(1, 1),
+                eigenvectors=e,
+                transfer=e,
+                pointers=np.eye(2),
                 ready_state=StateVector([1, 0]),
-                transfer_family=((e0,), (e1,)),
             )
 
     def test_rejects_non_orthonormal_eigenbasis(self):
-        e0 = StateVector([1, 0])
-        with pytest.raises(SpecInvalid):
+        e = np.array([[1, 1], [0, 0]])
+        with pytest.raises(SpecInvalid, match="system eigenbasis is not orthonormal"):
             BclSpec(
                 eigenvalues=(1.0, -1.0),
-                system_eigenbasis=((e0,), (e0,)),
-                pointer_basis=(StateVector([1, 0]), StateVector([0, 1])),
+                degeneracies=(1, 1),
+                eigenvectors=e,
+                transfer=e,
+                pointers=np.eye(2),
                 ready_state=StateVector([1, 0]),
-                transfer_family=((e0,), (e0,)),
             )
 
     def test_rejects_wrong_pointer_count(self):
-        e0, e1 = StateVector([1, 0]), StateVector([0, 1])
-        with pytest.raises(SpecInvalid):
+        with pytest.raises(SpecInvalid, match="one pointer state per eigenvalue sector"):
             BclSpec(
                 eigenvalues=(1.0, -1.0),
-                system_eigenbasis=((e0,), (e1,)),
-                pointer_basis=(StateVector([1, 0]),),
+                degeneracies=(1, 1),
+                eigenvectors=np.eye(2),
+                transfer=np.eye(2),
+                pointers=np.eye(2, 1),
                 ready_state=StateVector([1, 0]),
-                transfer_family=((e0,), (e1,)),
+            )
+
+    @pytest.mark.parametrize(
+        "pointers, transfer, message",
+        [
+            (np.diag([1.0, 2.0]), np.eye(2), "pointer basis is not orthonormal"),
+            (np.eye(2), np.diag([1.0, 2.0]), "transfer row 1 is not orthonormal"),
+        ],
+        ids=["pointer", "transfer"],
+    )
+    def test_rejects_unnormalized_column(self, pointers, transfer, message):
+        # a column of norm 2 shows on the diagonal of its Gram product
+        with pytest.raises(SpecInvalid, match=message):
+            BclSpec(
+                eigenvalues=(1.0, -1.0),
+                degeneracies=(1, 1),
+                eigenvectors=np.eye(2),
+                transfer=transfer,
+                pointers=pointers,
+                ready_state=StateVector([1, 0]),
             )
 
     def test_rejects_non_orthonormal_transfer_row(self):
-        basis = [StateVector.basis_state(3, i) for i in range(3)]
-        bad_row = (basis[0], basis[0])
-        with pytest.raises(SpecInvalid):
+        transfer = np.eye(3)[:, [0, 0, 2]]
+        with pytest.raises(SpecInvalid, match="transfer row 0 is not orthonormal"):
             BclSpec(
                 eigenvalues=(1.0, -1.0),
-                system_eigenbasis=((basis[0], basis[1]), (basis[2],)),
-                pointer_basis=(StateVector([1, 0]), StateVector([0, 1])),
+                degeneracies=(2, 1),
+                eigenvectors=np.eye(3),
+                transfer=transfer,
+                pointers=np.eye(2),
                 ready_state=StateVector([1, 0]),
-                transfer_family=(bad_row, (basis[2],)),
             )
 
     def test_rejects_non_orthonormal_later_transfer_row(self):
-        basis = [StateVector.basis_state(4, i) for i in range(4)]
+        transfer = np.eye(4)[:, [0, 1, 1, 3]]
         with pytest.raises(SpecInvalid, match="transfer row 1 is not orthonormal"):
             BclSpec(
                 eigenvalues=(1.0, 0.0, -1.0),
-                system_eigenbasis=((basis[0],), (basis[1], basis[2]), (basis[3],)),
-                pointer_basis=tuple(StateVector.basis_state(3, k) for k in range(3)),
+                degeneracies=(1, 2, 1),
+                eigenvectors=np.eye(4),
+                transfer=transfer,
+                pointers=np.eye(3),
                 ready_state=StateVector.basis_state(3, 0),
-                transfer_family=((basis[0],), (basis[1], basis[1]), (basis[3],)),
             )
+
+    def test_rejects_misshapen_families(self):
+        with pytest.raises(SpecInvalid, match="transfer family has shape"):
+            BclSpec(
+                eigenvalues=(1.0, -1.0),
+                degeneracies=(1, 1),
+                eigenvectors=np.eye(2),
+                transfer=np.eye(2, 3),
+                pointers=np.eye(2),
+                ready_state=StateVector([1, 0]),
+            )
+        with pytest.raises(SpecInvalid, match="pointer states and ready state"):
+            BclSpec(
+                eigenvalues=(1.0, -1.0),
+                degeneracies=(1, 1),
+                eigenvectors=np.eye(2),
+                transfer=np.eye(2),
+                pointers=np.eye(3, 2),
+                ready_state=StateVector([1, 0]),
+            )
+
+    def test_matrices_are_read_only_copies(self):
+        eigenvectors = np.eye(2, dtype=complex)
+        spec = BclSpec(
+            eigenvalues=(1.0, -1.0),
+            degeneracies=(1, 1),
+            eigenvectors=eigenvectors,
+            transfer=eigenvectors,
+            pointers=np.eye(2),
+            ready_state=StateVector([1, 0]),
+        )
+        assert eigenvectors.flags.writeable
+        assert not spec.eigenvectors.flags.writeable and not spec.pointers.flags.writeable
+        assert spec.eigenvectors.flags.c_contiguous
 
     def test_system_observable_reconstruction(self):
         rng = np.random.default_rng(21)
@@ -98,7 +155,7 @@ class TestBclSpecInvariants:
         observable = spec.system_observable()
         for o, sector in zip(spec.eigenvalues, spec.system_eigenbasis):
             for vec in sector:
-                assert np.max(np.abs(observable.entries @ vec.amplitudes - o * vec.amplitudes)) < 1e-10
+                assert np.max(np.abs(observable @ vec.amplitudes - o * vec.amplitudes)) < 1e-10
 
 
 class TestBuildUnitary:
@@ -108,15 +165,14 @@ class TestBuildUnitary:
         assert spec._measurement_residual < 1e-12
 
     def test_cross_sector_duplicate_fails_condition(self):
-        e0, e1 = StateVector([1, 0]), StateVector([0, 1])
-        shared = StateVector([1, 0])
         # each one-vector row is orthonormal, so the spec itself is accepted
         spec = BclSpec(
             eigenvalues=(1.0, -1.0),
-            system_eigenbasis=((e0,), (e1,)),
-            pointer_basis=(StateVector([1, 0]), StateVector([0, 1])),
+            degeneracies=(1, 1),
+            eigenvectors=np.eye(2),
+            transfer=np.array([[1, 1], [0, 0]]),
+            pointers=np.eye(2),
             ready_state=StateVector([1, 0]),
-            transfer_family=((shared,), (shared,)),
         )
         with pytest.raises(MeasurementConditionViolated, match=r"residual 1\.000e\+00"):
             build_premeasurement_unitary(spec)
@@ -155,14 +211,13 @@ class TestBuildUnitary:
                 assert np.max(np.abs(image - expected)) < 1e-10
 
     def test_condition_violation_refused(self):
-        e0, e1 = StateVector([1, 0]), StateVector([0, 1])
-        shared = StateVector([1, 0])
         spec = BclSpec(
             eigenvalues=(1.0, -1.0),
-            system_eigenbasis=((e0,), (e1,)),
-            pointer_basis=(e0, e1),
-            ready_state=e0,
-            transfer_family=((shared,), (shared,)),
+            degeneracies=(1, 1),
+            eigenvectors=np.eye(2),
+            transfer=np.array([[1, 1], [0, 0]]),
+            pointers=np.eye(2),
+            ready_state=StateVector([1, 0]),
         )
         with pytest.raises(MeasurementConditionViolated):
             build_premeasurement_unitary(spec)

@@ -44,7 +44,7 @@ def write_scenario(tmp_path, data, name="scenario.json"):
 
 class TestLoadScenario:
     def test_minimal_bcl_defaults(self, tmp_path):
-        echo = load_scenario(write_scenario(tmp_path, MINIMAL_BCL)).to_dict()
+        echo = load_scenario(write_scenario(tmp_path, MINIMAL_BCL)).document
         assert echo["bcl"]["apparatus_dim"] == 2
         assert echo["bcl"]["transfer_family"] == "default"  # transfer = eigenbasis
         assert echo["bcl"]["basis"] == "canonical"
@@ -52,7 +52,7 @@ class TestLoadScenario:
 
     def test_full_measurement_witness_default(self, tmp_path):
         config = load_scenario(write_scenario(tmp_path, FULL_MEASUREMENT))
-        assert config.to_dict()["witness"] == "sigma_x_pattern"
+        assert config.document["witness"] == "sigma_x_pattern"
 
     def test_rejects_non_power_of_two_grid(self, tmp_path):
         data = dict(SYMMETRIZATION)
@@ -246,10 +246,25 @@ class TestCli:
                 {"system_eigenbasis": [[[2, 0]], [[0, 1]]], "pointer_basis": [[1, 0], [0, 1]]},
                 "build spec",
             ),
+            # an explicit pointer of norm 2
+            (
+                MINIMAL_BCL,
+                "bcl",
+                "basis",
+                {"system_eigenbasis": [[[1, 0]], [[0, 1]]], "pointer_basis": [[1, 0], [0, 2]]},
+                "build spec",
+            ),
+            # an explicit transfer vector of norm 2
+            (MINIMAL_BCL, "bcl", "transfer_family", [[[1, 0]], [[0, 2]]], "build spec"),
             # a packet centre beyond the 40-wide grid
             (SYMMETRIZATION, "packets", 1, {"center": 100.0, "width": 1.0}, "lattice setup"),
         ],
-        ids=["unnormalized-eigenvector", "packet-off-grid"],
+        ids=[
+            "unnormalized-eigenvector",
+            "unnormalized-pointer",
+            "unnormalized-transfer",
+            "packet-off-grid",
+        ],
     )
     def test_precondition_failure_names_stage(
         self, tmp_path, capsys, base, block, key, value, stage

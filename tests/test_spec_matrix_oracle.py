@@ -79,5 +79,5 @@ def test_spec_matrices_match_vector_loops(degeneracies, extra_apparatus, transfe
         else:
             assert close(conditional.amplitudes, reference)
 
-    assert close(spec.system_observable().entries, loop_observable(spec))
+    assert close(spec.system_observable(), loop_observable(spec))
     assert close(shift_witness(spec).entries, loop_shift_witness(spec))
