@@ -323,11 +323,10 @@ def gram_deviation(columns: np.ndarray) -> float:
     """Largest entry of ``|G - I|`` for the Gram matrix ``G`` of a column matrix.
 
     Zero exactly when the columns are orthonormal; callers compare it against
-    their own tolerance and raise their own error.  A stack of column
-    matrices gives the largest deviation over the stack.
+    their own tolerance and raise their own error.
     """
-    gram = np.swapaxes(columns.conj(), -1, -2) @ columns
-    return float(np.max(np.abs(gram - np.eye(columns.shape[-1]))))
+    gram = columns.conj().T @ columns
+    return float(np.max(np.abs(gram - np.eye(columns.shape[1]))))
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:

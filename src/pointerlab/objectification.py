@@ -34,7 +34,7 @@ from .hilbert import (
     von_neumann_entropy,
 )
 from .premeasurement import BclSpec, PremeasurementResult
-from .tolerances import INVARIANT_TOL, PROBABILITY_FLOOR
+from .tolerances import INVARIANT_TOL
 
 __all__ = [
     "GemengeDecomposition",
@@ -99,14 +99,10 @@ def apply_rule2(result: PremeasurementResult, spec: BclSpec) -> GemengeDecomposi
     non-unitary but deterministic.  Sectors below the probability floor are
     omitted.
     """
-    kept = [
-        k
-        for k, conditional in enumerate(result.conditional_states)
-        if conditional is not None and result.probabilities[k] >= PROBABILITY_FLOOR
-    ]
+    kept, conditionals = result.conditionals()
     return GemengeDecomposition(
         probabilities=result.probabilities[kept],
-        system_states=np.column_stack([result.conditional_states[k].amplitudes for k in kept]),
+        system_states=conditionals,
         pointer_states=spec.pointers[:, kept],
     )
 

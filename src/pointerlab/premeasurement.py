@@ -7,11 +7,11 @@ ready state into the pointer state labelling the sector.  The coupling fixes
 the unitary only on the subspace spanned by ``eigenvector (x) ready``
 (Beltrametti, Cassinelli and Lahti, J. Math. Phys. 31, 91 (1990)), and it
 has the controlled form ``U = sum_k Q_k (x) V_k``: ``Q_k = T_k E_k^dagger``
-carries sector ``k`` into its transfer vectors, and the apparatus unitary
-``V_k`` carries the ready state into pointer ``k``.  Everything physical is
-independent of how the ``V_k`` are completed off the ready state.  ``U`` is
-held as its factors and applied to a ``d_system x d_apparatus`` amplitude
-matrix ``X`` as ``sum_k Q_k X V_k^T``; no product-space matrix is built.
+carries sector ``k`` into its transfer vectors, and ``V_k = Pbar S_k
+R^dagger`` carries the ready state into pointer ``k``.  Everything physical
+is independent of the completions ``Pbar`` and ``R``.  ``U`` is held as
+``E``, ``T``, ``Pbar`` and ``R``, with no per-sector factor and no
+product-space matrix.
 
 A spec holds each of its three families as one column matrix, built and
 checked once at construction: the eigenvectors ``E`` and the transfer family
@@ -195,67 +195,89 @@ class BclSpec:
 
 @dataclass(frozen=True, eq=False)
 class ControlledUnitary:
-    """Premeasurement unitary ``U = sum_k Q_k (x) V_k``, held as its factors.
+    """Premeasurement unitary ``U = sum_k Q_k (x) V_k``, held as ``E``, ``T``, ``Pbar`` and ``R``.
 
-    ``system_factors[k]`` is ``Q_k`` (``d_system x d_system``) and
-    ``apparatus_factors[k]`` is ``V_k`` (``d_apparatus x d_apparatus``).
-    ``deviation`` is the largest unitarity deviation ``max |M^dagger M - I|``
-    over the factors ``U`` was assembled from; construction refuses one above
-    ``INVARIANT_TOL``.
+    ``eigenvectors`` and ``transfer`` are the spec's ``E`` and ``T``,
+    ``pointers`` and ``ready`` the completions ``Pbar`` and ``R`` (ready
+    state first), and ``sectors[i]``, nondecreasing, is the sector of column
+    ``i`` of ``E``.  ``deviation`` is the largest ``max |M^dagger M - I|`` of
+    the four matrices; construction refuses one above ``INVARIANT_TOL``.
     """
 
-    system_factors: np.ndarray
-    apparatus_factors: np.ndarray
+    eigenvectors: np.ndarray
+    transfer: np.ndarray
+    pointers: np.ndarray
+    ready: np.ndarray
+    sectors: np.ndarray
     deviation: float
 
     def __post_init__(self) -> None:
-        system = np.array(self.system_factors, dtype=complex)
-        apparatus = np.array(self.apparatus_factors, dtype=complex)
-        if (
-            system.ndim != 3
-            or apparatus.ndim != 3
-            or system.shape[0] != apparatus.shape[0]
-            or system.shape[1] != system.shape[2]
-            or apparatus.shape[1] != apparatus.shape[2]
-        ):
-            raise ValueError("a controlled unitary needs one square factor per side and sector")
         if not self.deviation <= INVARIANT_TOL:
             raise ValueError(f"unitary factors deviate by {self.deviation:.3e}")
-        system.setflags(write=False)
-        apparatus.setflags(write=False)
-        object.__setattr__(self, "system_factors", system)
-        object.__setattr__(self, "apparatus_factors", apparatus)
+        for name in ("eigenvectors", "transfer", "pointers", "ready", "sectors"):
+            # a read-only view shares the spec's matrices without touching their flags
+            array = np.asarray(getattr(self, name)).view()
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
         object.__setattr__(self, "deviation", float(self.deviation))
 
     @property
-    def dim(self) -> int:
-        return int(self.system_factors.shape[1] * self.apparatus_factors.shape[1])
-
-    @property
     def entries(self) -> np.ndarray:
-        """The dense matrix ``sum_k kron(Q_k, V_k)``, built on each call."""
-        dense = np.einsum("kij,kab->iajb", self.system_factors, self.apparatus_factors)
-        return dense.reshape(self.dim, self.dim)
+        """The dense matrix ``sum_i kron(t_i e_i^dagger, V_k(i))``, built on each call."""
+        rows = np.arange(len(self.sectors))
+        order = np.tile(np.arange(len(self.ready)), (rows.size, 1))  # Pbar S_k(i) for row i
+        order[rows, 0], order[rows, self.sectors] = self.sectors, 0
+        apparatus = self.pointers[:, order].transpose(1, 0, 2) @ self.ready.conj().T
+        dense = np.einsum("ai,ci,ibd->abcd", self.transfer, self.eigenvectors.conj(), apparatus)
+        return dense.reshape(rows.size * len(self.ready), -1)
 
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        """``sum_k Q_k X V_k^T`` for the ``d_system x d_apparatus`` amplitude matrix ``X``."""
-        evolved = self.system_factors @ amplitudes @ self.apparatus_factors.transpose(0, 2, 1)
-        return evolved.sum(axis=0)
+        """``sum_k Q_k X V_k^T`` as ``T S(E^dagger X R^*) Pbar^T``; ``S`` is row-wise ``S_k``."""
+        swapped = self.eigenvectors.conj().T @ amplitudes @ self.ready.conj()
+        rows, k = np.arange(len(self.sectors)), self.sectors
+        swapped[rows, 0], swapped[rows, k] = swapped[rows, k], swapped[rows, 0]
+        return self.transfer @ swapped @ self.pointers.T
+
+    def domain_images(self) -> np.ndarray:
+        """``U (e_c (x) ready)`` for each column ``e_c`` of ``E``, shape ``(d_s, d_s, d_a)``.
+
+        Image ``c`` is ``sum_k B_k[:, c] (x) Pbar S_k u`` with ``B_k = T_k (E^dagger E)_k`` and
+        ``u = R^dagger ready``.  As ``S_k u`` differs from ``u`` only in entries 0 and ``k``,
+        the images are ``(sum_k B_k) (x) u`` plus ``B_k (u_k - u_0)`` moved from column ``k``
+        to column 0, times ``Pbar^T``; the square intermediates are freed first.
+        """
+        gram = self.eigenvectors.conj().T @ self.eigenvectors
+        ready = self.ready.conj().T @ self.ready[:, 0]
+        total = np.zeros_like(gram)
+        images = np.zeros((*gram.shape, ready.size), dtype=complex)
+        bounds = np.searchsorted(self.sectors, np.arange(self.sectors[-1] + 2))
+        for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            block = self.transfer[:, lo:hi] @ gram[lo:hi]
+            total += block
+            if k:  # S_0 is the identity: sector 0 moves nothing
+                block *= ready[k] - ready[0]
+                images[:, :, 0] += block.T
+                images[:, :, k] -= block.T
+        del gram, block
+        for a, entry in enumerate(ready):
+            images[:, :, a] += entry * total.T
+        del total
+        return (images.reshape(-1, ready.size) @ self.pointers.T).reshape(images.shape)
 
 
 @dataclass(frozen=True, eq=False)
 class PremeasurementResult:
     """Outputs of one premeasurement run.
 
-    ``conditional_states[k]`` is the normalized system state attached to
-    pointer ``k``; it is absent (``None``) when the outcome probability falls
-    below the probability floor.
+    Column ``k`` of ``sector_vectors`` (``d_system x K``) is ``sqrt(p_k)``
+    times the conditional system state of pointer ``k``; sectors below the
+    probability floor carry no conditional state.
     """
 
     unitary: ControlledUnitary
     final_state: StateVector
     probabilities: np.ndarray
-    conditional_states: tuple[StateVector | None, ...]
+    sector_vectors: np.ndarray
 
     def __post_init__(self) -> None:
         probs = np.array(self.probabilities, dtype=float).reshape(-1)
@@ -263,9 +285,23 @@ class PremeasurementResult:
         total_dev = abs(float(np.sum(probs)) - 1.0)
         if total_dev > INVARIANT_TOL:
             raise SpecInvalid(f"outcome probabilities sum off by {total_dev:.3e}")
+        vectors = np.array(self.sector_vectors, dtype=complex)
         probs.setflags(write=False)
+        vectors.setflags(write=False)
         object.__setattr__(self, "probabilities", probs)
-        object.__setattr__(self, "conditional_states", tuple(self.conditional_states))
+        object.__setattr__(self, "sector_vectors", vectors)
+
+    def conditionals(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sectors at or above the probability floor, and their conditional states."""
+        kept = np.flatnonzero(self.probabilities >= PROBABILITY_FLOOR)
+        return kept, self.sector_vectors[:, kept] / np.sqrt(self.probabilities[kept])
+
+    @property
+    def conditional_states(self) -> tuple[StateVector | None, ...]:
+        """One conditional state per sector, ``None`` below the floor; built on each access."""
+        kept, conditionals = self.conditionals()
+        states = dict(zip(kept, map(StateVector, conditionals.T)))
+        return tuple(states.get(k) for k in range(self.probabilities.size))
 
 
 def _complete_orthonormal(columns: np.ndarray) -> np.ndarray:
@@ -283,55 +319,36 @@ def _complete_orthonormal(columns: np.ndarray) -> np.ndarray:
 def build_premeasurement_unitary(spec: BclSpec, completion_seed: int = 0) -> ControlledUnitary:
     """Controlled unitary ``sum_k Q_k (x) V_k`` extending ``e (x) ready -> t (x) pointer``.
 
-    ``Q_k = T_k E_k^dagger`` on sector ``k``.  ``Pbar`` completes the
-    pointers to a unitary and ``R`` the ready state, with the ready state as
-    its first column; ``V_k = Pbar S_k R^dagger``, where ``S_k`` swaps
-    columns 0 and ``k``, is unitary and carries the ready state into pointer
-    ``k``.  A nonzero ``completion_seed`` re-pairs ``R``'s complement through
-    a seeded Haar unitary on the complement of the ready state, a second
-    valid completion to test against: the physical output never depends on
-    it.  The transfer family must be orthonormal across sectors (the
-    measurement condition), a statement strictly stronger than the
-    per-sector check the spec runs at construction; it makes
-    ``sum_k Q_k^dagger Q_k`` the identity and ``Q_k^dagger Q_l`` vanish for
-    ``k != l``, so ``U`` is unitary exactly when ``E``, ``T``, ``Pbar``,
-    ``R`` and every ``V_k`` are.  The largest of their deviations is the
-    unitary's ``deviation``; that of ``T`` is the measurement residual.
+    ``Pbar`` completes the pointers and ``R`` the ready state to unitaries
+    (one complete-mode QR each).  A nonzero ``completion_seed`` re-pairs
+    ``R``'s complement through a seeded Haar unitary, a second valid
+    completion to test against: the physical output never depends on it.
+    The transfer family must be orthonormal across sectors (the measurement
+    condition), which makes ``sum_k Q_k^dagger Q_k`` the identity and
+    ``Q_k^dagger Q_l`` vanish for ``k != l``.  ``S_k`` is an exact
+    permutation, so ``U`` is unitary exactly when ``E``, ``T``, ``Pbar`` and
+    ``R`` are, and the largest of their deviations is ``deviation``.
     """
     if spec._measurement_residual > INVARIANT_TOL:
         raise MeasurementConditionViolated(
             "transfer family is not orthonormal across sectors; residual "
             f"{spec._measurement_residual:.3e}"
         )
-    apparatus_dim = spec.apparatus_dim
     pointers = _complete_orthonormal(spec.pointers)
     ready = _complete_orthonormal(spec.ready_state.amplitudes[:, None])
     if completion_seed != 0:
-        free = apparatus_dim - 1
+        free = spec.apparatus_dim - 1
         rng = np.random.default_rng(completion_seed)
         q, r = np.linalg.qr(rng.normal(size=(free, free)) + 1j * rng.normal(size=(free, free)))
         ready[:, 1:] @= q * (np.diag(r) / np.abs(np.diag(r)))
-    sectors = len(spec.eigenvalues)
-    # row k lists the columns of Pbar in the order of Pbar S_k
-    swaps = np.tile(np.arange(apparatus_dim), (sectors, 1))
-    swaps[:, 0] = np.arange(sectors)
-    swaps[np.arange(1, sectors), np.arange(1, sectors)] = 0
-    apparatus = pointers[:, swaps].transpose(1, 0, 2) @ ready.conj().T
-    bounds = [*spec.sector_starts, spec.system_dim]
-    system = np.stack(
-        [
-            spec.transfer[:, lo:hi] @ spec.eigenvectors[:, lo:hi].conj().T
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
-    )
     deviation = max(
         spec._eigenbasis_deviation,
         spec._measurement_residual,
         gram_deviation(pointers),
         gram_deviation(ready),
-        gram_deviation(apparatus),
     )
-    return ControlledUnitary(system, apparatus, deviation)
+    sectors = np.repeat(np.arange(len(spec.degeneracies)), spec.degeneracies)
+    return ControlledUnitary(spec.eigenvectors, spec.transfer, pointers, ready, sectors, deviation)
 
 
 def premeasure(spec: BclSpec, phi: StateVector, completion_seed: int = 0) -> PremeasurementResult:
@@ -340,8 +357,7 @@ def premeasure(spec: BclSpec, phi: StateVector, completion_seed: int = 0) -> Pre
     Expands ``phi`` in the eigenbasis, ``c = E^dagger phi``, sums the columns
     of ``T * c`` within each sector into the sector vectors, reads off outcome
     probabilities as their squared norms, and evolves ``phi (x) ready`` with
-    the actual unitary's factors.  Sectors whose probability falls below the
-    floor carry no conditional state.
+    the actual unitary.
     """
     if phi.dim != spec.system_dim:
         raise DimensionMismatch(
@@ -353,15 +369,11 @@ def premeasure(spec: BclSpec, phi: StateVector, completion_seed: int = 0) -> Pre
     )
     coefficients = spec.eigenvectors.conj().T @ phi.amplitudes
     sector_vectors = np.add.reduceat(spec.transfer * coefficients, spec.sector_starts, axis=1)
-    probabilities = np.sum(sector_vectors.real**2 + sector_vectors.imag**2, axis=0)
     return PremeasurementResult(
         unitary=unitary,
         final_state=final,
-        probabilities=probabilities,
-        conditional_states=tuple(
-            StateVector(sector_vectors[:, k] / np.sqrt(p)) if p >= PROBABILITY_FLOOR else None
-            for k, p in enumerate(probabilities)
-        ),
+        probabilities=np.sum(sector_vectors.real**2 + sector_vectors.imag**2, axis=0),
+        sector_vectors=sector_vectors,
     )
 
 

@@ -337,26 +337,18 @@ def _bcl_diagnostics(
 ) -> tuple[dict, list[Verdict], object, DensityMatrix]:
     with _stage("premeasure"):
         result = premeasure(spec, phi)
-        unitary = result.unitary
         pointers = spec.pointers
-        # U maps each domain column e_c (x) ready to the product-vector sum
-        # sum_k (Q_k e_c) (x) (V_k ready), held as one d_system x d_apparatus
-        # matrix per column c, and should give t_c (x) pi_k(c).
-        images = (unitary.system_factors @ spec.eigenvectors).transpose(2, 1, 0) @ (
-            unitary.apparatus_factors @ spec.ready_state.amplitudes
-        )
+        # U should map each domain column e_c (x) ready to t_c (x) pi_k(c)
+        images = result.unitary.domain_images()
         sector_pointers = np.repeat(pointers.T, spec.degeneracies, axis=0)
         images -= spec.transfer.T[:, :, None] * sector_pointers[:, None, :]
         extension_residual = float(
             np.max(np.linalg.norm(images.reshape(spec.system_dim, -1), axis=1))
         )
-        kept = [k for k, c in enumerate(result.conditional_states) if c is not None]
-        conditionals = np.column_stack([result.conditional_states[k].amplitudes for k in kept])
-        branches = np.einsum("ik,jk->ijk", conditionals, pointers[:, kept]).reshape(-1, len(kept))
-        reconstruction = branches @ np.sqrt(result.probabilities[kept])
-        reconstruction_residual = float(
-            np.linalg.norm(result.final_state.amplitudes - reconstruction)
-        )
+        kept, conditionals = result.conditionals()
+        amplitudes = result.final_state.amplitudes.reshape(spec.system_dim, spec.apparatus_dim)
+        reconstruction = (conditionals * np.sqrt(result.probabilities[kept])) @ pointers[:, kept].T
+        reconstruction_residual = float(np.linalg.norm(amplitudes - reconstruction))
         # sum over each sector of |<e|phi>|^2, independent of the transfer family
         coefficient_mass = np.add.reduceat(
             np.abs(spec.eigenvectors.conj().T @ phi.amplitudes) ** 2, spec.sector_starts

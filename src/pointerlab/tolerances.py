@@ -26,8 +26,8 @@ QUADRATURE_NORM_TOL = 1e-8
 
 #: Largest product dimension ``D = system_dim * apparatus_dim`` a scenario may
 #: ask for, checked when the scenario is validated.  The run path builds no
-#: ``D x D`` array; its largest arrays are ``D x K`` columns and ``K x d x d``
-#: factor stacks, so the cap bounds run time and memory, not a dense matrix.
+#: ``D x D`` array; its largest array is the ``d_system x D`` extension
+#: images, so the cap bounds run time and memory, not a dense matrix.
 DENSE_DIM_CAP = 4096
 
 #: Smallest and largest lattice a scenario may ask for; its point count is

@@ -93,3 +93,34 @@ def dense_coherence(rho, pointers, d_system):
             if k != l:
                 off_diagonal += left @ rho @ right
     return float(np.linalg.norm(off_diagonal))
+
+
+def pairs(columns):
+    """``[re, im]`` pair lists of each column of a complex matrix."""
+    return np.stack([columns.real, columns.imag], axis=-1).transpose(1, 0, 2).tolist()
+
+
+def haar_document(witness):
+    """An explicit-basis ``full_measurement``: degeneracies 2, 1, 3 against a four-level pointer."""
+    rng = np.random.default_rng(2024)
+    degeneracies = [2, 1, 3]
+    eigenbasis, pointers = random_unitary(rng, 6), random_unitary(rng, 4)
+    bounds = np.cumsum([0, *degeneracies])
+    return {
+        "scenario_kind": "full_measurement",
+        "bcl": {
+            "eigenvalues": [-1.0, 0.5, 2.0],
+            "degeneracies": degeneracies,
+            "apparatus_dim": 4,
+            "basis": {
+                "system_eigenbasis": [
+                    pairs(eigenbasis[:, lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])
+                ],
+                "pointer_basis": pairs(pointers[:, :3]),
+                "ready_state": pairs(pointers[:, 3:])[0],
+            },
+        },
+        "initial_state": rng.normal(size=(6, 2)).tolist(),
+        "witness": witness,
+        "tolerances": {"rule2_coherence": 1e-12},
+    }

@@ -5,8 +5,13 @@ columns ``e (x) ready`` and range columns ``t (x) pointer`` are each
 completed to a full orthonormal basis with one complete-mode QR, a nonzero
 seed re-pairs the range complement through a Haar unitary, and
 ``U = range_full @ domain_full^dagger``.  The two unitaries differ off the
-fixed columns, so they must agree on every ``phi (x) ready``.
+fixed columns, so they must agree on every ``phi (x) ready``, and in
+particular on the domain images ``e_c (x) ready`` the ``extension_map``
+verdict reads.  Building the unitary allocates no ``d_system x d_system``
+array: it holds ``E`` and ``T`` as the spec's own matrices.
 """
+
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings
@@ -51,11 +56,15 @@ def test_controlled_unitary_matches_qr_completion(degeneracies, extra_apparatus,
     )
     dim = spec.system_dim * spec.apparatus_dim
     reference = qr_unitary(spec)
+    domain = np.einsum("ic,j->ijc", spec.eigenvectors, spec.ready_state.amplitudes)
+    expected_images = reference @ domain.reshape(dim, -1)
     for completion_seed in (0, 11):
         unitary = build_premeasurement_unitary(spec, completion_seed=completion_seed)
         entries = unitary.entries
         assert np.max(np.abs(entries.conj().T @ entries - np.eye(dim))) <= 1e-12
         assert unitary.deviation <= 1e-12
+        images = unitary.domain_images().reshape(spec.system_dim, dim).T
+        assert np.max(np.abs(images - expected_images)) <= 1e-12
         # apply and the materialized matrix are the same operator
         amplitudes = rng.normal(size=(spec.system_dim, spec.apparatus_dim)) + 0j
         assert np.max(
@@ -73,3 +82,17 @@ def test_controlled_unitary_matches_qr_completion(degeneracies, extra_apparatus,
     assert np.max(np.abs(base - other)) <= 1e-12
     start = np.kron(phi.amplitudes, spec.ready_state.amplitudes)
     assert np.max(np.abs(other - qr_unitary(spec, 11) @ start)) <= 1e-12
+
+
+def test_build_allocates_no_system_square_array():
+    # ds = 512, da = K = 8: one ds x ds complex array is 4 MiB
+    rng = np.random.default_rng(512)
+    spec = random_bcl_spec(rng, [64] * 8)
+    tracemalloc.start()
+    try:
+        unitary = build_premeasurement_unitary(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert unitary.deviation <= 1e-12
+    assert peak < spec.system_dim**2 * 16, f"peak {peak / 2**20:.1f} MiB"

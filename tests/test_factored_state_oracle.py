@@ -38,7 +38,7 @@ from pointerlab import (
 from pointerlab.runner import _bcl_diagnostics
 from pointerlab.scenario import TOLERANCE_DEFAULTS, validate_scenario_data
 from pointerlab.tolerances import DENSE_DIM_CAP, ENTROPY_EIGENVALUE_FLOOR
-from helpers import close, dense_coherence, random_bcl_spec, random_state, random_unitary
+from helpers import close, dense_coherence, haar_document, random_bcl_spec, random_state
 
 
 def random_mixture(rng, dim, rank):
@@ -135,37 +135,6 @@ def test_top_rung_allocates_no_dense_product_matrix():
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
-def pairs(columns):
-    """``[re, im]`` pair lists of each column of a complex matrix."""
-    return np.stack([columns.real, columns.imag], axis=-1).transpose(1, 0, 2).tolist()
-
-
-def haar_document(witness):
-    """An explicit-basis ``full_measurement``: degeneracies 2, 1, 3 against a four-level pointer."""
-    rng = np.random.default_rng(2024)
-    degeneracies = [2, 1, 3]
-    eigenbasis, pointers = random_unitary(rng, 6), random_unitary(rng, 4)
-    bounds = np.cumsum([0, *degeneracies])
-    return {
-        "scenario_kind": "full_measurement",
-        "bcl": {
-            "eigenvalues": [-1.0, 0.5, 2.0],
-            "degeneracies": degeneracies,
-            "apparatus_dim": 4,
-            "basis": {
-                "system_eigenbasis": [
-                    pairs(eigenbasis[:, lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])
-                ],
-                "pointer_basis": pairs(pointers[:, :3]),
-                "ready_state": pairs(pointers[:, 3:])[0],
-            },
-        },
-        "initial_state": rng.normal(size=(6, 2)).tolist(),
-        "witness": witness,
-        "tolerances": {"rule2_coherence": 1e-12},
-    }
-
-
 @pytest.mark.parametrize("witness", ["sigma_x_pattern", "system_observable"])
 def test_haar_random_run_never_calls_eigh(monkeypatch, witness):
     def refuse(*args, **kwargs):
@@ -177,8 +146,8 @@ def test_haar_random_run_never_calls_eigh(monkeypatch, witness):
 
 
 def test_haar_random_run_builds_no_state_per_basis_vector(monkeypatch):
-    # the families stay column matrices: only the initial, ready and final
-    # states and one conditional state per sector are StateVectors
+    # the families and the sector vectors stay column matrices: only the
+    # initial, ready and final states are StateVectors
     document = haar_document("sigma_x_pattern")
     config = validate_scenario_data(document)
     calls = []
@@ -191,7 +160,7 @@ def test_haar_random_run_builds_no_state_per_basis_vector(monkeypatch):
     monkeypatch.setattr(StateVector, "__post_init__", counted)
     report = run_scenario(config)
     assert report.all_passed, [v.name for v in report.verdicts if not v.passed]
-    assert len(calls) <= len(document["bcl"]["degeneracies"]) + 3, len(calls)
+    assert len(calls) <= 3, len(calls)
 
 
 @settings(max_examples=30)

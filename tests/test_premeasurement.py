@@ -362,7 +362,7 @@ class TestPremeasure:
             unitary=template.unitary,
             final_state=template.final_state,
             probabilities=np.array([1.0, -1e-13]),
-            conditional_states=template.conditional_states,
+            sector_vectors=template.sector_vectors,
         )
         assert clipped.probabilities[1] == 0.0
 
