@@ -51,7 +51,6 @@ from .objectification import (
     GemengeDecomposition,
     apply_rule2,
     compare_states,
-    gemenge_density_matrix,
     observable_witness,
     pointer_block_coherence,
     shift_witness,

@@ -12,14 +12,14 @@ nonsymmetric path, so spectra are real by construction.
 
 A density matrix is held as a weighted mixture ``sum_j w_j |v_j><v_j|`` of
 ``r`` columns, never as a ``dim x dim`` array: a pure state is one column and
-a proper mixture one column per branch.  Its spectrum is that of the
-``r x r`` Gram matrix of the weighted columns (Hughston, Jozsa and Wootters,
-Phys. Lett. A 183, 14 (1993)), and on a bipartite space each column is read
-as its ``d_first x d_second`` amplitude matrix ``B_j``, so partial traces and
-expectations of Kronecker products are matrix products on the ``B_j``.  A
-partial trace is itself returned as a mixture, of the weighted ``B_j``
-columns (or rows), so reduced states are never diagonalized; only a dense
-``DensityMatrix(entries)`` runs ``eigh``.
+a reduced state one column per vector of its mixture.  Its spectrum is that
+of the ``r x r`` Gram matrix of the weighted columns (Hughston, Jozsa and
+Wootters, Phys. Lett. A 183, 14 (1993)), and on a bipartite space each
+column is read as its ``d_first x d_second`` amplitude matrix ``B_j``, so
+partial traces and expectations of Kronecker products are matrix products on
+the ``B_j``.  A partial trace is itself returned as a mixture, of the
+weighted ``B_j`` columns (or rows), so reduced states are never
+diagonalized; only a dense ``DensityMatrix(entries)`` runs ``eigh``.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ __all__ = [
     "outer",
     "partial_trace",
     "von_neumann_entropy",
+    "spectral_entropy",
     "trace_distance",
 ]
 
@@ -140,7 +141,7 @@ class DensityMatrix:
     stores the eigenpairs of one ``eigh`` (an eigenvalue below
     ``-INVARIANT_TOL`` is refused, roundoff ones are clipped to zero).
     Columns of weight zero are dropped.  The dense matrix is built only on
-    demand, by :attr:`entries`.
+    demand, once, by :attr:`entries`.
     """
 
     columns: np.ndarray
@@ -176,10 +177,10 @@ class DensityMatrix:
     def dim(self) -> int:
         return int(self.columns.shape[0])
 
-    @property
+    @cached_property
     def entries(self) -> np.ndarray:
-        """The dense matrix ``(V * w) @ V^dagger``, built on each call."""
-        return (self.columns * self.weights) @ self.columns.conj().T
+        """The dense matrix ``(V * w) @ V^dagger``, read-only, built on first access."""
+        return _readonly((self.columns * self.weights) @ self.columns.conj().T)
 
     @cached_property
     def _spectrum(self) -> np.ndarray:
@@ -258,6 +259,22 @@ class KroneckerSum:
         total = sum(np.vdot(blocks, first @ blocks @ second.T) for first, second in self.terms)
         return float(total.real)
 
+    def product_expectation(self, weights, first, second) -> float:
+        """``tr(rho W)`` for ``rho = sum_j w_j |f_j><f_j| (x) |s_j><s_j|``, from its factors.
+
+        ``first`` holds the ``f_j`` and ``second`` the ``s_j`` as columns; the
+        value is ``sum_j w_j sum_i <f_j|S_i|f_j> <s_j|A_i|s_j>``.
+        """
+        total = sum(
+            weights
+            @ (
+                np.sum(first.conj() * (left @ first), axis=0)
+                * np.sum(second.conj() * (right @ second), axis=0)
+            )
+            for left, right in self.terms
+        )
+        return float(total.real)
+
 
 @dataclass(frozen=True)
 class ProductSpace:
@@ -312,21 +329,31 @@ def partial_trace(rho: DensityMatrix, space: ProductSpace, keep: int) -> Density
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy ``-sum(p ln p)`` in nats over eigenvalues above the spectral floor."""
-    eigenvalues = rho.eigenvalues()
+    return spectral_entropy(rho.eigenvalues())
+
+
+def spectral_entropy(eigenvalues: np.ndarray) -> float:
+    """``-sum(p ln p)`` in nats over the eigenvalues ``p`` of a state above the spectral floor."""
     kept = eigenvalues[eigenvalues > ENTROPY_EIGENVALUE_FLOOR]
     if kept.size == 0:
         return 0.0
     return float(max(0.0, -np.sum(kept * np.log(kept))))
 
 
+def gram_residual(columns: np.ndarray) -> np.ndarray:
+    """``|G - I|`` entrywise for the Gram matrix ``G = C^dagger C`` of a column matrix."""
+    gram = columns.conj().T @ columns
+    gram.flat[:: len(gram) + 1] -= 1.0
+    return np.abs(gram)
+
+
 def gram_deviation(columns: np.ndarray) -> float:
-    """Largest entry of ``|G - I|`` for the Gram matrix ``G`` of a column matrix.
+    """Largest entry of :func:`gram_residual`.
 
     Zero exactly when the columns are orthonormal; callers compare it against
     their own tolerance and raise their own error.
     """
-    gram = columns.conj().T @ columns
-    return float(np.max(np.abs(gram - np.eye(columns.shape[1]))))
+    return float(np.max(gram_residual(columns)))
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:

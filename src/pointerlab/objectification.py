@@ -8,17 +8,23 @@ therefore stored explicitly rather than only as a density matrix.  The
 diagnostics in this module quantify exactly what the non-unitary step
 preserves (both marginals, every pointer-diagonal observable) and what it
 erases (pointer-off-diagonal coherence, witnessed by observables that do not
-commute with the measured one).  The gemenge state is held as its branch
-columns ``Phi_k (x) psi_k`` with their probabilities as weights, built once
-per run and handed to :func:`compare_states`.  Pointer blocks are read from
-the amplitude matrices ``B_j`` of a state's columns, rotated into the
-pointer basis as ``B_j P^*``, and witnesses are sums of Kronecker products
-evaluated on the same ``B_j``; no product-space matrix is ever built.
+commute with the measured one).
+
+The gemenge state ``sum_k p_k |Phi_k><Phi_k| (x) |psi_k><psi_k|`` is held as
+its Khatri-Rao factors ``p``, ``Phi`` and ``Psi`` with their Gram matrices,
+and every rule-2 quantity follows from them by an exact identity, with no
+product-space column (Khatri and Rao, Sankhya A 30, 167 (1968)): the branch
+Gram matrix is a Hadamard product, the marginals are weighted columns of
+``Phi`` or ``Psi``, and witness expectations and pointer blocks are sums
+over the factors.  The unitary outcome is one column, read through its
+amplitude matrix ``B``: pointer blocks as ``B P^*`` and witnesses as
+Kronecker products on ``B``.  No product-space matrix is ever built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,25 +33,28 @@ from .hilbert import (
     DensityMatrix,
     KroneckerSum,
     ProductSpace,
-    gram_deviation,
     outer,
     partial_trace,
+    spectral_entropy,
     trace_distance,
     von_neumann_entropy,
 )
-from .premeasurement import BclSpec, PremeasurementResult
+from .premeasurement import BclSpec, PremeasurementResult, apparatus_marginal
 from .tolerances import INVARIANT_TOL
 
 __all__ = [
     "GemengeDecomposition",
     "CorrelationReport",
     "apply_rule2",
-    "gemenge_density_matrix",
     "pointer_block_coherence",
     "compare_states",
     "shift_witness",
     "observable_witness",
 ]
+
+#: Largest number of complex entries in one chunk of the ``K x r x r`` stack
+#: of pointer-block Gram matrices of a gemenge (1 MiB).
+_GRAM_STACK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,12 +63,17 @@ class GemengeDecomposition:
 
     Branch ``k`` has weight ``probabilities[k]``, system state
     ``system_states[:, k]`` (``d_system x r``) and pointer state
-    ``pointer_states[:, k]`` (``d_pointer x r``).
+    ``pointer_states[:, k]`` (``d_pointer x r``).  Construction keeps the
+    Gram matrices ``system_gram`` (``Phi^dagger Phi``) and ``pointer_gram``
+    (``Psi^dagger Psi``) of its orthonormality checks; the two marginals are
+    built on first access.
     """
 
     probabilities: np.ndarray
     system_states: np.ndarray
     pointer_states: np.ndarray
+    system_gram: np.ndarray = field(init=False, repr=False)
+    pointer_gram: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         probabilities = np.array(self.probabilities, dtype=float).reshape(-1)
@@ -76,8 +90,9 @@ class GemengeDecomposition:
         total_dev = abs(float(np.sum(probabilities)) - 1.0)
         if total_dev > INVARIANT_TOL:
             raise ValueError(f"component probabilities sum off by {total_dev:.3e}")
-        for label, family in (("pointer", pointer), ("system", system)):
-            dev = gram_deviation(family)
+        system_gram, pointer_gram = (family.conj().T @ family for family in (system, pointer))
+        for label, gram in (("pointer", pointer_gram), ("system", system_gram)):
+            dev = float(np.max(np.abs(gram - np.eye(probabilities.size))))
             if dev > INVARIANT_TOL:
                 raise BasisNotOrthonormal(
                     f"{label} states of the gemenge are not orthonormal; deviation {dev:.3e}"
@@ -86,9 +101,33 @@ class GemengeDecomposition:
             ("probabilities", probabilities),
             ("system_states", system),
             ("pointer_states", pointer),
+            ("system_gram", system_gram),
+            ("pointer_gram", pointer_gram),
         ):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
+
+    @cached_property
+    def system_marginal(self) -> DensityMatrix:
+        """``tr_A``: the columns ``Phi_k`` weighted by ``p_k ||psi_k||^2``."""
+        weights = self.probabilities * self.pointer_gram.diagonal().real
+        return DensityMatrix(columns=self.system_states, weights=weights)
+
+    @cached_property
+    def apparatus_marginal(self) -> DensityMatrix:
+        """``tr_S``: the columns ``psi_k`` weighted by ``p_k ||Phi_k||^2``."""
+        weights = self.probabilities * self.system_gram.diagonal().real
+        return DensityMatrix(columns=self.pointer_states, weights=weights)
+
+    def spectrum(self) -> np.ndarray:
+        """Eigenvalues of the state: those of the ``r x r`` branch Gram matrix.
+
+        The branches ``sqrt(p_k) Phi_k (x) psi_k`` have the Gram matrix
+        ``(sqrt(p) sqrt(p)^T) o (Phi^dagger Phi) o (Psi^dagger Psi)``; the
+        other eigenvalues of the state are zero.
+        """
+        weights = np.sqrt(self.probabilities)
+        return np.linalg.eigvalsh(np.outer(weights, weights) * self.system_gram * self.pointer_gram)
 
 
 def apply_rule2(result: PremeasurementResult, spec: BclSpec) -> GemengeDecomposition:
@@ -107,36 +146,65 @@ def apply_rule2(result: PremeasurementResult, spec: BclSpec) -> GemengeDecomposi
     )
 
 
-def gemenge_density_matrix(g: GemengeDecomposition, space: ProductSpace) -> DensityMatrix:
-    """Mixed state ``sum_k p_k |b_k><b_k|`` over the branch columns ``b_k = Phi_k (x) psi_k``."""
-    if len(space.factor_dims) != 2:
-        raise ValueError("gemenge states live on bipartite spaces")
-    if (g.system_states.shape[0], g.pointer_states.shape[0]) != space.factor_dims:
-        raise DimensionMismatch("component dimensions do not match the product space")
-    branches = np.einsum("ik,jk->ijk", g.system_states, g.pointer_states)
-    return DensityMatrix(columns=branches.reshape(space.dim, -1), weights=g.probabilities)
-
-
-def pointer_block_coherence(rho: DensityMatrix, spec: BclSpec) -> float:
+def pointer_block_coherence(state: DensityMatrix | GemengeDecomposition, spec: BclSpec) -> float:
     """Frobenius norm of the pointer-off-diagonal blocks of a bipartite state.
 
     Zero exactly when the state is block-diagonal across the pointer sectors
     of ``spec``, which is what objectification enforces.  Block ``(k, l)``
-    is ``(1 (x) <pi_k|) rho (1 (x) |pi_l>) = A_k A_l^dagger``, where column
-    ``j`` of ``A_k`` is column ``k`` of ``sqrt(w_j) B_j P^*``.  Its squared
-    norm is ``tr(H_k H_l)`` for the ``r x r`` Gram matrices
-    ``H_k = A_k^dagger A_k``; each term is nonnegative, and the ``k != l``
-    terms are summed directly.  The spec has already checked the pointers
-    orthonormal.
+    is ``(1 (x) <pi_k|) rho (1 (x) |pi_l>) = A_k A_l^dagger``, and its
+    squared norm is ``tr(H_k H_l)`` for the ``r x r`` Gram matrices
+    ``H_k = A_k^dagger A_k``.  For a mixture, column ``j`` of ``A_k`` is
+    column ``k`` of ``sqrt(w_j) B_j P^*``.  For a gemenge, ``A_k`` is
+    ``Phi`` scaled by ``s_k = sqrt(p) * (P^dagger Psi)[k]``, so ``H_k`` is
+    ``Phi^dagger Phi`` scaled by ``s_k^*`` on the left and ``s_k`` on the
+    right; its stack is formed in chunks of sectors.  The spec has already
+    checked the pointers orthonormal.
     """
     pointers = spec.pointers
-    sectors = pointers.shape[1]
-    blocks = rho.blocks(ProductSpace((spec.system_dim, spec.apparatus_dim)))
-    rotated = (blocks @ pointers.conj()).transpose(2, 1, 0)  # A_k, stacked
-    grams = (rotated.conj().transpose(0, 2, 1) @ rotated).reshape(sectors, -1)
-    overlaps = (grams @ grams.conj().T).real  # tr(H_k H_l)
-    off_diagonal = float(np.sum(overlaps[~np.eye(sectors, dtype=bool)]))
-    return float(np.sqrt(max(off_diagonal, 0.0)))
+    if isinstance(state, GemengeDecomposition):
+        dims = (state.system_states.shape[0], state.pointer_states.shape[0])
+        if dims != (spec.system_dim, spec.apparatus_dim):
+            raise DimensionMismatch(f"gemenge factor dims {dims} do not match the spec")
+        scaled = (pointers.conj().T @ state.pointer_states) * np.sqrt(state.probabilities)
+        chunk = max(1, _GRAM_STACK_ENTRIES // state.system_gram.size)
+        stacks = (
+            _sandwich(scaled[lo : lo + chunk], state.system_gram)
+            for lo in range(0, len(scaled), chunk)
+        )
+    else:
+        blocks = state.blocks(ProductSpace((spec.system_dim, spec.apparatus_dim)))
+        rotated = (blocks @ pointers.conj()).transpose(2, 1, 0)  # A_k, stacked
+        stacks = (rotated.conj().transpose(0, 2, 1) @ rotated,)
+    return _off_block_norm(stacks)
+
+
+def _sandwich(scales: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """The stack of ``diag(s^*) G diag(s)``, one per row ``s`` of ``scales``."""
+    grams = scales[:, :, None].conj() * gram
+    grams *= scales[:, None]
+    return grams
+
+
+def _off_block_norm(stacks) -> float:
+    """``sqrt(sum_{k != l} tr(H_k H_l))`` over a stack of Hermitian ``H_k`` given in chunks.
+
+    ``tr(H_k H_l)`` is the real inner product of the two matrices, read as
+    real arrays.  Within a chunk the ``k != l`` terms are summed directly; a
+    chunk meets the earlier ones through their running sum.  Every term is
+    nonnegative, so no diagonal term is ever subtracted from a total.
+    """
+    total, earlier = 0.0, None
+    for grams in stacks:
+        flat = grams.reshape(len(grams), -1).view(float)
+        overlaps = flat @ flat.T  # tr(H_k H_l)
+        total += float(np.sum(overlaps[~np.eye(len(grams), dtype=bool)]))
+        summed = grams.sum(axis=0)
+        if earlier is None:
+            earlier = summed
+        else:
+            total += 2.0 * float(earlier.reshape(-1).view(float) @ summed.reshape(-1).view(float))
+            earlier += summed
+    return float(np.sqrt(max(total, 0.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,17 +233,18 @@ class CorrelationReport:
 
 def compare_states(
     result: PremeasurementResult,
-    rho_rule2: DensityMatrix,
+    gemenge: GemengeDecomposition,
     spec: BclSpec,
     witness: KroneckerSum,
 ) -> CorrelationReport:
     """Diagnostics contrasting the unitary outcome with its objectified mixture.
 
-    ``rho_rule2`` is the gemenge state from :func:`gemenge_density_matrix`.
-    Both marginals agree between the two states; the coherence norm and the
-    witness expectations ``tr(rho W)`` expose the correlations that only the
-    entangled state carries.  The witness is Hermitian by construction and
-    its factors must match the system and apparatus dimensions.
+    ``gemenge`` is the rule-2 state from :func:`apply_rule2`, read through
+    its factors.  Both marginals agree between the two states; the coherence
+    norm and the witness expectations ``tr(rho W)`` expose the correlations
+    that only the entangled state carries.  The witness is Hermitian by
+    construction and its factors must match the system and apparatus
+    dimensions.
     """
     space = ProductSpace((spec.system_dim, spec.apparatus_dim))
     if witness.factor_dims != space.factor_dims:
@@ -187,17 +256,17 @@ def compare_states(
     return CorrelationReport(
         pointer_block_coherence_norm=pointer_block_coherence(rho_unitary, spec),
         marginal_agreement_system=trace_distance(
-            partial_trace(rho_unitary, space, keep=0),
-            partial_trace(rho_rule2, space, keep=0),
+            partial_trace(rho_unitary, space, keep=0), gemenge.system_marginal
         ),
         marginal_agreement_apparatus=trace_distance(
-            partial_trace(rho_unitary, space, keep=1),
-            partial_trace(rho_rule2, space, keep=1),
+            apparatus_marginal(result, spec), gemenge.apparatus_marginal
         ),
         witness_expectation_unitary=witness.expectation(rho_unitary),
-        witness_expectation_rule2=witness.expectation(rho_rule2),
+        witness_expectation_rule2=witness.product_expectation(
+            gemenge.probabilities, gemenge.system_states, gemenge.pointer_states
+        ),
         entropy_unitary_state=von_neumann_entropy(rho_unitary),
-        entropy_rule2_state=von_neumann_entropy(rho_rule2),
+        entropy_rule2_state=spectral_entropy(gemenge.spectrum()),
     )
 
 

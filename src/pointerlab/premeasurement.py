@@ -25,11 +25,12 @@ vectors are the per-sector column sums of ``T * c``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatch, MeasurementConditionViolated, SpecInvalid
-from .hilbert import DensityMatrix, StateVector, gram_deviation
+from .hilbert import DensityMatrix, StateVector, gram_deviation, gram_residual
 from .tolerances import INVARIANT_TOL, PROBABILITY_FLOOR
 
 __all__ = [
@@ -58,7 +59,8 @@ class BclSpec:
     Construction copies the matrices read-only and keeps the first column of
     each sector, the eigenbasis deviation ``max |E^dagger E - I|`` and the
     measurement-condition residual ``max |T^dagger T - I|`` of the whole
-    transfer family.
+    transfer family.  A transfer family given as the eigenvector matrix
+    itself (the default family) stays one array with one Gram product.
     """
 
     eigenvalues: tuple[float, ...]
@@ -74,9 +76,14 @@ class BclSpec:
     def __post_init__(self) -> None:
         eigenvalues = tuple(float(o) for o in self.eigenvalues)
         degeneracies = tuple(int(d) for d in self.degeneracies)
-        eigenvectors, transfer, pointers = (
-            np.array(m, dtype=complex, order="C")
-            for m in (self.eigenvectors, self.transfer, self.pointers)
+        eigenvectors, pointers = (
+            np.array(m, dtype=complex, order="C") for m in (self.eigenvectors, self.pointers)
+        )
+        # the default family is the eigenbasis itself, kept as one array
+        transfer = (
+            eigenvectors
+            if self.transfer is self.eigenvectors
+            else np.array(self.transfer, dtype=complex, order="C")
         )
 
         sectors = len(eigenvalues)
@@ -99,7 +106,8 @@ class BclSpec:
             raise SpecInvalid(
                 f"degeneracies sum to {columns} but the system dimension is {system_dim}"
             )
-        eigenbasis_dev = gram_deviation(eigenvectors)
+        eigenbasis_residual = gram_residual(eigenvectors)
+        eigenbasis_dev = float(np.max(eigenbasis_residual))
         if eigenbasis_dev > INVARIANT_TOL:
             raise SpecInvalid(
                 f"system eigenbasis is not orthonormal; deviation {eigenbasis_dev:.3e}"
@@ -115,12 +123,15 @@ class BclSpec:
             raise SpecInvalid(f"transfer family has shape {transfer.shape}, not that of E")
         # The diagonal blocks of the one Gram product are the per-row checks;
         # its off-diagonal blocks only matter to the measurement condition.
-        residual = np.abs(transfer.conj().T @ transfer - np.eye(system_dim))
+        # The default family's product is the eigenbasis check's.
+        residual = eigenbasis_residual if transfer is eigenvectors else gram_residual(transfer)
         bounds = np.cumsum([0, *degeneracies])
-        for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-            dev = float(np.max(residual[lo:hi, lo:hi]))
-            if dev > INVARIANT_TOL:
-                raise SpecInvalid(f"transfer row {k} is not orthonormal; deviation {dev:.3e}")
+        sector = np.repeat(np.arange(sectors), degeneracies)
+        if np.max(residual, where=sector[:, None] == sector, initial=0.0) > INVARIANT_TOL:
+            for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):  # name the row
+                dev = float(np.max(residual[lo:hi, lo:hi]))
+                if dev > INVARIANT_TOL:
+                    raise SpecInvalid(f"transfer row {k} is not orthonormal; deviation {dev:.3e}")
 
         object.__setattr__(self, "eigenvalues", eigenvalues)
         object.__setattr__(self, "degeneracies", degeneracies)
@@ -241,28 +252,23 @@ class ControlledUnitary:
     def domain_images(self) -> np.ndarray:
         """``U (e_c (x) ready)`` for each column ``e_c`` of ``E``, shape ``(d_s, d_s, d_a)``.
 
-        Image ``c`` is ``sum_k B_k[:, c] (x) Pbar S_k u`` with ``B_k = T_k (E^dagger E)_k`` and
-        ``u = R^dagger ready``.  As ``S_k u`` differs from ``u`` only in entries 0 and ``k``,
-        the images are ``(sum_k B_k) (x) u`` plus ``B_k (u_k - u_0)`` moved from column ``k``
-        to column 0, times ``Pbar^T``; the square intermediates are freed first.
+        Image ``c`` is ``sum_k B_k[:, c] (x) v_k`` with ``B_k = T_k (E^dagger E)_k`` and
+        ``v_k = V_k ready = Pbar S_k u``, ``u = R^dagger ready``.  One product per sector
+        stacks the ``B_k^T``, and one more contracts the stack with the ``K x d_a`` matrix
+        whose row ``k`` is ``v_k``.
         """
         gram = self.eigenvectors.conj().T @ self.eigenvectors
-        ready = self.ready.conj().T @ self.ready[:, 0]
-        total = np.zeros_like(gram)
-        images = np.zeros((*gram.shape, ready.size), dtype=complex)
         bounds = np.searchsorted(self.sectors, np.arange(self.sectors[-1] + 2))
+        stack = np.empty((bounds.size - 1, *gram.shape), dtype=complex)
         for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-            block = self.transfer[:, lo:hi] @ gram[lo:hi]
-            total += block
-            if k:  # S_0 is the identity: sector 0 moves nothing
-                block *= ready[k] - ready[0]
-                images[:, :, 0] += block.T
-                images[:, :, k] -= block.T
-        del gram, block
-        for a, entry in enumerate(ready):
-            images[:, :, a] += entry * total.T
-        del total
-        return (images.reshape(-1, ready.size) @ self.pointers.T).reshape(images.shape)
+            np.matmul(gram[lo:hi].T, self.transfer[:, lo:hi].T, out=stack[k])
+        del gram
+        ready = self.ready.conj().T @ self.ready[:, 0]
+        swapped = np.tile(ready, (len(stack), 1))  # row k is S_k u
+        rows = np.arange(len(stack))
+        swapped[rows, 0], swapped[rows, rows] = ready[rows], ready[0]
+        images = stack.reshape(len(stack), -1).T @ (swapped @ self.pointers.T)
+        return images.reshape(*stack.shape[1:], -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,6 +308,13 @@ class PremeasurementResult:
         kept, conditionals = self.conditionals()
         states = dict(zip(kept, map(StateVector, conditionals.T)))
         return tuple(states.get(k) for k in range(self.probabilities.size))
+
+    @cached_property
+    def apparatus_marginal(self) -> DensityMatrix:
+        """The apparatus state after the coupling, built once: see :func:`apparatus_marginal`."""
+        system_dim = self.sector_vectors.shape[0]
+        amplitudes = self.final_state.amplitudes.reshape(system_dim, -1)
+        return DensityMatrix(columns=amplitudes.T, weights=np.ones(system_dim))
 
 
 def _complete_orthonormal(columns: np.ndarray) -> np.ndarray:
@@ -382,8 +395,12 @@ def apparatus_marginal(result: PremeasurementResult, spec: BclSpec) -> DensityMa
 
     ``M[i, a]`` is the final-state amplitude of ``|i> (x) |a>``, so summing
     over the system index traces the system out without a product-space
-    projector.  The state is returned as the mixture of the columns of
-    ``M^T``, one per system basis vector, each of weight one.
+    projector.  The state is the mixture of the columns of ``M^T``, one per
+    system basis vector, each of weight one.  It is built once per result,
+    so every caller shares one state and one dense matrix.
     """
-    amplitudes = result.final_state.amplitudes.reshape(spec.system_dim, spec.apparatus_dim)
-    return DensityMatrix(columns=amplitudes.T, weights=np.ones(spec.system_dim))
+    if result.final_state.dim != spec.system_dim * spec.apparatus_dim:
+        raise DimensionMismatch(
+            f"final state dim {result.final_state.dim} does not match the spec's product space"
+        )
+    return result.apparatus_marginal

@@ -8,7 +8,8 @@ wall-clock duration kept in a separate ``meta`` section.  Floats are written
 with 17 significant digits so every value round-trips exactly; JSON and CSV
 share that one float formatter.  The JSON writer makes one pass over the
 report, appending to one list of text pieces: it dispatches on each value's
-exact type, writes an array of floats in one join and escapes keys and
+exact type, writes an array of floats in one join and an array of
+``[re, im]`` float pairs with one ``%.17g`` template, and escapes keys and
 strings with the stdlib's ASCII escaper, as ``json.dumps`` does.
 """
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -25,13 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import PointerlabError, RunStageError
-from .hilbert import (
-    DensityMatrix,
-    ProductSpace,
-    StateVector,
-    partial_trace,
-    trace_distance,
-)
+from .hilbert import DensityMatrix, StateVector, trace_distance
 from .lattice import (
     Domain,
     ExchangeSymmetry,
@@ -48,7 +44,6 @@ from .lattice import (
 from .objectification import (
     apply_rule2,
     compare_states,
-    gemenge_density_matrix,
     observable_witness,
     pointer_block_coherence,
     shift_witness,
@@ -164,7 +159,8 @@ def _write_json(out: list[str], value, newline: str) -> None:
     """Append the JSON text of ``value`` to ``out``; ``newline`` is a newline and its indent.
 
     Objects and arrays put one entry per line, indented two spaces per
-    level.  An array of floats is written in one join.
+    level.  An array of floats is written in one join, and an array of
+    ``[re, im]`` float pairs with one template.
     """
     kind = type(value)
     if kind is not dict and kind is not list and kind is not tuple:
@@ -188,12 +184,32 @@ def _write_json(out: list[str], value, newline: str) -> None:
         out.append(newline + "}")
     elif all(type(entry) is float for entry in value):
         out.append("[" + inner + separator.join(map(_float_repr, value)) + newline + "]")
+    elif (numbers := _float_pairs(value)) is not None:
+        pair = "[" + inner + "  %.17g," + inner + "  %.17g" + inner + "]"
+        out.append("[" + inner + separator.join([pair] * len(value)) % numbers + newline + "]")
     else:
         out.append("[")
         for index, entry in enumerate(value):
             out.append(separator if index else inner)
             _write_json(out, entry, inner)
         out.append(newline + "]")
+
+
+def _float_pairs(value) -> tuple | None:
+    """The numbers of a list of ``[re, im]`` float pairs, if ``%.17g`` writes each as JSON.
+
+    ``None`` when an entry is not such a pair, or when a number is integral
+    (it needs its ``.0``) or not finite (it must raise).
+    """
+    if not all(
+        type(entry) is list and len(entry) == 2 and type(entry[0]) is type(entry[1]) is float
+        for entry in value
+    ):
+        return None
+    numbers = tuple(number for entry in value for number in entry)
+    if any(map(float.is_integer, numbers)) or not math.isfinite(sum(numbers)):
+        return None
+    return numbers
 
 
 def _json_text(value) -> str:
@@ -422,19 +438,15 @@ def _run_full_measurement(scenario: dict) -> tuple[dict, list[Verdict]]:
     values, verdicts, result, pointer_mixture = _bcl_diagnostics(spec, phi, tol)
     with _stage("objectify"):
         gemenge = apply_rule2(result, spec)
-        space = ProductSpace((spec.system_dim, spec.apparatus_dim))
-        rho_rule2 = gemenge_density_matrix(gemenge, space)
-        coherence_rule2 = pointer_block_coherence(rho_rule2, spec)
+        coherence_rule2 = pointer_block_coherence(gemenge, spec)
     with _stage("compare"):
         witness = (
             observable_witness(spec)
             if scenario["witness"] == "system_observable"
             else shift_witness(spec)
         )
-        report = compare_states(result, rho_rule2, spec, witness)
-        gemenge_apparatus_residual = trace_distance(
-            partial_trace(rho_rule2, space, keep=1), pointer_mixture
-        )
+        report = compare_states(result, gemenge, spec, witness)
+        gemenge_apparatus_residual = trace_distance(gemenge.apparatus_marginal, pointer_mixture)
         probabilities = result.probabilities[result.probabilities > 0.0]
         expected_entropy = float(-np.sum(probabilities * np.log(probabilities)))
 

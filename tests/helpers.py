@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from pointerlab import BclSpec, StateVector
+from pointerlab import BclSpec, DensityMatrix, StateVector
 
 
 def random_unitary(rng, n):
@@ -78,6 +78,17 @@ def close(value, reference):
     """Elementwise ``|value - reference| <= 1e-12 * max(1, |reference|)``."""
     value, reference = np.asarray(value), np.asarray(reference)
     return bool(np.all(np.abs(value - reference) <= 1e-12 * np.maximum(1.0, np.abs(reference))))
+
+
+def gemenge_density_matrix(gemenge, space):
+    """Dense oracle of a gemenge: ``sum_k p_k |b_k><b_k|`` over its branch columns.
+
+    Branch ``k`` is ``b_k = Phi_k (x) psi_k``, a column of length
+    ``space.dim``, built by one ``einsum``.
+    """
+    assert (gemenge.system_states.shape[0], gemenge.pointer_states.shape[0]) == space.factor_dims
+    branches = np.einsum("ik,jk->ijk", gemenge.system_states, gemenge.pointer_states)
+    return DensityMatrix(columns=branches.reshape(space.dim, -1), weights=gemenge.probabilities)
 
 
 def dense_coherence(rho, pointers, d_system):

@@ -17,7 +17,6 @@ from pointerlab import (
     apparatus_marginal,
     apply_rule2,
     build_premeasurement_unitary,
-    gemenge_density_matrix,
     is_d_local,
     load_scenario,
     localize,
@@ -30,7 +29,7 @@ from pointerlab import (
 )
 from pointerlab.hilbert import DensityMatrix
 from pointerlab.lattice import LatticeGrid
-from helpers import random_bcl_spec, random_degeneracies, random_state
+from helpers import gemenge_density_matrix, random_bcl_spec, random_degeneracies, random_state
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 LN2 = 0.6931471805599453

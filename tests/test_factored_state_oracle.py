@@ -25,7 +25,6 @@ from pointerlab import (
     StateVector,
     apparatus_marginal,
     apply_rule2,
-    gemenge_density_matrix,
     observable_witness,
     outer,
     partial_trace,
@@ -38,7 +37,14 @@ from pointerlab import (
 from pointerlab.runner import _bcl_diagnostics
 from pointerlab.scenario import TOLERANCE_DEFAULTS, validate_scenario_data
 from pointerlab.tolerances import DENSE_DIM_CAP, ENTROPY_EIGENVALUE_FLOOR
-from helpers import close, dense_coherence, haar_document, random_bcl_spec, random_state
+from helpers import (
+    close,
+    dense_coherence,
+    gemenge_density_matrix,
+    haar_document,
+    random_bcl_spec,
+    random_state,
+)
 
 
 def random_mixture(rng, dim, rank):

@@ -11,7 +11,6 @@ from pointerlab import (
     StateVector,
     apply_rule2,
     compare_states,
-    gemenge_density_matrix,
     observable_witness,
     outer,
     partial_trace,
@@ -21,7 +20,7 @@ from pointerlab import (
     trace_distance,
     von_neumann_entropy,
 )
-from helpers import random_bcl_spec, random_state
+from helpers import gemenge_density_matrix, random_bcl_spec, random_state
 
 LN2 = 0.6931471805599453
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -30,11 +29,6 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 def qubit_spec():
     return BclSpec.canonical([1.0, -1.0], [1, 1])
-
-
-def rule2_matrix(spec, gemenge):
-    space = ProductSpace((spec.system_dim, spec.apparatus_dim))
-    return gemenge_density_matrix(gemenge, space)
 
 
 def bell_case():
@@ -139,7 +133,7 @@ class TestCompareStates:
         spec, result, gemenge = bell_case()
         witness = shift_witness(spec)
         assert np.array_equal(witness.entries, np.kron(SIGMA_X, SIGMA_X))
-        report = compare_states(result, rule2_matrix(spec, gemenge), spec, witness)
+        report = compare_states(result, gemenge, spec, witness)
         assert abs(report.witness_expectation_unitary - 1.0) < 1e-10
         assert abs(report.witness_expectation_rule2) < 1e-10
         assert abs(report.pointer_block_coherence_norm - INV_SQRT2) < 1e-10
@@ -150,15 +144,14 @@ class TestCompareStates:
 
     def test_observable_witness_survives(self):
         spec, result, gemenge = bell_case()
-        rho_rule2 = rule2_matrix(spec, gemenge)
-        report = compare_states(result, rho_rule2, spec, observable_witness(spec))
+        report = compare_states(result, gemenge, spec, observable_witness(spec))
         assert abs(report.witness_expectation_unitary - report.witness_expectation_rule2) < 1e-10
 
     def test_eigenstate_reports_zero_everything(self):
         spec = qubit_spec()
         result = premeasure(spec, spec.system_eigenbasis[0][0])
         gemenge = apply_rule2(result, spec)
-        report = compare_states(result, rule2_matrix(spec, gemenge), spec, shift_witness(spec))
+        report = compare_states(result, gemenge, spec, shift_witness(spec))
         assert report.pointer_block_coherence_norm < 1e-10
         assert report.marginal_agreement_system < 1e-10
         assert report.marginal_agreement_apparatus < 1e-10
@@ -169,7 +162,7 @@ class TestCompareStates:
         spec, result, gemenge = bell_case()
         with pytest.raises(ValueError, match="not Hermitian"):
             bad = KroneckerSum(((np.triu(np.ones((2, 2))), np.eye(2)),))
-            compare_states(result, rule2_matrix(spec, gemenge), spec, bad)
+            compare_states(result, gemenge, spec, bad)
         with pytest.raises(ValueError, match="not Hermitian"):
             KroneckerSum(((SIGMA_X, SIGMA_X), (np.eye(2), np.triu(np.ones((2, 2))))))
 
@@ -219,7 +212,7 @@ class TestInvariantProperties:
             terms.append(
                 (block + block.T, np.outer(pointer.amplitudes, pointer.amplitudes.conj()))
             )
-        report = compare_states(result, rule2_matrix(spec, gemenge), spec, KroneckerSum(terms))
+        report = compare_states(result, gemenge, spec, KroneckerSum(terms))
         assert abs(report.witness_expectation_unitary - report.witness_expectation_rule2) < 1e-10
 
     def test_entropy_gap(self):
@@ -227,9 +220,7 @@ class TestInvariantProperties:
         spec = random_bcl_spec(rng, (2, 2))
         result = premeasure(spec, random_state(rng, spec.system_dim))
         gemenge = apply_rule2(result, spec)
-        space = ProductSpace((spec.system_dim, spec.apparatus_dim))
-        rho_rule2 = gemenge_density_matrix(gemenge, space)
-        report = compare_states(result, rho_rule2, spec, shift_witness(spec))
+        report = compare_states(result, gemenge, spec, shift_witness(spec))
         p = result.probabilities[result.probabilities > 1e-15]
         assert report.entropy_unitary_state < 1e-9
         assert abs(report.entropy_rule2_state - float(-np.sum(p * np.log(p)))) < 1e-8

@@ -15,13 +15,12 @@ from pointerlab import (
     ProductSpace,
     apply_rule2,
     compare_states,
-    gemenge_density_matrix,
     outer,
     pointer_block_coherence,
     premeasure,
     shift_witness,
 )
-from helpers import close, dense_coherence, random_bcl_spec, random_state
+from helpers import close, dense_coherence, gemenge_density_matrix, random_bcl_spec, random_state
 
 
 def dense_gemenge(gemenge):
@@ -55,7 +54,7 @@ def test_pointer_blocks_match_dense_projectors(degeneracies, extra_apparatus, st
         assert np.max(np.abs(rho_rule2.entries - dense_gemenge(gemenge))) <= 1e-12
         # complex and not symmetric on random bases, so W and W^T differ
         witness = shift_witness(spec)
-        report = compare_states(result, rho_rule2, spec, witness)
+        report = compare_states(result, gemenge, spec, witness)
         for expectation, reference_state in (
             (report.witness_expectation_unitary, rho_unitary),
             (report.witness_expectation_rule2, rho_rule2),

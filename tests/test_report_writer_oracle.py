@@ -78,11 +78,16 @@ LEAVES = st.one_of(
     TEXT,
 )
 KEYS = TEXT | st.integers(-5, 5)
+PAIR_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, 1.0, -2.0, 1e300]),  # integral values
+)
 VALUES = st.recursive(
     LEAVES,
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(FLOATS, min_size=1, max_size=4),  # a float leaf list
+        st.lists(st.lists(PAIR_FLOATS, min_size=2, max_size=2), min_size=1, max_size=4),
         st.lists(children, max_size=3).map(tuple),
         st.dictionaries(KEYS, children, max_size=4),
     ),
@@ -96,14 +101,32 @@ def test_writer_matches_the_recursive_reference(value):
     assert _json_text(value) == reference_text(value)
 
 
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [[0.5, 0.25], [-0.125, 3.0e-7]],
+        [[0.0, 0.5]],
+        [[0.5, 1.0]],
+        [[-2.0, 0.5], [0.5, 0.5]],
+        [[1e300, -0.5]],
+        [[0.5, -0.0]],
+        [[0.1, 0.2], [1e16, 0.3]],
+    ],
+)
+def test_float_pair_arrays_match_the_reference(pairs):
+    for value in (pairs, {"initial_state": pairs}, [pairs, pairs]):
+        assert _json_text(value) == reference_text(value)
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, np.float64("nan")])
-@pytest.mark.parametrize("where", ["leaf", "float list", "nested", "value"])
+@pytest.mark.parametrize("where", ["leaf", "float list", "nested", "value", "pair list"])
 def test_non_finite_float_raises_value_error(bad, where):
     value = {
         "leaf": bad,
         "float list": [1.0, bad, 2.0],
         "nested": {"a": [[0.5, bad]]},
         "value": {"values": {"x": 1.0, "y": bad}},
+        "pair list": [[0.5, 0.25], [0.5, bad]],
     }[where]
     with pytest.raises(ValueError, match="non-finite"):
         reference_text(value)
