@@ -21,7 +21,7 @@ from .errors import (
 )
 from .hilbert import (
     DensityMatrix,
-    KroneckerSum,
+    KroneckerProduct,
     ProductSpace,
     StateVector,
     outer,

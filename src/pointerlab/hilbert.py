@@ -20,11 +20,13 @@ partial traces and expectations of Kronecker products are matrix products on
 the ``B_j``.  A partial trace is itself returned as a mixture, of the
 weighted ``B_j`` columns (or rows), so reduced states are never
 diagonalized; only a dense ``DensityMatrix(entries)`` runs ``eigh``.
+A :class:`ProductSpace` has exactly two factors.  A :class:`KroneckerProduct`
+is held as two congruences ``M H M^dagger`` and read on each ``B_j`` as
+``M^dagger B_j N^*``, so neither factor is formed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,7 +38,7 @@ from .tolerances import COMPARISON_TOL, ENTROPY_EIGENVALUE_FLOOR, INVARIANT_TOL
 __all__ = [
     "StateVector",
     "DensityMatrix",
-    "KroneckerSum",
+    "KroneckerProduct",
     "ProductSpace",
     "outer",
     "partial_trace",
@@ -66,7 +68,7 @@ class StateVector:
         if amps.size == 0:
             raise ValueError("a state vector needs at least one amplitude")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > INVARIANT_TOL:
+        if not abs(norm - 1.0) <= INVARIANT_TOL:
             raise ValueError(
                 f"state vector norm {norm:.17g} deviates from 1 beyond {INVARIANT_TOL}"
             )
@@ -78,7 +80,7 @@ class StateVector:
 
     @classmethod
     def normalized(cls, raw) -> "StateVector":
-        """Normalize a raw amplitude vector; rejects numerically null input.
+        """Normalize a raw amplitude vector; rejects numerically null or non-finite input.
 
         The vector is first divided by its largest modulus ``m``, so the norm
         ``m * ||a / m||`` of finite input never overflows.
@@ -87,8 +89,8 @@ class StateVector:
         scale = float(np.max(np.abs(arr), initial=0.0))
         unit = arr / scale if scale > 0.0 else arr
         unit_norm = float(np.linalg.norm(unit))
-        if scale * unit_norm < COMPARISON_TOL:
-            raise ValueError("cannot normalize a numerically null vector")
+        if not scale * unit_norm >= COMPARISON_TOL:
+            raise ValueError("cannot normalize a numerically null or non-finite vector")
         return cls(unit / unit_norm)
 
     @classmethod
@@ -115,7 +117,7 @@ def _eigenpairs(entries) -> tuple[np.ndarray, np.ndarray]:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("density matrix entries must form a square matrix")
     herm_dev = _hermitian_deviation(mat)
-    if herm_dev > INVARIANT_TOL:
+    if not herm_dev <= INVARIANT_TOL:
         raise ValueError(f"density matrix not Hermitian; deviation {herm_dev:.3e}")
     nonzero = mat != 0
     support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
@@ -162,13 +164,13 @@ class DensityMatrix:
             weights = np.array(self.weights, dtype=float).reshape(-1)
             if columns.ndim != 2 or columns.shape[1] != weights.size:
                 raise ValueError("a mixture needs a column matrix and one weight per column")
-            if weights.size and weights.min() < 0.0:
+            if weights.size and not weights.min() >= 0.0:
                 raise ValueError(f"mixture has negative weight {weights.min():.3e}")
         kept = weights > 0.0
         if not kept.all():
             columns, weights = columns[:, kept], weights[kept]
         trace = float(weights @ np.sum(columns.real**2 + columns.imag**2, axis=0))
-        if abs(trace - 1.0) > INVARIANT_TOL:
+        if not abs(trace - 1.0) <= INVARIANT_TOL:
             raise ValueError(f"density matrix trace off by {abs(trace - 1.0):.3e}")
         object.__setattr__(self, "columns", _readonly(columns))
         object.__setattr__(self, "weights", _readonly(weights))
@@ -212,85 +214,78 @@ class DensityMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class KroneckerSum:
-    """Hermitian operator ``sum_i S_i (x) A_i`` on a bipartite space, held as its factors.
+class KroneckerProduct:
+    """Hermitian operator ``(M H M^dagger) (x) (N G N^dagger)`` on a bipartite space.
 
-    ``terms`` lists the pairs ``(S_i, A_i)``.  Every factor is checked square
-    and Hermitian at construction, so the sum is Hermitian.  The dense
-    matrix is built only on demand, by :attr:`entries`.
+    ``system`` is the pair ``(M, H)`` and ``apparatus`` the pair ``(N, G)``:
+    each factor is a column matrix and a small Hermitian core on its columns.
+    Construction checks only that each core is square on its matrix's columns
+    and Hermitian, so the product is Hermitian; the column matrices are kept
+    as read-only views, not copied.  The dense matrix is built only on
+    demand, by :attr:`entries`.
     """
 
-    terms: tuple[tuple[np.ndarray, np.ndarray], ...]
+    system: tuple[np.ndarray, np.ndarray]
+    apparatus: tuple[np.ndarray, np.ndarray]
 
     def __post_init__(self) -> None:
-        terms = tuple(
-            (np.array(first, dtype=complex), np.array(second, dtype=complex))
-            for first, second in self.terms
-        )
-        if not terms:
-            raise ValueError("a Kronecker sum needs at least one term")
-        dims = (terms[0][0].shape[0], terms[0][1].shape[0])
-        for term in terms:
-            for factor, dim in zip(term, dims):
-                if factor.shape != (dim, dim):
-                    raise ValueError("Kronecker factors must be square, with one shape per side")
-                dev = _hermitian_deviation(factor)
-                if dev > INVARIANT_TOL:
-                    raise ValueError(f"Kronecker factor is not Hermitian; deviation {dev:.3e}")
-                _readonly(factor)
-        object.__setattr__(self, "terms", terms)
+        for name in ("system", "apparatus"):
+            basis, core = getattr(self, name)
+            basis, core = np.asarray(basis, dtype=complex).view(), np.array(core, dtype=complex)
+            if basis.ndim != 2 or core.shape != (basis.shape[1], basis.shape[1]):
+                raise ValueError("a Kronecker factor needs a square core on its matrix's columns")
+            dev = _hermitian_deviation(core)
+            if not dev <= INVARIANT_TOL:
+                raise ValueError(f"Kronecker core is not Hermitian; deviation {dev:.3e}")
+            object.__setattr__(self, name, (_readonly(basis), _readonly(core)))
 
     @property
     def factor_dims(self) -> tuple[int, int]:
-        return (self.terms[0][0].shape[0], self.terms[0][1].shape[0])
-
-    @property
-    def dim(self) -> int:
-        return int(math.prod(self.factor_dims))
+        return (self.system[0].shape[0], self.apparatus[0].shape[0])
 
     @property
     def entries(self) -> np.ndarray:
-        """The dense matrix ``sum_i kron(S_i, A_i)``, built on each call."""
-        return sum(np.kron(first, second) for first, second in self.terms)
+        """The dense matrix ``kron(M H M^dagger, N G N^dagger)``, built on each call."""
+        first, second = (
+            basis @ core @ basis.conj().T for basis, core in (self.system, self.apparatus)
+        )
+        return np.kron(first, second)
 
     def expectation(self, rho: DensityMatrix) -> float:
-        """``tr(rho W) = sum_j w_j sum_i <B_j, S_i B_j A_i^T>`` over the amplitude matrices."""
-        blocks = rho.blocks(ProductSpace(self.factor_dims))
-        total = sum(np.vdot(blocks, first @ blocks @ second.T) for first, second in self.terms)
-        return float(total.real)
+        """``tr(rho W) = sum_j w_j <C_j, H C_j G^T>`` for ``C_j = M^dagger B_j N^*``."""
+        (system, system_core), (apparatus, apparatus_core) = self.system, self.apparatus
+        rotated = system.conj().T @ rho.blocks(ProductSpace(self.factor_dims)) @ apparatus.conj()
+        return float(np.vdot(rotated, system_core @ rotated @ apparatus_core.T).real)
 
     def product_expectation(self, weights, first, second) -> float:
         """``tr(rho W)`` for ``rho = sum_j w_j |f_j><f_j| (x) |s_j><s_j|``, from its factors.
 
         ``first`` holds the ``f_j`` and ``second`` the ``s_j`` as columns; the
-        value is ``sum_j w_j sum_i <f_j|S_i|f_j> <s_j|A_i|s_j>``.
+        value is ``sum_j w_j <f_j|M H M^dagger|f_j> <s_j|N G N^dagger|s_j>``,
+        with each column rotated by ``M^dagger`` or ``N^dagger`` first.
         """
-        total = sum(
-            weights
-            @ (
-                np.sum(first.conj() * (left @ first), axis=0)
-                * np.sum(second.conj() * (right @ second), axis=0)
-            )
-            for left, right in self.terms
-        )
-        return float(total.real)
+        terms = np.asarray(weights)
+        for (basis, core), columns in ((self.system, first), (self.apparatus, second)):
+            rotated = basis.conj().T @ columns
+            terms = terms * np.sum(rotated.conj() * (core @ rotated), axis=0)
+        return float(np.sum(terms).real)
 
 
 @dataclass(frozen=True)
 class ProductSpace:
-    """Tensor bookkeeping: ordered factor dimensions of a product space."""
+    """Bipartite tensor bookkeeping: the dimensions of the first and second factor."""
 
-    factor_dims: tuple[int, ...]
+    factor_dims: tuple[int, int]
 
     def __post_init__(self) -> None:
         dims = tuple(int(d) for d in self.factor_dims)
-        if not dims or any(d <= 0 for d in dims):
-            raise ValueError("factor dimensions must be positive integers")
+        if len(dims) != 2 or min(dims) <= 0:
+            raise ValueError("a product space needs two positive factor dimensions")
         object.__setattr__(self, "factor_dims", dims)
 
     @property
     def dim(self) -> int:
-        return int(math.prod(self.factor_dims))
+        return self.factor_dims[0] * self.factor_dims[1]
 
 
 def outer(phi: StateVector) -> DensityMatrix:
@@ -315,8 +310,6 @@ def partial_trace(rho: DensityMatrix, space: ProductSpace, keep: int) -> Density
     keep:
         Index of the factor to keep, 0 (first) or 1 (second).
     """
-    if len(space.factor_dims) != 2:
-        raise ValueError("partial_trace is defined for bipartite spaces only")
     blocks = rho.blocks(space)
     if keep == 0:
         factor = blocks.transpose(1, 0, 2).reshape(space.factor_dims[0], -1)

@@ -71,7 +71,7 @@ class LatticeGrid:
     n_points: int
 
     def __post_init__(self) -> None:
-        if self.dx <= 0:
+        if not self.dx > 0:
             raise ValueError("dx must be positive")
         if self.n_points < 2:
             raise ValueError("a grid needs at least two points")
@@ -98,7 +98,7 @@ class LatticeWavefunction:
         if vals.size != self.grid.n_points:
             raise ValueError("value count must match the grid")
         norm = float(self.grid.dx * np.sum(np.abs(vals) ** 2))
-        if abs(norm - 1.0) > QUADRATURE_NORM_TOL:
+        if not abs(norm - 1.0) <= QUADRATURE_NORM_TOL:
             raise ValueError(f"quadrature norm {norm:.17g} is not 1 within {QUADRATURE_NORM_TOL}")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -164,7 +164,7 @@ class KernelOperator:
             raise ValueError(f"kernel must have shape ({n},) or ({n}, {n})")
         if self.hermitian:
             dev = float(np.max(np.abs(arr - arr.conj().T)))
-            if dev > INVARIANT_TOL:
+            if not dev <= INVARIANT_TOL:
                 raise ValueError(f"hermitian flag violated; deviation {dev:.3e}")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)

@@ -17,8 +17,9 @@ product-space column (Khatri and Rao, Sankhya A 30, 167 (1968)): the branch
 Gram matrix is a Hadamard product, the marginals are weighted columns of
 ``Phi`` or ``Psi``, and witness expectations and pointer blocks are sums
 over the factors.  The unitary outcome is one column, read through its
-amplitude matrix ``B``: pointer blocks as ``B P^*`` and witnesses as
-Kronecker products on ``B``.  No product-space matrix is ever built.
+amplitude matrix ``B``: pointer blocks as ``B P^*`` and witnesses, each a
+Kronecker product of congruences in the spec's bases, as ``E^dagger B P^*``
+(or ``E^dagger B``).  No product-space matrix is ever built.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from .errors import BasisNotOrthonormal, DimensionMismatch
 from .hilbert import (
     DensityMatrix,
-    KroneckerSum,
+    KroneckerProduct,
     ProductSpace,
     outer,
     partial_trace,
@@ -85,15 +86,15 @@ class GemengeDecomposition:
             system.shape[1] == pointer.shape[1] == probabilities.size
         ):
             raise ValueError("a gemenge needs one system and one pointer column per component")
-        if probabilities.min() < 0.0:
+        if not probabilities.min() >= 0.0:
             raise ValueError("component probabilities must be nonnegative")
         total_dev = abs(float(np.sum(probabilities)) - 1.0)
-        if total_dev > INVARIANT_TOL:
+        if not total_dev <= INVARIANT_TOL:
             raise ValueError(f"component probabilities sum off by {total_dev:.3e}")
         system_gram, pointer_gram = (family.conj().T @ family for family in (system, pointer))
         for label, gram in (("pointer", pointer_gram), ("system", system_gram)):
             dev = float(np.max(np.abs(gram - np.eye(probabilities.size))))
-            if dev > INVARIANT_TOL:
+            if not dev <= INVARIANT_TOL:
                 raise BasisNotOrthonormal(
                     f"{label} states of the gemenge are not orthonormal; deviation {dev:.3e}"
                 )
@@ -235,7 +236,7 @@ def compare_states(
     result: PremeasurementResult,
     gemenge: GemengeDecomposition,
     spec: BclSpec,
-    witness: KroneckerSum,
+    witness: KroneckerProduct,
 ) -> CorrelationReport:
     """Diagnostics contrasting the unitary outcome with its objectified mixture.
 
@@ -270,26 +271,26 @@ def compare_states(
     )
 
 
-def _adjacent_coupling(columns: np.ndarray) -> np.ndarray:
-    """``sum_i |m_i><m_{i+1}| + h.c.`` over adjacent columns of ``columns``."""
-    forward = columns[:, :-1] @ columns[:, 1:].conj().T
-    return forward + forward.conj().T
-
-
-def shift_witness(spec: BclSpec) -> KroneckerSum:
-    """Default erased-correlation witness, one Kronecker product.
+def shift_witness(spec: BclSpec) -> KroneckerProduct:
+    """Default erased-correlation witness ``E (J + J^T) E^dagger (x) P (J_K + J_K^T) P^dagger``.
 
     Couples adjacent eigenbasis vectors on the system and adjacent pointer
-    states on the apparatus; for a qubit measured against a qubit pointer
-    this is exactly ``sigma_x (x) sigma_x``, which commutes with neither the
-    measured observable nor the pointer projectors.
+    states on the apparatus, ``sum_i |m_i><m_{i+1}| + h.c.`` on each side;
+    for a qubit measured against a qubit pointer this is exactly
+    ``sigma_x (x) sigma_x``, which commutes with neither the measured
+    observable nor the pointer projectors.
     """
-    return KroneckerSum(
-        ((_adjacent_coupling(spec.eigenvectors), _adjacent_coupling(spec.pointers)),)
+    sectors = spec.pointers.shape[1]
+    return KroneckerProduct(
+        system=(spec.eigenvectors, np.eye(spec.system_dim, k=1) + np.eye(spec.system_dim, k=-1)),
+        apparatus=(spec.pointers, np.eye(sectors, k=1) + np.eye(sectors, k=-1)),
     )
 
 
-def observable_witness(spec: BclSpec) -> KroneckerSum:
-    """Witness ``O (x) I``: diagnostics that survive objectification untouched."""
-    identity = np.eye(spec.apparatus_dim, dtype=complex)
-    return KroneckerSum(((spec.system_observable(), identity),))
+def observable_witness(spec: BclSpec) -> KroneckerProduct:
+    """Witness ``O (x) I``, ``O = E diag(o) E^dagger``: it survives objectification untouched."""
+    identity = np.eye(spec.apparatus_dim)
+    outcomes = np.repeat(spec.eigenvalues, spec.degeneracies)
+    return KroneckerProduct(
+        system=(spec.eigenvectors, np.diag(outcomes)), apparatus=(identity, identity)
+    )

@@ -30,7 +30,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, MeasurementConditionViolated, SpecInvalid
-from .hilbert import DensityMatrix, StateVector, gram_deviation, gram_residual
+from .hilbert import DensityMatrix, ProductSpace, StateVector, outer, partial_trace
+from .hilbert import gram_deviation, gram_residual
 from .tolerances import INVARIANT_TOL, PROBABILITY_FLOOR
 
 __all__ = [
@@ -108,7 +109,7 @@ class BclSpec:
             )
         eigenbasis_residual = gram_residual(eigenvectors)
         eigenbasis_dev = float(np.max(eigenbasis_residual))
-        if eigenbasis_dev > INVARIANT_TOL:
+        if not eigenbasis_dev <= INVARIANT_TOL:
             raise SpecInvalid(
                 f"system eigenbasis is not orthonormal; deviation {eigenbasis_dev:.3e}"
             )
@@ -116,7 +117,7 @@ class BclSpec:
         if pointers.shape[0] != self.ready_state.dim:
             raise SpecInvalid("pointer states and ready state live on different dimensions")
         dev = gram_deviation(pointers)
-        if dev > INVARIANT_TOL:
+        if not dev <= INVARIANT_TOL:
             raise SpecInvalid(f"pointer basis is not orthonormal; deviation {dev:.3e}")
 
         if transfer.shape != eigenvectors.shape:
@@ -127,10 +128,10 @@ class BclSpec:
         residual = eigenbasis_residual if transfer is eigenvectors else gram_residual(transfer)
         bounds = np.cumsum([0, *degeneracies])
         sector = np.repeat(np.arange(sectors), degeneracies)
-        if np.max(residual, where=sector[:, None] == sector, initial=0.0) > INVARIANT_TOL:
+        if not np.max(residual, where=sector[:, None] == sector, initial=0.0) <= INVARIANT_TOL:
             for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):  # name the row
                 dev = float(np.max(residual[lo:hi, lo:hi]))
-                if dev > INVARIANT_TOL:
+                if not dev <= INVARIANT_TOL:
                     raise SpecInvalid(f"transfer row {k} is not orthonormal; deviation {dev:.3e}")
 
         object.__setattr__(self, "eigenvalues", eigenvalues)
@@ -197,11 +198,6 @@ class BclSpec:
             pointers=np.eye(apparatus_dim, len(eigenvalues), dtype=complex),
             ready_state=StateVector.basis_state(apparatus_dim, 0),
         )
-
-    def system_observable(self) -> np.ndarray:
-        """The measured observable ``sum_k o_k P_k`` as ``(E * o) @ E^dagger``."""
-        outcomes = np.repeat(self.eigenvalues, self.degeneracies)
-        return (self.eigenvectors * outcomes) @ self.eigenvectors.conj().T
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,7 +285,7 @@ class PremeasurementResult:
         probs = np.array(self.probabilities, dtype=float).reshape(-1)
         probs = np.where(probs < 0.0, 0.0, probs)
         total_dev = abs(float(np.sum(probs)) - 1.0)
-        if total_dev > INVARIANT_TOL:
+        if not total_dev <= INVARIANT_TOL:
             raise SpecInvalid(f"outcome probabilities sum off by {total_dev:.3e}")
         vectors = np.array(self.sector_vectors, dtype=complex)
         probs.setflags(write=False)
@@ -313,8 +309,8 @@ class PremeasurementResult:
     def apparatus_marginal(self) -> DensityMatrix:
         """The apparatus state after the coupling, built once: see :func:`apparatus_marginal`."""
         system_dim = self.sector_vectors.shape[0]
-        amplitudes = self.final_state.amplitudes.reshape(system_dim, -1)
-        return DensityMatrix(columns=amplitudes.T, weights=np.ones(system_dim))
+        space = ProductSpace((system_dim, self.final_state.dim // system_dim))
+        return partial_trace(outer(self.final_state), space, keep=1)
 
 
 def _complete_orthonormal(columns: np.ndarray) -> np.ndarray:

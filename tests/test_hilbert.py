@@ -94,6 +94,11 @@ class TestPartialTrace:
         with pytest.raises(DimensionMismatch):
             partial_trace(rho, ProductSpace((2, 3)), 0)
 
+    def test_product_space_has_two_positive_factors(self):
+        for dims in ((2,), (2, 3, 4), (2, 0)):
+            with pytest.raises(ValueError, match="two positive factor dimensions"):
+                ProductSpace(dims)
+
 
 class TestEntropy:
     def test_pure_state(self):

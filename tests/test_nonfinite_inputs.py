@@ -1,0 +1,116 @@
+"""Every constructor that checks a tolerance refuses NaN input.
+
+A check written ``x > tol`` is False for NaN and lets it through; each
+check is written ``not x <= tol`` (or ``not x >= 0``), which NaN fails.
+One row per constructor feeds it a NaN where its check reads the value.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from pointerlab import (
+    BasisNotOrthonormal,
+    BclSpec,
+    DensityMatrix,
+    GemengeDecomposition,
+    KernelOperator,
+    LatticeGrid,
+    LatticeWavefunction,
+    SpecInvalid,
+    StateVector,
+    premeasure,
+)
+
+NAN = float("nan")
+
+
+def with_nan(matrix):
+    """A copy of ``matrix`` with a NaN in its top-left entry."""
+    copy = np.array(matrix, dtype=complex)
+    copy[0, 0] = NAN
+    return copy
+
+
+def spec(eigenvectors=np.eye(2), transfer=None, pointers=np.eye(2)):
+    return BclSpec(
+        eigenvalues=(1.0, -1.0),
+        degeneracies=(1, 1),
+        eigenvectors=eigenvectors,
+        transfer=eigenvectors if transfer is None else transfer,
+        pointers=pointers,
+        ready_state=StateVector([1, 0]),
+    )
+
+
+def premeasured_with_nan_probability():
+    result = premeasure(spec(), StateVector([1, 0]))
+    return dataclasses.replace(result, probabilities=[NAN, 1.0])
+
+
+GRID = LatticeGrid(0.0, 1.0, 2)
+
+ROWS = {
+    "state_vector": (lambda: StateVector([NAN, 0]), ValueError, "norm"),
+    "state_vector_normalized": (
+        lambda: StateVector.normalized([NAN, 1]),
+        ValueError,
+        "non-finite",
+    ),
+    "density_matrix_entries": (
+        lambda: DensityMatrix(with_nan(np.eye(2) / 2)),
+        ValueError,
+        "not Hermitian",
+    ),
+    "density_matrix_weight": (
+        lambda: DensityMatrix(columns=np.eye(2), weights=[NAN, 1.0]),
+        ValueError,
+        "negative weight",
+    ),
+    "density_matrix_column": (
+        lambda: DensityMatrix(columns=with_nan(np.eye(2)), weights=[0.5, 0.5]),
+        ValueError,
+        "trace",
+    ),
+    "lattice_grid": (lambda: LatticeGrid(0.0, NAN, 4), ValueError, "dx"),
+    "lattice_wavefunction": (
+        lambda: LatticeWavefunction(GRID, [NAN, 1.0]),
+        ValueError,
+        "quadrature norm",
+    ),
+    "kernel_operator": (
+        lambda: KernelOperator(GRID, with_nan(np.eye(2)), hermitian=True),
+        ValueError,
+        "hermitian flag",
+    ),
+    "bcl_spec_eigenvector": (
+        lambda: spec(eigenvectors=with_nan(np.eye(2))),
+        SpecInvalid,
+        "eigenbasis",
+    ),
+    "bcl_spec_transfer": (
+        lambda: spec(transfer=with_nan(np.eye(2))),
+        SpecInvalid,
+        "transfer row 0",
+    ),
+    "bcl_spec_pointer": (lambda: spec(pointers=with_nan(np.eye(2))), SpecInvalid, "pointer"),
+    "premeasurement_probability": (premeasured_with_nan_probability, SpecInvalid, "sum off"),
+    "gemenge_probability": (
+        lambda: GemengeDecomposition([NAN, 1.0], np.eye(2), np.eye(2)),
+        ValueError,
+        "nonnegative",
+    ),
+    "gemenge_column": (
+        lambda: GemengeDecomposition([0.5, 0.5], with_nan(np.eye(2)), np.eye(2)),
+        BasisNotOrthonormal,
+        "system states",
+    ),
+}
+
+
+@pytest.mark.parametrize("row", ROWS)
+def test_constructor_refuses_nan(row):
+    build, error, message = ROWS[row]
+    with pytest.raises(error, match=message):
+        build()

@@ -6,7 +6,7 @@ from pointerlab import (
     DensityMatrix,
     DimensionMismatch,
     GemengeDecomposition,
-    KroneckerSum,
+    KroneckerProduct,
     ProductSpace,
     StateVector,
     apply_rule2,
@@ -161,10 +161,12 @@ class TestCompareStates:
     def test_rejects_non_hermitian_witness(self):
         spec, result, gemenge = bell_case()
         with pytest.raises(ValueError, match="not Hermitian"):
-            bad = KroneckerSum(((np.triu(np.ones((2, 2))), np.eye(2)),))
+            bad = KroneckerProduct((np.eye(2), np.triu(np.ones((2, 2)))), (np.eye(2), np.eye(2)))
             compare_states(result, gemenge, spec, bad)
         with pytest.raises(ValueError, match="not Hermitian"):
-            KroneckerSum(((SIGMA_X, SIGMA_X), (np.eye(2), np.triu(np.ones((2, 2))))))
+            KroneckerProduct((np.eye(2), SIGMA_X), (np.eye(2), np.triu(np.ones((2, 2)))))
+        with pytest.raises(ValueError, match="square core"):
+            KroneckerProduct((np.eye(2), SIGMA_X), (np.eye(2)[:, :1], SIGMA_X))
 
 
 class TestInvariantProperties:
@@ -206,14 +208,14 @@ class TestInvariantProperties:
         spec = random_bcl_spec(rng, (1, 1, 1))
         result = premeasure(spec, random_state(rng, spec.system_dim))
         gemenge = apply_rule2(result, spec)
-        terms = []
-        for pointer in spec.pointer_basis:
+        # each term block_k (x) |pi_k><pi_k|; the sum of terms follows by linearity
+        identity = np.eye(spec.system_dim)
+        for pointer in spec.pointers.T:
             block = rng.normal(size=(spec.system_dim, spec.system_dim))
-            terms.append(
-                (block + block.T, np.outer(pointer.amplitudes, pointer.amplitudes.conj()))
-            )
-        report = compare_states(result, gemenge, spec, KroneckerSum(terms))
-        assert abs(report.witness_expectation_unitary - report.witness_expectation_rule2) < 1e-10
+            term = KroneckerProduct((identity, block + block.T), (pointer[:, None], np.eye(1)))
+            report = compare_states(result, gemenge, spec, term)
+            gap = report.witness_expectation_unitary - report.witness_expectation_rule2
+            assert abs(gap) < 1e-10
 
     def test_entropy_gap(self):
         rng = np.random.default_rng(47)

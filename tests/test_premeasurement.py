@@ -10,6 +10,7 @@ from pointerlab import (
     StateVector,
     apparatus_marginal,
     build_premeasurement_unitary,
+    observable_witness,
     outer,
     partial_trace,
     premeasure,
@@ -152,10 +153,13 @@ class TestBclSpecInvariants:
     def test_system_observable_reconstruction(self):
         rng = np.random.default_rng(21)
         spec = random_bcl_spec(rng, (2, 1))
-        observable = spec.system_observable()
+        # O (x) I carries e (x) a into o e (x) a for every apparatus basis vector a
+        observable = observable_witness(spec).entries
         for o, sector in zip(spec.eigenvalues, spec.system_eigenbasis):
             for vec in sector:
-                assert np.max(np.abs(observable @ vec.amplitudes - o * vec.amplitudes)) < 1e-10
+                for pointer in np.eye(spec.apparatus_dim):
+                    product = np.kron(vec.amplitudes, pointer)
+                    assert np.max(np.abs(observable @ product - o * product)) < 1e-10
 
 
 class TestBuildUnitary:

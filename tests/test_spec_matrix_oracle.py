@@ -2,16 +2,17 @@
 
 The references walk the eigenbasis, transfer and pointer families one
 ``StateVector`` at a time: each sector vector is the sum of
-``<e|phi> t`` over the sector, the observable the sum of ``o |e><e|`` and
-the shift witness the Kronecker product of the adjacent couplings
-``sum_i |m_i><m_{i+1}| + h.c.`` of the eigenbasis and the pointers.
+``<e|phi> t`` over the sector, the observable witness the sum of
+``o |e><e|`` tensored with the apparatus identity, and the shift witness
+the Kronecker product of the adjacent couplings ``sum_i |m_i><m_{i+1}| +
+h.c.`` of the eigenbasis and the pointers.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pointerlab import StateVector, premeasure, shift_witness
+from pointerlab import StateVector, observable_witness, premeasure, shift_witness
 from pointerlab.tolerances import PROBABILITY_FLOOR
 from helpers import close, random_bcl_spec, random_state
 
@@ -79,5 +80,6 @@ def test_spec_matrices_match_vector_loops(degeneracies, extra_apparatus, transfe
         else:
             assert close(conditional.amplitudes, reference)
 
-    assert close(spec.system_observable(), loop_observable(spec))
+    observable = np.kron(loop_observable(spec), np.eye(spec.apparatus_dim))
+    assert close(observable_witness(spec).entries, observable)
     assert close(shift_witness(spec).entries, loop_shift_witness(spec))
