@@ -12,14 +12,20 @@ nonsymmetric path, so spectra are real by construction.
 
 A density matrix is held as a weighted mixture ``sum_j w_j |v_j><v_j|`` of
 ``r`` columns, never as a ``dim x dim`` array: a pure state is one column and
-a reduced state one column per vector of its mixture.  Its spectrum is that
-of the ``r x r`` Gram matrix of the weighted columns (Hughston, Jozsa and
-Wootters, Phys. Lett. A 183, 14 (1993)), and on a bipartite space each
+a reduced state one column per vector of its mixture (Hughston, Jozsa and
+Wootters, Phys. Lett. A 183, 14 (1993)).  One routine gives the eigenvalues
+of a mixture ``V diag(s) V^dagger`` with real weights of either sign: those
+of ``R diag(s) R^dagger`` for the triangular QR factor ``R`` of ``V`` when
+there are fewer columns than dimensions, otherwise those of the ``dim x
+dim`` matrix.  A state's spectrum and the trace distance of two states, the
+mixture of both column sets with weights ``[w_rho, -w_sigma]``, both come
+from it, so neither forms a matrix larger than ``min(dim, r)`` square and
+neither reads :attr:`DensityMatrix.entries`.  On a bipartite space each
 column is read as its ``d_first x d_second`` amplitude matrix ``B_j``, so
 partial traces and expectations of Kronecker products are matrix products on
 the ``B_j``.  A partial trace is itself returned as a mixture, of the
-weighted ``B_j`` columns (or rows), so reduced states are never
-diagonalized; only a dense ``DensityMatrix(entries)`` runs ``eigh``.
+weighted ``B_j`` columns (or rows), so no reduced state is formed densely;
+only a dense ``DensityMatrix(entries)`` runs ``eigh``.
 A :class:`ProductSpace` has exactly two factors.  A :class:`KroneckerProduct`
 is held as two congruences ``M H M^dagger`` and read on each ``B_j`` as
 ``M^dagger B_j N^*``, so neither factor is formed.
@@ -54,7 +60,10 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_deviation(mat: np.ndarray) -> float:
-    return float(np.max(np.abs(mat - mat.conj().T)))
+    """``max |M - M^dagger|``, with one complex temporary the size of ``M``."""
+    deviation = mat.conj().T
+    deviation -= mat
+    return float(np.max(np.abs(deviation)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,21 +195,15 @@ class DensityMatrix:
 
     @cached_property
     def _spectrum(self) -> np.ndarray:
-        dim, rank = self.columns.shape
-        if rank > dim:
-            return _readonly(np.linalg.eigvalsh(self.entries))
-        scaled = self.columns * np.sqrt(self.weights)
-        gram_spectrum = np.linalg.eigvalsh(scaled.conj().T @ scaled)
-        return _readonly(np.sort(np.concatenate((np.zeros(dim - rank), gram_spectrum))))
+        spectrum = _mixture_spectrum(self.columns, self.weights)
+        return _readonly(np.sort(np.concatenate((np.zeros(self.dim - spectrum.size), spectrum))))
 
     def eigenvalues(self) -> np.ndarray:
         """Real spectrum in ascending order, read-only and computed once.
 
-        ``eigvalsh`` runs on the smaller of two matrices.  With no more
-        columns than dimensions, the nonzero eigenvalues are those of the
-        ``r x r`` Gram matrix ``sqrt(w) V^dagger V sqrt(w)`` and the other
-        ``dim - r`` are exact zeros; a wider mixture, such as the partial
-        trace of a large state, takes the ``dim x dim`` :attr:`entries`.
+        The eigenvalues of ``(V * w) @ V^dagger`` from :func:`_mixture_spectrum`:
+        with fewer columns than dimensions, the ``r`` of ``R w R^dagger`` padded
+        with ``dim - r`` exact zeros.
         """
         return self._spectrum
 
@@ -254,7 +257,9 @@ class KroneckerProduct:
     def expectation(self, rho: DensityMatrix) -> float:
         """``tr(rho W) = sum_j w_j <C_j, H C_j G^T>`` for ``C_j = M^dagger B_j N^*``."""
         (system, system_core), (apparatus, apparatus_core) = self.system, self.apparatus
-        rotated = system.conj().T @ rho.blocks(ProductSpace(self.factor_dims)) @ apparatus.conj()
+        # M^dagger B_j as (B_j^dagger M)^dagger: only the thin B_j are conjugated
+        adjoints = rho.blocks(ProductSpace(self.factor_dims)).conj().swapaxes(1, 2)
+        rotated = (adjoints @ system).conj().swapaxes(1, 2) @ apparatus.conj()
         return float(np.vdot(rotated, system_core @ rotated @ apparatus_core.T).real)
 
     def product_expectation(self, weights, first, second) -> float:
@@ -262,11 +267,12 @@ class KroneckerProduct:
 
         ``first`` holds the ``f_j`` and ``second`` the ``s_j`` as columns; the
         value is ``sum_j w_j <f_j|M H M^dagger|f_j> <s_j|N G N^dagger|s_j>``,
-        with each column rotated by ``M^dagger`` or ``N^dagger`` first.
+        with each column rotated by ``M^dagger`` or ``N^dagger`` first, as
+        ``(F^dagger M)^dagger``, so only the columns are conjugated.
         """
         terms = np.asarray(weights)
         for (basis, core), columns in ((self.system, first), (self.apparatus, second)):
-            rotated = basis.conj().T @ columns
+            rotated = (columns.conj().T @ basis).conj().T
             terms = terms * np.sum(rotated.conj() * (core @ rotated), axis=0)
         return float(np.sum(terms).real)
 
@@ -333,24 +339,48 @@ def spectral_entropy(eigenvalues: np.ndarray) -> float:
     return float(max(0.0, -np.sum(kept * np.log(kept))))
 
 
-def gram_residual(columns: np.ndarray) -> np.ndarray:
-    """``|G - I|`` entrywise for the Gram matrix ``G = C^dagger C`` of a column matrix."""
-    gram = columns.conj().T @ columns
-    gram.flat[:: len(gram) + 1] -= 1.0
-    return np.abs(gram)
+def gram_residual(gram: np.ndarray) -> np.ndarray:
+    """``|G - I|`` entrywise for a Gram matrix ``G``; ``G`` is left unchanged and not copied."""
+    residual = np.abs(gram)
+    residual.flat[:: len(gram) + 1] = np.abs(gram.diagonal() - 1.0)
+    return residual
 
 
 def gram_deviation(columns: np.ndarray) -> float:
-    """Largest entry of :func:`gram_residual`.
+    """Largest entry of :func:`gram_residual` for the Gram matrix of ``columns``.
 
     Zero exactly when the columns are orthonormal; callers compare it against
     their own tolerance and raise their own error.
     """
-    return float(np.max(gram_residual(columns)))
+    return float(np.max(gram_residual(columns.conj().T @ columns)))
+
+
+def _mixture_spectrum(columns: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Eigenvalues of ``V diag(s) V^dagger`` for real weights ``s`` of either sign.
+
+    ``eigvalsh`` runs on the smaller of two matrices.  With fewer columns
+    than rows, ``V = Q R`` for orthonormal ``Q``, so the matrix is unitarily
+    similar to ``R diag(s) R^dagger`` padded with zeros and only the ``r``
+    eigenvalues of that ``r x r`` matrix are returned (Golub and Van Loan,
+    *Matrix Computations*, section 5.2); otherwise all ``dim`` of
+    ``(V * s) @ V^dagger``.
+    """
+    dim, rank = columns.shape
+    factor = np.linalg.qr(columns, mode="r") if rank < dim else columns
+    return np.linalg.eigvalsh((factor * weights) @ factor.conj().T)
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """``(1/2) ||rho - sigma||_1`` via Hermitian eigenvalues of the difference."""
+    """``(1/2) ||rho - sigma||_1``, from the spectrum of the mixture ``[V_rho, V_sigma]``.
+
+    The difference is one mixture with weights ``[w_rho, -w_sigma]``, so
+    :func:`_mixture_spectrum` diagonalizes it in the joint column span, at
+    most ``r_rho + r_sigma`` square, without the dense matrix of either state.
+    """
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"state dims {rho.dim} and {sigma.dim} differ")
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho.entries - sigma.entries))))
+    difference = _mixture_spectrum(
+        np.concatenate((rho.columns, sigma.columns), axis=1),
+        np.concatenate((rho.weights, -sigma.weights)),
+    )
+    return float(0.5 * np.sum(np.abs(difference)))

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DimensionMismatch, MeasurementConditionViolated, SpecInvalid
 from .hilbert import DensityMatrix, ProductSpace, StateVector, outer, partial_trace
 from .hilbert import gram_deviation, gram_residual
-from .tolerances import INVARIANT_TOL, PROBABILITY_FLOOR
+from .tolerances import IMAGE_CHUNK_ENTRIES, INVARIANT_TOL, PROBABILITY_FLOOR
 
 __all__ = [
     "BclSpec",
@@ -58,9 +58,10 @@ class BclSpec:
     are carried as distinct real labels only.
 
     Construction copies the matrices read-only and keeps the first column of
-    each sector, the eigenbasis deviation ``max |E^dagger E - I|`` and the
-    measurement-condition residual ``max |T^dagger T - I|`` of the whole
-    transfer family.  A transfer family given as the eigenvector matrix
+    each sector, the eigenbasis Gram matrix ``E^dagger E`` of its check (read
+    again by the unitary), the eigenbasis deviation ``max |E^dagger E - I|``
+    and the measurement-condition residual ``max |T^dagger T - I|`` of the
+    whole transfer family.  A transfer family given as the eigenvector matrix
     itself (the default family) stays one array with one Gram product.
     """
 
@@ -71,6 +72,7 @@ class BclSpec:
     pointers: np.ndarray
     ready_state: StateVector
     sector_starts: np.ndarray = field(init=False, repr=False)
+    eigenbasis_gram: np.ndarray = field(init=False, repr=False)
     _eigenbasis_deviation: float = field(init=False, repr=False)
     _measurement_residual: float = field(init=False, repr=False)
 
@@ -107,7 +109,8 @@ class BclSpec:
             raise SpecInvalid(
                 f"degeneracies sum to {columns} but the system dimension is {system_dim}"
             )
-        eigenbasis_residual = gram_residual(eigenvectors)
+        eigenbasis_gram = eigenvectors.conj().T @ eigenvectors
+        eigenbasis_residual = gram_residual(eigenbasis_gram)
         eigenbasis_dev = float(np.max(eigenbasis_residual))
         if not eigenbasis_dev <= INVARIANT_TOL:
             raise SpecInvalid(
@@ -125,7 +128,11 @@ class BclSpec:
         # The diagonal blocks of the one Gram product are the per-row checks;
         # its off-diagonal blocks only matter to the measurement condition.
         # The default family's product is the eigenbasis check's.
-        residual = eigenbasis_residual if transfer is eigenvectors else gram_residual(transfer)
+        residual = (
+            eigenbasis_residual
+            if transfer is eigenvectors
+            else gram_residual(transfer.conj().T @ transfer)
+        )
         bounds = np.cumsum([0, *degeneracies])
         sector = np.repeat(np.arange(sectors), degeneracies)
         if not np.max(residual, where=sector[:, None] == sector, initial=0.0) <= INVARIANT_TOL:
@@ -141,6 +148,7 @@ class BclSpec:
             ("transfer", transfer),
             ("pointers", pointers),
             ("sector_starts", bounds[:-1]),
+            ("eigenbasis_gram", eigenbasis_gram),
         ):
             matrix.setflags(write=False)
             object.__setattr__(self, name, matrix)
@@ -209,6 +217,7 @@ class ControlledUnitary:
     state first), and ``sectors[i]``, nondecreasing, is the sector of column
     ``i`` of ``E``.  ``deviation`` is the largest ``max |M^dagger M - I|`` of
     the four matrices; construction refuses one above ``INVARIANT_TOL``.
+    ``eigenbasis_gram`` is the spec's ``E^dagger E``, shared, not formed again.
     """
 
     eigenvectors: np.ndarray
@@ -217,11 +226,13 @@ class ControlledUnitary:
     ready: np.ndarray
     sectors: np.ndarray
     deviation: float
+    eigenbasis_gram: np.ndarray
 
     def __post_init__(self) -> None:
         if not self.deviation <= INVARIANT_TOL:
             raise ValueError(f"unitary factors deviate by {self.deviation:.3e}")
-        for name in ("eigenvectors", "transfer", "pointers", "ready", "sectors"):
+        names = ("eigenvectors", "transfer", "pointers", "ready", "sectors", "eigenbasis_gram")
+        for name in names:
             # a read-only view shares the spec's matrices without touching their flags
             array = np.asarray(getattr(self, name)).view()
             array.setflags(write=False)
@@ -240,7 +251,8 @@ class ControlledUnitary:
 
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
         """``sum_k Q_k X V_k^T`` as ``T S(E^dagger X R^*) Pbar^T``; ``S`` is row-wise ``S_k``."""
-        swapped = self.eigenvectors.conj().T @ amplitudes @ self.ready.conj()
+        # E^dagger X as (X^dagger E)^dagger: only the thin X is conjugated
+        swapped = (amplitudes.conj().T @ self.eigenvectors).conj().T @ self.ready.conj()
         rows, k = np.arange(len(self.sectors)), self.sectors
         swapped[rows, 0], swapped[rows, k] = swapped[rows, k], swapped[rows, 0]
         return self.transfer @ swapped @ self.pointers.T
@@ -249,22 +261,29 @@ class ControlledUnitary:
         """``U (e_c (x) ready)`` for each column ``e_c`` of ``E``, shape ``(d_s, d_s, d_a)``.
 
         Image ``c`` is ``sum_k B_k[:, c] (x) v_k`` with ``B_k = T_k (E^dagger E)_k`` and
-        ``v_k = V_k ready = Pbar S_k u``, ``u = R^dagger ready``.  One product per sector
-        stacks the ``B_k^T``, and one more contracts the stack with the ``K x d_a`` matrix
-        whose row ``k`` is ``v_k``.
+        ``v_k = V_k ready = Pbar S_k u``, ``u = R^dagger ready``.  The images are filled in
+        chunks of ``c``: one product per sector stacks the chunk's rows of the ``B_k^T``,
+        and one more contracts the stack with the ``K x d_a`` matrix whose row ``k`` is
+        ``v_k``, so no stack of ``K`` full ``d_s x d_s`` matrices is held next to the images.
         """
-        gram = self.eigenvectors.conj().T @ self.eigenvectors
+        gram = self.eigenbasis_gram
         bounds = np.searchsorted(self.sectors, np.arange(self.sectors[-1] + 2))
-        stack = np.empty((bounds.size - 1, *gram.shape), dtype=complex)
-        for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-            np.matmul(gram[lo:hi].T, self.transfer[:, lo:hi].T, out=stack[k])
-        del gram
+        sectors, dim = bounds.size - 1, len(gram)
         ready = self.ready.conj().T @ self.ready[:, 0]
-        swapped = np.tile(ready, (len(stack), 1))  # row k is S_k u
-        rows = np.arange(len(stack))
+        swapped = np.tile(ready, (sectors, 1))  # row k is S_k u
+        rows = np.arange(sectors)
         swapped[rows, 0], swapped[rows, rows] = ready[rows], ready[0]
-        images = stack.reshape(len(stack), -1).T @ (swapped @ self.pointers.T)
-        return images.reshape(*stack.shape[1:], -1)
+        apparatus = swapped @ self.pointers.T
+        images = np.empty((dim, dim, apparatus.shape[1]), dtype=complex)
+        step = max(1, IMAGE_CHUNK_ENTRIES // (sectors * dim))
+        for first in range(0, dim, step):
+            last = min(first + step, dim)
+            stack = np.empty((sectors, last - first, dim), dtype=complex)
+            for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+                np.matmul(gram[lo:hi, first:last].T, self.transfer[:, lo:hi].T, out=stack[k])
+            chunk = images[first:last].reshape(-1, apparatus.shape[1])
+            np.matmul(stack.reshape(sectors, -1).T, apparatus, out=chunk)
+        return images
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,7 +376,9 @@ def build_premeasurement_unitary(spec: BclSpec, completion_seed: int = 0) -> Con
         gram_deviation(ready),
     )
     sectors = np.repeat(np.arange(len(spec.degeneracies)), spec.degeneracies)
-    return ControlledUnitary(spec.eigenvectors, spec.transfer, pointers, ready, sectors, deviation)
+    return ControlledUnitary(
+        spec.eigenvectors, spec.transfer, pointers, ready, sectors, deviation, spec.eigenbasis_gram
+    )
 
 
 def premeasure(spec: BclSpec, phi: StateVector, completion_seed: int = 0) -> PremeasurementResult:
@@ -376,7 +397,7 @@ def premeasure(spec: BclSpec, phi: StateVector, completion_seed: int = 0) -> Pre
     final = StateVector(
         unitary.apply(np.outer(phi.amplitudes, spec.ready_state.amplitudes)).reshape(-1)
     )
-    coefficients = spec.eigenvectors.conj().T @ phi.amplitudes
+    coefficients = (phi.amplitudes.conj() @ spec.eigenvectors).conj()  # E^dagger phi
     sector_vectors = np.add.reduceat(spec.transfer * coefficients, spec.sector_starts, axis=1)
     return PremeasurementResult(
         unitary=unitary,

@@ -50,7 +50,7 @@ from .objectification import (
 )
 from .premeasurement import BclSpec, apparatus_marginal, premeasure
 from .scenario import ScenarioConfig
-from .tolerances import ORTHOGONAL_OVERLAP_GATE
+from .tolerances import IMAGE_CHUNK_ENTRIES, ORTHOGONAL_OVERLAP_GATE
 
 __all__ = [
     "Verdict",
@@ -357,17 +357,21 @@ def _bcl_diagnostics(
         # U should map each domain column e_c (x) ready to t_c (x) pi_k(c)
         images = result.unitary.domain_images()
         sector_pointers = np.repeat(pointers.T, spec.degeneracies, axis=0)
-        images -= spec.transfer.T[:, :, None] * sector_pointers[:, None, :]
-        extension_residual = float(
-            np.max(np.linalg.norm(images.reshape(spec.system_dim, -1), axis=1))
-        )
+        step = max(1, IMAGE_CHUNK_ENTRIES // images[0].size)
+        extension_residual = 0.0
+        for first in range(0, len(images), step):
+            rows = slice(first, first + step)
+            chunk = images[rows]
+            chunk -= spec.transfer.T[rows, :, None] * sector_pointers[rows, None, :]
+            norms = np.linalg.norm(chunk.reshape(len(chunk), -1), axis=1)
+            extension_residual = max(extension_residual, float(np.max(norms)))
         kept, conditionals = result.conditionals()
         amplitudes = result.final_state.amplitudes.reshape(spec.system_dim, spec.apparatus_dim)
         reconstruction = (conditionals * np.sqrt(result.probabilities[kept])) @ pointers[:, kept].T
         reconstruction_residual = float(np.linalg.norm(amplitudes - reconstruction))
         # sum over each sector of |<e|phi>|^2, independent of the transfer family
         coefficient_mass = np.add.reduceat(
-            np.abs(spec.eigenvectors.conj().T @ phi.amplitudes) ** 2, spec.sector_starts
+            np.abs(phi.amplitudes.conj() @ spec.eigenvectors) ** 2, spec.sector_starts
         )
         formula_residual = float(np.max(np.abs(result.probabilities - coefficient_mass)))
         pointer_mixture = DensityMatrix(columns=pointers, weights=result.probabilities)

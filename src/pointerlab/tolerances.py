@@ -30,6 +30,12 @@ QUADRATURE_NORM_TOL = 1e-8
 #: images, so the cap bounds run time and memory, not a dense matrix.
 DENSE_DIM_CAP = 4096
 
+#: Largest number of complex entries in one chunk of the work behind the
+#: ``d_s x d_s x d_a`` extension images (16 MiB): the stack of sector products
+#: that fills them and the expected images subtracted from them are formed a
+#: chunk of rows at a time, never at the images' full size.
+IMAGE_CHUNK_ENTRIES = 2**20
+
 #: Smallest and largest lattice a scenario may ask for; its point count is
 #: also a power of two.
 GRID_POINTS_MIN = 64

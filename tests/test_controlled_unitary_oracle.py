@@ -7,17 +7,20 @@ seed re-pairs the range complement through a Haar unitary, and
 ``U = range_full @ domain_full^dagger``.  The two unitaries differ off the
 fixed columns, so they must agree on every ``phi (x) ready``, and in
 particular on the domain images ``e_c (x) ready`` the ``extension_map``
-verdict reads.  Building the unitary allocates no ``d_system x d_system``
-array: it holds ``E`` and ``T`` as the spec's own matrices.
+verdict reads, whether the images are filled in one chunk or a few rows at
+a time.  Building the unitary allocates no ``d_system x d_system`` array: it
+holds ``E`` and ``T`` as the spec's own matrices.
 """
 
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pointerlab import build_premeasurement_unitary, premeasure
+from pointerlab import premeasurement
 from helpers import random_bcl_spec, random_state
 
 
@@ -47,9 +50,12 @@ def qr_unitary(spec, completion_seed=0):
     degeneracies=st.lists(st.integers(1, 3), min_size=1, max_size=4),
     extra_apparatus=st.integers(0, 2),  # > 0 leaves K < d_pointer
     transfer=st.sampled_from(["identity", "sector_unitary"]),
+    chunk_rows=st.integers(1, 4),  # rows of the domain images filled per chunk
     seed=st.integers(0, 2**32 - 1),
 )
-def test_controlled_unitary_matches_qr_completion(degeneracies, extra_apparatus, transfer, seed):
+def test_controlled_unitary_matches_qr_completion(
+    degeneracies, extra_apparatus, transfer, chunk_rows, seed
+):
     rng = np.random.default_rng(seed)
     spec = random_bcl_spec(
         rng, degeneracies, apparatus_dim=len(degeneracies) + extra_apparatus, transfer=transfer
@@ -65,6 +71,10 @@ def test_controlled_unitary_matches_qr_completion(degeneracies, extra_apparatus,
         assert unitary.deviation <= 1e-12
         images = unitary.domain_images().reshape(spec.system_dim, dim).T
         assert np.max(np.abs(images - expected_images)) <= 1e-12
+        chunk_entries = chunk_rows * len(degeneracies) * spec.system_dim
+        with patch.object(premeasurement, "IMAGE_CHUNK_ENTRIES", chunk_entries):
+            chunked = unitary.domain_images().reshape(spec.system_dim, dim).T
+        assert np.max(np.abs(chunked - expected_images)) <= 1e-12
         # apply and the materialized matrix are the same operator
         amplitudes = rng.normal(size=(spec.system_dim, spec.apparatus_dim)) + 0j
         assert np.max(

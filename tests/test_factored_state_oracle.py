@@ -2,16 +2,20 @@
 
 A ``DensityMatrix`` holds weighted columns and a witness its Kronecker
 factors.  Every quantity read from those factors (trace, padded spectrum,
-both partial traces, pointer coherence, witness expectation, entropy) is
-compared with the textbook formula on the materialized ``dim x dim`` matrix.
-The top rung runs a canonical ``full_measurement`` at the dimension cap and
-pins that the run path allocates no ``dim x dim`` array.  The marginals of a
-run are mixtures, so a run never diagonalizes a dense matrix with ``eigh``,
-and the spectrum of a mixture wider than its dimension comes from its
-``dim x dim`` matrix rather than its Gram matrix.
+both partial traces, pointer coherence, witness expectation, entropy, trace
+distance) is compared with the textbook formula on the materialized
+``dim x dim`` matrix.  The top rung runs a canonical ``full_measurement`` at
+the dimension cap and pins that the run path allocates no ``dim x dim``
+array.  The marginals of a run are mixtures, so a run never diagonalizes a
+dense matrix with ``eigh`` and never reads ``DensityMatrix.entries``; the
+spectrum of a mixture wider than its dimension comes from its ``dim x dim``
+matrix rather than its Gram matrix, and a trace distance of thin mixtures
+from their joint column span.
 """
 
 import tracemalloc
+from importlib import resources
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -31,10 +35,13 @@ from pointerlab import (
     premeasure,
     run_scenario,
     shift_witness,
+    trace_distance,
     von_neumann_entropy,
 )
+from pointerlab import runner
+from pointerlab.cli import DEMO_SCENARIOS
 from pointerlab.runner import _bcl_diagnostics
-from pointerlab.scenario import TOLERANCE_DEFAULTS, validate_scenario_data
+from pointerlab.scenario import TOLERANCE_DEFAULTS, load_scenario, validate_scenario_data
 from pointerlab.tolerances import DENSE_DIM_CAP, ENTROPY_EIGENVALUE_FLOOR
 from helpers import (
     close,
@@ -46,9 +53,14 @@ from helpers import (
 )
 
 
-def random_mixture(rng, dim, rank):
-    """``rank`` random, generally non-orthogonal columns with unit total trace."""
+def random_mixture(rng, dim, rank, first=None):
+    """``rank`` random, generally non-orthogonal columns with unit total trace.
+
+    ``first``, if given, is taken as the first column.
+    """
     columns = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    if first is not None:
+        columns[:, 0] = first
     probabilities = rng.dirichlet(np.ones(rank))
     return DensityMatrix(
         columns=columns, weights=probabilities / np.sum(np.abs(columns) ** 2, axis=0)
@@ -72,10 +84,12 @@ def dense_entropy(matrix):
     extra_apparatus=st.integers(0, 2),  # > 0 leaves K < d_pointer
     transfer=st.sampled_from(["identity", "sector_unitary"]),
     state=st.sampled_from(["premeasured", "gemenge", "mixture", "overfull_mixture"]),
+    sigma_excess=st.integers(-2, 2),  # r_rho + r_sigma - dim, where r_sigma >= 1 allows
+    repeat=st.booleans(),  # sigma's first column repeats rho's
     seed=st.integers(0, 2**32 - 1),
 )
 def test_factored_quantities_match_dense_formulas(
-    degeneracies, extra_apparatus, transfer, state, seed
+    degeneracies, extra_apparatus, transfer, state, sigma_excess, repeat, seed
 ):
     rng = np.random.default_rng(seed)
     spec = random_bcl_spec(
@@ -108,6 +122,15 @@ def test_factored_quantities_match_dense_formulas(
     for witness in (shift_witness(spec), observable_witness(spec)):
         assert close(witness.expectation(rho), np.trace(dense @ witness.entries).real)
     assert close(von_neumann_entropy(rho), dense_entropy(dense))
+
+    sigma = random_mixture(
+        rng,
+        space.dim,
+        max(1, space.dim - rho.columns.shape[1] + sigma_excess),
+        first=rho.columns[:, 0] if repeat else None,
+    )
+    reference = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho.entries - sigma.entries)))
+    assert close(trace_distance(rho, sigma), reference)
 
 
 def test_top_rung_allocates_no_dense_product_matrix():
@@ -142,6 +165,24 @@ def test_haar_random_run_never_calls_eigh(monkeypatch, witness):
     assert report.all_passed, [v.name for v in report.verdicts if not v.passed]
 
 
+def test_runs_never_read_dense_density_matrix(monkeypatch):
+    # every DensityMatrix of a run is read through its columns and weights
+    def refuse(self):
+        raise AssertionError("DensityMatrix.entries read on a run path")
+
+    configs = [
+        validate_scenario_data(haar_document(witness))
+        for witness in ("sigma_x_pattern", "system_observable")
+    ]
+    for name in DEMO_SCENARIOS.values():
+        with resources.as_file(resources.files("pointerlab").joinpath("scenarios", name)) as path:
+            configs.append(load_scenario(path))
+    monkeypatch.setattr(DensityMatrix, "entries", property(refuse))
+    for config in configs:
+        report = run_scenario(config)
+        assert report.all_passed, [v.name for v in report.verdicts if not v.passed]
+
+
 def test_haar_random_run_builds_no_state_per_basis_vector(monkeypatch):
     # the families and the sector vectors stay column matrices: only the
     # initial, ready and final states are StateVectors
@@ -173,6 +214,10 @@ def test_marginal_mixtures_match_dense_products(degeneracies, extra_apparatus, s
     tolerances = TOLERANCE_DEFAULTS["bcl"]
     _, verdicts, result, pointer_mixture = _bcl_diagnostics(spec, phi, tolerances)
     assert all(v.passed for v in verdicts)
+    # the extension images checked one row at a time give the same residuals
+    with patch.object(runner, "IMAGE_CHUNK_ENTRIES", 1):
+        _, row_verdicts, _, _ = _bcl_diagnostics(spec, phi, tolerances)
+    assert [v.residual for v in row_verdicts] == [v.residual for v in verdicts]
 
     amplitudes = result.final_state.amplitudes.reshape(spec.system_dim, spec.apparatus_dim)
     marginal = apparatus_marginal(result, spec).entries
@@ -208,3 +253,17 @@ def test_wide_mixture_spectrum_allocates_no_gram_matrix():
     assert np.max(np.abs(spectrum - dense)) <= 1e-12
     assert np.max(np.abs(spectrum - np.sort(probabilities))) <= 1e-12
     assert close(entropy, dense_entropy((transfer * probabilities) @ transfer.conj().T))
+
+
+def test_trace_distance_of_thin_mixtures_allocates_no_dense_state():
+    # two 2-column mixtures: one 2048 x 2048 complex matrix alone is 64 MiB
+    rng = np.random.default_rng(2048)
+    rho, sigma = (random_mixture(rng, 2048, 2) for _ in range(2))
+    tracemalloc.start()
+    try:
+        distance = trace_distance(rho, sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < distance <= 1.0
+    assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
