@@ -34,6 +34,7 @@ from .hilbert import (
     DensityMatrix,
     KroneckerProduct,
     ProductSpace,
+    gram_residual,
     outer,
     partial_trace,
     spectral_entropy,
@@ -93,7 +94,7 @@ class GemengeDecomposition:
             raise ValueError(f"component probabilities sum off by {total_dev:.3e}")
         system_gram, pointer_gram = (family.conj().T @ family for family in (system, pointer))
         for label, gram in (("pointer", pointer_gram), ("system", system_gram)):
-            dev = float(np.max(np.abs(gram - np.eye(probabilities.size))))
+            dev = float(np.max(gram_residual(gram)))
             if not dev <= INVARIANT_TOL:
                 raise BasisNotOrthonormal(
                     f"{label} states of the gemenge are not orthonormal; deviation {dev:.3e}"

@@ -10,16 +10,19 @@ has the controlled form ``U = sum_k Q_k (x) V_k``: ``Q_k = T_k E_k^dagger``
 carries sector ``k`` into its transfer vectors, and ``V_k = Pbar S_k
 R^dagger`` carries the ready state into pointer ``k``.  Everything physical
 is independent of the completions ``Pbar`` and ``R``.  ``U`` is held as
-``E``, ``T``, ``Pbar`` and ``R``, with no per-sector factor and no
-product-space matrix.
+``E``, ``T``, ``Pbar``, ``R`` and the sector bounds, with no per-sector
+factor and no product-space matrix.
 
 A spec holds each of its three families as one column matrix, built and
 checked once at construction: the eigenvectors ``E`` and the transfer family
 ``T`` in sector order, and the pointers ``P``.  One Gram product ``T^dagger T``
 gives both the per-sector orthonormality check and the cross-sector residual
-of the measurement condition.  Premeasurement is matrix products on these
-columns: the eigenbasis coefficients are ``c = E^dagger phi`` and the sector
-vectors are the per-sector column sums of ``T * c``.
+of the measurement condition.  ``U`` is only pinned down on product inputs
+``x (x) ready``, and one routine gives its action there: the per-sector sums
+``Q_k x = T_k c_k`` of the eigenbasis coefficients ``c = E^dagger x``, one
+product per sector, contracted with the ``K`` apparatus images
+``V_k ready``.  Premeasurement reads the sums of ``E^dagger phi`` as its
+sector vectors and evolves ``phi (x) ready`` from the same sums.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 from .errors import DimensionMismatch, MeasurementConditionViolated, SpecInvalid
 from .hilbert import DensityMatrix, ProductSpace, StateVector, outer, partial_trace
 from .hilbert import gram_deviation, gram_residual
-from .tolerances import IMAGE_CHUNK_ENTRIES, INVARIANT_TOL, PROBABILITY_FLOOR
+from .tolerances import INVARIANT_TOL, PROBABILITY_FLOOR
 
 __all__ = [
     "BclSpec",
@@ -57,9 +60,10 @@ class BclSpec:
     ``ready_state`` the apparatus state before the interaction.  Eigenvalues
     are carried as distinct real labels only.
 
-    Construction copies the matrices read-only and keeps the first column of
-    each sector, the eigenbasis Gram matrix ``E^dagger E`` of its check (read
-    again by the unitary), the eigenbasis deviation ``max |E^dagger E - I|``
+    Construction copies the matrices read-only and keeps the ``K + 1``
+    sector bounds (sector ``k`` is columns ``bounds[k]:bounds[k + 1]``), the
+    eigenbasis Gram matrix ``E^dagger E`` of its check (read again by the
+    extension check), the eigenbasis deviation ``max |E^dagger E - I|``
     and the measurement-condition residual ``max |T^dagger T - I|`` of the
     whole transfer family.  A transfer family given as the eigenvector matrix
     itself (the default family) stays one array with one Gram product.
@@ -71,7 +75,7 @@ class BclSpec:
     transfer: np.ndarray
     pointers: np.ndarray
     ready_state: StateVector
-    sector_starts: np.ndarray = field(init=False, repr=False)
+    sector_bounds: np.ndarray = field(init=False, repr=False)
     eigenbasis_gram: np.ndarray = field(init=False, repr=False)
     _eigenbasis_deviation: float = field(init=False, repr=False)
     _measurement_residual: float = field(init=False, repr=False)
@@ -147,7 +151,7 @@ class BclSpec:
             ("eigenvectors", eigenvectors),
             ("transfer", transfer),
             ("pointers", pointers),
-            ("sector_starts", bounds[:-1]),
+            ("sector_bounds", bounds),
             ("eigenbasis_gram", eigenbasis_gram),
         ):
             matrix.setflags(write=False)
@@ -166,7 +170,7 @@ class BclSpec:
     def _sector_vectors(self, columns: np.ndarray) -> tuple[tuple[StateVector, ...], ...]:
         return tuple(
             tuple(map(StateVector, sector.T))
-            for sector in np.split(columns, self.sector_starts[1:], axis=1)
+            for sector in np.split(columns, self.sector_bounds[1:-1], axis=1)
         )
 
     @property
@@ -214,76 +218,67 @@ class ControlledUnitary:
 
     ``eigenvectors`` and ``transfer`` are the spec's ``E`` and ``T``,
     ``pointers`` and ``ready`` the completions ``Pbar`` and ``R`` (ready
-    state first), and ``sectors[i]``, nondecreasing, is the sector of column
-    ``i`` of ``E``.  ``deviation`` is the largest ``max |M^dagger M - I|`` of
-    the four matrices; construction refuses one above ``INVARIANT_TOL``.
-    ``eigenbasis_gram`` is the spec's ``E^dagger E``, shared, not formed again.
+    state first), and ``bounds`` the spec's ``K + 1`` sector bounds, shared.
+    ``deviation`` is the largest ``max |M^dagger M - I|`` of the four
+    matrices; construction refuses one above ``INVARIANT_TOL``.  Row ``k``
+    of ``ready_images`` (``K x d_a``, formed once) is
+    ``V_k ready = Pbar S_k R^dagger ready``.
     """
 
     eigenvectors: np.ndarray
     transfer: np.ndarray
     pointers: np.ndarray
     ready: np.ndarray
-    sectors: np.ndarray
+    bounds: np.ndarray
     deviation: float
-    eigenbasis_gram: np.ndarray
+    ready_images: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.deviation <= INVARIANT_TOL:
             raise ValueError(f"unitary factors deviate by {self.deviation:.3e}")
-        names = ("eigenvectors", "transfer", "pointers", "ready", "sectors", "eigenbasis_gram")
-        for name in names:
+        for name in ("eigenvectors", "transfer", "pointers", "ready", "bounds"):
             # a read-only view shares the spec's matrices without touching their flags
             array = np.asarray(getattr(self, name)).view()
             array.setflags(write=False)
             object.__setattr__(self, name, array)
         object.__setattr__(self, "deviation", float(self.deviation))
+        ready = self.ready.conj().T @ self.ready[:, 0]  # u = R^dagger ready
+        sectors = np.arange(len(self.bounds) - 1)
+        swapped = np.tile(ready, (sectors.size, 1))  # row k is S_k u
+        swapped[sectors, 0], swapped[sectors, sectors] = ready[sectors], ready[0]
+        images = swapped @ self.pointers.T
+        images.setflags(write=False)
+        object.__setattr__(self, "ready_images", images)
 
     @property
     def entries(self) -> np.ndarray:
         """The dense matrix ``sum_i kron(t_i e_i^dagger, V_k(i))``, built on each call."""
-        rows = np.arange(len(self.sectors))
+        sectors = np.repeat(np.arange(len(self.bounds) - 1), np.diff(self.bounds))
+        rows = np.arange(sectors.size)
         order = np.tile(np.arange(len(self.ready)), (rows.size, 1))  # Pbar S_k(i) for row i
-        order[rows, 0], order[rows, self.sectors] = self.sectors, 0
+        order[rows, 0], order[rows, sectors] = sectors, 0
         apparatus = self.pointers[:, order].transpose(1, 0, 2) @ self.ready.conj().T
         dense = np.einsum("ai,ci,ibd->abcd", self.transfer, self.eigenvectors.conj(), apparatus)
         return dense.reshape(rows.size * len(self.ready), -1)
 
-    def apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        """``sum_k Q_k X V_k^T`` as ``T S(E^dagger X R^*) Pbar^T``; ``S`` is row-wise ``S_k``."""
-        # E^dagger X as (X^dagger E)^dagger: only the thin X is conjugated
-        swapped = (amplitudes.conj().T @ self.eigenvectors).conj().T @ self.ready.conj()
-        rows, k = np.arange(len(self.sectors)), self.sectors
-        swapped[rows, 0], swapped[rows, k] = swapped[rows, k], swapped[rows, 0]
-        return self.transfer @ swapped @ self.pointers.T
+    def sector_sums(self, coefficients: np.ndarray) -> np.ndarray:
+        """``Q_k x_j = T_k c_jk`` for each column ``c_j = E^dagger x_j`` of a ``d_s x m`` matrix.
 
-    def domain_images(self) -> np.ndarray:
-        """``U (e_c (x) ready)`` for each column ``e_c`` of ``E``, shape ``(d_s, d_s, d_a)``.
-
-        Image ``c`` is ``sum_k B_k[:, c] (x) v_k`` with ``B_k = T_k (E^dagger E)_k`` and
-        ``v_k = V_k ready = Pbar S_k u``, ``u = R^dagger ready``.  The images are filled in
-        chunks of ``c``: one product per sector stacks the chunk's rows of the ``B_k^T``,
-        and one more contracts the stack with the ``K x d_a`` matrix whose row ``k`` is
-        ``v_k``, so no stack of ``K`` full ``d_s x d_s`` matrices is held next to the images.
+        Shape ``(K, m, d_s)``: entry ``[k, j]`` is ``Q_k x_j``, from one product per sector.
         """
-        gram = self.eigenbasis_gram
-        bounds = np.searchsorted(self.sectors, np.arange(self.sectors[-1] + 2))
-        sectors, dim = bounds.size - 1, len(gram)
-        ready = self.ready.conj().T @ self.ready[:, 0]
-        swapped = np.tile(ready, (sectors, 1))  # row k is S_k u
-        rows = np.arange(sectors)
-        swapped[rows, 0], swapped[rows, rows] = ready[rows], ready[0]
-        apparatus = swapped @ self.pointers.T
-        images = np.empty((dim, dim, apparatus.shape[1]), dtype=complex)
-        step = max(1, IMAGE_CHUNK_ENTRIES // (sectors * dim))
-        for first in range(0, dim, step):
-            last = min(first + step, dim)
-            stack = np.empty((sectors, last - first, dim), dtype=complex)
-            for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-                np.matmul(gram[lo:hi, first:last].T, self.transfer[:, lo:hi].T, out=stack[k])
-            chunk = images[first:last].reshape(-1, apparatus.shape[1])
-            np.matmul(stack.reshape(sectors, -1).T, apparatus, out=chunk)
-        return images
+        bounds, dim = self.bounds, len(self.transfer)
+        sums = np.empty((len(bounds) - 1, coefficients.shape[1], dim), dtype=complex)
+        for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            np.matmul(coefficients[lo:hi].T, self.transfer[:, lo:hi].T, out=sums[k])
+        return sums
+
+    def images(self, sums: np.ndarray) -> np.ndarray:
+        """``U (x_j (x) ready) = sum_k Q_k x_j (x) V_k ready`` from :meth:`sector_sums`.
+
+        One product contracts the sums with ``ready_images``; shape ``(m, d_s, d_a)``.
+        """
+        sectors, count, dim = sums.shape
+        return (sums.reshape(sectors, -1).T @ self.ready_images).reshape(count, dim, -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -375,33 +370,30 @@ def build_premeasurement_unitary(spec: BclSpec, completion_seed: int = 0) -> Con
         gram_deviation(pointers),
         gram_deviation(ready),
     )
-    sectors = np.repeat(np.arange(len(spec.degeneracies)), spec.degeneracies)
     return ControlledUnitary(
-        spec.eigenvectors, spec.transfer, pointers, ready, sectors, deviation, spec.eigenbasis_gram
+        spec.eigenvectors, spec.transfer, pointers, ready, spec.sector_bounds, deviation
     )
 
 
 def premeasure(spec: BclSpec, phi: StateVector, completion_seed: int = 0) -> PremeasurementResult:
     """Run the coupling on an arbitrary system state.
 
-    Expands ``phi`` in the eigenbasis, ``c = E^dagger phi``, sums the columns
-    of ``T * c`` within each sector into the sector vectors, reads off outcome
-    probabilities as their squared norms, and evolves ``phi (x) ready`` with
-    the actual unitary.
+    Expands ``phi`` in the eigenbasis, ``c = E^dagger phi``, takes the sector
+    vectors ``Q_k phi = T_k c_k`` from the unitary's sector sums, reads off
+    outcome probabilities as their squared norms, and evolves
+    ``phi (x) ready`` from the same sums.
     """
     if phi.dim != spec.system_dim:
         raise DimensionMismatch(
             f"initial state dim {phi.dim} does not match system dim {spec.system_dim}"
         )
     unitary = build_premeasurement_unitary(spec, completion_seed)
-    final = StateVector(
-        unitary.apply(np.outer(phi.amplitudes, spec.ready_state.amplitudes)).reshape(-1)
-    )
     coefficients = (phi.amplitudes.conj() @ spec.eigenvectors).conj()  # E^dagger phi
-    sector_vectors = np.add.reduceat(spec.transfer * coefficients, spec.sector_starts, axis=1)
+    sums = unitary.sector_sums(coefficients[:, None])
+    sector_vectors = sums[:, 0].T
     return PremeasurementResult(
         unitary=unitary,
-        final_state=final,
+        final_state=StateVector(unitary.images(sums).reshape(-1)),
         probabilities=np.sum(sector_vectors.real**2 + sector_vectors.imag**2, axis=0),
         sector_vectors=sector_vectors,
     )

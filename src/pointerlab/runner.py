@@ -353,17 +353,17 @@ def _bcl_diagnostics(
 ) -> tuple[dict, list[Verdict], object, DensityMatrix]:
     with _stage("premeasure"):
         result = premeasure(spec, phi)
-        pointers = spec.pointers
-        # U should map each domain column e_c (x) ready to t_c (x) pi_k(c)
-        images = result.unitary.domain_images()
+        unitary, pointers = result.unitary, spec.pointers
+        # U should map each domain column e_c (x) ready to t_c (x) pi_k(c); the
+        # coefficients E^dagger e_c are the columns of the spec's E^dagger E
         sector_pointers = np.repeat(pointers.T, spec.degeneracies, axis=0)
-        step = max(1, IMAGE_CHUNK_ENTRIES // images[0].size)
+        step = max(1, IMAGE_CHUNK_ENTRIES // (spec.system_dim * spec.apparatus_dim))
         extension_residual = 0.0
-        for first in range(0, len(images), step):
+        for first in range(0, spec.system_dim, step):
             rows = slice(first, first + step)
-            chunk = images[rows]
-            chunk -= spec.transfer.T[rows, :, None] * sector_pointers[rows, None, :]
-            norms = np.linalg.norm(chunk.reshape(len(chunk), -1), axis=1)
+            images = unitary.images(unitary.sector_sums(spec.eigenbasis_gram[:, rows]))
+            images -= spec.transfer.T[rows, :, None] * sector_pointers[rows, None, :]
+            norms = np.linalg.norm(images.reshape(len(images), -1), axis=1)
             extension_residual = max(extension_residual, float(np.max(norms)))
         kept, conditionals = result.conditionals()
         amplitudes = result.final_state.amplitudes.reshape(spec.system_dim, spec.apparatus_dim)
@@ -371,7 +371,7 @@ def _bcl_diagnostics(
         reconstruction_residual = float(np.linalg.norm(amplitudes - reconstruction))
         # sum over each sector of |<e|phi>|^2, independent of the transfer family
         coefficient_mass = np.add.reduceat(
-            np.abs(phi.amplitudes.conj() @ spec.eigenvectors) ** 2, spec.sector_starts
+            np.abs(phi.amplitudes.conj() @ spec.eigenvectors) ** 2, spec.sector_bounds[:-1]
         )
         formula_residual = float(np.max(np.abs(result.probabilities - coefficient_mass)))
         pointer_mixture = DensityMatrix(columns=pointers, weights=result.probabilities)

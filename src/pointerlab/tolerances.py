@@ -26,14 +26,16 @@ QUADRATURE_NORM_TOL = 1e-8
 
 #: Largest product dimension ``D = system_dim * apparatus_dim`` a scenario may
 #: ask for, checked when the scenario is validated.  The run path builds no
-#: ``D x D`` array; its largest array is the ``d_system x D`` extension
-#: images, so the cap bounds run time and memory, not a dense matrix.
+#: ``D x D`` array; its largest arrays are ``d_system x d_system`` (the
+#: eigenbasis, its Gram matrix and a witness core), so the cap bounds run
+#: time and memory, not a dense matrix.
 DENSE_DIM_CAP = 4096
 
-#: Largest number of complex entries in one chunk of the work behind the
-#: ``d_s x d_s x d_a`` extension images (16 MiB): the stack of sector products
-#: that fills them and the expected images subtracted from them are formed a
-#: chunk of rows at a time, never at the images' full size.
+#: Largest number of complex entries (16 MiB) in one chunk of the runner's
+#: ``extension_map`` check, which takes U's images of the ``d_s`` domain
+#: columns ``e_c (x) ready`` a block of columns at a time: the block's sector
+#: sums, its images and the expected images subtracted from them each hold at
+#: most this many, and no ``d_s x d_s x d_a`` array is built.
 IMAGE_CHUNK_ENTRIES = 2**20
 
 #: Smallest and largest lattice a scenario may ask for; its point count is

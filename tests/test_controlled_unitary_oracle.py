@@ -7,21 +7,20 @@ seed re-pairs the range complement through a Haar unitary, and
 ``U = range_full @ domain_full^dagger``.  The two unitaries differ off the
 fixed columns, so they must agree on every ``phi (x) ready``, and in
 particular on the domain images ``e_c (x) ready`` the ``extension_map``
-verdict reads, whether the images are filled in one chunk or a few rows at
-a time.  Building the unitary allocates no ``d_system x d_system`` array: it
-holds ``E`` and ``T`` as the spec's own matrices.
+verdict reads, whether the images are formed in one chunk or a few columns
+at a time, and on the images of arbitrary product inputs.  Building the
+unitary allocates no ``d_system x d_system`` array: it holds ``E`` and ``T``
+as the spec's own matrices.
 """
 
 import tracemalloc
-from unittest.mock import patch
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pointerlab import build_premeasurement_unitary, premeasure
-from pointerlab import premeasurement
-from helpers import random_bcl_spec, random_state
+from helpers import close, random_bcl_spec, random_state
 
 
 def qr_unitary(spec, completion_seed=0):
@@ -50,7 +49,7 @@ def qr_unitary(spec, completion_seed=0):
     degeneracies=st.lists(st.integers(1, 3), min_size=1, max_size=4),
     extra_apparatus=st.integers(0, 2),  # > 0 leaves K < d_pointer
     transfer=st.sampled_from(["identity", "sector_unitary"]),
-    chunk_rows=st.integers(1, 4),  # rows of the domain images filled per chunk
+    chunk_rows=st.integers(1, 4),  # domain images formed per chunk
     seed=st.integers(0, 2**32 - 1),
 )
 def test_controlled_unitary_matches_qr_completion(
@@ -64,27 +63,35 @@ def test_controlled_unitary_matches_qr_completion(
     reference = qr_unitary(spec)
     domain = np.einsum("ic,j->ijc", spec.eigenvectors, spec.ready_state.amplitudes)
     expected_images = reference @ domain.reshape(dim, -1)
+    ready = spec.ready_state.amplitudes
     for completion_seed in (0, 11):
         unitary = build_premeasurement_unitary(spec, completion_seed=completion_seed)
         entries = unitary.entries
         assert np.max(np.abs(entries.conj().T @ entries - np.eye(dim))) <= 1e-12
         assert unitary.deviation <= 1e-12
-        images = unitary.domain_images().reshape(spec.system_dim, dim).T
+        # the images of e_c (x) ready from the columns of E^dagger E, in chunks of columns
+        gram = spec.eigenbasis_gram
+        chunks = [
+            unitary.images(unitary.sector_sums(gram[:, first : first + chunk_rows]))
+            for first in range(0, spec.system_dim, chunk_rows)
+        ]
+        images = np.concatenate(chunks).reshape(spec.system_dim, dim).T
         assert np.max(np.abs(images - expected_images)) <= 1e-12
-        chunk_entries = chunk_rows * len(degeneracies) * spec.system_dim
-        with patch.object(premeasurement, "IMAGE_CHUNK_ENTRIES", chunk_entries):
-            chunked = unitary.domain_images().reshape(spec.system_dim, dim).T
-        assert np.max(np.abs(chunked - expected_images)) <= 1e-12
-        # apply and the materialized matrix are the same operator
-        amplitudes = rng.normal(size=(spec.system_dim, spec.apparatus_dim)) + 0j
-        assert np.max(
-            np.abs(unitary.apply(amplitudes).reshape(-1) - entries @ amplitudes.reshape(-1))
-        ) <= 1e-12
+        # the images of arbitrary product inputs x_j (x) ready, x_j = E c_j
+        for count in (1, 2, 3):
+            coefficients = rng.normal(size=(spec.system_dim, count)) + 1j * rng.normal(
+                size=(spec.system_dim, count)
+            )
+            inputs = np.einsum("ij,a->jia", spec.eigenvectors @ coefficients, ready)
+            expected = inputs.reshape(count, dim) @ entries.T
+            computed = unitary.images(unitary.sector_sums(coefficients)).reshape(count, dim)
+            assert close(computed, expected)
         for _ in range(3):
             phi = random_state(rng, spec.system_dim)
-            start = np.outer(phi.amplitudes, spec.ready_state.amplitudes)
-            expected = reference @ start.reshape(-1)
-            assert np.max(np.abs(unitary.apply(start).reshape(-1) - expected)) <= 1e-12
+            expected = reference @ np.kron(phi.amplitudes, ready)
+            coefficients = spec.eigenvectors.conj().T @ phi.amplitudes
+            computed = unitary.images(unitary.sector_sums(coefficients[:, None])).reshape(-1)
+            assert np.max(np.abs(computed - expected)) <= 1e-12
 
     phi = random_state(rng, spec.system_dim)
     base = premeasure(spec, phi, completion_seed=0).final_state.amplitudes
