@@ -102,13 +102,6 @@ class StateVector:
             raise ValueError("cannot normalize a numerically null or non-finite vector")
         return cls(unit / unit_norm)
 
-    @classmethod
-    def basis_state(cls, dim: int, index: int) -> "StateVector":
-        """Canonical basis vector ``e_index`` in ``dim`` dimensions."""
-        amps = np.zeros(dim, dtype=complex)
-        amps[index] = 1.0
-        return cls(amps)
-
     def inner(self, other: "StateVector") -> complex:
         """``<self|other>`` with the bra conjugated."""
         if other.dim != self.dim:
@@ -224,8 +217,7 @@ class KroneckerProduct:
     each factor is a column matrix and a small Hermitian core on its columns.
     Construction checks only that each core is square on its matrix's columns
     and Hermitian, so the product is Hermitian; the column matrices are kept
-    as read-only views, not copied.  The dense matrix is built only on
-    demand, by :attr:`entries`.
+    as read-only views, not copied.  The dense matrix is never built.
     """
 
     system: tuple[np.ndarray, np.ndarray]
@@ -245,14 +237,6 @@ class KroneckerProduct:
     @property
     def factor_dims(self) -> tuple[int, int]:
         return (self.system[0].shape[0], self.apparatus[0].shape[0])
-
-    @property
-    def entries(self) -> np.ndarray:
-        """The dense matrix ``kron(M H M^dagger, N G N^dagger)``, built on each call."""
-        first, second = (
-            basis @ core @ basis.conj().T for basis, core in (self.system, self.apparatus)
-        )
-        return np.kron(first, second)
 
     def expectation(self, rho: DensityMatrix) -> float:
         """``tr(rho W) = sum_j w_j <C_j, H C_j G^T>`` for ``C_j = M^dagger B_j N^*``."""

@@ -188,29 +188,6 @@ class BclSpec:
         """The pointers as states, built on each access."""
         return tuple(map(StateVector, self.pointers.T))
 
-    @classmethod
-    def canonical(cls, eigenvalues, degeneracies, apparatus_dim: int | None = None) -> "BclSpec":
-        """Spec over canonical basis vectors, transfer family equal to the eigenbasis.
-
-        The eigenvectors are ``e_0, e_1, ...`` in sector order, pointer ``k``
-        is ``e_k`` and the ready state ``e_0``.
-        """
-        eigenvalues = tuple(float(o) for o in eigenvalues)
-        degeneracies = tuple(int(d) for d in degeneracies)
-        if len(eigenvalues) != len(degeneracies):
-            raise SpecInvalid("eigenvalues and degeneracies must pair up")
-        if apparatus_dim is None:
-            apparatus_dim = len(eigenvalues)
-        eigenvectors = np.eye(sum(degeneracies), dtype=complex)
-        return cls(
-            eigenvalues=eigenvalues,
-            degeneracies=degeneracies,
-            eigenvectors=eigenvectors,
-            transfer=eigenvectors,
-            pointers=np.eye(apparatus_dim, len(eigenvalues), dtype=complex),
-            ready_state=StateVector.basis_state(apparatus_dim, 0),
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class ControlledUnitary:

@@ -8,16 +8,17 @@ wall-clock duration kept in a separate ``meta`` section.  Floats are written
 with 17 significant digits so every value round-trips exactly; JSON and CSV
 share that one float formatter.  The JSON writer makes one pass over the
 report, appending to one list of text pieces: it dispatches on each value's
-exact type, writes an array of floats in one join and an array of
-``[re, im]`` float pairs with one ``%.17g`` template, and escapes keys and
-strings with the stdlib's ASCII escaper, as ``json.dumps`` does.
+exact type, writes a list of floats in one join and a scenario's ``(n, 2)``
+amplitude array, as the list of its ``[re, im]`` rows, with one ``%.17g``
+template, and escapes keys and strings with the stdlib's ASCII escaper, as
+``json.dumps`` does.  ``emit_report`` writes the pieces to the file without
+joining them.  The run views each amplitude array as complex numbers.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -102,12 +103,15 @@ class RunReport:
             ],
         }
 
-    def payload_text(self) -> str:
-        return _json_text(self.payload_dict())
+    def _json_parts(self) -> list[str]:
+        document = {"payload": self.payload_dict(), "meta": {"duration_seconds": self.duration_seconds}}
+        parts: list[str] = []
+        _write_json(parts, document, "\n")
+        parts.append("\n")
+        return parts
 
     def to_json_text(self) -> str:
-        document = {"payload": self.payload_dict(), "meta": {"duration_seconds": self.duration_seconds}}
-        return _json_text(document) + "\n"
+        return "".join(self._json_parts())
 
     def to_csv_text(self) -> str:
         buffer = io.StringIO()
@@ -159,10 +163,20 @@ def _write_json(out: list[str], value, newline: str) -> None:
     """Append the JSON text of ``value`` to ``out``; ``newline`` is a newline and its indent.
 
     Objects and arrays put one entry per line, indented two spaces per
-    level.  An array of floats is written in one join, and an array of
-    ``[re, im]`` float pairs with one template.
+    level.  A list of floats is written in one join.  A float array of shape
+    ``(n, 2)`` is written as its ``.tolist()``, with one template when no
+    number in it is integral (which needs its ``.0``) or non-finite (which
+    must raise).
     """
     kind = type(value)
+    if kind is np.ndarray and value.ndim == 2 and value.shape[1] == 2 and value.dtype == float:
+        if value.size and np.isfinite(value).all() and not (value % 1.0 == 0.0).any():
+            inner = newline + "  "
+            pair = "[" + inner + "  %.17g," + inner + "  %.17g" + inner + "]"
+            numbers = tuple(value.ravel().tolist())
+            out.append("[" + inner + ("," + inner).join([pair] * len(value)) % numbers + newline + "]")
+            return
+        value, kind = value.tolist(), list
     if kind is not dict and kind is not list and kind is not tuple:
         if isinstance(value, dict):
             kind = dict
@@ -184,32 +198,12 @@ def _write_json(out: list[str], value, newline: str) -> None:
         out.append(newline + "}")
     elif all(type(entry) is float for entry in value):
         out.append("[" + inner + separator.join(map(_float_repr, value)) + newline + "]")
-    elif (numbers := _float_pairs(value)) is not None:
-        pair = "[" + inner + "  %.17g," + inner + "  %.17g" + inner + "]"
-        out.append("[" + inner + separator.join([pair] * len(value)) % numbers + newline + "]")
     else:
         out.append("[")
         for index, entry in enumerate(value):
             out.append(separator if index else inner)
             _write_json(out, entry, inner)
         out.append(newline + "]")
-
-
-def _float_pairs(value) -> tuple | None:
-    """The numbers of a list of ``[re, im]`` float pairs, if ``%.17g`` writes each as JSON.
-
-    ``None`` when an entry is not such a pair, or when a number is integral
-    (it needs its ``.0``) or not finite (it must raise).
-    """
-    if not all(
-        type(entry) is list and len(entry) == 2 and type(entry[0]) is type(entry[1]) is float
-        for entry in value
-    ):
-        return None
-    numbers = tuple(number for entry in value for number in entry)
-    if any(map(float.is_integer, numbers)) or not math.isfinite(sum(numbers)):
-        return None
-    return numbers
 
 
 def _json_text(value) -> str:
@@ -395,39 +389,33 @@ def _bcl_diagnostics(
     return values, verdicts, result, pointer_mixture
 
 
-def _complex(pairs) -> np.ndarray:
-    """Complex array from nested ``[re, im]`` pair lists, one axis fewer."""
-    return np.array(pairs, dtype=float).view(complex)[..., 0]
-
-
-def _family(sectors: list) -> np.ndarray:
-    """Column matrix of a vector family given sector by sector as ``[re, im]`` pair lists."""
-    return _complex([vector for sector in sectors for vector in sector]).T
-
-
 def _build_spec(scenario: dict) -> tuple[BclSpec, StateVector]:
     """The scenario's spec, one column matrix per family, and its initial state."""
     bcl = scenario["bcl"]
-    degeneracies, basis = bcl["degeneracies"], bcl["basis"]
+    degeneracies, basis, transfer = bcl["degeneracies"], bcl["basis"], bcl["transfer_family"]
+
+    def columns(sectors: list) -> np.ndarray:  # of a family given sector by sector
+        vectors = [vector for sector in sectors for vector in sector]
+        return np.stack(vectors, axis=1).view(complex)[..., 0]
+
     with _stage("build spec"):
         if basis == "canonical":
             eigenvectors = np.eye(sum(degeneracies), dtype=complex)
             pointers = np.eye(bcl["apparatus_dim"], len(degeneracies), dtype=complex)
             ready = pointers[:, 0]
         else:
-            eigenvectors = _family(basis["system_eigenbasis"])
-            pointers = _complex(basis["pointer_basis"]).T
-            ready = _complex(basis.get("ready_state", basis["pointer_basis"][0]))
-        transfer = bcl["transfer_family"]
+            eigenvectors = columns(basis["system_eigenbasis"])
+            pointers = columns([basis["pointer_basis"]])
+            ready = basis.get("ready_state", basis["pointer_basis"][0]).view(complex)[:, 0]
         spec = BclSpec(
             eigenvalues=bcl["eigenvalues"],
             degeneracies=degeneracies,
             eigenvectors=eigenvectors,
-            transfer=eigenvectors if transfer == "default" else _family(transfer),
+            transfer=eigenvectors if transfer == "default" else columns(transfer),
             pointers=pointers,
             ready_state=StateVector(ready),
         )
-        return spec, StateVector.normalized(_complex(scenario["initial_state"]))
+        return spec, StateVector.normalized(scenario["initial_state"].view(complex)[:, 0])
 
 
 def _run_bcl(scenario: dict) -> tuple[dict, list[Verdict]]:
@@ -509,17 +497,23 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
     )
 
 
-def render_report(report: RunReport, format: str = "json") -> str:
-    """Serialize a report to text in the requested format."""
+def _report_parts(report: RunReport, format: str) -> list[str]:
     if format == "json":
-        return report.to_json_text()
+        return report._json_parts()
     if format == "csv":
-        return report.to_csv_text()
+        return [report.to_csv_text()]
     raise ValueError(f"unknown report format {format!r}")
 
 
+def render_report(report: RunReport, format: str = "json") -> str:
+    """Serialize a report to text in the requested format."""
+    return "".join(_report_parts(report, format))
+
+
 def emit_report(report: RunReport, format: str = "json", path=None) -> None:
-    """Write a report to a file (writability errors propagate as OSError)."""
+    """Write a report to a file, rendered before it is opened (OSError propagates)."""
     if path is None:
         raise ValueError("emit_report needs an output path")
-    Path(path).write_text(render_report(report, format), encoding="utf-8")
+    parts = _report_parts(report, format)
+    with Path(path).open("w", encoding="utf-8") as file:
+        file.writelines(parts)

@@ -7,20 +7,27 @@ pairs (bare numbers are accepted for real amplitudes).
 
 Validation returns the document in normalized form, the one representation
 of a scenario: keys in a fixed order, every default filled in, real numbers
-as floats, counts as ints and every amplitude as an ``[re, im]`` float pair.
-The runner reads that form and every report echoes it as its ``scenario``,
-so validating the echo again gives it back unchanged.  Each JSON object is
-parsed by one field table that lists its keys in echo order.  Validation
+as floats, counts as ints and every amplitude list as one read-only
+``(n, 2)`` float array of ``[re, im]`` rows.  A list of only pairs or only
+bare numbers is converted by one numpy call; a mixed or faulty list is
+walked entry by entry, so a fault names its entry.  The runner reads the
+normalized form and every report echoes it as its ``scenario``, so
+validating the echo's JSON text gives the same text back.  Each JSON object
+is parsed by one field table that lists its keys in echo order.  Validation
 here is structural; physics-level checks such as basis orthonormality run
 when the scenario is executed.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ParseError, ValidationError
 from .tolerances import DENSE_DIM_CAP, GRID_POINTS_MAX, GRID_POINTS_MIN, SUPPORT_MASS_EPSILON
@@ -155,27 +162,52 @@ def _amplitude(value) -> list[float]:
     raise _fail("", "expected a number or an [re, im] pair")
 
 
-def _amplitudes(value, path: str, record=None) -> list[list[float]]:
+def _amplitude_array(value: list) -> np.ndarray | None:
+    """A list of only pairs or only bare numbers as one ``(n, 2)`` array, else ``None``.
+
+    Booleans and strings, which numpy would convert, integers beyond the
+    float range and non-finite values are left to the walk.
+    """
+    kinds = set(map(type, value))
+    if kinds == {list} and set(map(len, value)) == {2}:
+        numbers = list(chain.from_iterable(value))
+    elif kinds <= {int, float}:
+        numbers = value
+    else:
+        return None
+    if not set(map(type, numbers)) <= {int, float}:
+        return None
+    try:
+        array = np.fromiter(numbers, float, len(numbers))
+    except OverflowError:  # an integer beyond the float range
+        return None
+    if not np.isfinite(array).all():
+        return None
+    if numbers is value:  # bare numbers have zero imaginary parts
+        return np.column_stack([array, np.zeros_like(array)])
+    return array.reshape(-1, 2)
+
+
+def _sized_amplitudes(value, path: str, length: int, factor: str) -> np.ndarray:
     if not isinstance(value, list) or not value:
         raise _fail(path, "expected a non-empty list of amplitudes")
-    amplitudes = []
-    for i, entry in enumerate(value):
-        try:
-            amplitudes.append(_amplitude(entry))
-        except ValidationError as exc:
-            # the key path is built only for the entry that fails
-            raise ValidationError(f"{path}[{i}]{exc}") from None
-    return amplitudes
-
-
-def _sized_amplitudes(value, path: str, length: int, factor: str) -> list[list[float]]:
-    amplitudes = _amplitudes(value, path)
+    amplitudes = _amplitude_array(value)
+    if amplitudes is None:
+        pairs = []
+        for i, entry in enumerate(value):
+            try:
+                pairs.append(_amplitude(entry))
+            except ValidationError as exc:
+                # the key path is built only for the entry that fails
+                raise ValidationError(f"{path}[{i}]{exc}") from None
+        amplitudes = np.array(pairs, dtype=float)
     if len(amplitudes) != length:
         raise _fail(path, f"expected {length} amplitudes for the configured {factor}")
+    amplitudes.setflags(write=False)
     return amplitudes
 
 
-def _vectors(value, path: str, count: int, length: int, factor: str) -> list[list[list[float]]]:
+def _vectors(value, path: str, count: int, length: int, factor: str) -> list[np.ndarray]:
     if not isinstance(value, list) or not value:
         raise _fail(path, "expected a non-empty list of vectors")
     if len(value) != count:
@@ -273,9 +305,9 @@ def _bcl(value, path: str, doc: dict) -> dict:
     return bcl
 
 
-def _initial_state(value, path: str, doc: dict) -> list[list[float]]:
+def _initial_state(value, path: str, doc: dict) -> np.ndarray:
     state = _sized_amplitudes(value, path, sum(doc["bcl"]["degeneracies"]), "system")
-    if not any(re or im for re, im in state):
+    if not state.any():
         raise _fail(path, "must not be the zero vector")
     return state
 
@@ -349,10 +381,17 @@ def validate_scenario_data(data) -> ScenarioConfig:
 
 
 def load_scenario(path) -> ScenarioConfig:
-    """Read, parse and validate a scenario file."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Read, parse and validate a scenario file.
+
+    The parsed document holds one list per ``[re, im]`` pair and no reference
+    cycle, so the cyclic garbage collector is paused until it is freed.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        data = json.loads(text)
+        return validate_scenario_data(json.loads(Path(path).read_text(encoding="utf-8")))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    return validate_scenario_data(data)
+    finally:
+        if collecting:
+            gc.enable()

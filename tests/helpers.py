@@ -1,8 +1,46 @@
-"""Shared generators and dense references for randomized spec tests."""
+"""Shared generators, test-only constructors and dense references for the tests."""
 
 import numpy as np
 
 from pointerlab import BclSpec, DensityMatrix, StateVector
+from pointerlab.runner import _json_text
+
+
+def basis_state(dim, index):
+    """Canonical basis vector ``e_index`` in ``dim`` dimensions, as a state."""
+    return StateVector(np.eye(dim)[index])
+
+
+def canonical_spec(eigenvalues, degeneracies, apparatus_dim=None):
+    """Spec over canonical basis vectors, transfer family equal to the eigenbasis.
+
+    The eigenvectors are ``e_0, e_1, ...`` in sector order, pointer ``k``
+    is ``e_k`` and the ready state ``e_0``.
+    """
+    if apparatus_dim is None:
+        apparatus_dim = len(eigenvalues)
+    eigenvectors = np.eye(sum(degeneracies), dtype=complex)
+    return BclSpec(
+        eigenvalues=tuple(eigenvalues),
+        degeneracies=tuple(degeneracies),
+        eigenvectors=eigenvectors,
+        transfer=eigenvectors,
+        pointers=np.eye(apparatus_dim, len(eigenvalues), dtype=complex),
+        ready_state=basis_state(apparatus_dim, 0),
+    )
+
+
+def kronecker_entries(witness):
+    """Dense matrix ``kron(M H M^dagger, N G N^dagger)`` of a ``KroneckerProduct``."""
+    first, second = (
+        basis @ core @ basis.conj().T for basis, core in (witness.system, witness.apparatus)
+    )
+    return np.kron(first, second)
+
+
+def payload_text(report):
+    """JSON text of a report's deterministic ``payload`` section."""
+    return _json_text(report.payload_dict())
 
 
 def random_unitary(rng, n):

@@ -49,6 +49,7 @@ from helpers import (
     dense_coherence,
     gemenge_density_matrix,
     haar_document,
+    kronecker_entries,
     random_bcl_spec,
     random_state,
 )
@@ -121,7 +122,7 @@ def test_factored_quantities_match_dense_formulas(
         dense_coherence(dense, spec.pointers, d_system),
     )
     for witness in (shift_witness(spec), observable_witness(spec)):
-        assert close(witness.expectation(rho), np.trace(dense @ witness.entries).real)
+        assert close(witness.expectation(rho), np.trace(dense @ kronecker_entries(witness)).real)
     assert close(von_neumann_entropy(rho), dense_entropy(dense))
 
     sigma = random_mixture(

@@ -43,6 +43,7 @@ from helpers import (
     close,
     dense_coherence,
     gemenge_density_matrix,
+    kronecker_entries,
     random_bcl_spec,
     random_unitary,
 )
@@ -113,7 +114,7 @@ def test_factor_identities_match_branch_columns(
     rho_unitary = outer(result.final_state)
     for witness in (shift_witness(spec), observable_witness(spec)):
         report = compare_states(result, gemenge, spec, witness)
-        assert close(report.witness_expectation_rule2, np.trace(dense @ witness.entries).real)
+        assert close(report.witness_expectation_rule2, np.trace(dense @ kronecker_entries(witness)).real)
         assert close(report.entropy_rule2_state, dense_entropy(dense))
         for keep, distance in (
             (0, report.marginal_agreement_system),

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pointerlab import DensityMatrix, KroneckerProduct
-from helpers import close, random_unitary
+from helpers import close, kronecker_entries, random_unitary
 
 
 def random_hermitian(rng, n):
@@ -48,7 +48,7 @@ def test_congruence_expectations_match_dense_trace(d_system, d_pointer, data, se
     )
     dim = d_system * d_pointer
     assert witness.factor_dims == (d_system, d_pointer)
-    dense = witness.entries
+    dense = kronecker_entries(witness)
     assert close(dense, dense.conj().T)
 
     rank = data.draw(st.integers(1, dim + 2))

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from pointerlab import (
-    BclSpec,
     DensityMatrix,
     DimensionMismatch,
     GemengeDecomposition,
@@ -20,7 +19,7 @@ from pointerlab import (
     trace_distance,
     von_neumann_entropy,
 )
-from helpers import gemenge_density_matrix, random_bcl_spec, random_state
+from helpers import canonical_spec, gemenge_density_matrix, kronecker_entries, random_bcl_spec, random_state
 
 LN2 = 0.6931471805599453
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -28,7 +27,7 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def qubit_spec():
-    return BclSpec.canonical([1.0, -1.0], [1, 1])
+    return canonical_spec([1.0, -1.0], [1, 1])
 
 
 def bell_case():
@@ -132,7 +131,7 @@ class TestCompareStates:
     def test_bell_witness_erasure(self):
         spec, result, gemenge = bell_case()
         witness = shift_witness(spec)
-        assert np.array_equal(witness.entries, np.kron(SIGMA_X, SIGMA_X))
+        assert np.array_equal(kronecker_entries(witness), np.kron(SIGMA_X, SIGMA_X))
         report = compare_states(result, gemenge, spec, witness)
         assert abs(report.witness_expectation_unitary - 1.0) < 1e-10
         assert abs(report.witness_expectation_rule2) < 1e-10

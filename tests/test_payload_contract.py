@@ -18,7 +18,7 @@ import pytest
 from pointerlab import run_scenario
 from pointerlab.cli import DEMO_SCENARIOS
 from pointerlab.scenario import load_scenario, validate_scenario_data
-from helpers import haar_document
+from helpers import haar_document, payload_text
 
 SNAPSHOT = Path(__file__).with_name("payload_snapshot.json")
 CASES = (*DEMO_SCENARIOS, "haar-sigma_x_pattern", "haar-system_observable")
@@ -32,7 +32,7 @@ def payload(case: str) -> dict:
             config = load_scenario(path)
     else:
         config = validate_scenario_data(haar_document(case.removeprefix("haar-")))
-    return json.loads(run_scenario(config).payload_text())
+    return json.loads(payload_text(run_scenario(config)))
 
 
 def assert_matches(value, reference, where: str) -> None:

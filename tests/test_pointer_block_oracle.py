@@ -20,7 +20,14 @@ from pointerlab import (
     premeasure,
     shift_witness,
 )
-from helpers import close, dense_coherence, gemenge_density_matrix, random_bcl_spec, random_state
+from helpers import (
+    close,
+    dense_coherence,
+    gemenge_density_matrix,
+    kronecker_entries,
+    random_bcl_spec,
+    random_state,
+)
 
 
 def dense_gemenge(gemenge):
@@ -59,7 +66,7 @@ def test_pointer_blocks_match_dense_projectors(degeneracies, extra_apparatus, st
             (report.witness_expectation_unitary, rho_unitary),
             (report.witness_expectation_rule2, rho_rule2),
         ):
-            trace = np.trace(reference_state.entries @ witness.entries).real
+            trace = np.trace(reference_state.entries @ kronecker_entries(witness)).real
             assert close(expectation, trace)
 
     assert close(rho.eigenvalues(), np.linalg.eigvalsh(rho.entries))

@@ -18,13 +18,13 @@ from pointerlab import (
     von_neumann_entropy,
 )
 from pointerlab.tolerances import INVARIANT_TOL
-from helpers import random_bcl_spec, random_state
+from helpers import basis_state, canonical_spec, kronecker_entries, random_bcl_spec, random_state
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 def qubit_spec():
-    return BclSpec.canonical([1.0, -1.0], [1, 1])
+    return canonical_spec([1.0, -1.0], [1, 1])
 
 
 class TestBclSpecInvariants:
@@ -35,7 +35,7 @@ class TestBclSpecInvariants:
 
     def test_rejects_duplicate_eigenvalues(self):
         with pytest.raises(SpecInvalid):
-            BclSpec.canonical([1.0, 1.0], [1, 1])
+            canonical_spec([1.0, 1.0], [1, 1])
 
     def test_rejects_incomplete_eigenbasis(self):
         e = np.eye(3, 2)
@@ -113,7 +113,7 @@ class TestBclSpecInvariants:
                 eigenvectors=np.eye(4),
                 transfer=transfer,
                 pointers=np.eye(3),
-                ready_state=StateVector.basis_state(3, 0),
+                ready_state=basis_state(3, 0),
             )
 
     def test_rejects_misshapen_families(self):
@@ -154,7 +154,7 @@ class TestBclSpecInvariants:
         rng = np.random.default_rng(21)
         spec = random_bcl_spec(rng, (2, 1))
         # O (x) I carries e (x) a into o e (x) a for every apparatus basis vector a
-        observable = observable_witness(spec).entries
+        observable = kronecker_entries(observable_witness(spec))
         for o, sector in zip(spec.eigenvalues, spec.system_eigenbasis):
             for vec in sector:
                 for pointer in np.eye(spec.apparatus_dim):

@@ -2,8 +2,10 @@
 
 The reference below is that recursive writer: it builds the text of every
 value, escapes keys and strings with ``json.dumps`` and joins the parts of
-each object and array.  The one-pass writer must give byte-identical text
-on every value a report can hold, and refuse a non-finite float the same way.
+each object and array.  A scenario echo holds each amplitude list as an
+``(n, 2)`` float array, which the reference writes as its ``.tolist()``.
+The one-pass writer must give byte-identical text on every value a report
+can hold, and refuse a non-finite float the same way.
 """
 
 import json
@@ -18,9 +20,22 @@ from hypothesis import strategies as st
 from pointerlab import load_scenario, run_scenario
 from pointerlab.cli import DEMO_SCENARIOS
 from pointerlab.runner import _float_repr, _json_text
+from pointerlab.scenario import validate_scenario_data
+from helpers import haar_document, payload_text
+
+
+def is_amplitude_array(value):
+    return (
+        isinstance(value, np.ndarray)
+        and value.dtype == float
+        and value.ndim == 2
+        and value.shape[1] == 2
+    )
 
 
 def reference_text(value, indent=0):
+    if is_amplitude_array(value):
+        value = value.tolist()
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(value, dict):
@@ -82,12 +97,14 @@ PAIR_FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([0.0, 1.0, -2.0, 1e300]),  # integral values
 )
+PAIR_LISTS = st.lists(st.lists(PAIR_FLOATS, min_size=2, max_size=2), min_size=1, max_size=4)
 VALUES = st.recursive(
     LEAVES,
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(FLOATS, min_size=1, max_size=4),  # a float leaf list
-        st.lists(st.lists(PAIR_FLOATS, min_size=2, max_size=2), min_size=1, max_size=4),
+        PAIR_LISTS,
+        PAIR_LISTS.map(lambda pairs: np.array(pairs, dtype=float)),  # an amplitude array
         st.lists(children, max_size=3).map(tuple),
         st.dictionaries(KEYS, children, max_size=4),
     ),
@@ -111,15 +128,28 @@ def test_writer_matches_the_recursive_reference(value):
         [[1e300, -0.5]],
         [[0.5, -0.0]],
         [[0.1, 0.2], [1e16, 0.3]],
+        [[1.0, 2.0], [-3.0, 0.0]],  # every entry integral
+        [[-0.0, 0.5], [0.25, -0.0]],
+        [[5e-324, -2.2250738585072014e-308], [0.5, -5e-324]],  # subnormals
+        [[2.0**-1074, 0.1], [1e-310, 3.0]],
     ],
 )
 def test_float_pair_arrays_match_the_reference(pairs):
-    for value in (pairs, {"initial_state": pairs}, [pairs, pairs]):
+    array = np.array(pairs, dtype=float)
+    for pair_form in (pairs, array):
+        for value in (pair_form, {"initial_state": pair_form}, [pair_form, pair_form]):
+            assert _json_text(value) == reference_text(value)
+
+
+def test_empty_amplitude_array_matches_the_reference():
+    for value in (np.zeros((0, 2)), {"a": np.zeros((0, 2))}):
         assert _json_text(value) == reference_text(value)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, np.float64("nan")])
-@pytest.mark.parametrize("where", ["leaf", "float list", "nested", "value", "pair list"])
+@pytest.mark.parametrize(
+    "where", ["leaf", "float list", "nested", "value", "pair list", "pair array"]
+)
 def test_non_finite_float_raises_value_error(bad, where):
     value = {
         "leaf": bad,
@@ -127,6 +157,7 @@ def test_non_finite_float_raises_value_error(bad, where):
         "nested": {"a": [[0.5, bad]]},
         "value": {"values": {"x": 1.0, "y": bad}},
         "pair list": [[0.5, 0.25], [0.5, bad]],
+        "pair array": {"a": [np.array([[0.5, 0.25], [0.5, bad]])]},
     }[where]
     with pytest.raises(ValueError, match="non-finite"):
         reference_text(value)
@@ -137,18 +168,39 @@ def test_non_finite_float_raises_value_error(bad, where):
             _float_repr(bad)
 
 
-@pytest.mark.parametrize("name", sorted(DEMO_SCENARIOS))
+@pytest.mark.parametrize(
+    "name", [*sorted(DEMO_SCENARIOS), "haar-sigma_x_pattern", "haar-system_observable"]
+)
 def test_demo_reports_match_the_reference(name):
-    bundled = resources.files("pointerlab").joinpath("scenarios", DEMO_SCENARIOS[name])
-    with resources.as_file(bundled) as path:
-        report = run_scenario(load_scenario(path))
+    if name in DEMO_SCENARIOS:
+        bundled = resources.files("pointerlab").joinpath("scenarios", DEMO_SCENARIOS[name])
+        with resources.as_file(bundled) as path:
+            config = load_scenario(path)
+    else:
+        config = validate_scenario_data(haar_document(name.removeprefix("haar-")))
+    report = run_scenario(config)
+    if "initial_state" in report.scenario:  # the echo holds amplitude arrays
+        assert is_amplitude_array(report.scenario["initial_state"])
     meta = {"duration_seconds": report.duration_seconds}
     document = {"payload": report.payload_dict(), "meta": meta}
-    assert report.payload_text() == reference_text(report.payload_dict())
+    assert payload_text(report) == reference_text(report.payload_dict())
     assert report.to_json_text() == reference_text(document) + "\n"
 
 
-@pytest.mark.parametrize("value", [np.bool_(True), {1, 2}, b"bytes", np.zeros(2)])
+# only float arrays of shape (n, 2) are leaves; every other array is refused
+@pytest.mark.parametrize(
+    "value",
+    [
+        np.bool_(True),
+        {1, 2},
+        b"bytes",
+        np.zeros(2),
+        np.zeros((2, 3)),
+        np.zeros((2, 2), dtype=int),
+        np.zeros((2, 2), dtype=np.float32),
+        np.zeros((1, 2, 2)),
+    ],
+)
 def test_unsupported_types_raise_type_error(value):
     for write in (reference_text, _json_text):
         with pytest.raises(TypeError):

@@ -7,6 +7,7 @@ import pytest
 from pointerlab import ParseError, ValidationError, load_scenario, run_scenario
 from pointerlab.cli import main as cli_main
 from pointerlab.runner import render_report
+from helpers import payload_text
 
 LN2 = 0.6931471805599453
 
@@ -131,8 +132,8 @@ class TestRunScenario:
 
     def test_deterministic_payload(self, tmp_path):
         config = load_scenario(write_scenario(tmp_path, FULL_MEASUREMENT))
-        first = run_scenario(config).payload_text()
-        second = run_scenario(config).payload_text()
+        first = payload_text(run_scenario(config))
+        second = payload_text(run_scenario(config))
         assert first == second
 
     def test_tolerance_override_can_fail_a_verdict(self, tmp_path):

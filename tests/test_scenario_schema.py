@@ -1,19 +1,22 @@
 """The validated scenario is its own echo, and every schema fault names its key path.
 
-Validating a report's ``scenario`` echo must give the same echo back, whatever
-key order, number literals and amplitude forms the original document used.
-A document with one fault must be refused with that fault's key path and a
-fixed message.
+Validating the JSON text of a report's ``scenario`` echo must give the same
+text back, whatever key order, number literals and amplitude forms the
+original document used.  A document with one fault must be refused with that
+fault's key path and a fixed message, whether the amplitude list that holds
+it is checked by one ``np.array`` or walked entry by entry.
 """
 
 import copy
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pointerlab import ValidationError
+from pointerlab import ValidationError, scenario
+from pointerlab.runner import _json_text
 from pointerlab.scenario import TOLERANCE_DEFAULTS, validate_scenario_data
 
 WITNESSES = ("sigma_x_pattern", "system_observable")
@@ -128,12 +131,36 @@ def reordered(draw, value):
 @given(data=st.data())
 def test_echo_is_a_fixed_point(data):
     document = data.draw(DOCUMENTS)
-    echo = validate_scenario_data(document).document
-    again = validate_scenario_data(echo).document
-    assert again == echo
-    assert json.dumps(again) == json.dumps(echo)
+    echo = _json_text(validate_scenario_data(document).document)
+    assert _json_text(validate_scenario_data(json.loads(echo)).document) == echo
     shuffled = data.draw(reordered(document))
-    assert json.dumps(validate_scenario_data(shuffled).document) == json.dumps(echo)
+    assert _json_text(validate_scenario_data(shuffled).document) == echo
+
+
+def test_uniform_amplitude_lists_are_checked_without_the_walk(monkeypatch):
+    calls = []
+    walk = scenario._amplitude
+    monkeypatch.setattr(scenario, "_amplitude", lambda entry: calls.append(entry) or walk(entry))
+    state = np.random.default_rng(3).normal(size=(2048, 2))
+    document = {
+        "scenario_kind": "full_measurement",
+        "bcl": {"eigenvalues": [0.0, 1.0], "degeneracies": [1024, 1024]},  # da = K = 2
+        "initial_state": state.tolist(),
+    }
+    echo = validate_scenario_data(document).document["initial_state"]
+    assert calls == []
+    assert echo.shape == (2048, 2) and not echo.flags.writeable
+    assert np.array_equal(echo, state)
+    # bare numbers get zero imaginary parts on the same path
+    document["initial_state"] = [1, 2.5] * 1024
+    echo = validate_scenario_data(document).document["initial_state"]
+    assert calls == []
+    assert echo.tolist() == [[1.0, 0.0], [2.5, 0.0]] * 1024
+    # a mixed list is walked, to the values the walk has always given
+    document["initial_state"] = [1, [0.5, -2], 3.0, [0, -0.0]] * 512
+    echo = validate_scenario_data(document).document["initial_state"]
+    assert len(calls) == 2048
+    assert echo.tolist() == [[1.0, 0.0], [0.5, -2.0], [3.0, 0.0], [0.0, -0.0]] * 512
 
 
 SYM = {
@@ -159,6 +186,7 @@ EXPLICIT = {
         },
     },
 }
+PAIRS = {**BCL, "initial_state": [[1, 0], [0, 1]]}  # checked by one np.array
 DROP = object()
 KINDS = "('symmetrization', 'dlocal', 'bcl', 'full_measurement')"
 POWER_OF_TWO = "scenario.grid.n_points: must be a power of two between 64 and 4096"
@@ -255,6 +283,12 @@ FAULTS = [
     (SYM, ["grid", "dx"], HUGE, "scenario.grid.dx: must be finite"),
     (BCL, ["bcl", "eigenvalues", 0], -HUGE, "scenario.bcl.eigenvalues[0]: must be finite"),
     (BCL, ["tolerances"], {"unitarity": HUGE}, "scenario.tolerances.unitarity: must be finite"),
+    # faults that np.array(..., dtype=float) converts, overflows on or lets through
+    (PAIRS, ["initial_state", 1], [True, 0], "scenario.initial_state[1][0]: expected a number"),
+    (PAIRS, ["initial_state", 1], ["0.5", 0], "scenario.initial_state[1][0]: expected a number"),
+    (PAIRS, ["initial_state", 1], [0, HUGE], "scenario.initial_state[1][1]: must be finite"),
+    (PAIRS, ["initial_state", 1], [float("nan"), 0], "scenario.initial_state[1][0]: must be finite"),
+    (PAIRS, ["initial_state", 1], [1, 2, 3], "scenario.initial_state[1]: expected a number or an [re, im] pair"),
 ]
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from pointerlab import StateVector, observable_witness, premeasure, shift_witness
 from pointerlab.tolerances import PROBABILITY_FLOOR
-from helpers import close, random_bcl_spec, random_state
+from helpers import close, kronecker_entries, random_bcl_spec, random_state
 
 
 def loop_premeasure(spec, phi):
@@ -81,5 +81,5 @@ def test_spec_matrices_match_vector_loops(degeneracies, extra_apparatus, transfe
             assert close(conditional.amplitudes, reference)
 
     observable = np.kron(loop_observable(spec), np.eye(spec.apparatus_dim))
-    assert close(observable_witness(spec).entries, observable)
-    assert close(shift_witness(spec).entries, loop_shift_witness(spec))
+    assert close(kronecker_entries(observable_witness(spec)), observable)
+    assert close(kronecker_entries(shift_witness(spec)), loop_shift_witness(spec))
