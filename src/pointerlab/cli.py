@@ -14,7 +14,7 @@ import sys
 from importlib import resources
 
 from .errors import PointerlabError
-from .runner import emit_report, render_report, run_scenario
+from .runner import _report_parts, emit_report, run_scenario
 from .scenario import ScenarioConfig, load_scenario
 
 DEMO_SCENARIOS = {
@@ -55,7 +55,7 @@ def _execute(config: ScenarioConfig, fmt: str, out: str | None) -> int:
     report = run_scenario(config)
     target = out if out is not None else config.document["output"][fmt]
     if target is None:
-        sys.stdout.write(render_report(report, fmt))
+        sys.stdout.writelines(_report_parts(report, fmt))
     else:
         emit_report(report, fmt, target)
     return 0 if report.all_passed else 2

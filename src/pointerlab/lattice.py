@@ -10,17 +10,22 @@ as the position observable, at ``O(n)`` per operation, or as a dense
 ``(n, n)`` array at ``O(n^2)``.
 
 A symmetrized pair ``nu * (psi (x) phi +/- phi (x) psi)`` has rank two, so it
-is stored as its two orbitals, its exchange sign and ``nu``; exchange
-symmetry holds by construction and no ``n x n`` pair array is ever formed.
-The expectation of a one-body registration observable ``a (x) 1 + 1 (x) a``
-follows from the 2x2 orbital matrix elements of ``a`` and the orbital
-overlaps (the Slater-Condon/Lowdin rules), at the cost of one kernel apply.
+is stored as its two orbitals, its exchange sign, ``nu`` and its 2x2 orbital
+overlap matrix ``S = dx * O^* O^T`` with ``O = [psi; phi]``, which
+:func:`symmetrize` forms with one product; exchange symmetry holds by
+construction and no ``n x n`` pair array is ever formed.  The expectation of
+a one-body registration observable ``a (x) 1 + 1 (x) a`` follows from ``S``
+and the 2x2 orbital matrix elements of ``a`` (the Lowdin rules for
+non-orthogonal orbitals), which one kernel apply gives, together with the
+one-particle expectations in each orbital; pairs over the same orbitals
+share them.  A grid forms its coordinate array once.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -76,13 +81,16 @@ class LatticeGrid:
         if self.n_points < 2:
             raise ValueError("a grid needs at least two points")
 
-    @property
+    @cached_property
     def coordinates(self) -> np.ndarray:
-        return self.x_min + self.dx * np.arange(self.n_points)
+        """Read-only point coordinates, formed on first use."""
+        coords = self.x_min + self.dx * np.arange(self.n_points)
+        coords.setflags(write=False)
+        return coords
 
 
 def _require_same_grid(a: LatticeGrid, b: LatticeGrid) -> None:
-    if a != b:
+    if a is not b and a != b:
         raise GridMismatch(f"grids {a} and {b} differ")
 
 
@@ -97,7 +105,7 @@ class LatticeWavefunction:
         vals = np.array(self.values, dtype=complex).reshape(-1)
         if vals.size != self.grid.n_points:
             raise ValueError("value count must match the grid")
-        norm = float(self.grid.dx * np.sum(np.abs(vals) ** 2))
+        norm = float(self.grid.dx * np.vdot(vals, vals).real)
         if not abs(norm - 1.0) <= QUADRATURE_NORM_TOL:
             raise ValueError(f"quadrature norm {norm:.17g} is not 1 within {QUADRATURE_NORM_TOL}")
         vals.setflags(write=False)
@@ -109,15 +117,24 @@ class LatticeWavefunction:
         return complex(self.grid.dx * np.vdot(self.values, other.values))
 
 
-def _pair_norm_squared(
-    first: LatticeWavefunction, second: LatticeWavefunction, sym: ExchangeSymmetry
-) -> float:
-    """Quadrature norm of ``first (x) second + sign * second (x) first``, squared."""
+def _orbitals(first: LatticeWavefunction, second: LatticeWavefunction) -> np.ndarray:
+    """The ``(2, n)`` orbital matrix ``O = [first; second]``."""
     _require_same_grid(first.grid, second.grid)
-    return 2.0 * (
-        first.inner(first).real * second.inner(second).real
-        + sym.sign * abs(first.inner(second)) ** 2
-    )
+    return np.array((first.values, second.values))
+
+
+def _overlaps(first: LatticeWavefunction, second: LatticeWavefunction) -> np.ndarray:
+    """Read-only 2x2 overlap matrix ``S_uv = <u|v> = dx * (O^* O^T)_uv``, one product."""
+    orbitals = _orbitals(first, second)
+    overlaps = first.grid.dx * (orbitals.conj() @ orbitals.T)
+    overlaps.setflags(write=False)
+    return overlaps
+
+
+def _pair_norm_squared(overlaps: np.ndarray, sym: ExchangeSymmetry) -> float:
+    """Quadrature norm of ``first (x) second + sign * second (x) first``, squared, from ``S``."""
+    (first, cross), (_, second) = overlaps.tolist()
+    return 2.0 * (first.real * second.real + sym.sign * abs(cross) ** 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,16 +142,21 @@ class TwoParticleWavefunction:
     """Symmetrized pair ``nu * (first (x) second + sign * second (x) first)``.
 
     Exchanging the particles multiplies the amplitude by the declared sign
-    by construction; ``nu`` must make the quadrature norm 1.
+    by construction; ``nu`` must make the quadrature norm 1.  ``overlaps``
+    is the orbital overlap matrix ``S``: :func:`symmetrize` hands over the
+    one it formed for ``nu``, a pair built directly forms its own.
     """
 
     first: LatticeWavefunction
     second: LatticeWavefunction
     exchange: ExchangeSymmetry
     nu: float
+    overlaps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        norm = self.nu**2 * _pair_norm_squared(self.first, self.second, self.exchange)
+        if "overlaps" not in vars(self):
+            object.__setattr__(self, "overlaps", _overlaps(self.first, self.second))
+        norm = self.nu**2 * _pair_norm_squared(self.overlaps, self.exchange)
         if not abs(norm - 1.0) <= QUADRATURE_NORM_TOL:
             raise ValueError(f"quadrature norm {norm:.17g} is not 1 within {QUADRATURE_NORM_TOL}")
 
@@ -163,7 +185,7 @@ class KernelOperator:
         if arr.shape not in ((n,), (n, n)):
             raise ValueError(f"kernel must have shape ({n},) or ({n}, {n})")
         if self.hermitian:
-            dev = float(np.max(np.abs(arr - arr.conj().T)))
+            dev = float(np.abs(arr - arr.conj().T).max())
             if not dev <= INVARIANT_TOL:
                 raise ValueError(f"hermitian flag violated; deviation {dev:.3e}")
         arr.setflags(write=False)
@@ -209,10 +231,10 @@ class Domain:
     @classmethod
     def from_mask(cls, mask: np.ndarray) -> "Domain":
         flags = np.asarray(mask, dtype=bool)
-        padded = np.concatenate(([False], flags, [False]))
-        edges = np.flatnonzero(padded[1:] != padded[:-1])
-        ranges = tuple((int(edges[i]), int(edges[i + 1])) for i in range(0, len(edges), 2))
-        return cls(ranges)
+        padded = np.zeros(flags.size + 2, dtype=bool)
+        padded[1:-1] = flags
+        edges = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
+        return cls(tuple(zip(edges[::2], edges[1::2])))
 
     def mask(self, n_points: int) -> np.ndarray:
         flags = np.zeros(n_points, dtype=bool)
@@ -234,8 +256,8 @@ def gaussian_packet(grid: LatticeGrid, center: float, width: float) -> LatticeWa
     coords = grid.coordinates
     if not (coords[0] <= center <= coords[-1]):
         raise ValueError(f"center {center} lies outside the grid extent")
-    raw = np.exp(-((coords - center) ** 2) / (4.0 * width**2)).astype(complex)
-    raw /= np.sqrt(grid.dx * np.sum(np.abs(raw) ** 2))
+    raw = np.exp(-((coords - center) ** 2) / (4.0 * width**2))
+    raw /= np.sqrt(grid.dx * (raw * raw).sum())
     return LatticeWavefunction(grid, raw)
 
 
@@ -249,15 +271,21 @@ def symmetrize(
     identical case.  For nearly parallel fermionic inputs the bracket
     cancels, leaving an absolute roundoff of about 1e-16 in ``1/nu^2``.
     """
-    norm_squared = _pair_norm_squared(psi, phi, sym)
+    overlaps = _overlaps(psi, phi)
+    norm_squared = _pair_norm_squared(overlaps, sym)
     if norm_squared < COMPARISON_TOL**2:
         raise NullState("symmetrized state is numerically null")
-    return TwoParticleWavefunction(psi, phi, sym, norm_squared**-0.5)
+    # hand S to the pair before its validation runs, so that the check of nu
+    # reads it instead of forming it a second time
+    pair = object.__new__(TwoParticleWavefunction)
+    object.__setattr__(pair, "overlaps", overlaps)
+    pair.__init__(psi, phi, sym, norm_squared**-0.5)
+    return pair
 
 
 def position_kernel(grid: LatticeGrid) -> KernelOperator:
     """Position observable ``x * delta(x - x')``, stored as its diagonal ``x / dx`` in ``O(n)``."""
-    return KernelOperator(grid, grid.coordinates.astype(complex) / grid.dx, hermitian=True)
+    return KernelOperator(grid, grid.coordinates / grid.dx, hermitian=True)
 
 
 def expectation_single(a: KernelOperator, psi: LatticeWavefunction) -> complex:
@@ -266,23 +294,46 @@ def expectation_single(a: KernelOperator, psi: LatticeWavefunction) -> complex:
     return complex(a.grid.dx**2 * np.vdot(psi.values, a.apply(psi.values)))
 
 
+def _orbital_elements(
+    a: KernelOperator, pair: TwoParticleWavefunction
+) -> tuple[np.ndarray, np.ndarray]:
+    """2x2 matrix elements ``a_uv = <u|a|v>`` over the pair's orbitals, from one kernel apply.
+
+    Also returns the one-particle expectations ``<u|a|u>``, contracted apart
+    from the element matrix as :func:`expectation_single` contracts them.  A
+    discrepancy verdict compares their sum with a pair value built from the
+    matrix; read off its diagonal they would share its rounding, and a
+    discrepancy that vanishes in exact arithmetic would read exactly 0.0.
+    """
+    _require_same_grid(a.grid, pair.grid)
+    orbitals = _orbitals(pair.first, pair.second)
+    applied = a.apply(orbitals.T)
+    scale = a.grid.dx**2
+    singles = scale * np.array([np.vdot(orbitals[u], applied[:, u]) for u in (0, 1)])
+    return scale * (orbitals.conj() @ applied), singles
+
+
+def _pair_expectation(elements: np.ndarray, pair: TwoParticleWavefunction) -> complex:
+    (a_pp, a_pf), (a_fp, a_ff) = elements.tolist()
+    (s_pp, s_pf), (s_fp, s_ff) = pair.overlaps.tolist()
+    total = a_pp * s_ff + a_ff * s_pp + pair.exchange.sign * (a_pf * s_fp + a_fp * s_pf)
+    return 2.0 * pair.nu**2 * total
+
+
 def expectation_two_particle(a: KernelOperator, pair: TwoParticleWavefunction) -> complex:
     """Pair expectation of the registration observable ``a (x) 1 + 1 (x) a``.
 
-    With orbitals ``psi, phi``, matrix elements ``a_uv = <u|a|v>`` and
-    overlaps ``<u|v>``, the value is
-    ``2 nu^2 [a_pp <phi|phi> + a_ff <psi|psi> + sign (a_pf <phi|psi> + a_fp <psi|phi>)]``.
+    With orbitals ``psi, phi``, matrix elements ``a_uv = <u|a|v>`` and the
+    pair's overlaps ``S_uv = <u|v>``, the value is
+    ``2 nu^2 [a_pp S_ff + a_ff S_pp + sign (a_pf S_fp + a_fp S_pf)]``.
     """
-    _require_same_grid(a.grid, pair.grid)
-    orbitals = np.stack((pair.first.values, pair.second.values))
-    elements = a.grid.dx**2 * (orbitals.conj() @ a.apply(orbitals.T))
-    overlaps = a.grid.dx * (orbitals.conj() @ orbitals.T)
-    total = (
-        elements[0, 0] * overlaps[1, 1]
-        + elements[1, 1] * overlaps[0, 0]
-        + pair.exchange.sign * (elements[0, 1] * overlaps[1, 0] + elements[1, 0] * overlaps[0, 1])
-    )
-    return complex(2.0 * pair.nu**2 * total)
+    return _pair_expectation(_orbital_elements(a, pair)[0], pair)
+
+
+def _localize(a: KernelOperator, inside: np.ndarray) -> KernelOperator:
+    if a.entries.ndim == 2:
+        inside = np.outer(inside, inside)
+    return KernelOperator(a.grid, np.where(inside, a.entries, 0.0 + 0.0j), hermitian=a.hermitian)
 
 
 def localize(a: KernelOperator, D: Domain) -> KernelOperator:
@@ -290,10 +341,7 @@ def localize(a: KernelOperator, D: Domain) -> KernelOperator:
 
     A diagonal is masked by ``chi_D`` itself, a dense kernel by its outer product.
     """
-    mask = D.mask(a.grid.n_points)
-    if a.entries.ndim == 2:
-        mask = np.outer(mask, mask)
-    return KernelOperator(a.grid, np.where(mask, a.entries, 0.0 + 0.0j), hermitian=a.hermitian)
+    return _localize(a, D.mask(a.grid.n_points))
 
 
 def dlocal_residual(a: KernelOperator, D: Domain) -> float:
@@ -304,8 +352,11 @@ def dlocal_residual(a: KernelOperator, D: Domain) -> float:
     the ``dx``-weighted absolute row and column sums.  Off the diagonal of a
     diagonal kernel every term is an exact zero, so both sums are ``|a_jj|``.
     """
-    exterior = ~D.mask(a.grid.n_points)
-    if not np.any(exterior):
+    return _exterior_residual(a, ~D.mask(a.grid.n_points))
+
+
+def _exterior_residual(a: KernelOperator, exterior: np.ndarray) -> float:
+    if not exterior.any():
         return 0.0
     magnitude = np.abs(a.entries)
     if magnitude.ndim == 2:
@@ -321,7 +372,38 @@ def is_d_local(a: KernelOperator, D: Domain, tol: float) -> bool:
 
 
 def _domain_mass(psi: LatticeWavefunction, mask: np.ndarray) -> float:
-    return float(psi.grid.dx * np.sum(np.abs(psi.values[mask]) ** 2))
+    values = psi.values[mask]
+    return float(psi.grid.dx * np.vdot(values, values).real)
+
+
+def _dlocal_agreement(
+    a: KernelOperator,
+    inside: np.ndarray,
+    psi: LatticeWavefunction,
+    phi: LatticeWavefunction,
+    mass_epsilon: float,
+) -> tuple[complex, complex, TwoParticleWavefunction, np.ndarray, KernelOperator]:
+    """:func:`dlocal_agreement_check` on the domain's mask, returning what it builds.
+
+    That is the localized pair expectation, the one-particle expectation of
+    ``a`` in ``psi``, the boson pair, the orbital elements of ``a`` and the
+    localized kernel, each kernel applied once.
+    """
+    stray_psi = _domain_mass(psi, ~inside)
+    if stray_psi > mass_epsilon:
+        raise SupportViolation(
+            f"first packet leaves {stray_psi:.3e} probability outside the domain"
+        )
+    stray_phi = _domain_mass(phi, inside)
+    if stray_phi > mass_epsilon:
+        raise SupportViolation(
+            f"second packet leaves {stray_phi:.3e} probability inside the domain"
+        )
+    pair = symmetrize(psi, phi, ExchangeSymmetry.BOSON)
+    localized = _localize(a, inside)
+    elements, (single, _) = _orbital_elements(a, pair)
+    two_particle = _pair_expectation(_orbital_elements(localized, pair)[0], pair)
+    return two_particle, single, pair, elements, localized
 
 
 def dlocal_agreement_check(
@@ -341,19 +423,8 @@ def dlocal_agreement_check(
     """
     _require_same_grid(a.grid, psi.grid)
     _require_same_grid(a.grid, phi.grid)
-    inside = D.mask(a.grid.n_points)
-    stray_psi = _domain_mass(psi, ~inside)
-    if stray_psi > mass_epsilon:
-        raise SupportViolation(
-            f"first packet leaves {stray_psi:.3e} probability outside the domain"
-        )
-    stray_phi = _domain_mass(phi, inside)
-    if stray_phi > mass_epsilon:
-        raise SupportViolation(
-            f"second packet leaves {stray_phi:.3e} probability inside the domain"
-        )
-    pair_state = symmetrize(psi, phi, ExchangeSymmetry.BOSON)
-    two_particle = expectation_two_particle(localize(a, D), pair_state)
-    single = expectation_single(a, psi)
+    two_particle, single, *_ = _dlocal_agreement(
+        a, D.mask(a.grid.n_points), psi, phi, mass_epsilon
+    )
     return two_particle, single, abs(two_particle - single)
 

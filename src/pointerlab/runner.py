@@ -9,10 +9,11 @@ with 17 significant digits so every value round-trips exactly; JSON and CSV
 share that one float formatter.  The JSON writer makes one pass over the
 report, appending to one list of text pieces: it dispatches on each value's
 exact type, writes a list of floats in one join and a scenario's ``(n, 2)``
-amplitude array, as the list of its ``[re, im]`` rows, with one ``%.17g``
-template, and escapes keys and strings with the stdlib's ASCII escaper, as
-``json.dumps`` does.  ``emit_report`` writes the pieces to the file without
-joining them.  The run views each amplitude array as complex numbers.
+amplitude array, as the list of its ``[re, im]`` rows, with one
+``%``-template, and escapes keys and strings with the stdlib's ASCII
+escaper, as ``json.dumps`` does.  ``emit_report`` writes the pieces to the
+file without joining them, and the command line writes them to stdout the
+same way.  The run views each amplitude array as complex numbers.
 """
 
 from __future__ import annotations
@@ -33,12 +34,11 @@ from .lattice import (
     Domain,
     ExchangeSymmetry,
     LatticeGrid,
-    dlocal_agreement_check,
-    dlocal_residual,
-    expectation_single,
-    expectation_two_particle,
+    _dlocal_agreement,
+    _exterior_residual,
+    _orbital_elements,
+    _pair_expectation,
     gaussian_packet,
-    localize,
     position_kernel,
     symmetrize,
 )
@@ -163,18 +163,31 @@ def _write_json(out: list[str], value, newline: str) -> None:
     """Append the JSON text of ``value`` to ``out``; ``newline`` is a newline and its indent.
 
     Objects and arrays put one entry per line, indented two spaces per
-    level.  A list of floats is written in one join.  A float array of shape
-    ``(n, 2)`` is written as its ``.tolist()``, with one template when no
-    number in it is integral (which needs its ``.0``) or non-finite (which
-    must raise).
+    level.  A list of floats is written in one join.  A finite float array
+    of shape ``(n, 2)`` is written as the list of its rows with one
+    ``%``-template: ``%.17g`` for each entry, except ``%.1f`` for an
+    integral entry below ``1e17``, which gives it the ``.0`` of
+    :func:`_float_repr` (at ``1e17`` and above ``%.17g`` writes an
+    exponent).  A non-finite array is written as its ``.tolist()``, which
+    raises.
     """
     kind = type(value)
     if kind is np.ndarray and value.ndim == 2 and value.shape[1] == 2 and value.dtype == float:
-        if value.size and np.isfinite(value).all() and not (value % 1.0 == 0.0).any():
+        if value.size and np.isfinite(value).all():
             inner = newline + "  "
-            pair = "[" + inner + "  %.17g," + inner + "  %.17g" + inner + "]"
+            rows = [
+                "[" + inner + "  " + first + "," + inner + "  " + second + inner + "]"
+                for first in ("%.17g", "%.1f")
+                for second in ("%.17g", "%.1f")
+            ]
+            fixed = value % 1.0 == 0.0
+            if fixed.any():
+                fixed &= np.abs(value) < 1e17
+                template = [rows[code] for code in (2 * fixed[:, 0] + fixed[:, 1]).tolist()]
+            else:
+                template = [rows[0]] * len(value)
             numbers = tuple(value.ravel().tolist())
-            out.append("[" + inner + ("," + inner).join([pair] * len(value)) % numbers + newline + "]")
+            out.append("[" + inner + ("," + inner).join(template) % numbers + newline + "]")
             return
         value, kind = value.tolist(), list
     if kind is not dict and kind is not list and kind is not tuple:
@@ -244,15 +257,13 @@ def _run_symmetrization(scenario: dict) -> tuple[dict, list[Verdict]]:
         psi, phi = (gaussian_packet(grid, **packet) for packet in scenario["packets"])
         kernel = position_kernel(grid)
     with _stage("symmetrization"):
-        single_first = expectation_single(kernel, psi).real
-        single_second = expectation_single(kernel, phi).real
-        overlap = abs(psi.inner(phi))
-        nu = {}
-        two_particle = {}
-        for sym in (ExchangeSymmetry.BOSON, ExchangeSymmetry.FERMION):
-            pair = symmetrize(psi, phi, sym)
-            nu[sym] = pair.nu
-            two_particle[sym] = expectation_two_particle(kernel, pair).real
+        pairs = {sym: symmetrize(psi, phi, sym) for sym in ExchangeSymmetry}
+        nu = {sym: pair.nu for sym, pair in pairs.items()}
+        overlap = abs(pairs[ExchangeSymmetry.BOSON].overlaps[0, 1])
+        # both pairs hold psi and phi, so one kernel apply serves both
+        elements, singles = _orbital_elements(kernel, pairs[ExchangeSymmetry.BOSON])
+        single_first, single_second = singles.real
+        two_particle = {sym: _pair_expectation(elements, pair).real for sym, pair in pairs.items()}
 
     values = {
         "single_particle_position_first": single_first,
@@ -300,15 +311,16 @@ def _run_dlocal(scenario: dict) -> tuple[dict, list[Verdict]]:
         kernel = position_kernel(grid)
         domain = Domain.from_interval(grid, **scenario["domain"])
     with _stage("domain-local check"):
-        two_local, single, difference = dlocal_agreement_check(
-            kernel, domain, psi, phi, mass_epsilon=tol["support_mass"]
+        inside = domain.mask(grid.n_points)
+        two_local, single, pair, raw_elements, localized = _dlocal_agreement(
+            kernel, inside, psi, phi, tol["support_mass"]
         )
-        two_raw = expectation_two_particle(
-            kernel, symmetrize(psi, phi, ExchangeSymmetry.BOSON)
-        ).real
+        difference = abs(two_local - single)
+        two_raw = _pair_expectation(raw_elements, pair).real
         raw_difference = abs(two_raw - single.real)
-        residual_raw = dlocal_residual(kernel, domain)
-        residual_localized = dlocal_residual(localize(kernel, domain), domain)
+        outside = ~inside
+        residual_raw = _exterior_residual(kernel, outside)
+        residual_localized = _exterior_residual(localized, outside)
 
     values = {
         "dlocal_two_particle_expectation": two_local.real,

@@ -2,7 +2,22 @@
 
 import numpy as np
 
-from pointerlab import BclSpec, DensityMatrix, StateVector
+from pointerlab import (
+    BclSpec,
+    DensityMatrix,
+    Domain,
+    ExchangeSymmetry,
+    LatticeGrid,
+    StateVector,
+    dlocal_agreement_check,
+    dlocal_residual,
+    expectation_single,
+    expectation_two_particle,
+    gaussian_packet,
+    localize,
+    position_kernel,
+    symmetrize,
+)
 from pointerlab.runner import _json_text
 
 
@@ -172,4 +187,42 @@ def haar_document(witness):
         "initial_state": rng.normal(size=(6, 2)).tolist(),
         "witness": witness,
         "tolerances": {"rule2_coherence": 1e-12},
+    }
+
+
+def lattice_composition(scenario):
+    """The values of a validated ``symmetrization`` or ``dlocal`` document, one public call each.
+
+    This is how the runner once composed a lattice run: every value comes
+    from its own call, so each recomputes the packets' overlaps, the kernel
+    elements, the domain mask and the localized kernel it needs.
+    """
+    grid = LatticeGrid(**scenario["grid"])
+    psi, phi = (gaussian_packet(grid, **packet) for packet in scenario["packets"])
+    kernel = position_kernel(grid)
+    if scenario["scenario_kind"] == "symmetrization":
+        values = {
+            "single_particle_position_first": expectation_single(kernel, psi).real,
+            "single_particle_position_second": expectation_single(kernel, phi).real,
+        }
+        for sym in (ExchangeSymmetry.BOSON, ExchangeSymmetry.FERMION):
+            pair = symmetrize(psi, phi, sym)
+            name = sym.name.lower()
+            values[f"two_particle_position_{name}"] = expectation_two_particle(kernel, pair).real
+            values[f"normalization_factor_{name}"] = pair.nu
+        values["packet_overlap_abs"] = abs(psi.inner(phi))
+        return values
+    domain = Domain.from_interval(grid, **scenario["domain"])
+    two_local, single, difference = dlocal_agreement_check(
+        kernel, domain, psi, phi, mass_epsilon=scenario["tolerances"]["support_mass"]
+    )
+    two_raw = expectation_two_particle(kernel, symmetrize(psi, phi, ExchangeSymmetry.BOSON)).real
+    return {
+        "dlocal_two_particle_expectation": two_local.real,
+        "single_particle_expectation": single.real,
+        "dlocal_difference": difference,
+        "unlocalized_two_particle_expectation": two_raw,
+        "unlocalized_difference": abs(two_raw - single.real),
+        "dlocal_residual_raw_kernel": dlocal_residual(kernel, domain),
+        "dlocal_residual_localized_kernel": dlocal_residual(localize(kernel, domain), domain),
     }

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pointerlab import load_scenario, run_scenario
+from pointerlab import load_scenario, run_scenario, runner
 from pointerlab.cli import DEMO_SCENARIOS
 from pointerlab.runner import _float_repr, _json_text
 from pointerlab.scenario import validate_scenario_data
@@ -95,7 +95,7 @@ LEAVES = st.one_of(
 KEYS = TEXT | st.integers(-5, 5)
 PAIR_FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([0.0, 1.0, -2.0, 1e300]),  # integral values
+    st.sampled_from([0.0, -0.0, 1.0, -2.0, 1e16, 1e17, -1e17, 1e300]),  # integral values
 )
 PAIR_LISTS = st.lists(st.lists(PAIR_FLOATS, min_size=2, max_size=2), min_size=1, max_size=4)
 VALUES = st.recursive(
@@ -132,6 +132,10 @@ def test_writer_matches_the_recursive_reference(value):
         [[-0.0, 0.5], [0.25, -0.0]],
         [[5e-324, -2.2250738585072014e-308], [0.5, -5e-324]],  # subnormals
         [[2.0**-1074, 0.1], [1e-310, 3.0]],
+        [[-0.0, -0.0]],
+        [[1e16, 0.5], [-1e16, 1e16 + 2.0]],  # integral, written without an exponent
+        [[1e17, -1e17], [0.5, 1e17 - 16.0]],  # from 1e17 up, "%.17g" writes an exponent
+        [[9.007199254740993e15, 0.25]],  # 2**53 + 1 rounds to 2**53
     ],
 )
 def test_float_pair_arrays_match_the_reference(pairs):
@@ -139,6 +143,20 @@ def test_float_pair_arrays_match_the_reference(pairs):
     for pair_form in (pairs, array):
         for value in (pair_form, {"initial_state": pair_form}, [pair_form, pair_form]):
             assert _json_text(value) == reference_text(value)
+
+
+def test_integral_amplitude_array_makes_no_per_number_call(monkeypatch):
+    # a real vector, whose imaginary parts are all 0.0, is written by the template too
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return _float_repr(value)
+
+    monkeypatch.setattr(runner, "_float_repr", counted)
+    value = {"initial_state": np.array([[1.0, 0.0], [0.5, -0.0], [1e16, 1e17]])}
+    assert _json_text(value) == reference_text(value)
+    assert calls == []
 
 
 def test_empty_amplitude_array_matches_the_reference():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from pointerlab import ParseError, ValidationError, load_scenario, run_scenario
+from pointerlab import ParseError, ValidationError, cli, load_scenario, run_scenario
 from pointerlab.cli import main as cli_main
 from pointerlab.runner import render_report
 from helpers import payload_text
@@ -197,6 +197,19 @@ class TestCli:
         assert cli_main(["run", str(path)]) == 0
         payload = json.loads(capsys.readouterr().out)["payload"]
         assert payload["scenario"]["scenario_kind"] == "bcl"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_run_streams_the_rendered_report_to_stdout(self, tmp_path, capsys, monkeypatch, fmt):
+        reports = []
+
+        def run(config):
+            reports.append(run_scenario(config))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "run_scenario", run)
+        path = write_scenario(tmp_path, MINIMAL_BCL)
+        assert cli_main(["run", str(path), "--format", fmt]) == 0
+        assert capsys.readouterr().out == render_report(reports[0], fmt)
 
     def test_run_exit_two_on_failed_verdict(self, tmp_path, capsys):
         data = json.loads(json.dumps(SYMMETRIZATION))
