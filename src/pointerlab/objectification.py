@@ -42,7 +42,7 @@ from .hilbert import (
     von_neumann_entropy,
 )
 from .premeasurement import BclSpec, PremeasurementResult, apparatus_marginal
-from .tolerances import INVARIANT_TOL
+from .tolerances import GRAM_STACK_ENTRIES, INVARIANT_TOL
 
 __all__ = [
     "GemengeDecomposition",
@@ -53,10 +53,6 @@ __all__ = [
     "shift_witness",
     "observable_witness",
 ]
-
-#: Largest number of complex entries in one chunk of the ``K x r x r`` stack
-#: of pointer-block Gram matrices of a gemenge (1 MiB).
-_GRAM_STACK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +164,7 @@ def pointer_block_coherence(state: DensityMatrix | GemengeDecomposition, spec: B
         if dims != (spec.system_dim, spec.apparatus_dim):
             raise DimensionMismatch(f"gemenge factor dims {dims} do not match the spec")
         scaled = (pointers.conj().T @ state.pointer_states) * np.sqrt(state.probabilities)
-        chunk = max(1, _GRAM_STACK_ENTRIES // state.system_gram.size)
+        chunk = max(1, GRAM_STACK_ENTRIES // state.system_gram.size)
         stacks = (
             _sandwich(scaled[lo : lo + chunk], state.system_gram)
             for lo in range(0, len(scaled), chunk)

@@ -7,11 +7,12 @@ ready state into the pointer state labelling the sector.  The coupling fixes
 the unitary only on the subspace spanned by ``eigenvector (x) ready``
 (Beltrametti, Cassinelli and Lahti, J. Math. Phys. 31, 91 (1990)), and it
 has the controlled form ``U = sum_k Q_k (x) V_k``: ``Q_k = T_k E_k^dagger``
-carries sector ``k`` into its transfer vectors, and ``V_k = Pbar S_k
-R^dagger`` carries the ready state into pointer ``k``.  Everything physical
-is independent of the completions ``Pbar`` and ``R``.  ``U`` is held as
-``E``, ``T``, ``Pbar``, ``R`` and the sector bounds, with no per-sector
-factor and no product-space matrix.
+carries sector ``k`` into its transfer vectors, and ``V_k`` carries the
+ready state into pointer ``k``.  Only that isometry is prescribed, and a run
+applies nothing else: ``U`` is held as its spec.  The dense
+:attr:`ControlledUnitary.entries`, read by the tests, completes it with
+``V_k = Pbar S_k R^dagger`` for completions ``Pbar`` and ``R`` of the
+pointers and the ready state; nothing physical depends on them.
 
 A spec holds each of its three families as one column matrix, built and
 checked once at construction: the eigenvectors ``E`` and the transfer family
@@ -20,9 +21,9 @@ gives both the per-sector orthonormality check and the cross-sector residual
 of the measurement condition.  ``U`` is only pinned down on product inputs
 ``x (x) ready``, and one routine gives its action there: the per-sector sums
 ``Q_k x = T_k c_k`` of the eigenbasis coefficients ``c = E^dagger x``, one
-product per sector, contracted with the ``K`` apparatus images
-``V_k ready``.  Premeasurement reads the sums of ``E^dagger phi`` as its
-sector vectors and evolves ``phi (x) ready`` from the same sums.
+product per sector, contracted with the ``K`` pointers ``V_k ready``.
+Premeasurement reads the sums of ``E^dagger phi`` as its sector vectors and
+evolves ``phi (x) ready`` from the same sums.
 """
 
 from __future__ import annotations
@@ -191,71 +192,78 @@ class BclSpec:
 
 @dataclass(frozen=True, eq=False)
 class ControlledUnitary:
-    """Premeasurement unitary ``U = sum_k Q_k (x) V_k``, held as ``E``, ``T``, ``Pbar`` and ``R``.
+    """Premeasurement unitary ``U = sum_k Q_k (x) V_k`` of a spec, applied as its isometry.
 
-    ``eigenvectors`` and ``transfer`` are the spec's ``E`` and ``T``,
-    ``pointers`` and ``ready`` the completions ``Pbar`` and ``R`` (ready
-    state first), and ``bounds`` the spec's ``K + 1`` sector bounds, shared.
-    ``deviation`` is the largest ``max |M^dagger M - I|`` of the four
-    matrices; construction refuses one above ``INVARIANT_TOL``.  Row ``k``
-    of ``ready_images`` (``K x d_a``, formed once) is
-    ``V_k ready = Pbar S_k R^dagger ready``.
+    Only ``V_k ready = pi_k`` is prescribed on the apparatus, so a run reads
+    nothing but the spec: :meth:`images` contracts the sector sums with its
+    pointers.  ``completion_seed`` only selects the completion that
+    :attr:`entries` builds.
     """
 
-    eigenvectors: np.ndarray
-    transfer: np.ndarray
-    pointers: np.ndarray
-    ready: np.ndarray
-    bounds: np.ndarray
-    deviation: float
-    ready_images: np.ndarray = field(init=False, repr=False)
+    spec: BclSpec
+    completion_seed: int = 0
 
-    def __post_init__(self) -> None:
-        if not self.deviation <= INVARIANT_TOL:
-            raise ValueError(f"unitary factors deviate by {self.deviation:.3e}")
-        for name in ("eigenvectors", "transfer", "pointers", "ready", "bounds"):
-            # a read-only view shares the spec's matrices without touching their flags
-            array = np.asarray(getattr(self, name)).view()
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
-        object.__setattr__(self, "deviation", float(self.deviation))
-        ready = self.ready.conj().T @ self.ready[:, 0]  # u = R^dagger ready
-        sectors = np.arange(len(self.bounds) - 1)
-        swapped = np.tile(ready, (sectors.size, 1))  # row k is S_k u
-        swapped[sectors, 0], swapped[sectors, sectors] = ready[sectors], ready[0]
-        images = swapped @ self.pointers.T
-        images.setflags(write=False)
-        object.__setattr__(self, "ready_images", images)
+    @property
+    def deviation(self) -> float:
+        """How far the isometry is from one that extends to a unitary ``U``.
+
+        The largest of the eigenbasis deviation, the measurement-condition
+        residual, the pointer Gram deviation and ``| <ready|ready> - 1 |``:
+        ``U`` exists exactly when all four vanish.
+        """
+        spec = self.spec
+        return max(
+            spec._eigenbasis_deviation,
+            spec._measurement_residual,
+            gram_deviation(spec.pointers),
+            gram_deviation(spec.ready_state.amplitudes[:, None]),
+        )
 
     @property
     def entries(self) -> np.ndarray:
-        """The dense matrix ``sum_i kron(t_i e_i^dagger, V_k(i))``, built on each call."""
-        sectors = np.repeat(np.arange(len(self.bounds) - 1), np.diff(self.bounds))
-        rows = np.arange(sectors.size)
-        order = np.tile(np.arange(len(self.ready)), (rows.size, 1))  # Pbar S_k(i) for row i
-        order[rows, 0], order[rows, sectors] = sectors, 0
-        apparatus = self.pointers[:, order].transpose(1, 0, 2) @ self.ready.conj().T
-        dense = np.einsum("ai,ci,ibd->abcd", self.transfer, self.eigenvectors.conj(), apparatus)
-        return dense.reshape(rows.size * len(self.ready), -1)
+        """The dense matrix ``sum_i kron(t_i e_i^dagger, V_k(i))``, built on each call.
+
+        ``V_k = Pbar S_k R^dagger``: ``Pbar`` and ``R`` complete the pointers
+        and the ready state to unitaries (one complete-mode QR each) and
+        ``S_k`` swaps columns 0 and ``k``.  A nonzero ``completion_seed``
+        re-pairs ``R``'s complement through a seeded Haar unitary, a second
+        valid completion to test against.
+        """
+        spec = self.spec
+        pointers = _complete_orthonormal(spec.pointers)
+        ready = _complete_orthonormal(spec.ready_state.amplitudes[:, None])
+        if self.completion_seed != 0:
+            free = spec.apparatus_dim - 1
+            rng = np.random.default_rng(self.completion_seed)
+            q, r = np.linalg.qr(rng.normal(size=(free, free)) + 1j * rng.normal(size=(free, free)))
+            ready[:, 1:] @= q * (np.diag(r) / np.abs(np.diag(r)))
+        sectors = np.arange(spec.pointers.shape[1])
+        order = np.tile(np.arange(len(ready)), (sectors.size, 1))  # row k orders Pbar S_k
+        order[sectors, 0], order[sectors, sectors] = sectors, 0
+        apparatus = (pointers[:, order].transpose(1, 0, 2) @ ready.conj().T)[
+            np.repeat(sectors, spec.degeneracies)
+        ]
+        dense = np.einsum("ai,ci,ibd->abcd", spec.transfer, spec.eigenvectors.conj(), apparatus)
+        return dense.reshape(spec.system_dim * spec.apparatus_dim, -1)
 
     def sector_sums(self, coefficients: np.ndarray) -> np.ndarray:
         """``Q_k x_j = T_k c_jk`` for each column ``c_j = E^dagger x_j`` of a ``d_s x m`` matrix.
 
         Shape ``(K, m, d_s)``: entry ``[k, j]`` is ``Q_k x_j``, from one product per sector.
         """
-        bounds, dim = self.bounds, len(self.transfer)
-        sums = np.empty((len(bounds) - 1, coefficients.shape[1], dim), dtype=complex)
+        bounds, transfer = self.spec.sector_bounds, self.spec.transfer
+        sums = np.empty((len(bounds) - 1, coefficients.shape[1], len(transfer)), dtype=complex)
         for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-            np.matmul(coefficients[lo:hi].T, self.transfer[:, lo:hi].T, out=sums[k])
+            np.matmul(coefficients[lo:hi].T, transfer[:, lo:hi].T, out=sums[k])
         return sums
 
     def images(self, sums: np.ndarray) -> np.ndarray:
-        """``U (x_j (x) ready) = sum_k Q_k x_j (x) V_k ready`` from :meth:`sector_sums`.
+        """``U (x_j (x) ready) = sum_k Q_k x_j (x) pi_k`` from :meth:`sector_sums`.
 
-        One product contracts the sums with ``ready_images``; shape ``(m, d_s, d_a)``.
+        One product contracts the sums with the pointers ``P^T``; shape ``(m, d_s, d_a)``.
         """
         sectors, count, dim = sums.shape
-        return (sums.reshape(sectors, -1).T @ self.ready_images).reshape(count, dim, -1)
+        return (sums.reshape(sectors, -1).T @ self.spec.pointers.T).reshape(count, dim, -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,37 +327,19 @@ def _complete_orthonormal(columns: np.ndarray) -> np.ndarray:
 def build_premeasurement_unitary(spec: BclSpec, completion_seed: int = 0) -> ControlledUnitary:
     """Controlled unitary ``sum_k Q_k (x) V_k`` extending ``e (x) ready -> t (x) pointer``.
 
-    ``Pbar`` completes the pointers and ``R`` the ready state to unitaries
-    (one complete-mode QR each).  A nonzero ``completion_seed`` re-pairs
-    ``R``'s complement through a seeded Haar unitary, a second valid
-    completion to test against: the physical output never depends on it.
     The transfer family must be orthonormal across sectors (the measurement
     condition), which makes ``sum_k Q_k^dagger Q_k`` the identity and
-    ``Q_k^dagger Q_l`` vanish for ``k != l``.  ``S_k`` is an exact
-    permutation, so ``U`` is unitary exactly when ``E``, ``T``, ``Pbar`` and
-    ``R`` are, and the largest of their deviations is ``deviation``.
+    ``Q_k^dagger Q_l`` vanish for ``k != l``; a spec that breaks it has no
+    unitary extension and is refused.  Nothing is factorized: a run applies
+    the isometry, and only :attr:`ControlledUnitary.entries` completes ``U``,
+    with the completion ``completion_seed`` selects.
     """
     if spec._measurement_residual > INVARIANT_TOL:
         raise MeasurementConditionViolated(
             "transfer family is not orthonormal across sectors; residual "
             f"{spec._measurement_residual:.3e}"
         )
-    pointers = _complete_orthonormal(spec.pointers)
-    ready = _complete_orthonormal(spec.ready_state.amplitudes[:, None])
-    if completion_seed != 0:
-        free = spec.apparatus_dim - 1
-        rng = np.random.default_rng(completion_seed)
-        q, r = np.linalg.qr(rng.normal(size=(free, free)) + 1j * rng.normal(size=(free, free)))
-        ready[:, 1:] @= q * (np.diag(r) / np.abs(np.diag(r)))
-    deviation = max(
-        spec._eigenbasis_deviation,
-        spec._measurement_residual,
-        gram_deviation(pointers),
-        gram_deviation(ready),
-    )
-    return ControlledUnitary(
-        spec.eigenvectors, spec.transfer, pointers, ready, spec.sector_bounds, deviation
-    )
+    return ControlledUnitary(spec, completion_seed)
 
 
 def premeasure(spec: BclSpec, phi: StateVector, completion_seed: int = 0) -> PremeasurementResult:

@@ -110,9 +110,6 @@ class RunReport:
         parts.append("\n")
         return parts
 
-    def to_json_text(self) -> str:
-        return "".join(self._json_parts())
-
     def to_csv_text(self) -> str:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -217,14 +214,6 @@ def _write_json(out: list[str], value, newline: str) -> None:
             out.append(separator if index else inner)
             _write_json(out, entry, inner)
         out.append(newline + "]")
-
-
-def _json_text(value) -> str:
-    # Hand-rolled writer: the stdlib encoder cannot be told to format floats
-    # with a fixed significant-digit count.
-    out: list[str] = []
-    _write_json(out, value, "\n")
-    return "".join(out)
 
 
 @contextmanager

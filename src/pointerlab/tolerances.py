@@ -38,6 +38,10 @@ DENSE_DIM_CAP = 4096
 #: most this many, and no ``d_s x d_s x d_a`` array is built.
 IMAGE_CHUNK_ENTRIES = 2**20
 
+#: Largest number of complex entries (1 MiB) in one chunk of the ``K x r x r``
+#: stack of pointer-block Gram matrices of a gemenge.
+GRAM_STACK_ENTRIES = 2**16
+
 #: Smallest and largest lattice a scenario may ask for; its point count is
 #: also a power of two.
 GRID_POINTS_MIN = 64

@@ -18,7 +18,7 @@ from pointerlab import (
     position_kernel,
     symmetrize,
 )
-from pointerlab.runner import _json_text
+from pointerlab.runner import _write_json
 
 
 def basis_state(dim, index):
@@ -53,9 +53,16 @@ def kronecker_entries(witness):
     return np.kron(first, second)
 
 
+def json_text(value):
+    """JSON text of ``value`` from the report writer, without a trailing newline."""
+    out = []
+    _write_json(out, value, "\n")
+    return "".join(out)
+
+
 def payload_text(report):
     """JSON text of a report's deterministic ``payload`` section."""
-    return _json_text(report.payload_dict())
+    return json_text(report.payload_dict())
 
 
 def random_unitary(rng, n):

@@ -105,7 +105,7 @@ def test_factor_identities_match_branch_columns(
             gemenge_density_matrix(state, space).entries, spec.pointers, d_system
         )
         assert close(pointer_block_coherence(state, spec), reference)
-        with mock.patch.object(objectification, "_GRAM_STACK_ENTRIES", 1):
+        with mock.patch.object(objectification, "GRAM_STACK_ENTRIES", 1):
             assert close(pointer_block_coherence(state, spec), reference)
 
     for keep, marginal in ((0, gemenge.system_marginal), (1, gemenge.apparatus_marginal)):

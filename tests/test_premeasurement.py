@@ -340,6 +340,31 @@ class TestPremeasure:
                 else:
                     assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-10
 
+    def test_completion_seed_leaves_run_bitwise_unchanged(self):
+        # a run applies the isometry only, so no completion reaches its output
+        rng = np.random.default_rng(29)
+        for degeneracies, apparatus_dim in (((2, 1), None), ((3, 1, 2), 5), ((1, 2), 4)):
+            spec = random_bcl_spec(rng, degeneracies, apparatus_dim=apparatus_dim)
+            phi = random_state(rng, spec.system_dim)
+            base, *others = (premeasure(spec, phi, completion_seed=seed) for seed in (0, 5, 11))
+            for other in others:
+                assert np.array_equal(base.probabilities, other.probabilities)
+                assert np.array_equal(base.final_state.amplitudes, other.final_state.amplitudes)
+                for a, b in zip(base.conditional_states, other.conditional_states):
+                    assert (a is None and b is None) or np.array_equal(a.amplitudes, b.amplitudes)
+
+    def test_run_factorizes_nothing(self, monkeypatch):
+        rng = np.random.default_rng(30)
+        spec = random_bcl_spec(rng, (2, 1), apparatus_dim=4)
+        phi = random_state(rng, spec.system_dim)
+        calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *args, **kw: calls.append(1) or qr(*args, **kw))
+        premeasure(spec, phi, completion_seed=5)
+        assert not calls
+        build_premeasurement_unitary(spec, completion_seed=5).entries
+        assert len(calls) == 3  # Pbar, R and the seeded re-pairing
+
     def test_wrong_dimension_rejected(self):
         with pytest.raises(DimensionMismatch):
             premeasure(qubit_spec(), StateVector([1, 0, 0]))

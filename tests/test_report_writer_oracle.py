@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 
 from pointerlab import load_scenario, run_scenario, runner
 from pointerlab.cli import DEMO_SCENARIOS
-from pointerlab.runner import _float_repr, _json_text
+from pointerlab.runner import _float_repr, render_report
 from pointerlab.scenario import validate_scenario_data
-from helpers import haar_document, payload_text
+from helpers import haar_document, json_text, payload_text
 
 
 def is_amplitude_array(value):
@@ -115,7 +115,7 @@ VALUES = st.recursive(
 @settings(max_examples=300)
 @given(value=VALUES)
 def test_writer_matches_the_recursive_reference(value):
-    assert _json_text(value) == reference_text(value)
+    assert json_text(value) == reference_text(value)
 
 
 @pytest.mark.parametrize(
@@ -142,7 +142,7 @@ def test_float_pair_arrays_match_the_reference(pairs):
     array = np.array(pairs, dtype=float)
     for pair_form in (pairs, array):
         for value in (pair_form, {"initial_state": pair_form}, [pair_form, pair_form]):
-            assert _json_text(value) == reference_text(value)
+            assert json_text(value) == reference_text(value)
 
 
 def test_integral_amplitude_array_makes_no_per_number_call(monkeypatch):
@@ -155,13 +155,13 @@ def test_integral_amplitude_array_makes_no_per_number_call(monkeypatch):
 
     monkeypatch.setattr(runner, "_float_repr", counted)
     value = {"initial_state": np.array([[1.0, 0.0], [0.5, -0.0], [1e16, 1e17]])}
-    assert _json_text(value) == reference_text(value)
+    assert json_text(value) == reference_text(value)
     assert calls == []
 
 
 def test_empty_amplitude_array_matches_the_reference():
     for value in (np.zeros((0, 2)), {"a": np.zeros((0, 2))}):
-        assert _json_text(value) == reference_text(value)
+        assert json_text(value) == reference_text(value)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, np.float64("nan")])
@@ -180,7 +180,7 @@ def test_non_finite_float_raises_value_error(bad, where):
     with pytest.raises(ValueError, match="non-finite"):
         reference_text(value)
     with pytest.raises(ValueError, match="non-finite"):
-        _json_text(value)
+        json_text(value)
     if where == "leaf":
         with pytest.raises(ValueError, match="non-finite"):
             _float_repr(bad)
@@ -202,7 +202,7 @@ def test_demo_reports_match_the_reference(name):
     meta = {"duration_seconds": report.duration_seconds}
     document = {"payload": report.payload_dict(), "meta": meta}
     assert payload_text(report) == reference_text(report.payload_dict())
-    assert report.to_json_text() == reference_text(document) + "\n"
+    assert render_report(report) == reference_text(document) + "\n"
 
 
 # only float arrays of shape (n, 2) are leaves; every other array is refused
@@ -220,6 +220,6 @@ def test_demo_reports_match_the_reference(name):
     ],
 )
 def test_unsupported_types_raise_type_error(value):
-    for write in (reference_text, _json_text):
+    for write in (reference_text, json_text):
         with pytest.raises(TypeError):
             write({"key": [value]})

@@ -137,12 +137,15 @@ class TestRunScenario:
         assert first == second
 
     def test_tolerance_override_can_fail_a_verdict(self, tmp_path):
+        # unequal widths leave a genuine overlap discrepancy, not roundoff
         data = json.loads(json.dumps(SYMMETRIZATION))
+        data["packets"][0]["width"], data["packets"][1]["width"] = 1.0, 1.2
         data["tolerances"] = {"discrepancy": 1e-30}
         report = run_scenario(load_scenario(write_scenario(tmp_path, data)))
         assert not report.all_passed
         failing = [v for v in report.verdicts if not v.passed]
         assert {v.name for v in failing} == {"discrepancy_boson", "discrepancy_fermion"}
+        assert all(v.residual > 1e-12 for v in failing)
 
     def test_module_errors_annotated_with_stage(self, tmp_path):
         from pointerlab import RunStageError
@@ -159,7 +162,7 @@ class TestRunScenario:
 class TestEmit:
     def test_json_round_trip(self, tmp_path):
         report = run_scenario(load_scenario(write_scenario(tmp_path, MINIMAL_BCL)))
-        document = json.loads(report.to_json_text())
+        document = json.loads(render_report(report))
         assert document["payload"]["values"] == report.values
         for entry, verdict in zip(document["payload"]["verdicts"], report.verdicts):
             assert entry["name"] == verdict.name
@@ -169,7 +172,7 @@ class TestEmit:
 
     def test_float_half_survives_exactly(self, tmp_path):
         report = run_scenario(load_scenario(write_scenario(tmp_path, MINIMAL_BCL)))
-        document = json.loads(report.to_json_text())
+        document = json.loads(render_report(report))
         # p = |1/sqrt(2)|^2 rounds to exactly 0.5 after normalization
         assert document["payload"]["values"]["probability_0"] == report.values["probability_0"]
 

@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pointerlab import ValidationError, scenario
-from pointerlab.runner import _json_text
 from pointerlab.scenario import TOLERANCE_DEFAULTS, validate_scenario_data
+from helpers import json_text
 
 WITNESSES = ("sigma_x_pattern", "system_observable")
 
@@ -131,10 +131,10 @@ def reordered(draw, value):
 @given(data=st.data())
 def test_echo_is_a_fixed_point(data):
     document = data.draw(DOCUMENTS)
-    echo = _json_text(validate_scenario_data(document).document)
-    assert _json_text(validate_scenario_data(json.loads(echo)).document) == echo
+    echo = json_text(validate_scenario_data(document).document)
+    assert json_text(validate_scenario_data(json.loads(echo)).document) == echo
     shuffled = data.draw(reordered(document))
-    assert _json_text(validate_scenario_data(shuffled).document) == echo
+    assert json_text(validate_scenario_data(shuffled).document) == echo
 
 
 def test_uniform_amplitude_lists_are_checked_without_the_walk(monkeypatch):
