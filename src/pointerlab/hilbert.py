@@ -63,7 +63,7 @@ def _hermitian_deviation(mat: np.ndarray) -> float:
     """``max |M - M^dagger|``, with one complex temporary the size of ``M``."""
     deviation = mat.conj().T
     deviation -= mat
-    return float(np.max(np.abs(deviation)))
+    return float(np.abs(deviation).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +95,7 @@ class StateVector:
         ``m * ||a / m||`` of finite input never overflows.
         """
         arr = np.asarray(raw, dtype=complex).reshape(-1)
-        scale = float(np.max(np.abs(arr), initial=0.0))
+        scale = float(np.abs(arr).max(initial=0.0))
         unit = arr / scale if scale > 0.0 else arr
         unit_norm = float(np.linalg.norm(unit))
         if not scale * unit_norm >= COMPARISON_TOL:
@@ -171,7 +171,7 @@ class DensityMatrix:
         kept = weights > 0.0
         if not kept.all():
             columns, weights = columns[:, kept], weights[kept]
-        trace = float(weights @ np.sum(columns.real**2 + columns.imag**2, axis=0))
+        trace = float(np.vdot(columns, columns * weights).real)
         if not abs(trace - 1.0) <= INVARIANT_TOL:
             raise ValueError(f"density matrix trace off by {abs(trace - 1.0):.3e}")
         object.__setattr__(self, "columns", _readonly(columns))
@@ -257,8 +257,8 @@ class KroneckerProduct:
         terms = np.asarray(weights)
         for (basis, core), columns in ((self.system, first), (self.apparatus, second)):
             rotated = (columns.conj().T @ basis).conj().T
-            terms = terms * np.sum(rotated.conj() * (core @ rotated), axis=0)
-        return float(np.sum(terms).real)
+            terms = terms * (rotated.conj() * (core @ rotated)).sum(axis=0)
+        return float(terms.sum().real)
 
 
 @dataclass(frozen=True)
@@ -320,7 +320,7 @@ def spectral_entropy(eigenvalues: np.ndarray) -> float:
     kept = eigenvalues[eigenvalues > ENTROPY_EIGENVALUE_FLOOR]
     if kept.size == 0:
         return 0.0
-    return float(max(0.0, -np.sum(kept * np.log(kept))))
+    return float(max(0.0, -(kept * np.log(kept)).sum()))
 
 
 def gram_residual(gram: np.ndarray) -> np.ndarray:
@@ -336,7 +336,7 @@ def gram_deviation(columns: np.ndarray) -> float:
     Zero exactly when the columns are orthonormal; callers compare it against
     their own tolerance and raise their own error.
     """
-    return float(np.max(gram_residual(columns.conj().T @ columns)))
+    return float(gram_residual(columns.conj().T @ columns).max())
 
 
 def _mixture_spectrum(columns: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -367,4 +367,4 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         np.concatenate((rho.columns, sigma.columns), axis=1),
         np.concatenate((rho.weights, -sigma.weights)),
     )
-    return float(0.5 * np.sum(np.abs(difference)))
+    return float(0.5 * np.abs(difference).sum())

@@ -35,7 +35,6 @@ from .hilbert import (
     KroneckerProduct,
     ProductSpace,
     gram_residual,
-    outer,
     partial_trace,
     spectral_entropy,
     trace_distance,
@@ -85,12 +84,12 @@ class GemengeDecomposition:
             raise ValueError("a gemenge needs one system and one pointer column per component")
         if not probabilities.min() >= 0.0:
             raise ValueError("component probabilities must be nonnegative")
-        total_dev = abs(float(np.sum(probabilities)) - 1.0)
+        total_dev = abs(float(probabilities.sum()) - 1.0)
         if not total_dev <= INVARIANT_TOL:
             raise ValueError(f"component probabilities sum off by {total_dev:.3e}")
         system_gram, pointer_gram = (family.conj().T @ family for family in (system, pointer))
         for label, gram in (("pointer", pointer_gram), ("system", system_gram)):
-            dev = float(np.max(gram_residual(gram)))
+            dev = float(gram_residual(gram).max())
             if not dev <= INVARIANT_TOL:
                 raise BasisNotOrthonormal(
                     f"{label} states of the gemenge are not orthonormal; deviation {dev:.3e}"
@@ -136,7 +135,7 @@ def apply_rule2(result: PremeasurementResult, spec: BclSpec) -> GemengeDecomposi
     non-unitary but deterministic.  Sectors below the probability floor are
     omitted.
     """
-    kept, conditionals = result.conditionals()
+    kept, conditionals = result.conditionals
     return GemengeDecomposition(
         probabilities=result.probabilities[kept],
         system_states=conditionals,
@@ -195,7 +194,7 @@ def _off_block_norm(stacks) -> float:
     for grams in stacks:
         flat = grams.reshape(len(grams), -1).view(float)
         overlaps = flat @ flat.T  # tr(H_k H_l)
-        total += float(np.sum(overlaps[~np.eye(len(grams), dtype=bool)]))
+        total += float(overlaps[~np.eye(len(grams), dtype=bool)].sum())
         summed = grams.sum(axis=0)
         if earlier is None:
             earlier = summed
@@ -250,7 +249,7 @@ def compare_states(
             f"witness factor dims {witness.factor_dims} do not match {space.factor_dims}"
         )
 
-    rho_unitary = outer(result.final_state)
+    rho_unitary = result.final_density
     return CorrelationReport(
         pointer_block_coherence_norm=pointer_block_coherence(rho_unitary, spec),
         marginal_agreement_system=trace_distance(

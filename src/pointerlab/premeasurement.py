@@ -21,15 +21,19 @@ gives both the per-sector orthonormality check and the cross-sector residual
 of the measurement condition.  ``U`` is only pinned down on product inputs
 ``x (x) ready``, and one routine gives its action there: the per-sector sums
 ``Q_k x = T_k c_k`` of the eigenbasis coefficients ``c = E^dagger x``, one
-product per sector, contracted with the ``K`` pointers ``V_k ready``.
-Premeasurement reads the sums of ``E^dagger phi`` as its sector vectors and
-evolves ``phi (x) ready`` from the same sums.
+batched product per run of consecutive equal-size sectors (one for the whole
+spec when every sector has one vector), contracted with the ``K`` pointers
+``V_k ready``.  Premeasurement reads the sums of ``E^dagger phi`` as its
+sector vectors and evolves ``phi (x) ready`` from the same sums; its result
+builds the pure state ``|psi><psi|`` and the conditional states once for
+every consumer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
@@ -64,10 +68,11 @@ class BclSpec:
     Construction copies the matrices read-only and keeps the ``K + 1``
     sector bounds (sector ``k`` is columns ``bounds[k]:bounds[k + 1]``), the
     eigenbasis Gram matrix ``E^dagger E`` of its check (read again by the
-    extension check), the eigenbasis deviation ``max |E^dagger E - I|``
-    and the measurement-condition residual ``max |T^dagger T - I|`` of the
-    whole transfer family.  A transfer family given as the eigenvector matrix
-    itself (the default family) stays one array with one Gram product.
+    extension check), the eigenbasis deviation ``max |E^dagger E - I|``,
+    the measurement-condition residual ``max |T^dagger T - I|`` of the
+    whole transfer family, the pointer Gram deviation and
+    ``| <ready|ready> - 1 |``.  A transfer family given as the eigenvector
+    matrix itself (the default family) stays one array with one Gram product.
     """
 
     eigenvalues: tuple[float, ...]
@@ -80,6 +85,8 @@ class BclSpec:
     eigenbasis_gram: np.ndarray = field(init=False, repr=False)
     _eigenbasis_deviation: float = field(init=False, repr=False)
     _measurement_residual: float = field(init=False, repr=False)
+    _pointer_deviation: float = field(init=False, repr=False)
+    _ready_deviation: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         eigenvalues = tuple(float(o) for o in self.eigenvalues)
@@ -116,7 +123,7 @@ class BclSpec:
             )
         eigenbasis_gram = eigenvectors.conj().T @ eigenvectors
         eigenbasis_residual = gram_residual(eigenbasis_gram)
-        eigenbasis_dev = float(np.max(eigenbasis_residual))
+        eigenbasis_dev = float(eigenbasis_residual.max())
         if not eigenbasis_dev <= INVARIANT_TOL:
             raise SpecInvalid(
                 f"system eigenbasis is not orthonormal; deviation {eigenbasis_dev:.3e}"
@@ -124,9 +131,9 @@ class BclSpec:
 
         if pointers.shape[0] != self.ready_state.dim:
             raise SpecInvalid("pointer states and ready state live on different dimensions")
-        dev = gram_deviation(pointers)
-        if not dev <= INVARIANT_TOL:
-            raise SpecInvalid(f"pointer basis is not orthonormal; deviation {dev:.3e}")
+        pointer_dev = gram_deviation(pointers)
+        if not pointer_dev <= INVARIANT_TOL:
+            raise SpecInvalid(f"pointer basis is not orthonormal; deviation {pointer_dev:.3e}")
 
         if transfer.shape != eigenvectors.shape:
             raise SpecInvalid(f"transfer family has shape {transfer.shape}, not that of E")
@@ -140,9 +147,9 @@ class BclSpec:
         )
         bounds = np.cumsum([0, *degeneracies])
         sector = np.repeat(np.arange(sectors), degeneracies)
-        if not np.max(residual, where=sector[:, None] == sector, initial=0.0) <= INVARIANT_TOL:
+        if not residual.max(where=sector[:, None] == sector, initial=0.0) <= INVARIANT_TOL:
             for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):  # name the row
-                dev = float(np.max(residual[lo:hi, lo:hi]))
+                dev = float(residual[lo:hi, lo:hi].max())
                 if not dev <= INVARIANT_TOL:
                     raise SpecInvalid(f"transfer row {k} is not orthonormal; deviation {dev:.3e}")
 
@@ -158,7 +165,11 @@ class BclSpec:
             matrix.setflags(write=False)
             object.__setattr__(self, name, matrix)
         object.__setattr__(self, "_eigenbasis_deviation", eigenbasis_dev)
-        object.__setattr__(self, "_measurement_residual", float(np.max(residual)))
+        object.__setattr__(self, "_measurement_residual", float(residual.max()))
+        object.__setattr__(self, "_pointer_deviation", pointer_dev)
+        object.__setattr__(
+            self, "_ready_deviation", gram_deviation(self.ready_state.amplitudes[:, None])
+        )
 
     @property
     def system_dim(self) -> int:
@@ -215,8 +226,8 @@ class ControlledUnitary:
         return max(
             spec._eigenbasis_deviation,
             spec._measurement_residual,
-            gram_deviation(spec.pointers),
-            gram_deviation(spec.ready_state.amplitudes[:, None]),
+            spec._pointer_deviation,
+            spec._ready_deviation,
         )
 
     @property
@@ -249,12 +260,23 @@ class ControlledUnitary:
     def sector_sums(self, coefficients: np.ndarray) -> np.ndarray:
         """``Q_k x_j = T_k c_jk`` for each column ``c_j = E^dagger x_j`` of a ``d_s x m`` matrix.
 
-        Shape ``(K, m, d_s)``: entry ``[k, j]`` is ``Q_k x_j``, from one product per sector.
+        Shape ``(K, m, d_s)``: entry ``[k, j]`` is ``Q_k x_j``.  A run of ``r``
+        consecutive sectors of one size ``d`` takes one batched product of
+        ``r`` stacked ``m x d`` and ``d x d_s`` views, with no gather copy.
         """
-        bounds, transfer = self.spec.sector_bounds, self.spec.transfer
-        sums = np.empty((len(bounds) - 1, coefficients.shape[1], len(transfer)), dtype=complex)
-        for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-            np.matmul(coefficients[lo:hi].T, transfer[:, lo:hi].T, out=sums[k])
+        spec, count = self.spec, coefficients.shape[1]
+        transfer = spec.transfer
+        sums = np.empty((len(spec.degeneracies), count, len(transfer)), dtype=complex)
+        k = lo = 0
+        for size, run in groupby(spec.degeneracies):
+            sectors = len(list(run))
+            hi = lo + sectors * size
+            np.matmul(
+                coefficients[lo:hi].reshape(sectors, size, count).transpose(0, 2, 1),
+                transfer[:, lo:hi].T.reshape(sectors, size, -1),
+                out=sums[k : k + sectors],
+            )
+            k, lo = k + sectors, hi
         return sums
 
     def images(self, sums: np.ndarray) -> np.ndarray:
@@ -283,7 +305,7 @@ class PremeasurementResult:
     def __post_init__(self) -> None:
         probs = np.array(self.probabilities, dtype=float).reshape(-1)
         probs = np.where(probs < 0.0, 0.0, probs)
-        total_dev = abs(float(np.sum(probs)) - 1.0)
+        total_dev = abs(float(probs.sum()) - 1.0)
         if not total_dev <= INVARIANT_TOL:
             raise SpecInvalid(f"outcome probabilities sum off by {total_dev:.3e}")
         vectors = np.array(self.sector_vectors, dtype=complex)
@@ -292,15 +314,21 @@ class PremeasurementResult:
         object.__setattr__(self, "probabilities", probs)
         object.__setattr__(self, "sector_vectors", vectors)
 
+    @cached_property
     def conditionals(self) -> tuple[np.ndarray, np.ndarray]:
-        """The sectors at or above the probability floor, and their conditional states."""
+        """The sectors at or above the probability floor and their conditional states, once."""
         kept = np.flatnonzero(self.probabilities >= PROBABILITY_FLOOR)
         return kept, self.sector_vectors[:, kept] / np.sqrt(self.probabilities[kept])
+
+    @cached_property
+    def final_density(self) -> DensityMatrix:
+        """The final state as the pure state ``|psi><psi|``, built once for every consumer."""
+        return outer(self.final_state)
 
     @property
     def conditional_states(self) -> tuple[StateVector | None, ...]:
         """One conditional state per sector, ``None`` below the floor; built on each access."""
-        kept, conditionals = self.conditionals()
+        kept, conditionals = self.conditionals
         states = dict(zip(kept, map(StateVector, conditionals.T)))
         return tuple(states.get(k) for k in range(self.probabilities.size))
 
@@ -309,7 +337,7 @@ class PremeasurementResult:
         """The apparatus state after the coupling, built once: see :func:`apparatus_marginal`."""
         system_dim = self.sector_vectors.shape[0]
         space = ProductSpace((system_dim, self.final_state.dim // system_dim))
-        return partial_trace(outer(self.final_state), space, keep=1)
+        return partial_trace(self.final_density, space, keep=1)
 
 
 def _complete_orthonormal(columns: np.ndarray) -> np.ndarray:
@@ -361,7 +389,7 @@ def premeasure(spec: BclSpec, phi: StateVector, completion_seed: int = 0) -> Pre
     return PremeasurementResult(
         unitary=unitary,
         final_state=StateVector(unitary.images(sums).reshape(-1)),
-        probabilities=np.sum(sector_vectors.real**2 + sector_vectors.imag**2, axis=0),
+        probabilities=(sector_vectors.real**2 + sector_vectors.imag**2).sum(axis=0),
         sector_vectors=sector_vectors,
     )
 

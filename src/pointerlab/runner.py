@@ -8,12 +8,15 @@ wall-clock duration kept in a separate ``meta`` section.  Floats are written
 with 17 significant digits so every value round-trips exactly; JSON and CSV
 share that one float formatter.  The JSON writer makes one pass over the
 report, appending to one list of text pieces: it dispatches on each value's
-exact type, writes a list of floats in one join and a scenario's ``(n, 2)``
-amplitude array, as the list of its ``[re, im]`` rows, with one
-``%``-template, and escapes keys and strings with the stdlib's ASCII
-escaper, as ``json.dumps`` does.  ``emit_report`` writes the pieces to the
-file without joining them, and the command line writes them to stdout the
-same way.  The run views each amplitude array as complex numbers.
+exact type, writes an object's scalar entries inline and a list of floats in
+one join, and escapes keys and strings with the stdlib's ASCII escaper, as
+``json.dumps`` does.  A scenario's ``(n, 2)`` amplitude arrays, alone or as
+a nested list such as a whole eigenbasis, are written as lists of their
+``[re, im]`` rows from one text skeleton: one finiteness check and one
+``%``-template per batch of at most ``AMPLITUDE_BATCH_ENTRIES`` entries.
+``emit_report`` writes the pieces to the file without joining them, and the
+command line writes them to stdout the same way.  The run views each
+amplitude array as complex numbers.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from .objectification import (
 )
 from .premeasurement import BclSpec, apparatus_marginal, premeasure
 from .scenario import ScenarioConfig
-from .tolerances import IMAGE_CHUNK_ENTRIES, ORTHOGONAL_OVERLAP_GATE
+from .tolerances import AMPLITUDE_BATCH_ENTRIES, IMAGE_CHUNK_ENTRIES, ORTHOGONAL_OVERLAP_GATE
 
 __all__ = [
     "Verdict",
@@ -153,40 +156,111 @@ def _leaf_text(value) -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-_LEAVES = {float: _float_repr, str: encode_basestring_ascii, int: str}
+_LEAVES = {
+    float: _float_repr,
+    str: encode_basestring_ascii,
+    int: str,
+    bool: _leaf_text,
+    type(None): _leaf_text,
+}
+
+
+def _amplitude_tree(value, newline: str, items: list) -> bool:
+    """Append the template skeleton of a nested list of amplitude arrays to ``items``.
+
+    A tree is a float array of shape ``(n, 2)`` or a non-empty list of
+    trees.  The skeleton holds the text between the arrays as strings and
+    each array as its pair ``(array, newline)``.  Returns ``False`` as soon
+    as ``value`` holds anything else.
+    """
+    if type(value) is np.ndarray:
+        if value.ndim != 2 or value.shape[1] != 2 or value.dtype != float:
+            return False
+        items.append((value, newline))
+        return True
+    if type(value) is not list or not value:
+        return False
+    inner = newline + "  "
+    items.append("[" + inner)
+    for index, entry in enumerate(value):
+        if index:
+            items.append("," + inner)
+        if not _amplitude_tree(entry, inner, items):
+            return False
+    items.append(newline + "]")
+    return True
+
+
+def _amplitude_text(batch: list) -> str:
+    """The JSON text of a run of skeleton items, with one ``%``-template for all its arrays.
+
+    Each array is written as the list of its rows: ``%.17g`` for each entry,
+    except ``%.1f`` for an integral entry below ``1e17``, which gives it the
+    ``.0`` of :func:`_float_repr` (at ``1e17`` and above ``%.17g`` writes an
+    exponent).  Finiteness is checked first, so ``% 1.0`` never meets an
+    infinity; a non-finite entry raises the ``ValueError`` of
+    :func:`_float_repr`, naming the first one.
+    """
+    arrays = [item[0] for item in batch if type(item) is tuple]
+    if not arrays:
+        return "".join(batch)
+    numbers = np.concatenate(arrays) if len(arrays) > 1 else arrays[0]
+    finite = np.isfinite(numbers)
+    if not finite.all():
+        _float_repr(numbers[~finite][0])  # raises
+    fixed = numbers % 1.0 == 0.0
+    codes = None
+    if fixed.any():
+        fixed &= np.abs(numbers) < 1e17
+        codes = (2 * fixed[:, 0] + fixed[:, 1]).tolist()
+    template, row = [], 0
+    for item in batch:
+        if type(item) is str:
+            template.append(item)
+            continue
+        count, inner = len(item[0]), item[1] + "  "
+        if not count:
+            template.append("[]")
+            continue
+        rows = [
+            "[" + inner + "  " + first + "," + inner + "  " + second + inner + "]"
+            for first in ("%.17g", "%.1f")
+            for second in ("%.17g", "%.1f")
+        ]
+        if codes is None:
+            chosen = [rows[0]] * count
+        else:
+            chosen = [rows[code] for code in codes[row : row + count]]
+        template.append("[" + inner + ("," + inner).join(chosen) + item[1] + "]")
+        row += count
+    return "".join(template) % tuple(numbers.ravel().tolist())
 
 
 def _write_json(out: list[str], value, newline: str) -> None:
     """Append the JSON text of ``value`` to ``out``; ``newline`` is a newline and its indent.
 
     Objects and arrays put one entry per line, indented two spaces per
-    level.  A list of floats is written in one join.  A finite float array
-    of shape ``(n, 2)`` is written as the list of its rows with one
-    ``%``-template: ``%.17g`` for each entry, except ``%.1f`` for an
-    integral entry below ``1e17``, which gives it the ``.0`` of
-    :func:`_float_repr` (at ``1e17`` and above ``%.17g`` writes an
-    exponent).  A non-finite array is written as its ``.tolist()``, which
-    raises.
+    level, and an object's scalar entries are written inline.  A list of
+    floats is written in one join.  A float array of shape ``(n, 2)``, or a
+    nested list of such arrays, is written as the list of its rows by
+    :func:`_amplitude_text`, one ``%``-template per batch of at most
+    :data:`AMPLITUDE_BATCH_ENTRIES` entries (or one array).
     """
     kind = type(value)
-    if kind is np.ndarray and value.ndim == 2 and value.shape[1] == 2 and value.dtype == float:
-        if value.size and np.isfinite(value).all():
-            inner = newline + "  "
-            rows = [
-                "[" + inner + "  " + first + "," + inner + "  " + second + inner + "]"
-                for first in ("%.17g", "%.1f")
-                for second in ("%.17g", "%.1f")
-            ]
-            fixed = value % 1.0 == 0.0
-            if fixed.any():
-                fixed &= np.abs(value) < 1e17
-                template = [rows[code] for code in (2 * fixed[:, 0] + fixed[:, 1]).tolist()]
-            else:
-                template = [rows[0]] * len(value)
-            numbers = tuple(value.ravel().tolist())
-            out.append("[" + inner + ("," + inner).join(template) % numbers + newline + "]")
+    if kind is np.ndarray or kind is list:
+        items: list = []
+        if _amplitude_tree(value, newline, items):
+            batch, entries = [], 0
+            for item in items:
+                batch.append(item)
+                if type(item) is tuple:
+                    entries += item[0].size
+                    if entries >= AMPLITUDE_BATCH_ENTRIES:
+                        out.append(_amplitude_text(batch))
+                        batch, entries = [], 0
+            if batch:
+                out.append(_amplitude_text(batch))
             return
-        value, kind = value.tolist(), list
     if kind is not dict and kind is not list and kind is not tuple:
         if isinstance(value, dict):
             kind = dict
@@ -201,10 +275,13 @@ def _write_json(out: list[str], value, newline: str) -> None:
     if kind is dict:
         out.append("{")
         for index, (key, entry) in enumerate(value.items()):
-            out.append(separator if index else inner)
-            out.append(encode_basestring_ascii(key if type(key) is str else str(key)))
-            out.append(": ")
-            _write_json(out, entry, inner)
+            key_text = encode_basestring_ascii(key if type(key) is str else str(key))
+            leaf = _LEAVES.get(type(entry))
+            if leaf is None:
+                out.append((separator if index else inner) + key_text + ": ")
+                _write_json(out, entry, inner)
+            else:
+                out.append((separator if index else inner) + key_text + ": " + leaf(entry))
         out.append(newline + "}")
     elif all(type(entry) is float for entry in value):
         out.append("[" + inner + separator.join(map(_float_repr, value)) + newline + "]")
@@ -359,8 +436,8 @@ def _bcl_diagnostics(
             images = unitary.images(unitary.sector_sums(spec.eigenbasis_gram[:, rows]))
             images -= spec.transfer.T[rows, :, None] * sector_pointers[rows, None, :]
             norms = np.linalg.norm(images.reshape(len(images), -1), axis=1)
-            extension_residual = max(extension_residual, float(np.max(norms)))
-        kept, conditionals = result.conditionals()
+            extension_residual = max(extension_residual, float(norms.max()))
+        kept, conditionals = result.conditionals
         amplitudes = result.final_state.amplitudes.reshape(spec.system_dim, spec.apparatus_dim)
         reconstruction = (conditionals * np.sqrt(result.probabilities[kept])) @ pointers[:, kept].T
         reconstruction_residual = float(np.linalg.norm(amplitudes - reconstruction))
@@ -368,7 +445,7 @@ def _bcl_diagnostics(
         coefficient_mass = np.add.reduceat(
             np.abs(phi.amplitudes.conj() @ spec.eigenvectors) ** 2, spec.sector_bounds[:-1]
         )
-        formula_residual = float(np.max(np.abs(result.probabilities - coefficient_mass)))
+        formula_residual = float(np.abs(result.probabilities - coefficient_mass).max())
         pointer_mixture = DensityMatrix(columns=pointers, weights=result.probabilities)
         marginal_residual = trace_distance(apparatus_marginal(result, spec), pointer_mixture)
 
@@ -378,7 +455,7 @@ def _bcl_diagnostics(
     verdicts = [
         _verdict(
             "probability_sum",
-            abs(float(np.sum(result.probabilities)) - 1.0),
+            abs(float(result.probabilities.sum()) - 1.0),
             tol["probability_sum"],
         ),
         _verdict("probability_formula", formula_residual, tol["probability_formula"]),
@@ -441,7 +518,7 @@ def _run_full_measurement(scenario: dict) -> tuple[dict, list[Verdict]]:
         report = compare_states(result, gemenge, spec, witness)
         gemenge_apparatus_residual = trace_distance(gemenge.apparatus_marginal, pointer_mixture)
         probabilities = result.probabilities[result.probabilities > 0.0]
-        expected_entropy = float(-np.sum(probabilities * np.log(probabilities)))
+        expected_entropy = float(-(probabilities * np.log(probabilities)).sum())
 
     values.update(
         {

@@ -8,10 +8,17 @@ pairs (bare numbers are accepted for real amplitudes).
 Validation returns the document in normalized form, the one representation
 of a scenario: keys in a fixed order, every default filled in, real numbers
 as floats, counts as ints and every amplitude list as one read-only
-``(n, 2)`` float array of ``[re, im]`` rows.  A list of only pairs or only
-bare numbers is converted by one numpy call; a mixed or faulty list is
-walked entry by entry, so a fault names its entry.  The runner reads the
-normalized form and every report echoes it as its ``scenario``, so
+``(n, 2)`` float array of ``[re, im]`` rows.  The vectors of one amplitude
+family (every sector of ``system_eigenbasis`` or ``transfer_family``, the
+whole ``pointer_basis``, or a single ``initial_state`` or ``ready_state``)
+are converted together: when each vector has the configured length and
+holds only pairs or only bare numbers, one ``np.fromiter`` and one
+finiteness test cover the family (in batches of at most
+``AMPLITUDE_BATCH_ENTRIES`` numbers), and each vector is a read-only view of
+the family array.  Anything else sends the family to the walk, entry by
+entry and in document order, so a mixed list normalizes to the same values
+and a fault names the entry that holds it.  The runner reads the normalized
+form and every report echoes it as its ``scenario``, so
 validating the echo's JSON text gives the same text back.  Each JSON object
 is parsed by one field table that lists its keys in echo order.  Validation
 here is structural; physics-level checks such as basis orthonormality run
@@ -24,13 +31,19 @@ import gc
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .tolerances import DENSE_DIM_CAP, GRID_POINTS_MAX, GRID_POINTS_MIN, SUPPORT_MASS_EPSILON
+from .tolerances import (
+    AMPLITUDE_BATCH_ENTRIES,
+    DENSE_DIM_CAP,
+    GRID_POINTS_MAX,
+    GRID_POINTS_MIN,
+    SUPPORT_MASS_EPSILON,
+)
 
 __all__ = [
     "ScenarioConfig",
@@ -162,67 +175,102 @@ def _amplitude(value) -> list[float]:
     raise _fail("", "expected a number or an [re, im] pair")
 
 
-def _amplitude_array(value: list) -> np.ndarray | None:
-    """A list of only pairs or only bare numbers as one ``(n, 2)`` array, else ``None``.
+def _amplitude_family(vectors: list, length: int) -> np.ndarray | None:
+    """Every vector of a family as one read-only ``(count, length, 2)`` array, else ``None``.
 
-    Booleans and strings, which numpy would convert, integers beyond the
-    float range and non-finite values are left to the walk.
+    Each vector must be a list of ``length`` entries, and each chunk of at
+    most :data:`AMPLITUDE_BATCH_ENTRIES` numbers only pairs or only bare
+    numbers, converted by one ``np.fromiter``; one finiteness test covers the
+    family.  Anything else is left to the walk: booleans and strings, which
+    numpy would convert, integers beyond the float range, non-finite values,
+    other lengths and mixed lists.
     """
-    kinds = set(map(type, value))
-    if kinds == {list} and set(map(len, value)) == {2}:
-        numbers = list(chain.from_iterable(value))
-    elif kinds <= {int, float}:
-        numbers = value
-    else:
+    if set(map(type, vectors)) != {list} or set(map(len, vectors)) != {length}:
         return None
-    if not set(map(type, numbers)) <= {int, float}:
+    family = np.empty((len(vectors), length, 2))
+    step = max(1, AMPLITUDE_BATCH_ENTRIES // (2 * length))
+    for lo in range(0, len(vectors), step):
+        entries = list(chain.from_iterable(vectors[lo : lo + step]))
+        kinds = set(map(type, entries))
+        if kinds == {list} and set(map(len, entries)) == {2}:
+            numbers = list(chain.from_iterable(entries))
+        elif kinds <= {int, float}:
+            numbers = entries
+        else:
+            return None
+        if not set(map(type, numbers)) <= {int, float}:
+            return None
+        try:
+            array = np.fromiter(numbers, float, len(numbers))
+        except OverflowError:  # an integer beyond the float range
+            return None
+        block = family[lo : lo + step]
+        if numbers is entries:  # bare numbers have zero imaginary parts
+            block[..., 0] = array.reshape(-1, length)
+            block[..., 1] = 0.0
+        else:
+            block[...] = array.reshape(-1, length, 2)
+    if not np.isfinite(family).all():
         return None
-    try:
-        array = np.fromiter(numbers, float, len(numbers))
-    except OverflowError:  # an integer beyond the float range
-        return None
-    if not np.isfinite(array).all():
-        return None
-    if numbers is value:  # bare numbers have zero imaginary parts
-        return np.column_stack([array, np.zeros_like(array)])
-    return array.reshape(-1, 2)
+    family.setflags(write=False)
+    return family
 
 
-def _sized_amplitudes(value, path: str, length: int, factor: str) -> np.ndarray:
+def _walk(value, path: str, length: int, factor: str) -> np.ndarray:
+    """One amplitude list checked entry by entry, so a fault names the entry that holds it."""
     if not isinstance(value, list) or not value:
         raise _fail(path, "expected a non-empty list of amplitudes")
-    amplitudes = _amplitude_array(value)
-    if amplitudes is None:
-        pairs = []
-        for i, entry in enumerate(value):
-            try:
-                pairs.append(_amplitude(entry))
-            except ValidationError as exc:
-                # the key path is built only for the entry that fails
-                raise ValidationError(f"{path}[{i}]{exc}") from None
-        amplitudes = np.array(pairs, dtype=float)
-    if len(amplitudes) != length:
+    pairs = []
+    for i, entry in enumerate(value):
+        try:
+            pairs.append(_amplitude(entry))
+        except ValidationError as exc:
+            # the key path is built only for the entry that fails
+            raise ValidationError(f"{path}[{i}]{exc}") from None
+    if len(pairs) != length:
         raise _fail(path, f"expected {length} amplitudes for the configured {factor}")
+    amplitudes = np.array(pairs, dtype=float)
     amplitudes.setflags(write=False)
     return amplitudes
 
 
-def _vectors(value, path: str, count: int, length: int, factor: str) -> list[np.ndarray]:
+def _sized_amplitudes(value, path: str, length: int, factor: str) -> np.ndarray:
+    family = _amplitude_family([value], length)
+    return _walk(value, path, length, factor) if family is None else family[0]
+
+
+def _vector_count(value, path: str, count: int) -> None:
     if not isinstance(value, list) or not value:
         raise _fail(path, "expected a non-empty list of vectors")
     if len(value) != count:
         raise _fail(path, f"expected exactly {count} vectors")
-    return [
-        _sized_amplitudes(entry, f"{path}[{i}]", length, factor) for i, entry in enumerate(value)
-    ]
+
+
+def _walk_vectors(value, path: str, count: int, length: int, factor: str) -> list[np.ndarray]:
+    _vector_count(value, path, count)
+    return [_walk(entry, f"{path}[{i}]", length, factor) for i, entry in enumerate(value)]
+
+
+def _vectors(value, path: str, count: int, length: int, factor: str) -> list[np.ndarray]:
+    _vector_count(value, path, count)
+    family = _amplitude_family(value, length)
+    if family is None:
+        return _walk_vectors(value, path, count, length, factor)
+    return list(family)
 
 
 def _sectors(value, path: str, degeneracies: list[int]) -> list:
+    """A family given sector by sector, converted as one; any fault is found by the walk."""
     if not isinstance(value, list) or len(value) != len(degeneracies):
         raise _fail(path, f"expected one sector per eigenvalue ({len(degeneracies)})")
     system_dim = sum(degeneracies)
+    if all(type(sector) is list and len(sector) == d for sector, d in zip(value, degeneracies)):
+        family = _amplitude_family(list(chain.from_iterable(value)), system_dim)
+        if family is not None:
+            vectors = iter(family)
+            return [list(islice(vectors, count)) for count in degeneracies]
     return [
-        _vectors(sector, f"{path}[{k}]", count, system_dim, "system")
+        _walk_vectors(sector, f"{path}[{k}]", count, system_dim, "system")
         for k, (sector, count) in enumerate(zip(value, degeneracies))
     ]
 
@@ -390,7 +438,7 @@ def load_scenario(path) -> ScenarioConfig:
     gc.disable()
     try:
         return validate_scenario_data(json.loads(Path(path).read_text(encoding="utf-8")))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     finally:
         if collecting:

@@ -42,6 +42,13 @@ IMAGE_CHUNK_ENTRIES = 2**20
 #: stack of pointer-block Gram matrices of a gemenge.
 GRAM_STACK_ENTRIES = 2**16
 
+#: Largest number of amplitude entries (floats, 512 KiB) converted by one
+#: ``np.fromiter`` when a scenario's amplitude family is validated, and
+#: formatted by one ``%``-template when the report echoes a nested list of
+#: amplitude arrays.  It bounds the Python lists, tuples and strings of one
+#: batch; a family or a list larger than this takes several batches.
+AMPLITUDE_BATCH_ENTRIES = 2**16
+
 #: Smallest and largest lattice a scenario may ask for; its point count is
 #: also a power of two.
 GRID_POINTS_MIN = 64

@@ -10,12 +10,14 @@ particular on the domain images ``e_c (x) ready`` the ``extension_map``
 verdict reads, whether the images are formed in one chunk or a few columns
 at a time, and on the images of arbitrary product inputs.  Building the
 unitary allocates no ``d_system x d_system`` array: it holds ``E`` and ``T``
-as the spec's own matrices.
+as the spec's own matrices.  The sector sums, one batched product per run of
+equal-size sectors, must match the per-sector loop they replaced.
 """
 
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -113,3 +115,62 @@ def test_build_allocates_no_system_square_array():
         tracemalloc.stop()
     assert unitary.deviation <= 1e-12
     assert peak < spec.system_dim**2 * 16, f"peak {peak / 2**20:.1f} MiB"
+
+
+def loop_sector_sums(spec, coefficients):
+    """``Q_k x_j = T_k c_jk``, one product per sector: the loop the batched sums replaced."""
+    bounds = spec.sector_bounds
+    return np.stack(
+        [
+            coefficients[lo:hi].T @ spec.transfer[:, lo:hi].T
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+    )
+
+
+def runs(draw_runs):
+    """Degeneracies made of runs ``(size, length)`` of equal-size sectors."""
+    return [size for size, length in draw_runs for _ in range(length)]
+
+
+DEGENERACIES = st.one_of(
+    st.integers(1, 8).map(lambda sectors: [1] * sectors),  # all 1s: one run
+    st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=4).map(runs),  # mixed
+    st.lists(st.integers(1, 4), min_size=1, max_size=4, unique=True),  # all unequal
+)
+
+
+@settings(max_examples=60)
+@given(
+    degeneracies=DEGENERACIES,
+    count=st.integers(1, 3),
+    strided=st.booleans(),  # a column block of a larger matrix, as the extension check reads
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_sector_sums_match_the_per_sector_loop(degeneracies, count, strided, seed):
+    rng = np.random.default_rng(seed)
+    spec = random_bcl_spec(rng, degeneracies)
+    unitary = build_premeasurement_unitary(spec)
+    width = count + 2 if strided else count
+    shape = (spec.system_dim, width)
+    matrix = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    coefficients = matrix[:, 1 : 1 + count] if strided else matrix
+    sums = unitary.sector_sums(coefficients)
+    assert sums.shape == (len(degeneracies), count, spec.system_dim)
+    assert close(sums, loop_sector_sums(spec, coefficients))
+
+
+@pytest.mark.parametrize(
+    "degeneracies, products",
+    [((1,) * 6, 1), ((2, 2, 1, 1, 1, 3), 3), ((1, 2, 3), 3), ((2, 1, 2), 3)],
+)
+def test_sector_sums_take_one_product_per_run_of_equal_sectors(
+    monkeypatch, degeneracies, products
+):
+    rng = np.random.default_rng(40)
+    unitary = build_premeasurement_unitary(random_bcl_spec(rng, degeneracies))
+    calls = []
+    matmul = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda *args, **kw: calls.append(1) or matmul(*args, **kw))
+    unitary.sector_sums(np.eye(sum(degeneracies), 2, dtype=complex))
+    assert len(calls) == products

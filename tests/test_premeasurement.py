@@ -1,3 +1,5 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,19 @@ from pointerlab import (
     trace_distance,
     von_neumann_entropy,
 )
+from pointerlab import objectification, premeasurement, run_scenario
+from pointerlab.hilbert import gram_deviation
+from pointerlab.premeasurement import PremeasurementResult
+from pointerlab.scenario import validate_scenario_data
 from pointerlab.tolerances import INVARIANT_TOL
-from helpers import basis_state, canonical_spec, kronecker_entries, random_bcl_spec, random_state
+from helpers import (
+    basis_state,
+    canonical_spec,
+    haar_document,
+    kronecker_entries,
+    random_bcl_spec,
+    random_state,
+)
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -364,6 +377,37 @@ class TestPremeasure:
         assert not calls
         build_premeasurement_unitary(spec, completion_seed=5).entries
         assert len(calls) == 3  # Pbar, R and the seeded re-pairing
+
+    def test_unitarity_residual_forms_no_product(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        spec = random_bcl_spec(rng, (2, 1), apparatus_dim=4)
+        unitary = build_premeasurement_unitary(spec)
+        calls = []
+        monkeypatch.setattr(premeasurement, "gram_deviation", lambda m: calls.append(m) or 0.0)
+        assert unitary.deviation == max(
+            spec._eigenbasis_deviation,
+            spec._measurement_residual,
+            gram_deviation(spec.pointers),
+            gram_deviation(spec.ready_state.amplitudes[:, None]),
+        )
+        assert not calls
+
+    def test_full_measurement_run_builds_shared_states_once(self, monkeypatch):
+        # one |psi><psi| of the final state and one division into conditional
+        # states serve the diagnostics, rule 2 and the comparison
+        outers, divisions = [], []
+        build_outer = premeasurement.outer
+        counted_outer = lambda phi: outers.append(phi) or build_outer(phi)  # noqa: E731
+        monkeypatch.setattr(premeasurement, "outer", counted_outer)
+        monkeypatch.setattr(objectification, "outer", counted_outer, raising=False)
+        divide = PremeasurementResult.conditionals.func
+        counted = cached_property(lambda result: divisions.append(result) or divide(result))
+        counted.__set_name__(PremeasurementResult, "conditionals")
+        monkeypatch.setattr(PremeasurementResult, "conditionals", counted)
+        report = run_scenario(validate_scenario_data(haar_document("sigma_x_pattern")))
+        assert report.all_passed
+        assert len(outers) == 1
+        assert len(divisions) == 1
 
     def test_wrong_dimension_rejected(self):
         with pytest.raises(DimensionMismatch):

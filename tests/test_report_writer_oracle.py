@@ -5,7 +5,8 @@ value, escapes keys and strings with ``json.dumps`` and joins the parts of
 each object and array.  A scenario echo holds each amplitude list as an
 ``(n, 2)`` float array, which the reference writes as its ``.tolist()``.
 The one-pass writer must give byte-identical text on every value a report
-can hold, and refuse a non-finite float the same way.
+can hold, and refuse a non-finite float the same way, also when it writes a
+nested list of amplitude arrays in batches of one ``%``-template each.
 """
 
 import json
@@ -223,3 +224,58 @@ def test_unsupported_types_raise_type_error(value):
     for write in (reference_text, json_text):
         with pytest.raises(TypeError):
             write({"key": [value]})
+
+
+PAIR = np.array([[0.5, -0.25], [1.0, 0.0]])
+TREES = [
+    [[np.array([[1.0, 2.0], [-3.0, 0.0]])], [np.array([[4.0, 5.0]])]],  # integral entries
+    [np.array([[-0.0, 0.5]]), [np.array([[0.25, -0.0]]), np.array([[-0.0, -0.0]])]],
+    [np.array([[1e17, -1e17], [1e16, 0.5]]), np.array([[1e17 - 16.0, 1e300]])],
+    [[], PAIR],  # an empty list
+    [np.zeros((0, 2)), PAIR, [np.zeros((0, 2))]],  # empty arrays
+    [PAIR, 1.0, "x", None, [PAIR]],  # arrays mixed with other values
+    [[PAIR, PAIR], [PAIR, [PAIR, 0.5]]],
+    [[PAIR], (PAIR,)],  # a tuple is written by the walk
+    {"system_eigenbasis": [[PAIR], [PAIR, PAIR]], "pointer_basis": [PAIR, PAIR], "x": 1},
+]
+
+
+@pytest.mark.parametrize("cap", [None, 3, 4])
+@pytest.mark.parametrize("tree", TREES, ids=range(len(TREES)))
+def test_amplitude_trees_match_the_reference(monkeypatch, tree, cap):
+    if cap is not None:  # batches of at most cap entries, or one array
+        monkeypatch.setattr(runner, "AMPLITUDE_BATCH_ENTRIES", cap)
+    for value in (tree, {"echo": tree}, [tree, 0.5]):
+        assert json_text(value) == reference_text(value)
+
+
+@pytest.mark.parametrize("cap", [None, 2])
+def test_amplitude_tree_with_a_non_finite_entry_raises_the_same_error(monkeypatch, cap):
+    if cap is not None:
+        monkeypatch.setattr(runner, "AMPLITUDE_BATCH_ENTRIES", cap)
+    for bad in (math.nan, -math.inf):
+        late = np.array([[0.5, 0.25], [bad, math.inf]])
+        for tree in ([[PAIR], [PAIR, late]], {"a": [PAIR, [late]]}):
+            with pytest.raises(ValueError) as expected:
+                reference_text(tree)
+            with pytest.raises(ValueError) as caught:
+                json_text(tree)
+            assert str(caught.value) == str(expected.value)
+
+
+def test_amplitude_tree_takes_one_template_per_batch(monkeypatch):
+    arrays = []  # the number of arrays each template formats
+    template = runner._amplitude_text
+
+    def counted(batch):
+        arrays.append(sum(type(item) is tuple for item in batch))
+        return template(batch)
+
+    monkeypatch.setattr(runner, "_amplitude_text", counted)
+    tree = {"system_eigenbasis": [[PAIR] * 3, [PAIR] * 2], "pointer_basis": [PAIR] * 4}
+    json_text(tree)
+    assert arrays == [5, 4]  # one per family
+    arrays.clear()
+    monkeypatch.setattr(runner, "AMPLITUDE_BATCH_ENTRIES", 8)  # two arrays per batch
+    assert json_text(tree) == reference_text(tree)
+    assert [count for count in arrays if count] == [2, 2, 1, 2, 2]

@@ -85,6 +85,16 @@ class TestLoadScenario:
         with pytest.raises(ParseError):
             load_scenario(path)
 
+    def test_rejects_a_file_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin.json"
+        path.write_bytes(json.dumps(MINIMAL_BCL).encode().replace(b"bcl", b"bc\xff", 1))
+        with pytest.raises(ParseError, match="latin.json"):
+            load_scenario(path)
+        for command in ("run", "validate"):
+            assert cli_main([command, str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: ") and "0xff" in err
+
     def test_rejects_wrong_amplitude_count(self, tmp_path):
         data = json.loads(json.dumps(MINIMAL_BCL))
         data["initial_state"] = [[1.0, 0.0]]

@@ -3,8 +3,9 @@
 Validating the JSON text of a report's ``scenario`` echo must give the same
 text back, whatever key order, number literals and amplitude forms the
 original document used.  A document with one fault must be refused with that
-fault's key path and a fixed message, whether the amplitude list that holds
-it is checked by one ``np.array`` or walked entry by entry.
+fault's key path and a fixed message, wherever in its amplitude family the
+fault sits: the family is converted by one ``np.fromiter`` and only walked
+entry by entry when something in it is off.
 """
 
 import copy
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from pointerlab import ValidationError, scenario
 from pointerlab.scenario import TOLERANCE_DEFAULTS, validate_scenario_data
-from helpers import json_text
+from helpers import json_text, pairs, random_unitary
 
 WITNESSES = ("sigma_x_pattern", "system_observable")
 
@@ -163,6 +164,40 @@ def test_uniform_amplitude_lists_are_checked_without_the_walk(monkeypatch):
     assert echo.tolist() == [[1.0, 0.0], [0.5, -2.0], [3.0, 0.0], [0.0, -0.0]] * 512
 
 
+def ladder_batch():
+    """Documents shaped like a sector-ladder batch: one sector per level, every other one explicit."""
+    rng = np.random.default_rng(19)
+    documents = []
+    for sectors, count in ((8, 12), (12, 6), (16, 2)):
+        for i in range(count):
+            bcl = {"eigenvalues": list(map(float, range(sectors))), "degeneracies": [1] * sectors}
+            if i % 2:
+                eigenbasis, pointers = random_unitary(rng, sectors), random_unitary(rng, sectors)
+                bcl["basis"] = {
+                    "system_eigenbasis": [[column] for column in pairs(eigenbasis)],
+                    "pointer_basis": pairs(pointers),
+                }
+            documents.append(
+                {
+                    "scenario_kind": "full_measurement",
+                    "bcl": bcl,
+                    "initial_state": rng.normal(size=(sectors, 2)).tolist(),
+                }
+            )
+    return documents
+
+
+def test_each_amplitude_family_is_converted_by_one_fromiter(monkeypatch):
+    documents = ladder_batch()
+    calls = []
+    fromiter = np.fromiter
+    monkeypatch.setattr(np, "fromiter", lambda *args, **kw: calls.append(1) or fromiter(*args, **kw))
+    for document in documents:
+        validate_scenario_data(document)
+    # one initial state per document, an eigenbasis and a pointer basis per explicit one
+    assert len(calls) == 20 + 2 * 10
+
+
 SYM = {
     "scenario_kind": "symmetrization",
     "grid": {"x_min": -20.0, "dx": 0.078125, "n_points": 512},
@@ -187,6 +222,29 @@ EXPLICIT = {
     },
 }
 PAIRS = {**BCL, "initial_state": [[1, 0], [0, 1]]}  # checked by one np.array
+# two sectors (1 + 2 vectors) and three pointers, all in pairs, so each family
+# is converted as one until a fault sends it to the walk
+LADDER = {
+    **BCL,
+    "bcl": {
+        "eigenvalues": [1.0, -1.0],
+        "degeneracies": [1, 2],
+        "apparatus_dim": 3,
+        "basis": {
+            "system_eigenbasis": [[[[1, 0], [0, 0], [0, 0]]], [[[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]],
+            "pointer_basis": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]],
+        },
+        "transfer_family": [[[[1, 0], [0, 0], [0, 0]]], [[[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]],
+    },
+    "initial_state": [[1, 0], [0, 1], [0.5, 0]],
+}
+EIGEN = ["bcl", "basis", "system_eigenbasis"]
+EIGEN_PATH = "scenario.bcl.basis.system_eigenbasis"
+POINTER = ["bcl", "basis", "pointer_basis"]
+POINTER_PATH = "scenario.bcl.basis.pointer_basis"
+TRANSFER_PATH = "scenario.bcl.transfer_family"
+# a fault in sector 0 is named before a wrong vector count in sector 1
+EARLY_AND_LATE = [[[[1, 0], [0, True], [0, 0]]], [[[0, 0], [1, 0], [0, 0]]]]
 DROP = object()
 KINDS = "('symmetrization', 'dlocal', 'bcl', 'full_measurement')"
 POWER_OF_TWO = "scenario.grid.n_points: must be a power of two between 64 and 4096"
@@ -289,6 +347,25 @@ FAULTS = [
     (PAIRS, ["initial_state", 1], [0, HUGE], "scenario.initial_state[1][1]: must be finite"),
     (PAIRS, ["initial_state", 1], [float("nan"), 0], "scenario.initial_state[1][0]: must be finite"),
     (PAIRS, ["initial_state", 1], [1, 2, 3], "scenario.initial_state[1]: expected a number or an [re, im] pair"),
+    # a fault in a later sector or a later pointer of a family converted as one
+    (LADDER, [*EIGEN, 1, 1, 2], True, f"{EIGEN_PATH}[1][1][2]: expected a number or an [re, im] pair"),
+    (LADDER, [*EIGEN, 1, 1, 2, 1], True, f"{EIGEN_PATH}[1][1][2][1]: expected a number"),
+    (LADDER, [*EIGEN, 1, 0, 1], "1", f"{EIGEN_PATH}[1][0][1]: expected a number or an [re, im] pair"),
+    (LADDER, [*EIGEN, 1, 0, 1, 0], "1", f"{EIGEN_PATH}[1][0][1][0]: expected a number"),
+    (LADDER, [*EIGEN, 1, 1], [[0, 0], 1], f"{EIGEN_PATH}[1][1]: expected 3 amplitudes for the configured system"),
+    (LADDER, [*EIGEN, 1, 1], [[0, 0], [1, 0]], f"{EIGEN_PATH}[1][1]: expected 3 amplitudes for the configured system"),
+    (LADDER, [*EIGEN, 1, 1, 0], [0, HUGE], f"{EIGEN_PATH}[1][1][0][1]: must be finite"),
+    (LADDER, [*EIGEN, 1, 1, 0], HUGE, f"{EIGEN_PATH}[1][1][0]: must be finite"),
+    (LADDER, [*EIGEN, 1, 1, 0], [float("nan"), 0], f"{EIGEN_PATH}[1][1][0][0]: must be finite"),
+    (LADDER, [*EIGEN, 1], [[[0, 0], [1, 0], [0, 0]]], f"{EIGEN_PATH}[1]: expected exactly 2 vectors"),
+    (LADDER, EIGEN, EARLY_AND_LATE, f"{EIGEN_PATH}[0][0][1][1]: expected a number"),
+    (LADDER, ["bcl", "transfer_family", 1, 1, 1], False, f"{TRANSFER_PATH}[1][1][1]: expected a number or an [re, im] pair"),
+    (LADDER, ["bcl", "transfer_family", 1, 0], [[0, 0], [1, 0], 0, 0], f"{TRANSFER_PATH}[1][0]: expected 3 amplitudes for the configured system"),
+    (LADDER, [*POINTER, 1, 2], True, f"{POINTER_PATH}[1][2]: expected a number or an [re, im] pair"),
+    (LADDER, [*POINTER, 1, 2, 0], "0", f"{POINTER_PATH}[1][2][0]: expected a number"),
+    (LADDER, [*POINTER, 1], [[0, 0], 1], f"{POINTER_PATH}[1]: expected 3 amplitudes for the configured apparatus"),
+    (LADDER, [*POINTER, 1, 1], [-HUGE, 0], f"{POINTER_PATH}[1][1][0]: must be finite"),
+    (LADDER, [*POINTER, 1], "x", f"{POINTER_PATH}[1]: expected a non-empty list of amplitudes"),
 ]
 
 
@@ -317,3 +394,27 @@ def test_single_fault_names_its_key_path(base, keys, value, message):
         validate_scenario_data(with_fault(base, keys, value))
     assert str(caught.value) == message
 
+
+
+def family_arrays(document):
+    basis, transfer = document["bcl"]["basis"], document["bcl"]["transfer_family"]
+    vectors = [*sum(basis["system_eigenbasis"], []), *basis["pointer_basis"], *sum(transfer, [])]
+    return [*vectors, document["initial_state"]]
+
+
+def test_mixed_or_chunked_families_give_the_arrays_of_the_walk(monkeypatch):
+    reference = family_arrays(validate_scenario_data(LADDER).document)
+    # a bare number among pairs in a later sector and a later pointer is walked
+    mixed = copy.deepcopy(LADDER)
+    mixed["bcl"]["basis"]["system_eigenbasis"][1][1] = [0, [0, 0], [1, 0]]
+    mixed["bcl"]["basis"]["pointer_basis"][1] = [[0, 0], 1, 0]
+    # chunks of one vector, one of them bare numbers, are each converted alone
+    monkeypatch.setattr(scenario, "AMPLITUDE_BATCH_ENTRIES", 6)
+    chunked = copy.deepcopy(LADDER)
+    chunked["bcl"]["transfer_family"][1][0] = [0, 1, 0]
+    for document in (mixed, chunked):
+        arrays = family_arrays(validate_scenario_data(document).document)
+        assert len(arrays) == len(reference)
+        for array, expected in zip(arrays, reference):
+            assert array.shape == expected.shape and not array.flags.writeable
+            assert np.array_equal(array, expected)
