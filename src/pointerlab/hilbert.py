@@ -92,11 +92,12 @@ class StateVector:
         """Normalize a raw amplitude vector; rejects numerically null or non-finite input.
 
         The vector is first divided by its largest modulus ``m``, so the norm
-        ``m * ||a / m||`` of finite input never overflows.
+        ``m * ||a / m||`` of finite input never overflows, nor does ``1 / m``:
+        a vector with ``m sqrt(n)`` under the tolerance is never divided.
         """
         arr = np.asarray(raw, dtype=complex).reshape(-1)
         scale = float(np.abs(arr).max(initial=0.0))
-        unit = arr / scale if scale > 0.0 else arr
+        unit = arr / scale if scale * arr.size**0.5 >= COMPARISON_TOL else arr
         unit_norm = float(np.linalg.norm(unit))
         if not scale * unit_norm >= COMPARISON_TOL:
             raise ValueError("cannot normalize a numerically null or non-finite vector")

@@ -18,7 +18,10 @@ A spec holds each of its three families as one column matrix, built and
 checked once at construction: the eigenvectors ``E`` and the transfer family
 ``T`` in sector order, and the pointers ``P``.  One Gram product ``T^dagger T``
 gives both the per-sector orthonormality check and the cross-sector residual
-of the measurement condition.  ``U`` is only pinned down on product inputs
+of the measurement condition, and the eigenbasis check's ``E^dagger E`` gives
+the extension residual: ``U (e_c (x) ready)`` misses ``t_c (x) pi_k(c)`` by
+``sum_k T_k y_k (x) pi_k`` for ``y = (E^dagger E - I) e_c``, of norm ``||y||``
+for orthonormal ``T`` and ``P``.  ``U`` is only pinned down on product inputs
 ``x (x) ready``, and one routine gives its action there: the per-sector sums
 ``Q_k x = T_k c_k`` of the eigenbasis coefficients ``c = E^dagger x``, one
 batched product per run of consecutive equal-size sectors (one for the whole
@@ -65,14 +68,12 @@ class BclSpec:
     ``ready_state`` the apparatus state before the interaction.  Eigenvalues
     are carried as distinct real labels only.
 
-    Construction copies the matrices read-only and keeps the ``K + 1``
-    sector bounds (sector ``k`` is columns ``bounds[k]:bounds[k + 1]``), the
-    eigenbasis Gram matrix ``E^dagger E`` of its check (read again by the
-    extension check), the eigenbasis deviation ``max |E^dagger E - I|``,
-    the measurement-condition residual ``max |T^dagger T - I|`` of the
-    whole transfer family, the pointer Gram deviation and
-    ``| <ready|ready> - 1 |``.  A transfer family given as the eigenvector
-    matrix itself (the default family) stays one array with one Gram product.
+    Construction copies the matrices read-only and keeps the ``K + 1`` sector
+    bounds (sector ``k`` is columns ``bounds[k]:bounds[k + 1]``) and scalars
+    only: the eigenbasis deviation ``max |E^dagger E - I|``, the extension
+    residual (the largest column norm of ``E^dagger E - I``), the measurement
+    residual ``max |T^dagger T - I|``, the pointer Gram deviation and
+    ``| <ready|ready> - 1 |``.  The default transfer family is ``E`` itself.
     """
 
     eigenvalues: tuple[float, ...]
@@ -82,8 +83,8 @@ class BclSpec:
     pointers: np.ndarray
     ready_state: StateVector
     sector_bounds: np.ndarray = field(init=False, repr=False)
-    eigenbasis_gram: np.ndarray = field(init=False, repr=False)
     _eigenbasis_deviation: float = field(init=False, repr=False)
+    _extension_residual: float = field(init=False, repr=False)
     _measurement_residual: float = field(init=False, repr=False)
     _pointer_deviation: float = field(init=False, repr=False)
     _ready_deviation: float = field(init=False, repr=False)
@@ -121,8 +122,7 @@ class BclSpec:
             raise SpecInvalid(
                 f"degeneracies sum to {columns} but the system dimension is {system_dim}"
             )
-        eigenbasis_gram = eigenvectors.conj().T @ eigenvectors
-        eigenbasis_residual = gram_residual(eigenbasis_gram)
+        eigenbasis_residual = gram_residual(eigenvectors.conj().T @ eigenvectors)
         eigenbasis_dev = float(eigenbasis_residual.max())
         if not eigenbasis_dev <= INVARIANT_TOL:
             raise SpecInvalid(
@@ -160,16 +160,17 @@ class BclSpec:
             ("transfer", transfer),
             ("pointers", pointers),
             ("sector_bounds", bounds),
-            ("eigenbasis_gram", eigenbasis_gram),
         ):
             matrix.setflags(write=False)
             object.__setattr__(self, name, matrix)
-        object.__setattr__(self, "_eigenbasis_deviation", eigenbasis_dev)
-        object.__setattr__(self, "_measurement_residual", float(residual.max()))
-        object.__setattr__(self, "_pointer_deviation", pointer_dev)
-        object.__setattr__(
-            self, "_ready_deviation", gram_deviation(self.ready_state.amplitudes[:, None])
-        )
+        for name, value in (
+            ("_eigenbasis_deviation", eigenbasis_dev),
+            ("_extension_residual", float(np.linalg.norm(eigenbasis_residual, axis=0).max())),
+            ("_measurement_residual", float(residual.max())),
+            ("_pointer_deviation", pointer_dev),
+            ("_ready_deviation", gram_deviation(self.ready_state.amplitudes[:, None])),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def system_dim(self) -> int:

@@ -54,7 +54,7 @@ from .objectification import (
 )
 from .premeasurement import BclSpec, apparatus_marginal, premeasure
 from .scenario import ScenarioConfig
-from .tolerances import AMPLITUDE_BATCH_ENTRIES, IMAGE_CHUNK_ENTRIES, ORTHOGONAL_OVERLAP_GATE
+from .tolerances import AMPLITUDE_BATCH_ENTRIES, ORTHOGONAL_OVERLAP_GATE
 
 __all__ = [
     "Verdict",
@@ -424,19 +424,7 @@ def _bcl_diagnostics(
     spec: BclSpec, phi: StateVector, tol: dict[str, float]
 ) -> tuple[dict, list[Verdict], object, DensityMatrix]:
     with _stage("premeasure"):
-        result = premeasure(spec, phi)
-        unitary, pointers = result.unitary, spec.pointers
-        # U should map each domain column e_c (x) ready to t_c (x) pi_k(c); the
-        # coefficients E^dagger e_c are the columns of the spec's E^dagger E
-        sector_pointers = np.repeat(pointers.T, spec.degeneracies, axis=0)
-        step = max(1, IMAGE_CHUNK_ENTRIES // (spec.system_dim * spec.apparatus_dim))
-        extension_residual = 0.0
-        for first in range(0, spec.system_dim, step):
-            rows = slice(first, first + step)
-            images = unitary.images(unitary.sector_sums(spec.eigenbasis_gram[:, rows]))
-            images -= spec.transfer.T[rows, :, None] * sector_pointers[rows, None, :]
-            norms = np.linalg.norm(images.reshape(len(images), -1), axis=1)
-            extension_residual = max(extension_residual, float(norms.max()))
+        result, pointers = premeasure(spec, phi), spec.pointers
         kept, conditionals = result.conditionals
         amplitudes = result.final_state.amplitudes.reshape(spec.system_dim, spec.apparatus_dim)
         reconstruction = (conditionals * np.sqrt(result.probabilities[kept])) @ pointers[:, kept].T
@@ -460,7 +448,7 @@ def _bcl_diagnostics(
         ),
         _verdict("probability_formula", formula_residual, tol["probability_formula"]),
         _verdict("unitarity", result.unitary.deviation, tol["unitarity"]),
-        _verdict("extension_map", extension_residual, tol["extension_map"]),
+        _verdict("extension_map", spec._extension_residual, tol["extension_map"]),
         _verdict("reconstruction", reconstruction_residual, tol["reconstruction"]),
         _verdict("apparatus_marginal", marginal_residual, tol["apparatus_marginal"]),
     ]

@@ -275,13 +275,24 @@ def _sectors(value, path: str, degeneracies: list[int]) -> list:
     ]
 
 
+def _width(value, path: str, record=None) -> float:
+    width = _positive_number(value, path)
+    if not math.isfinite(4.0 * width * width):  # a packet divides by 4 width^2
+        raise _fail(path, "too large: 4 * width**2 overflows")
+    return width
+
+
 _GRID = {"x_min": _number, "dx": _positive_number, "n_points": _grid_size}
-_PACKET = {"center": _number, "width": _positive_number}
+_PACKET = {"center": _number, "width": _width}
 _DOMAIN = {"lower": _number, "upper": _number}
 
 
 def _grid(value, path: str, doc: dict) -> dict:
-    return _record(value, path, _GRID)
+    grid = _record(value, path, _GRID)
+    extent = grid["dx"] * grid["n_points"]
+    if not math.isfinite(extent * extent):  # a packet squares distances across the grid
+        raise _fail(path, "too large: (n_points * dx)**2 overflows")
+    return grid
 
 
 def _packets(value, path: str, doc: dict) -> list[dict]:
@@ -431,15 +442,19 @@ def validate_scenario_data(data) -> ScenarioConfig:
 def load_scenario(path) -> ScenarioConfig:
     """Read, parse and validate a scenario file.
 
-    The parsed document holds one list per ``[re, im]`` pair and no reference
+    A file that is not UTF-8 or JSON, nests past the parser's recursion limit
+    or holds an integer past ``int``'s digit limit is a ``ParseError``.  The
+    parsed document holds one list per ``[re, im]`` pair and no reference
     cycle, so the cyclic garbage collector is paused until it is freed.
     """
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return validate_scenario_data(json.loads(Path(path).read_text(encoding="utf-8")))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        document = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    else:
+        return validate_scenario_data(document)
     finally:
         if collecting:
             gc.enable()

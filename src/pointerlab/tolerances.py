@@ -31,13 +31,6 @@ QUADRATURE_NORM_TOL = 1e-8
 #: time and memory, not a dense matrix.
 DENSE_DIM_CAP = 4096
 
-#: Largest number of complex entries (16 MiB) in one chunk of the runner's
-#: ``extension_map`` check, which takes U's images of the ``d_s`` domain
-#: columns ``e_c (x) ready`` a block of columns at a time: the block's sector
-#: sums, its images and the expected images subtracted from them each hold at
-#: most this many, and no ``d_s x d_s x d_a`` array is built.
-IMAGE_CHUNK_ENTRIES = 2**20
-
 #: Largest number of complex entries (1 MiB) in one chunk of the ``K x r x r``
 #: stack of pointer-block Gram matrices of a gemenge.
 GRAM_STACK_ENTRIES = 2**16

@@ -9,6 +9,7 @@ from pointerlab import (
     ExchangeSymmetry,
     LatticeGrid,
     StateVector,
+    build_premeasurement_unitary,
     dlocal_agreement_check,
     dlocal_residual,
     expectation_single,
@@ -116,6 +117,22 @@ def random_bcl_spec(rng, degeneracies, apparatus_dim=None, transfer="sector_unit
         pointers=pointers,
         ready_state=random_state(rng, apparatus_dim),
     )
+
+
+def extension_images_residual(spec):
+    """``max_c ||U (e_c (x) ready) - t_c (x) pi_k(c)||`` from the unitary's own images.
+
+    The domain column ``e_c (x) ready`` has the eigenbasis coefficients
+    ``E^dagger e_c``, column ``c`` of ``E^dagger E``: one pass of
+    ``sector_sums`` and ``images`` over all ``d_s`` columns, less the
+    prescribed images ``t_c (x) pi_k(c)``.
+    """
+    unitary = build_premeasurement_unitary(spec)
+    gram = spec.eigenvectors.conj().T @ spec.eigenvectors
+    images = unitary.images(unitary.sector_sums(gram))
+    sector_pointers = np.repeat(spec.pointers.T, spec.degeneracies, axis=0)
+    images -= spec.transfer.T[:, :, None] * sector_pointers[:, None, :]
+    return float(np.linalg.norm(images.reshape(spec.system_dim, -1), axis=1).max())
 
 
 def random_degeneracies(rng, system_dim):

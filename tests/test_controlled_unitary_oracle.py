@@ -6,12 +6,15 @@ completed to a full orthonormal basis with one complete-mode QR, a nonzero
 seed re-pairs the range complement through a Haar unitary, and
 ``U = range_full @ domain_full^dagger``.  The two unitaries differ off the
 fixed columns, so they must agree on every ``phi (x) ready``, and in
-particular on the domain images ``e_c (x) ready`` the ``extension_map``
-verdict reads, whether the images are formed in one chunk or a few columns
-at a time, and on the images of arbitrary product inputs.  Building the
-unitary allocates no ``d_system x d_system`` array: it holds ``E`` and ``T``
-as the spec's own matrices.  The sector sums, one batched product per run of
-equal-size sectors, must match the per-sector loop they replaced.
+particular on the domain images ``e_c (x) ready``, whether the images are
+formed in one chunk or a few columns at a time, and on the images of
+arbitrary product inputs.  The spec's extension residual, read off its
+eigenbasis Gram product, must match the residual of those domain images.
+Building the unitary allocates no ``d_system x d_system`` array: it holds
+``E`` and ``T`` as the spec's own matrices.  The sector sums, one batched
+product per run of equal-size sectors, must match the per-sector loop they
+replaced, and a wrong contraction in them or in the images fails a run
+verdict.
 """
 
 import tracemalloc
@@ -21,8 +24,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pointerlab import build_premeasurement_unitary, premeasure
-from helpers import close, random_bcl_spec, random_state
+from pointerlab import BclSpec, ControlledUnitary, build_premeasurement_unitary, premeasure
+from pointerlab.runner import _bcl_diagnostics
+from pointerlab.scenario import TOLERANCE_DEFAULTS
+from helpers import close, extension_images_residual, random_bcl_spec, random_state
 
 
 def qr_unitary(spec, completion_seed=0):
@@ -72,7 +77,7 @@ def test_controlled_unitary_matches_qr_completion(
         assert np.max(np.abs(entries.conj().T @ entries - np.eye(dim))) <= 1e-12
         assert unitary.deviation <= 1e-12
         # the images of e_c (x) ready from the columns of E^dagger E, in chunks of columns
-        gram = spec.eigenbasis_gram
+        gram = spec.eigenvectors.conj().T @ spec.eigenvectors
         chunks = [
             unitary.images(unitary.sector_sums(gram[:, first : first + chunk_rows]))
             for first in range(0, spec.system_dim, chunk_rows)
@@ -101,6 +106,76 @@ def test_controlled_unitary_matches_qr_completion(
     assert np.max(np.abs(base - other)) <= 1e-12
     start = np.kron(phi.amplitudes, spec.ready_state.amplitudes)
     assert np.max(np.abs(other - qr_unitary(spec, 11) @ start)) <= 1e-12
+
+
+@settings(max_examples=40)
+@given(
+    degeneracies=st.lists(st.integers(1, 64), min_size=1, max_size=4),  # d_s up to 256
+    extra_apparatus=st.integers(0, 2),  # > 0 leaves K < d_pointer
+    transfer=st.sampled_from(["identity", "sector_unitary"]),
+    perturbed=st.booleans(),  # E off orthonormal by about 1e-12, inside the spec's check
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_extension_residual_matches_the_domain_images(
+    degeneracies, extra_apparatus, transfer, perturbed, seed
+):
+    rng = np.random.default_rng(seed)
+    spec = random_bcl_spec(
+        rng, degeneracies, apparatus_dim=len(degeneracies) + extra_apparatus, transfer=transfer
+    )
+    if perturbed:
+        shape = spec.eigenvectors.shape
+        eigenvectors = spec.eigenvectors + 1e-12 * (
+            rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        )
+        spec = BclSpec(
+            eigenvalues=spec.eigenvalues,
+            degeneracies=spec.degeneracies,
+            eigenvectors=eigenvectors,
+            transfer=eigenvectors if transfer == "identity" else spec.transfer,
+            pointers=spec.pointers,
+            ready_state=spec.ready_state,
+        )
+    residual = spec._extension_residual
+    assert abs(residual - extension_images_residual(spec)) <= 1e-12
+    if perturbed:
+        assert residual > 1e-12
+
+
+def pointers_untransposed(self, sums):
+    """:meth:`ControlledUnitary.images` contracted with ``P`` in place of ``P^T``."""
+    sectors, count, dim = sums.shape
+    return (sums.reshape(sectors, -1).T @ self.spec.pointers).reshape(count, dim, -1)
+
+
+def sectors_mispaired(self, coefficients):
+    """:meth:`ControlledUnitary.sector_sums` pairing sector ``k``'s transfer vectors with
+    sector ``k + 1``'s coefficients."""
+    bounds = self.spec.sector_bounds
+    blocks = list(zip(bounds[:-1], bounds[1:]))
+    return np.stack(
+        [
+            coefficients[lo:hi].T @ self.spec.transfer[:, t_lo:t_hi].T
+            for (t_lo, t_hi), (lo, hi) in zip(blocks, blocks[1:] + blocks[:1])
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "method, mutant", [("images", pointers_untransposed), ("sector_sums", sectors_mispaired)]
+)
+def test_a_wrong_contraction_fails_a_run_verdict(monkeypatch, method, mutant):
+    # Haar bases with da == K, so that P is square and both mutants run
+    rng = np.random.default_rng(21)
+    spec = random_bcl_spec(rng, [2, 2, 2])
+    phi = random_state(rng, spec.system_dim)
+    tolerances = TOLERANCE_DEFAULTS["bcl"]
+    _, verdicts, _, _ = _bcl_diagnostics(spec, phi, tolerances)
+    assert all(v.passed for v in verdicts)
+    monkeypatch.setattr(ControlledUnitary, method, mutant)
+    _, verdicts, _, _ = _bcl_diagnostics(spec, phi, tolerances)
+    failed = {v.name for v in verdicts if not v.passed}
+    assert failed & {"reconstruction", "probability_formula"}, failed
 
 
 def test_build_allocates_no_system_square_array():

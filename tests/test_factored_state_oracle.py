@@ -7,7 +7,8 @@ distance) is compared with the textbook formula on the materialized
 ``dim x dim`` matrix.  The top rung runs a canonical ``full_measurement`` at
 the dimension cap and pins that the run path allocates no ``dim x dim``
 array, and a tall shape that the premeasurement diagnostics allocate no
-``d_system x d_system`` array.  The marginals of a run are mixtures, so a
+``d_system x d_system`` array and that a canonical run keeps no Gram matrix
+past its spec.  The marginals of a run are mixtures, so a
 run never diagonalizes a dense matrix with ``eigh`` and never reads
 ``DensityMatrix.entries``; the spectrum of a mixture wider than its
 dimension comes from its ``dim x dim`` matrix rather than its Gram matrix,
@@ -16,7 +17,6 @@ and a trace distance of thin mixtures from their joint column span.
 
 import tracemalloc
 from importlib import resources
-from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -39,7 +39,6 @@ from pointerlab import (
     trace_distance,
     von_neumann_entropy,
 )
-from pointerlab import runner
 from pointerlab.cli import DEMO_SCENARIOS
 from pointerlab.runner import _bcl_diagnostics
 from pointerlab.scenario import TOLERANCE_DEFAULTS, load_scenario, validate_scenario_data
@@ -158,20 +157,41 @@ def test_top_rung_allocates_no_dense_product_matrix():
 
 
 def test_tall_diagnostics_allocate_no_system_square_array():
-    # ds = 1024, da = K = 2: one ds x ds complex array is 16 MiB, and the
-    # extension images of all ds domain columns would be twice that
+    # ds = 1024, da = K = 2: one ds x ds complex array is 16 MiB
     rng = np.random.default_rng(1024)
     spec = random_bcl_spec(rng, [512, 512])
     phi = random_state(rng, spec.system_dim)
     tracemalloc.start()
     try:
-        with patch.object(runner, "IMAGE_CHUNK_ENTRIES", 2**16):
-            _, verdicts, _, _ = _bcl_diagnostics(spec, phi, TOLERANCE_DEFAULTS["bcl"])
+        _, verdicts, _, _ = _bcl_diagnostics(spec, phi, TOLERANCE_DEFAULTS["bcl"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert all(v.passed for v in verdicts), [v.name for v in verdicts if not v.passed]
     assert peak < spec.system_dim**2 * 16, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_tall_canonical_run_holds_no_gram_matrix_past_its_spec():
+    # ds = 1024, da = K = 2: building the spec peaks at four ds x ds complex
+    # arrays (the caller's E, its copy, the conjugate of E and E^dagger E); a
+    # Gram matrix kept past construction would add a fifth in a later stage
+    levels = 1024
+    rng = np.random.default_rng(levels)
+    config = validate_scenario_data(
+        {
+            "scenario_kind": "full_measurement",
+            "bcl": {"eigenvalues": [0.0, 1.0], "degeneracies": [levels // 2] * 2},
+            "initial_state": rng.normal(size=(levels, 2)).tolist(),
+        }
+    )
+    tracemalloc.start()
+    try:
+        report = run_scenario(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_passed, [v.name for v in report.verdicts if not v.passed]
+    assert peak < 4.5 * levels**2 * 16, f"peak {peak / (levels**2 * 16):.2f} x ds^2 * 16 bytes"
 
 
 @pytest.mark.parametrize("witness", ["sigma_x_pattern", "system_observable"])
@@ -233,21 +253,14 @@ def test_marginal_mixtures_match_dense_products(degeneracies, extra_apparatus, s
     tolerances = TOLERANCE_DEFAULTS["bcl"]
     _, verdicts, result, pointer_mixture = _bcl_diagnostics(spec, phi, tolerances)
     assert all(v.passed for v in verdicts)
-    # the extension images checked one row at a time give the same residuals,
-    # up to roundoff: the chunks split the BLAS products differently
-    with patch.object(runner, "IMAGE_CHUNK_ENTRIES", 1):
-        _, row_verdicts, _, _ = _bcl_diagnostics(spec, phi, tolerances)
-    assert [v.name for v in row_verdicts] == [v.name for v in verdicts]
-    assert close([v.residual for v in row_verdicts], [v.residual for v in verdicts])
-    # and both match the dense max_c ||U (e_c (x) ready) - t_c (x) pi_k(c)||
+    # the extension residual matches the dense max_c ||U (e_c (x) ready) - t_c (x) pi_k(c)||
     ready = spec.ready_state.amplitudes
     domain = np.einsum("ic,a->cia", spec.eigenvectors, ready).reshape(spec.system_dim, -1)
     sector_pointers = np.repeat(spec.pointers, spec.degeneracies, axis=1)
     targets = np.einsum("ic,ac->cia", spec.transfer, sector_pointers).reshape(spec.system_dim, -1)
     dense = np.max(np.linalg.norm(domain @ result.unitary.entries.T - targets, axis=1))
-    for found in (verdicts, row_verdicts):
-        extension = next(v.residual for v in found if v.name == "extension_map")
-        assert close(extension, dense), (extension, dense)
+    extension = next(v.residual for v in verdicts if v.name == "extension_map")
+    assert close(extension, dense), (extension, dense)
 
     amplitudes = result.final_state.amplitudes.reshape(spec.system_dim, spec.apparatus_dim)
     marginal = apparatus_marginal(result, spec).entries

@@ -3,6 +3,9 @@
 A check written ``x > tol`` is False for NaN and lets it through; each
 check is written ``not x <= tol`` (or ``not x >= 0``), which NaN fails.
 One row per constructor feeds it a NaN where its check reads the value.
+The rows run with warnings as errors, and two more feed ``normalized`` a
+vector whose largest modulus is subnormal, which it refuses as numerically
+null without a floating-point warning.
 """
 
 import dataclasses
@@ -58,6 +61,16 @@ ROWS = {
         ValueError,
         "non-finite",
     ),
+    "state_vector_normalized_subnormal": (
+        lambda: StateVector.normalized([1e-320, 0]),
+        ValueError,
+        "numerically null",
+    ),
+    "state_vector_normalized_subnormal_imaginary": (
+        lambda: StateVector.normalized([5e-324j, 1e-310]),
+        ValueError,
+        "numerically null",
+    ),
     "density_matrix_entries": (
         lambda: DensityMatrix(with_nan(np.eye(2) / 2)),
         ValueError,
@@ -109,8 +122,10 @@ ROWS = {
 }
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("row", ROWS)
 def test_constructor_refuses_nan(row):
     build, error, message = ROWS[row]
     with pytest.raises(error, match=message):
         build()
+

@@ -95,6 +95,20 @@ class TestLoadScenario:
             err = capsys.readouterr().err
             assert err.startswith(f"error: {path}: ") and "0xff" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 100_000 + "]" * 100_000, '{"scenario_kind": ' + "9" * 5000 + "}"],
+        ids=["nested-past-the-recursion-limit", "integer-past-the-digit-limit"],
+    )
+    def test_rejects_a_file_the_parser_cannot_hold(self, tmp_path, capsys, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="deep.json"):
+            load_scenario(path)
+        for command in ("run", "validate"):
+            assert cli_main([command, str(path)]) == 1
+            assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
     def test_rejects_wrong_amplitude_count(self, tmp_path):
         data = json.loads(json.dumps(MINIMAL_BCL))
         data["initial_state"] = [[1.0, 0.0]]

@@ -366,6 +366,9 @@ FAULTS = [
     (LADDER, [*POINTER, 1], [[0, 0], 1], f"{POINTER_PATH}[1]: expected 3 amplitudes for the configured apparatus"),
     (LADDER, [*POINTER, 1, 1], [-HUGE, 0], f"{POINTER_PATH}[1][1][0]: must be finite"),
     (LADDER, [*POINTER, 1], "x", f"{POINTER_PATH}[1]: expected a non-empty list of amplitudes"),
+    # a packet divides the squared distance to each grid point by 4 width^2
+    (SYM, ["packets", 1, "width"], 1e300, "scenario.packets[1].width: too large: 4 * width**2 overflows"),
+    (SYM, ["grid", "dx"], 1e300, "scenario.grid: too large: (n_points * dx)**2 overflows"),
 ]
 
 
