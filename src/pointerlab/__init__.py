@@ -30,6 +30,7 @@ from .hilbert import (
     von_neumann_entropy,
 )
 from .lattice import (
+    DLocalAgreement,
     Domain,
     ExchangeSymmetry,
     KernelOperator,
@@ -43,6 +44,7 @@ from .lattice import (
     gaussian_packet,
     is_d_local,
     localize,
+    orbital_elements,
     position_kernel,
     symmetrize,
 )

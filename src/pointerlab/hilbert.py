@@ -97,10 +97,12 @@ class StateVector:
         """
         arr = np.asarray(raw, dtype=complex).reshape(-1)
         scale = float(np.abs(arr).max(initial=0.0))
+        if not np.isfinite(scale):  # refused before inf / inf warns
+            raise ValueError("cannot normalize a non-finite vector")
         unit = arr / scale if scale * arr.size**0.5 >= COMPARISON_TOL else arr
         unit_norm = float(np.linalg.norm(unit))
         if not scale * unit_norm >= COMPARISON_TOL:
-            raise ValueError("cannot normalize a numerically null or non-finite vector")
+            raise ValueError("cannot normalize a numerically null vector")
         return cls(unit / unit_norm)
 
     def inner(self, other: "StateVector") -> complex:

@@ -16,9 +16,12 @@ overlap matrix ``S = dx * O^* O^T`` with ``O = [psi; phi]``, which
 construction and no ``n x n`` pair array is ever formed.  The expectation of
 a one-body registration observable ``a (x) 1 + 1 (x) a`` follows from ``S``
 and the 2x2 orbital matrix elements of ``a`` (the Lowdin rules for
-non-orthogonal orbitals), which one kernel apply gives, together with the
-one-particle expectations in each orbital; pairs over the same orbitals
-share them.  A grid forms its coordinate array once.
+non-orthogonal orbitals): :func:`orbital_elements` gives those elements and
+the one-particle expectations in each orbital from one kernel apply, and
+:func:`expectation_two_particle` combines them with ``S``, so pairs over the
+same orbitals share one apply.  :func:`dlocal_agreement_check` returns the
+localized and the unlocalized pair values and the localized kernel, one
+apply per kernel.  A grid forms its coordinate array once.
 """
 
 from __future__ import annotations
@@ -44,9 +47,11 @@ __all__ = [
     "KernelOperator",
     "Domain",
     "ExchangeSymmetry",
+    "DLocalAgreement",
     "gaussian_packet",
     "symmetrize",
     "expectation_single",
+    "orbital_elements",
     "expectation_two_particle",
     "localize",
     "is_d_local",
@@ -297,7 +302,7 @@ def expectation_single(a: KernelOperator, psi: LatticeWavefunction) -> complex:
     return complex(a.grid.dx**2 * np.vdot(psi.values, a.apply(psi.values)))
 
 
-def _orbital_elements(
+def orbital_elements(
     a: KernelOperator, pair: TwoParticleWavefunction
 ) -> tuple[np.ndarray, np.ndarray]:
     """2x2 matrix elements ``a_uv = <u|a|v>`` over the pair's orbitals, from one kernel apply.
@@ -316,27 +321,18 @@ def _orbital_elements(
     return scale * (orbitals.conj() @ applied), singles
 
 
-def _pair_expectation(elements: np.ndarray, pair: TwoParticleWavefunction) -> complex:
+def expectation_two_particle(elements: np.ndarray, pair: TwoParticleWavefunction) -> complex:
+    """Pair expectation of the registration observable ``a (x) 1 + 1 (x) a``.
+
+    ``elements`` is the 2x2 matrix ``a_uv = <u|a|v>`` that :func:`orbital_elements`
+    gives over the orbitals ``psi, phi``.  With the pair's overlaps
+    ``S_uv = <u|v>``, the value is
+    ``2 nu^2 [a_pp S_ff + a_ff S_pp + sign (a_pf S_fp + a_fp S_pf)]``.
+    """
     (a_pp, a_pf), (a_fp, a_ff) = elements.tolist()
     (s_pp, s_pf), (s_fp, s_ff) = pair.overlaps.tolist()
     total = a_pp * s_ff + a_ff * s_pp + pair.exchange.sign * (a_pf * s_fp + a_fp * s_pf)
     return 2.0 * pair.nu**2 * total
-
-
-def expectation_two_particle(a: KernelOperator, pair: TwoParticleWavefunction) -> complex:
-    """Pair expectation of the registration observable ``a (x) 1 + 1 (x) a``.
-
-    With orbitals ``psi, phi``, matrix elements ``a_uv = <u|a|v>`` and the
-    pair's overlaps ``S_uv = <u|v>``, the value is
-    ``2 nu^2 [a_pp S_ff + a_ff S_pp + sign (a_pf S_fp + a_fp S_pf)]``.
-    """
-    return _pair_expectation(_orbital_elements(a, pair)[0], pair)
-
-
-def _localize(a: KernelOperator, inside: np.ndarray) -> KernelOperator:
-    if a.entries.ndim == 2:
-        inside = np.outer(inside, inside)
-    return KernelOperator(a.grid, np.where(inside, a.entries, 0.0 + 0.0j), hermitian=a.hermitian)
 
 
 def localize(a: KernelOperator, D: Domain) -> KernelOperator:
@@ -344,7 +340,10 @@ def localize(a: KernelOperator, D: Domain) -> KernelOperator:
 
     A diagonal is masked by ``chi_D`` itself, a dense kernel by its outer product.
     """
-    return _localize(a, D.mask(a.grid.n_points))
+    inside = D.mask(a.grid.n_points)
+    if a.entries.ndim == 2:
+        inside = np.outer(inside, inside)
+    return KernelOperator(a.grid, np.where(inside, a.entries, 0.0 + 0.0j), hermitian=a.hermitian)
 
 
 def dlocal_residual(a: KernelOperator, D: Domain) -> float:
@@ -355,10 +354,7 @@ def dlocal_residual(a: KernelOperator, D: Domain) -> float:
     the ``dx``-weighted absolute row and column sums.  Off the diagonal of a
     diagonal kernel every term is an exact zero, so both sums are ``|a_jj|``.
     """
-    return _exterior_residual(a, ~D.mask(a.grid.n_points))
-
-
-def _exterior_residual(a: KernelOperator, exterior: np.ndarray) -> float:
+    exterior = ~D.mask(a.grid.n_points)
     if not exterior.any():
         return 0.0
     magnitude = np.abs(a.entries)
@@ -379,19 +375,38 @@ def _domain_mass(psi: LatticeWavefunction, mask: np.ndarray) -> float:
     return float(psi.grid.dx * np.vdot(values, values).real)
 
 
-def _dlocal_agreement(
+@dataclass(frozen=True, eq=False)
+class DLocalAgreement:
+    """What :func:`dlocal_agreement_check` finds, each kernel applied once.
+
+    ``two_particle`` and ``unlocalized_two_particle`` are the boson pair's
+    expectations of the localized and the raw kernel, ``single`` is the raw
+    kernel's expectation in ``psi`` and ``difference`` is ``|two_particle - single|``.
+    """
+
+    two_particle: complex
+    single: complex
+    difference: float
+    unlocalized_two_particle: complex
+    localized_kernel: KernelOperator = field(repr=False)
+
+
+def dlocal_agreement_check(
     a: KernelOperator,
-    inside: np.ndarray,
+    D: Domain,
     psi: LatticeWavefunction,
     phi: LatticeWavefunction,
-    mass_epsilon: float,
-) -> tuple[complex, complex, TwoParticleWavefunction, np.ndarray, KernelOperator]:
-    """:func:`dlocal_agreement_check` on the domain's mask, returning what it builds.
+    mass_epsilon: float = SUPPORT_MASS_EPSILON,
+) -> DLocalAgreement:
+    """Compare the localized pair expectation against the lone-particle value.
 
-    That is the localized pair expectation, the one-particle expectation of
-    ``a`` in ``psi``, the boson pair, the orbital elements of ``a`` and the
-    localized kernel, each kernel applied once.
+    Requires ``psi`` to live inside ``D`` and ``phi`` outside it, up to
+    ``mass_epsilon`` of stray quadrature probability on the wrong side.  The
+    pair is the boson symmetrization of ``psi`` and ``phi``.
     """
+    _require_same_grid(a.grid, psi.grid)
+    _require_same_grid(a.grid, phi.grid)
+    inside = D.mask(a.grid.n_points)
     stray_psi = _domain_mass(psi, ~inside)
     if stray_psi > mass_epsilon:
         raise SupportViolation(
@@ -403,31 +418,8 @@ def _dlocal_agreement(
             f"second packet leaves {stray_phi:.3e} probability inside the domain"
         )
     pair = symmetrize(psi, phi, ExchangeSymmetry.BOSON)
-    localized = _localize(a, inside)
-    elements, (single, _) = _orbital_elements(a, pair)
-    two_particle = _pair_expectation(_orbital_elements(localized, pair)[0], pair)
-    return two_particle, single, pair, elements, localized
-
-
-def dlocal_agreement_check(
-    a: KernelOperator,
-    D: Domain,
-    psi: LatticeWavefunction,
-    phi: LatticeWavefunction,
-    mass_epsilon: float = SUPPORT_MASS_EPSILON,
-) -> tuple[complex, complex, float]:
-    """Compare the localized pair expectation against the lone-particle value.
-
-    Requires ``psi`` to live inside ``D`` and ``phi`` outside it, up to
-    ``mass_epsilon`` of stray quadrature probability on the wrong side.
-    Returns the pair expectation of the symmetrized localized kernel, the
-    single-particle expectation of the raw kernel in ``psi``, and their
-    absolute difference.
-    """
-    _require_same_grid(a.grid, psi.grid)
-    _require_same_grid(a.grid, phi.grid)
-    two_particle, single, *_ = _dlocal_agreement(
-        a, D.mask(a.grid.n_points), psi, phi, mass_epsilon
-    )
-    return two_particle, single, abs(two_particle - single)
-
+    localized = localize(a, D)
+    elements, (single, _) = orbital_elements(a, pair)
+    two_particle = expectation_two_particle(orbital_elements(localized, pair)[0], pair)
+    unlocalized = expectation_two_particle(elements, pair)
+    return DLocalAgreement(two_particle, single, abs(two_particle - single), unlocalized, localized)

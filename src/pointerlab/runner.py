@@ -37,11 +37,11 @@ from .lattice import (
     Domain,
     ExchangeSymmetry,
     LatticeGrid,
-    _dlocal_agreement,
-    _exterior_residual,
-    _orbital_elements,
-    _pair_expectation,
+    dlocal_agreement_check,
+    dlocal_residual,
+    expectation_two_particle,
     gaussian_packet,
+    orbital_elements,
     position_kernel,
     symmetrize,
 )
@@ -327,9 +327,9 @@ def _run_symmetrization(scenario: dict) -> tuple[dict, list[Verdict]]:
         nu = {sym: pair.nu for sym, pair in pairs.items()}
         overlap = abs(pairs[ExchangeSymmetry.BOSON].overlaps[0, 1])
         # both pairs hold psi and phi, so one kernel apply serves both
-        elements, singles = _orbital_elements(kernel, pairs[ExchangeSymmetry.BOSON])
+        elements, singles = orbital_elements(kernel, pairs[ExchangeSymmetry.BOSON])
         single_first, single_second = singles.real
-        two_particle = {sym: _pair_expectation(elements, pair).real for sym, pair in pairs.items()}
+        two_particle = {sym: expectation_two_particle(elements, p).real for sym, p in pairs.items()}
 
     values = {
         "single_particle_position_first": single_first,
@@ -377,28 +377,23 @@ def _run_dlocal(scenario: dict) -> tuple[dict, list[Verdict]]:
         kernel = position_kernel(grid)
         domain = Domain.from_interval(grid, **scenario["domain"])
     with _stage("domain-local check"):
-        inside = domain.mask(grid.n_points)
-        two_local, single, pair, raw_elements, localized = _dlocal_agreement(
-            kernel, inside, psi, phi, tol["support_mass"]
-        )
-        difference = abs(two_local - single)
-        two_raw = _pair_expectation(raw_elements, pair).real
-        raw_difference = abs(two_raw - single.real)
-        outside = ~inside
-        residual_raw = _exterior_residual(kernel, outside)
-        residual_localized = _exterior_residual(localized, outside)
+        check = dlocal_agreement_check(kernel, domain, psi, phi, tol["support_mass"])
+        single, two_raw = check.single.real, check.unlocalized_two_particle.real
+        raw_difference = abs(two_raw - single)
+        residual_raw = dlocal_residual(kernel, domain)
+        residual_localized = dlocal_residual(check.localized_kernel, domain)
 
     values = {
-        "dlocal_two_particle_expectation": two_local.real,
-        "single_particle_expectation": single.real,
-        "dlocal_difference": difference,
+        "dlocal_two_particle_expectation": check.two_particle.real,
+        "single_particle_expectation": single,
+        "dlocal_difference": check.difference,
         "unlocalized_two_particle_expectation": two_raw,
         "unlocalized_difference": raw_difference,
         "dlocal_residual_raw_kernel": residual_raw,
         "dlocal_residual_localized_kernel": residual_localized,
     }
     verdicts = [
-        _verdict("agreement", difference, tol["agreement"]),
+        _verdict("agreement", check.difference, tol["agreement"]),
         _verdict(
             "unlocalized_discrepancy",
             abs(raw_difference - abs(scenario["packets"][1]["center"])),

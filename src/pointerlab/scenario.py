@@ -289,9 +289,12 @@ _DOMAIN = {"lower": _number, "upper": _number}
 
 def _grid(value, path: str, doc: dict) -> dict:
     grid = _record(value, path, _GRID)
-    extent = grid["dx"] * grid["n_points"]
+    x_min, dx = grid["x_min"], grid["dx"]
+    extent = dx * grid["n_points"]
     if not math.isfinite(extent * extent):  # a packet squares distances across the grid
         raise _fail(path, "too large: (n_points * dx)**2 overflows")
+    if not math.isfinite(max(abs(x_min), abs(x_min + extent)) / dx):  # a kernel holds x / dx
+        raise _fail(path, "too large: |x| / dx overflows")
     return grid
 
 

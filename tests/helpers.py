@@ -16,6 +16,7 @@ from pointerlab import (
     expectation_two_particle,
     gaussian_packet,
     localize,
+    orbital_elements,
     position_kernel,
     symmetrize,
 )
@@ -214,12 +215,17 @@ def haar_document(witness):
     }
 
 
+def pair_expectation(kernel, pair):
+    """The pair expectation of ``kernel`` from its orbital elements over ``pair``."""
+    return expectation_two_particle(orbital_elements(kernel, pair)[0], pair)
+
+
 def lattice_composition(scenario):
     """The values of a validated ``symmetrization`` or ``dlocal`` document, one public call each.
 
-    This is how the runner once composed a lattice run: every value comes
-    from its own call, so each recomputes the packets' overlaps, the kernel
-    elements, the domain mask and the localized kernel it needs.
+    The per-call oracle of a lattice run: every value comes from its own
+    call, so each recomputes the packets' overlaps, the kernel elements, the
+    domain mask and the localized kernel it needs, where a run shares them.
     """
     grid = LatticeGrid(**scenario["grid"])
     psi, phi = (gaussian_packet(grid, **packet) for packet in scenario["packets"])
@@ -232,21 +238,22 @@ def lattice_composition(scenario):
         for sym in (ExchangeSymmetry.BOSON, ExchangeSymmetry.FERMION):
             pair = symmetrize(psi, phi, sym)
             name = sym.name.lower()
-            values[f"two_particle_position_{name}"] = expectation_two_particle(kernel, pair).real
+            values[f"two_particle_position_{name}"] = pair_expectation(kernel, pair).real
             values[f"normalization_factor_{name}"] = pair.nu
         values["packet_overlap_abs"] = abs(psi.inner(phi))
         return values
     domain = Domain.from_interval(grid, **scenario["domain"])
-    two_local, single, difference = dlocal_agreement_check(
+    check = dlocal_agreement_check(
         kernel, domain, psi, phi, mass_epsilon=scenario["tolerances"]["support_mass"]
     )
-    two_raw = expectation_two_particle(kernel, symmetrize(psi, phi, ExchangeSymmetry.BOSON)).real
+    two_raw = pair_expectation(kernel, symmetrize(psi, phi, ExchangeSymmetry.BOSON)).real
+    single = check.single.real
     return {
-        "dlocal_two_particle_expectation": two_local.real,
-        "single_particle_expectation": single.real,
-        "dlocal_difference": difference,
+        "dlocal_two_particle_expectation": check.two_particle.real,
+        "single_particle_expectation": single,
+        "dlocal_difference": check.difference,
         "unlocalized_two_particle_expectation": two_raw,
-        "unlocalized_difference": abs(two_raw - single.real),
+        "unlocalized_difference": abs(two_raw - single),
         "dlocal_residual_raw_kernel": dlocal_residual(kernel, domain),
         "dlocal_residual_localized_kernel": dlocal_residual(localize(kernel, domain), domain),
     }

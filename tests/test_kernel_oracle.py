@@ -21,7 +21,6 @@ from pointerlab import (
     LatticeWavefunction,
     dlocal_residual,
     expectation_single,
-    expectation_two_particle,
     localize,
     position_kernel,
     run_scenario,
@@ -29,6 +28,7 @@ from pointerlab import (
 )
 from pointerlab.scenario import validate_scenario_data
 from pointerlab.tolerances import INVARIANT_TOL
+from helpers import pair_expectation
 
 
 def random_wavefunction(grid, rng):
@@ -62,7 +62,7 @@ def test_diagonal_matches_dense_diag(n, x_min, dx, seed):
     assert close(expectation_single(diagonal, psi), expectation_single(dense, psi))
     for sym in (ExchangeSymmetry.BOSON, ExchangeSymmetry.FERMION):
         pair = symmetrize(psi, phi, sym)
-        assert close(expectation_two_particle(diagonal, pair), expectation_two_particle(dense, pair))
+        assert close(pair_expectation(diagonal, pair), pair_expectation(dense, pair))
 
     for _ in range(3):
         domain = Domain.from_mask(rng.random(n) < rng.random())

@@ -14,13 +14,14 @@ from pointerlab import (
     dlocal_agreement_check,
     dlocal_residual,
     expectation_single,
-    expectation_two_particle,
     gaussian_packet,
     is_d_local,
     localize,
     position_kernel,
     symmetrize,
 )
+
+from helpers import pair_expectation
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -166,15 +167,13 @@ class TestExpectations:
         psi = gaussian_packet(grid, 0.0, 1.0)
         phi = gaussian_packet(grid, 10.0, 1.0)
         kernel = position_kernel(grid)
-        value = expectation_two_particle(
-            kernel, symmetrize(psi, phi, ExchangeSymmetry.BOSON)
-        )
+        value = pair_expectation(kernel, symmetrize(psi, phi, ExchangeSymmetry.BOSON))
         assert abs(value - 10.0) < 1e-5
 
     def test_two_particle_identity_counts_particles(self, grid):
         psi = gaussian_packet(grid, 0.0, 1.0)
         phi = gaussian_packet(grid, 10.0, 1.0)
-        value = expectation_two_particle(
+        value = pair_expectation(
             identity_kernel(grid), symmetrize(psi, phi, ExchangeSymmetry.BOSON)
         )
         assert abs(value - 2.0) < 1e-6
@@ -183,10 +182,8 @@ class TestExpectations:
         psi = gaussian_packet(grid, 0.0, 1.0)
         phi = gaussian_packet(grid, 10.0, 1.0)
         kernel = position_kernel(grid)
-        boson = expectation_two_particle(kernel, symmetrize(psi, phi, ExchangeSymmetry.BOSON))
-        fermion = expectation_two_particle(
-            kernel, symmetrize(psi, phi, ExchangeSymmetry.FERMION)
-        )
+        boson = pair_expectation(kernel, symmetrize(psi, phi, ExchangeSymmetry.BOSON))
+        fermion = pair_expectation(kernel, symmetrize(psi, phi, ExchangeSymmetry.FERMION))
         assert abs(boson - fermion) < 1e-8
 
     def test_discrepancy_for_generic_hermitian_kernel(self, small_grid):
@@ -200,7 +197,7 @@ class TestExpectations:
         kernel = KernelOperator(small_grid, (raw + raw.conj().T) / small_grid.dx, hermitian=True)
         expected = expectation_single(kernel, psi) + expectation_single(kernel, phi)
         for sym in (ExchangeSymmetry.BOSON, ExchangeSymmetry.FERMION):
-            value = expectation_two_particle(kernel, symmetrize(psi, phi, sym))
+            value = pair_expectation(kernel, symmetrize(psi, phi, sym))
             assert abs(value - expected) < 1e-6
 
 
@@ -245,17 +242,15 @@ class TestAgreementCheck:
         domain = Domain.from_interval(grid, -5.0, 5.0)
         psi = gaussian_packet(grid, 0.0, 1.0)
         phi = gaussian_packet(grid, 15.0, 1.0)
-        two, single, difference = dlocal_agreement_check(
-            position_kernel(grid), domain, psi, phi
-        )
-        assert difference < 1e-6
-        assert abs(single.real) < 1e-6
+        check = dlocal_agreement_check(position_kernel(grid), domain, psi, phi)
+        assert check.difference < 1e-6
+        assert abs(check.single.real) < 1e-6
 
     def test_unlocalized_kernel_disagrees_by_remote_mean(self, grid):
         psi = gaussian_packet(grid, 0.0, 1.0)
         phi = gaussian_packet(grid, 15.0, 1.0)
         kernel = position_kernel(grid)
-        two = expectation_two_particle(kernel, symmetrize(psi, phi, ExchangeSymmetry.BOSON))
+        two = pair_expectation(kernel, symmetrize(psi, phi, ExchangeSymmetry.BOSON))
         single = expectation_single(position_kernel(grid), psi)
         assert abs(abs(two - single) - 15.0) < 1e-4
 
@@ -263,10 +258,10 @@ class TestAgreementCheck:
         domain = Domain.from_interval(grid, -5.0, 5.0)
         psi = gaussian_packet(grid, 0.0, 0.8)
         phi = gaussian_packet(grid, 15.0, 0.8)
-        two, single, difference = dlocal_agreement_check(identity_kernel(grid), domain, psi, phi)
-        assert abs(two - 1.0) < 1e-6
-        assert abs(single - 1.0) < 1e-8
-        assert difference < 1e-6
+        check = dlocal_agreement_check(identity_kernel(grid), domain, psi, phi)
+        assert abs(check.two_particle - 1.0) < 1e-6
+        assert abs(check.single - 1.0) < 1e-8
+        assert check.difference < 1e-6
 
     def test_support_violation(self, grid):
         domain = Domain.from_interval(grid, -5.0, 5.0)
@@ -292,8 +287,8 @@ class TestCollectiveObservable:
         also_inside = gaussian_packet(grid, -0.5, 0.8)
         outside = gaussian_packet(grid, 15.0, 0.8)
         for sym in (ExchangeSymmetry.BOSON, ExchangeSymmetry.FERMION):
-            one = expectation_two_particle(counting, symmetrize(inside, outside, sym))
-            two = expectation_two_particle(counting, symmetrize(inside, also_inside, sym))
+            one = pair_expectation(counting, symmetrize(inside, outside, sym))
+            two = pair_expectation(counting, symmetrize(inside, also_inside, sym))
             assert abs(one - 1.0) < 1e-6
             assert abs(two - 2.0) < 1e-6
 
@@ -305,7 +300,7 @@ class TestCollectiveObservable:
         kernel = KernelOperator(small_grid, (raw + raw.conj().T) / small_grid.dx, hermitian=True)
         psi = gaussian_packet(small_grid, 1.0, 0.9)
         pair = symmetrize(psi, psi, ExchangeSymmetry.BOSON)
-        value = expectation_two_particle(kernel, pair)
+        value = pair_expectation(kernel, pair)
         assert abs(value - 2 * expectation_single(kernel, psi)) < 1e-10
 
     def test_commutes_with_exchange(self, small_grid):
@@ -317,8 +312,8 @@ class TestCollectiveObservable:
         psi = gaussian_packet(small_grid, -1.0, 0.8)
         phi = gaussian_packet(small_grid, 1.5, 1.1)
         for sym in (ExchangeSymmetry.BOSON, ExchangeSymmetry.FERMION):
-            forward = expectation_two_particle(kernel, symmetrize(psi, phi, sym))
-            backward = expectation_two_particle(kernel, symmetrize(phi, psi, sym))
+            forward = pair_expectation(kernel, symmetrize(psi, phi, sym))
+            backward = pair_expectation(kernel, symmetrize(phi, psi, sym))
             assert abs(forward - backward) < 1e-10 * max(1.0, abs(forward))
 
 

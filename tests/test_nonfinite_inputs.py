@@ -5,7 +5,8 @@ check is written ``not x <= tol`` (or ``not x >= 0``), which NaN fails.
 One row per constructor feeds it a NaN where its check reads the value.
 The rows run with warnings as errors, and two more feed ``normalized`` a
 vector whose largest modulus is subnormal, which it refuses as numerically
-null without a floating-point warning.
+null without a floating-point warning; a third an infinite entry, which it
+refuses before dividing by it.
 """
 
 import dataclasses
@@ -58,6 +59,11 @@ ROWS = {
     "state_vector": (lambda: StateVector([NAN, 0]), ValueError, "norm"),
     "state_vector_normalized": (
         lambda: StateVector.normalized([NAN, 1]),
+        ValueError,
+        "non-finite",
+    ),
+    "state_vector_normalized_infinite": (
+        lambda: StateVector.normalized([float("inf"), 1]),
         ValueError,
         "non-finite",
     ),

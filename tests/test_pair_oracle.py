@@ -21,14 +21,13 @@ from pointerlab import (
     KernelOperator,
     LatticeGrid,
     LatticeWavefunction,
-    expectation_two_particle,
     gaussian_packet,
     lattice,
     run_scenario,
     symmetrize,
 )
 from pointerlab.scenario import validate_scenario_data
-from helpers import lattice_composition
+from helpers import lattice_composition, pair_expectation
 
 
 def packet(grid, center, width, momentum):
@@ -95,7 +94,7 @@ def test_orbital_pair_matches_dense_pair(n, first, second, sym, seed):
     reference = dense_expectation(kernel, amplitude)
 
     assert close(pair.nu, nu)
-    assert close(expectation_two_particle(kernel, pair), reference)
+    assert close(pair_expectation(kernel, pair), reference)
 
 
 def dense_lattice_values(scenario):

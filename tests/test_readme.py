@@ -13,6 +13,7 @@ def test_readme_quick_tour_runs():
     exec(compile(blocks[0], str(README), "exec"), namespace)
     pl = namespace["pl"]
     assert abs(namespace["pair"].nu - 2**-0.5) < 1e-6
-    assert abs(pl.expectation_two_particle(namespace["x"], namespace["pair"]) - 10.0) < 1e-5
+    assert abs(pl.expectation_two_particle(namespace["elements"], namespace["pair"]) - 10.0) < 1e-5
     assert pl.is_d_local(namespace["local"], namespace["D"], tol=0.0)
+    assert namespace["check"].difference < 1e-5
     assert abs(namespace["report"].witness_expectation_unitary - 1.0) < 1e-10

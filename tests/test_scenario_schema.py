@@ -369,6 +369,8 @@ FAULTS = [
     # a packet divides the squared distance to each grid point by 4 width^2
     (SYM, ["packets", 1, "width"], 1e300, "scenario.packets[1].width: too large: 4 * width**2 overflows"),
     (SYM, ["grid", "dx"], 1e300, "scenario.grid: too large: (n_points * dx)**2 overflows"),
+    # the position kernel divides each coordinate by dx
+    (SYM, ["grid"], {"x_min": 1e308, "dx": 1e-300, "n_points": 512}, "scenario.grid: too large: |x| / dx overflows"),
 ]
 
 
