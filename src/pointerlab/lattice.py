@@ -149,7 +149,8 @@ class TwoParticleWavefunction:
     Exchanging the particles multiplies the amplitude by the declared sign
     by construction; ``nu`` must make the quadrature norm 1.  ``overlaps``
     is the orbital overlap matrix ``S``: :func:`symmetrize` hands over the
-    one it formed for ``nu``, a pair built directly forms its own.
+    one it formed for ``nu``, :meth:`opposite_exchange` shares it with the
+    pair of the other sign, and a pair built directly forms its own.
     """
 
     first: LatticeWavefunction
@@ -168,6 +169,15 @@ class TwoParticleWavefunction:
     @property
     def grid(self) -> LatticeGrid:
         return self.first.grid
+
+    def opposite_exchange(self) -> "TwoParticleWavefunction":
+        """The pair of the same orbitals under the other exchange sign, sharing ``S``.
+
+        Raises ``NullState`` for a null bracket, as :func:`symmetrize` does.
+        """
+        return _symmetrized(
+            self.first, self.second, ExchangeSymmetry(-self.exchange.sign), self.overlaps
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,7 +289,12 @@ def symmetrize(
     identical case.  For nearly parallel fermionic inputs the bracket
     cancels, leaving an absolute roundoff of about 1e-16 in ``1/nu^2``.
     """
-    overlaps = _overlaps(psi, phi)
+    return _symmetrized(psi, phi, sym, _overlaps(psi, phi))
+
+
+def _symmetrized(
+    psi: LatticeWavefunction, phi: LatticeWavefunction, sym: ExchangeSymmetry, overlaps: np.ndarray
+) -> TwoParticleWavefunction:
     norm_squared = _pair_norm_squared(overlaps, sym)
     if norm_squared < COMPARISON_TOL**2:
         raise NullState("symmetrized state is numerically null")

@@ -27,7 +27,6 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 
 import numpy as np
 
@@ -323,11 +322,12 @@ def _run_symmetrization(scenario: dict) -> tuple[dict, list[Verdict]]:
         psi, phi = (gaussian_packet(grid, **packet) for packet in scenario["packets"])
         kernel = position_kernel(grid)
     with _stage("symmetrization"):
-        pairs = {sym: symmetrize(psi, phi, sym) for sym in ExchangeSymmetry}
+        boson = symmetrize(psi, phi, ExchangeSymmetry.BOSON)
+        pairs = {ExchangeSymmetry.BOSON: boson, ExchangeSymmetry.FERMION: boson.opposite_exchange()}
         nu = {sym: pair.nu for sym, pair in pairs.items()}
-        overlap = abs(pairs[ExchangeSymmetry.BOSON].overlaps[0, 1])
-        # both pairs hold psi and phi, so one kernel apply serves both
-        elements, singles = orbital_elements(kernel, pairs[ExchangeSymmetry.BOSON])
+        overlap = abs(boson.overlaps[0, 1])
+        # both pairs hold psi and phi and share S, so one kernel apply serves both
+        elements, singles = orbital_elements(kernel, boson)
         single_first, single_second = singles.real
         two_particle = {sym: expectation_two_particle(elements, p).real for sym, p in pairs.items()}
 
@@ -576,5 +576,5 @@ def emit_report(report: RunReport, format: str = "json", path=None) -> None:
     if path is None:
         raise ValueError("emit_report needs an output path")
     parts = _report_parts(report, format)
-    with Path(path).open("w", encoding="utf-8") as file:
+    with open(path, "w", encoding="utf-8") as file:
         file.writelines(parts)

@@ -32,7 +32,6 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import chain, islice
-from pathlib import Path
 
 import numpy as np
 
@@ -453,7 +452,8 @@ def load_scenario(path) -> ScenarioConfig:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        document = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as file:
+            document = json.load(file)
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     else:

@@ -1,5 +1,9 @@
 """Shared generators, test-only constructors and dense references for the tests."""
 
+import argparse
+import contextlib
+import io
+
 import numpy as np
 
 from pointerlab import (
@@ -257,3 +261,24 @@ def lattice_composition(scenario):
         "dlocal_residual_raw_kernel": dlocal_residual(kernel, domain),
         "dlocal_residual_localized_kernel": dlocal_residual(localize(kernel, domain), domain),
     }
+
+
+def argparse_oracle(argv):
+    """The argparse parser the CLI once used, or ``None`` where it exits.
+
+    Built as it was, apart from ``allow_abbrev=False`` on every parser, so
+    that prefix abbreviations, which the direct parser drops, are refused.
+    """
+    parser = argparse.ArgumentParser(prog="pointerlab", allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command in ("run", "validate", "demo"):
+        child = sub.add_parser(command, allow_abbrev=False)
+        child.add_argument("name" if command == "demo" else "scenario")
+        if command != "validate":
+            child.add_argument("--format", choices=("json", "csv"), default="json")
+            child.add_argument("--out", default=None)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return parser.parse_args(argv)
+        except SystemExit:
+            return None

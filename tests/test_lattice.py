@@ -109,6 +109,18 @@ class TestSymmetrize:
         with pytest.raises(NullState):
             symmetrize(psi, psi, ExchangeSymmetry.FERMION)
 
+    def test_opposite_exchange_is_the_symmetrized_pair_of_the_other_sign(self, grid):
+        psi = gaussian_packet(grid, 0.0, 1.0)
+        phi = gaussian_packet(grid, 1.5, 1.2)  # overlapping, so the two nu differ
+        for sym in ExchangeSymmetry:
+            pair = symmetrize(psi, phi, sym)
+            other = pair.opposite_exchange()
+            direct = symmetrize(psi, phi, ExchangeSymmetry(-sym.sign))
+            assert other.exchange is direct.exchange and other.nu == direct.nu
+            assert other.first is psi and other.second is phi and other.overlaps is pair.overlaps
+        with pytest.raises(NullState):
+            symmetrize(psi, psi, ExchangeSymmetry.BOSON).opposite_exchange()
+
     def test_identical_bosons_product(self, grid):
         psi = gaussian_packet(grid, 0.0, 1.0)
         pair = symmetrize(psi, psi, ExchangeSymmetry.BOSON)

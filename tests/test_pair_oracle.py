@@ -236,7 +236,7 @@ def test_dlocal_run_matches_dense_pairs_and_composition(document):
                 "packets": [{"center": 0.0, "width": 1.0}, {"center": 1.5, "width": 1.2}],
             },
             1,
-            2,  # one overlap matrix for each of the two pairs
+            1,  # one overlap matrix, which the fermion pair shares with the boson pair
         ),
         (
             {

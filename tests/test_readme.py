@@ -17,3 +17,10 @@ def test_readme_quick_tour_runs():
     assert pl.is_d_local(namespace["local"], namespace["D"], tol=0.0)
     assert namespace["check"].difference < 1e-5
     assert abs(namespace["report"].witness_expectation_unitary - 1.0) < 1e-10
+
+
+def test_readme_cli_block_is_the_usage_text():
+    from pointerlab.cli import USAGE
+
+    section = README.read_text().split("## CLI\n", 1)[1]
+    assert re.match(r"\s*```\n(.*?)```", section, flags=re.DOTALL).group(1) == USAGE

@@ -268,6 +268,20 @@ class TestCli:
 
     def test_demo_unknown_name(self, capsys):
         assert cli_main(["demo", "nope"]) == 1
+        available = ", ".join(sorted(cli.DEMO_SCENARIOS))
+        assert capsys.readouterr().err == f"error: unknown demo 'nope'; available: {available}\n"
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_missing_file_names_its_path(self, tmp_path, capsys, command):
+        missing = tmp_path / "missing.json"
+        assert cli_main([command, str(missing)]) == 1
+        assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
+
+    def test_unwritable_out_path_names_it(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, MINIMAL_BCL)
+        out = tmp_path / "no-such-directory" / "out.json"
+        assert cli_main(["run", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {out}: No such file or directory\n"
 
     def test_run_exit_one_on_runtime_error(self, tmp_path, capsys):
         data = json.loads(json.dumps(MINIMAL_BCL))
