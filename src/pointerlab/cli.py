@@ -5,9 +5,10 @@ file, ``validate`` checks one without running it, ``demo`` runs a bundled
 scenario by name.  ``--format`` and ``--out`` may come before or after the
 positional, as ``--format csv`` or ``--format=csv``; a repeated option keeps
 its last value, and a separate value may not begin with ``-``
-(``--out=-x`` passes one).  Every token that begins with ``-`` is an option,
-so there are no prefix abbreviations, no ``--`` end of options and no file
-name beginning with ``-``.  ``-h`` or ``--help`` anywhere prints ``USAGE`` to
+(``--out=-x`` passes one).  No value or positional may be empty.  Every
+token that begins with ``-`` is an option, so there are no prefix
+abbreviations, no ``--`` end of options and no file name beginning with
+``-``.  ``-h`` or ``--help`` anywhere prints ``USAGE`` to
 stdout.  Exit codes: 0 when every verdict passes (or on help), 2 when any
 verdict fails, 1 on a usage, configuration, file or runtime error, which is
 reported as one ``error: ...`` line on stderr.  :func:`main` returns the
@@ -60,16 +61,19 @@ def _parse(argv: list[str]) -> tuple[str, str, str, str | None]:
         if name not in _COMMAND_OPTIONS[command]:
             raise _UsageError(f"{command} takes no option {name!r}")
         if not joined:
-            value = next(tokens, None)
-            if value is None or value.startswith("-"):
-                raise _UsageError(f"option {name} needs a value")
+            value = next(tokens, "")
+        if not value or (value.startswith("-") and not joined):
+            raise _UsageError(f"option {name} needs a value")
         if name == "--format" and value not in ("json", "csv"):
             raise _UsageError(f"--format must be json or csv, not {value!r}")
         options[name] = value
+    what = "<name>" if command == "demo" else "<scenario-file>"
     if not positionals:
-        raise _UsageError(f"{command} needs {'<name>' if command == 'demo' else '<scenario-file>'}")
+        raise _UsageError(f"{command} needs {what}")
     if len(positionals) > 1:
         raise _UsageError(f"unexpected argument {positionals[1]!r}")
+    if not positionals[0]:
+        raise _UsageError(f"{command} needs a non-empty {what}")
     return command, positionals[0], options["--format"], options["--out"]
 
 

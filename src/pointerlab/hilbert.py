@@ -27,8 +27,8 @@ the ``B_j``.  A partial trace is itself returned as a mixture, of the
 weighted ``B_j`` columns (or rows), so no reduced state is formed densely;
 only a dense ``DensityMatrix(entries)`` runs ``eigh``.
 A :class:`ProductSpace` has exactly two factors.  A :class:`KroneckerProduct`
-is held as two congruences ``M H M^dagger`` and read on each ``B_j`` as
-``M^dagger B_j N^*``, so neither factor is formed.
+is held as two congruences ``M T M^dagger`` with real symmetric tridiagonal
+cores ``T`` and read on each ``B_j`` as ``M^T B_j^* N``, so no factor is formed.
 """
 
 from __future__ import annotations
@@ -57,13 +57,6 @@ __all__ = [
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
-
-
-def _hermitian_deviation(mat: np.ndarray) -> float:
-    """``max |M - M^dagger|``, with one complex temporary the size of ``M``."""
-    deviation = mat.conj().T
-    deviation -= mat
-    return float(np.abs(deviation).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,7 +114,7 @@ def _eigenpairs(entries) -> tuple[np.ndarray, np.ndarray]:
     mat = np.array(entries, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("density matrix entries must form a square matrix")
-    herm_dev = _hermitian_deviation(mat)
+    herm_dev = float(np.abs(mat - mat.conj().T).max())
     if not herm_dev <= INVARIANT_TOL:
         raise ValueError(f"density matrix not Hermitian; deviation {herm_dev:.3e}")
     nonzero = mat != 0
@@ -212,55 +205,62 @@ class DensityMatrix:
         return (self.columns * np.sqrt(self.weights)).T.reshape(-1, *space.factor_dims)
 
 
+def _tridiagonal_apply(diagonal: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``T x`` along the last axis of ``x`` for the symmetric tridiagonal ``T = (d, e)``."""
+    out = x * diagonal
+    out[..., :-1] += off * x[..., 1:]
+    out[..., 1:] += off * x[..., :-1]
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class KroneckerProduct:
-    """Hermitian operator ``(M H M^dagger) (x) (N G N^dagger)`` on a bipartite space.
+    """Hermitian operator ``(M T M^dagger) (x) (N S N^dagger)`` on a bipartite space.
 
-    ``system`` is the pair ``(M, H)`` and ``apparatus`` the pair ``(N, G)``:
-    each factor is a column matrix and a small Hermitian core on its columns.
-    Construction checks only that each core is square on its matrix's columns
-    and Hermitian, so the product is Hermitian; the column matrices are kept
-    as read-only views, not copied.  The dense matrix is never built.
+    ``system`` is ``(M, d, e)`` and ``apparatus`` ``(N, d, e)``: a column matrix
+    and the real symmetric tridiagonal core on its ``r`` columns, with diagonal
+    ``d`` and off-diagonal ``e``.  Construction checks only the lengths ``r`` and
+    ``r - 1`` and refuses a complex core; the column matrices are read-only views.
     """
 
-    system: tuple[np.ndarray, np.ndarray]
-    apparatus: tuple[np.ndarray, np.ndarray]
+    system: tuple[np.ndarray, np.ndarray, np.ndarray]
+    apparatus: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     def __post_init__(self) -> None:
         for name in ("system", "apparatus"):
-            basis, core = getattr(self, name)
-            basis, core = np.asarray(basis, dtype=complex).view(), np.array(core, dtype=complex)
-            if basis.ndim != 2 or core.shape != (basis.shape[1], basis.shape[1]):
-                raise ValueError("a Kronecker factor needs a square core on its matrix's columns")
-            dev = _hermitian_deviation(core)
-            if not dev <= INVARIANT_TOL:
-                raise ValueError(f"Kronecker core is not Hermitian; deviation {dev:.3e}")
-            object.__setattr__(self, name, (_readonly(basis), _readonly(core)))
+            basis, diagonal, off = getattr(self, name)
+            if np.iscomplexobj(diagonal) or np.iscomplexobj(off):
+                raise ValueError("a Kronecker core must be real")
+            basis = np.asarray(basis, dtype=complex).view()
+            diagonal, off = np.array(diagonal, dtype=float), np.array(off, dtype=float)
+            rank = basis.shape[1] if basis.ndim == 2 else -1
+            if diagonal.shape != (rank,) or off.shape != (rank - 1,):
+                raise ValueError("a Kronecker core needs r diagonal and r - 1 off-diagonal entries")
+            object.__setattr__(self, name, (_readonly(basis), _readonly(diagonal), _readonly(off)))
 
     @property
     def factor_dims(self) -> tuple[int, int]:
         return (self.system[0].shape[0], self.apparatus[0].shape[0])
 
     def expectation(self, rho: DensityMatrix) -> float:
-        """``tr(rho W) = sum_j w_j <C_j, H C_j G^T>`` for ``C_j = M^dagger B_j N^*``."""
-        (system, system_core), (apparatus, apparatus_core) = self.system, self.apparatus
-        # M^dagger B_j as (B_j^dagger M)^dagger: only the thin B_j are conjugated
-        adjoints = rho.blocks(ProductSpace(self.factor_dims)).conj().swapaxes(1, 2)
-        rotated = (adjoints @ system).conj().swapaxes(1, 2) @ apparatus.conj()
-        return float(np.vdot(rotated, system_core @ rotated @ apparatus_core.T).real)
+        """``tr(rho W) = sum_j w_j <T C_j, C_j S>`` for ``C_j = M^T B_j^* N``."""
+        (system, *system_core), (apparatus, *apparatus_core) = self.system, self.apparatus
+        # C_j conjugates M^dagger B_j N^*, the same value for real cores: only B_j is conjugated
+        rotated = system.T @ rho.blocks(ProductSpace(self.factor_dims)).conj() @ apparatus
+        left = _tridiagonal_apply(*system_core, rotated.swapaxes(1, 2)).swapaxes(1, 2)
+        return float(np.vdot(left, _tridiagonal_apply(*apparatus_core, rotated)).real)
 
     def product_expectation(self, weights, first, second) -> float:
         """``tr(rho W)`` for ``rho = sum_j w_j |f_j><f_j| (x) |s_j><s_j|``, from its factors.
 
         ``first`` holds the ``f_j`` and ``second`` the ``s_j`` as columns; the
-        value is ``sum_j w_j <f_j|M H M^dagger|f_j> <s_j|N G N^dagger|s_j>``,
-        with each column rotated by ``M^dagger`` or ``N^dagger`` first, as
-        ``(F^dagger M)^dagger``, so only the columns are conjugated.
+        value is ``sum_j w_j <f_j|M T M^dagger|f_j> <s_j|N S N^dagger|s_j>``,
+        each form read on the row ``f_j^dagger M``, so only columns are conjugated.
         """
         terms = np.asarray(weights)
-        for (basis, core), columns in ((self.system, first), (self.apparatus, second)):
-            rotated = (columns.conj().T @ basis).conj().T
-            terms = terms * (rotated.conj() * (core @ rotated)).sum(axis=0)
+        for (basis, *core), columns in ((self.system, first), (self.apparatus, second)):
+            rows = columns.conj().T @ basis
+            terms = terms * (rows.conj() * _tridiagonal_apply(*core, rows)).sum(axis=1)
         return float(terms.sum().real)
 
 

@@ -18,8 +18,8 @@ Gram matrix is a Hadamard product, the marginals are weighted columns of
 ``Phi`` or ``Psi``, and witness expectations and pointer blocks are sums
 over the factors.  The unitary outcome is one column, read through its
 amplitude matrix ``B``: pointer blocks as ``B P^*`` and witnesses, each a
-Kronecker product of congruences in the spec's bases, as ``E^dagger B P^*``
-(or ``E^dagger B``).  No product-space matrix is ever built.
+Kronecker product of tridiagonal congruences in the spec's bases, as
+``E^T B^* P`` (or ``E^T B^*``).  No product-space matrix is ever built.
 """
 
 from __future__ import annotations
@@ -276,17 +276,17 @@ def shift_witness(spec: BclSpec) -> KroneckerProduct:
     ``sigma_x (x) sigma_x``, which commutes with neither the measured
     observable nor the pointer projectors.
     """
-    sectors = spec.pointers.shape[1]
+    system_dim, sectors = spec.system_dim, spec.pointers.shape[1]
     return KroneckerProduct(
-        system=(spec.eigenvectors, np.eye(spec.system_dim, k=1) + np.eye(spec.system_dim, k=-1)),
-        apparatus=(spec.pointers, np.eye(sectors, k=1) + np.eye(sectors, k=-1)),
+        system=(spec.eigenvectors, np.zeros(system_dim), np.ones(system_dim - 1)),
+        apparatus=(spec.pointers, np.zeros(sectors), np.ones(sectors - 1)),
     )
 
 
 def observable_witness(spec: BclSpec) -> KroneckerProduct:
     """Witness ``O (x) I``, ``O = E diag(o) E^dagger``: it survives objectification untouched."""
-    identity = np.eye(spec.apparatus_dim)
-    outcomes = np.repeat(spec.eigenvalues, spec.degeneracies)
+    outcomes, dim = np.repeat(spec.eigenvalues, spec.degeneracies), spec.apparatus_dim
     return KroneckerProduct(
-        system=(spec.eigenvectors, np.diag(outcomes)), apparatus=(identity, identity)
+        system=(spec.eigenvectors, outcomes, np.zeros(len(outcomes) - 1)),
+        apparatus=(np.eye(dim, dtype=complex), np.ones(dim), np.zeros(dim - 1)),
     )

@@ -52,9 +52,13 @@ def canonical_spec(eigenvalues, degeneracies, apparatus_dim=None):
 
 
 def kronecker_entries(witness):
-    """Dense matrix ``kron(M H M^dagger, N G N^dagger)`` of a ``KroneckerProduct``."""
+    """Dense matrix ``kron(M T M^dagger, N S N^dagger)`` of a ``KroneckerProduct``.
+
+    Each core is formed as ``diag(d) + diag(e, 1) + diag(e, -1)``.
+    """
     first, second = (
-        basis @ core @ basis.conj().T for basis, core in (witness.system, witness.apparatus)
+        basis @ (np.diag(d) + np.diag(e, 1) + np.diag(e, -1)) @ basis.conj().T
+        for basis, d, e in (witness.system, witness.apparatus)
     )
     return np.kron(first, second)
 

@@ -126,6 +126,9 @@ def test_every_list_runs_as_the_old_parser_read_it(argv):
         (["run", "-"], ("-", "json", None)),
         (["run", "-1"], ("-1", "json", None)),
         (["run", "a.json", "--out", "-1"], ("a.json", "json", "-1")),
+        # an empty file name or output path, which names no file in the error line
+        (["run", ""], ("", "json", None)),
+        (["run", "a.json", "--out="], ("a.json", "json", "")),
     ],
 )
 def test_dropped_forms_are_usage_errors(argv, old):
@@ -157,6 +160,13 @@ NOT_XML = "--format must be json or csv, not 'xml'"
         (["run", "--format=json", "a.json", "--format", "csv"], None),
         (["validate", "a.json", "--out", "y"], "validate takes no option '--out'"),
         (["validate", "a.json", "--format=json"], "validate takes no option '--format'"),
+        # an empty positional or option value is refused before any file is opened
+        (["run", ""], "run needs a non-empty <scenario-file>"),
+        (["validate", ""], "validate needs a non-empty <scenario-file>"),
+        (["demo", "", "--format", "csv"], "demo needs a non-empty <name>"),
+        (["demo", "bcl-qubit", "--out="], "option --out needs a value"),
+        (["run", "a.json", "--out", ""], "option --out needs a value"),
+        (["run", "a.json", "--format="], "option --format needs a value"),
     ],
 )
 def test_usage_errors_return_one(argv, reason):

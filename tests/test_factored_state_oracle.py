@@ -7,8 +7,8 @@ distance) is compared with the textbook formula on the materialized
 ``dim x dim`` matrix.  The top rung runs a canonical ``full_measurement`` at
 the dimension cap and pins that the run path allocates no ``dim x dim``
 array, and a tall shape that the premeasurement diagnostics allocate no
-``d_system x d_system`` array and that a canonical run keeps no Gram matrix
-past its spec.  The marginals of a run are mixtures, so a
+``d_system x d_system`` array, that a canonical run keeps no Gram matrix
+past its spec and that a witness holds no square core.  The marginals of a run are mixtures, so a
 run never diagonalizes a dense matrix with ``eigh`` and never reads
 ``DensityMatrix.entries``; the spectrum of a mixture wider than its
 dimension comes from its ``dim x dim`` matrix rather than its Gram matrix,
@@ -192,6 +192,41 @@ def test_tall_canonical_run_holds_no_gram_matrix_past_its_spec():
         tracemalloc.stop()
     assert report.all_passed, [v.name for v in report.verdicts if not v.passed]
     assert peak < 4.5 * levels**2 * 16, f"peak {peak / (levels**2 * 16):.2f} x ds^2 * 16 bytes"
+
+
+def traced_witness(spec, rng, builder):
+    """Traced peak of building a witness and taking both of its expectations.
+
+    The spec, its premeasurement, the unitary state and the gemenge are all
+    built before tracing starts.  Also returns the two expectations.
+    """
+    result = premeasure(spec, random_state(rng, spec.system_dim))
+    gemenge, rho = apply_rule2(result, spec), result.final_density
+    factors = (gemenge.probabilities, gemenge.system_states, gemenge.pointer_states)
+    tracemalloc.start()
+    try:
+        witness = builder(spec)
+        values = witness.expectation(rho), witness.product_expectation(*factors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, values
+
+
+def test_witnesses_allocate_no_square_core():
+    # ds = 1024, da = K = 2: one ds x ds complex array is 16 MiB, and a dense
+    # core, its complex copy and its Hermitian check took three of them
+    rng = np.random.default_rng(1023)
+    spec = random_bcl_spec(rng, [512, 512])
+    for builder in (shift_witness, observable_witness):
+        peak, _ = traced_witness(spec, rng, builder)
+        assert peak < spec.system_dim**2 * 16 / 16, f"{builder.__name__}: {peak / 2**20:.2f} MiB"
+    # ds = 2, da = 1024, K = 2: the observable witness holds the da x da identity
+    # basis, formed once as a complex array, and no core of that size
+    spec = random_bcl_spec(rng, [1, 1], apparatus_dim=1024)
+    peak, (unitary, rule2) = traced_witness(spec, rng, observable_witness)
+    assert peak < 1.25 * spec.apparatus_dim**2 * 16, f"{peak / 2**20:.2f} MiB"
+    assert abs(unitary - rule2) < 1e-10
 
 
 @pytest.mark.parametrize("witness", ["sigma_x_pattern", "system_observable"])

@@ -1,13 +1,16 @@
 """Kronecker-product witnesses held as congruences, against their dense matrices.
 
-A ``KroneckerProduct`` holds each factor as a column matrix ``M`` and a
-Hermitian core ``H`` on its columns, the operator ``M H M^dagger``.  Both of
-its expectations are compared with ``tr(rho W)`` on the materialized
-``.entries`` to ``1e-12 * max(1, |ref|)``: ``expectation`` on random
-mixtures of up to ``dim + 2`` columns, and ``product_expectation`` on random
-product mixtures ``sum_j w_j |f_j><f_j| (x) |s_j><s_j|`` given by their
-factors.  The bases are Haar columns, with fewer columns than dimensions on
-either side (as for a pointer basis with ``K < d_pointer``).
+A ``KroneckerProduct`` holds each factor as a column matrix ``M`` and a real
+symmetric tridiagonal core ``T = (d, e)`` on its columns, the operator
+``M T M^dagger``.  Each example builds two: a random Hermitian ``H`` given as
+``(M V, eigvalsh(H), 0)`` from ``eigh(H)``, checked against ``M H M^dagger``
+itself, and a random real band ``(d, e)``, so the off-diagonal term is read.
+Both of their expectations are compared with ``tr(rho W)`` on the
+materialized ``.entries`` to ``1e-12 * max(1, |ref|)``: ``expectation`` on
+random mixtures of up to ``dim + 2`` columns, and ``product_expectation`` on
+random product mixtures ``sum_j w_j |f_j><f_j| (x) |s_j><s_j|`` given by
+their factors.  The bases are Haar columns, with fewer columns than
+dimensions on either side (as for a pointer basis with ``K < d_pointer``).
 """
 
 import numpy as np
@@ -28,6 +31,12 @@ def unit_columns(rng, dim, count):
     return z / np.linalg.norm(z, axis=0)
 
 
+def spectral_factor(basis, hermitian):
+    """``M H M^dagger`` as ``(M V, eigvalsh(H), 0)`` for ``H = V diag(eigvalsh(H)) V^dagger``."""
+    values, vectors = np.linalg.eigh(hermitian)
+    return basis @ vectors, values, np.zeros(len(values) - 1)
+
+
 @settings(max_examples=80)
 @given(
     d_system=st.integers(1, 4),
@@ -42,25 +51,30 @@ def test_congruence_expectations_match_dense_trace(d_system, d_pointer, data, se
     n_pointer = data.draw(st.integers(1, d_pointer))
     system = random_unitary(rng, d_system)[:, :n_system]
     pointers = random_unitary(rng, d_pointer)[:, :n_pointer]
-    witness = KroneckerProduct(
-        system=(system, random_hermitian(rng, n_system)),
-        apparatus=(pointers, random_hermitian(rng, n_pointer)),
+    h_system, h_pointer = random_hermitian(rng, n_system), random_hermitian(rng, n_pointer)
+    spectral = KroneckerProduct(
+        system=spectral_factor(system, h_system), apparatus=spectral_factor(pointers, h_pointer)
     )
+    banded = KroneckerProduct(
+        system=(system, rng.normal(size=n_system), rng.normal(size=n_system - 1)),
+        apparatus=(pointers, rng.normal(size=n_pointer), rng.normal(size=n_pointer - 1)),
+    )
+    congruences = np.kron(
+        system @ h_system @ system.conj().T, pointers @ h_pointer @ pointers.conj().T
+    )
+    assert close(kronecker_entries(spectral), congruences)
     dim = d_system * d_pointer
-    assert witness.factor_dims == (d_system, d_pointer)
-    dense = kronecker_entries(witness)
-    assert close(dense, dense.conj().T)
-
     rank = data.draw(st.integers(1, dim + 2))
     rho = DensityMatrix(columns=unit_columns(rng, dim, rank), weights=rng.dirichlet(np.ones(rank)))
-    reference = np.trace(rho.entries @ dense).real
-    assert close(witness.expectation(rho), reference)
-
     # a product mixture, read through its factors and through its columns f_j (x) s_j
     weights = rng.dirichlet(np.ones(rank))
     first, second = unit_columns(rng, d_system, rank), unit_columns(rng, d_pointer, rank)
     products = np.einsum("ij,kj->ikj", first, second).reshape(dim, rank)
     product_rho = DensityMatrix(columns=products, weights=weights)
-    reference = np.trace(product_rho.entries @ dense).real
-    assert close(witness.product_expectation(weights, first, second), reference)
-    assert close(witness.expectation(product_rho), reference)
+    for witness, dense in ((spectral, congruences), (banded, kronecker_entries(banded))):
+        assert witness.factor_dims == (d_system, d_pointer)
+        assert close(dense, dense.conj().T)
+        assert close(witness.expectation(rho), np.trace(rho.entries @ dense).real)
+        reference = np.trace(product_rho.entries @ dense).real
+        assert close(witness.product_expectation(weights, first, second), reference)
+        assert close(witness.expectation(product_rho), reference)

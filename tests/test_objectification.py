@@ -158,14 +158,24 @@ class TestCompareStates:
         assert report.entropy_rule2_state < 1e-9
 
     def test_rejects_non_hermitian_witness(self):
+        # a core is a real band, so a complex one is the only non-Hermitian form
         spec, result, gemenge = bell_case()
-        with pytest.raises(ValueError, match="not Hermitian"):
-            bad = KroneckerProduct((np.eye(2), np.triu(np.ones((2, 2)))), (np.eye(2), np.eye(2)))
+        flip = (np.eye(2), np.zeros(2), np.ones(1))
+        with pytest.raises(ValueError, match="must be real"):
+            bad = KroneckerProduct((np.eye(2), np.zeros(2), np.array([1j])), flip)
             compare_states(result, gemenge, spec, bad)
-        with pytest.raises(ValueError, match="not Hermitian"):
-            KroneckerProduct((np.eye(2), SIGMA_X), (np.eye(2), np.triu(np.ones((2, 2)))))
-        with pytest.raises(ValueError, match="square core"):
-            KroneckerProduct((np.eye(2), SIGMA_X), (np.eye(2)[:, :1], SIGMA_X))
+        with pytest.raises(ValueError, match="must be real"):
+            KroneckerProduct(flip, (np.eye(2), np.array([1.0, 1j]), np.zeros(1)))
+        for basis, diagonal, off in (
+            (np.eye(2)[:, :1], np.zeros(2), np.ones(1)),  # a core on more columns than M has
+            (np.eye(2), np.zeros(1), np.ones(1)),
+            (np.eye(2), np.zeros(2), np.ones(2)),
+            (np.eye(2), np.zeros(2), np.ones(0)),
+            (np.eye(2), np.zeros((2, 2)), np.ones(1)),
+            (np.ones(2), np.zeros(2), np.ones(1)),
+        ):
+            with pytest.raises(ValueError, match="r diagonal and r - 1 off-diagonal"):
+                KroneckerProduct(flip, (basis, diagonal, off))
 
 
 class TestInvariantProperties:
@@ -207,14 +217,19 @@ class TestInvariantProperties:
         spec = random_bcl_spec(rng, (1, 1, 1))
         result = premeasure(spec, random_state(rng, spec.system_dim))
         gemenge = apply_rule2(result, spec)
-        # each term block_k (x) |pi_k><pi_k|; the sum of terms follows by linearity
-        identity = np.eye(spec.system_dim)
+        # each term S_k (x) |pi_k><pi_k|; the sum of terms follows by linearity.  S_k is
+        # a random real symmetric matrix, given by its eigenpairs, or a random band
+        ds = spec.system_dim
+        projector = (np.ones(1), np.zeros(0))
         for pointer in spec.pointers.T:
-            block = rng.normal(size=(spec.system_dim, spec.system_dim))
-            term = KroneckerProduct((identity, block + block.T), (pointer[:, None], np.eye(1)))
-            report = compare_states(result, gemenge, spec, term)
-            gap = report.witness_expectation_unitary - report.witness_expectation_rule2
-            assert abs(gap) < 1e-10
+            block = rng.normal(size=(ds, ds))
+            values, vectors = np.linalg.eigh(block + block.T)
+            band = (np.eye(ds), rng.normal(size=ds), rng.normal(size=ds - 1))
+            for system in ((vectors, values, np.zeros(ds - 1)), band):
+                term = KroneckerProduct(system, (pointer[:, None], *projector))
+                report = compare_states(result, gemenge, spec, term)
+                gap = report.witness_expectation_unitary - report.witness_expectation_rule2
+                assert abs(gap) < 1e-10
 
     def test_entropy_gap(self):
         rng = np.random.default_rng(47)
