@@ -59,10 +59,8 @@ from .objectification import (
 )
 from .premeasurement import (
     BclSpec,
-    ControlledUnitary,
     PremeasurementResult,
     apparatus_marginal,
-    build_premeasurement_unitary,
     premeasure,
 )
 from .runner import RunReport, Verdict, emit_report, render_report, run_scenario

@@ -220,7 +220,8 @@ class KroneckerProduct:
     ``system`` is ``(M, d, e)`` and ``apparatus`` ``(N, d, e)``: a column matrix
     and the real symmetric tridiagonal core on its ``r`` columns, with diagonal
     ``d`` and off-diagonal ``e``.  Construction checks only the lengths ``r`` and
-    ``r - 1`` and refuses a complex core; the column matrices are read-only views.
+    ``r - 1`` and refuses a complex or non-finite core; the column matrices are
+    read-only views.
     """
 
     system: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -236,6 +237,8 @@ class KroneckerProduct:
             rank = basis.shape[1] if basis.ndim == 2 else -1
             if diagonal.shape != (rank,) or off.shape != (rank - 1,):
                 raise ValueError("a Kronecker core needs r diagonal and r - 1 off-diagonal entries")
+            if not (np.isfinite(diagonal).all() and np.isfinite(off).all()):
+                raise ValueError("a Kronecker core must be finite")
             object.__setattr__(self, name, (_readonly(basis), _readonly(diagonal), _readonly(off)))
 
     @property

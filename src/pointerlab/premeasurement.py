@@ -9,10 +9,8 @@ the unitary only on the subspace spanned by ``eigenvector (x) ready``
 has the controlled form ``U = sum_k Q_k (x) V_k``: ``Q_k = T_k E_k^dagger``
 carries sector ``k`` into its transfer vectors, and ``V_k`` carries the
 ready state into pointer ``k``.  Only that isometry is prescribed, and a run
-applies nothing else: ``U`` is held as its spec.  The dense
-:attr:`ControlledUnitary.entries`, read by the tests, completes it with
-``V_k = Pbar S_k R^dagger`` for completions ``Pbar`` and ``R`` of the
-pointers and the ready state; nothing physical depends on them.
+applies nothing else: the spec is the coupling, and no completion of ``U``
+is built.
 
 A spec holds each of its three families as one column matrix, built and
 checked once at construction: the eigenvectors ``E`` and the transfer family
@@ -47,9 +45,7 @@ from .tolerances import INVARIANT_TOL, PROBABILITY_FLOOR
 
 __all__ = [
     "BclSpec",
-    "ControlledUnitary",
     "PremeasurementResult",
-    "build_premeasurement_unitary",
     "premeasure",
     "apparatus_marginal",
 ]
@@ -74,6 +70,8 @@ class BclSpec:
     residual (the largest column norm of ``E^dagger E - I``), the measurement
     residual ``max |T^dagger T - I|``, the pointer Gram deviation and
     ``| <ready|ready> - 1 |``.  The default transfer family is ``E`` itself.
+    The spec is also the coupling: :meth:`sector_sums` and :meth:`images`
+    apply its isometry.
     """
 
     eigenvalues: tuple[float, ...]
@@ -180,83 +178,20 @@ class BclSpec:
     def apparatus_dim(self) -> int:
         return self.ready_state.dim
 
-    def _sector_vectors(self, columns: np.ndarray) -> tuple[tuple[StateVector, ...], ...]:
-        return tuple(
-            tuple(map(StateVector, sector.T))
-            for sector in np.split(columns, self.sector_bounds[1:-1], axis=1)
-        )
-
     @property
-    def system_eigenbasis(self) -> tuple[tuple[StateVector, ...], ...]:
-        """The eigenvectors as one tuple of states per sector, built on each access."""
-        return self._sector_vectors(self.eigenvectors)
-
-    @property
-    def transfer_family(self) -> tuple[tuple[StateVector, ...], ...]:
-        """The transfer family as one tuple of states per sector, built on each access."""
-        return self._sector_vectors(self.transfer)
-
-    @property
-    def pointer_basis(self) -> tuple[StateVector, ...]:
-        """The pointers as states, built on each access."""
-        return tuple(map(StateVector, self.pointers.T))
-
-
-@dataclass(frozen=True, eq=False)
-class ControlledUnitary:
-    """Premeasurement unitary ``U = sum_k Q_k (x) V_k`` of a spec, applied as its isometry.
-
-    Only ``V_k ready = pi_k`` is prescribed on the apparatus, so a run reads
-    nothing but the spec: :meth:`images` contracts the sector sums with its
-    pointers.  ``completion_seed`` only selects the completion that
-    :attr:`entries` builds.
-    """
-
-    spec: BclSpec
-    completion_seed: int = 0
-
-    @property
-    def deviation(self) -> float:
+    def unitarity_deviation(self) -> float:
         """How far the isometry is from one that extends to a unitary ``U``.
 
         The largest of the eigenbasis deviation, the measurement-condition
         residual, the pointer Gram deviation and ``| <ready|ready> - 1 |``:
         ``U`` exists exactly when all four vanish.
         """
-        spec = self.spec
         return max(
-            spec._eigenbasis_deviation,
-            spec._measurement_residual,
-            spec._pointer_deviation,
-            spec._ready_deviation,
+            self._eigenbasis_deviation,
+            self._measurement_residual,
+            self._pointer_deviation,
+            self._ready_deviation,
         )
-
-    @property
-    def entries(self) -> np.ndarray:
-        """The dense matrix ``sum_i kron(t_i e_i^dagger, V_k(i))``, built on each call.
-
-        ``V_k = Pbar S_k R^dagger``: ``Pbar`` and ``R`` complete the pointers
-        and the ready state to unitaries (one complete-mode QR each) and
-        ``S_k`` swaps columns 0 and ``k``.  A nonzero ``completion_seed``
-        re-pairs ``R``'s complement through a seeded Haar unitary, a second
-        valid completion to test against.
-        """
-        spec = self.spec
-        pointers = _complete_orthonormal(spec.pointers)
-        ready = _complete_orthonormal(spec.ready_state.amplitudes[:, None])
-        if self.completion_seed != 0:
-            free = spec.apparatus_dim - 1
-            rng = np.random.default_rng(self.completion_seed)
-            q, r = np.linalg.qr(rng.normal(size=(free, free)) + 1j * rng.normal(size=(free, free)))
-            ready[:, 1:] @= q * (np.diag(r) / np.abs(np.diag(r)))
-        sectors = np.arange(spec.pointers.shape[1])
-        order = np.tile(np.arange(len(ready)), (sectors.size, 1))  # row k orders Pbar S_k
-        order[sectors, 0], order[sectors, sectors] = sectors, 0
-        apparatus = (pointers[:, order].transpose(1, 0, 2) @ ready.conj().T)[
-            np.repeat(sectors, spec.degeneracies)
-        ]
-        dense = np.einsum("ai,ci,ibd->abcd", spec.transfer, spec.eigenvectors.conj(), apparatus)
-        return dense.reshape(spec.system_dim * spec.apparatus_dim, -1)
 
     def sector_sums(self, coefficients: np.ndarray) -> np.ndarray:
         """``Q_k x_j = T_k c_jk`` for each column ``c_j = E^dagger x_j`` of a ``d_s x m`` matrix.
@@ -265,11 +200,10 @@ class ControlledUnitary:
         consecutive sectors of one size ``d`` takes one batched product of
         ``r`` stacked ``m x d`` and ``d x d_s`` views, with no gather copy.
         """
-        spec, count = self.spec, coefficients.shape[1]
-        transfer = spec.transfer
-        sums = np.empty((len(spec.degeneracies), count, len(transfer)), dtype=complex)
+        count, transfer = coefficients.shape[1], self.transfer
+        sums = np.empty((len(self.degeneracies), count, len(transfer)), dtype=complex)
         k = lo = 0
-        for size, run in groupby(spec.degeneracies):
+        for size, run in groupby(self.degeneracies):
             sectors = len(list(run))
             hi = lo + sectors * size
             np.matmul(
@@ -286,7 +220,7 @@ class ControlledUnitary:
         One product contracts the sums with the pointers ``P^T``; shape ``(m, d_s, d_a)``.
         """
         sectors, count, dim = sums.shape
-        return (sums.reshape(sectors, -1).T @ self.spec.pointers.T).reshape(count, dim, -1)
+        return (sums.reshape(sectors, -1).T @ self.pointers.T).reshape(count, dim, -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,7 +232,6 @@ class PremeasurementResult:
     probability floor carry no conditional state.
     """
 
-    unitary: ControlledUnitary
     final_state: StateVector
     probabilities: np.ndarray
     sector_vectors: np.ndarray
@@ -326,13 +259,6 @@ class PremeasurementResult:
         """The final state as the pure state ``|psi><psi|``, built once for every consumer."""
         return outer(self.final_state)
 
-    @property
-    def conditional_states(self) -> tuple[StateVector | None, ...]:
-        """One conditional state per sector, ``None`` below the floor; built on each access."""
-        kept, conditionals = self.conditionals
-        states = dict(zip(kept, map(StateVector, conditionals.T)))
-        return tuple(states.get(k) for k in range(self.probabilities.size))
-
     @cached_property
     def apparatus_marginal(self) -> DensityMatrix:
         """The apparatus state after the coupling, built once: see :func:`apparatus_marginal`."""
@@ -341,55 +267,31 @@ class PremeasurementResult:
         return partial_trace(self.final_density, space, keep=1)
 
 
-def _complete_orthonormal(columns: np.ndarray) -> np.ndarray:
-    """Extend orthonormal columns to a full basis with one complete-mode QR.
-
-    The leading columns of the unitary factor span ``columns`` and equal them
-    up to unit phases, so they are written back verbatim; the trailing ones
-    are an orthonormal basis of the complement.
-    """
-    basis, _ = np.linalg.qr(columns, mode="complete")
-    basis[:, : columns.shape[1]] = columns
-    return basis
-
-
-def build_premeasurement_unitary(spec: BclSpec, completion_seed: int = 0) -> ControlledUnitary:
-    """Controlled unitary ``sum_k Q_k (x) V_k`` extending ``e (x) ready -> t (x) pointer``.
+def premeasure(spec: BclSpec, phi: StateVector) -> PremeasurementResult:
+    """Run the coupling on an arbitrary system state.
 
     The transfer family must be orthonormal across sectors (the measurement
     condition), which makes ``sum_k Q_k^dagger Q_k`` the identity and
     ``Q_k^dagger Q_l`` vanish for ``k != l``; a spec that breaks it has no
-    unitary extension and is refused.  Nothing is factorized: a run applies
-    the isometry, and only :attr:`ControlledUnitary.entries` completes ``U``,
-    with the completion ``completion_seed`` selects.
-    """
-    if spec._measurement_residual > INVARIANT_TOL:
-        raise MeasurementConditionViolated(
-            "transfer family is not orthonormal across sectors; residual "
-            f"{spec._measurement_residual:.3e}"
-        )
-    return ControlledUnitary(spec, completion_seed)
-
-
-def premeasure(spec: BclSpec, phi: StateVector, completion_seed: int = 0) -> PremeasurementResult:
-    """Run the coupling on an arbitrary system state.
-
-    Expands ``phi`` in the eigenbasis, ``c = E^dagger phi``, takes the sector
-    vectors ``Q_k phi = T_k c_k`` from the unitary's sector sums, reads off
-    outcome probabilities as their squared norms, and evolves
-    ``phi (x) ready`` from the same sums.
+    unitary extension and is refused.  Expands ``phi`` in the eigenbasis,
+    ``c = E^dagger phi``, takes the sector vectors ``Q_k phi = T_k c_k`` from
+    the spec's sector sums, reads off outcome probabilities as their squared
+    norms, and evolves ``phi (x) ready`` from the same sums.
     """
     if phi.dim != spec.system_dim:
         raise DimensionMismatch(
             f"initial state dim {phi.dim} does not match system dim {spec.system_dim}"
         )
-    unitary = build_premeasurement_unitary(spec, completion_seed)
+    if spec._measurement_residual > INVARIANT_TOL:
+        raise MeasurementConditionViolated(
+            "transfer family is not orthonormal across sectors; residual "
+            f"{spec._measurement_residual:.3e}"
+        )
     coefficients = (phi.amplitudes.conj() @ spec.eigenvectors).conj()  # E^dagger phi
-    sums = unitary.sector_sums(coefficients[:, None])
+    sums = spec.sector_sums(coefficients[:, None])
     sector_vectors = sums[:, 0].T
     return PremeasurementResult(
-        unitary=unitary,
-        final_state=StateVector(unitary.images(sums).reshape(-1)),
+        final_state=StateVector(spec.images(sums).reshape(-1)),
         probabilities=(sector_vectors.real**2 + sector_vectors.imag**2).sum(axis=0),
         sector_vectors=sector_vectors,
     )

@@ -442,7 +442,7 @@ def _bcl_diagnostics(
             tol["probability_sum"],
         ),
         _verdict("probability_formula", formula_residual, tol["probability_formula"]),
-        _verdict("unitarity", result.unitary.deviation, tol["unitarity"]),
+        _verdict("unitarity", spec.unitarity_deviation, tol["unitarity"]),
         _verdict("extension_map", spec._extension_residual, tol["extension_map"]),
         _verdict("reconstruction", reconstruction_residual, tol["reconstruction"]),
         _verdict("apparatus_marginal", marginal_residual, tol["apparatus_marginal"]),

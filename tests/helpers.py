@@ -13,7 +13,6 @@ from pointerlab import (
     ExchangeSymmetry,
     LatticeGrid,
     StateVector,
-    build_premeasurement_unitary,
     dlocal_agreement_check,
     dlocal_residual,
     expectation_single,
@@ -129,19 +128,47 @@ def random_bcl_spec(rng, degeneracies, apparatus_dim=None, transfer="sector_unit
 
 
 def extension_images_residual(spec):
-    """``max_c ||U (e_c (x) ready) - t_c (x) pi_k(c)||`` from the unitary's own images.
+    """``max_c ||U (e_c (x) ready) - t_c (x) pi_k(c)||`` from the spec's own images.
 
     The domain column ``e_c (x) ready`` has the eigenbasis coefficients
     ``E^dagger e_c``, column ``c`` of ``E^dagger E``: one pass of
     ``sector_sums`` and ``images`` over all ``d_s`` columns, less the
     prescribed images ``t_c (x) pi_k(c)``.
     """
-    unitary = build_premeasurement_unitary(spec)
     gram = spec.eigenvectors.conj().T @ spec.eigenvectors
-    images = unitary.images(unitary.sector_sums(gram))
+    images = spec.images(spec.sector_sums(gram))
     sector_pointers = np.repeat(spec.pointers.T, spec.degeneracies, axis=0)
     images -= spec.transfer.T[:, :, None] * sector_pointers[:, None, :]
     return float(np.linalg.norm(images.reshape(spec.system_dim, -1), axis=1).max())
+
+
+def qr_unitary(spec, completion_seed=0):
+    """The dense premeasurement unitary of a spec, completed by QR: the one dense oracle.
+
+    The domain columns ``e (x) ready`` and the range columns ``t (x) pointer``
+    are each completed to a full orthonormal basis with one complete-mode
+    QR, and ``U = range_full @ domain_full^dagger``.  A nonzero
+    ``completion_seed`` re-pairs the range complement through a seeded Haar
+    unitary, a second valid completion that differs off the fixed columns.
+    """
+    pointers = np.repeat(spec.pointers, spec.degeneracies, axis=1)
+    total_dim = spec.system_dim * spec.apparatus_dim
+    domain = np.einsum("ic,j->ijc", spec.eigenvectors, spec.ready_state.amplitudes)
+    image = np.einsum("ic,jc->ijc", spec.transfer, pointers)
+    domain, image = domain.reshape(total_dim, -1), image.reshape(total_dim, -1)
+    completed = []
+    for columns in (domain, image):
+        basis, _ = np.linalg.qr(columns, mode="complete")
+        basis[:, : columns.shape[1]] = columns
+        completed.append(basis)
+    domain_full, range_full = completed
+    if completion_seed != 0:
+        fixed = image.shape[1]
+        free = total_dim - fixed
+        rng = np.random.default_rng(completion_seed)
+        q, r = np.linalg.qr(rng.normal(size=(free, free)) + 1j * rng.normal(size=(free, free)))
+        range_full[:, fixed:] @= q * (np.diag(r) / np.abs(np.diag(r)))
+    return range_full @ domain_full.conj().T
 
 
 def random_degeneracies(rng, system_dim):

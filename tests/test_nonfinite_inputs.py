@@ -6,7 +6,8 @@ One row per constructor feeds it a NaN where its check reads the value.
 The rows run with warnings as errors, and two more feed ``normalized`` a
 vector whose largest modulus is subnormal, which it refuses as numerically
 null without a floating-point warning; a third an infinite entry, which it
-refuses before dividing by it.
+refuses before dividing by it.  A ``KroneckerProduct`` holds no tolerance
+check, but refuses a NaN in its core as non-finite.
 """
 
 import dataclasses
@@ -20,6 +21,7 @@ from pointerlab import (
     DensityMatrix,
     GemengeDecomposition,
     KernelOperator,
+    KroneckerProduct,
     LatticeGrid,
     LatticeWavefunction,
     SpecInvalid,
@@ -115,6 +117,13 @@ ROWS = {
     ),
     "bcl_spec_pointer": (lambda: spec(pointers=with_nan(np.eye(2))), SpecInvalid, "pointer"),
     "premeasurement_probability": (premeasured_with_nan_probability, SpecInvalid, "sum off"),
+    "kronecker_core": (
+        lambda: KroneckerProduct(
+            (np.eye(2), [NAN, 0.0], [0.0]), (np.eye(2), np.ones(2), np.zeros(1))
+        ),
+        ValueError,
+        "finite",
+    ),
     "gemenge_probability": (
         lambda: GemengeDecomposition([NAN, 1.0], np.eye(2), np.eye(2)),
         ValueError,

@@ -39,7 +39,7 @@ def bell_case():
 class TestApplyRule2:
     def test_eigenstate_single_component(self):
         spec = qubit_spec()
-        result = premeasure(spec, spec.system_eigenbasis[0][0])
+        result = premeasure(spec, StateVector(spec.eigenvectors[:, 0]))
         gemenge = apply_rule2(result, spec)
         assert gemenge.probabilities.shape == (1,)
         assert gemenge.probabilities[0] == pytest.approx(1.0, abs=1e-12)
@@ -117,7 +117,7 @@ class TestPointerBlockCoherence:
         spec = qubit_spec()
         rng = np.random.default_rng(43)
         rho = DensityMatrix(
-            np.kron(outer(random_state(rng, 2)).entries, outer(spec.pointer_basis[0]).entries)
+            np.kron(outer(random_state(rng, 2)).entries, outer(StateVector(spec.pointers[:, 0])).entries)
         )
         assert pointer_block_coherence(rho, spec) == 0.0
 
@@ -148,7 +148,7 @@ class TestCompareStates:
 
     def test_eigenstate_reports_zero_everything(self):
         spec = qubit_spec()
-        result = premeasure(spec, spec.system_eigenbasis[0][0])
+        result = premeasure(spec, StateVector(spec.eigenvectors[:, 0]))
         gemenge = apply_rule2(result, spec)
         report = compare_states(result, gemenge, spec, shift_witness(spec))
         assert report.pointer_block_coherence_norm < 1e-10
@@ -203,10 +203,8 @@ class TestInvariantProperties:
         space = ProductSpace((spec.system_dim, spec.apparatus_dim))
         rho_rule2 = gemenge_density_matrix(gemenge, space)
         mixture = np.zeros((spec.apparatus_dim, spec.apparatus_dim), dtype=complex)
-        for k, pointer in enumerate(spec.pointer_basis):
-            mixture += result.probabilities[k] * np.outer(
-                pointer.amplitudes, pointer.amplitudes.conj()
-            )
+        for k, pointer in enumerate(spec.pointers.T):
+            mixture += result.probabilities[k] * np.outer(pointer, pointer.conj())
         distance = trace_distance(
             partial_trace(rho_rule2, space, keep=1), DensityMatrix(mixture)
         )
@@ -243,7 +241,7 @@ class TestInvariantProperties:
 
     def test_purity_boundary(self):
         spec = qubit_spec()
-        pure_result = premeasure(spec, spec.system_eigenbasis[1][0])
+        pure_result = premeasure(spec, StateVector(spec.eigenvectors[:, 1]))
         pure_gemenge = apply_rule2(pure_result, spec)
         assert pure_gemenge.probabilities.shape == (1,)
         space = ProductSpace((2, 2))

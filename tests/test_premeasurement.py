@@ -11,7 +11,6 @@ from pointerlab import (
     SpecInvalid,
     StateVector,
     apparatus_marginal,
-    build_premeasurement_unitary,
     observable_witness,
     outer,
     partial_trace,
@@ -29,6 +28,7 @@ from helpers import (
     canonical_spec,
     haar_document,
     kronecker_entries,
+    qr_unitary,
     random_bcl_spec,
     random_state,
 )
@@ -168,17 +168,18 @@ class TestBclSpecInvariants:
         spec = random_bcl_spec(rng, (2, 1))
         # O (x) I carries e (x) a into o e (x) a for every apparatus basis vector a
         observable = kronecker_entries(observable_witness(spec))
-        for o, sector in zip(spec.eigenvalues, spec.system_eigenbasis):
-            for vec in sector:
+        bounds = spec.sector_bounds
+        for o, lo, hi in zip(spec.eigenvalues, bounds[:-1], bounds[1:]):
+            for vec in spec.eigenvectors[:, lo:hi].T:
                 for pointer in np.eye(spec.apparatus_dim):
-                    product = np.kron(vec.amplitudes, pointer)
+                    product = np.kron(vec, pointer)
                     assert np.max(np.abs(observable @ product - o * product)) < 1e-10
 
 
 class TestBuildUnitary:
     def test_default_transfer_satisfies_condition(self):
         spec = qubit_spec()
-        build_premeasurement_unitary(spec)
+        premeasure(spec, basis_state(2, 0))
         assert spec._measurement_residual < 1e-12
 
     def test_cross_sector_duplicate_fails_condition(self):
@@ -192,39 +193,39 @@ class TestBuildUnitary:
             ready_state=StateVector([1, 0]),
         )
         with pytest.raises(MeasurementConditionViolated, match=r"residual 1\.000e\+00"):
-            build_premeasurement_unitary(spec)
+            premeasure(spec, basis_state(2, 0))
         assert spec._measurement_residual == 1.0
 
     def test_sector_unitaries_preserve_condition(self):
         rng = np.random.default_rng(22)
         for _ in range(5):
             spec = random_bcl_spec(rng, (2, 2, 1), transfer="sector_unitary")
-            build_premeasurement_unitary(spec)
+            premeasure(spec, random_state(rng, spec.system_dim))
             assert spec._measurement_residual <= INVARIANT_TOL
 
     def test_qubit_columns(self):
         spec = qubit_spec()
-        unitary = build_premeasurement_unitary(spec).entries
+        unitary = qr_unitary(spec)
         ready = spec.ready_state.amplitudes
         for k in range(2):
-            eigvec = spec.system_eigenbasis[k][0].amplitudes
-            pointer = spec.pointer_basis[k].amplitudes
-            image = unitary @ np.kron(eigvec, ready)
+            eigvec, pointer = spec.eigenvectors[:, k], spec.pointers[:, k]
+            image = premeasure(spec, StateVector(eigvec)).final_state.amplitudes
             assert np.max(np.abs(image - np.kron(eigvec, pointer))) < 1e-10
+            assert np.max(np.abs(image - unitary @ np.kron(eigvec, ready))) < 1e-10
 
     def test_random_spec_unitarity_and_extension(self):
         rng = np.random.default_rng(23)
         spec = random_bcl_spec(rng, (2, 1, 1))
-        unitary = build_premeasurement_unitary(spec).entries
+        unitary = qr_unitary(spec)
         dim = spec.system_dim * spec.apparatus_dim
+        assert spec.unitarity_deviation < 1e-10
         assert np.max(np.abs(unitary.conj().T @ unitary - np.eye(dim))) < 1e-10
         assert np.max(np.abs(unitary @ unitary.conj().T - np.eye(dim))) < 1e-10
-        for k, sector in enumerate(spec.system_eigenbasis):
-            for l, eigvec in enumerate(sector):
-                image = unitary @ np.kron(eigvec.amplitudes, spec.ready_state.amplitudes)
-                expected = np.kron(
-                    spec.transfer_family[k][l].amplitudes, spec.pointer_basis[k].amplitudes
-                )
+        bounds = spec.sector_bounds
+        for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            for c in range(lo, hi):
+                image = unitary @ np.kron(spec.eigenvectors[:, c], spec.ready_state.amplitudes)
+                expected = np.kron(spec.transfer[:, c], spec.pointers[:, k])
                 assert np.max(np.abs(image - expected)) < 1e-10
 
     def test_condition_violation_refused(self):
@@ -237,18 +238,16 @@ class TestBuildUnitary:
             ready_state=StateVector([1, 0]),
         )
         with pytest.raises(MeasurementConditionViolated):
-            build_premeasurement_unitary(spec)
+            premeasure(spec, StateVector([1, 0]))
 
 
 class TestPremeasure:
     def test_eigenstate_input(self):
         spec = qubit_spec()
-        result = premeasure(spec, spec.system_eigenbasis[0][0])
+        result = premeasure(spec, StateVector(spec.eigenvectors[:, 0]))
         assert np.allclose(result.probabilities, [1.0, 0.0], atol=1e-12)
-        assert result.conditional_states[1] is None
-        expected = np.kron(
-            spec.transfer_family[0][0].amplitudes, spec.pointer_basis[0].amplitudes
-        )
+        assert result.conditionals[0].tolist() == [0]  # sector 1 has no conditional state
+        expected = np.kron(spec.transfer[:, 0], spec.pointers[:, 0])
         assert np.max(np.abs(result.final_state.amplitudes - expected)) < 1e-10
 
     def test_uniform_superposition_gives_bell_pair(self):
@@ -262,14 +261,14 @@ class TestPremeasure:
     def test_degenerate_sector(self):
         rng = np.random.default_rng(24)
         spec = random_bcl_spec(rng, (2, 1))
-        sector = spec.system_eigenbasis[0]
-        phi = StateVector.normalized(sector[0].amplitudes + sector[1].amplitudes)
+        lo, hi = spec.sector_bounds[:2]
+        phi = StateVector.normalized(spec.eigenvectors[:, lo:hi].sum(axis=1))
         result = premeasure(spec, phi)
         assert abs(result.probabilities[0] - 1.0) < 1e-12
-        expected = StateVector.normalized(
-            spec.transfer_family[0][0].amplitudes + spec.transfer_family[0][1].amplitudes
-        )
-        overlap = abs(np.vdot(result.conditional_states[0].amplitudes, expected.amplitudes))
+        expected = StateVector.normalized(spec.transfer[:, lo:hi].sum(axis=1))
+        kept, conditionals = result.conditionals
+        assert kept.tolist() == [0]
+        overlap = abs(np.vdot(conditionals[:, 0], expected.amplitudes))
         assert abs(overlap - 1.0) < 1e-12
 
     def test_probability_law(self):
@@ -279,9 +278,10 @@ class TestPremeasure:
             phi = random_state(rng, spec.system_dim)
             result = premeasure(spec, phi)
             assert abs(float(np.sum(result.probabilities)) - 1.0) < 1e-10
-            for k, sector in enumerate(spec.system_eigenbasis):
+            bounds = spec.sector_bounds
+            for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
                 mass = sum(
-                    abs(np.vdot(v.amplitudes, phi.amplitudes)) ** 2 for v in sector
+                    abs(np.vdot(v, phi.amplitudes)) ** 2 for v in spec.eigenvectors[:, lo:hi].T
                 )
                 assert abs(result.probabilities[k] - mass) < 1e-12
 
@@ -290,11 +290,9 @@ class TestPremeasure:
         spec = random_bcl_spec(rng, (2, 1, 1))
         phi = random_state(rng, spec.system_dim)
         result = premeasure(spec, phi)
-        kept = [s for s in result.conditional_states if s is not None]
-        for i, a in enumerate(kept):
-            for j, b in enumerate(kept):
-                expected = 1.0 if i == j else 0.0
-                assert abs(a.inner(b) - expected) < 1e-10
+        _, conditionals = result.conditionals
+        kept = conditionals.shape[1]
+        assert np.max(np.abs(conditionals.conj().T @ conditionals - np.eye(kept))) < 1e-10
         space = ProductSpace((spec.system_dim, spec.apparatus_dim))
         system_marginal = partial_trace(outer(result.final_state), space, keep=0)
         p = result.probabilities[result.probabilities > 1e-15]
@@ -309,7 +307,7 @@ class TestPremeasure:
         second = premeasure(spec, phi)
         assert np.array_equal(first.probabilities, second.probabilities)
         assert np.array_equal(first.final_state.amplitudes, second.final_state.amplitudes)
-        assert np.array_equal(first.unitary.entries, second.unitary.entries)
+        assert np.array_equal(first.sector_vectors, second.sector_vectors)
 
     def test_completion_seed_independence(self):
         rng = np.random.default_rng(28)
@@ -323,48 +321,23 @@ class TestPremeasure:
         ):
             spec = random_bcl_spec(rng, degeneracies, apparatus_dim=apparatus_dim)
             phi = random_state(rng, spec.system_dim)
-            unitaries = {}
-            for seed in (0, 5):
-                unitary = build_premeasurement_unitary(spec, completion_seed=seed).entries
-                unitaries[seed] = unitary
-                dim = spec.system_dim * spec.apparatus_dim
+            ready = spec.ready_state.amplitudes
+            dim = spec.system_dim * spec.apparatus_dim
+            unitaries = {seed: qr_unitary(spec, seed) for seed in (0, 5)}
+            for unitary in unitaries.values():
                 assert np.max(np.abs(unitary.conj().T @ unitary - np.eye(dim))) < INVARIANT_TOL
-                for k, sector in enumerate(spec.system_eigenbasis):
-                    for l, eigvec in enumerate(sector):
-                        image = unitary @ np.kron(eigvec.amplitudes, spec.ready_state.amplitudes)
-                        expected = np.kron(
-                            spec.transfer_family[k][l].amplitudes,
-                            spec.pointer_basis[k].amplitudes,
-                        )
+                bounds = spec.sector_bounds
+                for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+                    for c in range(lo, hi):
+                        image = unitary @ np.kron(spec.eigenvectors[:, c], ready)
+                        expected = np.kron(spec.transfer[:, c], spec.pointers[:, k])
                         assert np.linalg.norm(image - expected) < 1e-12
             # the seeds must give genuinely different completions, or the
-            # comparisons below test nothing
+            # comparison below tests nothing
             assert np.max(np.abs(unitaries[0] - unitaries[5])) > 0.1
-            base = premeasure(spec, phi, completion_seed=0)
-            other = premeasure(spec, phi, completion_seed=5)
-            assert np.max(np.abs(base.probabilities - other.probabilities)) < 1e-10
-            assert (
-                np.max(np.abs(base.final_state.amplitudes - other.final_state.amplitudes))
-                < 1e-10
-            )
-            for a, b in zip(base.conditional_states, other.conditional_states):
-                if a is None:
-                    assert b is None
-                else:
-                    assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-10
-
-    def test_completion_seed_leaves_run_bitwise_unchanged(self):
-        # a run applies the isometry only, so no completion reaches its output
-        rng = np.random.default_rng(29)
-        for degeneracies, apparatus_dim in (((2, 1), None), ((3, 1, 2), 5), ((1, 2), 4)):
-            spec = random_bcl_spec(rng, degeneracies, apparatus_dim=apparatus_dim)
-            phi = random_state(rng, spec.system_dim)
-            base, *others = (premeasure(spec, phi, completion_seed=seed) for seed in (0, 5, 11))
-            for other in others:
-                assert np.array_equal(base.probabilities, other.probabilities)
-                assert np.array_equal(base.final_state.amplitudes, other.final_state.amplitudes)
-                for a, b in zip(base.conditional_states, other.conditional_states):
-                    assert (a is None and b is None) or np.array_equal(a.amplitudes, b.amplitudes)
+            final = premeasure(spec, phi).final_state.amplitudes
+            for unitary in unitaries.values():
+                assert np.max(np.abs(final - unitary @ np.kron(phi.amplitudes, ready))) < 1e-10
 
     def test_run_factorizes_nothing(self, monkeypatch):
         rng = np.random.default_rng(30)
@@ -373,18 +346,15 @@ class TestPremeasure:
         calls = []
         qr = np.linalg.qr
         monkeypatch.setattr(np.linalg, "qr", lambda *args, **kw: calls.append(1) or qr(*args, **kw))
-        premeasure(spec, phi, completion_seed=5)
+        premeasure(spec, phi)
         assert not calls
-        build_premeasurement_unitary(spec, completion_seed=5).entries
-        assert len(calls) == 3  # Pbar, R and the seeded re-pairing
 
     def test_unitarity_residual_forms_no_product(self, monkeypatch):
         rng = np.random.default_rng(32)
         spec = random_bcl_spec(rng, (2, 1), apparatus_dim=4)
-        unitary = build_premeasurement_unitary(spec)
         calls = []
         monkeypatch.setattr(premeasurement, "gram_deviation", lambda m: calls.append(m) or 0.0)
-        assert unitary.deviation == max(
+        assert spec.unitarity_deviation == max(
             spec._eigenbasis_deviation,
             spec._measurement_residual,
             gram_deviation(spec.pointers),
@@ -418,21 +388,15 @@ class TestPremeasure:
         spec = random_bcl_spec(rng, (2, 1, 1))
         result = premeasure(spec, random_state(rng, spec.system_dim))
         rebuilt = np.zeros(spec.system_dim * spec.apparatus_dim, dtype=complex)
-        for k, conditional in enumerate(result.conditional_states):
-            if conditional is None:
-                continue
-            rebuilt += np.sqrt(result.probabilities[k]) * np.kron(
-                conditional.amplitudes, spec.pointer_basis[k].amplitudes
-            )
+        kept, conditionals = result.conditionals
+        for k, conditional in zip(kept, conditionals.T):
+            rebuilt += np.sqrt(result.probabilities[k]) * np.kron(conditional, spec.pointers[:, k])
         assert np.linalg.norm(result.final_state.amplitudes - rebuilt) < 1e-10
 
     def test_tiny_negative_probability_clipped(self):
         spec = qubit_spec()
-        template = premeasure(spec, spec.system_eigenbasis[0][0])
-        from pointerlab import PremeasurementResult
-
+        template = premeasure(spec, basis_state(2, 0))
         clipped = PremeasurementResult(
-            unitary=template.unitary,
             final_state=template.final_state,
             probabilities=np.array([1.0, -1e-13]),
             sector_vectors=template.sector_vectors,
@@ -449,8 +413,8 @@ class TestApparatusMarginal:
 
     def test_eigenstate_case(self):
         spec = qubit_spec()
-        result = premeasure(spec, spec.system_eigenbasis[0][0])
-        expected = outer(spec.pointer_basis[0])
+        result = premeasure(spec, StateVector(spec.eigenvectors[:, 0]))
+        expected = outer(StateVector(spec.pointers[:, 0]))
         assert np.max(np.abs(apparatus_marginal(result, spec).entries - expected.entries)) < 1e-12
 
     def test_spectrum_matches_probabilities(self):
@@ -469,10 +433,8 @@ class TestApparatusMarginal:
         phi = random_state(rng, spec.system_dim)
         result = premeasure(spec, phi)
         mixture = np.zeros((3, 3), dtype=complex)
-        for k, pointer in enumerate(spec.pointer_basis):
-            mixture += result.probabilities[k] * np.outer(
-                pointer.amplitudes, pointer.amplitudes.conj()
-            )
+        for k, pointer in enumerate(spec.pointers.T):
+            mixture += result.probabilities[k] * np.outer(pointer, pointer.conj())
         from pointerlab import DensityMatrix
 
         assert trace_distance(apparatus_marginal(result, spec), DensityMatrix(mixture)) < 1e-10

@@ -179,7 +179,8 @@ class TestRunScenario:
         # so the premeasurement stage must refuse
         data["bcl"]["transfer_family"] = [[[1.0, 0.0]], [[1.0, 0.0]]]
         config = load_scenario(write_scenario(tmp_path, data))
-        with pytest.raises(RunStageError, match="premeasure"):
+        message = "^premeasure: transfer family is not orthonormal across sectors; residual "
+        with pytest.raises(RunStageError, match=message):
             run_scenario(config)
 
 

@@ -1,7 +1,7 @@
 """Column-matrix spec formulas against vector-by-vector loops.
 
 The references walk the eigenbasis, transfer and pointer families one
-``StateVector`` at a time: each sector vector is the sum of
+column at a time, sector by sector at the spec's sector bounds: each sector vector is the sum of
 ``<e|phi> t`` over the sector, the observable witness the sum of
 ``o |e><e|`` tensored with the apparatus identity, and the shift witness
 the Kronecker product of the adjacent couplings ``sum_i |m_i><m_{i+1}| +
@@ -17,12 +17,18 @@ from pointerlab.tolerances import PROBABILITY_FLOOR
 from helpers import close, kronecker_entries, random_bcl_spec, random_state
 
 
+def sectors(spec):
+    """The column ranges of the spec's sectors."""
+    bounds = spec.sector_bounds
+    return [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 def loop_premeasure(spec, phi):
     probabilities, conditionals = [], []
-    for eigsector, row in zip(spec.system_eigenbasis, spec.transfer_family):
+    for sector in sectors(spec):
         sector_vec = np.zeros(spec.system_dim, dtype=complex)
-        for eigvec, transfer_vec in zip(eigsector, row):
-            sector_vec += np.vdot(eigvec.amplitudes, phi.amplitudes) * transfer_vec.amplitudes
+        for c in sector:
+            sector_vec += np.vdot(spec.eigenvectors[:, c], phi.amplitudes) * spec.transfer[:, c]
         p = float(np.real(np.vdot(sector_vec, sector_vec)))
         probabilities.append(p)
         conditionals.append(sector_vec / np.sqrt(p) if p >= PROBABILITY_FLOOR else None)
@@ -31,9 +37,10 @@ def loop_premeasure(spec, phi):
 
 def loop_observable(spec):
     matrix = np.zeros((spec.system_dim, spec.system_dim), dtype=complex)
-    for o, sector in zip(spec.eigenvalues, spec.system_eigenbasis):
-        for vec in sector:
-            matrix += o * np.outer(vec.amplitudes, vec.amplitudes.conj())
+    for o, sector in zip(spec.eigenvalues, sectors(spec)):
+        for c in sector:
+            vec = spec.eigenvectors[:, c]
+            matrix += o * np.outer(vec, vec.conj())
     return matrix
 
 
@@ -45,10 +52,10 @@ def loop_adjacent_coupling(vectors, dim):
 
 
 def loop_shift_witness(spec):
-    flat_basis = [v.amplitudes for sector in spec.system_eigenbasis for v in sector]
+    flat_basis = [spec.eigenvectors[:, c] for sector in sectors(spec) for c in sector]
     return np.kron(
         loop_adjacent_coupling(flat_basis, spec.system_dim),
-        loop_adjacent_coupling([p.amplitudes for p in spec.pointer_basis], spec.apparatus_dim),
+        loop_adjacent_coupling(list(spec.pointers.T), spec.apparatus_dim),
     )
 
 
@@ -69,16 +76,15 @@ def test_spec_matrices_match_vector_loops(degeneracies, extra_apparatus, transfe
         phi = random_state(rng, spec.system_dim)
     else:
         # every other sector then falls below the floor and has no conditional state
-        phi = StateVector.normalized(sum(v.amplitudes for v in spec.system_eigenbasis[0]))
+        phi = StateVector.normalized(spec.eigenvectors[:, sectors(spec)[0]].sum(axis=1))
 
     result = premeasure(spec, phi)
     probabilities, conditionals = loop_premeasure(spec, phi)
     assert close(result.probabilities, probabilities)
-    for conditional, reference in zip(result.conditional_states, conditionals):
-        if reference is None:
-            assert conditional is None
-        else:
-            assert close(conditional.amplitudes, reference)
+    kept, states = result.conditionals
+    assert kept.tolist() == [k for k, reference in enumerate(conditionals) if reference is not None]
+    for k, conditional in zip(kept, states.T):
+        assert close(conditional, conditionals[k])
 
     observable = np.kron(loop_observable(spec), np.eye(spec.apparatus_dim))
     assert close(kronecker_entries(observable_witness(spec)), observable)
