@@ -39,10 +39,8 @@ from .lattice import (
     TwoParticleWavefunction,
     dlocal_agreement_check,
     dlocal_residual,
-    expectation_single,
     expectation_two_particle,
     gaussian_packet,
-    is_d_local,
     localize,
     orbital_elements,
     position_kernel,

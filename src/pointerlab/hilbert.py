@@ -7,8 +7,8 @@ vectors stay plain ndarrays; only :class:`StateVector` promises unit norm.
 A single tensor index convention is used everywhere: the first factor varies
 slowest, exactly as ``numpy.kron`` flattens, so a bipartite amplitude index
 reads ``i * dim_second + j``.  Hermitian matrices always go through numpy's
-Hermitian eigensolvers (``eigh``, ``eigvalsh``), never the general
-nonsymmetric path, so spectra are real by construction.
+Hermitian eigensolver ``eigvalsh``, never the general nonsymmetric path, so
+spectra are real by construction.
 
 A density matrix is held as a weighted mixture ``sum_j w_j |v_j><v_j|`` of
 ``r`` columns, never as a ``dim x dim`` array: a pure state is one column and
@@ -19,13 +19,12 @@ of ``R diag(s) R^dagger`` for the triangular QR factor ``R`` of ``V`` when
 there are fewer columns than dimensions, otherwise those of the ``dim x
 dim`` matrix.  A state's spectrum and the trace distance of two states, the
 mixture of both column sets with weights ``[w_rho, -w_sigma]``, both come
-from it, so neither forms a matrix larger than ``min(dim, r)`` square and
-neither reads :attr:`DensityMatrix.entries`.  On a bipartite space each
-column is read as its ``d_first x d_second`` amplitude matrix ``B_j``, so
-partial traces and expectations of Kronecker products are matrix products on
-the ``B_j``.  A partial trace is itself returned as a mixture, of the
-weighted ``B_j`` columns (or rows), so no reduced state is formed densely;
-only a dense ``DensityMatrix(entries)`` runs ``eigh``.
+from it, so neither forms a matrix larger than ``min(dim, r)`` square.  On a
+bipartite space each column is read as its ``d_first x d_second`` amplitude
+matrix ``B_j``, so partial traces and expectations of Kronecker products are
+matrix products on the ``B_j``.  A partial trace is itself returned as a
+mixture, of the weighted ``B_j`` columns (or rows), so no reduced state is
+formed densely.
 A :class:`ProductSpace` has exactly two factors.  A :class:`KroneckerProduct`
 is held as two congruences ``M T M^dagger`` with real symmetric tridiagonal
 cores ``T`` and read on each ``B_j`` as ``M^T B_j^* N``, so no factor is formed.
@@ -98,72 +97,26 @@ class StateVector:
             raise ValueError("cannot normalize a numerically null vector")
         return cls(unit / unit_norm)
 
-    def inner(self, other: "StateVector") -> complex:
-        """``<self|other>`` with the bra conjugated."""
-        if other.dim != self.dim:
-            raise DimensionMismatch(f"state dims {self.dim} and {other.dim} differ")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-
-def _eigenpairs(entries) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors and nonnegative eigenvalues of a dense Hermitian PSD matrix.
-
-    Rows that are exactly zero carry no weight, so ``eigh`` runs on the
-    remaining support only and the eigenvectors keep exact zeros there.
-    """
-    mat = np.array(entries, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("density matrix entries must form a square matrix")
-    herm_dev = float(np.abs(mat - mat.conj().T).max())
-    if not herm_dev <= INVARIANT_TOL:
-        raise ValueError(f"density matrix not Hermitian; deviation {herm_dev:.3e}")
-    nonzero = mat != 0
-    support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
-    if support.size == mat.shape[0]:
-        eigenvalues, columns = np.linalg.eigh(mat)
-    else:
-        eigenvalues, eigenvectors = np.linalg.eigh(mat[np.ix_(support, support)])
-        columns = np.zeros((mat.shape[0], support.size), dtype=complex)
-        columns[support] = eigenvectors
-    if eigenvalues.size and eigenvalues[0] < -INVARIANT_TOL:
-        raise ValueError(f"density matrix has negative eigenvalue {eigenvalues[0]:.3e}")
-    return columns, np.maximum(eigenvalues, 0.0)
-
-
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Unit-trace positive-semidefinite matrix ``sum_j w_j |v_j><v_j|``.
+    """Unit-trace positive-semidefinite matrix ``sum_j w_j |v_j><v_j|``, held as its mixture.
 
     ``columns`` holds the vectors ``v_j`` (``dim x r``) and ``weights`` the
-    ``w_j``.  ``DensityMatrix(columns=V, weights=w)`` takes a mixture, which
-    is positive semidefinite exactly when every weight is nonnegative.
-    ``DensityMatrix(entries)`` takes a dense matrix, checks it Hermitian and
-    stores the eigenpairs of one ``eigh`` (an eigenvalue below
-    ``-INVARIANT_TOL`` is refused, roundoff ones are clipped to zero).
-    Columns of weight zero are dropped.  The dense matrix is built only on
-    demand, once, by :attr:`entries`.
+    ``w_j``; the mixture is positive semidefinite exactly when every weight
+    is nonnegative.  Columns of weight zero are dropped.
     """
 
     columns: np.ndarray
     weights: np.ndarray
 
-    def __init__(self, entries=None, *, columns=None, weights=None) -> None:
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "weights", weights)
-        self.__post_init__(entries)
-
-    def __post_init__(self, entries) -> None:
-        if entries is not None:
-            if self.columns is not None or self.weights is not None:
-                raise ValueError("give a density matrix either dense entries or a mixture")
-            columns, weights = _eigenpairs(entries)
-        else:
-            columns = np.array(self.columns, dtype=complex)
-            weights = np.array(self.weights, dtype=float).reshape(-1)
-            if columns.ndim != 2 or columns.shape[1] != weights.size:
-                raise ValueError("a mixture needs a column matrix and one weight per column")
-            if weights.size and not weights.min() >= 0.0:
-                raise ValueError(f"mixture has negative weight {weights.min():.3e}")
+    def __post_init__(self) -> None:
+        columns = np.array(self.columns, dtype=complex)
+        weights = np.array(self.weights, dtype=float).reshape(-1)
+        if columns.ndim != 2 or columns.shape[1] != weights.size:
+            raise ValueError("a mixture needs a column matrix and one weight per column")
+        if weights.size and not weights.min() >= 0.0:
+            raise ValueError(f"mixture has negative weight {weights.min():.3e}")
         kept = weights > 0.0
         if not kept.all():
             columns, weights = columns[:, kept], weights[kept]
@@ -176,11 +129,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return int(self.columns.shape[0])
-
-    @cached_property
-    def entries(self) -> np.ndarray:
-        """The dense matrix ``(V * w) @ V^dagger``, read-only, built on first access."""
-        return _readonly((self.columns * self.weights) @ self.columns.conj().T)
 
     @cached_property
     def _spectrum(self) -> np.ndarray:

@@ -6,8 +6,7 @@ the discrete contraction ``dx * sum`` reproduces the continuum composition
 rule; in particular the Dirac delta is ``identity / dx``.
 
 A kernel is held as the ``(n,)`` diagonal of a multiplication operator, such
-as the position observable, at ``O(n)`` per operation, or as a dense
-``(n, n)`` array at ``O(n^2)``.
+as the position observable, at ``O(n)`` per operation.
 
 A symmetrized pair ``nu * (psi (x) phi +/- phi (x) psi)`` has rank two, so it
 is stored as its two orbitals, its exchange sign, ``nu`` and its 2x2 orbital
@@ -50,11 +49,9 @@ __all__ = [
     "DLocalAgreement",
     "gaussian_packet",
     "symmetrize",
-    "expectation_single",
     "orbital_elements",
     "expectation_two_particle",
     "localize",
-    "is_d_local",
     "dlocal_residual",
     "dlocal_agreement_check",
     "position_kernel",
@@ -115,11 +112,6 @@ class LatticeWavefunction:
             raise ValueError(f"quadrature norm {norm:.17g} is not 1 within {QUADRATURE_NORM_TOL}")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-
-    def inner(self, other: "LatticeWavefunction") -> complex:
-        """Quadrature inner product ``dx * sum(conj(self) * other)``."""
-        _require_same_grid(self.grid, other.grid)
-        return complex(self.grid.dx * np.vdot(self.values, other.values))
 
 
 def _orbitals(first: LatticeWavefunction, second: LatticeWavefunction) -> np.ndarray:
@@ -182,43 +174,34 @@ class TwoParticleWavefunction:
 
 @dataclass(frozen=True, eq=False)
 class KernelOperator:
-    """One-particle integral kernel ``a(x_i; x_j)`` in units of ``1/dx``.
+    """Hermitian one-particle multiplication kernel ``a_i delta_ij``, in units of ``1/dx``.
 
-    ``entries`` is the ``(n,)`` diagonal of a multiplication operator, whose
-    off-diagonal entries are exact zeros, or the dense ``(n, n)`` kernel;
-    ``conj().T`` is the adjoint of either.  Checks and :meth:`apply` cost
-    ``O(n)`` on a diagonal and ``O(n^2)`` on a dense kernel.
+    ``entries`` is the ``(n,)`` diagonal ``a_i``; every off-diagonal entry is
+    an exact zero.  Construction refuses a non-finite entry and a Hermitian
+    deviation ``2 |Im a_i|`` beyond ``INVARIANT_TOL``; the checks and
+    :meth:`apply` cost ``O(n)``.
     """
 
     grid: LatticeGrid
     entries: np.ndarray
-    hermitian: bool = False
 
     def __post_init__(self) -> None:
         arr = np.array(self.entries, dtype=complex)
         n = self.grid.n_points
-        if arr.shape not in ((n,), (n, n)):
-            raise ValueError(f"kernel must have shape ({n},) or ({n}, {n})")
-        if self.hermitian:
-            # on a diagonal |a - a^*| is exactly 2 |Im a|, read without forming a - a^*
-            dev = float(
-                2.0 * np.abs(arr.imag).max() if arr.ndim == 1 else np.abs(arr - arr.conj().T).max()
-            )
-            if not dev <= INVARIANT_TOL:
-                raise ValueError(f"hermitian flag violated; deviation {dev:.3e}")
+        if arr.shape != (n,):
+            raise ValueError(f"kernel diagonal must have shape ({n},)")
+        if not np.isfinite(arr).all():
+            raise ValueError("kernel diagonal must be finite")
+        # on a diagonal |a - a^*| is exactly 2 |Im a|, read without forming a - a^*
+        dev = float(2.0 * np.abs(arr.imag).max())
+        if not dev <= INVARIANT_TOL:
+            raise ValueError(f"kernel not hermitian; deviation {dev:.3e}")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
-    @property
-    def kernel(self) -> np.ndarray:
-        """Dense ``(n, n)`` view; a diagonal operator builds it on every call."""
-        return np.diag(self.entries) if self.entries.ndim == 1 else self.entries
-
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Kernel times a column ``(n,)`` or a stack of columns ``(n, k)``."""
-        if self.entries.ndim == 1:
-            return self.entries.reshape((-1,) + (1,) * (values.ndim - 1)) * values
-        return self.entries @ values
+        return self.entries.reshape((-1,) + (1,) * (values.ndim - 1)) * values
 
 
 @dataclass(frozen=True)
@@ -308,13 +291,7 @@ def _symmetrized(
 
 def position_kernel(grid: LatticeGrid) -> KernelOperator:
     """Position observable ``x * delta(x - x')``, stored as its diagonal ``x / dx`` in ``O(n)``."""
-    return KernelOperator(grid, grid.coordinates / grid.dx, hermitian=True)
-
-
-def expectation_single(a: KernelOperator, psi: LatticeWavefunction) -> complex:
-    """Quadrature expectation ``dx^2 * sum conj(psi_i) a_ij psi_j``."""
-    _require_same_grid(a.grid, psi.grid)
-    return complex(a.grid.dx**2 * np.vdot(psi.values, a.apply(psi.values)))
+    return KernelOperator(grid, grid.coordinates / grid.dx)
 
 
 def orbital_elements(
@@ -322,11 +299,12 @@ def orbital_elements(
 ) -> tuple[np.ndarray, np.ndarray]:
     """2x2 matrix elements ``a_uv = <u|a|v>`` over the pair's orbitals, from one kernel apply.
 
-    Also returns the one-particle expectations ``<u|a|u>``, contracted apart
-    from the element matrix as :func:`expectation_single` contracts them.  A
-    discrepancy verdict compares their sum with a pair value built from the
-    matrix; read off its diagonal they would share its rounding, and a
-    discrepancy that vanishes in exact arithmetic would read exactly 0.0.
+    Also returns the one-particle expectations
+    ``<u|a|u> = dx^2 * sum conj(u_i) a_ij u_j``, each contracted apart from
+    the element matrix.  A discrepancy verdict compares their sum with a pair
+    value built from the matrix; read off its diagonal they would share its
+    rounding, and a discrepancy that vanishes in exact arithmetic would read
+    exactly 0.0.
     """
     _require_same_grid(a.grid, pair.grid)
     orbitals = _orbitals(pair.first, pair.second)
@@ -351,14 +329,8 @@ def expectation_two_particle(elements: np.ndarray, pair: TwoParticleWavefunction
 
 
 def localize(a: KernelOperator, D: Domain) -> KernelOperator:
-    """Restrict a kernel to the domain: ``chi_D(i) a_ij chi_D(j)`` with exact zeros.
-
-    A diagonal is masked by ``chi_D`` itself, a dense kernel by its outer product.
-    """
-    inside = D.mask(a.grid.n_points)
-    if a.entries.ndim == 2:
-        inside = np.outer(inside, inside)
-    return KernelOperator(a.grid, np.where(inside, a.entries, 0.0 + 0.0j), hermitian=a.hermitian)
+    """Restrict a kernel to the domain, ``chi_D(i) a_ij chi_D(j)``: its diagonal times ``chi_D``."""
+    return KernelOperator(a.grid, np.where(D.mask(a.grid.n_points), a.entries, 0.0 + 0.0j))
 
 
 def dlocal_residual(a: KernelOperator, D: Domain) -> float:
@@ -366,23 +338,13 @@ def dlocal_residual(a: KernelOperator, D: Domain) -> float:
 
     Delta spikes at every exterior point are exhaustive test functions on the
     lattice by linearity, so the residual is the maximum over exterior ``j`` of
-    the ``dx``-weighted absolute row and column sums.  Off the diagonal of a
-    diagonal kernel every term is an exact zero, so both sums are ``|a_jj|``.
+    the ``dx``-weighted absolute row and column sums.  Off the diagonal every
+    term is an exact zero, so both sums are ``|a_jj|``.
     """
     exterior = ~D.mask(a.grid.n_points)
     if not exterior.any():
         return 0.0
-    magnitude = np.abs(a.entries)
-    if magnitude.ndim == 2:
-        magnitude = np.maximum(magnitude.sum(axis=0), magnitude.sum(axis=1))
-    return float(a.grid.dx * magnitude[exterior].max())
-
-
-def is_d_local(a: KernelOperator, D: Domain, tol: float) -> bool:
-    """Whether the kernel annihilates every test function supported outside ``D``."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    return dlocal_residual(a, D) <= tol
+    return float(a.grid.dx * np.abs(a.entries)[exterior].max())
 
 
 def _domain_mass(psi: LatticeWavefunction, mask: np.ndarray) -> float:

@@ -15,7 +15,6 @@ from pointerlab import (
     StateVector,
     dlocal_agreement_check,
     dlocal_residual,
-    expectation_single,
     expectation_two_particle,
     gaussian_packet,
     localize,
@@ -24,6 +23,7 @@ from pointerlab import (
     symmetrize,
 )
 from pointerlab.runner import _write_json
+from pointerlab.tolerances import INVARIANT_TOL
 
 
 def basis_state(dim, index):
@@ -48,6 +48,66 @@ def canonical_spec(eigenvalues, degeneracies, apparatus_dim=None):
         pointers=np.eye(apparatus_dim, len(eigenvalues), dtype=complex),
         ready_state=basis_state(apparatus_dim, 0),
     )
+
+
+def dense(rho):
+    """The dense matrix ``(V * w) @ V^dagger`` of a ``DensityMatrix``."""
+    return (rho.columns * rho.weights) @ rho.columns.conj().T
+
+
+def from_dense(matrix):
+    """The ``DensityMatrix`` of a dense Hermitian matrix, as the eigenpairs of one ``eigh``.
+
+    A matrix that is not Hermitian within ``INVARIANT_TOL`` is refused.  Rows
+    that are exactly zero carry no weight, so ``eigh`` runs on the remaining
+    support only and the eigenvectors keep exact zeros there.  Eigenvalues
+    within ``INVARIANT_TOL`` below zero are roundoff and set to zero; a more
+    negative one reaches the mixture as a negative weight, which it refuses.
+    """
+    matrix = np.array(matrix, dtype=complex)
+    deviation = float(np.abs(matrix - matrix.conj().T).max())
+    if not deviation <= INVARIANT_TOL:
+        raise ValueError(f"density matrix not Hermitian; deviation {deviation:.3e}")
+    nonzero = matrix != 0
+    support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+    eigenvalues, eigenvectors = np.linalg.eigh(matrix[np.ix_(support, support)])
+    columns = np.zeros((len(matrix), support.size), dtype=complex)
+    columns[support] = eigenvectors
+    eigenvalues[(eigenvalues < 0.0) & (eigenvalues >= -INVARIANT_TOL)] = 0.0
+    return DensityMatrix(columns=columns, weights=eigenvalues)
+
+
+class DenseKernel:
+    """A dense ``(n, n)`` kernel with the ``grid`` and ``apply`` of a ``KernelOperator``.
+
+    ``orbital_elements`` reads nothing else, so non-local kernels reach the
+    pair formulas through it.
+    """
+
+    def __init__(self, grid, matrix):
+        self.grid, self.matrix = grid, np.asarray(matrix, dtype=complex)
+        assert self.matrix.shape == (grid.n_points, grid.n_points)
+
+    def apply(self, values):
+        return self.matrix @ values
+
+
+def hermitian_kernel(grid, seed):
+    """A seeded generic non-local Hermitian ``DenseKernel``, in units of ``1/dx``."""
+    rng = np.random.default_rng(seed)
+    n = grid.n_points
+    raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return DenseKernel(grid, (raw + raw.conj().T) / grid.dx)
+
+
+def expectation_single(kernel, psi):
+    """Quadrature expectation ``dx^2 * sum conj(psi_i) a_ij psi_j`` of a kernel in one orbital."""
+    return complex(kernel.grid.dx**2 * np.vdot(psi.values, kernel.apply(psi.values)))
+
+
+def quadrature_inner(psi, phi):
+    """Quadrature inner product ``dx * sum(conj(psi) * phi)`` of two orbitals on one grid."""
+    return complex(psi.grid.dx * np.vdot(psi.values, phi.values))
 
 
 def kronecker_entries(witness):
@@ -275,7 +335,7 @@ def lattice_composition(scenario):
             name = sym.name.lower()
             values[f"two_particle_position_{name}"] = pair_expectation(kernel, pair).real
             values[f"normalization_factor_{name}"] = pair.nu
-        values["packet_overlap_abs"] = abs(psi.inner(phi))
+        values["packet_overlap_abs"] = abs(quadrature_inner(psi, phi))
         return values
     domain = Domain.from_interval(grid, **scenario["domain"])
     check = dlocal_agreement_check(

@@ -16,7 +16,7 @@ from pointerlab import (
     StateVector,
     apparatus_marginal,
     apply_rule2,
-    is_d_local,
+    dlocal_residual,
     load_scenario,
     localize,
     outer,
@@ -26,9 +26,9 @@ from pointerlab import (
     run_scenario,
     trace_distance,
 )
-from pointerlab.hilbert import DensityMatrix
 from pointerlab.lattice import LatticeGrid
 from helpers import (
+    from_dense,
     gemenge_density_matrix,
     qr_unitary,
     random_bcl_spec,
@@ -108,8 +108,8 @@ def test_criterion_3_dlocality_predicate():
     domain = Domain.from_interval(grid, -5.0, 5.0)
     kernel = position_kernel(grid)
     localized = localize(kernel, domain)
-    raw_local = is_d_local(kernel, domain, tol=0.0)
-    localized_local = is_d_local(localized, domain, tol=0.0)
+    raw_local = dlocal_residual(kernel, domain) <= 0.0
+    localized_local = dlocal_residual(localized, domain) <= 0.0
 
     # independent oracle: feed every exterior delta spike through the kernel
     exterior = np.flatnonzero(~domain.mask(grid.n_points))
@@ -118,7 +118,7 @@ def test_criterion_3_dlocality_predicate():
     for j in exterior:
         spike = np.zeros(grid.n_points)
         spike[j] = 1.0
-        for mat, flag in ((kernel.kernel, "raw"), (localized.kernel, "loc")):
+        for mat, flag in ((np.diag(kernel.entries), "raw"), (np.diag(localized.entries), "loc")):
             response = max(
                 float(np.max(np.abs(grid.dx * mat @ spike))),
                 float(np.max(np.abs(grid.dx * mat.T @ spike))),
@@ -133,7 +133,7 @@ def test_criterion_3_dlocality_predicate():
         3,
         "dlocality-predicate",
         passed,
-        f"raw is_d_local={raw_local}, localized is_d_local={localized_local}, "
+        f"raw d-local={raw_local}, localized d-local={localized_local}, "
         f"oracle raw_responds={raw_responds}, localized_responds={localized_responds}",
     )
 
@@ -205,7 +205,7 @@ def test_criterion_6_apparatus_marginal(premeasure_cases):
             )
             worst = max(
                 worst,
-                trace_distance(apparatus_marginal(result, spec), DensityMatrix(mixture)),
+                trace_distance(apparatus_marginal(result, spec), from_dense(mixture)),
             )
     _report(6, "apparatus-marginal", worst < 1e-10, f"max trace distance {worst:.3e}")
 

@@ -1,4 +1,4 @@
-"""Factored states and Kronecker witnesses against dense formulas on ``.entries``.
+"""Factored states and Kronecker witnesses against dense formulas on ``helpers.dense``.
 
 A ``DensityMatrix`` holds weighted columns and a witness its Kronecker
 factors.  Every quantity read from those factors (trace, padded spectrum,
@@ -9,14 +9,13 @@ the dimension cap and pins that the run path allocates no ``dim x dim``
 array, and a tall shape that the premeasurement diagnostics allocate no
 ``d_system x d_system`` array, that a canonical run keeps no Gram matrix
 past its spec and that a witness holds no square core.  The marginals of a run are mixtures, so a
-run never diagonalizes a dense matrix with ``eigh`` and never reads
-``DensityMatrix.entries``; the spectrum of a mixture wider than its
-dimension comes from its ``dim x dim`` matrix rather than its Gram matrix,
-and a trace distance of thin mixtures from their joint column span.
+run never diagonalizes a dense matrix with ``eigh``; the spectrum of a
+mixture wider than its dimension comes from its ``dim x dim`` matrix rather
+than its Gram matrix, and a trace distance of thin mixtures from their joint
+column span.
 """
 
 import tracemalloc
-from importlib import resources
 
 import numpy as np
 import pytest
@@ -39,12 +38,12 @@ from pointerlab import (
     trace_distance,
     von_neumann_entropy,
 )
-from pointerlab.cli import DEMO_SCENARIOS
 from pointerlab.runner import _bcl_diagnostics
-from pointerlab.scenario import TOLERANCE_DEFAULTS, load_scenario, validate_scenario_data
+from pointerlab.scenario import TOLERANCE_DEFAULTS, validate_scenario_data
 from pointerlab.tolerances import DENSE_DIM_CAP, ENTROPY_EIGENVALUE_FLOOR
 from helpers import (
     close,
+    dense,
     dense_coherence,
     gemenge_density_matrix,
     haar_document,
@@ -110,20 +109,20 @@ def test_factored_quantities_match_dense_formulas(
         # an overfull mixture has more columns than dimensions
         rank = space.dim + 2 if state == "overfull_mixture" else int(rng.integers(1, 5))
         rho = random_mixture(rng, space.dim, rank)
-    dense = rho.entries
+    matrix = dense(rho)
 
-    assert close(np.sum(rho.eigenvalues()), np.trace(dense).real)
-    assert close(rho.eigenvalues(), np.linalg.eigvalsh(dense))
+    assert close(np.sum(rho.eigenvalues()), np.trace(matrix).real)
+    assert close(rho.eigenvalues(), np.linalg.eigvalsh(matrix))
     for keep in (0, 1):
-        reduced = partial_trace(rho, space, keep).entries
-        assert close(reduced, dense_partial_trace(dense, d_system, d_pointer, keep))
+        reduced = dense(partial_trace(rho, space, keep))
+        assert close(reduced, dense_partial_trace(matrix, d_system, d_pointer, keep))
     assert close(
         pointer_block_coherence(rho, spec),
-        dense_coherence(dense, spec.pointers, d_system),
+        dense_coherence(matrix, spec.pointers, d_system),
     )
     for witness in (shift_witness(spec), observable_witness(spec)):
-        assert close(witness.expectation(rho), np.trace(dense @ kronecker_entries(witness)).real)
-    assert close(von_neumann_entropy(rho), dense_entropy(dense))
+        assert close(witness.expectation(rho), np.trace(matrix @ kronecker_entries(witness)).real)
+    assert close(von_neumann_entropy(rho), dense_entropy(matrix))
 
     sigma = random_mixture(
         rng,
@@ -131,7 +130,7 @@ def test_factored_quantities_match_dense_formulas(
         max(1, space.dim - rho.columns.shape[1] + sigma_excess),
         first=rho.columns[:, 0] if repeat else None,
     )
-    reference = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho.entries - sigma.entries)))
+    reference = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(dense(rho) - dense(sigma))))
     assert close(trace_distance(rho, sigma), reference)
 
 
@@ -240,24 +239,6 @@ def test_haar_random_run_never_calls_eigh(monkeypatch, witness):
     assert report.all_passed, [v.name for v in report.verdicts if not v.passed]
 
 
-def test_runs_never_read_dense_density_matrix(monkeypatch):
-    # every DensityMatrix of a run is read through its columns and weights
-    def refuse(self):
-        raise AssertionError("DensityMatrix.entries read on a run path")
-
-    configs = [
-        validate_scenario_data(haar_document(witness))
-        for witness in ("sigma_x_pattern", "system_observable")
-    ]
-    for name in DEMO_SCENARIOS.values():
-        with resources.as_file(resources.files("pointerlab").joinpath("scenarios", name)) as path:
-            configs.append(load_scenario(path))
-    monkeypatch.setattr(DensityMatrix, "entries", property(refuse))
-    for config in configs:
-        report = run_scenario(config)
-        assert report.all_passed, [v.name for v in report.verdicts if not v.passed]
-
-
 def test_haar_random_run_builds_no_state_per_basis_vector(monkeypatch):
     # the families and the sector vectors stay column matrices: only the
     # initial, ready and final states are StateVectors
@@ -294,16 +275,16 @@ def test_marginal_mixtures_match_dense_products(degeneracies, extra_apparatus, s
     domain = np.einsum("ic,a->cia", spec.eigenvectors, ready).reshape(spec.system_dim, -1)
     sector_pointers = np.repeat(spec.pointers, spec.degeneracies, axis=1)
     targets = np.einsum("ic,ac->cia", spec.transfer, sector_pointers).reshape(spec.system_dim, -1)
-    dense = np.max(np.linalg.norm(domain @ qr_unitary(spec).T - targets, axis=1))
+    reference = np.max(np.linalg.norm(domain @ qr_unitary(spec).T - targets, axis=1))
     extension = next(v.residual for v in verdicts if v.name == "extension_map")
-    assert close(extension, dense), (extension, dense)
+    assert close(extension, reference), (extension, reference)
 
     amplitudes = result.final_state.amplitudes.reshape(spec.system_dim, spec.apparatus_dim)
-    marginal = apparatus_marginal(result, spec).entries
+    marginal = dense(apparatus_marginal(result, spec))
     assert np.max(np.abs(marginal - amplitudes.T @ amplitudes.conj())) <= 1e-12
     pointers = spec.pointers
     expected = (pointers * result.probabilities) @ pointers.conj().T
-    assert np.max(np.abs(pointer_mixture.entries - expected)) <= 1e-12
+    assert np.max(np.abs(dense(pointer_mixture) - expected)) <= 1e-12
 
 
 def test_wide_mixture_spectrum_allocates_no_gram_matrix():
@@ -328,8 +309,8 @@ def test_wide_mixture_spectrum_allocates_no_gram_matrix():
 
     # the marginal is sum_k p_k |t_k><t_k| over the orthonormal transfer family
     transfer, probabilities = spec.transfer, result.probabilities
-    dense = np.linalg.eigvalsh((transfer * probabilities) @ transfer.conj().T)
-    assert np.max(np.abs(spectrum - dense)) <= 1e-12
+    expected = np.linalg.eigvalsh((transfer * probabilities) @ transfer.conj().T)
+    assert np.max(np.abs(spectrum - expected)) <= 1e-12
     assert np.max(np.abs(spectrum - np.sort(probabilities))) <= 1e-12
     assert close(entropy, dense_entropy((transfer * probabilities) @ transfer.conj().T))
 

@@ -41,6 +41,7 @@ from pointerlab.scenario import validate_scenario_data
 from pointerlab.tolerances import ENTROPY_EIGENVALUE_FLOOR, PROBABILITY_FLOOR
 from helpers import (
     close,
+    dense,
     dense_coherence,
     gemenge_density_matrix,
     kronecker_entries,
@@ -88,9 +89,9 @@ def test_factor_identities_match_branch_columns(
 
     space = ProductSpace((d_system, d_pointer))
     oracle = gemenge_density_matrix(gemenge, space)
-    dense = oracle.entries
+    matrix = dense(oracle)
     rank = gemenge.probabilities.size
-    assert close(np.sort(gemenge.spectrum()), np.linalg.eigvalsh(dense)[-rank:])
+    assert close(np.sort(gemenge.spectrum()), np.linalg.eigvalsh(matrix)[-rank:])
 
     coherence = pointer_block_coherence(gemenge, spec)
     assert close(coherence, pointer_block_coherence(oracle, spec))
@@ -102,20 +103,20 @@ def test_factor_identities_match_branch_columns(
     )
     for state in (gemenge, rotated):
         reference = dense_coherence(
-            gemenge_density_matrix(state, space).entries, spec.pointers, d_system
+            dense(gemenge_density_matrix(state, space)), spec.pointers, d_system
         )
         assert close(pointer_block_coherence(state, spec), reference)
         with mock.patch.object(objectification, "GRAM_STACK_ENTRIES", 1):
             assert close(pointer_block_coherence(state, spec), reference)
 
     for keep, marginal in ((0, gemenge.system_marginal), (1, gemenge.apparatus_marginal)):
-        assert close(marginal.entries, dense_partial_trace(dense, d_system, d_pointer, keep))
+        assert close(dense(marginal), dense_partial_trace(matrix, d_system, d_pointer, keep))
 
     rho_unitary = outer(result.final_state)
     for witness in (shift_witness(spec), observable_witness(spec)):
         report = compare_states(result, gemenge, spec, witness)
-        assert close(report.witness_expectation_rule2, np.trace(dense @ kronecker_entries(witness)).real)
-        assert close(report.entropy_rule2_state, dense_entropy(dense))
+        assert close(report.witness_expectation_rule2, np.trace(matrix @ kronecker_entries(witness)).real)
+        assert close(report.entropy_rule2_state, dense_entropy(matrix))
         for keep, distance in (
             (0, report.marginal_agreement_system),
             (1, report.marginal_agreement_apparatus),

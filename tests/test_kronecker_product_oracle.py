@@ -6,7 +6,7 @@ symmetric tridiagonal core ``T = (d, e)`` on its columns, the operator
 ``(M V, eigvalsh(H), 0)`` from ``eigh(H)``, checked against ``M H M^dagger``
 itself, and a random real band ``(d, e)``, so the off-diagonal term is read.
 Both of their expectations are compared with ``tr(rho W)`` on the
-materialized ``.entries`` to ``1e-12 * max(1, |ref|)``: ``expectation`` on
+dense matrix ``helpers.dense(rho)`` to ``1e-12 * max(1, |ref|)``: ``expectation`` on
 random mixtures of up to ``dim + 2`` columns, and ``product_expectation`` on
 random product mixtures ``sum_j w_j |f_j><f_j| (x) |s_j><s_j|`` given by
 their factors.  The bases are Haar columns, with fewer columns than
@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pointerlab import DensityMatrix, KroneckerProduct
-from helpers import close, kronecker_entries, random_unitary
+from helpers import close, dense, kronecker_entries, random_unitary
 
 
 def random_hermitian(rng, n):
@@ -71,10 +71,10 @@ def test_congruence_expectations_match_dense_trace(d_system, d_pointer, data, se
     first, second = unit_columns(rng, d_system, rank), unit_columns(rng, d_pointer, rank)
     products = np.einsum("ij,kj->ikj", first, second).reshape(dim, rank)
     product_rho = DensityMatrix(columns=products, weights=weights)
-    for witness, dense in ((spectral, congruences), (banded, kronecker_entries(banded))):
+    for witness, matrix in ((spectral, congruences), (banded, kronecker_entries(banded))):
         assert witness.factor_dims == (d_system, d_pointer)
-        assert close(dense, dense.conj().T)
-        assert close(witness.expectation(rho), np.trace(rho.entries @ dense).real)
-        reference = np.trace(product_rho.entries @ dense).real
+        assert close(matrix, matrix.conj().T)
+        assert close(witness.expectation(rho), np.trace(dense(rho) @ matrix).real)
+        reference = np.trace(dense(product_rho) @ matrix).real
         assert close(witness.product_expectation(weights, first, second), reference)
         assert close(witness.expectation(product_rho), reference)

@@ -7,7 +7,9 @@ The rows run with warnings as errors, and two more feed ``normalized`` a
 vector whose largest modulus is subnormal, which it refuses as numerically
 null without a floating-point warning; a third an infinite entry, which it
 refuses before dividing by it.  A ``KroneckerProduct`` holds no tolerance
-check, but refuses a NaN in its core as non-finite.
+check, but refuses a NaN in its core as non-finite.  A ``KernelOperator``
+refuses a NaN or an infinite diagonal entry as non-finite: its Hermitian
+check reads only ``|Im a|``, which is zero for both.
 """
 
 import dataclasses
@@ -79,11 +81,6 @@ ROWS = {
         ValueError,
         "numerically null",
     ),
-    "density_matrix_entries": (
-        lambda: DensityMatrix(with_nan(np.eye(2) / 2)),
-        ValueError,
-        "not Hermitian",
-    ),
     "density_matrix_weight": (
         lambda: DensityMatrix(columns=np.eye(2), weights=[NAN, 1.0]),
         ValueError,
@@ -100,10 +97,11 @@ ROWS = {
         ValueError,
         "quadrature norm",
     ),
-    "kernel_operator": (
-        lambda: KernelOperator(GRID, with_nan(np.eye(2)), hermitian=True),
+    "kernel_operator": (lambda: KernelOperator(GRID, [NAN, 1.0]), ValueError, "finite"),
+    "kernel_operator_infinite": (
+        lambda: KernelOperator(GRID, [float("inf"), 1.0]),
         ValueError,
-        "hermitian flag",
+        "finite",
     ),
     "bcl_spec_eigenvector": (
         lambda: spec(eigenvectors=with_nan(np.eye(2))),

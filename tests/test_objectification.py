@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from pointerlab import (
-    DensityMatrix,
     DimensionMismatch,
     GemengeDecomposition,
     KroneckerProduct,
@@ -19,7 +18,15 @@ from pointerlab import (
     trace_distance,
     von_neumann_entropy,
 )
-from helpers import canonical_spec, gemenge_density_matrix, kronecker_entries, random_bcl_spec, random_state
+from helpers import (
+    canonical_spec,
+    dense,
+    from_dense,
+    gemenge_density_matrix,
+    kronecker_entries,
+    random_bcl_spec,
+    random_state,
+)
 
 LN2 = 0.6931471805599453
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -46,7 +53,7 @@ class TestApplyRule2:
         # with nothing to erase, the objectified state is the unitary projector
         space = ProductSpace((2, 2))
         rho = gemenge_density_matrix(gemenge, space)
-        assert np.max(np.abs(rho.entries - outer(result.final_state).entries)) < 1e-12
+        assert np.max(np.abs(dense(rho) - dense(outer(result.final_state)))) < 1e-12
 
     def test_bell_two_components(self):
         spec, result, gemenge = bell_case()
@@ -80,7 +87,7 @@ class TestGemengeDensityMatrix:
         gemenge = GemengeDecomposition([1.0], u.amplitudes[:, None], v.amplitudes[:, None])
         rho = gemenge_density_matrix(gemenge, ProductSpace((2, 2)))
         product = StateVector(np.kron(u.amplitudes, v.amplitudes))
-        assert np.array_equal(rho.entries, outer(product).entries)
+        assert np.array_equal(dense(rho), dense(outer(product)))
 
     def test_bell_mixture_rank_and_entropy(self):
         _, _, gemenge = bell_case()
@@ -98,7 +105,7 @@ class TestGemengeDensityMatrix:
             rho = gemenge_density_matrix(
                 gemenge, ProductSpace((spec.system_dim, spec.apparatus_dim))
             )
-            assert abs(np.trace(rho.entries) - 1.0) < 1e-12
+            assert abs(np.trace(dense(rho)) - 1.0) < 1e-12
 
 
 class TestPointerBlockCoherence:
@@ -116,9 +123,8 @@ class TestPointerBlockCoherence:
     def test_product_state_single_block(self):
         spec = qubit_spec()
         rng = np.random.default_rng(43)
-        rho = DensityMatrix(
-            np.kron(outer(random_state(rng, 2)).entries, outer(StateVector(spec.pointers[:, 0])).entries)
-        )
+        pointer = outer(StateVector(spec.pointers[:, 0]))
+        rho = from_dense(np.kron(dense(outer(random_state(rng, 2))), dense(pointer)))
         assert pointer_block_coherence(rho, spec) == 0.0
 
     def test_rejects_state_off_the_spec_space(self):
@@ -206,7 +212,7 @@ class TestInvariantProperties:
         for k, pointer in enumerate(spec.pointers.T):
             mixture += result.probabilities[k] * np.outer(pointer, pointer.conj())
         distance = trace_distance(
-            partial_trace(rho_rule2, space, keep=1), DensityMatrix(mixture)
+            partial_trace(rho_rule2, space, keep=1), from_dense(mixture)
         )
         assert distance < 1e-12
 

@@ -27,20 +27,13 @@ from pointerlab import (
     symmetrize,
 )
 from pointerlab.scenario import validate_scenario_data
-from helpers import lattice_composition, pair_expectation
+from helpers import hermitian_kernel, lattice_composition, pair_expectation, quadrature_inner
 
 
 def packet(grid, center, width, momentum):
     x = grid.coordinates
     raw = np.exp(-((x - center) ** 2) / (4.0 * width**2) + 1j * momentum * x)
     return LatticeWavefunction(grid, raw / np.sqrt(grid.dx * np.sum(np.abs(raw) ** 2)))
-
-
-def hermitian_kernel(grid, seed):
-    rng = np.random.default_rng(seed)
-    n = grid.n_points
-    raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return KernelOperator(grid, (raw + raw.conj().T) / grid.dx, hermitian=True)
 
 
 def dense_pair(psi, phi, sign):
@@ -54,8 +47,8 @@ def dense_expectation(a, amplitude):
     # <Psi| a (x) 1 + 1 (x) a |Psi> = dx^3 sum conj(Psi_ij) (a_ik Psi_kj + a_jl Psi_il):
     # dx^2 for the pair quadrature, dx for the one kernel contraction
     conj = amplitude.conj()
-    first = np.einsum("ij,ik,kj->", conj, a.kernel, amplitude)
-    second = np.einsum("ij,jl,il->", conj, a.kernel, amplitude)
+    first = np.einsum("ij,ik,kj->", conj, a.matrix, amplitude)
+    second = np.einsum("ij,jl,il->", conj, a.matrix, amplitude)
     return a.grid.dx**3 * (first + second)
 
 
@@ -82,7 +75,7 @@ def test_orbital_pair_matches_dense_pair(n, first, second, sym, seed):
     grid = LatticeGrid(-8.0, 16.0 / n, n)
     psi = packet(grid, *first)
     phi = packet(grid, *second)
-    overlap = abs(psi.inner(phi))
+    overlap = abs(quadrature_inner(psi, phi))
     if sym is ExchangeSymmetry.FERMION:
         # 1 - |<psi|phi>|^2 is the fermion norm bracket; near zero both the
         # orbital formula and the dense array cancel to roundoff
@@ -216,7 +209,7 @@ def test_symmetrization_run_matches_dense_pairs_and_composition(document):
     grid = LatticeGrid(**document["grid"])
     psi, phi = (gaussian_packet(grid, **packet) for packet in document["packets"])
     # the fermion norm bracket 1 - |<psi|phi>|^2 cancels for nearly parallel packets
-    assume(1.0 - abs(psi.inner(phi)) ** 2 > 1e-2)
+    assume(1.0 - abs(quadrature_inner(psi, phi)) ** 2 > 1e-2)
     check_run(document)
 
 
@@ -252,7 +245,7 @@ def test_dlocal_run_matches_dense_pairs_and_composition(document):
 )
 def test_a_run_applies_each_kernel_once(monkeypatch, document, kernels, overlap_products):
     applies, products = Counter(), []
-    apply, inner, overlaps = KernelOperator.apply, LatticeWavefunction.inner, lattice._overlaps
+    apply, overlaps = KernelOperator.apply, lattice._overlaps
 
     def counted_apply(self, values):
         applies[id(self)] += 1
@@ -266,7 +259,6 @@ def test_a_run_applies_each_kernel_once(monkeypatch, document, kernels, overlap_
         return wrapper
 
     monkeypatch.setattr(KernelOperator, "apply", counted_apply)
-    monkeypatch.setattr(LatticeWavefunction, "inner", counted(inner))
     monkeypatch.setattr(lattice, "_overlaps", counted(overlaps))
     run_scenario(validate_scenario_data(document))
     assert sorted(applies.values()) == [1] * kernels

@@ -22,6 +22,7 @@ from pointerlab import (
 )
 from helpers import (
     close,
+    dense,
     dense_coherence,
     gemenge_density_matrix,
     kronecker_entries,
@@ -58,7 +59,7 @@ def test_pointer_blocks_match_dense_projectors(degeneracies, extra_apparatus, st
         rho_unitary = outer(result.final_state)
         rho_rule2 = gemenge_density_matrix(gemenge, space)
         rho = rho_unitary if state == "premeasured" else rho_rule2
-        assert np.max(np.abs(rho_rule2.entries - dense_gemenge(gemenge))) <= 1e-12
+        assert np.max(np.abs(dense(rho_rule2) - dense_gemenge(gemenge))) <= 1e-12
         # complex and not symmetric on random bases, so W and W^T differ
         witness = shift_witness(spec)
         report = compare_states(result, gemenge, spec, witness)
@@ -66,12 +67,12 @@ def test_pointer_blocks_match_dense_projectors(degeneracies, extra_apparatus, st
             (report.witness_expectation_unitary, rho_unitary),
             (report.witness_expectation_rule2, rho_rule2),
         ):
-            trace = np.trace(reference_state.entries @ kronecker_entries(witness)).real
+            trace = np.trace(dense(reference_state) @ kronecker_entries(witness)).real
             assert close(expectation, trace)
 
-    assert close(rho.eigenvalues(), np.linalg.eigvalsh(rho.entries))
+    assert close(rho.eigenvalues(), np.linalg.eigvalsh(dense(rho)))
     value = pointer_block_coherence(rho, spec)
-    reference = dense_coherence(rho.entries, spec.pointers, spec.system_dim)
+    reference = dense_coherence(dense(rho), spec.pointers, spec.system_dim)
 
     assert close(value, reference)
     if state == "gemenge":

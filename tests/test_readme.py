@@ -14,7 +14,7 @@ def test_readme_quick_tour_runs():
     pl = namespace["pl"]
     assert abs(namespace["pair"].nu - 2**-0.5) < 1e-6
     assert abs(pl.expectation_two_particle(namespace["elements"], namespace["pair"]) - 10.0) < 1e-5
-    assert pl.is_d_local(namespace["local"], namespace["D"], tol=0.0)
+    assert pl.dlocal_residual(namespace["local"], namespace["D"]) == 0.0
     assert namespace["check"].difference < 1e-5
     assert abs(namespace["report"].witness_expectation_unitary - 1.0) < 1e-10
 
