@@ -17,43 +17,33 @@ a nested list such as a whole eigenbasis, are written as lists of their
 ``emit_report`` writes the pieces to the file without joining them, and the
 command line writes them to stdout the same way.  The run views each
 amplitude array as complex numbers.
+
+The scenario layers are imported inside the runners that call them:
+``lattice`` in the two lattice runners, ``hilbert``, ``premeasurement`` and
+``objectification`` in the BCL runners, and ``csv`` in the CSV writer.  A
+fresh process thus loads only the layers of the kind it runs, and each run
+reads the names from the layer's own namespace, where a wrapper bound there
+is the one it calls.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import PointerlabError, RunStageError
-from .hilbert import DensityMatrix, StateVector, trace_distance
-from .lattice import (
-    Domain,
-    ExchangeSymmetry,
-    LatticeGrid,
-    dlocal_agreement_check,
-    dlocal_residual,
-    expectation_two_particle,
-    gaussian_packet,
-    orbital_elements,
-    position_kernel,
-    symmetrize,
-)
-from .objectification import (
-    apply_rule2,
-    compare_states,
-    observable_witness,
-    pointer_block_coherence,
-    shift_witness,
-)
-from .premeasurement import BclSpec, apparatus_marginal, premeasure
 from .scenario import ScenarioConfig
 from .tolerances import AMPLITUDE_BATCH_ENTRIES, ORTHOGONAL_OVERLAP_GATE
+
+if TYPE_CHECKING:
+    from .hilbert import DensityMatrix, StateVector
+    from .premeasurement import BclSpec
 
 __all__ = [
     "Verdict",
@@ -113,6 +103,8 @@ class RunReport:
         return parts
 
     def to_csv_text(self) -> str:
+        import csv
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["metric", "value", "tolerance", "verdict"])
@@ -316,6 +308,16 @@ def _bool_verdict(name: str, passed: bool, residual: float, tolerance: float) ->
 
 
 def _run_symmetrization(scenario: dict) -> tuple[dict, list[Verdict]]:
+    from .lattice import (
+        ExchangeSymmetry,
+        LatticeGrid,
+        expectation_two_particle,
+        gaussian_packet,
+        orbital_elements,
+        position_kernel,
+        symmetrize,
+    )
+
     tol = scenario["tolerances"]
     with _stage("lattice setup"):
         grid = LatticeGrid(**scenario["grid"])
@@ -370,6 +372,15 @@ def _run_symmetrization(scenario: dict) -> tuple[dict, list[Verdict]]:
 
 
 def _run_dlocal(scenario: dict) -> tuple[dict, list[Verdict]]:
+    from .lattice import (
+        Domain,
+        LatticeGrid,
+        dlocal_agreement_check,
+        dlocal_residual,
+        gaussian_packet,
+        position_kernel,
+    )
+
     tol = scenario["tolerances"]
     with _stage("lattice setup"):
         grid = LatticeGrid(**scenario["grid"])
@@ -418,6 +429,9 @@ def _run_dlocal(scenario: dict) -> tuple[dict, list[Verdict]]:
 def _bcl_diagnostics(
     spec: BclSpec, phi: StateVector, tol: dict[str, float]
 ) -> tuple[dict, list[Verdict], object, DensityMatrix]:
+    from .hilbert import DensityMatrix, trace_distance
+    from .premeasurement import apparatus_marginal, premeasure
+
     with _stage("premeasure"):
         result, pointers = premeasure(spec, phi), spec.pointers
         kept, conditionals = result.conditionals
@@ -452,6 +466,9 @@ def _bcl_diagnostics(
 
 def _build_spec(scenario: dict) -> tuple[BclSpec, StateVector]:
     """The scenario's spec, one column matrix per family, and its initial state."""
+    from .hilbert import StateVector
+    from .premeasurement import BclSpec
+
     bcl = scenario["bcl"]
     degeneracies, basis, transfer = bcl["degeneracies"], bcl["basis"], bcl["transfer_family"]
 
@@ -486,6 +503,15 @@ def _run_bcl(scenario: dict) -> tuple[dict, list[Verdict]]:
 
 
 def _run_full_measurement(scenario: dict) -> tuple[dict, list[Verdict]]:
+    from .hilbert import trace_distance
+    from .objectification import (
+        apply_rule2,
+        compare_states,
+        observable_witness,
+        pointer_block_coherence,
+        shift_witness,
+    )
+
     tol = scenario["tolerances"]
     spec, phi = _build_spec(scenario)
     values, verdicts, result, pointer_mixture = _bcl_diagnostics(spec, phi, tol)

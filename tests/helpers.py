@@ -3,9 +3,13 @@
 import argparse
 import contextlib
 import io
+import os
+import subprocess
+import sys
 
 import numpy as np
 
+import pointerlab
 from pointerlab import (
     BclSpec,
     DensityMatrix,
@@ -373,3 +377,23 @@ def argparse_oracle(argv):
             return parser.parse_args(argv)
         except SystemExit:
             return None
+
+
+def loaded_after_numpy(statements, *flags):
+    """The modules ``statements`` add to ``sys.modules`` in a fresh interpreter.
+
+    The interpreter (run with ``flags``) imports numpy first, so a module that
+    numpy itself loads does not count.  numpy's own directory is appended to
+    the path, so ``-S`` still finds it.
+    """
+    src = os.path.dirname(os.path.dirname(pointerlab.__file__))
+    packages = os.path.dirname(os.path.dirname(np.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); sys.path.append({packages!r}); "
+        f"import numpy; before = set(sys.modules); {statements}; print(*{{*sys.modules}} - before)"
+    )
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())

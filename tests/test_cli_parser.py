@@ -11,7 +11,6 @@ do the same thing; wherever it exits, ``main`` must return 1 with one
 import contextlib
 import io
 import os
-import subprocess
 import sys
 from unittest import mock
 
@@ -21,7 +20,7 @@ from hypothesis import strategies as st
 
 import pointerlab
 from pointerlab import ScenarioConfig, cli
-from helpers import argparse_oracle
+from helpers import argparse_oracle, loaded_after_numpy
 
 # one of the two file names is also a demo name, so the demo branch runs
 FILES = ["a.json", "bcl-qubit"]
@@ -193,24 +192,8 @@ def test_main_reads_sys_argv_without_an_argument(monkeypatch, capsys):
 
 
 def imported_by_cli(*flags):
-    """Which of argparse and importlib.resources ``import pointerlab.cli`` loads.
-
-    numpy is imported first, so a module that numpy itself loads does not count.
-    """
-    import numpy
-
-    src = os.path.dirname(os.path.dirname(pointerlab.__file__))
-    packages = os.path.dirname(os.path.dirname(numpy.__file__))
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); sys.path.append({packages!r}); "
-        "import numpy; before = set(sys.modules); import pointerlab.cli; "
-        "print(*(m for m in ('argparse', 'importlib.resources') if m in {*sys.modules} - before))"
-    )
-    done = subprocess.run(
-        [sys.executable, *flags, "-c", code], capture_output=True, text=True, timeout=120
-    )
-    assert done.returncode == 0, done.stderr
-    return done.stdout.split()
+    """Which of argparse and importlib.resources ``import pointerlab.cli`` loads after numpy."""
+    return {"argparse", "importlib.resources"} & loaded_after_numpy("import pointerlab.cli", *flags)
 
 
 def test_importing_the_cli_loads_no_argparse():
@@ -219,4 +202,4 @@ def test_importing_the_cli_loads_no_argparse():
 
 def test_importing_the_cli_without_site_loads_no_resource_reader():
     # a site hook may import importlib.resources before any user code, which -S leaves out
-    assert imported_by_cli("-S") == []
+    assert imported_by_cli("-S") == set()
