@@ -23,7 +23,7 @@ _EXPORTS = {
         ),
         (
             "hilbert",
-            "DensityMatrix KroneckerProduct ProductSpace StateVector outer partial_trace "
+            "DensityMatrix KroneckerProduct StateVector outer partial_trace "
             "trace_distance von_neumann_entropy",
         ),
         (
@@ -38,7 +38,7 @@ _EXPORTS = {
             "CorrelationReport GemengeDecomposition apply_rule2 compare_states "
             "observable_witness pointer_block_coherence shift_witness",
         ),
-        ("premeasurement", "BclSpec PremeasurementResult apparatus_marginal premeasure"),
+        ("premeasurement", "BclSpec PremeasurementResult premeasure"),
         ("runner", "RunReport Verdict emit_report render_report run_scenario"),
         ("scenario", "ScenarioConfig load_scenario"),
     )

@@ -24,10 +24,10 @@ bipartite space each column is read as its ``d_first x d_second`` amplitude
 matrix ``B_j``, so partial traces and expectations of Kronecker products are
 matrix products on the ``B_j``.  A partial trace is itself returned as a
 mixture, of the weighted ``B_j`` columns (or rows), so no reduced state is
-formed densely.
-A :class:`ProductSpace` has exactly two factors.  A :class:`KroneckerProduct`
-is held as two congruences ``M T M^dagger`` with real symmetric tridiagonal
-cores ``T`` and read on each ``B_j`` as ``M^T B_j^* N``, so no factor is formed.
+formed densely.  A bipartite shape is the plain pair ``(d_first, d_second)``
+of factor dims.  A :class:`KroneckerProduct` is held as two congruences
+``M T M^dagger`` with real symmetric tridiagonal cores ``T`` and read on each
+``B_j`` as ``M^T B_j^* N``, so no factor is formed.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
     "StateVector",
     "DensityMatrix",
     "KroneckerProduct",
-    "ProductSpace",
     "outer",
     "partial_trace",
     "von_neumann_entropy",
@@ -144,13 +143,11 @@ class DensityMatrix:
         """
         return self._spectrum
 
-    def blocks(self, space: "ProductSpace") -> np.ndarray:
-        """Weighted amplitude matrices ``sqrt(w_j) B_j``, shape ``(r, *space.factor_dims)``."""
-        if self.dim != space.dim:
-            raise DimensionMismatch(
-                f"state dim {self.dim} does not match factor dims {space.factor_dims}"
-            )
-        return (self.columns * np.sqrt(self.weights)).T.reshape(-1, *space.factor_dims)
+    def blocks(self, dims: tuple[int, int]) -> np.ndarray:
+        """Weighted amplitude matrices ``sqrt(w_j) B_j``, shape ``(r, *dims)`` for positive dims."""
+        if len(dims) != 2 or min(dims) < 1 or dims[0] * dims[1] != self.dim:
+            raise DimensionMismatch(f"state dim {self.dim} does not match factor dims {dims}")
+        return (self.columns * np.sqrt(self.weights)).T.reshape(-1, *dims)
 
 
 def _tridiagonal_apply(diagonal: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -197,7 +194,7 @@ class KroneckerProduct:
         """``tr(rho W) = sum_j w_j <T C_j, C_j S>`` for ``C_j = M^T B_j^* N``."""
         (system, *system_core), (apparatus, *apparatus_core) = self.system, self.apparatus
         # C_j conjugates M^dagger B_j N^*, the same value for real cores: only B_j is conjugated
-        rotated = system.T @ rho.blocks(ProductSpace(self.factor_dims)).conj() @ apparatus
+        rotated = system.T @ rho.blocks(self.factor_dims).conj() @ apparatus
         left = _tridiagonal_apply(*system_core, rotated.swapaxes(1, 2)).swapaxes(1, 2)
         return float(np.vdot(left, _tridiagonal_apply(*apparatus_core, rotated)).real)
 
@@ -215,52 +212,22 @@ class KroneckerProduct:
         return float(terms.sum().real)
 
 
-@dataclass(frozen=True)
-class ProductSpace:
-    """Bipartite tensor bookkeeping: the dimensions of the first and second factor."""
-
-    factor_dims: tuple[int, int]
-
-    def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.factor_dims)
-        if len(dims) != 2 or min(dims) <= 0:
-            raise ValueError("a product space needs two positive factor dimensions")
-        object.__setattr__(self, "factor_dims", dims)
-
-    @property
-    def dim(self) -> int:
-        return self.factor_dims[0] * self.factor_dims[1]
-
-
 def outer(phi: StateVector) -> DensityMatrix:
     """Rank-one projector ``|phi><phi|``: one column of weight one."""
     return DensityMatrix(columns=phi.amplitudes[:, None], weights=np.ones(1))
 
 
-def partial_trace(rho: DensityMatrix, space: ProductSpace, keep: int) -> DensityMatrix:
-    """Trace out one factor of a bipartite state, as a mixture.
+def partial_trace(rho: DensityMatrix, dims: tuple[int, int], keep: int) -> DensityMatrix:
+    """Trace a state on the factor dims ``dims`` down to factor ``keep`` (0 or 1), as a mixture.
 
     Keeping the first factor gives ``sum_j w_j B_j B_j^dagger``, keeping the
     second ``sum_j w_j B_j^T B_j^*``.  Either is returned without a matrix
     product: its columns are those of the stacked weighted amplitude
     matrices ``sqrt(w_j) B_j`` (or ``sqrt(w_j) B_j^T``), each of weight one.
-
-    Parameters
-    ----------
-    rho:
-        State on the full product space.
-    space:
-        Bipartite bookkeeping; ``space.dim`` must equal ``rho.dim``.
-    keep:
-        Index of the factor to keep, 0 (first) or 1 (second).
     """
-    blocks = rho.blocks(space)
-    if keep == 0:
-        factor = blocks.transpose(1, 0, 2).reshape(space.factor_dims[0], -1)
-    elif keep == 1:
-        factor = blocks.transpose(2, 0, 1).reshape(space.factor_dims[1], -1)
-    else:
+    if keep not in (0, 1):
         raise ValueError("keep must be 0 or 1")
+    factor = np.moveaxis(rho.blocks(dims), keep + 1, 0).reshape(dims[keep], -1)
     return DensityMatrix(columns=factor, weights=np.ones(factor.shape[1]))
 
 

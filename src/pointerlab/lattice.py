@@ -20,7 +20,8 @@ the one-particle expectations in each orbital from one kernel apply, and
 :func:`expectation_two_particle` combines them with ``S``, so pairs over the
 same orbitals share one apply.  :func:`dlocal_agreement_check` returns the
 localized and the unlocalized pair values and the localized kernel, one
-apply per kernel.  A grid forms its coordinate array once.
+apply per kernel.  A grid forms its coordinate array once, and a
+:class:`Domain` is its read-only point mask, which every check reads as it is.
 """
 
 from __future__ import annotations
@@ -204,22 +205,16 @@ class KernelOperator:
         return self.entries.reshape((-1,) + (1,) * (values.ndim - 1)) * values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Domain:
-    """Sorted, disjoint, half-open index intervals selecting grid points."""
+    """Grid points selected by a read-only boolean mask, one flag per point."""
 
-    index_ranges: tuple[tuple[int, int], ...]
+    points: np.ndarray
 
     def __post_init__(self) -> None:
-        ranges = tuple((int(lo), int(hi)) for lo, hi in self.index_ranges)
-        previous_end = -1
-        for lo, hi in ranges:
-            if lo < 0 or hi <= lo:
-                raise ValueError(f"bad index interval [{lo}, {hi})")
-            if lo < previous_end:
-                raise ValueError("index intervals must be sorted and disjoint")
-            previous_end = hi
-        object.__setattr__(self, "index_ranges", ranges)
+        points = np.array(self.points, dtype=bool)
+        points.setflags(write=False)
+        object.__setattr__(self, "points", points)
 
     @classmethod
     def from_interval(cls, grid: LatticeGrid, lower: float, upper: float) -> "Domain":
@@ -227,23 +222,13 @@ class Domain:
         if upper < lower:
             raise ValueError("upper must not be below lower")
         coords = grid.coordinates
-        return cls.from_mask((coords >= lower) & (coords <= upper))
-
-    @classmethod
-    def from_mask(cls, mask: np.ndarray) -> "Domain":
-        flags = np.asarray(mask, dtype=bool)
-        padded = np.zeros(flags.size + 2, dtype=bool)
-        padded[1:-1] = flags
-        edges = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
-        return cls(tuple(zip(edges[::2], edges[1::2])))
+        return cls((coords >= lower) & (coords <= upper))
 
     def mask(self, n_points: int) -> np.ndarray:
-        flags = np.zeros(n_points, dtype=bool)
-        for lo, hi in self.index_ranges:
-            if hi > n_points:
-                raise ValueError(f"interval [{lo}, {hi}) exceeds grid size {n_points}")
-            flags[lo:hi] = True
-        return flags
+        """The read-only point mask; refused unless it has exactly ``n_points`` flags."""
+        if self.points.shape != (n_points,):
+            raise ValueError(f"domain mask has shape {self.points.shape}, not ({n_points},)")
+        return self.points
 
 
 def gaussian_packet(grid: LatticeGrid, center: float, width: float) -> LatticeWavefunction:

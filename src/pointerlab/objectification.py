@@ -33,14 +33,13 @@ from .errors import BasisNotOrthonormal, DimensionMismatch
 from .hilbert import (
     DensityMatrix,
     KroneckerProduct,
-    ProductSpace,
     gram_residual,
     partial_trace,
     spectral_entropy,
     trace_distance,
     von_neumann_entropy,
 )
-from .premeasurement import BclSpec, PremeasurementResult, apparatus_marginal
+from .premeasurement import BclSpec, PremeasurementResult
 from .tolerances import GRAM_STACK_ENTRIES, INVARIANT_TOL
 
 __all__ = [
@@ -169,7 +168,7 @@ def pointer_block_coherence(state: DensityMatrix | GemengeDecomposition, spec: B
             for lo in range(0, len(scaled), chunk)
         )
     else:
-        blocks = state.blocks(ProductSpace((spec.system_dim, spec.apparatus_dim)))
+        blocks = state.blocks((spec.system_dim, spec.apparatus_dim))
         rotated = (blocks @ pointers.conj()).transpose(2, 1, 0)  # A_k, stacked
         stacks = (rotated.conj().transpose(0, 2, 1) @ rotated,)
     return _off_block_norm(stacks)
@@ -243,20 +242,18 @@ def compare_states(
     construction and its factors must match the system and apparatus
     dimensions.
     """
-    space = ProductSpace((spec.system_dim, spec.apparatus_dim))
-    if witness.factor_dims != space.factor_dims:
-        raise DimensionMismatch(
-            f"witness factor dims {witness.factor_dims} do not match {space.factor_dims}"
-        )
+    dims = (spec.system_dim, spec.apparatus_dim)
+    if witness.factor_dims != dims:
+        raise DimensionMismatch(f"witness factor dims {witness.factor_dims} do not match {dims}")
 
     rho_unitary = result.final_density
     return CorrelationReport(
         pointer_block_coherence_norm=pointer_block_coherence(rho_unitary, spec),
         marginal_agreement_system=trace_distance(
-            partial_trace(rho_unitary, space, keep=0), gemenge.system_marginal
+            partial_trace(rho_unitary, dims, keep=0), gemenge.system_marginal
         ),
         marginal_agreement_apparatus=trace_distance(
-            apparatus_marginal(result, spec), gemenge.apparatus_marginal
+            result.apparatus_marginal, gemenge.apparatus_marginal
         ),
         witness_expectation_unitary=witness.expectation(rho_unitary),
         witness_expectation_rule2=witness.product_expectation(

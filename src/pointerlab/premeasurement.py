@@ -26,8 +26,8 @@ batched product per run of consecutive equal-size sectors (one for the whole
 spec when every sector has one vector), contracted with the ``K`` pointers
 ``V_k ready``.  Premeasurement reads the sums of ``E^dagger phi`` as its
 sector vectors and evolves ``phi (x) ready`` from the same sums; its result
-builds the pure state ``|psi><psi|`` and the conditional states once for
-every consumer.
+builds the pure state ``|psi><psi|``, the conditional states and its
+``apparatus_marginal`` once for every consumer.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from itertools import groupby
 import numpy as np
 
 from .errors import DimensionMismatch, MeasurementConditionViolated, SpecInvalid
-from .hilbert import DensityMatrix, ProductSpace, StateVector, outer, partial_trace
+from .hilbert import DensityMatrix, StateVector, outer, partial_trace
 from .hilbert import gram_deviation, gram_residual
 from .tolerances import INVARIANT_TOL, PROBABILITY_FLOOR
 
@@ -47,7 +47,6 @@ __all__ = [
     "BclSpec",
     "PremeasurementResult",
     "premeasure",
-    "apparatus_marginal",
 ]
 
 
@@ -261,10 +260,14 @@ class PremeasurementResult:
 
     @cached_property
     def apparatus_marginal(self) -> DensityMatrix:
-        """The apparatus state after the coupling, built once: see :func:`apparatus_marginal`."""
+        """The apparatus state after the coupling, built once for every caller.
+
+        It is ``M^T M^*`` for the amplitude matrix ``M[i, a]`` of ``|i> (x) |a>``,
+        held as the mixture of the columns of ``M^T``, each of weight one.
+        """
         system_dim = self.sector_vectors.shape[0]
-        space = ProductSpace((system_dim, self.final_state.dim // system_dim))
-        return partial_trace(self.final_density, space, keep=1)
+        dims = (system_dim, self.final_state.dim // system_dim)
+        return partial_trace(self.final_density, dims, keep=1)
 
 
 def premeasure(spec: BclSpec, phi: StateVector) -> PremeasurementResult:
@@ -296,18 +299,3 @@ def premeasure(spec: BclSpec, phi: StateVector) -> PremeasurementResult:
         sector_vectors=sector_vectors,
     )
 
-
-def apparatus_marginal(result: PremeasurementResult, spec: BclSpec) -> DensityMatrix:
-    """Apparatus state after the coupling: ``M^T M*`` for the amplitude matrix ``M``.
-
-    ``M[i, a]`` is the final-state amplitude of ``|i> (x) |a>``, so summing
-    over the system index traces the system out without a product-space
-    projector.  The state is the mixture of the columns of ``M^T``, one per
-    system basis vector, each of weight one.  It is built once per result,
-    so every caller shares one state and one dense matrix.
-    """
-    if result.final_state.dim != spec.system_dim * spec.apparatus_dim:
-        raise DimensionMismatch(
-            f"final state dim {result.final_state.dim} does not match the spec's product space"
-        )
-    return result.apparatus_marginal

@@ -430,7 +430,7 @@ def _bcl_diagnostics(
     spec: BclSpec, phi: StateVector, tol: dict[str, float]
 ) -> tuple[dict, list[Verdict], object, DensityMatrix]:
     from .hilbert import DensityMatrix, trace_distance
-    from .premeasurement import apparatus_marginal, premeasure
+    from .premeasurement import premeasure
 
     with _stage("premeasure"):
         result, pointers = premeasure(spec, phi), spec.pointers
@@ -444,7 +444,7 @@ def _bcl_diagnostics(
         )
         formula_residual = float(np.abs(result.probabilities - coefficient_mass).max())
         pointer_mixture = DensityMatrix(columns=pointers, weights=result.probabilities)
-        marginal_residual = trace_distance(apparatus_marginal(result, spec), pointer_mixture)
+        marginal_residual = trace_distance(result.apparatus_marginal, pointer_mixture)
 
     values = {
         f"probability_{k}": float(p) for k, p in enumerate(result.probabilities)
@@ -597,10 +597,8 @@ def render_report(report: RunReport, format: str = "json") -> str:
     return "".join(_report_parts(report, format))
 
 
-def emit_report(report: RunReport, format: str = "json", path=None) -> None:
+def emit_report(report: RunReport, format: str, path) -> None:
     """Write a report to a file, rendered before it is opened (OSError propagates)."""
-    if path is None:
-        raise ValueError("emit_report needs an output path")
     parts = _report_parts(report, format)
     with open(path, "w", encoding="utf-8") as file:
         file.writelines(parts)

@@ -310,10 +310,17 @@ def _domain(value, path: str, doc: dict) -> dict:
     return domain
 
 
+def _eigenvalue(value, path: str) -> float:
+    eigenvalue = _number(value, path)
+    if not math.isfinite(2.0 * eigenvalue):  # a witness expectation averages eigenvalues
+        raise _fail(path, "too large: 2 * |eigenvalue| overflows")
+    return eigenvalue
+
+
 def _eigenvalues(value, path: str, bcl: dict) -> list[float]:
     if not isinstance(value, list) or not value:
         raise _fail(path, "expected a non-empty list")
-    eigenvalues = [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    eigenvalues = [_eigenvalue(v, f"{path}[{i}]") for i, v in enumerate(value)]
     if len(set(eigenvalues)) != len(eigenvalues):
         raise _fail(path, "must be distinct")
     return eigenvalues

@@ -257,15 +257,16 @@ def close(value, reference):
     return bool(np.all(np.abs(value - reference) <= 1e-12 * np.maximum(1.0, np.abs(reference))))
 
 
-def gemenge_density_matrix(gemenge, space):
+def gemenge_density_matrix(gemenge, dims):
     """Dense oracle of a gemenge: ``sum_k p_k |b_k><b_k|`` over its branch columns.
 
     Branch ``k`` is ``b_k = Phi_k (x) psi_k``, a column of length
-    ``space.dim``, built by one ``einsum``.
+    ``dims[0] * dims[1]``, built by one ``einsum``.
     """
-    assert (gemenge.system_states.shape[0], gemenge.pointer_states.shape[0]) == space.factor_dims
+    assert (gemenge.system_states.shape[0], gemenge.pointer_states.shape[0]) == tuple(dims)
     branches = np.einsum("ik,jk->ijk", gemenge.system_states, gemenge.pointer_states)
-    return DensityMatrix(columns=branches.reshape(space.dim, -1), weights=gemenge.probabilities)
+    columns = branches.reshape(dims[0] * dims[1], -1)
+    return DensityMatrix(columns=columns, weights=gemenge.probabilities)
 
 
 def dense_coherence(rho, pointers, d_system):

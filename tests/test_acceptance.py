@@ -12,9 +12,7 @@ import pytest
 
 from pointerlab import (
     Domain,
-    ProductSpace,
     StateVector,
-    apparatus_marginal,
     apply_rule2,
     dlocal_residual,
     load_scenario,
@@ -205,7 +203,7 @@ def test_criterion_6_apparatus_marginal(premeasure_cases):
             )
             worst = max(
                 worst,
-                trace_distance(apparatus_marginal(result, spec), from_dense(mixture)),
+                trace_distance(result.apparatus_marginal, from_dense(mixture)),
             )
     _report(6, "apparatus-marginal", worst < 1e-10, f"max trace distance {worst:.3e}")
 
@@ -213,17 +211,17 @@ def test_criterion_6_apparatus_marginal(premeasure_cases):
 def test_criterion_7_rule2_marginal_preservation(premeasure_cases):
     worst = 0.0
     for spec, results, _ in premeasure_cases:
-        space = ProductSpace((spec.system_dim, spec.apparatus_dim))
+        dims = (spec.system_dim, spec.apparatus_dim)
         for result in results:
             gemenge = apply_rule2(result, spec)
             rho_unitary = outer(result.final_state)
-            rho_rule2 = gemenge_density_matrix(gemenge, space)
+            rho_rule2 = gemenge_density_matrix(gemenge, dims)
             for keep in (0, 1):
                 worst = max(
                     worst,
                     trace_distance(
-                        partial_trace(rho_unitary, space, keep),
-                        partial_trace(rho_rule2, space, keep),
+                        partial_trace(rho_unitary, dims, keep),
+                        partial_trace(rho_rule2, dims, keep),
                     ),
                 )
     _report(7, "rule2-marginal-preservation", worst < 1e-10, f"max trace distance {worst:.3e}")

@@ -24,9 +24,7 @@ from hypothesis import strategies as st
 
 from pointerlab import (
     DensityMatrix,
-    ProductSpace,
     StateVector,
-    apparatus_marginal,
     apply_rule2,
     observable_witness,
     outer,
@@ -97,24 +95,24 @@ def test_factored_quantities_match_dense_formulas(
         rng, degeneracies, apparatus_dim=len(degeneracies) + extra_apparatus, transfer=transfer
     )
     d_system, d_pointer = spec.system_dim, spec.apparatus_dim
-    space = ProductSpace((d_system, d_pointer))
+    dims, dim = (d_system, d_pointer), d_system * d_pointer
     if state in ("premeasured", "gemenge"):
         result = premeasure(spec, random_state(rng, d_system))
         rho = (
             outer(result.final_state)
             if state == "premeasured"
-            else gemenge_density_matrix(apply_rule2(result, spec), space)
+            else gemenge_density_matrix(apply_rule2(result, spec), dims)
         )
     else:
         # an overfull mixture has more columns than dimensions
-        rank = space.dim + 2 if state == "overfull_mixture" else int(rng.integers(1, 5))
-        rho = random_mixture(rng, space.dim, rank)
+        rank = dim + 2 if state == "overfull_mixture" else int(rng.integers(1, 5))
+        rho = random_mixture(rng, dim, rank)
     matrix = dense(rho)
 
     assert close(np.sum(rho.eigenvalues()), np.trace(matrix).real)
     assert close(rho.eigenvalues(), np.linalg.eigvalsh(matrix))
     for keep in (0, 1):
-        reduced = dense(partial_trace(rho, space, keep))
+        reduced = dense(partial_trace(rho, dims, keep))
         assert close(reduced, dense_partial_trace(matrix, d_system, d_pointer, keep))
     assert close(
         pointer_block_coherence(rho, spec),
@@ -126,8 +124,8 @@ def test_factored_quantities_match_dense_formulas(
 
     sigma = random_mixture(
         rng,
-        space.dim,
-        max(1, space.dim - rho.columns.shape[1] + sigma_excess),
+        dim,
+        max(1, dim - rho.columns.shape[1] + sigma_excess),
         first=rho.columns[:, 0] if repeat else None,
     )
     reference = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(dense(rho) - dense(sigma))))
@@ -280,7 +278,7 @@ def test_marginal_mixtures_match_dense_products(degeneracies, extra_apparatus, s
     assert close(extension, reference), (extension, reference)
 
     amplitudes = result.final_state.amplitudes.reshape(spec.system_dim, spec.apparatus_dim)
-    marginal = dense(apparatus_marginal(result, spec))
+    marginal = dense(result.apparatus_marginal)
     assert np.max(np.abs(marginal - amplitudes.T @ amplitudes.conj())) <= 1e-12
     pointers = spec.pointers
     expected = (pointers * result.probabilities) @ pointers.conj().T
@@ -293,11 +291,11 @@ def test_wide_mixture_spectrum_allocates_no_gram_matrix():
     rng = np.random.default_rng(64)
     spec = random_bcl_spec(rng, [1] * levels, transfer="identity")
     result = premeasure(spec, random_state(rng, levels))
-    space = ProductSpace((levels, levels))
-    rho_rule2 = gemenge_density_matrix(apply_rule2(result, spec), space)
+    dims = (levels, levels)
+    rho_rule2 = gemenge_density_matrix(apply_rule2(result, spec), dims)
     tracemalloc.start()
     try:
-        reduced = partial_trace(rho_rule2, space, keep=0)
+        reduced = partial_trace(rho_rule2, dims, keep=0)
         spectrum = reduced.eigenvalues()
         entropy = von_neumann_entropy(reduced)
         peak = tracemalloc.get_traced_memory()[1]

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from pointerlab import (
     GemengeDecomposition,
-    ProductSpace,
     StateVector,
     apply_rule2,
     compare_states,
@@ -87,8 +86,8 @@ def test_factor_identities_match_branch_columns(
     assert gemenge.probabilities.size == np.sum(result.probabilities >= PROBABILITY_FLOOR)
     assert gemenge.probabilities.size <= sectors - below.size
 
-    space = ProductSpace((d_system, d_pointer))
-    oracle = gemenge_density_matrix(gemenge, space)
+    dims = (d_system, d_pointer)
+    oracle = gemenge_density_matrix(gemenge, dims)
     matrix = dense(oracle)
     rank = gemenge.probabilities.size
     assert close(np.sort(gemenge.spectrum()), np.linalg.eigvalsh(matrix)[-rank:])
@@ -103,7 +102,7 @@ def test_factor_identities_match_branch_columns(
     )
     for state in (gemenge, rotated):
         reference = dense_coherence(
-            dense(gemenge_density_matrix(state, space)), spec.pointers, d_system
+            dense(gemenge_density_matrix(state, dims)), spec.pointers, d_system
         )
         assert close(pointer_block_coherence(state, spec), reference)
         with mock.patch.object(objectification, "GRAM_STACK_ENTRIES", 1):
@@ -122,7 +121,7 @@ def test_factor_identities_match_branch_columns(
             (1, report.marginal_agreement_apparatus),
         ):
             reference = trace_distance(
-                partial_trace(rho_unitary, space, keep), partial_trace(oracle, space, keep)
+                partial_trace(rho_unitary, dims, keep), partial_trace(oracle, dims, keep)
             )
             assert close(distance, reference)
 

@@ -4,7 +4,6 @@ import pytest
 from pointerlab import (
     DensityMatrix,
     DimensionMismatch,
-    ProductSpace,
     StateVector,
     outer,
     partial_trace,
@@ -61,16 +60,16 @@ class TestTensorOp:
 class TestPartialTrace:
     def test_product_basis_state(self):
         rho = outer(StateVector(np.kron([1, 0], [1, 0])))
-        space = ProductSpace((2, 2))
+        dims = (2, 2)
         expected = np.diag([1.0, 0.0]).astype(complex)
-        assert np.allclose(dense(partial_trace(rho, space, 0)), expected)
-        assert np.allclose(dense(partial_trace(rho, space, 1)), expected)
+        assert np.allclose(dense(partial_trace(rho, dims, 0)), expected)
+        assert np.allclose(dense(partial_trace(rho, dims, 1)), expected)
 
     def test_bell_state(self):
         bell = StateVector(np.array([1, 0, 0, 1]) / np.sqrt(2))
-        space = ProductSpace((2, 2))
+        dims = (2, 2)
         for keep in (0, 1):
-            reduced = partial_trace(outer(bell), space, keep)
+            reduced = partial_trace(outer(bell), dims, keep)
             assert np.max(np.abs(dense(reduced) - np.eye(2) / 2)) < 1e-12
 
     def test_product_of_mixed_states(self):
@@ -78,26 +77,30 @@ class TestPartialTrace:
         rho_s = random_density(rng, 2)
         rho_a = random_density(rng, 3)
         joint = from_dense(np.kron(dense(rho_s), dense(rho_a)))
-        space = ProductSpace((2, 3))
-        assert np.max(np.abs(dense(partial_trace(joint, space, 1)) - dense(rho_a))) < 1e-12
-        assert np.max(np.abs(dense(partial_trace(joint, space, 0)) - dense(rho_s))) < 1e-12
+        dims = (2, 3)
+        assert np.max(np.abs(dense(partial_trace(joint, dims, 1)) - dense(rho_a))) < 1e-12
+        assert np.max(np.abs(dense(partial_trace(joint, dims, 0)) - dense(rho_s))) < 1e-12
 
     def test_keeps_product_factor_of_pure_state(self):
         rng = np.random.default_rng(4)
         u, v = random_state(rng, 2), random_state(rng, 3)
         product = StateVector(np.kron(u.amplitudes, v.amplitudes))
-        reduced = partial_trace(outer(product), ProductSpace((2, 3)), 1)
+        reduced = partial_trace(outer(product), (2, 3), 1)
         assert np.max(np.abs(dense(reduced) - dense(outer(v)))) < 1e-12
 
     def test_dimension_mismatch(self):
         rho = outer(StateVector([1, 0, 0, 0]))
         with pytest.raises(DimensionMismatch):
-            partial_trace(rho, ProductSpace((2, 3)), 0)
+            partial_trace(rho, (2, 3), 0)
 
-    def test_product_space_has_two_positive_factors(self):
-        for dims in ((2,), (2, 3, 4), (2, 0)):
-            with pytest.raises(ValueError, match="two positive factor dimensions"):
-                ProductSpace(dims)
+    def test_bad_factor_dims_are_dimension_mismatches(self):
+        # a zero, a negative, three dims and a wrong product, on a state of dim 4
+        rho = outer(StateVector([1, 0, 0, 0]))
+        for dims in ((4, 0), (-2, -2), (2, 2, 1), (2, 3)):
+            with pytest.raises(DimensionMismatch):
+                rho.blocks(dims)
+            with pytest.raises(DimensionMismatch):
+                partial_trace(rho, dims, 0)
 
 
 class TestEntropy:

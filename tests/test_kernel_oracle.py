@@ -74,7 +74,7 @@ def test_diagonal_matches_dense_diag(n, x_min, dx, seed):
         assert close(pair_expectation(diagonal, pair), pair_expectation(dense, pair))
 
     for _ in range(3):
-        domain = Domain.from_mask(rng.random(n) < rng.random())
+        domain = Domain(rng.random(n) < rng.random())
         mask = domain.mask(n)
         dense_local = np.where(np.outer(mask, mask), np.diag(d), 0)
         local = localize(diagonal, domain)

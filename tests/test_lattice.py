@@ -223,7 +223,7 @@ class TestLocalize:
 
     def test_full_grid_is_identity_operation(self, grid):
         kernel = position_kernel(grid)
-        whole = Domain(((0, grid.n_points),))
+        whole = Domain(np.ones(grid.n_points, bool))
         assert np.array_equal(localize(kernel, whole).entries, kernel.entries)
 
     def test_idempotent(self, grid):
@@ -322,13 +322,18 @@ class TestCollectiveObservable:
 
 
 class TestDomain:
-    def test_from_mask_builds_runs(self):
-        mask = np.array([False, True, True, False, True, False])
-        assert Domain.from_mask(mask).index_ranges == ((1, 3), (4, 5))
+    def test_mask_refuses_another_size(self, grid):
+        domain = Domain.from_interval(grid, -5.0, 5.0)
+        for n_points in (grid.n_points - 1, grid.n_points + 1):
+            with pytest.raises(ValueError, match="domain mask has shape"):
+                domain.mask(n_points)
 
-    def test_rejects_overlapping_ranges(self):
-        with pytest.raises(ValueError):
-            Domain(((0, 4), (3, 6)))
+    def test_from_interval_mask_is_exactly_the_closed_interval(self, grid):
+        lower, upper = -5.0, 5.3
+        mask = Domain.from_interval(grid, lower, upper).mask(grid.n_points)
+        coords = grid.coordinates
+        assert np.array_equal(mask, (lower <= coords) & (coords <= upper))
+        assert not mask.flags.writeable
 
     def test_closed_interval_includes_endpoints(self, grid):
         domain = Domain.from_interval(grid, -5.0, 5.0)

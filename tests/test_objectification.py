@@ -5,7 +5,6 @@ from pointerlab import (
     DimensionMismatch,
     GemengeDecomposition,
     KroneckerProduct,
-    ProductSpace,
     StateVector,
     apply_rule2,
     compare_states,
@@ -51,8 +50,8 @@ class TestApplyRule2:
         assert gemenge.probabilities.shape == (1,)
         assert gemenge.probabilities[0] == pytest.approx(1.0, abs=1e-12)
         # with nothing to erase, the objectified state is the unitary projector
-        space = ProductSpace((2, 2))
-        rho = gemenge_density_matrix(gemenge, space)
+        dims = (2, 2)
+        rho = gemenge_density_matrix(gemenge, dims)
         assert np.max(np.abs(dense(rho) - dense(outer(result.final_state)))) < 1e-12
 
     def test_bell_two_components(self):
@@ -85,13 +84,13 @@ class TestGemengeDensityMatrix:
     def test_single_component_is_product_projector(self):
         u, v = StateVector([0, 1]), StateVector([1, 0])
         gemenge = GemengeDecomposition([1.0], u.amplitudes[:, None], v.amplitudes[:, None])
-        rho = gemenge_density_matrix(gemenge, ProductSpace((2, 2)))
+        rho = gemenge_density_matrix(gemenge, (2, 2))
         product = StateVector(np.kron(u.amplitudes, v.amplitudes))
         assert np.array_equal(dense(rho), dense(outer(product)))
 
     def test_bell_mixture_rank_and_entropy(self):
         _, _, gemenge = bell_case()
-        rho = gemenge_density_matrix(gemenge, ProductSpace((2, 2)))
+        rho = gemenge_density_matrix(gemenge, (2, 2))
         eigenvalues = np.sort(rho.eigenvalues())
         assert np.allclose(eigenvalues, [0, 0, 0.5, 0.5], atol=1e-12)
         assert abs(von_neumann_entropy(rho) - LN2) < 1e-8
@@ -103,7 +102,7 @@ class TestGemengeDensityMatrix:
             result = premeasure(spec, random_state(rng, spec.system_dim))
             gemenge = apply_rule2(result, spec)
             rho = gemenge_density_matrix(
-                gemenge, ProductSpace((spec.system_dim, spec.apparatus_dim))
+                gemenge, (spec.system_dim, spec.apparatus_dim)
             )
             assert abs(np.trace(dense(rho)) - 1.0) < 1e-12
 
@@ -111,8 +110,8 @@ class TestGemengeDensityMatrix:
 class TestPointerBlockCoherence:
     def test_gemenge_output_is_block_diagonal(self):
         spec, _, gemenge = bell_case()
-        space = ProductSpace((2, 2))
-        rho = gemenge_density_matrix(gemenge, space)
+        dims = (2, 2)
+        rho = gemenge_density_matrix(gemenge, dims)
         assert pointer_block_coherence(rho, spec) == 0.0
 
     def test_bell_projector_coherence(self):
@@ -191,13 +190,13 @@ class TestInvariantProperties:
             spec = random_bcl_spec(rng, (2, 1, 1))
             result = premeasure(spec, random_state(rng, spec.system_dim))
             gemenge = apply_rule2(result, spec)
-            space = ProductSpace((spec.system_dim, spec.apparatus_dim))
+            dims = (spec.system_dim, spec.apparatus_dim)
             rho_unitary = outer(result.final_state)
-            rho_rule2 = gemenge_density_matrix(gemenge, space)
+            rho_rule2 = gemenge_density_matrix(gemenge, dims)
             for keep in (0, 1):
                 distance = trace_distance(
-                    partial_trace(rho_unitary, space, keep),
-                    partial_trace(rho_rule2, space, keep),
+                    partial_trace(rho_unitary, dims, keep),
+                    partial_trace(rho_rule2, dims, keep),
                 )
                 assert distance < 1e-10
 
@@ -206,13 +205,13 @@ class TestInvariantProperties:
         spec = random_bcl_spec(rng, (1, 2))
         result = premeasure(spec, random_state(rng, spec.system_dim))
         gemenge = apply_rule2(result, spec)
-        space = ProductSpace((spec.system_dim, spec.apparatus_dim))
-        rho_rule2 = gemenge_density_matrix(gemenge, space)
+        dims = (spec.system_dim, spec.apparatus_dim)
+        rho_rule2 = gemenge_density_matrix(gemenge, dims)
         mixture = np.zeros((spec.apparatus_dim, spec.apparatus_dim), dtype=complex)
         for k, pointer in enumerate(spec.pointers.T):
             mixture += result.probabilities[k] * np.outer(pointer, pointer.conj())
         distance = trace_distance(
-            partial_trace(rho_rule2, space, keep=1), from_dense(mixture)
+            partial_trace(rho_rule2, dims, keep=1), from_dense(mixture)
         )
         assert distance < 1e-12
 
@@ -250,10 +249,10 @@ class TestInvariantProperties:
         pure_result = premeasure(spec, StateVector(spec.eigenvectors[:, 1]))
         pure_gemenge = apply_rule2(pure_result, spec)
         assert pure_gemenge.probabilities.shape == (1,)
-        space = ProductSpace((2, 2))
-        rho = gemenge_density_matrix(pure_gemenge, space)
+        dims = (2, 2)
+        rho = gemenge_density_matrix(pure_gemenge, dims)
         assert abs(np.max(rho.eigenvalues()) - 1.0) < 1e-12
 
         _, _, mixed_gemenge = bell_case()
-        mixed_rho = gemenge_density_matrix(mixed_gemenge, space)
+        mixed_rho = gemenge_density_matrix(mixed_gemenge, dims)
         assert np.max(mixed_rho.eigenvalues()) < 0.5 + 1e-12

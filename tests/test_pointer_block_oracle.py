@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pointerlab import (
-    ProductSpace,
     apply_rule2,
     compare_states,
     outer,
@@ -50,14 +49,14 @@ def test_pointer_blocks_match_dense_projectors(degeneracies, extra_apparatus, st
     spec = random_bcl_spec(
         rng, degeneracies, apparatus_dim=len(degeneracies) + extra_apparatus
     )
-    space = ProductSpace((spec.system_dim, spec.apparatus_dim))
+    dims = (spec.system_dim, spec.apparatus_dim)
     if state == "random_pure":
-        rho = outer(random_state(rng, space.dim))
+        rho = outer(random_state(rng, dims[0] * dims[1]))
     else:
         result = premeasure(spec, random_state(rng, spec.system_dim))
         gemenge = apply_rule2(result, spec)
         rho_unitary = outer(result.final_state)
-        rho_rule2 = gemenge_density_matrix(gemenge, space)
+        rho_rule2 = gemenge_density_matrix(gemenge, dims)
         rho = rho_unitary if state == "premeasured" else rho_rule2
         assert np.max(np.abs(dense(rho_rule2) - dense_gemenge(gemenge))) <= 1e-12
         # complex and not symmetric on random bases, so W and W^T differ

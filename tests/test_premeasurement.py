@@ -7,10 +7,8 @@ from pointerlab import (
     BclSpec,
     DimensionMismatch,
     MeasurementConditionViolated,
-    ProductSpace,
     SpecInvalid,
     StateVector,
-    apparatus_marginal,
     observable_witness,
     outer,
     partial_trace,
@@ -295,8 +293,8 @@ class TestPremeasure:
         _, conditionals = result.conditionals
         kept = conditionals.shape[1]
         assert np.max(np.abs(conditionals.conj().T @ conditionals - np.eye(kept))) < 1e-10
-        space = ProductSpace((spec.system_dim, spec.apparatus_dim))
-        system_marginal = partial_trace(outer(result.final_state), space, keep=0)
+        dims = (spec.system_dim, spec.apparatus_dim)
+        system_marginal = partial_trace(outer(result.final_state), dims, keep=0)
         p = result.probabilities[result.probabilities > 1e-15]
         expected_entropy = float(-np.sum(p * np.log(p)))
         assert abs(von_neumann_entropy(system_marginal) - expected_entropy) < 1e-8
@@ -410,21 +408,21 @@ class TestApparatusMarginal:
     def test_bell_case(self):
         spec = qubit_spec()
         result = premeasure(spec, StateVector(np.array([1, 1]) / np.sqrt(2)))
-        marginal = apparatus_marginal(result, spec)
+        marginal = result.apparatus_marginal
         assert np.max(np.abs(dense(marginal) - np.eye(2) / 2)) < 1e-12
 
     def test_eigenstate_case(self):
         spec = qubit_spec()
         result = premeasure(spec, StateVector(spec.eigenvectors[:, 0]))
         expected = outer(StateVector(spec.pointers[:, 0]))
-        assert np.max(np.abs(dense(apparatus_marginal(result, spec)) - dense(expected))) < 1e-12
+        assert np.max(np.abs(dense(result.apparatus_marginal) - dense(expected))) < 1e-12
 
     def test_spectrum_matches_probabilities(self):
         rng = np.random.default_rng(29)
         spec = random_bcl_spec(rng, (1, 1, 1))
         phi = random_state(rng, spec.system_dim)
         result = premeasure(spec, phi)
-        marginal = apparatus_marginal(result, spec)
+        marginal = result.apparatus_marginal
         eigenvalues = np.sort(marginal.eigenvalues())
         expected = np.sort(result.probabilities)
         assert np.max(np.abs(eigenvalues - expected)) < 1e-10
@@ -437,4 +435,4 @@ class TestApparatusMarginal:
         mixture = np.zeros((3, 3), dtype=complex)
         for k, pointer in enumerate(spec.pointers.T):
             mixture += result.probabilities[k] * np.outer(pointer, pointer.conj())
-        assert trace_distance(apparatus_marginal(result, spec), from_dense(mixture)) < 1e-10
+        assert trace_distance(result.apparatus_marginal, from_dense(mixture)) < 1e-10

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import warnings
 
 import pytest
 
@@ -283,6 +284,32 @@ class TestCli:
         out = tmp_path / "no-such-directory" / "out.json"
         assert cli_main(["run", str(path), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {out}: No such file or directory\n"
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_near_maximal_eigenvalues_name_one_error(self, tmp_path, capsys, command):
+        # valid but for 2 * |o| overflowing, which both witness expectations would reach
+        data = {
+            "scenario_kind": "full_measurement",
+            "bcl": {
+                "eigenvalues": [
+                    1.7976931348623157e308,
+                    1.7976931348623155e308,
+                    1.7976931348623153e308,
+                ],
+                "degeneracies": [1, 1, 1],
+            },
+            "initial_state": [1, 1, 1],
+            "witness": "system_observable",
+        }
+        path = write_scenario(tmp_path, data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: scenario.bcl.eigenvalues[0]: too large: 2 * |eigenvalue| overflows\n"
+        )
 
     def test_run_exit_one_on_runtime_error(self, tmp_path, capsys):
         data = json.loads(json.dumps(MINIMAL_BCL))

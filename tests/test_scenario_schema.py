@@ -371,6 +371,9 @@ FAULTS = [
     (SYM, ["grid", "dx"], 1e300, "scenario.grid: too large: (n_points * dx)**2 overflows"),
     # the position kernel divides each coordinate by dx
     (SYM, ["grid"], {"x_min": 1e308, "dx": 1e-300, "n_points": 512}, "scenario.grid: too large: |x| / dx overflows"),
+    # a witness expectation is a weighted mean of the eigenvalues, finite while 2 * |o| is
+    (FULL, ["bcl", "eigenvalues", 0], 1.7976931348623157e308, "scenario.bcl.eigenvalues[0]: too large: 2 * |eigenvalue| overflows"),
+    (BCL, ["bcl", "eigenvalues", 1], -9e307, "scenario.bcl.eigenvalues[1]: too large: 2 * |eigenvalue| overflows"),
 ]
 
 
