@@ -14,21 +14,23 @@ one join, and escapes keys and strings with the stdlib's ASCII escaper, as
 a nested list such as a whole eigenbasis, are written as lists of their
 ``[re, im]`` rows from one text skeleton: one finiteness check and one
 ``%``-template per batch of at most ``AMPLITUDE_BATCH_ENTRIES`` entries.
-``emit_report`` writes the pieces to the file without joining them, and the
-command line writes them to stdout the same way.  The run views each
-amplitude array as complex numbers.
+The report's ``values`` and ``verdicts`` are written by one template pass
+each, and a CSV report is one formatted row per value and verdict.
+``emit_report`` writes the pieces to the file with plain OS calls, in
+chunks of at most ``REPORT_WRITE_BYTES`` characters, and the command line
+writes them to stdout.  The run views each amplitude array as complex
+numbers.
 
 The scenario layers are imported inside the runners that call them:
 ``lattice`` in the two lattice runners, ``hilbert``, ``premeasurement`` and
-``objectification`` in the BCL runners, and ``csv`` in the CSV writer.  A
-fresh process thus loads only the layers of the kind it runs, and each run
-reads the names from the layer's own namespace, where a wrapper bound there
-is the one it calls.
+``objectification`` in the BCL runners.  A fresh process thus loads only the
+layers of the kind it runs, and each run reads the names from the layer's
+own namespace, where a wrapper bound there is the one it calls.
 """
 
 from __future__ import annotations
 
-import io
+import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -39,7 +41,7 @@ import numpy as np
 
 from .errors import PointerlabError, RunStageError
 from .scenario import ScenarioConfig
-from .tolerances import AMPLITUDE_BATCH_ENTRIES, ORTHOGONAL_OVERLAP_GATE
+from .tolerances import AMPLITUDE_BATCH_ENTRIES, ORTHOGONAL_OVERLAP_GATE, REPORT_WRITE_BYTES
 
 if TYPE_CHECKING:
     from .hilbert import DensityMatrix, StateVector
@@ -96,30 +98,58 @@ class RunReport:
         }
 
     def _json_parts(self) -> list[str]:
-        document = {"payload": self.payload_dict(), "meta": {"duration_seconds": self.duration_seconds}}
-        parts: list[str] = []
-        _write_json(parts, document, "\n")
-        parts.append("\n")
+        """The JSON text of ``{"payload": payload_dict(), "meta": ...}`` in pieces, and a newline.
+
+        The scenario echo goes through :func:`_write_json`, ``values`` through
+        one comprehension and each verdict through one template, in the layout
+        :func:`_write_json` gives them.
+        """
+        parts = ['{\n  "payload": {\n    "scenario": ']
+        _write_json(parts, self.scenario, "\n    ")
+        values = [
+            f"{encode_basestring_ascii(key if type(key) is str else str(key))}: {_scalar_text(value)}"
+            for key, value in self.values.items()
+        ]
+        verdicts = [
+            f'{{\n        "name": {_scalar_text(v.name)},'
+            f'\n        "residual": {_scalar_text(v.residual)},'
+            f'\n        "tolerance": {_scalar_text(v.tolerance)},'
+            f'\n        "passed": {_scalar_text(v.passed)}\n      }}'
+            for v in self.verdicts
+        ]
+        parts.append(
+            ',\n    "values": '
+            + ("{\n      " + ",\n      ".join(values) + "\n    }" if values else "{}")
+            + ',\n    "verdicts": '
+            + ("[\n      " + ",\n      ".join(verdicts) + "\n    ]" if verdicts else "[]")
+            + '\n  },\n  "meta": {\n    "duration_seconds": '
+            + _scalar_text(self.duration_seconds)
+            + "\n  }\n}\n"
+        )
         return parts
 
     def to_csv_text(self) -> str:
-        import csv
+        """CSV rows ``metric,value,tolerance,verdict``, quoted as ``csv.QUOTE_MINIMAL`` quotes them."""
+        rows = ["metric,value,tolerance,verdict\n"]
+        rows += [f"{_csv_field(key)},{_float_repr(value)},,\n" for key, value in self.values.items()]
+        rows += [
+            f"{_csv_field(v.name)},{_float_repr(v.residual)},{_float_repr(v.tolerance)},"
+            f"{'pass' if v.passed else 'fail'}\n"
+            for v in self.verdicts
+        ]
+        return "".join(rows)
 
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["metric", "value", "tolerance", "verdict"])
-        for key, value in self.values.items():
-            writer.writerow([key, _float_repr(value), "", ""])
-        for verdict in self.verdicts:
-            writer.writerow(
-                [
-                    verdict.name,
-                    _float_repr(verdict.residual),
-                    _float_repr(verdict.tolerance),
-                    "pass" if verdict.passed else "fail",
-                ]
-            )
-        return buffer.getvalue()
+
+def _csv_field(name) -> str:
+    """A name as a CSV field: in quotes, with quotes doubled, if it holds ``,``, ``"`` or ``\\n``.
+
+    These are the characters ``csv.QUOTE_MINIMAL`` quotes for with the
+    ``\\n`` line terminator; it leaves a bare ``\\r`` unquoted.
+    """
+    text = name if type(name) is str else str(name)
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _float_repr(value) -> str:
@@ -154,6 +184,11 @@ _LEAVES = {
     bool: _leaf_text,
     type(None): _leaf_text,
 }
+
+
+def _scalar_text(value) -> str:
+    """JSON text of a scalar: :data:`_LEAVES` by exact type, else :func:`_leaf_text`."""
+    return (_LEAVES.get(type(value)) or _leaf_text)(value)
 
 
 def _amplitude_tree(value, newline: str, items: list) -> bool:
@@ -597,8 +632,30 @@ def render_report(report: RunReport, format: str = "json") -> str:
     return "".join(_report_parts(report, format))
 
 
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view) :]
+
+
 def emit_report(report: RunReport, format: str, path) -> None:
-    """Write a report to a file, rendered before it is opened (OSError propagates)."""
+    """Write a report to a file, rendered before it is opened (OSError propagates).
+
+    The file is written with plain OS calls and no file object: the rendered
+    pieces are joined into chunks of at most ``REPORT_WRITE_BYTES``
+    characters (a longer piece is a chunk of its own), and each chunk is
+    encoded as UTF-8 and written whole.  The report is never joined whole.
+    """
     parts = _report_parts(report, format)
-    with open(path, "w", encoding="utf-8") as file:
-        file.writelines(parts)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        chunk, size = [], 0
+        for part in parts:
+            if size + len(part) > REPORT_WRITE_BYTES and chunk:
+                _write_all(fd, "".join(chunk).encode("utf-8"))
+                chunk, size = [], 0
+            chunk.append(part)
+            size += len(part)
+        _write_all(fd, "".join(chunk).encode("utf-8"))
+    finally:
+        os.close(fd)

@@ -30,6 +30,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+import os
 from dataclasses import dataclass
 from itertools import chain, islice
 
@@ -448,19 +449,44 @@ def validate_scenario_data(data) -> ScenarioConfig:
     return ScenarioConfig(_record(mapping, "scenario", _SCENARIOS[kind]))
 
 
+def _read(path) -> bytes:
+    """The bytes of the file at ``path``, read with plain OS calls and no file object.
+
+    One ``os.read`` sized from ``os.fstat`` reads a regular file whole, and
+    further reads continue to end of file (a file that grew, or a pipe).  An
+    ``OSError`` names ``path``, also the ``EISDIR`` that ``os.read`` raises
+    on a directory, which ``os.open`` opens.
+    """
+    try:
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            chunks = [os.read(fd, os.fstat(fd).st_size + 1)]
+            while chunks[-1]:
+                chunks.append(os.read(fd, 2**20))
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        exc.filename = path
+        raise
+    return chunks[0] if len(chunks) <= 2 else b"".join(chunks)  # a whole read ends [data, b""]
+
+
 def load_scenario(path) -> ScenarioConfig:
     """Read, parse and validate a scenario file.
 
-    A file that is not UTF-8 or JSON, nests past the parser's recursion limit
-    or holds an integer past ``int``'s digit limit is a ``ParseError``.  The
-    parsed document holds one list per ``[re, im]`` pair and no reference
-    cycle, so the cyclic garbage collector is paused until it is freed.
+    The file is read with plain OS calls, decoded once as strict UTF-8 and
+    parsed by ``json.loads``; the bytes and the text are freed before
+    validation starts.  A file that is not UTF-8 or JSON (a UTF-8 byte order
+    mark included), nests past the parser's recursion limit or holds an
+    integer past ``int``'s digit limit is a ``ParseError``; a file that
+    cannot be read raises the ``OSError`` naming ``path``.  The parsed
+    document holds one list per ``[re, im]`` pair and no reference cycle, so
+    the cyclic garbage collector is paused until it is freed.
     """
     collecting = gc.isenabled()
     gc.disable()
     try:
-        with open(path, encoding="utf-8") as file:
-            document = json.load(file)
+        document = json.loads(_read(path).decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     else:

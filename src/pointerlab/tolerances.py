@@ -43,6 +43,13 @@ GRAM_STACK_ENTRIES = 2**16
 #: batch; a family or a list larger than this takes several batches.
 AMPLITUDE_BATCH_ENTRIES = 2**16
 
+#: Largest number of characters (1 MiB of the ASCII JSON text) that
+#: ``emit_report`` joins from the rendered pieces of a report and encodes
+#: for one write; a single longer piece, such as a batch of amplitude text,
+#: is written on its own.  It bounds the text and bytes held beside the
+#: pieces while a report is written.
+REPORT_WRITE_BYTES = 2**20
+
 #: Smallest and largest lattice a scenario may ask for; its point count is
 #: also a power of two.
 GRID_POINTS_MIN = 64

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import csv
 import io
 import os
 import subprocess
@@ -26,7 +27,7 @@ from pointerlab import (
     position_kernel,
     symmetrize,
 )
-from pointerlab.runner import _write_json
+from pointerlab.runner import _float_repr, _write_json
 from pointerlab.tolerances import INVARIANT_TOL
 
 
@@ -136,6 +137,25 @@ def json_text(value):
 def payload_text(report):
     """JSON text of a report's deterministic ``payload`` section."""
     return json_text(report.payload_dict())
+
+
+def csv_text(report):
+    """CSV text of a report from ``csv.writer``, as the runner wrote it before it wrote its own rows."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["metric", "value", "tolerance", "verdict"])
+    for key, value in report.values.items():
+        writer.writerow([key, _float_repr(value), "", ""])
+    for verdict in report.verdicts:
+        writer.writerow(
+            [
+                verdict.name,
+                _float_repr(verdict.residual),
+                _float_repr(verdict.tolerance),
+                "pass" if verdict.passed else "fail",
+            ]
+        )
+    return buffer.getvalue()
 
 
 def random_unitary(rng, n):

@@ -108,7 +108,7 @@ def test_importing_the_cli_loads_no_scenario_layer():
     "demo, fmt, needed",
     [
         ("discrepancy", "json", {"pointerlab.lattice"}),
-        ("dlocal-agreement", "csv", {"pointerlab.lattice", "csv"}),
+        ("dlocal-agreement", "csv", {"pointerlab.lattice"}),  # the CSV writer needs no csv
         ("bcl-qubit", "json", {"pointerlab.hilbert", "pointerlab.premeasurement"}),
         ("rule2-qubit", "json", BCL_LAYERS),
     ],

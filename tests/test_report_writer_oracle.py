@@ -6,7 +6,8 @@ each object and array.  A scenario echo holds each amplitude list as an
 ``(n, 2)`` float array, which the reference writes as its ``.tolist()``.
 The one-pass writer must give byte-identical text on every value a report
 can hold, and refuse a non-finite float the same way, also when it writes a
-nested list of amplitude arrays in batches of one ``%``-template each.
+nested list of amplitude arrays in batches of one ``%``-template each.  The
+CSV rows are checked against the ``csv.writer`` rows they replaced.
 """
 
 import json
@@ -18,11 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pointerlab import load_scenario, run_scenario, runner
+from pointerlab import RunReport, Verdict, load_scenario, run_scenario, runner
 from pointerlab.cli import DEMO_SCENARIOS
 from pointerlab.runner import _float_repr, render_report
 from pointerlab.scenario import validate_scenario_data
-from helpers import haar_document, json_text, payload_text
+from helpers import csv_text, haar_document, json_text, payload_text
 
 
 def is_amplitude_array(value):
@@ -204,6 +205,28 @@ def test_demo_reports_match_the_reference(name):
     document = {"payload": report.payload_dict(), "meta": meta}
     assert payload_text(report) == reference_text(report.payload_dict())
     assert render_report(report) == reference_text(document) + "\n"
+    assert render_report(report, "csv") == csv_text(report)
+
+
+NAMES = TEXT | st.text(st.sampled_from('ab,"\r\n '), max_size=6)  # CSV's special characters
+REPORTS = st.builds(
+    RunReport,
+    scenario=st.dictionaries(TEXT, FLOATS | TEXT, max_size=3),
+    values=st.dictionaries(NAMES, FLOATS, max_size=4),
+    verdicts=st.lists(st.builds(Verdict, NAMES, FLOATS, FLOATS, st.booleans()), max_size=4).map(
+        tuple
+    ),
+    duration_seconds=st.floats(0.0, 10.0),
+)
+
+
+@settings(max_examples=300)
+@given(report=REPORTS)
+def test_library_reports_match_the_references(report):
+    # a library caller's report can hold any name; CSV quotes as csv.QUOTE_MINIMAL does
+    document = {"payload": report.payload_dict(), "meta": {"duration_seconds": report.duration_seconds}}
+    assert render_report(report) == reference_text(document) + "\n"
+    assert render_report(report, "csv") == csv_text(report)
 
 
 # only float arrays of shape (n, 2) are leaves; every other array is refused

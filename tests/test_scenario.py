@@ -1,14 +1,26 @@
 import csv
+import dataclasses
 import io
 import json
+import math
+import os
+import threading
 import warnings
 
 import pytest
 
-from pointerlab import ParseError, ValidationError, cli, load_scenario, run_scenario
+from pointerlab import (
+    ParseError,
+    ValidationError,
+    cli,
+    emit_report,
+    load_scenario,
+    run_scenario,
+    runner,
+)
 from pointerlab.cli import main as cli_main
 from pointerlab.runner import render_report
-from helpers import payload_text
+from helpers import json_text, payload_text
 
 LN2 = 0.6931471805599453
 
@@ -95,6 +107,37 @@ class TestLoadScenario:
             assert cli_main([command, str(path)]) == 1
             err = capsys.readouterr().err
             assert err.startswith(f"error: {path}: ") and "0xff" in err
+
+    def test_rejects_a_byte_order_mark(self, tmp_path, capsys):
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps(MINIMAL_BCL).encode())
+        with pytest.raises(ParseError, match="bom.json"):
+            load_scenario(path)
+        for command in ("run", "validate"):
+            assert cli_main([command, str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: ") and "BOM" in err
+            assert err.count("\n") == 1
+
+    def test_reads_a_pipe_to_its_end(self, tmp_path):
+        # a pipe reports size 0, so the text arrives over several reads
+        path = tmp_path / "pipe.json"
+        os.mkfifo(path)
+        text = json.dumps(MINIMAL_BCL).encode()
+
+        def feed():
+            with open(path, "wb") as pipe:
+                pipe.write(text[:7])
+                pipe.flush()
+                pipe.write(text[7:])
+
+        feeder = threading.Thread(target=feed, daemon=True)
+        feeder.start()
+        config = load_scenario(path)
+        feeder.join(timeout=10)
+        assert not feeder.is_alive()
+        expected = load_scenario(write_scenario(tmp_path, MINIMAL_BCL))
+        assert json_text(config.document) == json_text(expected.document)
 
     @pytest.mark.parametrize(
         "text",
@@ -212,12 +255,41 @@ class TestEmit:
         assert by_name["unitarity"][3] == "pass"
 
     def test_emit_writes_file(self, tmp_path):
-        from pointerlab import emit_report
-
         report = run_scenario(load_scenario(write_scenario(tmp_path, MINIMAL_BCL)))
         out = tmp_path / "report.json"
         emit_report(report, "json", out)
         assert json.loads(out.read_text())["payload"]["values"] == report.values
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("existing", [b"an older report\n", None])
+    def test_a_render_error_leaves_the_target_untouched(self, tmp_path, fmt, existing):
+        report = run_scenario(load_scenario(write_scenario(tmp_path, MINIMAL_BCL)))
+        broken = dataclasses.replace(report, values={**report.values, "late": math.nan})
+        out = tmp_path / f"report.{fmt}"
+        if existing is not None:
+            out.write_bytes(existing)
+        with pytest.raises(ValueError, match="non-finite"):
+            emit_report(broken, fmt, out)
+        if existing is None:
+            assert not out.exists()
+        else:
+            assert out.read_bytes() == existing
+
+    def test_a_long_report_is_written_in_chunks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(runner, "REPORT_WRITE_BYTES", 64)
+        writes = []
+        write = os.write
+
+        def counted(fd, data):
+            writes.append(len(data))
+            return write(fd, data)
+
+        monkeypatch.setattr(runner.os, "write", counted)
+        report = run_scenario(load_scenario(write_scenario(tmp_path, FULL_MEASUREMENT)))
+        out = tmp_path / "report.json"
+        emit_report(report, "json", out)
+        assert out.read_text() == render_report(report)
+        assert len(writes) > 1
 
 
 class TestCli:
@@ -278,6 +350,16 @@ class TestCli:
         missing = tmp_path / "missing.json"
         assert cli_main([command, str(missing)]) == 1
         assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
+
+    @pytest.mark.parametrize("form", ["run", "validate", "run --out"])
+    def test_a_directory_is_named_in_one_error(self, tmp_path, capsys, form):
+        argv = {
+            "run": ["run", str(tmp_path)],
+            "validate": ["validate", str(tmp_path)],
+            "run --out": ["run", str(write_scenario(tmp_path, MINIMAL_BCL)), "--out", str(tmp_path)],
+        }[form]
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
 
     def test_unwritable_out_path_names_it(self, tmp_path, capsys):
         path = write_scenario(tmp_path, MINIMAL_BCL)
