@@ -35,8 +35,8 @@ _EXPORTS = {
         ),
         (
             "objectification",
-            "CorrelationReport GemengeDecomposition apply_rule2 compare_states "
-            "observable_witness pointer_block_coherence shift_witness",
+            "GemengeDecomposition apply_rule2 observable_witness pointer_block_coherence "
+            "shift_witness",
         ),
         ("premeasurement", "BclSpec PremeasurementResult premeasure"),
         ("runner", "RunReport Verdict emit_report render_report run_scenario"),

@@ -204,8 +204,19 @@ class KroneckerProduct:
         ``first`` holds the ``f_j`` and ``second`` the ``s_j`` as columns; the
         value is ``sum_j w_j <f_j|M T M^dagger|f_j> <s_j|N S N^dagger|s_j>``,
         each form read on the row ``f_j^dagger M``, so only columns are conjugated.
+        Factors whose rows do not match :attr:`factor_dims`, or whose column
+        counts differ from each other or from the weights, are refused.
         """
-        terms = np.asarray(weights)
+        terms, first, second = np.asarray(weights), np.asarray(first), np.asarray(second)
+        rows = (first.shape[0], second.shape[0]) if first.ndim == second.ndim == 2 else None
+        if rows != self.factor_dims:
+            raise DimensionMismatch(
+                f"factor shapes {first.shape} and {second.shape} do not match {self.factor_dims}"
+            )
+        if not (first.shape[1] == second.shape[1] and terms.shape == (first.shape[1],)):
+            raise DimensionMismatch(
+                f"{first.shape[1]} and {second.shape[1]} factor columns for weights {terms.shape}"
+            )
         for (basis, *core), columns in ((self.system, first), (self.apparatus, second)):
             rows = columns.conj().T @ basis
             terms = terms * (rows.conj() * _tridiagonal_apply(*core, rows)).sum(axis=1)

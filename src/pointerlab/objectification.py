@@ -5,10 +5,12 @@ observable and the apparatus.  Objectification keeps only the classical
 correlations between conditional system states and pointer states, producing
 a proper mixture (gemenge) whose decomposition is physically meaningful and
 therefore stored explicitly rather than only as a density matrix.  The
-diagnostics in this module quantify exactly what the non-unitary step
-preserves (both marginals, every pointer-diagonal observable) and what it
-erases (pointer-off-diagonal coherence, witnessed by observables that do not
-commute with the measured one).
+non-unitary step preserves both marginals and every pointer-diagonal
+observable, and erases pointer-off-diagonal coherence, witnessed by
+observables that do not commute with the measured one.  This module gives
+the gemenge, its coherence norm and the two witnesses; a
+``full_measurement`` run's compare stage (:mod:`pointerlab.runner`) sets
+each diagnostic beside its unitary counterpart.
 
 The gemenge state ``sum_k p_k |Phi_k><Phi_k| (x) |psi_k><psi_k|`` is held as
 its Khatri-Rao factors ``p``, ``Phi`` and ``Psi`` with their Gram matrices,
@@ -30,24 +32,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BasisNotOrthonormal, DimensionMismatch
-from .hilbert import (
-    DensityMatrix,
-    KroneckerProduct,
-    gram_residual,
-    partial_trace,
-    spectral_entropy,
-    trace_distance,
-    von_neumann_entropy,
-)
+from .hilbert import DensityMatrix, KroneckerProduct, gram_residual
 from .premeasurement import BclSpec, PremeasurementResult
 from .tolerances import GRAM_STACK_ENTRIES, INVARIANT_TOL
 
 __all__ = [
     "GemengeDecomposition",
-    "CorrelationReport",
     "apply_rule2",
     "pointer_block_coherence",
-    "compare_states",
     "shift_witness",
     "observable_witness",
 ]
@@ -201,67 +193,6 @@ def _off_block_norm(stacks) -> float:
             total += 2.0 * float(earlier.reshape(-1).view(float) @ summed.reshape(-1).view(float))
             earlier += summed
     return float(np.sqrt(max(total, 0.0)))
-
-
-@dataclass(frozen=True, eq=False)
-class CorrelationReport:
-    """Preserved-versus-erased correlation diagnostics (dimensionless, nats)."""
-
-    pointer_block_coherence_norm: float
-    marginal_agreement_system: float
-    marginal_agreement_apparatus: float
-    witness_expectation_unitary: float
-    witness_expectation_rule2: float
-    entropy_unitary_state: float
-    entropy_rule2_state: float
-
-    def __post_init__(self) -> None:
-        for name in (
-            "pointer_block_coherence_norm",
-            "marginal_agreement_system",
-            "marginal_agreement_apparatus",
-            "entropy_unitary_state",
-            "entropy_rule2_state",
-        ):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
-
-
-def compare_states(
-    result: PremeasurementResult,
-    gemenge: GemengeDecomposition,
-    spec: BclSpec,
-    witness: KroneckerProduct,
-) -> CorrelationReport:
-    """Diagnostics contrasting the unitary outcome with its objectified mixture.
-
-    ``gemenge`` is the rule-2 state from :func:`apply_rule2`, read through
-    its factors.  Both marginals agree between the two states; the coherence
-    norm and the witness expectations ``tr(rho W)`` expose the correlations
-    that only the entangled state carries.  The witness is Hermitian by
-    construction and its factors must match the system and apparatus
-    dimensions.
-    """
-    dims = (spec.system_dim, spec.apparatus_dim)
-    if witness.factor_dims != dims:
-        raise DimensionMismatch(f"witness factor dims {witness.factor_dims} do not match {dims}")
-
-    rho_unitary = result.final_density
-    return CorrelationReport(
-        pointer_block_coherence_norm=pointer_block_coherence(rho_unitary, spec),
-        marginal_agreement_system=trace_distance(
-            partial_trace(rho_unitary, dims, keep=0), gemenge.system_marginal
-        ),
-        marginal_agreement_apparatus=trace_distance(
-            result.apparatus_marginal, gemenge.apparatus_marginal
-        ),
-        witness_expectation_unitary=witness.expectation(rho_unitary),
-        witness_expectation_rule2=witness.product_expectation(
-            gemenge.probabilities, gemenge.system_states, gemenge.pointer_states
-        ),
-        entropy_unitary_state=von_neumann_entropy(rho_unitary),
-        entropy_rule2_state=spectral_entropy(gemenge.spectrum()),
-    )
 
 
 def shift_witness(spec: BclSpec) -> KroneckerProduct:

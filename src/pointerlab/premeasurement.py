@@ -237,7 +237,11 @@ class PremeasurementResult:
 
     def __post_init__(self) -> None:
         probs = np.array(self.probabilities, dtype=float).reshape(-1)
-        probs = np.where(probs < 0.0, 0.0, probs)
+        negative = np.flatnonzero(probs < -INVARIANT_TOL)
+        if negative.size:
+            k = negative[0]
+            raise SpecInvalid(f"outcome probability of sector {k} is negative: {probs[k]:.3e}")
+        probs = np.where(probs < 0.0, 0.0, probs)  # roundoff
         total_dev = abs(float(probs.sum()) - 1.0)
         if not total_dev <= INVARIANT_TOL:
             raise SpecInvalid(f"outcome probabilities sum off by {total_dev:.3e}")

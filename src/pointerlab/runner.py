@@ -81,24 +81,8 @@ class RunReport:
     def all_passed(self) -> bool:
         return all(v.passed for v in self.verdicts)
 
-    def payload_dict(self) -> dict:
-        """Deterministic report section (everything except timing)."""
-        return {
-            "scenario": self.scenario,
-            "values": dict(self.values),
-            "verdicts": [
-                {
-                    "name": v.name,
-                    "residual": v.residual,
-                    "tolerance": v.tolerance,
-                    "passed": v.passed,
-                }
-                for v in self.verdicts
-            ],
-        }
-
     def _json_parts(self) -> list[str]:
-        """The JSON text of ``{"payload": payload_dict(), "meta": ...}`` in pieces, and a newline.
+        """The JSON text of ``{"payload": ..., "meta": ...}`` in pieces, and a newline.
 
         The scenario echo goes through :func:`_write_json`, ``values`` through
         one comprehension and each verdict through one template, in the layout
@@ -141,13 +125,13 @@ class RunReport:
 
 
 def _csv_field(name) -> str:
-    """A name as a CSV field: in quotes, with quotes doubled, if it holds ``,``, ``"`` or ``\\n``.
+    """A name as a CSV field: in quotes, with quotes doubled, if it holds a quote or a separator.
 
-    These are the characters ``csv.QUOTE_MINIMAL`` quotes for with the
-    ``\\n`` line terminator; it leaves a bare ``\\r`` unquoted.
+    The separators are ``,``, ``\\n`` and ``\\r``; a bare ``\\r`` is quoted too,
+    so a reader that splits lines on it reads the name back whole.
     """
     text = name if type(name) is str else str(name)
-    if "," in text or '"' in text or "\n" in text:
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -538,10 +522,9 @@ def _run_bcl(scenario: dict) -> tuple[dict, list[Verdict]]:
 
 
 def _run_full_measurement(scenario: dict) -> tuple[dict, list[Verdict]]:
-    from .hilbert import trace_distance
+    from .hilbert import partial_trace, spectral_entropy, trace_distance, von_neumann_entropy
     from .objectification import (
         apply_rule2,
-        compare_states,
         observable_witness,
         pointer_block_coherence,
         shift_witness,
@@ -559,36 +542,43 @@ def _run_full_measurement(scenario: dict) -> tuple[dict, list[Verdict]]:
             if scenario["witness"] == "system_observable"
             else shift_witness(spec)
         )
-        report = compare_states(result, gemenge, spec, witness)
-        gemenge_apparatus_residual = trace_distance(gemenge.apparatus_marginal, pointer_mixture)
+        rho, dims = result.final_density, (spec.system_dim, spec.apparatus_dim)
         probabilities = result.probabilities[result.probabilities > 0.0]
-        expected_entropy = float(-(probabilities * np.log(probabilities)).sum())
+        values.update(
+            {
+                "pointer_coherence_unitary": pointer_block_coherence(rho, spec),
+                "pointer_coherence_rule2": coherence_rule2,
+                "witness_expectation_unitary": witness.expectation(rho),
+                "witness_expectation_rule2": witness.product_expectation(
+                    gemenge.probabilities, gemenge.system_states, gemenge.pointer_states
+                ),
+                "entropy_unitary": von_neumann_entropy(rho),
+                "entropy_rule2": spectral_entropy(gemenge.spectrum()),
+                "entropy_expected": float(-(probabilities * np.log(probabilities)).sum()),
+                "trace_distance_system_marginal": trace_distance(
+                    partial_trace(rho, dims, keep=0), gemenge.system_marginal
+                ),
+                "trace_distance_apparatus_marginal": trace_distance(
+                    result.apparatus_marginal, gemenge.apparatus_marginal
+                ),
+            }
+        )
+        gemenge_apparatus_residual = trace_distance(gemenge.apparatus_marginal, pointer_mixture)
 
-    values.update(
-        {
-            "pointer_coherence_unitary": report.pointer_block_coherence_norm,
-            "pointer_coherence_rule2": coherence_rule2,
-            "witness_expectation_unitary": report.witness_expectation_unitary,
-            "witness_expectation_rule2": report.witness_expectation_rule2,
-            "entropy_unitary": report.entropy_unitary_state,
-            "entropy_rule2": report.entropy_rule2_state,
-            "entropy_expected": expected_entropy,
-            "trace_distance_system_marginal": report.marginal_agreement_system,
-            "trace_distance_apparatus_marginal": report.marginal_agreement_apparatus,
-        }
-    )
     verdicts.extend(
         [
-            _verdict("marginal_system", report.marginal_agreement_system, tol["marginal_system"]),
+            _verdict(
+                "marginal_system", values["trace_distance_system_marginal"], tol["marginal_system"]
+            ),
             _verdict(
                 "marginal_apparatus",
-                report.marginal_agreement_apparatus,
+                values["trace_distance_apparatus_marginal"],
                 tol["marginal_apparatus"],
             ),
             _verdict("apparatus_gemenge", gemenge_apparatus_residual, tol["apparatus_gemenge"]),
             _verdict(
                 "entropy_gap",
-                abs(report.entropy_rule2_state - expected_entropy),
+                abs(values["entropy_rule2"] - values["entropy_expected"]),
                 tol["entropy_gap"],
             ),
             _verdict("rule2_coherence", coherence_rule2, tol["rule2_coherence"]),

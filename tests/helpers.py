@@ -134,28 +134,47 @@ def json_text(value):
     return "".join(out)
 
 
+def payload_document(report):
+    """A report's deterministic ``payload`` section as a dict: everything except timing."""
+    return {
+        "scenario": report.scenario,
+        "values": dict(report.values),
+        "verdicts": [
+            {"name": v.name, "residual": v.residual, "tolerance": v.tolerance, "passed": v.passed}
+            for v in report.verdicts
+        ],
+    }
+
+
 def payload_text(report):
     """JSON text of a report's deterministic ``payload`` section."""
-    return json_text(report.payload_dict())
+    return json_text(payload_document(report))
 
 
 def csv_text(report):
-    """CSV text of a report from ``csv.writer``, as the runner wrote it before it wrote its own rows."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["metric", "value", "tolerance", "verdict"])
-    for key, value in report.values.items():
-        writer.writerow([key, _float_repr(value), "", ""])
-    for verdict in report.verdicts:
-        writer.writerow(
-            [
-                verdict.name,
-                _float_repr(verdict.residual),
-                _float_repr(verdict.tolerance),
-                "pass" if verdict.passed else "fail",
-            ]
-        )
-    return buffer.getvalue()
+    """CSV text of a report from ``csv.writer``, as the runner wrote it before it wrote its own rows.
+
+    Each row is written with the ``\\r\\n`` terminator, under which
+    ``csv.QUOTE_MINIMAL`` quotes a field holding ``\\r`` or ``\\n`` on every
+    Python version, and its final ``\\r\\n`` then becomes ``\\n``.
+    """
+    rows = [["metric", "value", "tolerance", "verdict"]]
+    rows += [[key, _float_repr(value), "", ""] for key, value in report.values.items()]
+    rows += [
+        [
+            verdict.name,
+            _float_repr(verdict.residual),
+            _float_repr(verdict.tolerance),
+            "pass" if verdict.passed else "fail",
+        ]
+        for verdict in report.verdicts
+    ]
+    lines = []
+    for row in rows:
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\r\n").writerow(row)
+        lines.append(buffer.getvalue().removesuffix("\r\n") + "\n")
+    return "".join(lines)
 
 
 def random_unitary(rng, n):

@@ -1,11 +1,12 @@
 """The rule-2 gemenge read through its factors, against its dense branch columns.
 
 A ``GemengeDecomposition`` holds the weights ``p``, the system columns
-``Phi`` and the pointer columns ``Psi``, and ``compare_states`` and
-``pointer_block_coherence`` read every rule-2 quantity from them.  The
-oracle is the same state built as ``r`` branch columns ``Phi_k (x) psi_k``
-of length ``D`` (``helpers.gemenge_density_matrix``) and materialized as a
-``D x D`` matrix.  Each factor identity must agree with it to
+``Phi`` and the pointer columns ``Psi``, and a run's compare stage reads
+every rule-2 quantity from them through the witness, entropy, marginal and
+``pointer_block_coherence`` functions.  The oracle is the same state built
+as ``r`` branch columns ``Phi_k (x) psi_k`` of length ``D``
+(``helpers.gemenge_density_matrix``) and materialized as a ``D x D``
+matrix.  Each factor identity must agree with it to
 ``1e-12 * max(1, |ref|)``: the spectrum, the entropy, the pointer-block
 coherence, the witness expectations, both marginals and both trace
 distances.  The coherence is also checked on a gemenge whose pointer
@@ -25,7 +26,6 @@ from pointerlab import (
     GemengeDecomposition,
     StateVector,
     apply_rule2,
-    compare_states,
     observable_witness,
     outer,
     partial_trace,
@@ -36,6 +36,7 @@ from pointerlab import (
     trace_distance,
 )
 from pointerlab import objectification, runner
+from pointerlab.hilbert import spectral_entropy
 from pointerlab.scenario import validate_scenario_data
 from pointerlab.tolerances import ENTROPY_EIGENVALUE_FLOOR, PROBABILITY_FLOOR
 from helpers import (
@@ -113,17 +114,20 @@ def test_factor_identities_match_branch_columns(
 
     rho_unitary = outer(result.final_state)
     for witness in (shift_witness(spec), observable_witness(spec)):
-        report = compare_states(result, gemenge, spec, witness)
-        assert close(report.witness_expectation_rule2, np.trace(matrix @ kronecker_entries(witness)).real)
-        assert close(report.entropy_rule2_state, dense_entropy(matrix))
-        for keep, distance in (
-            (0, report.marginal_agreement_system),
-            (1, report.marginal_agreement_apparatus),
-        ):
-            reference = trace_distance(
-                partial_trace(rho_unitary, dims, keep), partial_trace(oracle, dims, keep)
-            )
-            assert close(distance, reference)
+        rule2 = witness.product_expectation(
+            gemenge.probabilities, gemenge.system_states, gemenge.pointer_states
+        )
+        assert close(rule2, np.trace(matrix @ kronecker_entries(witness)).real)
+    assert close(spectral_entropy(gemenge.spectrum()), dense_entropy(matrix))
+    system_marginal = partial_trace(result.final_density, dims, keep=0)
+    for keep, distance in (
+        (0, trace_distance(system_marginal, gemenge.system_marginal)),
+        (1, trace_distance(result.apparatus_marginal, gemenge.apparatus_marginal)),
+    ):
+        reference = trace_distance(
+            partial_trace(rho_unitary, dims, keep), partial_trace(oracle, dims, keep)
+        )
+        assert close(distance, reference)
 
 
 def test_objectify_and_compare_allocate_less_than_one_branch_matrix(monkeypatch):

@@ -7,7 +7,6 @@ from pointerlab import (
     KroneckerProduct,
     StateVector,
     apply_rule2,
-    compare_states,
     observable_witness,
     outer,
     partial_trace,
@@ -17,6 +16,7 @@ from pointerlab import (
     trace_distance,
     von_neumann_entropy,
 )
+from pointerlab.hilbert import spectral_entropy
 from helpers import (
     canonical_spec,
     dense,
@@ -40,6 +40,12 @@ def bell_case():
     spec = qubit_spec()
     result = premeasure(spec, StateVector(np.array([1, 1]) / np.sqrt(2)))
     return spec, result, apply_rule2(result, spec)
+
+
+def rule2_expectation(witness, gemenge):
+    return witness.product_expectation(
+        gemenge.probabilities, gemenge.system_states, gemenge.pointer_states
+    )
 
 
 class TestApplyRule2:
@@ -137,38 +143,37 @@ class TestCompareStates:
         spec, result, gemenge = bell_case()
         witness = shift_witness(spec)
         assert np.array_equal(kronecker_entries(witness), np.kron(SIGMA_X, SIGMA_X))
-        report = compare_states(result, gemenge, spec, witness)
-        assert abs(report.witness_expectation_unitary - 1.0) < 1e-10
-        assert abs(report.witness_expectation_rule2) < 1e-10
-        assert abs(report.pointer_block_coherence_norm - INV_SQRT2) < 1e-10
-        assert report.marginal_agreement_system < 1e-10
-        assert report.marginal_agreement_apparatus < 1e-10
-        assert report.entropy_unitary_state < 1e-9
-        assert abs(report.entropy_rule2_state - LN2) < 1e-8
+        rho = result.final_density
+        assert abs(witness.expectation(rho) - 1.0) < 1e-10
+        assert abs(rule2_expectation(witness, gemenge)) < 1e-10
+        assert abs(pointer_block_coherence(rho, spec) - INV_SQRT2) < 1e-10
+        assert trace_distance(partial_trace(rho, (2, 2), keep=0), gemenge.system_marginal) < 1e-10
+        assert trace_distance(result.apparatus_marginal, gemenge.apparatus_marginal) < 1e-10
+        assert von_neumann_entropy(rho) < 1e-9
+        assert abs(spectral_entropy(gemenge.spectrum()) - LN2) < 1e-8
 
     def test_observable_witness_survives(self):
         spec, result, gemenge = bell_case()
-        report = compare_states(result, gemenge, spec, observable_witness(spec))
-        assert abs(report.witness_expectation_unitary - report.witness_expectation_rule2) < 1e-10
+        witness = observable_witness(spec)
+        gap = witness.expectation(result.final_density) - rule2_expectation(witness, gemenge)
+        assert abs(gap) < 1e-10
 
     def test_eigenstate_reports_zero_everything(self):
         spec = qubit_spec()
         result = premeasure(spec, StateVector(spec.eigenvectors[:, 0]))
         gemenge = apply_rule2(result, spec)
-        report = compare_states(result, gemenge, spec, shift_witness(spec))
-        assert report.pointer_block_coherence_norm < 1e-10
-        assert report.marginal_agreement_system < 1e-10
-        assert report.marginal_agreement_apparatus < 1e-10
-        assert report.entropy_unitary_state < 1e-9
-        assert report.entropy_rule2_state < 1e-9
+        rho = result.final_density
+        assert pointer_block_coherence(rho, spec) < 1e-10
+        assert trace_distance(partial_trace(rho, (2, 2), keep=0), gemenge.system_marginal) < 1e-10
+        assert trace_distance(result.apparatus_marginal, gemenge.apparatus_marginal) < 1e-10
+        assert von_neumann_entropy(rho) < 1e-9
+        assert spectral_entropy(gemenge.spectrum()) < 1e-9
 
     def test_rejects_non_hermitian_witness(self):
         # a core is a real band, so a complex one is the only non-Hermitian form
-        spec, result, gemenge = bell_case()
         flip = (np.eye(2), np.zeros(2), np.ones(1))
         with pytest.raises(ValueError, match="must be real"):
-            bad = KroneckerProduct((np.eye(2), np.zeros(2), np.array([1j])), flip)
-            compare_states(result, gemenge, spec, bad)
+            KroneckerProduct((np.eye(2), np.zeros(2), np.array([1j])), flip)
         with pytest.raises(ValueError, match="must be real"):
             KroneckerProduct(flip, (np.eye(2), np.array([1.0, 1j]), np.zeros(1)))
         for basis, diagonal, off in (
@@ -181,6 +186,21 @@ class TestCompareStates:
         ):
             with pytest.raises(ValueError, match="r diagonal and r - 1 off-diagonal"):
                 KroneckerProduct(flip, (basis, diagonal, off))
+
+    def test_product_expectation_rejects_mismatched_factors(self):
+        witness = shift_witness(qubit_spec())
+        one, two = np.eye(2)[:, :1], np.eye(2)
+        for weights, first, second in (
+            ([0.5, 0.5], two, one),  # columns differ
+            ([0.5, 0.5], np.eye(3, 2), two),  # system rows differ from the factor dims
+            ([0.5, 0.5], two, np.eye(3, 2)),  # apparatus rows differ
+            ([0.5, 0.5], np.ones(2), two),  # not a column matrix
+            ([1.0], two, two),  # weights differ from the columns
+            ([1.0, 0.0, 0.0], two, two),
+        ):
+            with pytest.raises(DimensionMismatch):
+                witness.product_expectation(weights, first, second)
+        assert witness.product_expectation([1.0], one, one) == 0.0
 
 
 class TestInvariantProperties:
@@ -230,8 +250,7 @@ class TestInvariantProperties:
             band = (np.eye(ds), rng.normal(size=ds), rng.normal(size=ds - 1))
             for system in ((vectors, values, np.zeros(ds - 1)), band):
                 term = KroneckerProduct(system, (pointer[:, None], *projector))
-                report = compare_states(result, gemenge, spec, term)
-                gap = report.witness_expectation_unitary - report.witness_expectation_rule2
+                gap = term.expectation(result.final_density) - rule2_expectation(term, gemenge)
                 assert abs(gap) < 1e-10
 
     def test_entropy_gap(self):
@@ -239,10 +258,9 @@ class TestInvariantProperties:
         spec = random_bcl_spec(rng, (2, 2))
         result = premeasure(spec, random_state(rng, spec.system_dim))
         gemenge = apply_rule2(result, spec)
-        report = compare_states(result, gemenge, spec, shift_witness(spec))
         p = result.probabilities[result.probabilities > 1e-15]
-        assert report.entropy_unitary_state < 1e-9
-        assert abs(report.entropy_rule2_state - float(-np.sum(p * np.log(p)))) < 1e-8
+        assert von_neumann_entropy(result.final_density) < 1e-9
+        assert abs(spectral_entropy(gemenge.spectrum()) - float(-np.sum(p * np.log(p)))) < 1e-8
 
     def test_purity_boundary(self):
         spec = qubit_spec()

@@ -403,6 +403,18 @@ class TestPremeasure:
         )
         assert clipped.probabilities[1] == 0.0
 
+    @pytest.mark.parametrize("probabilities", [[1.0, -0.3], [1.3, -0.3]])
+    def test_negative_probability_beyond_roundoff_refused(self, probabilities):
+        # the second sums to exactly 1, so only the sign check can refuse it
+        spec = qubit_spec()
+        template = premeasure(spec, basis_state(2, 0))
+        with pytest.raises(SpecInvalid, match="probability of sector 1 is negative"):
+            PremeasurementResult(
+                final_state=template.final_state,
+                probabilities=np.array(probabilities),
+                sector_vectors=template.sector_vectors,
+            )
+
 
 class TestApparatusMarginal:
     def test_bell_case(self):

@@ -16,7 +16,10 @@ def test_readme_quick_tour_runs():
     assert abs(pl.expectation_two_particle(namespace["elements"], namespace["pair"]) - 10.0) < 1e-5
     assert pl.dlocal_residual(namespace["local"], namespace["D"]) == 0.0
     assert namespace["check"].difference < 1e-5
-    assert abs(namespace["report"].witness_expectation_unitary - 1.0) < 1e-10
+    spec, result = namespace["spec"], namespace["result"]
+    assert abs(pl.pointer_block_coherence(result.final_density, spec) - 2**-0.5) < 1e-10
+    assert pl.pointer_block_coherence(namespace["gemenge"], spec) == 0.0
+    assert abs(pl.shift_witness(spec).expectation(result.final_density) - 1.0) < 1e-10
 
 
 def test_readme_cli_block_is_the_usage_text():

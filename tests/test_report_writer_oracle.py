@@ -10,6 +10,8 @@ nested list of amplitude arrays in batches of one ``%``-template each.  The
 CSV rows are checked against the ``csv.writer`` rows they replaced.
 """
 
+import csv
+import io
 import json
 import math
 from importlib import resources
@@ -23,7 +25,7 @@ from pointerlab import RunReport, Verdict, load_scenario, run_scenario, runner
 from pointerlab.cli import DEMO_SCENARIOS
 from pointerlab.runner import _float_repr, render_report
 from pointerlab.scenario import validate_scenario_data
-from helpers import csv_text, haar_document, json_text, payload_text
+from helpers import csv_text, haar_document, json_text, payload_document, payload_text
 
 
 def is_amplitude_array(value):
@@ -202,8 +204,8 @@ def test_demo_reports_match_the_reference(name):
     if "initial_state" in report.scenario:  # the echo holds amplitude arrays
         assert is_amplitude_array(report.scenario["initial_state"])
     meta = {"duration_seconds": report.duration_seconds}
-    document = {"payload": report.payload_dict(), "meta": meta}
-    assert payload_text(report) == reference_text(report.payload_dict())
+    document = {"payload": payload_document(report), "meta": meta}
+    assert payload_text(report) == reference_text(payload_document(report))
     assert render_report(report) == reference_text(document) + "\n"
     assert render_report(report, "csv") == csv_text(report)
 
@@ -224,9 +226,13 @@ REPORTS = st.builds(
 @given(report=REPORTS)
 def test_library_reports_match_the_references(report):
     # a library caller's report can hold any name; CSV quotes as csv.QUOTE_MINIMAL does
-    document = {"payload": report.payload_dict(), "meta": {"duration_seconds": report.duration_seconds}}
+    document = {"payload": payload_document(report), "meta": {"duration_seconds": report.duration_seconds}}
     assert render_report(report) == reference_text(document) + "\n"
-    assert render_report(report, "csv") == csv_text(report)
+    text = render_report(report, "csv")
+    assert text == csv_text(report)
+    # and every name reads back whole, a bare \r included
+    names = [row[0] for row in csv.reader(io.StringIO(text, newline=""))]
+    assert names == ["metric", *report.values, *(v.name for v in report.verdicts)]
 
 
 # only float arrays of shape (n, 2) are leaves; every other array is refused
