@@ -262,15 +262,6 @@ def gram_residual(gram: np.ndarray) -> np.ndarray:
     return residual
 
 
-def gram_deviation(columns: np.ndarray) -> float:
-    """Largest entry of :func:`gram_residual` for the Gram matrix of ``columns``.
-
-    Zero exactly when the columns are orthonormal; callers compare it against
-    their own tolerance and raise their own error.
-    """
-    return float(gram_residual(columns.conj().T @ columns).max())
-
-
 def _mixture_spectrum(columns: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Eigenvalues of ``V diag(s) V^dagger`` for real weights ``s`` of either sign.
 

@@ -20,12 +20,14 @@ of the measurement condition, and the eigenbasis check's ``E^dagger E`` gives
 the extension residual: ``U (e_c (x) ready)`` misses ``t_c (x) pi_k(c)`` by
 ``sum_k T_k y_k (x) pi_k`` for ``y = (E^dagger E - I) e_c``, of norm ``||y||``
 for orthonormal ``T`` and ``P``.  ``U`` is only pinned down on product inputs
-``x (x) ready``, and one routine gives its action there: the per-sector sums
+``x (x) ready``, and its action there is the per-sector sums
 ``Q_k x = T_k c_k`` of the eigenbasis coefficients ``c = E^dagger x``, one
 batched product per run of consecutive equal-size sectors (one for the whole
 spec when every sector has one vector), contracted with the ``K`` pointers
 ``V_k ready``.  Premeasurement reads the sums of ``E^dagger phi`` as its
-sector vectors and evolves ``phi (x) ready`` from the same sums; its result
+sector vectors, and a result is only the spec and those vectors: it derives
+the outcome probabilities as their squared norms and the final state
+``sum_k Q_k phi (x) pi_k`` as their contraction with the pointers, and
 builds the pure state ``|psi><psi|``, the conditional states and its
 ``apparatus_marginal`` once for every consumer.
 """
@@ -39,8 +41,7 @@ from itertools import groupby
 import numpy as np
 
 from .errors import DimensionMismatch, MeasurementConditionViolated, SpecInvalid
-from .hilbert import DensityMatrix, StateVector, outer, partial_trace
-from .hilbert import gram_deviation, gram_residual
+from .hilbert import DensityMatrix, StateVector, gram_residual, outer, partial_trace
 from .tolerances import INVARIANT_TOL, PROBABILITY_FLOOR
 
 __all__ = [
@@ -64,13 +65,17 @@ class BclSpec:
     are carried as distinct real labels only.
 
     Construction copies the matrices read-only and keeps the ``K + 1`` sector
-    bounds (sector ``k`` is columns ``bounds[k]:bounds[k + 1]``) and scalars
-    only: the eigenbasis deviation ``max |E^dagger E - I|``, the extension
-    residual (the largest column norm of ``E^dagger E - I``), the measurement
-    residual ``max |T^dagger T - I|``, the pointer Gram deviation and
-    ``| <ready|ready> - 1 |``.  The default transfer family is ``E`` itself.
-    The spec is also the coupling: :meth:`sector_sums` and :meth:`images`
-    apply its isometry.
+    bounds (sector ``k`` is columns ``bounds[k]:bounds[k + 1]``) and three
+    residuals: ``extension_residual``, the largest column norm of
+    ``E^dagger E - I``; ``measurement_residual``, ``max |T^dagger T - I|``;
+    and ``unitarity_deviation``, how far the isometry is from one that
+    extends to a unitary ``U``.  That is the largest of the eigenbasis
+    deviation ``max |E^dagger E - I|``, the measurement residual,
+    ``max |P^dagger P - I|`` and ``| <ready|ready> - 1 |``: ``U`` exists
+    exactly when all four vanish.  The default transfer family is ``E``
+    itself.  The spec is also the coupling: :meth:`sector_sums` applies its
+    isometry, and a :class:`PremeasurementResult` contracts the sums with
+    the pointers.
     """
 
     eigenvalues: tuple[float, ...]
@@ -80,11 +85,9 @@ class BclSpec:
     pointers: np.ndarray
     ready_state: StateVector
     sector_bounds: np.ndarray = field(init=False, repr=False)
-    _eigenbasis_deviation: float = field(init=False, repr=False)
-    _extension_residual: float = field(init=False, repr=False)
-    _measurement_residual: float = field(init=False, repr=False)
-    _pointer_deviation: float = field(init=False, repr=False)
-    _ready_deviation: float = field(init=False, repr=False)
+    unitarity_deviation: float = field(init=False)
+    extension_residual: float = field(init=False)
+    measurement_residual: float = field(init=False)
 
     def __post_init__(self) -> None:
         eigenvalues = tuple(float(o) for o in self.eigenvalues)
@@ -128,7 +131,7 @@ class BclSpec:
 
         if pointers.shape[0] != self.ready_state.dim:
             raise SpecInvalid("pointer states and ready state live on different dimensions")
-        pointer_dev = gram_deviation(pointers)
+        pointer_dev = float(gram_residual(pointers.conj().T @ pointers).max())
         if not pointer_dev <= INVARIANT_TOL:
             raise SpecInvalid(f"pointer basis is not orthonormal; deviation {pointer_dev:.3e}")
 
@@ -160,12 +163,12 @@ class BclSpec:
         ):
             matrix.setflags(write=False)
             object.__setattr__(self, name, matrix)
+        ready, measurement_dev = self.ready_state.amplitudes, float(residual.max())
+        ready_dev = float(abs(np.vdot(ready, ready) - 1.0))
         for name, value in (
-            ("_eigenbasis_deviation", eigenbasis_dev),
-            ("_extension_residual", float(np.linalg.norm(eigenbasis_residual, axis=0).max())),
-            ("_measurement_residual", float(residual.max())),
-            ("_pointer_deviation", pointer_dev),
-            ("_ready_deviation", gram_deviation(self.ready_state.amplitudes[:, None])),
+            ("unitarity_deviation", max(eigenbasis_dev, measurement_dev, pointer_dev, ready_dev)),
+            ("extension_residual", float(np.linalg.norm(eigenbasis_residual, axis=0).max())),
+            ("measurement_residual", measurement_dev),
         ):
             object.__setattr__(self, name, value)
 
@@ -176,21 +179,6 @@ class BclSpec:
     @property
     def apparatus_dim(self) -> int:
         return self.ready_state.dim
-
-    @property
-    def unitarity_deviation(self) -> float:
-        """How far the isometry is from one that extends to a unitary ``U``.
-
-        The largest of the eigenbasis deviation, the measurement-condition
-        residual, the pointer Gram deviation and ``| <ready|ready> - 1 |``:
-        ``U`` exists exactly when all four vanish.
-        """
-        return max(
-            self._eigenbasis_deviation,
-            self._measurement_residual,
-            self._pointer_deviation,
-            self._ready_deviation,
-        )
 
     def sector_sums(self, coefficients: np.ndarray) -> np.ndarray:
         """``Q_k x_j = T_k c_jk`` for each column ``c_j = E^dagger x_j`` of a ``d_s x m`` matrix.
@@ -213,43 +201,39 @@ class BclSpec:
             k, lo = k + sectors, hi
         return sums
 
-    def images(self, sums: np.ndarray) -> np.ndarray:
-        """``U (x_j (x) ready) = sum_k Q_k x_j (x) pi_k`` from :meth:`sector_sums`.
-
-        One product contracts the sums with the pointers ``P^T``; shape ``(m, d_s, d_a)``.
-        """
-        sectors, count, dim = sums.shape
-        return (sums.reshape(sectors, -1).T @ self.pointers.T).reshape(count, dim, -1)
-
 
 @dataclass(frozen=True, eq=False)
 class PremeasurementResult:
-    """Outputs of one premeasurement run.
+    """Outputs of one premeasurement run: the spec and its sector vectors.
 
-    Column ``k`` of ``sector_vectors`` (``d_system x K``) is ``sqrt(p_k)``
-    times the conditional system state of pointer ``k``; sectors below the
-    probability floor carry no conditional state.
+    Column ``k`` of ``sector_vectors`` (``d_system x K``) is ``Q_k phi``,
+    ``sqrt(p_k)`` times the conditional system state of pointer ``k``;
+    sectors below the probability floor carry no conditional state.
+    Construction derives the outcome probabilities ``p_k = ||Q_k phi||^2``,
+    refused unless they sum to one, and the final state
+    ``sum_k Q_k phi (x) pi_k``, the sector vectors contracted with ``P^T``.
     """
 
-    final_state: StateVector
-    probabilities: np.ndarray
+    spec: BclSpec
     sector_vectors: np.ndarray
+    probabilities: np.ndarray = field(init=False)
+    final_state: StateVector = field(init=False)
 
     def __post_init__(self) -> None:
-        probs = np.array(self.probabilities, dtype=float).reshape(-1)
-        negative = np.flatnonzero(probs < -INVARIANT_TOL)
-        if negative.size:
-            k = negative[0]
-            raise SpecInvalid(f"outcome probability of sector {k} is negative: {probs[k]:.3e}")
-        probs = np.where(probs < 0.0, 0.0, probs)  # roundoff
+        spec, vectors = self.spec, np.array(self.sector_vectors, dtype=complex)
+        shape = (spec.system_dim, len(spec.degeneracies))
+        if vectors.shape != shape:
+            raise DimensionMismatch(f"sector vectors have shape {vectors.shape}, not {shape}")
+        probs = (vectors.real**2 + vectors.imag**2).sum(axis=0)
         total_dev = abs(float(probs.sum()) - 1.0)
         if not total_dev <= INVARIANT_TOL:
             raise SpecInvalid(f"outcome probabilities sum off by {total_dev:.3e}")
-        vectors = np.array(self.sector_vectors, dtype=complex)
         probs.setflags(write=False)
         vectors.setflags(write=False)
         object.__setattr__(self, "probabilities", probs)
         object.__setattr__(self, "sector_vectors", vectors)
+        final_state = StateVector((vectors @ spec.pointers.T).reshape(-1))
+        object.__setattr__(self, "final_state", final_state)
 
     @cached_property
     def conditionals(self) -> tuple[np.ndarray, np.ndarray]:
@@ -269,8 +253,7 @@ class PremeasurementResult:
         It is ``M^T M^*`` for the amplitude matrix ``M[i, a]`` of ``|i> (x) |a>``,
         held as the mixture of the columns of ``M^T``, each of weight one.
         """
-        system_dim = self.sector_vectors.shape[0]
-        dims = (system_dim, self.final_state.dim // system_dim)
+        dims = (self.spec.system_dim, self.spec.apparatus_dim)
         return partial_trace(self.final_density, dims, keep=1)
 
 
@@ -282,24 +265,17 @@ def premeasure(spec: BclSpec, phi: StateVector) -> PremeasurementResult:
     ``Q_k^dagger Q_l`` vanish for ``k != l``; a spec that breaks it has no
     unitary extension and is refused.  Expands ``phi`` in the eigenbasis,
     ``c = E^dagger phi``, takes the sector vectors ``Q_k phi = T_k c_k`` from
-    the spec's sector sums, reads off outcome probabilities as their squared
-    norms, and evolves ``phi (x) ready`` from the same sums.
+    the spec's sector sums, from which the result derives the outcome
+    probabilities and the evolved ``phi (x) ready``.
     """
     if phi.dim != spec.system_dim:
         raise DimensionMismatch(
             f"initial state dim {phi.dim} does not match system dim {spec.system_dim}"
         )
-    if spec._measurement_residual > INVARIANT_TOL:
+    if spec.measurement_residual > INVARIANT_TOL:
         raise MeasurementConditionViolated(
             "transfer family is not orthonormal across sectors; residual "
-            f"{spec._measurement_residual:.3e}"
+            f"{spec.measurement_residual:.3e}"
         )
     coefficients = (phi.amplitudes.conj() @ spec.eigenvectors).conj()  # E^dagger phi
-    sums = spec.sector_sums(coefficients[:, None])
-    sector_vectors = sums[:, 0].T
-    return PremeasurementResult(
-        final_state=StateVector(spec.images(sums).reshape(-1)),
-        probabilities=(sector_vectors.real**2 + sector_vectors.imag**2).sum(axis=0),
-        sector_vectors=sector_vectors,
-    )
-
+    return PremeasurementResult(spec, spec.sector_sums(coefficients[:, None])[:, 0].T)

@@ -455,7 +455,10 @@ def _bcl_diagnostics(
         result, pointers = premeasure(spec, phi), spec.pointers
         kept, conditionals = result.conditionals
         amplitudes = result.final_state.amplitudes.reshape(spec.system_dim, spec.apparatus_dim)
-        reconstruction = (conditionals * np.sqrt(result.probabilities[kept])) @ pointers[:, kept].T
+        # a sector below the floor has no conditional state and enters as its sector vector
+        weighted = np.array(result.sector_vectors)
+        weighted[:, kept] = conditionals * np.sqrt(result.probabilities[kept])
+        reconstruction = weighted @ pointers.T
         reconstruction_residual = float(np.linalg.norm(amplitudes - reconstruction))
         # sum over each sector of |<e|phi>|^2, independent of the transfer family
         coefficient_mass = np.add.reduceat(
@@ -476,7 +479,7 @@ def _bcl_diagnostics(
         ),
         _verdict("probability_formula", formula_residual, tol["probability_formula"]),
         _verdict("unitarity", spec.unitarity_deviation, tol["unitarity"]),
-        _verdict("extension_map", spec._extension_residual, tol["extension_map"]),
+        _verdict("extension_map", spec.extension_residual, tol["extension_map"]),
         _verdict("reconstruction", reconstruction_residual, tol["reconstruction"]),
         _verdict("apparatus_marginal", marginal_residual, tol["apparatus_marginal"]),
     ]

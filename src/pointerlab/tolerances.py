@@ -58,3 +58,37 @@ GRID_POINTS_MAX = 4096
 #: Packet overlaps at or below this gate count as orthogonal, where the pair
 #: normalization factor must approach ``1/sqrt(2)``.
 ORTHOGONAL_OVERLAP_GATE = 1e-4
+
+_BCL_TOLERANCES = {
+    "probability_sum": 1e-10,
+    "probability_formula": 1e-12,
+    "unitarity": 1e-10,
+    "extension_map": 1e-10,
+    "reconstruction": 1e-10,
+    "apparatus_marginal": 1e-10,
+}
+
+#: Default verdict tolerances of each scenario kind, by verdict name; a
+#: scenario's ``tolerances`` object overrides them one by one.
+TOLERANCE_DEFAULTS: dict[str, dict[str, float]] = {
+    "symmetrization": {
+        "discrepancy": 1e-5,
+        "exchange_sign_agreement": 1e-8,
+        "normalization_factor": 1e-8,
+    },
+    "dlocal": {
+        "agreement": 1e-6,
+        "unlocalized_discrepancy": 1e-4,
+        "support_mass": SUPPORT_MASS_EPSILON,
+        "dlocal": 0.0,
+    },
+    "bcl": dict(_BCL_TOLERANCES),
+    "full_measurement": {
+        **_BCL_TOLERANCES,
+        "marginal_system": 1e-10,
+        "marginal_apparatus": 1e-10,
+        "apparatus_gemenge": 1e-12,
+        "entropy_gap": 1e-8,
+        "rule2_coherence": 0.0,
+    },
+}

@@ -25,6 +25,7 @@ from pointerlab import (
     localize,
     orbital_elements,
     position_kernel,
+    premeasure,
     symmetrize,
 )
 from pointerlab.runner import _float_repr, _write_json
@@ -151,12 +152,23 @@ def payload_text(report):
     return json_text(payload_document(report))
 
 
+def nul_placeholder(text):
+    """A character that ``text`` does not hold, to stand in for NUL around the ``csv`` module.
+
+    The Python 3.10 ``csv`` module refuses NUL, in a written field and in a
+    read line; later versions write and read it as any other character.
+    """
+    return next(char for char in map(chr, range(0xE000, 0xF900)) if char not in text)
+
+
 def csv_text(report):
     """CSV text of a report from ``csv.writer``, as the runner wrote it before it wrote its own rows.
 
     Each row is written with the ``\\r\\n`` terminator, under which
     ``csv.QUOTE_MINIMAL`` quotes a field holding ``\\r`` or ``\\n`` on every
-    Python version, and its final ``\\r\\n`` then becomes ``\\n``.
+    Python version, and its final ``\\r\\n`` then becomes ``\\n``.  A NUL is
+    written as a :func:`nul_placeholder`, which no field holds and which
+    ``csv`` quotes as it quotes NUL (not at all), and swapped back after.
     """
     rows = [["metric", "value", "tolerance", "verdict"]]
     rows += [[key, _float_repr(value), "", ""] for key, value in report.values.items()]
@@ -171,9 +183,12 @@ def csv_text(report):
     ]
     lines = []
     for row in rows:
+        placeholder = nul_placeholder("".join(row))
         buffer = io.StringIO()
-        csv.writer(buffer, lineterminator="\r\n").writerow(row)
-        lines.append(buffer.getvalue().removesuffix("\r\n") + "\n")
+        csv.writer(buffer, lineterminator="\r\n").writerow(
+            [field.replace("\0", placeholder) for field in row]
+        )
+        lines.append(buffer.getvalue().removesuffix("\r\n").replace(placeholder, "\0") + "\n")
     return "".join(lines)
 
 
@@ -231,18 +246,21 @@ def random_bcl_spec(rng, degeneracies, apparatus_dim=None, transfer="sector_unit
 
 
 def extension_images_residual(spec):
-    """``max_c ||U (e_c (x) ready) - t_c (x) pi_k(c)||`` from the spec's own images.
+    """``max_c ||U (e_c (x) ready) - t_c (x) pi_k(c)||`` from the run's own images.
 
-    The domain column ``e_c (x) ready`` has the eigenbasis coefficients
-    ``E^dagger e_c``, column ``c`` of ``E^dagger E``: one pass of
-    ``sector_sums`` and ``images`` over all ``d_s`` columns, less the
-    prescribed images ``t_c (x) pi_k(c)``.
+    ``U (e_c (x) ready)`` is the final state of premeasuring the eigenvector
+    ``e_c``, less the prescribed image ``t_c (x) pi_k(c)``.
     """
-    gram = spec.eigenvectors.conj().T @ spec.eigenvectors
-    images = spec.images(spec.sector_sums(gram))
-    sector_pointers = np.repeat(spec.pointers.T, spec.degeneracies, axis=0)
-    images -= spec.transfer.T[:, :, None] * sector_pointers[:, None, :]
-    return float(np.linalg.norm(images.reshape(spec.system_dim, -1), axis=1).max())
+    sector_pointers = np.repeat(spec.pointers, spec.degeneracies, axis=1)
+    return max(
+        float(
+            np.linalg.norm(
+                premeasure(spec, StateVector(spec.eigenvectors[:, c])).final_state.amplitudes
+                - np.kron(spec.transfer[:, c], sector_pointers[:, c])
+            )
+        )
+        for c in range(spec.system_dim)
+    )
 
 
 def qr_unitary(spec, completion_seed=0):

@@ -10,7 +10,7 @@ from pointerlab import (
     trace_distance,
     von_neumann_entropy,
 )
-from pointerlab.hilbert import gram_deviation
+from pointerlab.hilbert import gram_residual
 from helpers import dense, from_dense, random_state, random_unitary
 
 LN2 = 0.6931471805599453
@@ -150,14 +150,16 @@ class TestOuter:
 
 
 class TestGramDeviation:
+    # max |G - I| over the Gram matrix G = V^dagger V, the spec's pointer check
     def test_orthonormal_family(self):
         rng = np.random.default_rng(8)
         columns = random_unitary(rng, 4)
-        assert gram_deviation(columns) < 1e-12
+        assert gram_residual(columns.conj().T @ columns).max() < 1e-12
 
     def test_repeated_vector(self):
         v = np.array([1.0, 0.0])
-        assert gram_deviation(np.column_stack([v, v])) == 1.0
+        columns = np.column_stack([v, v])
+        assert gram_residual(columns.conj().T @ columns).max() == 1.0
 
 
 class TestDensityMatrixInvariants:

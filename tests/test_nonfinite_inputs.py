@@ -52,9 +52,9 @@ def spec(eigenvectors=np.eye(2), transfer=None, pointers=np.eye(2)):
     )
 
 
-def premeasured_with_nan_probability():
+def premeasured_with_nan_sector_vector():
     result = premeasure(spec(), StateVector([1, 0]))
-    return dataclasses.replace(result, probabilities=[NAN, 1.0])
+    return dataclasses.replace(result, sector_vectors=with_nan(result.sector_vectors))
 
 
 GRID = LatticeGrid(0.0, 1.0, 2)
@@ -114,7 +114,7 @@ ROWS = {
         "transfer row 0",
     ),
     "bcl_spec_pointer": (lambda: spec(pointers=with_nan(np.eye(2))), SpecInvalid, "pointer"),
-    "premeasurement_probability": (premeasured_with_nan_probability, SpecInvalid, "sum off"),
+    "premeasurement_probability": (premeasured_with_nan_sector_vector, SpecInvalid, "sum off"),
     "kronecker_core": (
         lambda: KroneckerProduct(
             (np.eye(2), [NAN, 0.0], [0.0]), (np.eye(2), np.ones(2), np.zeros(1))

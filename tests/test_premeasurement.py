@@ -1,7 +1,11 @@
+import json
 from functools import cached_property
+from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointerlab import (
     BclSpec,
@@ -17,13 +21,14 @@ from pointerlab import (
     von_neumann_entropy,
 )
 from pointerlab import objectification, premeasurement, run_scenario
-from pointerlab.hilbert import gram_deviation
+from pointerlab.hilbert import gram_residual
 from pointerlab.premeasurement import PremeasurementResult
 from pointerlab.scenario import validate_scenario_data
 from pointerlab.tolerances import INVARIANT_TOL
 from helpers import (
     basis_state,
     canonical_spec,
+    close,
     dense,
     from_dense,
     haar_document,
@@ -180,7 +185,7 @@ class TestBuildUnitary:
     def test_default_transfer_satisfies_condition(self):
         spec = qubit_spec()
         premeasure(spec, basis_state(2, 0))
-        assert spec._measurement_residual < 1e-12
+        assert spec.measurement_residual < 1e-12
 
     def test_cross_sector_duplicate_fails_condition(self):
         # each one-vector row is orthonormal, so the spec itself is accepted
@@ -194,14 +199,14 @@ class TestBuildUnitary:
         )
         with pytest.raises(MeasurementConditionViolated, match=r"residual 1\.000e\+00"):
             premeasure(spec, basis_state(2, 0))
-        assert spec._measurement_residual == 1.0
+        assert spec.measurement_residual == 1.0
 
     def test_sector_unitaries_preserve_condition(self):
         rng = np.random.default_rng(22)
         for _ in range(5):
             spec = random_bcl_spec(rng, (2, 2, 1), transfer="sector_unitary")
             premeasure(spec, random_state(rng, spec.system_dim))
-            assert spec._measurement_residual <= INVARIANT_TOL
+            assert spec.measurement_residual <= INVARIANT_TOL
 
     def test_qubit_columns(self):
         spec = qubit_spec()
@@ -349,18 +354,29 @@ class TestPremeasure:
         premeasure(spec, phi)
         assert not calls
 
-    def test_unitarity_residual_forms_no_product(self, monkeypatch):
+    def test_unitarity_residual_forms_no_product(self):
         rng = np.random.default_rng(32)
         spec = random_bcl_spec(rng, (2, 1), apparatus_dim=4)
-        calls = []
-        monkeypatch.setattr(premeasurement, "gram_deviation", lambda m: calls.append(m) or 0.0)
-        assert spec.unitarity_deviation == max(
-            spec._eigenbasis_deviation,
-            spec._measurement_residual,
-            gram_deviation(spec.pointers),
-            gram_deviation(spec.ready_state.amplitudes[:, None]),
+        # a ready state 3e-11 off unit norm, inside StateVector's check: its term is the largest
+        ready = StateVector(spec.ready_state.amplitudes * (1.0 + 3e-11))
+        spec = BclSpec(
+            eigenvalues=spec.eigenvalues,
+            degeneracies=spec.degeneracies,
+            eigenvectors=spec.eigenvectors,
+            transfer=spec.transfer,
+            pointers=spec.pointers,
+            ready_state=ready,
         )
-        assert not calls
+        eigenbasis, transfer, pointers = (
+            gram_residual(m.conj().T @ m).max()
+            for m in (spec.eigenvectors, spec.transfer, spec.pointers)
+        )
+        ready_residual = abs(np.vdot(ready.amplitudes, ready.amplitudes) - 1.0)
+        assert spec.measurement_residual == transfer
+        assert spec.unitarity_deviation == max(eigenbasis, transfer, pointers, ready_residual)
+        assert abs(spec.unitarity_deviation - 6e-11) < 1e-15
+        # a stored float: reading it forms no product
+        assert type(vars(spec)["unitarity_deviation"]) is float
 
     def test_full_measurement_run_builds_shared_states_once(self, monkeypatch):
         # one |psi><psi| of the final state and one division into conditional
@@ -393,27 +409,70 @@ class TestPremeasure:
             rebuilt += np.sqrt(result.probabilities[k]) * np.kron(conditional, spec.pointers[:, k])
         assert np.linalg.norm(result.final_state.amplitudes - rebuilt) < 1e-10
 
-    def test_tiny_negative_probability_clipped(self):
-        spec = qubit_spec()
-        template = premeasure(spec, basis_state(2, 0))
-        clipped = PremeasurementResult(
-            final_state=template.final_state,
-            probabilities=np.array([1.0, -1e-13]),
-            sector_vectors=template.sector_vectors,
-        )
-        assert clipped.probabilities[1] == 0.0
+    @pytest.mark.parametrize("scenario", ["bcl_qubit.json", "rule2_qubit.json"])
+    def test_floored_sector_enters_the_reconstruction(self, scenario):
+        # sector 1 has probability 1e-14, below the floor: no conditional
+        # state, but its amplitude 1e-7 is still part of the final state
+        bundled = resources.files("pointerlab").joinpath("scenarios", scenario)
+        document = json.loads(bundled.read_text())
+        document["initial_state"] = [1.0, 1e-7]
+        report = run_scenario(validate_scenario_data(document))
+        verdicts = {v.name: v for v in report.verdicts}
+        assert verdicts["reconstruction"].residual <= 1e-15
+        assert report.all_passed
 
-    @pytest.mark.parametrize("probabilities", [[1.0, -0.3], [1.3, -0.3]])
-    def test_negative_probability_beyond_roundoff_refused(self, probabilities):
-        # the second sums to exactly 1, so only the sign check can refuse it
-        spec = qubit_spec()
-        template = premeasure(spec, basis_state(2, 0))
-        with pytest.raises(SpecInvalid, match="probability of sector 1 is negative"):
-            PremeasurementResult(
-                final_state=template.final_state,
-                probabilities=np.array(probabilities),
-                sector_vectors=template.sector_vectors,
-            )
+
+DERIVED_SPECS = st.fixed_dictionaries(
+    {
+        "degeneracies": st.lists(st.integers(1, 3), min_size=1, max_size=4),
+        "extra_apparatus": st.integers(0, 2),  # > 0 leaves K < d_pointer
+        "transfer": st.sampled_from(["identity", "sector_unitary"]),
+    }
+)
+
+
+class TestDerivedResult:
+    @settings(max_examples=60)
+    @given(
+        case=DERIVED_SPECS,
+        zeroed=st.lists(st.booleans(), max_size=4),  # sectors of probability exactly 0
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_probabilities_and_final_state_follow_from_the_sector_vectors(
+        self, case, zeroed, seed
+    ):
+        rng = np.random.default_rng(seed)
+        degeneracies = case["degeneracies"]
+        spec = random_bcl_spec(
+            rng,
+            degeneracies,
+            apparatus_dim=len(degeneracies) + case["extra_apparatus"],
+            transfer=case["transfer"],
+        )
+        shape = (spec.system_dim, len(degeneracies))
+        vectors = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        vectors[:, [k for k, zero in enumerate(zeroed[: shape[1] - 1]) if zero]] = 0.0
+        vectors /= np.linalg.norm(vectors)
+        result = PremeasurementResult(spec, vectors)
+        assert close(result.probabilities, (np.abs(vectors) ** 2).sum(axis=0))
+        assert result.probabilities.min() >= 0.0
+        dense_state = sum(
+            np.kron(vectors[:, k], spec.pointers[:, k]) for k in range(len(degeneracies))
+        )
+        assert close(result.final_state.amplitudes, dense_state)
+        assert not result.sector_vectors.flags.writeable
+        assert not result.probabilities.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (2,), (1, 2, 2)])
+    def test_sector_vectors_of_another_shape_refused(self, shape):
+        vectors = np.zeros(shape, dtype=complex)
+        vectors.flat[0] = 1.0
+        with pytest.raises(DimensionMismatch, match="sector vectors have shape"):
+            PremeasurementResult(qubit_spec(), vectors)
+
+    def test_probabilities_off_unit_sum_refused(self):
+        with pytest.raises(SpecInvalid, match="sum off"):
+            PremeasurementResult(qubit_spec(), np.eye(2) * 0.5)
 
 
 class TestApparatusMarginal:

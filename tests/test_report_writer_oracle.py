@@ -25,7 +25,14 @@ from pointerlab import RunReport, Verdict, load_scenario, run_scenario, runner
 from pointerlab.cli import DEMO_SCENARIOS
 from pointerlab.runner import _float_repr, render_report
 from pointerlab.scenario import validate_scenario_data
-from helpers import csv_text, haar_document, json_text, payload_document, payload_text
+from helpers import (
+    csv_text,
+    haar_document,
+    json_text,
+    nul_placeholder,
+    payload_document,
+    payload_text,
+)
 
 
 def is_amplitude_array(value):
@@ -230,8 +237,10 @@ def test_library_reports_match_the_references(report):
     assert render_report(report) == reference_text(document) + "\n"
     text = render_report(report, "csv")
     assert text == csv_text(report)
-    # and every name reads back whole, a bare \r included
-    names = [row[0] for row in csv.reader(io.StringIO(text, newline=""))]
+    # and every name reads back whole, a bare \r and NUL included
+    placeholder = nul_placeholder(text)
+    rows = csv.reader(io.StringIO(text.replace("\0", placeholder), newline=""))
+    names = [row[0].replace(placeholder, "\0") for row in rows]
     assert names == ["metric", *report.values, *(v.name for v in report.verdicts)]
 
 
