@@ -14,12 +14,14 @@ A density matrix is held as a weighted mixture ``sum_j w_j |v_j><v_j|`` of
 ``r`` columns, never as a ``dim x dim`` array: a pure state is one column and
 a reduced state one column per vector of its mixture (Hughston, Jozsa and
 Wootters, Phys. Lett. A 183, 14 (1993)).  One routine gives the eigenvalues
-of a mixture ``V diag(s) V^dagger`` with real weights of either sign: those
-of ``R diag(s) R^dagger`` for the triangular QR factor ``R`` of ``V`` when
-there are fewer columns than dimensions, otherwise those of the ``dim x
-dim`` matrix.  A state's spectrum and the trace distance of two states, the
-mixture of both column sets with weights ``[w_rho, -w_sigma]``, both come
-from it, so neither forms a matrix larger than ``min(dim, r)`` square.  On a
+of a mixture ``V diag(s) V^dagger`` with real weights of either sign: for
+one column ``v`` of weight ``w`` the one eigenvalue ``w ||v||^2``, with no
+factorization; otherwise those of ``R diag(s) R^dagger`` for the triangular
+QR factor ``R`` of ``V`` when there are fewer columns than dimensions, else
+those of the ``dim x dim`` matrix.  A state's spectrum and the trace
+distance of two states, the mixture of both column sets with weights
+``[w_rho, -w_sigma]``, both come from it, so neither forms a matrix larger
+than ``min(dim, r)`` square.  On a
 bipartite space each column is read as its ``d_first x d_second`` amplitude
 matrix ``B_j``, so partial traces and expectations of Kronecker products are
 matrix products on the ``B_j``.  A partial trace is itself returned as a
@@ -27,12 +29,13 @@ mixture, of the weighted ``B_j`` columns (or rows), so no reduced state is
 formed densely.  A bipartite shape is the plain pair ``(d_first, d_second)``
 of factor dims.  A :class:`KroneckerProduct` is held as two congruences
 ``M T M^dagger`` with real symmetric tridiagonal cores ``T`` and read on each
-``B_j`` as ``M^T B_j^* N``, so no factor is formed.
+``B_j`` as ``M^T B_j^* N``, so no factor is formed; a factor without a basis
+is its core alone, and its side of ``B_j`` is not rotated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -138,8 +141,8 @@ class DensityMatrix:
         """Real spectrum in ascending order, read-only and computed once.
 
         The eigenvalues of ``(V * w) @ V^dagger`` from :func:`_mixture_spectrum`:
-        with fewer columns than dimensions, the ``r`` of ``R w R^dagger`` padded
-        with ``dim - r`` exact zeros.
+        with fewer columns than dimensions, its ``r`` values (``w ||v||^2`` for
+        one column) padded with ``dim - r`` exact zeros.
         """
         return self._spectrum
 
@@ -164,37 +167,56 @@ class KroneckerProduct:
 
     ``system`` is ``(M, d, e)`` and ``apparatus`` ``(N, d, e)``: a column matrix
     and the real symmetric tridiagonal core on its ``r`` columns, with diagonal
-    ``d`` and off-diagonal ``e``.  Construction checks only the lengths ``r`` and
-    ``r - 1`` and refuses a complex or non-finite core; the column matrices are
-    read-only views.
+    ``d`` and off-diagonal ``e``.  A basis of ``None`` is the identity on the
+    core's ``r`` entries, and its side of each amplitude matrix is not
+    rotated.  Construction checks only the lengths ``r`` and ``r - 1`` and
+    refuses a complex or non-finite core; the column matrices are read-only
+    views.  The cores stay real, and their complex copies, which every apply
+    multiplies by, are cast once here.
     """
 
-    system: tuple[np.ndarray, np.ndarray, np.ndarray]
-    apparatus: tuple[np.ndarray, np.ndarray, np.ndarray]
+    system: tuple[np.ndarray | None, np.ndarray, np.ndarray]
+    apparatus: tuple[np.ndarray | None, np.ndarray, np.ndarray]
+    _cores: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        cores = []
         for name in ("system", "apparatus"):
             basis, diagonal, off = getattr(self, name)
             if np.iscomplexobj(diagonal) or np.iscomplexobj(off):
                 raise ValueError("a Kronecker core must be real")
-            basis = np.asarray(basis, dtype=complex).view()
             diagonal, off = np.array(diagonal, dtype=float), np.array(off, dtype=float)
-            rank = basis.shape[1] if basis.ndim == 2 else -1
+            if basis is None:
+                rank = diagonal.shape[0] if diagonal.ndim == 1 else -1
+            else:
+                basis = _readonly(np.asarray(basis, dtype=complex).view())
+                rank = basis.shape[1] if basis.ndim == 2 else -1
             if diagonal.shape != (rank,) or off.shape != (rank - 1,):
                 raise ValueError("a Kronecker core needs r diagonal and r - 1 off-diagonal entries")
             if not (np.isfinite(diagonal).all() and np.isfinite(off).all()):
                 raise ValueError("a Kronecker core must be finite")
-            object.__setattr__(self, name, (_readonly(basis), _readonly(diagonal), _readonly(off)))
+            object.__setattr__(self, name, (basis, _readonly(diagonal), _readonly(off)))
+            cores.append((diagonal.astype(complex), off.astype(complex)))
+        object.__setattr__(self, "_cores", tuple(cores))
 
     @property
     def factor_dims(self) -> tuple[int, int]:
-        return (self.system[0].shape[0], self.apparatus[0].shape[0])
+        first, second = (
+            len(diagonal) if basis is None else basis.shape[0]
+            for basis, diagonal, _ in (self.system, self.apparatus)
+        )
+        return (first, second)
 
     def expectation(self, rho: DensityMatrix) -> float:
         """``tr(rho W) = sum_j w_j <T C_j, C_j S>`` for ``C_j = M^T B_j^* N``."""
-        (system, *system_core), (apparatus, *apparatus_core) = self.system, self.apparatus
+        system, apparatus = self.system[0], self.apparatus[0]
+        system_core, apparatus_core = self._cores
         # C_j conjugates M^dagger B_j N^*, the same value for real cores: only B_j is conjugated
-        rotated = system.T @ rho.blocks(self.factor_dims).conj() @ apparatus
+        rotated = rho.blocks(self.factor_dims).conj()
+        if system is not None:
+            rotated = system.T @ rotated
+        if apparatus is not None:
+            rotated = rotated @ apparatus
         left = _tridiagonal_apply(*system_core, rotated.swapaxes(1, 2)).swapaxes(1, 2)
         return float(np.vdot(left, _tridiagonal_apply(*apparatus_core, rotated)).real)
 
@@ -203,7 +225,8 @@ class KroneckerProduct:
 
         ``first`` holds the ``f_j`` and ``second`` the ``s_j`` as columns; the
         value is ``sum_j w_j <f_j|M T M^dagger|f_j> <s_j|N S N^dagger|s_j>``,
-        each form read on the row ``f_j^dagger M``, so only columns are conjugated.
+        each form read on the row ``f_j^dagger M`` (``f_j^dagger`` where the
+        basis is the identity), so only columns are conjugated.
         Factors whose rows do not match :attr:`factor_dims`, or whose column
         counts differ from each other or from the weights, are refused.
         """
@@ -217,8 +240,9 @@ class KroneckerProduct:
             raise DimensionMismatch(
                 f"{first.shape[1]} and {second.shape[1]} factor columns for weights {terms.shape}"
             )
-        for (basis, *core), columns in ((self.system, first), (self.apparatus, second)):
-            rows = columns.conj().T @ basis
+        factors = ((self.system[0], first), (self.apparatus[0], second))
+        for (basis, columns), core in zip(factors, self._cores):
+            rows = columns.conj().T if basis is None else columns.conj().T @ basis
             terms = terms * (rows.conj() * _tridiagonal_apply(*core, rows)).sum(axis=1)
         return float(terms.sum().real)
 
@@ -265,14 +289,17 @@ def gram_residual(gram: np.ndarray) -> np.ndarray:
 def _mixture_spectrum(columns: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Eigenvalues of ``V diag(s) V^dagger`` for real weights ``s`` of either sign.
 
-    ``eigvalsh`` runs on the smaller of two matrices.  With fewer columns
-    than rows, ``V = Q R`` for orthonormal ``Q``, so the matrix is unitarily
-    similar to ``R diag(s) R^dagger`` padded with zeros and only the ``r``
-    eigenvalues of that ``r x r`` matrix are returned (Golub and Van Loan,
-    *Matrix Computations*, section 5.2); otherwise all ``dim`` of
-    ``(V * s) @ V^dagger``.
+    One column ``v`` of weight ``w``, such as a pure state, has the one
+    eigenvalue ``w ||v||^2``.  For more columns, ``eigvalsh`` runs on the
+    smaller of two matrices.  With fewer columns than rows, ``V = Q R`` for
+    orthonormal ``Q``, so the matrix is unitarily similar to ``R diag(s)
+    R^dagger`` padded with zeros and only the ``r`` eigenvalues of that
+    ``r x r`` matrix are returned (Golub and Van Loan, *Matrix Computations*,
+    section 5.2); otherwise all ``dim`` of ``(V * s) @ V^dagger``.
     """
     dim, rank = columns.shape
+    if rank == 1:
+        return weights * np.vdot(columns, columns).real
     factor = np.linalg.qr(columns, mode="r") if rank < dim else columns
     return np.linalg.eigvalsh((factor * weights) @ factor.conj().T)
 

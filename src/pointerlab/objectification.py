@@ -21,7 +21,9 @@ Gram matrix is a Hadamard product, the marginals are weighted columns of
 over the factors.  The unitary outcome is one column, read through its
 amplitude matrix ``B``: pointer blocks as ``B P^*`` and witnesses, each a
 Kronecker product of tridiagonal congruences in the spec's bases, as
-``E^T B^* P`` (or ``E^T B^*``).  No product-space matrix is ever built.
+``E^T B^* P`` (or ``E^T B^*`` for the observable witness, whose apparatus
+identity is held as its core alone).  No product-space matrix is ever built,
+nor the apparatus identity.
 """
 
 from __future__ import annotations
@@ -212,9 +214,13 @@ def shift_witness(spec: BclSpec) -> KroneckerProduct:
 
 
 def observable_witness(spec: BclSpec) -> KroneckerProduct:
-    """Witness ``O (x) I``, ``O = E diag(o) E^dagger``: it survives objectification untouched."""
+    """Witness ``O (x) I``, ``O = E diag(o) E^dagger``: it survives objectification untouched.
+
+    The apparatus factor has no basis, so ``I`` is its core alone and no
+    ``d_pointer x d_pointer`` array is formed.
+    """
     outcomes, dim = np.repeat(spec.eigenvalues, spec.degeneracies), spec.apparatus_dim
     return KroneckerProduct(
         system=(spec.eigenvectors, outcomes, np.zeros(len(outcomes) - 1)),
-        apparatus=(np.eye(dim, dtype=complex), np.ones(dim), np.zeros(dim - 1)),
+        apparatus=(None, np.ones(dim), np.zeros(dim - 1)),
     )

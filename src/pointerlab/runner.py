@@ -201,6 +201,19 @@ def _amplitude_tree(value, newline: str, items: list) -> bool:
     return True
 
 
+def _row_templates(inner: str) -> list[str]:
+    """The four ``[re, im]`` row templates at the indent ``inner``, indexed by row code.
+
+    Code ``2 * fixed_re + fixed_im`` picks ``%.1f`` for each integral entry
+    and ``%.17g`` otherwise.
+    """
+    return [
+        "[" + inner + "  " + first + "," + inner + "  " + second + inner + "]"
+        for first in ("%.17g", "%.1f")
+        for second in ("%.17g", "%.1f")
+    ]
+
+
 def _amplitude_text(batch: list) -> str:
     """The JSON text of a run of skeleton items, with one ``%``-template for all its arrays.
 
@@ -209,7 +222,8 @@ def _amplitude_text(batch: list) -> str:
     ``.0`` of :func:`_float_repr` (at ``1e17`` and above ``%.17g`` writes an
     exponent).  Finiteness is checked first, so ``% 1.0`` never meets an
     infinity; a non-finite entry raises the ``ValueError`` of
-    :func:`_float_repr`, naming the first one.
+    :func:`_float_repr`, naming the first one.  The row templates are built
+    once per indent within the batch.
     """
     arrays = [item[0] for item in batch if type(item) is tuple]
     if not arrays:
@@ -223,7 +237,7 @@ def _amplitude_text(batch: list) -> str:
     if fixed.any():
         fixed &= np.abs(numbers) < 1e17
         codes = (2 * fixed[:, 0] + fixed[:, 1]).tolist()
-    template, row = [], 0
+    template, row, row_templates = [], 0, {}
     for item in batch:
         if type(item) is str:
             template.append(item)
@@ -232,11 +246,9 @@ def _amplitude_text(batch: list) -> str:
         if not count:
             template.append("[]")
             continue
-        rows = [
-            "[" + inner + "  " + first + "," + inner + "  " + second + inner + "]"
-            for first in ("%.17g", "%.1f")
-            for second in ("%.17g", "%.1f")
-        ]
+        rows = row_templates.get(inner)
+        if rows is None:
+            rows = row_templates[inner] = _row_templates(inner)
         if codes is None:
             chosen = [rows[0]] * count
         else:

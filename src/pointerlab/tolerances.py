@@ -27,9 +27,9 @@ QUADRATURE_NORM_TOL = 1e-8
 #: Largest product dimension ``D = system_dim * apparatus_dim`` a scenario may
 #: ask for, checked when the scenario is validated.  The run path builds no
 #: ``D x D`` array; its largest arrays are ``d_system x d_system`` (the
-#: eigenbasis and its Gram matrix) or the observable witness's
-#: ``d_pointer x d_pointer`` identity basis, so the cap bounds run time and
-#: memory, not a dense matrix.
+#: eigenbasis and its Gram matrix), and the observable witness holds its
+#: apparatus identity as a core alone, with no ``d_pointer x d_pointer``
+#: basis, so the cap bounds run time and memory, not a dense matrix.
 DENSE_DIM_CAP = 4096
 
 #: Largest number of complex entries (1 MiB) in one chunk of the ``K x r x r``

@@ -119,13 +119,14 @@ def quadrature_inner(psi, phi):
 def kronecker_entries(witness):
     """Dense matrix ``kron(M T M^dagger, N S N^dagger)`` of a ``KroneckerProduct``.
 
-    Each core is formed as ``diag(d) + diag(e, 1) + diag(e, -1)``.
+    Each core is formed as ``diag(d) + diag(e, 1) + diag(e, -1)``, and a
+    factor without a basis takes the identity on its core's length as ``M``.
     """
-    first, second = (
-        basis @ (np.diag(d) + np.diag(e, 1) + np.diag(e, -1)) @ basis.conj().T
-        for basis, d, e in (witness.system, witness.apparatus)
-    )
-    return np.kron(first, second)
+    factors = []
+    for basis, d, e in (witness.system, witness.apparatus):
+        basis = np.eye(len(d)) if basis is None else basis
+        factors.append(basis @ (np.diag(d) + np.diag(e, 1) + np.diag(e, -1)) @ basis.conj().T)
+    return np.kron(*factors)
 
 
 def json_text(value):

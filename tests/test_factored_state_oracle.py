@@ -8,11 +8,12 @@ distance) is compared with the textbook formula on the materialized
 the dimension cap and pins that the run path allocates no ``dim x dim``
 array, and a tall shape that the premeasurement diagnostics allocate no
 ``d_system x d_system`` array, that a canonical run keeps no Gram matrix
-past its spec and that a witness holds no square core.  The marginals of a run are mixtures, so a
-run never diagonalizes a dense matrix with ``eigh``; the spectrum of a
-mixture wider than its dimension comes from its ``dim x dim`` matrix rather
-than its Gram matrix, and a trace distance of thin mixtures from their joint
-column span.
+past its spec and that a witness holds no square core, and the wide
+observable run (``ds = K = 1``, ``da = 4096``) no apparatus identity.  The
+marginals of a run are mixtures, so a run never diagonalizes a dense matrix
+with ``eigh``; the spectrum of a mixture wider than its dimension comes from
+its ``dim x dim`` matrix rather than its Gram matrix, and a trace distance of
+thin mixtures from their joint column span.
 """
 
 import tracemalloc
@@ -219,12 +220,33 @@ def test_witnesses_allocate_no_square_core():
     for builder in (shift_witness, observable_witness):
         peak, _ = traced_witness(spec, rng, builder)
         assert peak < spec.system_dim**2 * 16 / 16, f"{builder.__name__}: {peak / 2**20:.2f} MiB"
-    # ds = 2, da = 1024, K = 2: the observable witness holds the da x da identity
-    # basis, formed once as a complex array, and no core of that size
+    # ds = 2, da = 1024, K = 2: the observable witness's apparatus factor is its
+    # core alone, so it holds no da x da identity basis (16 MiB here)
     spec = random_bcl_spec(rng, [1, 1], apparatus_dim=1024)
     peak, (unitary, rule2) = traced_witness(spec, rng, observable_witness)
-    assert peak < 1.25 * spec.apparatus_dim**2 * 16, f"{peak / 2**20:.2f} MiB"
+    assert peak < spec.apparatus_dim**2 * 16 / 16, f"{peak / 2**20:.2f} MiB"
     assert abs(unitary - rule2) < 1e-10
+
+
+def test_wide_observable_run_holds_no_apparatus_identity():
+    # ds = K = 1, da = 4096, the widest shape the cap admits: a da x da complex
+    # identity basis alone would be 256 MiB
+    config = validate_scenario_data(
+        {
+            "scenario_kind": "full_measurement",
+            "bcl": {"eigenvalues": [1.0], "degeneracies": [1], "apparatus_dim": DENSE_DIM_CAP},
+            "initial_state": [1.0],
+            "witness": "system_observable",
+        }
+    )
+    tracemalloc.start()
+    try:
+        report = run_scenario(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_passed, [v.name for v in report.verdicts if not v.passed]
+    assert peak < 4 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 @pytest.mark.parametrize("witness", ["sigma_x_pattern", "system_observable"])

@@ -6,8 +6,9 @@ each object and array.  A scenario echo holds each amplitude list as an
 ``(n, 2)`` float array, which the reference writes as its ``.tolist()``.
 The one-pass writer must give byte-identical text on every value a report
 can hold, and refuse a non-finite float the same way, also when it writes a
-nested list of amplitude arrays in batches of one ``%``-template each.  The
-CSV rows are checked against the ``csv.writer`` rows they replaced.
+nested list of amplitude arrays in batches of one ``%``-template each, with
+the row templates built once per indent within a batch.  The CSV rows are
+checked against the ``csv.writer`` rows they replaced.
 """
 
 import csv
@@ -317,3 +318,39 @@ def test_amplitude_tree_takes_one_template_per_batch(monkeypatch):
     monkeypatch.setattr(runner, "AMPLITUDE_BATCH_ENTRIES", 8)  # two arrays per batch
     assert json_text(tree) == reference_text(tree)
     assert [count for count in arrays if count] == [2, 2, 1, 2, 2]
+
+
+def test_row_templates_are_built_once_per_indent_per_batch(monkeypatch):
+    # an explicit eigenbasis and transfer family (degeneracies [2, 1, 3]) beside a ready
+    # state holding 1.0 and -0.0: integral entries, and arrays at two depths in one batch
+    document = haar_document("system_observable")
+    basis = document["bcl"]["basis"]
+    basis["ready_state"] = [[1.0, -0.0], [-0.0, 0.0], [0.0, 0.0], [-0.0, -0.0]]
+    document["bcl"]["transfer_family"] = basis["system_eigenbasis"]
+    config = validate_scenario_data(document)
+    batches, built = [], []
+    template, rows = runner._amplitude_text, runner._row_templates
+
+    def counted_text(batch):
+        built.append([])
+        batches.append({item[1] + "  " for item in batch if type(item) is tuple and len(item[0])})
+        return template(batch)
+
+    def counted_rows(inner):
+        built[-1].append(inner)
+        return rows(inner)
+
+    monkeypatch.setattr(runner, "_amplitude_text", counted_text)
+    monkeypatch.setattr(runner, "_row_templates", counted_rows)
+    bcl = config.document["bcl"]
+    basis = bcl["basis"]
+    tree = [basis["system_eigenbasis"], bcl["transfer_family"], basis["ready_state"]]
+    assert json_text(tree) == reference_text(tree)
+    assert len(batches) == 1 and len(batches[0]) == 2  # one batch, two indents
+    report = run_scenario(config)
+    assert report.all_passed, [v.name for v in report.verdicts if not v.passed]
+    meta = {"duration_seconds": report.duration_seconds}
+    document = {"payload": payload_document(report), "meta": meta}
+    assert render_report(report) == reference_text(document) + "\n"
+    for indents, inners in zip(batches, built):
+        assert sorted(inners) == sorted(indents)  # each indent once, none twice
