@@ -9,10 +9,10 @@ A kernel is held as the ``(n,)`` diagonal of a multiplication operator, such
 as the position observable, at ``O(n)`` per operation.
 
 A symmetrized pair ``nu * (psi (x) phi +/- phi (x) psi)`` has rank two, so it
-is stored as its two orbitals, its exchange sign, ``nu`` and its 2x2 orbital
-overlap matrix ``S = dx * O^* O^T`` with ``O = [psi; phi]``, which
-:func:`symmetrize` forms with one product; exchange symmetry holds by
-construction and no ``n x n`` pair array is ever formed.  The expectation of
+is stored as its two orbitals, its exchange sign, its 2x2 orbital overlap
+matrix ``S = dx * O^* O^T`` with ``O = [psi; phi]``, formed with one product,
+and the ``nu`` it derives from ``S``; exchange symmetry holds by construction
+and no ``n x n`` pair array is ever formed.  The expectation of
 a one-body registration observable ``a (x) 1 + 1 (x) a`` follows from ``S``
 and the 2x2 orbital matrix elements of ``a`` (the Lowdin rules for
 non-orthogonal orbitals): :func:`orbital_elements` gives those elements and
@@ -21,7 +21,8 @@ the one-particle expectations in each orbital from one kernel apply, and
 same orbitals share one apply.  :func:`dlocal_agreement_check` returns the
 localized and the unlocalized pair values and the localized kernel, one
 apply per kernel.  A grid forms its coordinate array once, and a
-:class:`Domain` is its read-only point mask, which every check reads as it is.
+:class:`Domain` is a read-only point mask on one grid, which every check reads
+as it is after refusing a kernel or packet on another grid.
 """
 
 from __future__ import annotations
@@ -140,24 +141,27 @@ class TwoParticleWavefunction:
     """Symmetrized pair ``nu * (first (x) second + sign * second (x) first)``.
 
     Exchanging the particles multiplies the amplitude by the declared sign
-    by construction; ``nu`` must make the quadrature norm 1.  ``overlaps``
-    is the orbital overlap matrix ``S``: :func:`symmetrize` hands over the
-    one it formed for ``nu``, :meth:`opposite_exchange` shares it with the
-    pair of the other sign, and a pair built directly forms its own.
+    by construction.  Construction forms the overlap matrix ``S``
+    (``overlaps``), unless :meth:`opposite_exchange` shares it, and derives
+    ``nu = (2 <psi|psi><phi|phi> + 2 sign |<psi|phi>|^2)^(-1/2)``: ``1/sqrt(2)``
+    for orthogonal inputs, ``1/2`` for identical bosons, and ``NullState``
+    for a null bracket.  For nearly parallel fermionic inputs the bracket
+    cancels, leaving an absolute roundoff of about 1e-16 in ``1/nu^2``.
     """
 
     first: LatticeWavefunction
     second: LatticeWavefunction
     exchange: ExchangeSymmetry
-    nu: float
+    nu: float = field(init=False)
     overlaps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if "overlaps" not in vars(self):
             object.__setattr__(self, "overlaps", _overlaps(self.first, self.second))
-        norm = self.nu**2 * _pair_norm_squared(self.overlaps, self.exchange)
-        if not abs(norm - 1.0) <= QUADRATURE_NORM_TOL:
-            raise ValueError(f"quadrature norm {norm:.17g} is not 1 within {QUADRATURE_NORM_TOL}")
+        norm_squared = _pair_norm_squared(self.overlaps, self.exchange)
+        if not norm_squared >= COMPARISON_TOL**2:
+            raise NullState("symmetrized state is numerically null")
+        object.__setattr__(self, "nu", norm_squared**-0.5)
 
     @property
     def grid(self) -> LatticeGrid:
@@ -168,9 +172,11 @@ class TwoParticleWavefunction:
 
         Raises ``NullState`` for a null bracket, as :func:`symmetrize` does.
         """
-        return _symmetrized(
-            self.first, self.second, ExchangeSymmetry(-self.exchange.sign), self.overlaps
-        )
+        # hand S over before construction runs, so that it is not formed again
+        pair = object.__new__(TwoParticleWavefunction)
+        object.__setattr__(pair, "overlaps", self.overlaps)
+        pair.__init__(self.first, self.second, ExchangeSymmetry(-self.exchange.sign))
+        return pair
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,12 +213,16 @@ class KernelOperator:
 
 @dataclass(frozen=True, eq=False)
 class Domain:
-    """Grid points selected by a read-only boolean mask, one flag per point."""
+    """Points of ``grid`` selected by a read-only boolean mask, one flag per point."""
 
+    grid: LatticeGrid
     points: np.ndarray
 
     def __post_init__(self) -> None:
         points = np.array(self.points, dtype=bool)
+        n = self.grid.n_points
+        if points.shape != (n,):
+            raise ValueError(f"domain mask has shape {points.shape}, not ({n},)")
         points.setflags(write=False)
         object.__setattr__(self, "points", points)
 
@@ -222,13 +232,7 @@ class Domain:
         if upper < lower:
             raise ValueError("upper must not be below lower")
         coords = grid.coordinates
-        return cls((coords >= lower) & (coords <= upper))
-
-    def mask(self, n_points: int) -> np.ndarray:
-        """The read-only point mask; refused unless it has exactly ``n_points`` flags."""
-        if self.points.shape != (n_points,):
-            raise ValueError(f"domain mask has shape {self.points.shape}, not ({n_points},)")
-        return self.points
+        return cls(grid, (coords >= lower) & (coords <= upper))
 
 
 def gaussian_packet(grid: LatticeGrid, center: float, width: float) -> LatticeWavefunction:
@@ -250,28 +254,8 @@ def gaussian_packet(grid: LatticeGrid, center: float, width: float) -> LatticeWa
 def symmetrize(
     psi: LatticeWavefunction, phi: LatticeWavefunction, sym: ExchangeSymmetry
 ) -> TwoParticleWavefunction:
-    """Exchange-(anti)symmetric pair state built from two one-particle states.
-
-    The normalization ``nu = (2 <psi|psi><phi|phi> + 2 sign |<psi|phi>|^2)^(-1/2)``
-    is ``1/sqrt(2)`` for orthogonal inputs and ``1/2`` for the bosonic
-    identical case.  For nearly parallel fermionic inputs the bracket
-    cancels, leaving an absolute roundoff of about 1e-16 in ``1/nu^2``.
-    """
-    return _symmetrized(psi, phi, sym, _overlaps(psi, phi))
-
-
-def _symmetrized(
-    psi: LatticeWavefunction, phi: LatticeWavefunction, sym: ExchangeSymmetry, overlaps: np.ndarray
-) -> TwoParticleWavefunction:
-    norm_squared = _pair_norm_squared(overlaps, sym)
-    if norm_squared < COMPARISON_TOL**2:
-        raise NullState("symmetrized state is numerically null")
-    # hand S to the pair before its validation runs, so that the check of nu
-    # reads it instead of forming it a second time
-    pair = object.__new__(TwoParticleWavefunction)
-    object.__setattr__(pair, "overlaps", overlaps)
-    pair.__init__(psi, phi, sym, norm_squared**-0.5)
-    return pair
+    """Exchange-(anti)symmetric pair state built from two one-particle states."""
+    return TwoParticleWavefunction(psi, phi, sym)
 
 
 def position_kernel(grid: LatticeGrid) -> KernelOperator:
@@ -315,7 +299,8 @@ def expectation_two_particle(elements: np.ndarray, pair: TwoParticleWavefunction
 
 def localize(a: KernelOperator, D: Domain) -> KernelOperator:
     """Restrict a kernel to the domain, ``chi_D(i) a_ij chi_D(j)``: its diagonal times ``chi_D``."""
-    return KernelOperator(a.grid, np.where(D.mask(a.grid.n_points), a.entries, 0.0 + 0.0j))
+    _require_same_grid(a.grid, D.grid)
+    return KernelOperator(a.grid, np.where(D.points, a.entries, 0.0 + 0.0j))
 
 
 def dlocal_residual(a: KernelOperator, D: Domain) -> float:
@@ -326,7 +311,8 @@ def dlocal_residual(a: KernelOperator, D: Domain) -> float:
     the ``dx``-weighted absolute row and column sums.  Off the diagonal every
     term is an exact zero, so both sums are ``|a_jj|``.
     """
-    exterior = ~D.mask(a.grid.n_points)
+    _require_same_grid(a.grid, D.grid)
+    exterior = ~D.points
     if not exterior.any():
         return 0.0
     return float(a.grid.dx * np.abs(a.entries)[exterior].max())
@@ -348,9 +334,12 @@ class DLocalAgreement:
 
     two_particle: complex
     single: complex
-    difference: float
     unlocalized_two_particle: complex
     localized_kernel: KernelOperator = field(repr=False)
+
+    @property
+    def difference(self) -> float:
+        return abs(self.two_particle - self.single)
 
 
 def dlocal_agreement_check(
@@ -366,9 +355,9 @@ def dlocal_agreement_check(
     ``mass_epsilon`` of stray quadrature probability on the wrong side.  The
     pair is the boson symmetrization of ``psi`` and ``phi``.
     """
-    _require_same_grid(a.grid, psi.grid)
-    _require_same_grid(a.grid, phi.grid)
-    inside = D.mask(a.grid.n_points)
+    for grid in (D.grid, psi.grid, phi.grid):
+        _require_same_grid(a.grid, grid)
+    inside = D.points
     stray_psi = _domain_mass(psi, ~inside)
     if stray_psi > mass_epsilon:
         raise SupportViolation(
@@ -384,4 +373,4 @@ def dlocal_agreement_check(
     elements, (single, _) = orbital_elements(a, pair)
     two_particle = expectation_two_particle(orbital_elements(localized, pair)[0], pair)
     unlocalized = expectation_two_particle(elements, pair)
-    return DLocalAgreement(two_particle, single, abs(two_particle - single), unlocalized, localized)
+    return DLocalAgreement(two_particle, single, unlocalized, localized)

@@ -4,7 +4,9 @@ The entangled post-coupling state carries correlations between every system
 observable and the apparatus.  Objectification keeps only the classical
 correlations between conditional system states and pointer states, producing
 a proper mixture (gemenge) whose decomposition is physically meaningful and
-therefore stored explicitly rather than only as a density matrix.  The
+therefore stored explicitly rather than only as a density matrix; rule 2
+(:func:`apply_rule2`) takes the pointers of the outcome's own spec, so no
+other spec's pointers can be paired with its conditional states.  The
 non-unitary step preserves both marginals and every pointer-diagonal
 observable, and erases pointer-off-diagonal coherence, witnessed by
 observables that do not commute with the measured one.  This module gives
@@ -120,19 +122,19 @@ class GemengeDecomposition:
         return np.linalg.eigvalsh(np.outer(weights, weights) * self.system_gram * self.pointer_gram)
 
 
-def apply_rule2(result: PremeasurementResult, spec: BclSpec) -> GemengeDecomposition:
+def apply_rule2(result: PremeasurementResult) -> GemengeDecomposition:
     """Objectify a premeasurement outcome.
 
     Drops every correlation except the pairing of conditional system states
-    with pointer states; probabilities pass through unchanged.  The map is
-    non-unitary but deterministic.  Sectors below the probability floor are
-    omitted.
+    with the pointer states of the result's own spec; probabilities pass
+    through unchanged.  The map is non-unitary but deterministic.  Sectors
+    below the probability floor are omitted.
     """
     kept, conditionals = result.conditionals
     return GemengeDecomposition(
         probabilities=result.probabilities[kept],
         system_states=conditionals,
-        pointer_states=spec.pointers[:, kept],
+        pointer_states=result.spec.pointers[:, kept],
     )
 
 

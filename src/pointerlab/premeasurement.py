@@ -62,7 +62,7 @@ class BclSpec:
     orthonormal within each sector.  ``pointers`` (``P``,
     ``d_apparatus x K``) holds one orthonormal apparatus state per sector and
     ``ready_state`` the apparatus state before the interaction.  Eigenvalues
-    are carried as distinct real labels only.
+    are carried as distinct finite real labels only.
 
     Construction copies the matrices read-only and keeps the ``K + 1`` sector
     bounds (sector ``k`` is columns ``bounds[k]:bounds[k + 1]``) and three
@@ -105,6 +105,8 @@ class BclSpec:
         sectors = len(eigenvalues)
         if sectors == 0:
             raise SpecInvalid("at least one eigenvalue sector is required")
+        if not np.isfinite(eigenvalues).all():
+            raise SpecInvalid("eigenvalues must be finite")
         if len(set(eigenvalues)) != sectors:
             raise SpecInvalid("eigenvalues must be distinct")
         if len(degeneracies) != sectors:
@@ -237,9 +239,12 @@ class PremeasurementResult:
 
     @cached_property
     def conditionals(self) -> tuple[np.ndarray, np.ndarray]:
-        """The sectors at or above the probability floor and their conditional states, once."""
+        """Read-only: the sectors at or above the probability floor and their conditional states."""
         kept = np.flatnonzero(self.probabilities >= PROBABILITY_FLOOR)
-        return kept, self.sector_vectors[:, kept] / np.sqrt(self.probabilities[kept])
+        states = self.sector_vectors[:, kept] / np.sqrt(self.probabilities[kept])
+        kept.setflags(write=False)
+        states.setflags(write=False)
+        return kept, states
 
     @cached_property
     def final_density(self) -> DensityMatrix:

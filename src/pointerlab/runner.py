@@ -549,7 +549,7 @@ def _run_full_measurement(scenario: dict) -> tuple[dict, list[Verdict]]:
     spec, phi = _build_spec(scenario)
     values, verdicts, result, pointer_mixture = _bcl_diagnostics(spec, phi, tol)
     with _stage("objectify"):
-        gemenge = apply_rule2(result, spec)
+        gemenge = apply_rule2(result)
         coherence_rule2 = pointer_block_coherence(gemenge, spec)
     with _stage("compare"):
         witness = (

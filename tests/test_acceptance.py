@@ -110,7 +110,7 @@ def test_criterion_3_dlocality_predicate():
     localized_local = dlocal_residual(localized, domain) <= 0.0
 
     # independent oracle: feed every exterior delta spike through the kernel
-    exterior = np.flatnonzero(~domain.mask(grid.n_points))
+    exterior = np.flatnonzero(~domain.points)
     raw_responds = False
     localized_responds = False
     for j in exterior:
@@ -213,7 +213,7 @@ def test_criterion_7_rule2_marginal_preservation(premeasure_cases):
     for spec, results, _ in premeasure_cases:
         dims = (spec.system_dim, spec.apparatus_dim)
         for result in results:
-            gemenge = apply_rule2(result, spec)
+            gemenge = apply_rule2(result)
             rho_unitary = outer(result.final_state)
             rho_rule2 = gemenge_density_matrix(gemenge, dims)
             for keep in (0, 1):

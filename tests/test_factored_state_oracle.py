@@ -102,7 +102,7 @@ def test_factored_quantities_match_dense_formulas(
         rho = (
             outer(result.final_state)
             if state == "premeasured"
-            else gemenge_density_matrix(apply_rule2(result, spec), dims)
+            else gemenge_density_matrix(apply_rule2(result), dims)
         )
     else:
         # an overfull mixture has more columns than dimensions
@@ -200,7 +200,7 @@ def traced_witness(spec, rng, builder):
     built before tracing starts.  Also returns the two expectations.
     """
     result = premeasure(spec, random_state(rng, spec.system_dim))
-    gemenge, rho = apply_rule2(result, spec), result.final_density
+    gemenge, rho = apply_rule2(result), result.final_density
     factors = (gemenge.probabilities, gemenge.system_states, gemenge.pointer_states)
     tracemalloc.start()
     try:
@@ -314,7 +314,7 @@ def test_wide_mixture_spectrum_allocates_no_gram_matrix():
     spec = random_bcl_spec(rng, [1] * levels, transfer="identity")
     result = premeasure(spec, random_state(rng, levels))
     dims = (levels, levels)
-    rho_rule2 = gemenge_density_matrix(apply_rule2(result, spec), dims)
+    rho_rule2 = gemenge_density_matrix(apply_rule2(result), dims)
     tracemalloc.start()
     try:
         reduced = partial_trace(rho_rule2, dims, keep=0)

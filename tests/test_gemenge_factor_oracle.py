@@ -83,7 +83,7 @@ def test_factor_identities_match_branch_columns(
     below = rng.choice(sectors, size=min(floored, sectors - 1), replace=False)
     coefficients[np.isin(np.repeat(np.arange(sectors), degeneracies), below)] *= faint
     result = premeasure(spec, StateVector.normalized(spec.eigenvectors @ coefficients))
-    gemenge = apply_rule2(result, spec)
+    gemenge = apply_rule2(result)
     assert gemenge.probabilities.size == np.sum(result.probabilities >= PROBABILITY_FLOOR)
     assert gemenge.probabilities.size <= sectors - below.size
 

@@ -74,8 +74,8 @@ def test_diagonal_matches_dense_diag(n, x_min, dx, seed):
         assert close(pair_expectation(diagonal, pair), pair_expectation(dense, pair))
 
     for _ in range(3):
-        domain = Domain(rng.random(n) < rng.random())
-        mask = domain.mask(n)
+        domain = Domain(grid, rng.random(n) < rng.random())
+        mask = domain.points
         dense_local = np.where(np.outer(mask, mask), np.diag(d), 0)
         local = localize(diagonal, domain)
         assert local.entries.ndim == 1

@@ -146,13 +146,18 @@ class TestSymmetrize:
         with pytest.raises(GridMismatch):
             symmetrize(psi, phi, ExchangeSymmetry.BOSON)
 
-    def test_record_rejects_wrong_normalization(self, grid):
+    def test_record_derives_its_normalization(self, grid):
         psi = gaussian_packet(grid, 0.0, 1.0)
-        phi = gaussian_packet(grid, 10.0, 1.0)
-        with pytest.raises(ValueError):
+        phi = gaussian_packet(grid, 1.5, 1.2)
+        for sym in ExchangeSymmetry:
+            direct = TwoParticleWavefunction(psi, phi, sym)
+            built = symmetrize(psi, phi, sym)
+            assert direct.nu == built.nu
+            assert np.array_equal(direct.overlaps, built.overlaps)
+        with pytest.raises(TypeError):
             TwoParticleWavefunction(psi, phi, ExchangeSymmetry.BOSON, 0.5)
-        with pytest.raises(ValueError):
-            TwoParticleWavefunction(psi, phi, ExchangeSymmetry.BOSON, float("nan"))
+        with pytest.raises(NullState):
+            TwoParticleWavefunction(psi, psi, ExchangeSymmetry.FERMION)
 
 
 class TestExpectations:
@@ -217,13 +222,13 @@ class TestLocalize:
     def test_zeroes_outside(self, grid):
         domain = Domain.from_interval(grid, -5.0, 5.0)
         localized = localize(position_kernel(grid), domain)
-        outside = ~domain.mask(grid.n_points)
+        outside = ~domain.points
         # off the diagonal every entry is an exact zero already
         assert np.all(localized.entries[outside] == 0)
 
     def test_full_grid_is_identity_operation(self, grid):
         kernel = position_kernel(grid)
-        whole = Domain(np.ones(grid.n_points, bool))
+        whole = Domain(grid, np.ones(grid.n_points, bool))
         assert np.array_equal(localize(kernel, whole).entries, kernel.entries)
 
     def test_idempotent(self, grid):
@@ -292,7 +297,7 @@ class TestCollectiveObservable:
     def test_number_operator_pattern(self, grid):
         # the indicator of a domain counts the particles inside it
         domain = Domain.from_interval(grid, -5.0, 5.0)
-        counting = KernelOperator(grid, domain.mask(grid.n_points) / grid.dx)
+        counting = KernelOperator(grid, domain.points / grid.dx)
         inside = gaussian_packet(grid, 0.0, 0.8)
         also_inside = gaussian_packet(grid, -0.5, 0.8)
         outside = gaussian_packet(grid, 15.0, 0.8)
@@ -323,20 +328,33 @@ class TestCollectiveObservable:
 
 class TestDomain:
     def test_mask_refuses_another_size(self, grid):
-        domain = Domain.from_interval(grid, -5.0, 5.0)
         for n_points in (grid.n_points - 1, grid.n_points + 1):
             with pytest.raises(ValueError, match="domain mask has shape"):
-                domain.mask(n_points)
+                Domain(grid, np.ones(n_points, bool))
+
+    def test_a_domain_on_another_grid_is_refused(self, grid):
+        # same size, shifted by 20: a bare mask of 512 flags would fit either grid
+        shifted = LatticeGrid(0.0, 40.0 / 512, 512)
+        domain = Domain.from_interval(shifted, 15.0, 25.0)
+        kernel = position_kernel(grid)
+        psi = gaussian_packet(grid, 0.0, 1.0)
+        phi = gaussian_packet(grid, 15.0, 1.0)
+        with pytest.raises(GridMismatch):
+            localize(kernel, domain)
+        with pytest.raises(GridMismatch):
+            dlocal_residual(kernel, domain)
+        with pytest.raises(GridMismatch):
+            dlocal_agreement_check(kernel, domain, psi, phi)
 
     def test_from_interval_mask_is_exactly_the_closed_interval(self, grid):
         lower, upper = -5.0, 5.3
-        mask = Domain.from_interval(grid, lower, upper).mask(grid.n_points)
+        mask = Domain.from_interval(grid, lower, upper).points
         coords = grid.coordinates
         assert np.array_equal(mask, (lower <= coords) & (coords <= upper))
         assert not mask.flags.writeable
 
     def test_closed_interval_includes_endpoints(self, grid):
         domain = Domain.from_interval(grid, -5.0, 5.0)
-        mask = domain.mask(grid.n_points)
+        mask = domain.points
         coords = grid.coordinates
         assert mask[coords == -5.0].all() and mask[coords == 5.0].all()

@@ -9,7 +9,9 @@ null without a floating-point warning; a third an infinite entry, which it
 refuses before dividing by it.  A ``KroneckerProduct`` holds no tolerance
 check, but refuses a NaN in its core as non-finite.  A ``KernelOperator``
 refuses a NaN or an infinite diagonal entry as non-finite: its Hermitian
-check reads only ``|Im a|``, which is zero for both.
+check reads only ``|Im a|``, which is zero for both.  A ``BclSpec`` refuses
+a NaN or an infinite eigenvalue before its distinctness check, which two
+NaNs would pass, since NaN equals nothing.
 """
 
 import dataclasses
@@ -41,9 +43,9 @@ def with_nan(matrix):
     return copy
 
 
-def spec(eigenvectors=np.eye(2), transfer=None, pointers=np.eye(2)):
+def spec(eigenvectors=np.eye(2), transfer=None, pointers=np.eye(2), eigenvalues=(1.0, -1.0)):
     return BclSpec(
-        eigenvalues=(1.0, -1.0),
+        eigenvalues=eigenvalues,
         degeneracies=(1, 1),
         eigenvectors=eigenvectors,
         transfer=eigenvectors if transfer is None else transfer,
@@ -103,6 +105,13 @@ ROWS = {
         ValueError,
         "finite",
     ),
+    "bcl_spec_eigenvalue": (lambda: spec(eigenvalues=(NAN, 1.0)), SpecInvalid, "finite"),
+    "bcl_spec_eigenvalue_infinite": (
+        lambda: spec(eigenvalues=(float("inf"), 1.0)),
+        SpecInvalid,
+        "finite",
+    ),
+    "bcl_spec_eigenvalue_two_nans": (lambda: spec(eigenvalues=(NAN, NAN)), SpecInvalid, "finite"),
     "bcl_spec_eigenvector": (
         lambda: spec(eigenvectors=with_nan(np.eye(2))),
         SpecInvalid,

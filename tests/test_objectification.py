@@ -39,7 +39,7 @@ def qubit_spec():
 def bell_case():
     spec = qubit_spec()
     result = premeasure(spec, StateVector(np.array([1, 1]) / np.sqrt(2)))
-    return spec, result, apply_rule2(result, spec)
+    return spec, result, apply_rule2(result)
 
 
 def rule2_expectation(witness, gemenge):
@@ -52,7 +52,7 @@ class TestApplyRule2:
     def test_eigenstate_single_component(self):
         spec = qubit_spec()
         result = premeasure(spec, StateVector(spec.eigenvectors[:, 0]))
-        gemenge = apply_rule2(result, spec)
+        gemenge = apply_rule2(result)
         assert gemenge.probabilities.shape == (1,)
         assert gemenge.probabilities[0] == pytest.approx(1.0, abs=1e-12)
         # with nothing to erase, the objectified state is the unitary projector
@@ -69,7 +69,7 @@ class TestApplyRule2:
         rng = np.random.default_rng(41)
         spec = random_bcl_spec(rng, (1, 1, 1))
         result = premeasure(spec, random_state(rng, spec.system_dim))
-        gemenge = apply_rule2(result, spec)
+        gemenge = apply_rule2(result)
         assert np.array_equal(gemenge.probabilities, result.probabilities)
 
     def test_invariants_rejected(self):
@@ -106,7 +106,7 @@ class TestGemengeDensityMatrix:
         for _ in range(5):
             spec = random_bcl_spec(rng, (2, 1))
             result = premeasure(spec, random_state(rng, spec.system_dim))
-            gemenge = apply_rule2(result, spec)
+            gemenge = apply_rule2(result)
             rho = gemenge_density_matrix(
                 gemenge, (spec.system_dim, spec.apparatus_dim)
             )
@@ -161,7 +161,7 @@ class TestCompareStates:
     def test_eigenstate_reports_zero_everything(self):
         spec = qubit_spec()
         result = premeasure(spec, StateVector(spec.eigenvectors[:, 0]))
-        gemenge = apply_rule2(result, spec)
+        gemenge = apply_rule2(result)
         rho = result.final_density
         assert pointer_block_coherence(rho, spec) < 1e-10
         assert trace_distance(partial_trace(rho, (2, 2), keep=0), gemenge.system_marginal) < 1e-10
@@ -209,7 +209,7 @@ class TestInvariantProperties:
         for _ in range(5):
             spec = random_bcl_spec(rng, (2, 1, 1))
             result = premeasure(spec, random_state(rng, spec.system_dim))
-            gemenge = apply_rule2(result, spec)
+            gemenge = apply_rule2(result)
             dims = (spec.system_dim, spec.apparatus_dim)
             rho_unitary = outer(result.final_state)
             rho_rule2 = gemenge_density_matrix(gemenge, dims)
@@ -224,7 +224,7 @@ class TestInvariantProperties:
         rng = np.random.default_rng(45)
         spec = random_bcl_spec(rng, (1, 2))
         result = premeasure(spec, random_state(rng, spec.system_dim))
-        gemenge = apply_rule2(result, spec)
+        gemenge = apply_rule2(result)
         dims = (spec.system_dim, spec.apparatus_dim)
         rho_rule2 = gemenge_density_matrix(gemenge, dims)
         mixture = np.zeros((spec.apparatus_dim, spec.apparatus_dim), dtype=complex)
@@ -239,7 +239,7 @@ class TestInvariantProperties:
         rng = np.random.default_rng(46)
         spec = random_bcl_spec(rng, (1, 1, 1))
         result = premeasure(spec, random_state(rng, spec.system_dim))
-        gemenge = apply_rule2(result, spec)
+        gemenge = apply_rule2(result)
         # each term S_k (x) |pi_k><pi_k|; the sum of terms follows by linearity.  S_k is
         # a random real symmetric matrix, given by its eigenpairs, or a random band
         ds = spec.system_dim
@@ -257,7 +257,7 @@ class TestInvariantProperties:
         rng = np.random.default_rng(47)
         spec = random_bcl_spec(rng, (2, 2))
         result = premeasure(spec, random_state(rng, spec.system_dim))
-        gemenge = apply_rule2(result, spec)
+        gemenge = apply_rule2(result)
         p = result.probabilities[result.probabilities > 1e-15]
         assert von_neumann_entropy(result.final_density) < 1e-9
         assert abs(spectral_entropy(gemenge.spectrum()) - float(-np.sum(p * np.log(p)))) < 1e-8
@@ -265,7 +265,7 @@ class TestInvariantProperties:
     def test_purity_boundary(self):
         spec = qubit_spec()
         pure_result = premeasure(spec, StateVector(spec.eigenvectors[:, 1]))
-        pure_gemenge = apply_rule2(pure_result, spec)
+        pure_gemenge = apply_rule2(pure_result)
         assert pure_gemenge.probabilities.shape == (1,)
         dims = (2, 2)
         rho = gemenge_density_matrix(pure_gemenge, dims)

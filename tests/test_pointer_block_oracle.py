@@ -53,7 +53,7 @@ def test_pointer_blocks_match_dense_projectors(degeneracies, extra_apparatus, st
         rho = outer(random_state(rng, dims[0] * dims[1]))
     else:
         result = premeasure(spec, random_state(rng, spec.system_dim))
-        gemenge = apply_rule2(result, spec)
+        gemenge = apply_rule2(result)
         rho_unitary = outer(result.final_state)
         rho_rule2 = gemenge_density_matrix(gemenge, dims)
         rho = rho_unitary if state == "premeasured" else rho_rule2

@@ -13,6 +13,7 @@ from pointerlab import (
     MeasurementConditionViolated,
     SpecInvalid,
     StateVector,
+    apply_rule2,
     observable_witness,
     outer,
     partial_trace,
@@ -303,6 +304,22 @@ class TestPremeasure:
         p = result.probabilities[result.probabilities > 1e-15]
         expected_entropy = float(-np.sum(p * np.log(p)))
         assert abs(von_neumann_entropy(system_marginal) - expected_entropy) < 1e-8
+
+    def test_conditionals_are_read_only(self):
+        # both arrays are cached on the frozen result and read again by rule 2
+        rng = np.random.default_rng(28)
+        spec = random_bcl_spec(rng, (2, 1, 1))
+        result = premeasure(spec, random_state(rng, spec.system_dim))
+        before = apply_rule2(result)
+        kept, conditionals = result.conditionals
+        with pytest.raises(ValueError, match="read-only"):
+            conditionals[:] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            kept[:] = 0
+        after = apply_rule2(result)
+        assert np.array_equal(after.probabilities, before.probabilities)
+        assert np.array_equal(after.system_states, before.system_states)
+        assert np.array_equal(after.pointer_states, before.pointer_states)
 
     def test_deterministic(self):
         rng = np.random.default_rng(27)
