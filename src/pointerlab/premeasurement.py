@@ -12,31 +12,29 @@ ready state into pointer ``k``.  Only that isometry is prescribed, and a run
 applies nothing else: the spec is the coupling, and no completion of ``U``
 is built.
 
-A spec holds each of its three families as one column matrix, built and
-checked once at construction: the eigenvectors ``E`` and the transfer family
-``T`` in sector order, and the pointers ``P``.  One Gram product ``T^dagger T``
-gives both the per-sector orthonormality check and the cross-sector residual
-of the measurement condition, and the eigenbasis check's ``E^dagger E`` gives
-the extension residual: ``U (e_c (x) ready)`` misses ``t_c (x) pi_k(c)`` by
-``sum_k T_k y_k (x) pi_k`` for ``y = (E^dagger E - I) e_c``, of norm ``||y||``
-for orthonormal ``T`` and ``P``.  ``U`` is only pinned down on product inputs
-``x (x) ready``, and its action there is the per-sector sums
-``Q_k x = T_k c_k`` of the eigenbasis coefficients ``c = E^dagger x``, one
-batched product per run of consecutive equal-size sectors (one for the whole
-spec when every sector has one vector), contracted with the ``K`` pointers
-``V_k ready``.  Premeasurement reads the sums of ``E^dagger phi`` as its
-sector vectors, and a result is only the spec and those vectors: it derives
-the outcome probabilities as their squared norms and the final state
-``sum_k Q_k phi (x) pi_k`` as their contraction with the pointers, and
-builds the pure state ``|psi><psi|``, the conditional states and its
-``apparatus_marginal`` once for every consumer.
+A spec holds the eigenvectors ``E`` and the transfer family ``T`` in sector
+order and the pointers ``P``, one column matrix each, checked once at
+construction; ``None`` stands for the identity ``E`` and for the default
+family ``T = E``, so no identity is stored.  The eigenbasis check's
+``E^dagger E`` gives the extension residual: ``U (e_c (x) ready)`` misses
+``t_c (x) pi_k(c)`` by ``sum_k T_k y_k (x) pi_k`` for
+``y = (E^dagger E - I) e_c``, of norm ``||y||`` for orthonormal ``T`` and
+``P``.  An explicit ``T``'s one Gram product gives its per-sector check and
+the measurement condition.  ``U`` is only pinned down on product inputs
+``phi (x) ready``, where its action is one matrix product: row ``k`` of a
+``K x d_s`` matrix ``C`` holds sector ``k``'s eigenbasis coefficients
+``c = E^dagger phi`` in place, and the columns of ``(C T^T)^T`` are the
+sector vectors ``Q_k phi = T_k c_k``.  A result is only the spec and those
+vectors: it derives the outcome probabilities as their squared norms and
+the final state ``sum_k Q_k phi (x) pi_k`` as their contraction with the
+pointers, and builds the pure state ``|psi><psi|``, the conditional states
+and its ``apparatus_marginal`` once for every consumer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby
 
 import numpy as np
 
@@ -59,29 +57,28 @@ class BclSpec:
     orthonormal eigenbasis of the system observable in sector order: sector
     ``k`` is the next ``degeneracies[k]`` columns.  ``transfer`` (``T``, the
     same shape) holds the system states the eigenvectors are carried into,
-    orthonormal within each sector.  ``pointers`` (``P``,
-    ``d_apparatus x K``) holds one orthonormal apparatus state per sector and
-    ``ready_state`` the apparatus state before the interaction.  Eigenvalues
-    are carried as distinct finite real labels only.
+    orthonormal within each sector; ``None`` is the identity for ``E`` and
+    the default family ``E`` itself for ``T``.  ``pointers`` (``P``,
+    ``d_apparatus x K``) holds one orthonormal apparatus state per sector
+    and ``ready_state`` the apparatus state before the interaction.
+    Eigenvalues are carried as distinct finite real labels only.
 
-    Construction copies the matrices read-only and keeps the ``K + 1`` sector
-    bounds (sector ``k`` is columns ``bounds[k]:bounds[k + 1]``) and three
-    residuals: ``extension_residual``, the largest column norm of
+    Construction copies the given matrices read-only and keeps the ``K + 1``
+    sector bounds (sector ``k`` is columns ``bounds[k]:bounds[k + 1]``) and
+    three residuals: ``extension_residual``, the largest column norm of
     ``E^dagger E - I``; ``measurement_residual``, ``max |T^dagger T - I|``;
     and ``unitarity_deviation``, how far the isometry is from one that
     extends to a unitary ``U``.  That is the largest of the eigenbasis
     deviation ``max |E^dagger E - I|``, the measurement residual,
     ``max |P^dagger P - I|`` and ``| <ready|ready> - 1 |``: ``U`` exists
-    exactly when all four vanish.  The default transfer family is ``E``
-    itself.  The spec is also the coupling: :meth:`sector_sums` applies its
-    isometry, and a :class:`PremeasurementResult` contracts the sums with
-    the pointers.
+    exactly when all four vanish; an identity ``E`` forms no product and
+    its two residuals are 0.0.  :func:`premeasure` applies the isometry.
     """
 
     eigenvalues: tuple[float, ...]
     degeneracies: tuple[int, ...]
-    eigenvectors: np.ndarray
-    transfer: np.ndarray
+    eigenvectors: np.ndarray | None
+    transfer: np.ndarray | None
     pointers: np.ndarray
     ready_state: StateVector
     sector_bounds: np.ndarray = field(init=False, repr=False)
@@ -92,15 +89,11 @@ class BclSpec:
     def __post_init__(self) -> None:
         eigenvalues = tuple(float(o) for o in self.eigenvalues)
         degeneracies = tuple(int(d) for d in self.degeneracies)
-        eigenvectors, pointers = (
-            np.array(m, dtype=complex, order="C") for m in (self.eigenvectors, self.pointers)
+        eigenvectors, transfer = (
+            None if m is None else np.array(m, dtype=complex, order="C")
+            for m in (self.eigenvectors, self.transfer)
         )
-        # the default family is the eigenbasis itself, kept as one array
-        transfer = (
-            eigenvectors
-            if self.transfer is self.eigenvectors
-            else np.array(self.transfer, dtype=complex, order="C")
-        )
+        pointers = np.array(self.pointers, dtype=complex, order="C")
 
         sectors = len(eigenvalues)
         if sectors == 0:
@@ -116,20 +109,24 @@ class BclSpec:
         if min(degeneracies) < 1:
             raise SpecInvalid("every eigenvalue sector needs at least one eigenvector")
 
-        columns = sum(degeneracies)
-        if eigenvectors.ndim != 2 or eigenvectors.shape[1] != columns:
-            raise SpecInvalid(f"degeneracies sum to {columns}, not to the eigenvector count")
-        system_dim = eigenvectors.shape[0]
-        if columns != system_dim:
-            raise SpecInvalid(
-                f"degeneracies sum to {columns} but the system dimension is {system_dim}"
-            )
-        eigenbasis_residual = gram_residual(eigenvectors.conj().T @ eigenvectors)
-        eigenbasis_dev = float(eigenbasis_residual.max())
-        if not eigenbasis_dev <= INVARIANT_TOL:
-            raise SpecInvalid(
-                f"system eigenbasis is not orthonormal; deviation {eigenbasis_dev:.3e}"
-            )
+        bounds = np.cumsum([0, *degeneracies])
+        system_dim = int(bounds[-1])
+        eigenbasis_dev = extension_dev = 0.0
+        if eigenvectors is not None:
+            if eigenvectors.ndim != 2 or eigenvectors.shape[1] != system_dim:
+                raise SpecInvalid(f"degeneracies sum to {system_dim}, not to the eigenvector count")
+            if eigenvectors.shape[0] != system_dim:
+                raise SpecInvalid(
+                    f"degeneracies sum to {system_dim} but the system dimension is "
+                    f"{eigenvectors.shape[0]}"
+                )
+            eigenbasis_residual = gram_residual(eigenvectors.conj().T @ eigenvectors)
+            eigenbasis_dev = float(eigenbasis_residual.max())
+            if not eigenbasis_dev <= INVARIANT_TOL:
+                raise SpecInvalid(
+                    f"system eigenbasis is not orthonormal; deviation {eigenbasis_dev:.3e}"
+                )
+            extension_dev = float(np.linalg.norm(eigenbasis_residual, axis=0).max())
 
         if pointers.shape[0] != self.ready_state.dim:
             raise SpecInvalid("pointer states and ready state live on different dimensions")
@@ -137,71 +134,49 @@ class BclSpec:
         if not pointer_dev <= INVARIANT_TOL:
             raise SpecInvalid(f"pointer basis is not orthonormal; deviation {pointer_dev:.3e}")
 
-        if transfer.shape != eigenvectors.shape:
-            raise SpecInvalid(f"transfer family has shape {transfer.shape}, not that of E")
-        # The diagonal blocks of the one Gram product are the per-row checks;
-        # its off-diagonal blocks only matter to the measurement condition.
-        # The default family's product is the eigenbasis check's.
-        residual = (
-            eigenbasis_residual
-            if transfer is eigenvectors
-            else gram_residual(transfer.conj().T @ transfer)
-        )
-        bounds = np.cumsum([0, *degeneracies])
-        sector = np.repeat(np.arange(sectors), degeneracies)
-        if not residual.max(where=sector[:, None] == sector, initial=0.0) <= INVARIANT_TOL:
-            for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):  # name the row
-                dev = float(residual[lo:hi, lo:hi].max())
-                if not dev <= INVARIANT_TOL:
-                    raise SpecInvalid(f"transfer row {k} is not orthonormal; deviation {dev:.3e}")
+        # the default family's Gram product is the eigenbasis check's
+        measurement_dev = eigenbasis_dev
+        if transfer is not None:
+            if transfer.shape != (system_dim, system_dim):
+                shape = (system_dim, system_dim)
+                raise SpecInvalid(f"transfer family has shape {transfer.shape}, not {shape}")
+            # The diagonal blocks of the one Gram product are the per-row checks;
+            # its off-diagonal blocks only matter to the measurement condition.
+            residual = gram_residual(transfer.conj().T @ transfer)
+            sector = np.repeat(np.arange(sectors), degeneracies)
+            if not residual.max(where=sector[:, None] == sector, initial=0.0) <= INVARIANT_TOL:
+                for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):  # name the row
+                    dev = float(residual[lo:hi, lo:hi].max())
+                    if not dev <= INVARIANT_TOL:
+                        raise SpecInvalid(
+                            f"transfer row {k} is not orthonormal; deviation {dev:.3e}"
+                        )
+            measurement_dev = float(residual.max())
 
-        object.__setattr__(self, "eigenvalues", eigenvalues)
-        object.__setattr__(self, "degeneracies", degeneracies)
-        for name, matrix in (
+        ready = self.ready_state.amplitudes
+        ready_dev = float(abs(np.vdot(ready, ready) - 1.0))
+        for name, value in (
+            ("eigenvalues", eigenvalues),
+            ("degeneracies", degeneracies),
             ("eigenvectors", eigenvectors),
             ("transfer", transfer),
             ("pointers", pointers),
             ("sector_bounds", bounds),
-        ):
-            matrix.setflags(write=False)
-            object.__setattr__(self, name, matrix)
-        ready, measurement_dev = self.ready_state.amplitudes, float(residual.max())
-        ready_dev = float(abs(np.vdot(ready, ready) - 1.0))
-        for name, value in (
             ("unitarity_deviation", max(eigenbasis_dev, measurement_dev, pointer_dev, ready_dev)),
-            ("extension_residual", float(np.linalg.norm(eigenbasis_residual, axis=0).max())),
+            ("extension_residual", extension_dev),
             ("measurement_residual", measurement_dev),
         ):
+            if type(value) is np.ndarray:
+                value.setflags(write=False)
             object.__setattr__(self, name, value)
 
     @property
     def system_dim(self) -> int:
-        return int(self.eigenvectors.shape[0])
+        return int(self.sector_bounds[-1])
 
     @property
     def apparatus_dim(self) -> int:
         return self.ready_state.dim
-
-    def sector_sums(self, coefficients: np.ndarray) -> np.ndarray:
-        """``Q_k x_j = T_k c_jk`` for each column ``c_j = E^dagger x_j`` of a ``d_s x m`` matrix.
-
-        Shape ``(K, m, d_s)``: entry ``[k, j]`` is ``Q_k x_j``.  A run of ``r``
-        consecutive sectors of one size ``d`` takes one batched product of
-        ``r`` stacked ``m x d`` and ``d x d_s`` views, with no gather copy.
-        """
-        count, transfer = coefficients.shape[1], self.transfer
-        sums = np.empty((len(self.degeneracies), count, len(transfer)), dtype=complex)
-        k = lo = 0
-        for size, run in groupby(self.degeneracies):
-            sectors = len(list(run))
-            hi = lo + sectors * size
-            np.matmul(
-                coefficients[lo:hi].reshape(sectors, size, count).transpose(0, 2, 1),
-                transfer[:, lo:hi].T.reshape(sectors, size, -1),
-                out=sums[k : k + sectors],
-            )
-            k, lo = k + sectors, hi
-        return sums
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,9 +244,11 @@ def premeasure(spec: BclSpec, phi: StateVector) -> PremeasurementResult:
     condition), which makes ``sum_k Q_k^dagger Q_k`` the identity and
     ``Q_k^dagger Q_l`` vanish for ``k != l``; a spec that breaks it has no
     unitary extension and is refused.  Expands ``phi`` in the eigenbasis,
-    ``c = E^dagger phi``, takes the sector vectors ``Q_k phi = T_k c_k`` from
-    the spec's sector sums, from which the result derives the outcome
-    probabilities and the evolved ``phi (x) ready``.
+    ``c = E^dagger phi`` (``phi`` itself for the identity), places each
+    sector's coefficients in its own row of ``C`` and takes the sector
+    vectors ``Q_k phi = T_k c_k`` as ``(C T^T)^T`` (``C^T`` when ``T`` is the
+    identity), from which the result derives the outcome probabilities and
+    the evolved ``phi (x) ready``.
     """
     if phi.dim != spec.system_dim:
         raise DimensionMismatch(
@@ -282,5 +259,11 @@ def premeasure(spec: BclSpec, phi: StateVector) -> PremeasurementResult:
             "transfer family is not orthonormal across sectors; residual "
             f"{spec.measurement_residual:.3e}"
         )
-    coefficients = (phi.amplitudes.conj() @ spec.eigenvectors).conj()  # E^dagger phi
-    return PremeasurementResult(spec, spec.sector_sums(coefficients[:, None])[:, 0].T)
+    coefficients, basis = phi.amplitudes, spec.eigenvectors
+    if basis is not None:
+        coefficients = (coefficients.conj() @ basis).conj()  # E^dagger phi
+    sectors, dim = len(spec.degeneracies), spec.system_dim
+    placed = np.zeros((sectors, dim), dtype=complex)
+    placed[np.repeat(np.arange(sectors), spec.degeneracies), np.arange(dim)] = coefficients
+    family = basis if spec.transfer is None else spec.transfer
+    return PremeasurementResult(spec, (placed if family is None else placed @ family.T).T)

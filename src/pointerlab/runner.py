@@ -473,9 +473,10 @@ def _bcl_diagnostics(
         reconstruction = weighted @ pointers.T
         reconstruction_residual = float(np.linalg.norm(amplitudes - reconstruction))
         # sum over each sector of |<e|phi>|^2, independent of the transfer family
-        coefficient_mass = np.add.reduceat(
-            np.abs(phi.amplitudes.conj() @ spec.eigenvectors) ** 2, spec.sector_bounds[:-1]
-        )
+        coefficients = phi.amplitudes
+        if spec.eigenvectors is not None:
+            coefficients = coefficients.conj() @ spec.eigenvectors
+        coefficient_mass = np.add.reduceat(np.abs(coefficients) ** 2, spec.sector_bounds[:-1])
         formula_residual = float(np.abs(result.probabilities - coefficient_mass).max())
         pointer_mixture = DensityMatrix(columns=pointers, weights=result.probabilities)
         marginal_residual = trace_distance(result.apparatus_marginal, pointer_mixture)
@@ -512,7 +513,7 @@ def _build_spec(scenario: dict) -> tuple[BclSpec, StateVector]:
 
     with _stage("build spec"):
         if basis == "canonical":
-            eigenvectors = np.eye(sum(degeneracies), dtype=complex)
+            eigenvectors = None  # the identity
             pointers = np.eye(bcl["apparatus_dim"], len(degeneracies), dtype=complex)
             ready = pointers[:, 0]
         else:
@@ -523,7 +524,7 @@ def _build_spec(scenario: dict) -> tuple[BclSpec, StateVector]:
             eigenvalues=bcl["eigenvalues"],
             degeneracies=degeneracies,
             eigenvectors=eigenvectors,
-            transfer=eigenvectors if transfer == "default" else columns(transfer),
+            transfer=None if transfer == "default" else columns(transfer),
             pointers=pointers,
             ready_state=StateVector(ready),
         )

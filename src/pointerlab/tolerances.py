@@ -26,10 +26,11 @@ QUADRATURE_NORM_TOL = 1e-8
 
 #: Largest product dimension ``D = system_dim * apparatus_dim`` a scenario may
 #: ask for, checked when the scenario is validated.  The run path builds no
-#: ``D x D`` array; its largest arrays are ``d_system x d_system`` (the
-#: eigenbasis and its Gram matrix), and the observable witness holds its
-#: apparatus identity as a core alone, with no ``d_pointer x d_pointer``
-#: basis, so the cap bounds run time and memory, not a dense matrix.
+#: ``D x D`` array.  Its ``d_system x d_system`` arrays (an explicit eigenbasis
+#: or transfer family and its Gram matrix) exist only for explicit bases: a
+#: canonical one is held as no array, and the observable witness holds its
+#: apparatus identity as a core alone, so the cap bounds run time and memory,
+#: not a dense matrix.
 DENSE_DIM_CAP = 4096
 
 #: Largest number of complex entries (1 MiB) in one chunk of the ``K x r x r``

@@ -40,20 +40,31 @@ def basis_state(dim, index):
 def canonical_spec(eigenvalues, degeneracies, apparatus_dim=None):
     """Spec over canonical basis vectors, transfer family equal to the eigenbasis.
 
-    The eigenvectors are ``e_0, e_1, ...`` in sector order, pointer ``k``
-    is ``e_k`` and the ready state ``e_0``.
+    The eigenvectors are ``e_0, e_1, ...`` in sector order, held as ``None``,
+    pointer ``k`` is ``e_k`` and the ready state ``e_0``.
     """
     if apparatus_dim is None:
         apparatus_dim = len(eigenvalues)
-    eigenvectors = np.eye(sum(degeneracies), dtype=complex)
     return BclSpec(
         eigenvalues=tuple(eigenvalues),
         degeneracies=tuple(degeneracies),
-        eigenvectors=eigenvectors,
-        transfer=eigenvectors,
+        eigenvectors=None,
+        transfer=None,
         pointers=np.eye(apparatus_dim, len(eigenvalues), dtype=complex),
         ready_state=basis_state(apparatus_dim, 0),
     )
+
+
+def eigenbasis(spec):
+    """The spec's eigenbasis ``E`` as an array: the identity where the spec holds ``None``."""
+    if spec.eigenvectors is None:
+        return np.eye(spec.system_dim, dtype=complex)
+    return spec.eigenvectors
+
+
+def transfer_family(spec):
+    """The spec's transfer family ``T`` as an array: ``E`` where the spec holds ``None``."""
+    return eigenbasis(spec) if spec.transfer is None else spec.transfer
 
 
 def dense(rho):
@@ -206,12 +217,16 @@ def random_state(rng, n):
     return StateVector(z / np.linalg.norm(z))
 
 
-def random_bcl_spec(rng, degeneracies, apparatus_dim=None, transfer="sector_unitary"):
+def random_bcl_spec(
+    rng, degeneracies, apparatus_dim=None, transfer="sector_unitary", canonical=False
+):
     """Random valid spec; the transfer family keeps cross-sector orthonormality.
 
-    transfer="identity" copies the eigenbasis; "sector_unitary" mixes each
-    sector by its own random unitary (a block-diagonal rotation, which
-    preserves the measurement condition).
+    The eigenbasis is Haar-random, or the identity (``None``) if
+    ``canonical``.  transfer="identity" is the default family (``None``, the
+    eigenbasis itself); "sector_unitary" mixes each sector by its own random
+    unitary (a block-diagonal rotation, which preserves the measurement
+    condition).
     """
     degeneracies = tuple(int(d) for d in degeneracies)
     sectors = len(degeneracies)
@@ -219,16 +234,17 @@ def random_bcl_spec(rng, degeneracies, apparatus_dim=None, transfer="sector_unit
     if apparatus_dim is None:
         apparatus_dim = sectors
 
-    eigenvectors = random_unitary(rng, system_dim)
+    eigenvectors = None if canonical else random_unitary(rng, system_dim)
     pointers = random_unitary(rng, apparatus_dim)[:, :sectors]
 
     if transfer == "identity":
-        transfer_columns = eigenvectors
+        transfer_columns = None
     elif transfer == "sector_unitary":
+        basis = np.eye(system_dim) if canonical else eigenvectors
         bounds = np.cumsum([0, *degeneracies])
         transfer_columns = np.hstack(
             [
-                eigenvectors[:, lo:hi] @ random_unitary(rng, hi - lo)
+                basis[:, lo:hi] @ random_unitary(rng, hi - lo)
                 for lo, hi in zip(bounds[:-1], bounds[1:])
             ]
         )
@@ -253,11 +269,12 @@ def extension_images_residual(spec):
     ``e_c``, less the prescribed image ``t_c (x) pi_k(c)``.
     """
     sector_pointers = np.repeat(spec.pointers, spec.degeneracies, axis=1)
+    eigenvectors, transfer = eigenbasis(spec), transfer_family(spec)
     return max(
         float(
             np.linalg.norm(
-                premeasure(spec, StateVector(spec.eigenvectors[:, c])).final_state.amplitudes
-                - np.kron(spec.transfer[:, c], sector_pointers[:, c])
+                premeasure(spec, StateVector(eigenvectors[:, c])).final_state.amplitudes
+                - np.kron(transfer[:, c], sector_pointers[:, c])
             )
         )
         for c in range(spec.system_dim)
@@ -275,8 +292,8 @@ def qr_unitary(spec, completion_seed=0):
     """
     pointers = np.repeat(spec.pointers, spec.degeneracies, axis=1)
     total_dim = spec.system_dim * spec.apparatus_dim
-    domain = np.einsum("ic,j->ijc", spec.eigenvectors, spec.ready_state.amplitudes)
-    image = np.einsum("ic,jc->ijc", spec.transfer, pointers)
+    domain = np.einsum("ic,j->ijc", eigenbasis(spec), spec.ready_state.amplitudes)
+    image = np.einsum("ic,jc->ijc", transfer_family(spec), pointers)
     domain, image = domain.reshape(total_dim, -1), image.reshape(total_dim, -1)
     completed = []
     for columns in (domain, image):

@@ -9,9 +9,10 @@ isometry, so every completion must agree with its final state on every
 of random states.  The spec's extension residual, read off its eigenbasis
 Gram product, must match the residual of those domain images.
 Premeasurement allocates no ``d_system x d_system`` array beyond the spec's
-own matrices.  The sector sums, one batched product per run of equal-size
-sectors, must match the per-sector loop they replaced, and a wrong
-contraction in them or in the result's final state fails a run verdict.
+own matrices.  Its sector vectors, one product of the placed coefficients
+with ``T^T``, must match the per-sector loop ``T_k E_k^dagger phi`` with
+either family explicit or ``None``, and a wrong contraction in that product
+or in the result's final state fails a run verdict.
 """
 
 import tracemalloc
@@ -21,10 +22,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pointerlab import BclSpec, PremeasurementResult, StateVector, premeasure
+from pointerlab import BclSpec, PremeasurementResult, StateVector, premeasure, premeasurement
 from pointerlab.runner import _bcl_diagnostics
 from pointerlab.scenario import TOLERANCE_DEFAULTS
-from helpers import close, extension_images_residual, qr_unitary, random_bcl_spec, random_state
+from helpers import (
+    close,
+    eigenbasis,
+    extension_images_residual,
+    qr_unitary,
+    random_bcl_spec,
+    random_state,
+    transfer_family,
+)
 
 RESULT_POST_INIT = PremeasurementResult.__post_init__
 
@@ -34,17 +43,25 @@ RESULT_POST_INIT = PremeasurementResult.__post_init__
     degeneracies=st.lists(st.integers(1, 3), min_size=1, max_size=4),
     extra_apparatus=st.integers(0, 2),  # > 0 leaves K < d_pointer
     transfer=st.sampled_from(["identity", "sector_unitary"]),
+    canonical=st.booleans(),  # E held as None
     seed=st.integers(0, 2**32 - 1),
 )
-def test_controlled_unitary_matches_qr_completion(degeneracies, extra_apparatus, transfer, seed):
+def test_controlled_unitary_matches_qr_completion(
+    degeneracies, extra_apparatus, transfer, canonical, seed
+):
     rng = np.random.default_rng(seed)
     spec = random_bcl_spec(
-        rng, degeneracies, apparatus_dim=len(degeneracies) + extra_apparatus, transfer=transfer
+        rng,
+        degeneracies,
+        apparatus_dim=len(degeneracies) + extra_apparatus,
+        transfer=transfer,
+        canonical=canonical,
     )
     dim = spec.system_dim * spec.apparatus_dim
     ready = spec.ready_state.amplitudes
     completions = [qr_unitary(spec, completion_seed) for completion_seed in (0, 11)]
-    domain = np.einsum("ic,j->ijc", spec.eigenvectors, ready).reshape(dim, -1)
+    eigenvectors = eigenbasis(spec)
+    domain = np.einsum("ic,j->ijc", eigenvectors, ready).reshape(dim, -1)
     expected_images = completions[0] @ domain
     for completion in completions:
         assert np.max(np.abs(completion.conj().T @ completion - np.eye(dim))) <= 1e-12
@@ -52,7 +69,7 @@ def test_controlled_unitary_matches_qr_completion(degeneracies, extra_apparatus,
     assert spec.unitarity_deviation <= 1e-12
     # the images of e_c (x) ready, one premeasurement per eigenvector
     images = np.stack(
-        [premeasure(spec, StateVector(e)).final_state.amplitudes for e in spec.eigenvectors.T],
+        [premeasure(spec, StateVector(e)).final_state.amplitudes for e in eigenvectors.T],
         axis=1,
     )
     assert np.max(np.abs(images - expected_images)) <= 1e-12
@@ -90,7 +107,7 @@ def test_extension_residual_matches_the_domain_images(
             eigenvalues=spec.eigenvalues,
             degeneracies=spec.degeneracies,
             eigenvectors=eigenvectors,
-            transfer=eigenvectors if transfer == "identity" else spec.transfer,
+            transfer=spec.transfer,
             pointers=spec.pointers,
             ready_state=spec.ready_state,
         )
@@ -108,26 +125,19 @@ def pointers_untransposed(self):
     object.__setattr__(self, "final_state", final_state)
 
 
-def sectors_mispaired(self, coefficients):
-    """:meth:`BclSpec.sector_sums` pairing sector ``k``'s transfer vectors with
-    sector ``k + 1``'s coefficients."""
-    bounds = self.sector_bounds
-    blocks = list(zip(bounds[:-1], bounds[1:]))
-    return np.stack(
-        [
-            coefficients[lo:hi].T @ self.transfer[:, t_lo:t_hi].T
-            for (t_lo, t_hi), (lo, hi) in zip(blocks, blocks[1:] + blocks[:1])
-        ]
-    )
+def sectors_mispaired(spec, sector_vectors):
+    """:func:`premeasure`'s product ``(C T^T)^T`` with the rows of ``C`` rolled by
+    one sector, so that column ``k`` holds sector ``k - 1``'s vector."""
+    return PremeasurementResult(spec, np.roll(sector_vectors, 1, axis=1))
 
 
 @pytest.mark.parametrize(
     "owner, method, mutant",
     [
         (PremeasurementResult, "__post_init__", pointers_untransposed),
-        (BclSpec, "sector_sums", sectors_mispaired),
+        (premeasurement, "PremeasurementResult", sectors_mispaired),
     ],
-    ids=["images-pointers_untransposed", "sector_sums-sectors_mispaired"],
+    ids=["images-pointers_untransposed", "premeasure-sectors_mispaired"],
 )
 def test_a_wrong_contraction_fails_a_run_verdict(monkeypatch, owner, method, mutant):
     # Haar bases with da == K, so that P is square and both mutants run
@@ -158,17 +168,6 @@ def test_premeasure_allocates_no_system_square_array():
     assert peak < spec.system_dim**2 * 16, f"peak {peak / 2**20:.1f} MiB"
 
 
-def loop_sector_sums(spec, coefficients):
-    """``Q_k x_j = T_k c_jk``, one product per sector: the loop the batched sums replaced."""
-    bounds = spec.sector_bounds
-    return np.stack(
-        [
-            coefficients[lo:hi].T @ spec.transfer[:, lo:hi].T
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
-    )
-
-
 def runs(draw_runs):
     """Degeneracies made of runs ``(size, length)`` of equal-size sectors."""
     return [size for size, length in draw_runs for _ in range(length)]
@@ -184,33 +183,22 @@ DEGENERACIES = st.one_of(
 @settings(max_examples=60)
 @given(
     degeneracies=DEGENERACIES,
-    count=st.integers(1, 3),
-    strided=st.booleans(),  # a column block of a larger matrix, as the extension check reads
+    canonical=st.booleans(),  # E held as None, the identity
+    transfer=st.sampled_from(["identity", "sector_unitary"]),  # "identity": T held as None
     seed=st.integers(0, 2**32 - 1),
 )
-def test_batched_sector_sums_match_the_per_sector_loop(degeneracies, count, strided, seed):
+def test_sector_vectors_match_the_per_sector_loop(degeneracies, canonical, transfer, seed):
     rng = np.random.default_rng(seed)
-    spec = random_bcl_spec(rng, degeneracies)
-    width = count + 2 if strided else count
-    shape = (spec.system_dim, width)
-    matrix = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    coefficients = matrix[:, 1 : 1 + count] if strided else matrix
-    sums = spec.sector_sums(coefficients)
-    assert sums.shape == (len(degeneracies), count, spec.system_dim)
-    assert close(sums, loop_sector_sums(spec, coefficients))
-
-
-@pytest.mark.parametrize(
-    "degeneracies, products",
-    [((1,) * 6, 1), ((2, 2, 1, 1, 1, 3), 3), ((1, 2, 3), 3), ((2, 1, 2), 3)],
-)
-def test_sector_sums_take_one_product_per_run_of_equal_sectors(
-    monkeypatch, degeneracies, products
-):
-    rng = np.random.default_rng(40)
-    spec = random_bcl_spec(rng, degeneracies)
-    calls = []
-    matmul = np.matmul
-    monkeypatch.setattr(np, "matmul", lambda *args, **kw: calls.append(1) or matmul(*args, **kw))
-    spec.sector_sums(np.eye(sum(degeneracies), 2, dtype=complex))
-    assert len(calls) == products
+    spec = random_bcl_spec(rng, degeneracies, transfer=transfer, canonical=canonical)
+    assert (spec.eigenvectors is None) == canonical
+    assert (spec.transfer is None) == (transfer == "identity")
+    phi = random_state(rng, spec.system_dim)
+    eigenvectors, family, bounds = eigenbasis(spec), transfer_family(spec), spec.sector_bounds
+    loop = np.stack(
+        [
+            family[:, lo:hi] @ (eigenvectors[:, lo:hi].conj().T @ phi.amplitudes)
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ],
+        axis=1,
+    )
+    assert close(premeasure(spec, phi).sector_vectors, loop)

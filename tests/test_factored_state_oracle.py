@@ -7,8 +7,8 @@ distance) is compared with the textbook formula on the materialized
 ``dim x dim`` matrix.  The top rung runs a canonical ``full_measurement`` at
 the dimension cap and pins that the run path allocates no ``dim x dim``
 array, and a tall shape that the premeasurement diagnostics allocate no
-``d_system x d_system`` array, that a canonical run keeps no Gram matrix
-past its spec and that a witness holds no square core, and the wide
+``d_system x d_system`` array, that a canonical run forms none at all
+and that a witness holds no square core, and the wide
 observable run (``ds = K = 1``, ``da = 4096``) no apparatus identity.  The
 marginals of a run are mixtures, so a run never diagonalizes a dense matrix
 with ``eigh``; the spectrum of a mixture wider than its dimension comes from
@@ -44,12 +44,14 @@ from helpers import (
     close,
     dense,
     dense_coherence,
+    eigenbasis,
     gemenge_density_matrix,
     haar_document,
     kronecker_entries,
     qr_unitary,
     random_bcl_spec,
     random_state,
+    transfer_family,
 )
 
 
@@ -171,26 +173,31 @@ def test_tall_diagnostics_allocate_no_system_square_array():
 
 
 def test_tall_canonical_run_holds_no_gram_matrix_past_its_spec():
-    # ds = 1024, da = K = 2: building the spec peaks at four ds x ds complex
-    # arrays (the caller's E, its copy, the conjugate of E and E^dagger E); a
-    # Gram matrix kept past construction would add a fifth in a later stage
-    levels = 1024
-    rng = np.random.default_rng(levels)
-    config = validate_scenario_data(
-        {
-            "scenario_kind": "full_measurement",
-            "bcl": {"eigenvalues": [0.0, 1.0], "degeneracies": [levels // 2] * 2},
-            "initial_state": rng.normal(size=(levels, 2)).tolist(),
-        }
-    )
-    tracemalloc.start()
-    try:
-        report = run_scenario(config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.all_passed, [v.name for v in report.verdicts if not v.passed]
-    assert peak < 4.5 * levels**2 * 16, f"peak {peak / (levels**2 * 16):.2f} x ds^2 * 16 bytes"
+    # ds = 1024, da = K = 2 and ds = 4096, da = K = 1, the largest ds the cap
+    # admits: a canonical eigenbasis and the default family are held as None,
+    # so no ds x ds array (16 and 256 MiB here) is formed, and the run's
+    # largest arrays are a few of ds * da entries
+    for levels, sectors in ((1024, 2), (4096, 1)):
+        rng = np.random.default_rng(levels)
+        config = validate_scenario_data(
+            {
+                "scenario_kind": "full_measurement",
+                "bcl": {
+                    "eigenvalues": [float(k) for k in range(sectors)],
+                    "degeneracies": [levels // sectors] * sectors,
+                },
+                "initial_state": rng.normal(size=(levels, 2)).tolist(),
+            }
+        )
+        tracemalloc.start()
+        try:
+            report = run_scenario(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.all_passed, [v.name for v in report.verdicts if not v.passed]
+        size = levels * sectors * 16  # one ds x da complex array
+        assert peak < 32 * size, f"ds = {levels}: peak {peak / size:.1f} x ds * da * 16 bytes"
 
 
 def traced_witness(spec, rng, builder):
@@ -292,9 +299,10 @@ def test_marginal_mixtures_match_dense_products(degeneracies, extra_apparatus, s
     assert all(v.passed for v in verdicts)
     # the extension residual matches the dense max_c ||U (e_c (x) ready) - t_c (x) pi_k(c)||
     ready = spec.ready_state.amplitudes
-    domain = np.einsum("ic,a->cia", spec.eigenvectors, ready).reshape(spec.system_dim, -1)
+    domain = np.einsum("ic,a->cia", eigenbasis(spec), ready).reshape(spec.system_dim, -1)
     sector_pointers = np.repeat(spec.pointers, spec.degeneracies, axis=1)
-    targets = np.einsum("ic,ac->cia", spec.transfer, sector_pointers).reshape(spec.system_dim, -1)
+    targets = np.einsum("ic,ac->cia", transfer_family(spec), sector_pointers)
+    targets = targets.reshape(spec.system_dim, -1)
     reference = np.max(np.linalg.norm(domain @ qr_unitary(spec).T - targets, axis=1))
     extension = next(v.residual for v in verdicts if v.name == "extension_map")
     assert close(extension, reference), (extension, reference)
@@ -328,7 +336,7 @@ def test_wide_mixture_spectrum_allocates_no_gram_matrix():
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     # the marginal is sum_k p_k |t_k><t_k| over the orthonormal transfer family
-    transfer, probabilities = spec.transfer, result.probabilities
+    transfer, probabilities = transfer_family(spec), result.probabilities
     expected = np.linalg.eigvalsh((transfer * probabilities) @ transfer.conj().T)
     assert np.max(np.abs(spectrum - expected)) <= 1e-12
     assert np.max(np.abs(spectrum - np.sort(probabilities))) <= 1e-12

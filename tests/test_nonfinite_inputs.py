@@ -48,7 +48,7 @@ def spec(eigenvectors=np.eye(2), transfer=None, pointers=np.eye(2), eigenvalues=
         eigenvalues=eigenvalues,
         degeneracies=(1, 1),
         eigenvectors=eigenvectors,
-        transfer=eigenvectors if transfer is None else transfer,
+        transfer=transfer,
         pointers=pointers,
         ready_state=StateVector([1, 0]),
     )

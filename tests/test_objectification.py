@@ -20,6 +20,7 @@ from pointerlab.hilbert import spectral_entropy
 from helpers import (
     canonical_spec,
     dense,
+    eigenbasis,
     from_dense,
     gemenge_density_matrix,
     kronecker_entries,
@@ -51,7 +52,7 @@ def rule2_expectation(witness, gemenge):
 class TestApplyRule2:
     def test_eigenstate_single_component(self):
         spec = qubit_spec()
-        result = premeasure(spec, StateVector(spec.eigenvectors[:, 0]))
+        result = premeasure(spec, StateVector(eigenbasis(spec)[:, 0]))
         gemenge = apply_rule2(result)
         assert gemenge.probabilities.shape == (1,)
         assert gemenge.probabilities[0] == pytest.approx(1.0, abs=1e-12)
@@ -160,7 +161,7 @@ class TestCompareStates:
 
     def test_eigenstate_reports_zero_everything(self):
         spec = qubit_spec()
-        result = premeasure(spec, StateVector(spec.eigenvectors[:, 0]))
+        result = premeasure(spec, StateVector(eigenbasis(spec)[:, 0]))
         gemenge = apply_rule2(result)
         rho = result.final_density
         assert pointer_block_coherence(rho, spec) < 1e-10
@@ -264,7 +265,7 @@ class TestInvariantProperties:
 
     def test_purity_boundary(self):
         spec = qubit_spec()
-        pure_result = premeasure(spec, StateVector(spec.eigenvectors[:, 1]))
+        pure_result = premeasure(spec, StateVector(eigenbasis(spec)[:, 1]))
         pure_gemenge = apply_rule2(pure_result)
         assert pure_gemenge.probabilities.shape == (1,)
         dims = (2, 2)

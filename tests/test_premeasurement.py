@@ -31,12 +31,14 @@ from helpers import (
     canonical_spec,
     close,
     dense,
+    eigenbasis,
     from_dense,
     haar_document,
     kronecker_entries,
     qr_unitary,
     random_bcl_spec,
     random_state,
+    transfer_family,
 )
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -155,6 +157,38 @@ class TestBclSpecInvariants:
                 ready_state=StateVector([1, 0]),
             )
 
+    def test_identity_families_are_held_as_none(self, monkeypatch):
+        # None is the identity E and the default family T = E: only P is checked
+        grams = []
+        residual = premeasurement.gram_residual
+        monkeypatch.setattr(
+            premeasurement, "gram_residual", lambda g: grams.append(g.shape) or residual(g)
+        )
+        spec = canonical_spec([1.0, 0.0, -1.0], [2, 1, 1], apparatus_dim=5)
+        assert spec.eigenvectors is None and spec.transfer is None
+        assert spec.system_dim == 4 and grams == [(3, 3)]
+        assert spec.unitarity_deviation == spec.extension_residual == 0.0
+        assert spec.measurement_residual == 0.0
+
+    @pytest.mark.parametrize(
+        "transfer, message",
+        [
+            (np.diag([1.0, 2.0]), "transfer row 1 is not orthonormal"),
+            (np.eye(3), r"transfer family has shape \(3, 3\), not \(2, 2\)"),
+        ],
+        ids=["unnormalized", "misshapen"],
+    )
+    def test_explicit_transfer_on_the_identity_is_checked(self, transfer, message):
+        with pytest.raises(SpecInvalid, match=message):
+            BclSpec(
+                eigenvalues=(1.0, -1.0),
+                degeneracies=(1, 1),
+                eigenvectors=None,
+                transfer=transfer,
+                pointers=np.eye(2),
+                ready_state=StateVector([1, 0]),
+            )
+
     def test_matrices_are_read_only_copies(self):
         eigenvectors = np.eye(2, dtype=complex)
         spec = BclSpec(
@@ -176,7 +210,7 @@ class TestBclSpecInvariants:
         observable = kronecker_entries(observable_witness(spec))
         bounds = spec.sector_bounds
         for o, lo, hi in zip(spec.eigenvalues, bounds[:-1], bounds[1:]):
-            for vec in spec.eigenvectors[:, lo:hi].T:
+            for vec in eigenbasis(spec)[:, lo:hi].T:
                 for pointer in np.eye(spec.apparatus_dim):
                     product = np.kron(vec, pointer)
                     assert np.max(np.abs(observable @ product - o * product)) < 1e-10
@@ -214,7 +248,7 @@ class TestBuildUnitary:
         unitary = qr_unitary(spec)
         ready = spec.ready_state.amplitudes
         for k in range(2):
-            eigvec, pointer = spec.eigenvectors[:, k], spec.pointers[:, k]
+            eigvec, pointer = eigenbasis(spec)[:, k], spec.pointers[:, k]
             image = premeasure(spec, StateVector(eigvec)).final_state.amplitudes
             assert np.max(np.abs(image - np.kron(eigvec, pointer))) < 1e-10
             assert np.max(np.abs(image - unitary @ np.kron(eigvec, ready))) < 1e-10
@@ -230,8 +264,8 @@ class TestBuildUnitary:
         bounds = spec.sector_bounds
         for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
             for c in range(lo, hi):
-                image = unitary @ np.kron(spec.eigenvectors[:, c], spec.ready_state.amplitudes)
-                expected = np.kron(spec.transfer[:, c], spec.pointers[:, k])
+                image = unitary @ np.kron(eigenbasis(spec)[:, c], spec.ready_state.amplitudes)
+                expected = np.kron(transfer_family(spec)[:, c], spec.pointers[:, k])
                 assert np.max(np.abs(image - expected)) < 1e-10
 
     def test_condition_violation_refused(self):
@@ -250,10 +284,10 @@ class TestBuildUnitary:
 class TestPremeasure:
     def test_eigenstate_input(self):
         spec = qubit_spec()
-        result = premeasure(spec, StateVector(spec.eigenvectors[:, 0]))
+        result = premeasure(spec, StateVector(eigenbasis(spec)[:, 0]))
         assert np.allclose(result.probabilities, [1.0, 0.0], atol=1e-12)
         assert result.conditionals[0].tolist() == [0]  # sector 1 has no conditional state
-        expected = np.kron(spec.transfer[:, 0], spec.pointers[:, 0])
+        expected = np.kron(transfer_family(spec)[:, 0], spec.pointers[:, 0])
         assert np.max(np.abs(result.final_state.amplitudes - expected)) < 1e-10
 
     def test_uniform_superposition_gives_bell_pair(self):
@@ -268,10 +302,10 @@ class TestPremeasure:
         rng = np.random.default_rng(24)
         spec = random_bcl_spec(rng, (2, 1))
         lo, hi = spec.sector_bounds[:2]
-        phi = StateVector.normalized(spec.eigenvectors[:, lo:hi].sum(axis=1))
+        phi = StateVector.normalized(eigenbasis(spec)[:, lo:hi].sum(axis=1))
         result = premeasure(spec, phi)
         assert abs(result.probabilities[0] - 1.0) < 1e-12
-        expected = StateVector.normalized(spec.transfer[:, lo:hi].sum(axis=1))
+        expected = StateVector.normalized(transfer_family(spec)[:, lo:hi].sum(axis=1))
         kept, conditionals = result.conditionals
         assert kept.tolist() == [0]
         overlap = abs(np.vdot(conditionals[:, 0], expected.amplitudes))
@@ -287,7 +321,7 @@ class TestPremeasure:
             bounds = spec.sector_bounds
             for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
                 mass = sum(
-                    abs(np.vdot(v, phi.amplitudes)) ** 2 for v in spec.eigenvectors[:, lo:hi].T
+                    abs(np.vdot(v, phi.amplitudes)) ** 2 for v in eigenbasis(spec)[:, lo:hi].T
                 )
                 assert abs(result.probabilities[k] - mass) < 1e-12
 
@@ -351,8 +385,8 @@ class TestPremeasure:
                 bounds = spec.sector_bounds
                 for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
                     for c in range(lo, hi):
-                        image = unitary @ np.kron(spec.eigenvectors[:, c], ready)
-                        expected = np.kron(spec.transfer[:, c], spec.pointers[:, k])
+                        image = unitary @ np.kron(eigenbasis(spec)[:, c], ready)
+                        expected = np.kron(transfer_family(spec)[:, c], spec.pointers[:, k])
                         assert np.linalg.norm(image - expected) < 1e-12
             # the seeds must give genuinely different completions, or the
             # comparison below tests nothing
@@ -501,7 +535,7 @@ class TestApparatusMarginal:
 
     def test_eigenstate_case(self):
         spec = qubit_spec()
-        result = premeasure(spec, StateVector(spec.eigenvectors[:, 0]))
+        result = premeasure(spec, StateVector(eigenbasis(spec)[:, 0]))
         expected = outer(StateVector(spec.pointers[:, 0]))
         assert np.max(np.abs(dense(result.apparatus_marginal) - dense(expected))) < 1e-12
 

@@ -5,8 +5,9 @@ testing", HKUST-CS98-01, 1998).  Each sector moves with its eigenvalue, its
 degeneracy, its column blocks of ``E`` and ``T`` and its pointer column.
 The outcome probabilities and the columns of ``sector_vectors`` must then
 move the same way, and the final state, a sum over the sectors, must stay.
-The degeneracies are unequal, so the permutation regroups the runs of
-equal-size sectors that ``BclSpec.sector_sums`` takes one product each.
+The degeneracies are unequal, so the permutation moves each sector's
+coefficients to other columns of the matrix ``C`` that ``premeasure``
+multiplies by ``T^T``.
 """
 
 import numpy as np
@@ -51,7 +52,7 @@ def test_permuting_sectors_permutes_probabilities_and_sector_vectors(
         eigenvalues=[spec.eigenvalues[k] for k in order],
         degeneracies=[spec.degeneracies[k] for k in order],
         eigenvectors=eigenvectors,
-        transfer=eigenvectors if transfer == "identity" else spec.transfer[:, columns],
+        transfer=None if transfer == "identity" else spec.transfer[:, columns],
         pointers=spec.pointers[:, order],
         ready_state=spec.ready_state,
     )

@@ -14,7 +14,14 @@ from hypothesis import strategies as st
 
 from pointerlab import StateVector, observable_witness, premeasure, shift_witness
 from pointerlab.tolerances import PROBABILITY_FLOOR
-from helpers import close, kronecker_entries, random_bcl_spec, random_state
+from helpers import (
+    close,
+    eigenbasis,
+    kronecker_entries,
+    random_bcl_spec,
+    random_state,
+    transfer_family,
+)
 
 
 def sectors(spec):
@@ -25,10 +32,11 @@ def sectors(spec):
 
 def loop_premeasure(spec, phi):
     probabilities, conditionals = [], []
+    eigenvectors, transfer = eigenbasis(spec), transfer_family(spec)
     for sector in sectors(spec):
         sector_vec = np.zeros(spec.system_dim, dtype=complex)
         for c in sector:
-            sector_vec += np.vdot(spec.eigenvectors[:, c], phi.amplitudes) * spec.transfer[:, c]
+            sector_vec += np.vdot(eigenvectors[:, c], phi.amplitudes) * transfer[:, c]
         p = float(np.real(np.vdot(sector_vec, sector_vec)))
         probabilities.append(p)
         conditionals.append(sector_vec / np.sqrt(p) if p >= PROBABILITY_FLOOR else None)
@@ -37,9 +45,10 @@ def loop_premeasure(spec, phi):
 
 def loop_observable(spec):
     matrix = np.zeros((spec.system_dim, spec.system_dim), dtype=complex)
+    eigenvectors = eigenbasis(spec)
     for o, sector in zip(spec.eigenvalues, sectors(spec)):
         for c in sector:
-            vec = spec.eigenvectors[:, c]
+            vec = eigenvectors[:, c]
             matrix += o * np.outer(vec, vec.conj())
     return matrix
 
@@ -52,7 +61,7 @@ def loop_adjacent_coupling(vectors, dim):
 
 
 def loop_shift_witness(spec):
-    flat_basis = [spec.eigenvectors[:, c] for sector in sectors(spec) for c in sector]
+    flat_basis = [eigenbasis(spec)[:, c] for sector in sectors(spec) for c in sector]
     return np.kron(
         loop_adjacent_coupling(flat_basis, spec.system_dim),
         loop_adjacent_coupling(list(spec.pointers.T), spec.apparatus_dim),
@@ -76,7 +85,7 @@ def test_spec_matrices_match_vector_loops(degeneracies, extra_apparatus, transfe
         phi = random_state(rng, spec.system_dim)
     else:
         # every other sector then falls below the floor and has no conditional state
-        phi = StateVector.normalized(spec.eigenvectors[:, sectors(spec)[0]].sum(axis=1))
+        phi = StateVector.normalized(eigenbasis(spec)[:, sectors(spec)[0]].sum(axis=1))
 
     result = premeasure(spec, phi)
     probabilities, conditionals = loop_premeasure(spec, phi)
