@@ -28,10 +28,9 @@ _EXPORTS = {
         ),
         (
             "lattice",
-            "DLocalAgreement Domain ExchangeSymmetry KernelOperator LatticeGrid "
-            "LatticeWavefunction TwoParticleWavefunction dlocal_agreement_check dlocal_residual "
-            "expectation_two_particle gaussian_packet localize orbital_elements position_kernel "
-            "symmetrize",
+            "Domain ExchangeSymmetry KernelOperator LatticeGrid LatticeWavefunction "
+            "TwoParticleWavefunction dlocal_residual expectation_two_particle gaussian_packet "
+            "localize orbital_elements position_kernel require_support",
         ),
         (
             "objectification",

@@ -9,25 +9,27 @@ A kernel is held as the ``(n,)`` diagonal of a multiplication operator, such
 as the position observable, at ``O(n)`` per operation.
 
 A symmetrized pair ``nu * (psi (x) phi +/- phi (x) psi)`` has rank two, so it
-is stored as its two orbitals, its exchange sign, its 2x2 orbital overlap
-matrix ``S = dx * O^* O^T`` with ``O = [psi; phi]``, formed with one product,
-and the ``nu`` it derives from ``S``; exchange symmetry holds by construction
-and no ``n x n`` pair array is ever formed.  The expectation of
-a one-body registration observable ``a (x) 1 + 1 (x) a`` follows from ``S``
-and the 2x2 orbital matrix elements of ``a`` (the Lowdin rules for
-non-orthogonal orbitals): :func:`orbital_elements` gives those elements and
-the one-particle expectations in each orbital from one kernel apply, and
-:func:`expectation_two_particle` combines them with ``S``, so pairs over the
-same orbitals share one apply.  :func:`dlocal_agreement_check` returns the
-localized and the unlocalized pair values and the localized kernel, one
-apply per kernel.  A grid forms its coordinate array once, and a
-:class:`Domain` is a read-only point mask on one grid, which every check reads
-as it is after refusing a kernel or packet on another grid.
+is stored as its two orbitals, its exchange sign, its ``(2, n)`` orbital
+matrix ``O = [psi; phi]`` and 2x2 overlap matrix ``S = dx * O^* O^T``, both
+formed once at construction, and the ``nu`` it derives from ``S``; exchange
+symmetry holds by construction and no ``n x n`` pair array is ever formed.
+The expectation of a one-body registration observable ``a (x) 1 + 1 (x) a``
+follows from ``S`` and the 2x2 orbital matrix elements of ``a`` (the Lowdin
+rules for non-orthogonal orbitals): :func:`orbital_elements` gives those
+elements and the one-particle expectations in each orbital from one kernel
+apply to ``O``, and :func:`expectation_two_particle` combines them with
+``S``, so pairs over the same orbitals share one apply.  The domain-local
+agreement of a ``dlocal`` run is listed by the runner from these operations
+and :func:`require_support`, :func:`localize` and :func:`dlocal_residual`.
+A grid forms its coordinate array once, and a :class:`Domain` is a read-only
+point mask on one grid, which every check reads as it is after refusing a
+kernel or packet on another grid.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -39,7 +41,7 @@ from .errors import (
     SupportViolation,
     UnresolvableWidth,
 )
-from .tolerances import COMPARISON_TOL, INVARIANT_TOL, QUADRATURE_NORM_TOL, SUPPORT_MASS_EPSILON
+from .tolerances import COMPARISON_TOL, INVARIANT_TOL, QUADRATURE_NORM_TOL
 
 __all__ = [
     "LatticeGrid",
@@ -48,14 +50,12 @@ __all__ = [
     "KernelOperator",
     "Domain",
     "ExchangeSymmetry",
-    "DLocalAgreement",
     "gaussian_packet",
-    "symmetrize",
     "orbital_elements",
     "expectation_two_particle",
     "localize",
     "dlocal_residual",
-    "dlocal_agreement_check",
+    "require_support",
     "position_kernel",
 ]
 
@@ -73,7 +73,11 @@ class ExchangeSymmetry(enum.Enum):
 
 @dataclass(frozen=True)
 class LatticeGrid:
-    """Uniform grid: point ``i`` sits at ``x_min + i * dx`` for ``0 <= i < n_points``."""
+    """Uniform grid: point ``i`` sits at ``x_min + i * dx`` for ``0 <= i < n_points``.
+
+    Construction refuses a grid whose points are not all finite, which a
+    non-finite ``x_min`` or ``dx`` or an overflowing last point would give.
+    """
 
     x_min: float
     dx: float
@@ -84,6 +88,9 @@ class LatticeGrid:
             raise ValueError("dx must be positive")
         if self.n_points < 2:
             raise ValueError("a grid needs at least two points")
+        last = self.x_min + (self.n_points - 1) * self.dx
+        if not math.isfinite(last):
+            raise ValueError(f"grid points must be finite; the last one is {last}")
 
     @cached_property
     def coordinates(self) -> np.ndarray:
@@ -116,20 +123,6 @@ class LatticeWavefunction:
         object.__setattr__(self, "values", vals)
 
 
-def _orbitals(first: LatticeWavefunction, second: LatticeWavefunction) -> np.ndarray:
-    """The ``(2, n)`` orbital matrix ``O = [first; second]``."""
-    _require_same_grid(first.grid, second.grid)
-    return np.array((first.values, second.values))
-
-
-def _overlaps(first: LatticeWavefunction, second: LatticeWavefunction) -> np.ndarray:
-    """Read-only 2x2 overlap matrix ``S_uv = <u|v> = dx * (O^* O^T)_uv``, one product."""
-    orbitals = _orbitals(first, second)
-    overlaps = first.grid.dx * (orbitals.conj() @ orbitals.T)
-    overlaps.setflags(write=False)
-    return overlaps
-
-
 def _pair_norm_squared(overlaps: np.ndarray, sym: ExchangeSymmetry) -> float:
     """Quadrature norm of ``first (x) second + sign * second (x) first``, squared, from ``S``."""
     (first, cross), (_, second) = overlaps.tolist()
@@ -141,8 +134,11 @@ class TwoParticleWavefunction:
     """Symmetrized pair ``nu * (first (x) second + sign * second (x) first)``.
 
     Exchanging the particles multiplies the amplitude by the declared sign
-    by construction.  Construction forms the overlap matrix ``S``
-    (``overlaps``), unless :meth:`opposite_exchange` shares it, and derives
+    by construction.  Construction refuses orbitals on two grids, forms the
+    read-only ``(2, n)`` orbital matrix ``O = [first; second]``
+    (``orbitals``) and, with one product, the overlap matrix
+    ``S_uv = <u|v> = dx * (O^* O^T)_uv`` (``overlaps``), unless
+    :meth:`opposite_exchange` shares both, and derives
     ``nu = (2 <psi|psi><phi|phi> + 2 sign |<psi|phi>|^2)^(-1/2)``: ``1/sqrt(2)``
     for orthogonal inputs, ``1/2`` for identical bosons, and ``NullState``
     for a null bracket.  For nearly parallel fermionic inputs the bracket
@@ -153,11 +149,17 @@ class TwoParticleWavefunction:
     second: LatticeWavefunction
     exchange: ExchangeSymmetry
     nu: float = field(init=False)
+    orbitals: np.ndarray = field(init=False, repr=False)
     overlaps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if "overlaps" not in vars(self):
-            object.__setattr__(self, "overlaps", _overlaps(self.first, self.second))
+        if "orbitals" not in vars(self):
+            _require_same_grid(self.first.grid, self.second.grid)
+            orbitals = np.array((self.first.values, self.second.values))
+            overlaps = self.grid.dx * (orbitals.conj() @ orbitals.T)
+            for name, array in (("orbitals", orbitals), ("overlaps", overlaps)):
+                array.setflags(write=False)
+                object.__setattr__(self, name, array)
         norm_squared = _pair_norm_squared(self.overlaps, self.exchange)
         if not norm_squared >= COMPARISON_TOL**2:
             raise NullState("symmetrized state is numerically null")
@@ -168,12 +170,13 @@ class TwoParticleWavefunction:
         return self.first.grid
 
     def opposite_exchange(self) -> "TwoParticleWavefunction":
-        """The pair of the same orbitals under the other exchange sign, sharing ``S``.
+        """The pair of the same orbitals under the other exchange sign, sharing ``O`` and ``S``.
 
-        Raises ``NullState`` for a null bracket, as :func:`symmetrize` does.
+        Raises ``NullState`` for a null bracket, as construction does.
         """
-        # hand S over before construction runs, so that it is not formed again
+        # hand O and S over before construction runs, so that they are not formed again
         pair = object.__new__(TwoParticleWavefunction)
+        object.__setattr__(pair, "orbitals", self.orbitals)
         object.__setattr__(pair, "overlaps", self.overlaps)
         pair.__init__(self.first, self.second, ExchangeSymmetry(-self.exchange.sign))
         return pair
@@ -229,7 +232,7 @@ class Domain:
     @classmethod
     def from_interval(cls, grid: LatticeGrid, lower: float, upper: float) -> "Domain":
         """Grid points with coordinate in the closed interval ``[lower, upper]``."""
-        if upper < lower:
+        if not lower <= upper:
             raise ValueError("upper must not be below lower")
         coords = grid.coordinates
         return cls(grid, (coords >= lower) & (coords <= upper))
@@ -241,7 +244,7 @@ def gaussian_packet(grid: LatticeGrid, center: float, width: float) -> LatticeWa
     ``width`` is the standard deviation of the position density; packets
     narrower than ``2 dx`` are rejected as unresolvable.
     """
-    if width <= 2 * grid.dx:
+    if not width > 2 * grid.dx:
         raise UnresolvableWidth(f"width {width} must exceed 2*dx = {2 * grid.dx}")
     coords = grid.coordinates
     if not (coords[0] <= center <= coords[-1]):
@@ -249,13 +252,6 @@ def gaussian_packet(grid: LatticeGrid, center: float, width: float) -> LatticeWa
     raw = np.exp(-((coords - center) ** 2) / (4.0 * width**2))
     raw /= np.sqrt(grid.dx * (raw * raw).sum())
     return LatticeWavefunction(grid, raw)
-
-
-def symmetrize(
-    psi: LatticeWavefunction, phi: LatticeWavefunction, sym: ExchangeSymmetry
-) -> TwoParticleWavefunction:
-    """Exchange-(anti)symmetric pair state built from two one-particle states."""
-    return TwoParticleWavefunction(psi, phi, sym)
 
 
 def position_kernel(grid: LatticeGrid) -> KernelOperator:
@@ -276,7 +272,7 @@ def orbital_elements(
     exactly 0.0.
     """
     _require_same_grid(a.grid, pair.grid)
-    orbitals = _orbitals(pair.first, pair.second)
+    orbitals = pair.orbitals  # O, formed with the pair
     applied = a.apply(orbitals.T)
     scale = a.grid.dx**2
     singles = scale * np.array([np.vdot(orbitals[u], applied[:, u]) for u in (0, 1)])
@@ -323,54 +319,24 @@ def _domain_mass(psi: LatticeWavefunction, mask: np.ndarray) -> float:
     return float(psi.grid.dx * np.vdot(values, values).real)
 
 
-@dataclass(frozen=True, eq=False)
-class DLocalAgreement:
-    """What :func:`dlocal_agreement_check` finds, each kernel applied once.
+def require_support(
+    D: Domain, psi: LatticeWavefunction, phi: LatticeWavefunction, mass_epsilon: float
+) -> None:
+    """Require ``psi`` to live inside the domain and ``phi`` outside it.
 
-    ``two_particle`` and ``unlocalized_two_particle`` are the boson pair's
-    expectations of the localized and the raw kernel, ``single`` is the raw
-    kernel's expectation in ``psi`` and ``difference`` is ``|two_particle - single|``.
+    Each packet may leave at most ``mass_epsilon`` of quadrature probability
+    on the wrong side; more, or a NaN ``mass_epsilon``, raises
+    ``SupportViolation``, and a packet on another grid ``GridMismatch``.
     """
-
-    two_particle: complex
-    single: complex
-    unlocalized_two_particle: complex
-    localized_kernel: KernelOperator = field(repr=False)
-
-    @property
-    def difference(self) -> float:
-        return abs(self.two_particle - self.single)
-
-
-def dlocal_agreement_check(
-    a: KernelOperator,
-    D: Domain,
-    psi: LatticeWavefunction,
-    phi: LatticeWavefunction,
-    mass_epsilon: float = SUPPORT_MASS_EPSILON,
-) -> DLocalAgreement:
-    """Compare the localized pair expectation against the lone-particle value.
-
-    Requires ``psi`` to live inside ``D`` and ``phi`` outside it, up to
-    ``mass_epsilon`` of stray quadrature probability on the wrong side.  The
-    pair is the boson symmetrization of ``psi`` and ``phi``.
-    """
-    for grid in (D.grid, psi.grid, phi.grid):
-        _require_same_grid(a.grid, grid)
-    inside = D.points
-    stray_psi = _domain_mass(psi, ~inside)
-    if stray_psi > mass_epsilon:
+    for grid in (psi.grid, phi.grid):
+        _require_same_grid(D.grid, grid)
+    stray_psi = _domain_mass(psi, ~D.points)
+    if not stray_psi <= mass_epsilon:
         raise SupportViolation(
             f"first packet leaves {stray_psi:.3e} probability outside the domain"
         )
-    stray_phi = _domain_mass(phi, inside)
-    if stray_phi > mass_epsilon:
+    stray_phi = _domain_mass(phi, D.points)
+    if not stray_phi <= mass_epsilon:
         raise SupportViolation(
             f"second packet leaves {stray_phi:.3e} probability inside the domain"
         )
-    pair = symmetrize(psi, phi, ExchangeSymmetry.BOSON)
-    localized = localize(a, D)
-    elements, (single, _) = orbital_elements(a, pair)
-    two_particle = expectation_two_particle(orbital_elements(localized, pair)[0], pair)
-    unlocalized = expectation_two_particle(elements, pair)
-    return DLocalAgreement(two_particle, single, unlocalized, localized)

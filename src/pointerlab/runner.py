@@ -342,11 +342,11 @@ def _run_symmetrization(scenario: dict) -> tuple[dict, list[Verdict]]:
     from .lattice import (
         ExchangeSymmetry,
         LatticeGrid,
+        TwoParticleWavefunction,
         expectation_two_particle,
         gaussian_packet,
         orbital_elements,
         position_kernel,
-        symmetrize,
     )
 
     tol = scenario["tolerances"]
@@ -355,39 +355,31 @@ def _run_symmetrization(scenario: dict) -> tuple[dict, list[Verdict]]:
         psi, phi = (gaussian_packet(grid, **packet) for packet in scenario["packets"])
         kernel = position_kernel(grid)
     with _stage("symmetrization"):
-        boson = symmetrize(psi, phi, ExchangeSymmetry.BOSON)
-        pairs = {ExchangeSymmetry.BOSON: boson, ExchangeSymmetry.FERMION: boson.opposite_exchange()}
-        nu = {sym: pair.nu for sym, pair in pairs.items()}
+        boson = TwoParticleWavefunction(psi, phi, ExchangeSymmetry.BOSON)
+        fermion = boson.opposite_exchange()
         overlap = abs(boson.overlaps[0, 1])
-        # both pairs hold psi and phi and share S, so one kernel apply serves both
+        # both pairs hold psi and phi and share O and S, so one kernel apply serves both
         elements, singles = orbital_elements(kernel, boson)
         single_first, single_second = singles.real
-        two_particle = {sym: expectation_two_particle(elements, p).real for sym, p in pairs.items()}
+        two_boson = expectation_two_particle(elements, boson).real
+        two_fermion = expectation_two_particle(elements, fermion).real
 
     values = {
         "single_particle_position_first": single_first,
         "single_particle_position_second": single_second,
-        "two_particle_position_boson": two_particle[ExchangeSymmetry.BOSON],
-        "two_particle_position_fermion": two_particle[ExchangeSymmetry.FERMION],
-        "normalization_factor_boson": nu[ExchangeSymmetry.BOSON],
-        "normalization_factor_fermion": nu[ExchangeSymmetry.FERMION],
+        "two_particle_position_boson": two_boson,
+        "two_particle_position_fermion": two_fermion,
+        "normalization_factor_boson": boson.nu,
+        "normalization_factor_fermion": fermion.nu,
         "packet_overlap_abs": overlap,
     }
     expected_sum = single_first + single_second
     verdicts = [
-        _verdict(
-            "discrepancy_boson",
-            abs(two_particle[ExchangeSymmetry.BOSON] - expected_sum),
-            tol["discrepancy"],
-        ),
-        _verdict(
-            "discrepancy_fermion",
-            abs(two_particle[ExchangeSymmetry.FERMION] - expected_sum),
-            tol["discrepancy"],
-        ),
+        _verdict("discrepancy_boson", abs(two_boson - expected_sum), tol["discrepancy"]),
+        _verdict("discrepancy_fermion", abs(two_fermion - expected_sum), tol["discrepancy"]),
         _verdict(
             "exchange_sign_agreement",
-            abs(two_particle[ExchangeSymmetry.BOSON] - two_particle[ExchangeSymmetry.FERMION]),
+            abs(two_boson - two_fermion),
             tol["exchange_sign_agreement"],
         ),
     ]
@@ -395,7 +387,7 @@ def _run_symmetrization(scenario: dict) -> tuple[dict, list[Verdict]]:
         verdicts.append(
             _verdict(
                 "normalization_factor_orthogonal",
-                abs(nu[ExchangeSymmetry.BOSON] - INV_SQRT2),
+                abs(boson.nu - INV_SQRT2),
                 tol["normalization_factor"],
             )
         )
@@ -405,11 +397,16 @@ def _run_symmetrization(scenario: dict) -> tuple[dict, list[Verdict]]:
 def _run_dlocal(scenario: dict) -> tuple[dict, list[Verdict]]:
     from .lattice import (
         Domain,
+        ExchangeSymmetry,
         LatticeGrid,
-        dlocal_agreement_check,
+        TwoParticleWavefunction,
         dlocal_residual,
+        expectation_two_particle,
         gaussian_packet,
+        localize,
+        orbital_elements,
         position_kernel,
+        require_support,
     )
 
     tol = scenario["tolerances"]
@@ -419,23 +416,29 @@ def _run_dlocal(scenario: dict) -> tuple[dict, list[Verdict]]:
         kernel = position_kernel(grid)
         domain = Domain.from_interval(grid, **scenario["domain"])
     with _stage("domain-local check"):
-        check = dlocal_agreement_check(kernel, domain, psi, phi, tol["support_mass"])
-        single, two_raw = check.single.real, check.unlocalized_two_particle.real
-        raw_difference = abs(two_raw - single)
+        require_support(domain, psi, phi, tol["support_mass"])
+        pair = TwoParticleWavefunction(psi, phi, ExchangeSymmetry.BOSON)
+        localized = localize(kernel, domain)
+        # one apply per kernel: the raw one gives the lone-particle value too
+        elements, (single, _) = orbital_elements(kernel, pair)
+        two_particle = expectation_two_particle(orbital_elements(localized, pair)[0], pair)
+        two_raw = expectation_two_particle(elements, pair).real
+        difference = abs(two_particle - single)
+        raw_difference = abs(two_raw - single.real)
         residual_raw = dlocal_residual(kernel, domain)
-        residual_localized = dlocal_residual(check.localized_kernel, domain)
+        residual_localized = dlocal_residual(localized, domain)
 
     values = {
-        "dlocal_two_particle_expectation": check.two_particle.real,
-        "single_particle_expectation": single,
-        "dlocal_difference": check.difference,
+        "dlocal_two_particle_expectation": two_particle.real,
+        "single_particle_expectation": single.real,
+        "dlocal_difference": difference,
         "unlocalized_two_particle_expectation": two_raw,
         "unlocalized_difference": raw_difference,
         "dlocal_residual_raw_kernel": residual_raw,
         "dlocal_residual_localized_kernel": residual_localized,
     }
     verdicts = [
-        _verdict("agreement", check.difference, tol["agreement"]),
+        _verdict("agreement", difference, tol["agreement"]),
         _verdict(
             "unlocalized_discrepancy",
             abs(raw_difference - abs(scenario["packets"][1]["center"])),

@@ -18,7 +18,8 @@ ENTROPY_EIGENVALUE_FLOOR = 1e-12
 PROBABILITY_FLOOR = 1e-12
 
 #: Largest quadrature probability a packet may leave on the wrong side of a
-#: domain in the domain-local agreement check.
+#: domain: the default ``support_mass`` of a ``dlocal`` run, which passes it
+#: to ``require_support``.
 SUPPORT_MASS_EPSILON = 1e-6
 
 #: Quadrature normalization tolerance for lattice wavefunctions.

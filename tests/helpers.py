@@ -18,7 +18,7 @@ from pointerlab import (
     ExchangeSymmetry,
     LatticeGrid,
     StateVector,
-    dlocal_agreement_check,
+    TwoParticleWavefunction,
     dlocal_residual,
     expectation_two_particle,
     gaussian_packet,
@@ -26,7 +26,7 @@ from pointerlab import (
     orbital_elements,
     position_kernel,
     premeasure,
-    symmetrize,
+    require_support,
 )
 from pointerlab.runner import _float_repr, _write_json
 from pointerlab.tolerances import INVARIANT_TOL
@@ -411,24 +411,27 @@ def lattice_composition(scenario):
             "single_particle_position_second": expectation_single(kernel, phi).real,
         }
         for sym in (ExchangeSymmetry.BOSON, ExchangeSymmetry.FERMION):
-            pair = symmetrize(psi, phi, sym)
+            pair = TwoParticleWavefunction(psi, phi, sym)
             name = sym.name.lower()
             values[f"two_particle_position_{name}"] = pair_expectation(kernel, pair).real
             values[f"normalization_factor_{name}"] = pair.nu
         values["packet_overlap_abs"] = abs(quadrature_inner(psi, phi))
         return values
     domain = Domain.from_interval(grid, **scenario["domain"])
-    check = dlocal_agreement_check(
-        kernel, domain, psi, phi, mass_epsilon=scenario["tolerances"]["support_mass"]
-    )
-    two_raw = pair_expectation(kernel, symmetrize(psi, phi, ExchangeSymmetry.BOSON)).real
-    single = check.single.real
+    require_support(domain, psi, phi, scenario["tolerances"]["support_mass"])
+
+    def boson():
+        return TwoParticleWavefunction(psi, phi, ExchangeSymmetry.BOSON)
+
+    two_particle = pair_expectation(localize(kernel, domain), boson())
+    two_raw = pair_expectation(kernel, boson()).real
+    single = expectation_single(kernel, psi)
     return {
-        "dlocal_two_particle_expectation": check.two_particle.real,
-        "single_particle_expectation": single,
-        "dlocal_difference": check.difference,
+        "dlocal_two_particle_expectation": two_particle.real,
+        "single_particle_expectation": single.real,
+        "dlocal_difference": abs(two_particle - single),
         "unlocalized_two_particle_expectation": two_raw,
-        "unlocalized_difference": abs(two_raw - single),
+        "unlocalized_difference": abs(two_raw - single.real),
         "dlocal_residual_raw_kernel": dlocal_residual(kernel, domain),
         "dlocal_residual_localized_kernel": dlocal_residual(localize(kernel, domain), domain),
     }

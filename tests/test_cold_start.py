@@ -3,7 +3,7 @@
 Each check runs in a new interpreter that imports numpy first and then
 records which ``pointerlab`` modules (and ``csv``) the statements under test
 add to ``sys.modules``.  The package itself resolves its public names on
-first access, so the second half pins that API: its 51 names, each the
+first access, so the second half pins that API: its 49 names, each the
 object its defining module holds.
 """
 
@@ -51,21 +51,19 @@ PUBLIC = {
     ),
     **dict.fromkeys(
         [
-            "DLocalAgreement",
             "Domain",
             "ExchangeSymmetry",
             "KernelOperator",
             "LatticeGrid",
             "LatticeWavefunction",
             "TwoParticleWavefunction",
-            "dlocal_agreement_check",
             "dlocal_residual",
             "expectation_two_particle",
             "gaussian_packet",
             "localize",
             "orbital_elements",
             "position_kernel",
-            "symmetrize",
+            "require_support",
         ],
         "lattice",
     ),
@@ -123,6 +121,7 @@ def test_a_demo_loads_only_the_layers_of_its_kind(tmp_path, demo, fmt, needed):
 
 def test_every_public_name_is_listed_and_is_its_modules_object():
     assert sorted(pointerlab.__all__) == sorted(PUBLIC)
+    assert len(pointerlab.__all__) == 49
     listed = dir(pointerlab)
     for name, module in PUBLIC.items():
         assert name in listed, name
@@ -138,7 +137,7 @@ def test_star_import_binds_exactly_the_public_names():
 
 
 def test_a_submodule_is_an_attribute_of_a_fresh_package():
-    loaded = loaded_by("import pointerlab; pointerlab.lattice.symmetrize")
+    loaded = loaded_by("import pointerlab; pointerlab.lattice.require_support")
     assert "pointerlab.lattice" in loaded
     assert not loaded & BCL_LAYERS
 

@@ -22,11 +22,11 @@ from pointerlab import (
     KernelOperator,
     LatticeGrid,
     LatticeWavefunction,
+    TwoParticleWavefunction,
     dlocal_residual,
     localize,
     position_kernel,
     run_scenario,
-    symmetrize,
 )
 from pointerlab.scenario import validate_scenario_data
 from pointerlab.tolerances import INVARIANT_TOL
@@ -70,7 +70,7 @@ def test_diagonal_matches_dense_diag(n, x_min, dx, seed):
     assume(1.0 - abs(quadrature_inner(psi, phi)) ** 2 > 1e-3)
     assert close(expectation_single(diagonal, psi), expectation_single(dense, psi))
     for sym in (ExchangeSymmetry.BOSON, ExchangeSymmetry.FERMION):
-        pair = symmetrize(psi, phi, sym)
+        pair = TwoParticleWavefunction(psi, phi, sym)
         assert close(pair_expectation(diagonal, pair), pair_expectation(dense, pair))
 
     for _ in range(3):

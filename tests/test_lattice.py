@@ -11,14 +11,14 @@ from pointerlab import (
     SupportViolation,
     TwoParticleWavefunction,
     UnresolvableWidth,
-    dlocal_agreement_check,
     dlocal_residual,
     gaussian_packet,
     localize,
     orbital_elements,
     position_kernel,
-    symmetrize,
+    require_support,
 )
+from pointerlab.tolerances import SUPPORT_MASS_EPSILON
 
 from helpers import expectation_single, hermitian_kernel, pair_expectation, quadrature_inner
 
@@ -100,30 +100,31 @@ class TestSymmetrize:
         # oracle: norm of the raw symmetrized matrix, computed directly
         raw = np.outer(psi.values, phi.values) + np.outer(phi.values, psi.values)
         nu_oracle = 1.0 / np.sqrt(grid.dx**2 * np.sum(np.abs(raw) ** 2))
-        nu = symmetrize(psi, phi, ExchangeSymmetry.BOSON).nu
+        nu = TwoParticleWavefunction(psi, phi, ExchangeSymmetry.BOSON).nu
         assert nu == pytest.approx(nu_oracle, abs=1e-15)
         assert abs(nu - INV_SQRT2) < 1e-8
 
     def test_identical_fermions_null(self, grid):
         psi = gaussian_packet(grid, 0.0, 1.0)
         with pytest.raises(NullState):
-            symmetrize(psi, psi, ExchangeSymmetry.FERMION)
+            TwoParticleWavefunction(psi, psi, ExchangeSymmetry.FERMION)
 
     def test_opposite_exchange_is_the_symmetrized_pair_of_the_other_sign(self, grid):
         psi = gaussian_packet(grid, 0.0, 1.0)
         phi = gaussian_packet(grid, 1.5, 1.2)  # overlapping, so the two nu differ
         for sym in ExchangeSymmetry:
-            pair = symmetrize(psi, phi, sym)
+            pair = TwoParticleWavefunction(psi, phi, sym)
             other = pair.opposite_exchange()
-            direct = symmetrize(psi, phi, ExchangeSymmetry(-sym.sign))
+            direct = TwoParticleWavefunction(psi, phi, ExchangeSymmetry(-sym.sign))
             assert other.exchange is direct.exchange and other.nu == direct.nu
-            assert other.first is psi and other.second is phi and other.overlaps is pair.overlaps
+            assert other.first is psi and other.second is phi
+            assert other.orbitals is pair.orbitals and other.overlaps is pair.overlaps
         with pytest.raises(NullState):
-            symmetrize(psi, psi, ExchangeSymmetry.BOSON).opposite_exchange()
+            TwoParticleWavefunction(psi, psi, ExchangeSymmetry.BOSON).opposite_exchange()
 
     def test_identical_bosons_product(self, grid):
         psi = gaussian_packet(grid, 0.0, 1.0)
-        pair = symmetrize(psi, psi, ExchangeSymmetry.BOSON)
+        pair = TwoParticleWavefunction(psi, psi, ExchangeSymmetry.BOSON)
         first, second = pair.first.values, pair.second.values
         amplitude = pair.nu * (np.outer(first, second) + np.outer(second, first))
         assert np.max(np.abs(amplitude - np.outer(psi.values, psi.values))) < 1e-10
@@ -133,7 +134,7 @@ class TestSymmetrize:
         psi = gaussian_packet(grid, -3.0, 1.0)
         phi = gaussian_packet(grid, 3.0, 1.0)
         for sym in (ExchangeSymmetry.BOSON, ExchangeSymmetry.FERMION):
-            pair = symmetrize(psi, phi, sym)
+            pair = TwoParticleWavefunction(psi, phi, sym)
             first, second = pair.first.values, pair.second.values
             amplitude = pair.nu * (
                 np.outer(first, second) + pair.exchange.sign * np.outer(second, first)
@@ -144,18 +145,23 @@ class TestSymmetrize:
         psi = gaussian_packet(grid, 0.0, 1.0)
         phi = gaussian_packet(small_grid, 0.0, 1.0)
         with pytest.raises(GridMismatch):
-            symmetrize(psi, phi, ExchangeSymmetry.BOSON)
+            TwoParticleWavefunction(psi, phi, ExchangeSymmetry.BOSON)
 
     def test_record_derives_its_normalization(self, grid):
         psi = gaussian_packet(grid, 0.0, 1.0)
         phi = gaussian_packet(grid, 1.5, 1.2)
+        inner = quadrature_inner(psi, phi)
         for sym in ExchangeSymmetry:
-            direct = TwoParticleWavefunction(psi, phi, sym)
-            built = symmetrize(psi, phi, sym)
-            assert direct.nu == built.nu
-            assert np.array_equal(direct.overlaps, built.overlaps)
+            pair = TwoParticleWavefunction(psi, phi, sym)
+            assert pair.nu == pytest.approx((2 + 2 * sym.sign * abs(inner) ** 2) ** -0.5, abs=1e-14)
+            # O = [psi; phi] and S = dx O^* O^T, formed once and read-only
+            assert np.array_equal(pair.orbitals, [psi.values, phi.values])
+            assert np.allclose(pair.overlaps, [[1, inner], [inner.conjugate(), 1]], atol=1e-14)
+            assert not pair.orbitals.flags.writeable and not pair.overlaps.flags.writeable
         with pytest.raises(TypeError):
             TwoParticleWavefunction(psi, phi, ExchangeSymmetry.BOSON, 0.5)
+        with pytest.raises(TypeError):
+            TwoParticleWavefunction(psi, phi, ExchangeSymmetry.BOSON, orbitals=np.eye(2, 512))
         with pytest.raises(NullState):
             TwoParticleWavefunction(psi, psi, ExchangeSymmetry.FERMION)
 
@@ -179,7 +185,7 @@ class TestExpectations:
     def test_single_grid_mismatch(self, grid, small_grid):
         # a run reads the one-particle expectations from orbital_elements
         psi = gaussian_packet(small_grid, 0.0, 1.0)
-        pair = symmetrize(psi, psi, ExchangeSymmetry.BOSON)
+        pair = TwoParticleWavefunction(psi, psi, ExchangeSymmetry.BOSON)
         with pytest.raises(GridMismatch):
             orbital_elements(position_kernel(grid), pair)
 
@@ -187,14 +193,14 @@ class TestExpectations:
         psi = gaussian_packet(grid, 0.0, 1.0)
         phi = gaussian_packet(grid, 10.0, 1.0)
         kernel = position_kernel(grid)
-        value = pair_expectation(kernel, symmetrize(psi, phi, ExchangeSymmetry.BOSON))
+        value = pair_expectation(kernel, TwoParticleWavefunction(psi, phi, ExchangeSymmetry.BOSON))
         assert abs(value - 10.0) < 1e-5
 
     def test_two_particle_identity_counts_particles(self, grid):
         psi = gaussian_packet(grid, 0.0, 1.0)
         phi = gaussian_packet(grid, 10.0, 1.0)
         value = pair_expectation(
-            identity_kernel(grid), symmetrize(psi, phi, ExchangeSymmetry.BOSON)
+            identity_kernel(grid), TwoParticleWavefunction(psi, phi, ExchangeSymmetry.BOSON)
         )
         assert abs(value - 2.0) < 1e-6
 
@@ -202,8 +208,8 @@ class TestExpectations:
         psi = gaussian_packet(grid, 0.0, 1.0)
         phi = gaussian_packet(grid, 10.0, 1.0)
         kernel = position_kernel(grid)
-        boson = pair_expectation(kernel, symmetrize(psi, phi, ExchangeSymmetry.BOSON))
-        fermion = pair_expectation(kernel, symmetrize(psi, phi, ExchangeSymmetry.FERMION))
+        boson = pair_expectation(kernel, TwoParticleWavefunction(psi, phi, ExchangeSymmetry.BOSON))
+        fermion = pair_expectation(kernel, TwoParticleWavefunction(psi, phi, ExchangeSymmetry.FERMION))
         assert abs(boson - fermion) < 1e-8
 
     def test_discrepancy_for_generic_hermitian_kernel(self, small_grid):
@@ -214,7 +220,7 @@ class TestExpectations:
         kernel = hermitian_kernel(small_grid, 13)
         expected = expectation_single(kernel, psi) + expectation_single(kernel, phi)
         for sym in (ExchangeSymmetry.BOSON, ExchangeSymmetry.FERMION):
-            value = pair_expectation(kernel, symmetrize(psi, phi, sym))
+            value = pair_expectation(kernel, TwoParticleWavefunction(psi, phi, sym))
             assert abs(value - expected) < 1e-6
 
 
@@ -254,20 +260,29 @@ class TestIsDLocal:
         assert dlocal_residual(zero, domain) == 0.0
 
 
+def localized_boson_value(kernel, domain, psi, phi):
+    """The boson pair's value of the localized kernel, once the packets obey the support rule."""
+    require_support(domain, psi, phi, SUPPORT_MASS_EPSILON)
+    pair = TwoParticleWavefunction(psi, phi, ExchangeSymmetry.BOSON)
+    return pair_expectation(localize(kernel, domain), pair)
+
+
 class TestAgreementCheck:
     def test_compliant_inputs_agree(self, grid):
         domain = Domain.from_interval(grid, -5.0, 5.0)
         psi = gaussian_packet(grid, 0.0, 1.0)
         phi = gaussian_packet(grid, 15.0, 1.0)
-        check = dlocal_agreement_check(position_kernel(grid), domain, psi, phi)
-        assert check.difference < 1e-6
-        assert abs(check.single.real) < 1e-6
+        kernel = position_kernel(grid)
+        two = localized_boson_value(kernel, domain, psi, phi)
+        single = expectation_single(kernel, psi)
+        assert abs(two - single) < 1e-6
+        assert abs(single.real) < 1e-6
 
     def test_unlocalized_kernel_disagrees_by_remote_mean(self, grid):
         psi = gaussian_packet(grid, 0.0, 1.0)
         phi = gaussian_packet(grid, 15.0, 1.0)
         kernel = position_kernel(grid)
-        two = pair_expectation(kernel, symmetrize(psi, phi, ExchangeSymmetry.BOSON))
+        two = pair_expectation(kernel, TwoParticleWavefunction(psi, phi, ExchangeSymmetry.BOSON))
         single = expectation_single(position_kernel(grid), psi)
         assert abs(abs(two - single) - 15.0) < 1e-4
 
@@ -275,20 +290,29 @@ class TestAgreementCheck:
         domain = Domain.from_interval(grid, -5.0, 5.0)
         psi = gaussian_packet(grid, 0.0, 0.8)
         phi = gaussian_packet(grid, 15.0, 0.8)
-        check = dlocal_agreement_check(identity_kernel(grid), domain, psi, phi)
-        assert abs(check.two_particle - 1.0) < 1e-6
-        assert abs(check.single - 1.0) < 1e-8
-        assert check.difference < 1e-6
+        kernel = identity_kernel(grid)
+        two = localized_boson_value(kernel, domain, psi, phi)
+        single = expectation_single(kernel, psi)
+        assert abs(two - 1.0) < 1e-6
+        assert abs(single - 1.0) < 1e-8
+        assert abs(two - single) < 1e-6
 
     def test_support_violation(self, grid):
         domain = Domain.from_interval(grid, -5.0, 5.0)
         straddling = gaussian_packet(grid, 4.0, 1.0)
         remote = gaussian_packet(grid, 15.0, 1.0)
-        with pytest.raises(SupportViolation):
-            dlocal_agreement_check(position_kernel(grid), domain, straddling, remote)
+        with pytest.raises(
+            SupportViolation,
+            match=r"^first packet leaves 1\.493e-01 probability outside the domain$",
+        ):
+            require_support(domain, straddling, remote, SUPPORT_MASS_EPSILON)
         inside = gaussian_packet(grid, 0.0, 1.0)
-        with pytest.raises(SupportViolation):
-            dlocal_agreement_check(position_kernel(grid), domain, inside, straddling)
+        with pytest.raises(
+            SupportViolation,
+            match=r"^second packet leaves 8\.507e-01 probability inside the domain$",
+        ):
+            require_support(domain, inside, straddling, SUPPORT_MASS_EPSILON)
+        require_support(domain, inside, remote, SUPPORT_MASS_EPSILON)
 
 
 class TestCollectiveObservable:
@@ -302,8 +326,8 @@ class TestCollectiveObservable:
         also_inside = gaussian_packet(grid, -0.5, 0.8)
         outside = gaussian_packet(grid, 15.0, 0.8)
         for sym in (ExchangeSymmetry.BOSON, ExchangeSymmetry.FERMION):
-            one = pair_expectation(counting, symmetrize(inside, outside, sym))
-            two = pair_expectation(counting, symmetrize(inside, also_inside, sym))
+            one = pair_expectation(counting, TwoParticleWavefunction(inside, outside, sym))
+            two = pair_expectation(counting, TwoParticleWavefunction(inside, also_inside, sym))
             assert abs(one - 1.0) < 1e-6
             assert abs(two - 2.0) < 1e-6
 
@@ -311,7 +335,7 @@ class TestCollectiveObservable:
         # identical bosons form the product psi (x) psi: twice the one-particle mean
         kernel = hermitian_kernel(small_grid, 11)
         psi = gaussian_packet(small_grid, 1.0, 0.9)
-        pair = symmetrize(psi, psi, ExchangeSymmetry.BOSON)
+        pair = TwoParticleWavefunction(psi, psi, ExchangeSymmetry.BOSON)
         value = pair_expectation(kernel, pair)
         assert abs(value - 2 * expectation_single(kernel, psi)) < 1e-10
 
@@ -321,8 +345,8 @@ class TestCollectiveObservable:
         psi = gaussian_packet(small_grid, -1.0, 0.8)
         phi = gaussian_packet(small_grid, 1.5, 1.1)
         for sym in (ExchangeSymmetry.BOSON, ExchangeSymmetry.FERMION):
-            forward = pair_expectation(kernel, symmetrize(psi, phi, sym))
-            backward = pair_expectation(kernel, symmetrize(phi, psi, sym))
+            forward = pair_expectation(kernel, TwoParticleWavefunction(psi, phi, sym))
+            backward = pair_expectation(kernel, TwoParticleWavefunction(phi, psi, sym))
             assert abs(forward - backward) < 1e-10 * max(1.0, abs(forward))
 
 
@@ -344,7 +368,7 @@ class TestDomain:
         with pytest.raises(GridMismatch):
             dlocal_residual(kernel, domain)
         with pytest.raises(GridMismatch):
-            dlocal_agreement_check(kernel, domain, psi, phi)
+            require_support(domain, psi, phi, SUPPORT_MASS_EPSILON)
 
     def test_from_interval_mask_is_exactly_the_closed_interval(self, grid):
         lower, upper = -5.0, 5.3

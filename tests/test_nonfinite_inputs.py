@@ -11,7 +11,11 @@ check, but refuses a NaN in its core as non-finite.  A ``KernelOperator``
 refuses a NaN or an infinite diagonal entry as non-finite: its Hermitian
 check reads only ``|Im a|``, which is zero for both.  A ``BclSpec`` refuses
 a NaN or an infinite eigenvalue before its distinctness check, which two
-NaNs would pass, since NaN equals nothing.
+NaNs would pass, since NaN equals nothing.  A ``LatticeGrid`` refuses a
+non-finite ``x_min`` or ``dx`` and a last point that overflows, before any
+coordinate is formed; an interval, a packet width and a support tolerance
+that are NaN are refused by the same ``not x <= tol`` rule, the last with
+a packet half outside its domain.
 """
 
 import dataclasses
@@ -23,6 +27,7 @@ from pointerlab import (
     BasisNotOrthonormal,
     BclSpec,
     DensityMatrix,
+    Domain,
     GemengeDecomposition,
     KernelOperator,
     KroneckerProduct,
@@ -30,10 +35,15 @@ from pointerlab import (
     LatticeWavefunction,
     SpecInvalid,
     StateVector,
+    SupportViolation,
+    UnresolvableWidth,
+    gaussian_packet,
     premeasure,
+    require_support,
 )
 
 NAN = float("nan")
+INF = float("inf")
 
 
 def with_nan(matrix):
@@ -60,6 +70,14 @@ def premeasured_with_nan_sector_vector():
 
 
 GRID = LatticeGrid(0.0, 1.0, 2)
+LATTICE = LatticeGrid(-20.0, 0.078125, 512)
+DOMAIN = Domain.from_interval(LATTICE, -5.0, 5.0)
+
+
+def straddling_support_with_nan_epsilon():
+    # the first packet leaves 4.844e-01 of its probability outside the domain
+    straddling, remote = (gaussian_packet(LATTICE, center, 1.0) for center in (5.0, 15.0))
+    require_support(DOMAIN, straddling, remote, NAN)
 
 ROWS = {
     "state_vector": (lambda: StateVector([NAN, 0]), ValueError, "norm"),
@@ -94,6 +112,29 @@ ROWS = {
         "trace",
     ),
     "lattice_grid": (lambda: LatticeGrid(0.0, NAN, 4), ValueError, "dx"),
+    "lattice_grid_x_min": (lambda: LatticeGrid(NAN, 0.1, 64), ValueError, "finite"),
+    "lattice_grid_x_min_infinite": (lambda: LatticeGrid(INF, 0.1, 64), ValueError, "finite"),
+    "lattice_grid_dx_infinite": (lambda: LatticeGrid(0.0, INF, 64), ValueError, "finite"),
+    "lattice_grid_last_point_overflow": (
+        lambda: LatticeGrid(0.0, 1e306, 4096),
+        ValueError,
+        "finite",
+    ),
+    "domain_interval": (
+        lambda: Domain.from_interval(LATTICE, NAN, 5.0),
+        ValueError,
+        "upper must not be below lower",
+    ),
+    "gaussian_packet_width": (
+        lambda: gaussian_packet(LATTICE, 0.0, NAN),
+        UnresolvableWidth,
+        "must exceed",
+    ),
+    "support_mass_epsilon": (
+        straddling_support_with_nan_epsilon,
+        SupportViolation,
+        "first packet leaves 4.844e-01 probability outside",
+    ),
     "lattice_wavefunction": (
         lambda: LatticeWavefunction(GRID, [NAN, 1.0]),
         ValueError,

@@ -5,7 +5,7 @@ with ``np.outer``, normalizes it by its quadrature norm and contracts the
 registration observable ``a (x) 1 + 1 (x) a`` index by index.  Whole lattice
 runs are checked against the same reference and against the one-call-per-value
 composition in ``helpers.lattice_composition``, and a count pins that a run
-applies each kernel once and forms few orbital overlaps.
+applies each kernel once and forms one orbital matrix.
 """
 
 import math
@@ -21,10 +21,9 @@ from pointerlab import (
     KernelOperator,
     LatticeGrid,
     LatticeWavefunction,
+    TwoParticleWavefunction,
     gaussian_packet,
-    lattice,
     run_scenario,
-    symmetrize,
 )
 from pointerlab.scenario import validate_scenario_data
 from helpers import hermitian_kernel, lattice_composition, pair_expectation, quadrature_inner
@@ -82,7 +81,7 @@ def test_orbital_pair_matches_dense_pair(n, first, second, sym, seed):
         assume(1.0 - overlap**2 > 1e-3)
     kernel = hermitian_kernel(grid, seed)
 
-    pair = symmetrize(psi, phi, sym)
+    pair = TwoParticleWavefunction(psi, phi, sym)
     nu, amplitude = dense_pair(psi, phi, sym.sign)
     reference = dense_expectation(kernel, amplitude)
 
@@ -220,7 +219,7 @@ def test_dlocal_run_matches_dense_pairs_and_composition(document):
 
 
 @pytest.mark.parametrize(
-    "document, kernels, overlap_products",
+    "document, kernels, orbital_matrices",
     [
         (
             {
@@ -229,7 +228,7 @@ def test_dlocal_run_matches_dense_pairs_and_composition(document):
                 "packets": [{"center": 0.0, "width": 1.0}, {"center": 1.5, "width": 1.2}],
             },
             1,
-            1,  # one overlap matrix, which the fermion pair shares with the boson pair
+            1,  # which the fermion pair shares with the boson pair, with S
         ),
         (
             {
@@ -243,23 +242,25 @@ def test_dlocal_run_matches_dense_pairs_and_composition(document):
         ),
     ],
 )
-def test_a_run_applies_each_kernel_once(monkeypatch, document, kernels, overlap_products):
-    applies, products = Counter(), []
-    apply, overlaps = KernelOperator.apply, lattice._overlaps
+def test_a_run_applies_each_kernel_once(monkeypatch, document, kernels, orbital_matrices):
+    applies, pairs = Counter(), []
+    apply, post_init = KernelOperator.apply, TwoParticleWavefunction.__post_init__
 
     def counted_apply(self, values):
         applies[id(self)] += 1
         return apply(self, values)
 
-    def counted(function):
-        def wrapper(*args):
-            products.append(function.__name__)
-            return function(*args)
-
-        return wrapper
+    def recorded_post_init(self):
+        post_init(self)
+        pairs.append(self)
 
     monkeypatch.setattr(KernelOperator, "apply", counted_apply)
-    monkeypatch.setattr(lattice, "_overlaps", counted(overlaps))
+    monkeypatch.setattr(TwoParticleWavefunction, "__post_init__", recorded_post_init)
     run_scenario(validate_scenario_data(document))
     assert sorted(applies.values()) == [1] * kernels
-    assert len(products) == overlap_products <= 3
+    assert len({id(pair.orbitals) for pair in pairs}) == orbital_matrices
+    if document["scenario_kind"] == "symmetrization":
+        boson, fermion = pairs
+        assert fermion.orbitals is boson.orbitals and fermion.overlaps is boson.overlaps
+    else:
+        assert len(pairs) == 1

@@ -15,7 +15,7 @@ def test_readme_quick_tour_runs():
     assert abs(namespace["pair"].nu - 2**-0.5) < 1e-6
     assert abs(pl.expectation_two_particle(namespace["elements"], namespace["pair"]) - 10.0) < 1e-5
     assert pl.dlocal_residual(namespace["local"], namespace["D"]) == 0.0
-    assert namespace["check"].difference < 1e-5
+    assert abs(namespace["two"] - namespace["singles"][0]) < 1e-5
     spec, result = namespace["spec"], namespace["result"]
     assert abs(pl.pointer_block_coherence(result.final_density, spec) - 2**-0.5) < 1e-10
     assert pl.pointer_block_coherence(namespace["gemenge"], spec) == 0.0
