@@ -23,8 +23,7 @@ _EXPORTS = {
         ),
         (
             "hilbert",
-            "DensityMatrix KroneckerProduct StateVector outer partial_trace "
-            "trace_distance von_neumann_entropy",
+            "DensityMatrix KroneckerProduct StateVector outer trace_distance von_neumann_entropy",
         ),
         (
             "lattice",
@@ -39,7 +38,7 @@ _EXPORTS = {
         ),
         ("premeasurement", "BclSpec PremeasurementResult premeasure"),
         ("runner", "RunReport Verdict emit_report render_report run_scenario"),
-        ("scenario", "ScenarioConfig load_scenario"),
+        ("scenario", "load_scenario"),
     )
     for name in names.split()
 }

@@ -21,7 +21,7 @@ import sys
 
 from .errors import PointerlabError
 from .runner import _report_parts, emit_report, run_scenario
-from .scenario import ScenarioConfig, load_scenario
+from .scenario import load_scenario
 
 USAGE = """\
 pointerlab run <scenario-file> [--format json|csv] [--out <path>]
@@ -77,9 +77,9 @@ def _parse(argv: list[str]) -> tuple[str, str, str, str | None]:
     return command, positionals[0], options["--format"], options["--out"]
 
 
-def _execute(config: ScenarioConfig, fmt: str, out: str | None) -> int:
-    report = run_scenario(config)
-    target = out if out is not None else config.document["output"][fmt]
+def _execute(scenario: dict, fmt: str, out: str | None) -> int:
+    report = run_scenario(scenario)
+    target = out if out is not None else scenario["output"][fmt]
     if target is None:
         sys.stdout.writelines(_report_parts(report, fmt))
     else:
@@ -101,8 +101,8 @@ def main(argv: list[str] | None = None) -> int:
         if command == "run":
             return _execute(load_scenario(target), fmt, out)
         if command == "validate":
-            config = load_scenario(target)
-            print(f"{target}: valid {config.document['scenario_kind']} scenario")
+            scenario = load_scenario(target)
+            print(f"{target}: valid {scenario['scenario_kind']} scenario")
             return 0
         if target not in DEMO_SCENARIOS:
             print(
@@ -114,8 +114,8 @@ def main(argv: list[str] | None = None) -> int:
 
         bundled = resources.files("pointerlab").joinpath("scenarios", DEMO_SCENARIOS[target])
         with resources.as_file(bundled) as path:
-            config = load_scenario(path)
-        return _execute(config, fmt, out)
+            scenario = load_scenario(path)
+        return _execute(scenario, fmt, out)
     except PointerlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -10,27 +10,25 @@ reads ``i * dim_second + j``.  Hermitian matrices always go through numpy's
 Hermitian eigensolver ``eigvalsh``, never the general nonsymmetric path, so
 spectra are real by construction.
 
-A density matrix is held as a weighted mixture ``sum_j w_j |v_j><v_j|`` of
-``r`` columns, never as a ``dim x dim`` array: a pure state is one column and
-a reduced state one column per vector of its mixture (Hughston, Jozsa and
-Wootters, Phys. Lett. A 183, 14 (1993)).  One routine gives the eigenvalues
-of a mixture ``V diag(s) V^dagger`` with real weights of either sign: for
-one column ``v`` of weight ``w`` the one eigenvalue ``w ||v||^2``, with no
-factorization; otherwise those of ``R diag(s) R^dagger`` for the triangular
-QR factor ``R`` of ``V`` when there are fewer columns than dimensions, else
-those of the ``dim x dim`` matrix.  A state's spectrum and the trace
-distance of two states, the mixture of both column sets with weights
-``[w_rho, -w_sigma]``, both come from it, so neither forms a matrix larger
-than ``min(dim, r)`` square.  On a
-bipartite space each column is read as its ``d_first x d_second`` amplitude
-matrix ``B_j``, so partial traces and expectations of Kronecker products are
-matrix products on the ``B_j``.  A partial trace is itself returned as a
-mixture, of the weighted ``B_j`` columns (or rows), so no reduced state is
-formed densely.  A bipartite shape is the plain pair ``(d_first, d_second)``
-of factor dims.  A :class:`KroneckerProduct` is held as two congruences
-``M T M^dagger`` with real symmetric tridiagonal cores ``T`` and read on each
-``B_j`` as ``M^T B_j^* N``, so no factor is formed; a factor without a basis
-is its core alone, and its side of ``B_j`` is not rotated.
+A density matrix is a state on one space, held as a weighted mixture
+``sum_j w_j |v_j><v_j|`` of ``r`` columns, never as a ``dim x dim`` array: a
+pure state is one column and a reduced state one column per vector of its
+mixture (Hughston, Jozsa and Wootters, Phys. Lett. A 183, 14 (1993)).  One
+routine gives the eigenvalues of a mixture ``V diag(s) V^dagger`` with real
+weights of either sign: for one column ``v`` of weight ``w`` the one
+eigenvalue ``w ||v||^2``, with no factorization; otherwise those of
+``R diag(s) R^dagger`` for the triangular QR factor ``R`` of ``V`` when
+there are fewer columns than dimensions, else those of the ``dim x dim``
+matrix.  A state's spectrum and the trace distance of two states, the
+mixture of both column sets with weights ``[w_rho, -w_sigma]``, both come
+from it, so neither forms a matrix larger than ``min(dim, r)`` square.
+
+A pure bipartite state is read only through its ``d_first x d_second``
+amplitude matrix ``B``, whose shape names both factors, so no reading takes
+factor dims apart from the state.  A :class:`KroneckerProduct` is held as
+two congruences ``M T M^dagger`` with real symmetric tridiagonal cores
+``T`` and read on ``B`` as ``M^T B^* N``, so no factor is formed; a factor
+without a basis is its core alone, and its side of ``B`` is not rotated.
 """
 
 from __future__ import annotations
@@ -48,7 +46,6 @@ __all__ = [
     "DensityMatrix",
     "KroneckerProduct",
     "outer",
-    "partial_trace",
     "von_neumann_entropy",
     "spectral_entropy",
     "trace_distance",
@@ -102,7 +99,7 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Unit-trace positive-semidefinite matrix ``sum_j w_j |v_j><v_j|``, held as its mixture.
+    """Unit-trace positive-semidefinite ``sum_j w_j |v_j><v_j|`` on one space, held as its mixture.
 
     ``columns`` holds the vectors ``v_j`` (``dim x r``) and ``weights`` the
     ``w_j``; the mixture is positive semidefinite exactly when every weight
@@ -145,12 +142,6 @@ class DensityMatrix:
         one column) padded with ``dim - r`` exact zeros.
         """
         return self._spectrum
-
-    def blocks(self, dims: tuple[int, int]) -> np.ndarray:
-        """Weighted amplitude matrices ``sqrt(w_j) B_j``, shape ``(r, *dims)`` for positive dims."""
-        if len(dims) != 2 or min(dims) < 1 or dims[0] * dims[1] != self.dim:
-            raise DimensionMismatch(f"state dim {self.dim} does not match factor dims {dims}")
-        return (self.columns * np.sqrt(self.weights)).T.reshape(-1, *dims)
 
 
 def _tridiagonal_apply(diagonal: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -207,17 +198,26 @@ class KroneckerProduct:
         )
         return (first, second)
 
-    def expectation(self, rho: DensityMatrix) -> float:
-        """``tr(rho W) = sum_j w_j <T C_j, C_j S>`` for ``C_j = M^T B_j^* N``."""
+    def expectation(self, amplitudes: np.ndarray) -> float:
+        """``<psi|W|psi> = <T C, C S>`` for ``C = M^T B^* N``, from the amplitude matrix ``B``.
+
+        ``B[i, a]`` is the amplitude of ``|i> (x) |a>`` in ``psi``, and its
+        shape must be :attr:`factor_dims`; any other is refused.
+        """
+        amplitudes = np.asarray(amplitudes)
+        if amplitudes.shape != self.factor_dims:
+            raise DimensionMismatch(
+                f"amplitude matrix shape {amplitudes.shape} does not match {self.factor_dims}"
+            )
         system, apparatus = self.system[0], self.apparatus[0]
         system_core, apparatus_core = self._cores
-        # C_j conjugates M^dagger B_j N^*, the same value for real cores: only B_j is conjugated
-        rotated = rho.blocks(self.factor_dims).conj()
+        # C conjugates M^dagger B N^*, the same value for real cores: only B is conjugated
+        rotated = amplitudes.conj()
         if system is not None:
             rotated = system.T @ rotated
         if apparatus is not None:
             rotated = rotated @ apparatus
-        left = _tridiagonal_apply(*system_core, rotated.swapaxes(1, 2)).swapaxes(1, 2)
+        left = _tridiagonal_apply(*system_core, rotated.T).T
         return float(np.vdot(left, _tridiagonal_apply(*apparatus_core, rotated)).real)
 
     def product_expectation(self, weights, first, second) -> float:
@@ -250,20 +250,6 @@ class KroneckerProduct:
 def outer(phi: StateVector) -> DensityMatrix:
     """Rank-one projector ``|phi><phi|``: one column of weight one."""
     return DensityMatrix(columns=phi.amplitudes[:, None], weights=np.ones(1))
-
-
-def partial_trace(rho: DensityMatrix, dims: tuple[int, int], keep: int) -> DensityMatrix:
-    """Trace a state on the factor dims ``dims`` down to factor ``keep`` (0 or 1), as a mixture.
-
-    Keeping the first factor gives ``sum_j w_j B_j B_j^dagger``, keeping the
-    second ``sum_j w_j B_j^T B_j^*``.  Either is returned without a matrix
-    product: its columns are those of the stacked weighted amplitude
-    matrices ``sqrt(w_j) B_j`` (or ``sqrt(w_j) B_j^T``), each of weight one.
-    """
-    if keep not in (0, 1):
-        raise ValueError("keep must be 0 or 1")
-    factor = np.moveaxis(rho.blocks(dims), keep + 1, 0).reshape(dims[keep], -1)
-    return DensityMatrix(columns=factor, weights=np.ones(factor.shape[1]))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

@@ -20,12 +20,12 @@ and every rule-2 quantity follows from them by an exact identity, with no
 product-space column (Khatri and Rao, Sankhya A 30, 167 (1968)): the branch
 Gram matrix is a Hadamard product, the marginals are weighted columns of
 ``Phi`` or ``Psi``, and witness expectations and pointer blocks are sums
-over the factors.  The unitary outcome is one column, read through its
-amplitude matrix ``B``: pointer blocks as ``B P^*`` and witnesses, each a
-Kronecker product of tridiagonal congruences in the spec's bases, as
-``E^T B^* P`` (or ``E^T B^*`` for the observable witness, whose apparatus
-identity is held as its core alone).  No product-space matrix is ever built,
-nor the apparatus identity.
+over the factors.  The unitary outcome is read through its amplitude
+matrix ``B`` alone, whose shape must be the spec's: pointer blocks as
+``B P^*`` and witnesses, each a Kronecker product of tridiagonal
+congruences in the spec's bases, as ``E^T B^* P`` (or ``E^T B^*`` for the
+observable witness, whose apparatus identity is held as its core alone).
+No product-space matrix is ever built, nor the apparatus identity.
 """
 
 from __future__ import annotations
@@ -138,25 +138,27 @@ def apply_rule2(result: PremeasurementResult) -> GemengeDecomposition:
     )
 
 
-def pointer_block_coherence(state: DensityMatrix | GemengeDecomposition, spec: BclSpec) -> float:
+def pointer_block_coherence(state: np.ndarray | GemengeDecomposition, spec: BclSpec) -> float:
     """Frobenius norm of the pointer-off-diagonal blocks of a bipartite state.
 
-    Zero exactly when the state is block-diagonal across the pointer sectors
-    of ``spec``, which is what objectification enforces.  Block ``(k, l)``
-    is ``(1 (x) <pi_k|) rho (1 (x) |pi_l>) = A_k A_l^dagger``, and its
-    squared norm is ``tr(H_k H_l)`` for the ``r x r`` Gram matrices
-    ``H_k = A_k^dagger A_k``.  For a mixture, column ``j`` of ``A_k`` is
-    column ``k`` of ``sqrt(w_j) B_j P^*``.  For a gemenge, ``A_k`` is
-    ``Phi`` scaled by ``s_k = sqrt(p) * (P^dagger Psi)[k]``, so ``H_k`` is
-    ``Phi^dagger Phi`` scaled by ``s_k^*`` on the left and ``s_k`` on the
-    right; its stack is formed in chunks of sectors.  The spec has already
-    checked the pointers orthonormal.
+    The state is a pure state's ``d_system x d_apparatus`` amplitude matrix
+    ``B`` or a gemenge; a shape other than the spec's is refused.  Zero
+    exactly when the state is block-diagonal across the pointer sectors of
+    ``spec``, which is what objectification enforces.  Block ``(k, l)`` is
+    ``(1 (x) <pi_k|) rho (1 (x) |pi_l>) = A_k A_l^dagger``, and its squared
+    norm is ``tr(H_k H_l)`` for the ``r x r`` Gram matrices
+    ``H_k = A_k^dagger A_k``.  For ``B``, ``A_k`` is the one column ``k`` of
+    ``B P^*``.  For a gemenge, ``A_k`` is ``Phi`` scaled by
+    ``s_k = sqrt(p) * (P^dagger Psi)[k]``, so ``H_k`` is ``Phi^dagger Phi``
+    scaled by ``s_k^*`` on the left and ``s_k`` on the right; its stack is
+    formed in chunks of sectors.  The spec has already checked the pointers
+    orthonormal.
     """
-    pointers = spec.pointers
+    pointers, dims = spec.pointers, (spec.system_dim, spec.apparatus_dim)
     if isinstance(state, GemengeDecomposition):
-        dims = (state.system_states.shape[0], state.pointer_states.shape[0])
-        if dims != (spec.system_dim, spec.apparatus_dim):
-            raise DimensionMismatch(f"gemenge factor dims {dims} do not match the spec")
+        shape = (state.system_states.shape[0], state.pointer_states.shape[0])
+        if shape != dims:
+            raise DimensionMismatch(f"gemenge factor dims {shape} do not match {dims}")
         scaled = (pointers.conj().T @ state.pointer_states) * np.sqrt(state.probabilities)
         chunk = max(1, GRAM_STACK_ENTRIES // state.system_gram.size)
         stacks = (
@@ -164,8 +166,12 @@ def pointer_block_coherence(state: DensityMatrix | GemengeDecomposition, spec: B
             for lo in range(0, len(scaled), chunk)
         )
     else:
-        blocks = state.blocks((spec.system_dim, spec.apparatus_dim))
-        rotated = (blocks @ pointers.conj()).transpose(2, 1, 0)  # A_k, stacked
+        amplitudes = np.asarray(state)
+        if amplitudes.shape != dims:
+            raise DimensionMismatch(
+                f"amplitude matrix shape {amplitudes.shape} does not match {dims}"
+            )
+        rotated = (amplitudes @ pointers.conj()).T[:, :, None]  # A_k, stacked
         stacks = (rotated.conj().transpose(0, 2, 1) @ rotated,)
     return _off_block_norm(stacks)
 

@@ -27,8 +27,10 @@ the measurement condition.  ``U`` is only pinned down on product inputs
 sector vectors ``Q_k phi = T_k c_k``.  A result is only the spec and those
 vectors: it derives the outcome probabilities as their squared norms and
 the final state ``sum_k Q_k phi (x) pi_k`` as their contraction with the
-pointers, and builds the pure state ``|psi><psi|``, the conditional states
-and its ``apparatus_marginal`` once for every consumer.
+pointers.  That state is read through its ``d_system x d_apparatus``
+amplitude matrix ``B``, whose shape is the spec's: the two marginals are
+the mixtures of the columns of ``B`` and of ``B^T``, built once with the
+conditional states for every consumer.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, MeasurementConditionViolated, SpecInvalid
-from .hilbert import DensityMatrix, StateVector, gram_residual, outer, partial_trace
+from .hilbert import DensityMatrix, StateVector, gram_residual
 from .tolerances import INVARIANT_TOL, PROBABILITY_FLOOR
 
 __all__ = [
@@ -221,20 +223,20 @@ class PremeasurementResult:
         states.setflags(write=False)
         return kept, states
 
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """Read-only: the final state's amplitude matrix ``B[i, a]`` of ``|i> (x) |a>``."""
+        return self.final_state.amplitudes.reshape(self.spec.system_dim, self.spec.apparatus_dim)
+
     @cached_property
-    def final_density(self) -> DensityMatrix:
-        """The final state as the pure state ``|psi><psi|``, built once for every consumer."""
-        return outer(self.final_state)
+    def system_marginal(self) -> DensityMatrix:
+        """The system state after the coupling, ``B B^dagger``: ``B``'s columns, of weight one."""
+        return DensityMatrix(self.amplitudes, np.ones(self.spec.apparatus_dim))
 
     @cached_property
     def apparatus_marginal(self) -> DensityMatrix:
-        """The apparatus state after the coupling, built once for every caller.
-
-        It is ``M^T M^*`` for the amplitude matrix ``M[i, a]`` of ``|i> (x) |a>``,
-        held as the mixture of the columns of ``M^T``, each of weight one.
-        """
-        dims = (self.spec.system_dim, self.spec.apparatus_dim)
-        return partial_trace(self.final_density, dims, keep=1)
+        """The apparatus state after the coupling, ``B^T B^*``: ``B^T``'s columns, of weight one."""
+        return DensityMatrix(self.amplitudes.T, np.ones(self.spec.system_dim))
 
 
 def premeasure(spec: BclSpec, phi: StateVector) -> PremeasurementResult:

@@ -3,7 +3,7 @@
 A report separates computed values from verdicts so downstream tooling can
 re-judge the same numbers under different tolerances.  Every verdict carries
 its residual and the tolerance that judged it.  The JSON payload section is
-deterministic: identical configs produce byte-identical payloads, with the
+deterministic: identical documents produce byte-identical payloads, with the
 wall-clock duration kept in a separate ``meta`` section.  Floats are written
 with 17 significant digits so every value round-trips exactly; JSON and CSV
 share that one float formatter.  The JSON writer makes one pass over the
@@ -40,7 +40,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import PointerlabError, RunStageError
-from .scenario import ScenarioConfig
 from .tolerances import AMPLITUDE_BATCH_ENTRIES, ORTHOGONAL_OVERLAP_GATE, REPORT_WRITE_BYTES
 
 if TYPE_CHECKING:
@@ -469,7 +468,7 @@ def _bcl_diagnostics(
     with _stage("premeasure"):
         result, pointers = premeasure(spec, phi), spec.pointers
         kept, conditionals = result.conditionals
-        amplitudes = result.final_state.amplitudes.reshape(spec.system_dim, spec.apparatus_dim)
+        amplitudes = result.amplitudes
         # a sector below the floor has no conditional state and enters as its sector vector
         weighted = np.array(result.sector_vectors)
         weighted[:, kept] = conditionals * np.sqrt(result.probabilities[kept])
@@ -541,7 +540,7 @@ def _run_bcl(scenario: dict) -> tuple[dict, list[Verdict]]:
 
 
 def _run_full_measurement(scenario: dict) -> tuple[dict, list[Verdict]]:
-    from .hilbert import partial_trace, spectral_entropy, trace_distance, von_neumann_entropy
+    from .hilbert import outer, spectral_entropy, trace_distance, von_neumann_entropy
     from .objectification import (
         apply_rule2,
         observable_witness,
@@ -561,21 +560,21 @@ def _run_full_measurement(scenario: dict) -> tuple[dict, list[Verdict]]:
             if scenario["witness"] == "system_observable"
             else shift_witness(spec)
         )
-        rho, dims = result.final_density, (spec.system_dim, spec.apparatus_dim)
+        amplitudes = result.amplitudes
         probabilities = result.probabilities[result.probabilities > 0.0]
         values.update(
             {
-                "pointer_coherence_unitary": pointer_block_coherence(rho, spec),
+                "pointer_coherence_unitary": pointer_block_coherence(amplitudes, spec),
                 "pointer_coherence_rule2": coherence_rule2,
-                "witness_expectation_unitary": witness.expectation(rho),
+                "witness_expectation_unitary": witness.expectation(amplitudes),
                 "witness_expectation_rule2": witness.product_expectation(
                     gemenge.probabilities, gemenge.system_states, gemenge.pointer_states
                 ),
-                "entropy_unitary": von_neumann_entropy(rho),
+                "entropy_unitary": von_neumann_entropy(outer(result.final_state)),
                 "entropy_rule2": spectral_entropy(gemenge.spectrum()),
                 "entropy_expected": float(-(probabilities * np.log(probabilities)).sum()),
                 "trace_distance_system_marginal": trace_distance(
-                    partial_trace(rho, dims, keep=0), gemenge.system_marginal
+                    result.system_marginal, gemenge.system_marginal
                 ),
                 "trace_distance_apparatus_marginal": trace_distance(
                     result.apparatus_marginal, gemenge.apparatus_marginal
@@ -614,10 +613,9 @@ _RUNNERS = {
 }
 
 
-def run_scenario(config: ScenarioConfig) -> RunReport:
-    """Execute a validated scenario; deterministic for identical configs."""
+def run_scenario(scenario: dict) -> RunReport:
+    """Execute a scenario document as validation normalized it; deterministic for identical ones."""
     start = time.perf_counter()
-    scenario = config.document
     values, verdicts = _RUNNERS[scenario["scenario_kind"]](scenario)
     duration = time.perf_counter() - start
     return RunReport(

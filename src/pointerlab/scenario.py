@@ -31,7 +31,6 @@ import gc
 import json
 import math
 import os
-from dataclasses import dataclass
 from itertools import chain, islice
 
 import numpy as np
@@ -46,20 +45,12 @@ from .tolerances import (
 )
 
 __all__ = [
-    "ScenarioConfig",
     "load_scenario",
     "validate_scenario_data",
     "TOLERANCE_DEFAULTS",
 ]
 
 WITNESS_KINDS = ("sigma_x_pattern", "system_observable")
-
-
-@dataclass(frozen=True, eq=False)
-class ScenarioConfig:
-    """A validated scenario, held as its normalized document; reports echo it as ``scenario``."""
-
-    document: dict
 
 
 def _fail(path: str, message: str) -> ValidationError:
@@ -408,13 +399,13 @@ _SCENARIOS = {
 SCENARIO_KINDS = tuple(_SCENARIOS)
 
 
-def validate_scenario_data(data) -> ScenarioConfig:
+def validate_scenario_data(data) -> dict:
     """Validate a parsed scenario document and return it normalized."""
     mapping = _require_mapping(data, "scenario")
     kind = mapping.get("scenario_kind")
     if kind not in SCENARIO_KINDS:
         raise _fail("scenario.scenario_kind", f"expected one of {SCENARIO_KINDS}")
-    return ScenarioConfig(_record(mapping, "scenario", _SCENARIOS[kind]))
+    return _record(mapping, "scenario", _SCENARIOS[kind])
 
 
 def _read(path) -> bytes:
@@ -439,7 +430,7 @@ def _read(path) -> bytes:
     return chunks[0] if len(chunks) <= 2 else b"".join(chunks)  # a whole read ends [data, b""]
 
 
-def load_scenario(path) -> ScenarioConfig:
+def load_scenario(path) -> dict:
     """Read, parse and validate a scenario file.
 
     The file is read with plain OS calls, decoded once as strict UTF-8 and

@@ -29,7 +29,7 @@ from pointerlab import (
     require_support,
 )
 from pointerlab.runner import _float_repr, _write_json
-from pointerlab.tolerances import INVARIANT_TOL
+from pointerlab.tolerances import ENTROPY_EIGENVALUE_FLOOR, INVARIANT_TOL
 
 
 def basis_state(dim, index):
@@ -53,6 +53,19 @@ def canonical_spec(eigenvalues, degeneracies, apparatus_dim=None):
         pointers=np.eye(apparatus_dim, len(eigenvalues), dtype=complex),
         ready_state=basis_state(apparatus_dim, 0),
     )
+
+
+def product_result(u, v):
+    """``u (x) v``: ``u`` premeasured by one sector whose pointer and ready state are ``v``."""
+    spec = BclSpec(
+        eigenvalues=(1.0,),
+        degeneracies=(u.dim,),
+        eigenvectors=None,
+        transfer=None,
+        pointers=v.amplitudes[:, None],
+        ready_state=v,
+    )
+    return premeasure(spec, u)
 
 
 def eigenbasis(spec):
@@ -357,6 +370,24 @@ def dense_coherence(rho, pointers, d_system):
             if k != l:
                 off_diagonal += left @ rho @ right
     return float(np.linalg.norm(off_diagonal))
+
+
+def dense_partial_trace(matrix, d_system, d_pointer, keep):
+    """The reduced state on factor ``keep`` (0 or 1) of a dense ``D x D`` bipartite matrix."""
+    blocks = matrix.reshape(d_system, d_pointer, d_system, d_pointer)
+    return np.einsum("ijkj->ik", blocks) if keep == 0 else np.einsum("ijil->jl", blocks)
+
+
+def dense_entropy(matrix):
+    """``-sum(p ln p)`` over the ``eigvalsh`` eigenvalues of a dense state above the floor."""
+    eigenvalues = np.linalg.eigvalsh(matrix)
+    kept = eigenvalues[eigenvalues > ENTROPY_EIGENVALUE_FLOOR]
+    return float(max(0.0, -np.sum(kept * np.log(kept))))
+
+
+def dense_trace_distance(first, second):
+    """``(1/2) ||first - second||_1`` of two dense Hermitian matrices, from ``eigvalsh``."""
+    return float(0.5 * np.abs(np.linalg.eigvalsh(first - second)).sum())
 
 
 def pairs(columns):

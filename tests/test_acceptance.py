@@ -17,8 +17,6 @@ from pointerlab import (
     dlocal_residual,
     load_scenario,
     localize,
-    outer,
-    partial_trace,
     position_kernel,
     premeasure,
     run_scenario,
@@ -26,6 +24,8 @@ from pointerlab import (
 )
 from pointerlab.lattice import LatticeGrid
 from helpers import (
+    dense,
+    dense_partial_trace,
     from_dense,
     gemenge_density_matrix,
     qr_unitary,
@@ -213,17 +213,11 @@ def test_criterion_7_rule2_marginal_preservation(premeasure_cases):
     for spec, results, _ in premeasure_cases:
         dims = (spec.system_dim, spec.apparatus_dim)
         for result in results:
-            gemenge = apply_rule2(result)
-            rho_unitary = outer(result.final_state)
-            rho_rule2 = gemenge_density_matrix(gemenge, dims)
-            for keep in (0, 1):
-                worst = max(
-                    worst,
-                    trace_distance(
-                        partial_trace(rho_unitary, dims, keep),
-                        partial_trace(rho_rule2, dims, keep),
-                    ),
-                )
+            rho_rule2 = dense(gemenge_density_matrix(apply_rule2(result), dims))
+            marginals = (result.system_marginal, result.apparatus_marginal)
+            for keep, marginal in enumerate(marginals):
+                reference = from_dense(dense_partial_trace(rho_rule2, *dims, keep))
+                worst = max(worst, trace_distance(marginal, reference))
     _report(7, "rule2-marginal-preservation", worst < 1e-10, f"max trace distance {worst:.3e}")
 
 

@@ -151,4 +151,4 @@ def test_a_key_given_twice_keeps_its_last_value(tmp_path):
     wider = [{"center": 0.0, "width": 2.0}, demo["packets"][1]]
     path = tmp_path / "twice.json"
     path.write_text(dumps(Pairs([*demo.items(), ("packets", wider)])))
-    assert load_scenario(path).document["packets"][0]["width"] == 2.0
+    assert load_scenario(path)["packets"][0]["width"] == 2.0

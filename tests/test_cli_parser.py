@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pointerlab
-from pointerlab import ScenarioConfig, cli
+from pointerlab import cli
 from helpers import argparse_oracle, loaded_after_numpy
 
 # one of the two file names is also a demo name, so the demo branch runs
@@ -68,9 +68,9 @@ def run_recorded(argv):
 
     def load(path):
         calls.append(("load", str(path)))
-        return ScenarioConfig({"scenario_kind": "bcl"})
+        return {"scenario_kind": "bcl"}
 
-    def execute(config, fmt, out):
+    def execute(scenario, fmt, out):
         calls.append(("execute", fmt, out))
         return 0
 

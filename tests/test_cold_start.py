@@ -3,7 +3,7 @@
 Each check runs in a new interpreter that imports numpy first and then
 records which ``pointerlab`` modules (and ``csv``) the statements under test
 add to ``sys.modules``.  The package itself resolves its public names on
-first access, so the second half pins that API: its 49 names, each the
+first access, so the second half pins that API: its 47 names, each the
 object its defining module holds.
 """
 
@@ -43,7 +43,6 @@ PUBLIC = {
             "KroneckerProduct",
             "StateVector",
             "outer",
-            "partial_trace",
             "trace_distance",
             "von_neumann_entropy",
         ],
@@ -81,7 +80,7 @@ PUBLIC = {
     **dict.fromkeys(
         ["RunReport", "Verdict", "emit_report", "render_report", "run_scenario"], "runner"
     ),
-    **dict.fromkeys(["ScenarioConfig", "load_scenario"], "scenario"),
+    "load_scenario": "scenario",
 }
 
 
@@ -121,7 +120,7 @@ def test_a_demo_loads_only_the_layers_of_its_kind(tmp_path, demo, fmt, needed):
 
 def test_every_public_name_is_listed_and_is_its_modules_object():
     assert sorted(pointerlab.__all__) == sorted(PUBLIC)
-    assert len(pointerlab.__all__) == 49
+    assert len(pointerlab.__all__) == 47
     listed = dir(pointerlab)
     for name, module in PUBLIC.items():
         assert name in listed, name

@@ -2,9 +2,11 @@
 
 A ``DensityMatrix`` holds weighted columns and a witness its Kronecker
 factors.  Every quantity read from those factors (trace, padded spectrum,
-both partial traces, pointer coherence, witness expectation, entropy, trace
-distance) is compared with the textbook formula on the materialized
-``dim x dim`` matrix.  The top rung runs a canonical ``full_measurement`` at
+entropy, trace distance) is compared with the textbook formula on the
+materialized ``dim x dim`` matrix, and so are the bipartite readings of a
+run's two states (both marginals, pointer coherence, witness expectation):
+the premeasured state through its amplitude matrix, the gemenge through its
+factors.  The top rung runs a canonical ``full_measurement`` at
 the dimension cap and pins that the run path allocates no ``dim x dim``
 array, and a tall shape that the premeasurement diagnostics allocate no
 ``d_system x d_system`` array, that a canonical run forms none at all
@@ -29,7 +31,6 @@ from pointerlab import (
     apply_rule2,
     observable_witness,
     outer,
-    partial_trace,
     pointer_block_coherence,
     premeasure,
     run_scenario,
@@ -39,11 +40,13 @@ from pointerlab import (
 )
 from pointerlab.runner import _bcl_diagnostics
 from pointerlab.scenario import TOLERANCE_DEFAULTS, validate_scenario_data
-from pointerlab.tolerances import DENSE_DIM_CAP, ENTROPY_EIGENVALUE_FLOOR
+from pointerlab.tolerances import DENSE_DIM_CAP
 from helpers import (
     close,
     dense,
     dense_coherence,
+    dense_entropy,
+    dense_partial_trace,
     eigenbasis,
     gemenge_density_matrix,
     haar_document,
@@ -69,17 +72,6 @@ def random_mixture(rng, dim, rank, first=None):
     )
 
 
-def dense_partial_trace(matrix, d_system, d_pointer, keep):
-    blocks = matrix.reshape(d_system, d_pointer, d_system, d_pointer)
-    return np.einsum("ijkj->ik", blocks) if keep == 0 else np.einsum("ijil->jl", blocks)
-
-
-def dense_entropy(matrix):
-    eigenvalues = np.linalg.eigvalsh(matrix)
-    kept = eigenvalues[eigenvalues > ENTROPY_EIGENVALUE_FLOOR]
-    return float(max(0.0, -np.sum(kept * np.log(kept))))
-
-
 @settings(max_examples=60)
 @given(
     degeneracies=st.lists(st.integers(1, 3), min_size=1, max_size=4),
@@ -100,29 +92,36 @@ def test_factored_quantities_match_dense_formulas(
     d_system, d_pointer = spec.system_dim, spec.apparatus_dim
     dims, dim = (d_system, d_pointer), d_system * d_pointer
     if state in ("premeasured", "gemenge"):
+        # a run's two bipartite states, each read through its own object
         result = premeasure(spec, random_state(rng, d_system))
-        rho = (
-            outer(result.final_state)
-            if state == "premeasured"
-            else gemenge_density_matrix(apply_rule2(result), dims)
+        gemenge = apply_rule2(result)
+        witnesses = (shift_witness(spec), observable_witness(spec))
+        if state == "premeasured":
+            rho, read = outer(result.final_state), result.amplitudes
+            marginals = (result.system_marginal, result.apparatus_marginal)
+            expectations = [witness.expectation(read) for witness in witnesses]
+        else:
+            rho, read = gemenge_density_matrix(gemenge, dims), gemenge
+            marginals = (gemenge.system_marginal, gemenge.apparatus_marginal)
+            factors = (gemenge.probabilities, gemenge.system_states, gemenge.pointer_states)
+            expectations = [witness.product_expectation(*factors) for witness in witnesses]
+        matrix = dense(rho)
+        for keep, reduced in enumerate(marginals):
+            assert close(dense(reduced), dense_partial_trace(matrix, d_system, d_pointer, keep))
+        assert close(
+            pointer_block_coherence(read, spec),
+            dense_coherence(matrix, spec.pointers, d_system),
         )
+        for witness, value in zip(witnesses, expectations):
+            assert close(value, np.trace(matrix @ kronecker_entries(witness)).real)
     else:
         # an overfull mixture has more columns than dimensions
         rank = dim + 2 if state == "overfull_mixture" else int(rng.integers(1, 5))
         rho = random_mixture(rng, dim, rank)
-    matrix = dense(rho)
+        matrix = dense(rho)
 
     assert close(np.sum(rho.eigenvalues()), np.trace(matrix).real)
     assert close(rho.eigenvalues(), np.linalg.eigvalsh(matrix))
-    for keep in (0, 1):
-        reduced = dense(partial_trace(rho, dims, keep))
-        assert close(reduced, dense_partial_trace(matrix, d_system, d_pointer, keep))
-    assert close(
-        pointer_block_coherence(rho, spec),
-        dense_coherence(matrix, spec.pointers, d_system),
-    )
-    for witness in (shift_witness(spec), observable_witness(spec)):
-        assert close(witness.expectation(rho), np.trace(matrix @ kronecker_entries(witness)).real)
     assert close(von_neumann_entropy(rho), dense_entropy(matrix))
 
     sigma = random_mixture(
@@ -207,12 +206,12 @@ def traced_witness(spec, rng, builder):
     built before tracing starts.  Also returns the two expectations.
     """
     result = premeasure(spec, random_state(rng, spec.system_dim))
-    gemenge, rho = apply_rule2(result), result.final_density
+    gemenge, amplitudes = apply_rule2(result), result.amplitudes
     factors = (gemenge.probabilities, gemenge.system_states, gemenge.pointer_states)
     tracemalloc.start()
     try:
         witness = builder(spec)
-        values = witness.expectation(rho), witness.product_expectation(*factors)
+        values = witness.expectation(amplitudes), witness.product_expectation(*factors)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -321,11 +320,13 @@ def test_wide_mixture_spectrum_allocates_no_gram_matrix():
     rng = np.random.default_rng(64)
     spec = random_bcl_spec(rng, [1] * levels, transfer="identity")
     result = premeasure(spec, random_state(rng, levels))
-    dims = (levels, levels)
-    rho_rule2 = gemenge_density_matrix(apply_rule2(result), dims)
+    gemenge = apply_rule2(result)
+    # the weighted amplitude matrices sqrt(p_k) Phi_k psi_k^T of its branches, side by side
+    branches = np.einsum("ik,jk->ijk", gemenge.system_states, gemenge.pointer_states)
+    columns = (branches * np.sqrt(gemenge.probabilities)).reshape(levels, -1)
     tracemalloc.start()
     try:
-        reduced = partial_trace(rho_rule2, dims, keep=0)
+        reduced = DensityMatrix(columns=columns, weights=np.ones(columns.shape[1]))
         spectrum = reduced.eigenvalues()
         entropy = von_neumann_entropy(reduced)
         peak = tracemalloc.get_traced_memory()[1]

@@ -6,13 +6,14 @@ every rule-2 quantity from them through the witness, entropy, marginal and
 ``pointer_block_coherence`` functions.  The oracle is the same state built
 as ``r`` branch columns ``Phi_k (x) psi_k`` of length ``D``
 (``helpers.gemenge_density_matrix``) and materialized as a ``D x D``
-matrix.  Each factor identity must agree with it to
-``1e-12 * max(1, |ref|)``: the spectrum, the entropy, the pointer-block
-coherence, the witness expectations, both marginals and both trace
-distances.  The coherence is also checked on a gemenge whose pointer
-states are rotated off the spec's, where it is not zero, and with one
-sector per chunk of its Gram stack.  The last test pins that the objectify and compare stages of a
-run allocate less than one ``D x r`` branch matrix.
+matrix, which the numpy references of ``helpers`` read.  Each factor
+identity must agree with it to ``1e-12 * max(1, |ref|)``: the spectrum, the
+entropy, the pointer-block coherence, the witness expectations, both
+marginals and both trace distances to the premeasured state's marginals.
+The coherence is also checked on a gemenge whose pointer states are
+rotated off the spec's, where it is not zero, and with one sector per chunk
+of its Gram stack.  The last test pins that the objectify and compare
+stages of a run allocate less than one ``D x r`` branch matrix.
 """
 
 import tracemalloc
@@ -28,7 +29,6 @@ from pointerlab import (
     apply_rule2,
     observable_witness,
     outer,
-    partial_trace,
     pointer_block_coherence,
     premeasure,
     run_scenario,
@@ -38,27 +38,19 @@ from pointerlab import (
 from pointerlab import objectification, runner
 from pointerlab.hilbert import spectral_entropy
 from pointerlab.scenario import validate_scenario_data
-from pointerlab.tolerances import ENTROPY_EIGENVALUE_FLOOR, PROBABILITY_FLOOR
+from pointerlab.tolerances import PROBABILITY_FLOOR
 from helpers import (
     close,
     dense,
     dense_coherence,
+    dense_entropy,
+    dense_partial_trace,
+    dense_trace_distance,
     gemenge_density_matrix,
     kronecker_entries,
     random_bcl_spec,
     random_unitary,
 )
-
-
-def dense_partial_trace(matrix, d_system, d_pointer, keep):
-    blocks = matrix.reshape(d_system, d_pointer, d_system, d_pointer)
-    return np.einsum("ijkj->ik", blocks) if keep == 0 else np.einsum("ijil->jl", blocks)
-
-
-def dense_entropy(matrix):
-    eigenvalues = np.linalg.eigvalsh(matrix)
-    kept = eigenvalues[eigenvalues > ENTROPY_EIGENVALUE_FLOOR]
-    return float(max(0.0, -np.sum(kept * np.log(kept))))
 
 
 @settings(max_examples=60)
@@ -94,7 +86,7 @@ def test_factor_identities_match_branch_columns(
     assert close(np.sort(gemenge.spectrum()), np.linalg.eigvalsh(matrix)[-rank:])
 
     coherence = pointer_block_coherence(gemenge, spec)
-    assert close(coherence, pointer_block_coherence(oracle, spec))
+    assert close(coherence, dense_coherence(matrix, spec.pointers, d_system))
     assert coherence <= 1e-12
     # pointer states off the spec's pointers carry coherence; with one sector
     # per chunk every pair of sectors meets through the running sum
@@ -119,13 +111,14 @@ def test_factor_identities_match_branch_columns(
         )
         assert close(rule2, np.trace(matrix @ kronecker_entries(witness)).real)
     assert close(spectral_entropy(gemenge.spectrum()), dense_entropy(matrix))
-    system_marginal = partial_trace(result.final_density, dims, keep=0)
+    unitary = dense(rho_unitary)
     for keep, distance in (
-        (0, trace_distance(system_marginal, gemenge.system_marginal)),
+        (0, trace_distance(result.system_marginal, gemenge.system_marginal)),
         (1, trace_distance(result.apparatus_marginal, gemenge.apparatus_marginal)),
     ):
-        reference = trace_distance(
-            partial_trace(rho_unitary, dims, keep), partial_trace(oracle, dims, keep)
+        reference = dense_trace_distance(
+            dense_partial_trace(unitary, d_system, d_pointer, keep),
+            dense_partial_trace(matrix, d_system, d_pointer, keep),
         )
         assert close(distance, reference)
 

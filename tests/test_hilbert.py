@@ -3,15 +3,21 @@ import pytest
 
 from pointerlab import (
     DensityMatrix,
-    DimensionMismatch,
     StateVector,
     outer,
-    partial_trace,
+    premeasure,
     trace_distance,
     von_neumann_entropy,
 )
 from pointerlab.hilbert import gram_residual
-from helpers import dense, from_dense, random_state, random_unitary
+from helpers import (
+    canonical_spec,
+    dense,
+    from_dense,
+    product_result,
+    random_state,
+    random_unitary,
+)
 
 LN2 = 0.6931471805599453
 
@@ -58,49 +64,27 @@ class TestTensorOp:
 
 
 class TestPartialTrace:
+    # a premeasured state's marginals, the columns of its amplitude matrix B and of B^T
     def test_product_basis_state(self):
-        rho = outer(StateVector(np.kron([1, 0], [1, 0])))
-        dims = (2, 2)
+        result = premeasure(canonical_spec([1.0, -1.0], [1, 1]), StateVector([1, 0]))
         expected = np.diag([1.0, 0.0]).astype(complex)
-        assert np.allclose(dense(partial_trace(rho, dims, 0)), expected)
-        assert np.allclose(dense(partial_trace(rho, dims, 1)), expected)
+        assert np.allclose(dense(result.system_marginal), expected)
+        assert np.allclose(dense(result.apparatus_marginal), expected)
 
     def test_bell_state(self):
-        bell = StateVector(np.array([1, 0, 0, 1]) / np.sqrt(2))
-        dims = (2, 2)
-        for keep in (0, 1):
-            reduced = partial_trace(outer(bell), dims, keep)
+        spec = canonical_spec([1.0, -1.0], [1, 1])
+        result = premeasure(spec, StateVector(np.array([1, 1]) / np.sqrt(2)))
+        assert np.array_equal(result.final_state.amplitudes, np.array([1, 0, 0, 1]) / np.sqrt(2))
+        for reduced in (result.system_marginal, result.apparatus_marginal):
             assert np.max(np.abs(dense(reduced) - np.eye(2) / 2)) < 1e-12
-
-    def test_product_of_mixed_states(self):
-        rng = np.random.default_rng(3)
-        rho_s = random_density(rng, 2)
-        rho_a = random_density(rng, 3)
-        joint = from_dense(np.kron(dense(rho_s), dense(rho_a)))
-        dims = (2, 3)
-        assert np.max(np.abs(dense(partial_trace(joint, dims, 1)) - dense(rho_a))) < 1e-12
-        assert np.max(np.abs(dense(partial_trace(joint, dims, 0)) - dense(rho_s))) < 1e-12
 
     def test_keeps_product_factor_of_pure_state(self):
         rng = np.random.default_rng(4)
         u, v = random_state(rng, 2), random_state(rng, 3)
-        product = StateVector(np.kron(u.amplitudes, v.amplitudes))
-        reduced = partial_trace(outer(product), (2, 3), 1)
-        assert np.max(np.abs(dense(reduced) - dense(outer(v)))) < 1e-12
-
-    def test_dimension_mismatch(self):
-        rho = outer(StateVector([1, 0, 0, 0]))
-        with pytest.raises(DimensionMismatch):
-            partial_trace(rho, (2, 3), 0)
-
-    def test_bad_factor_dims_are_dimension_mismatches(self):
-        # a zero, a negative, three dims and a wrong product, on a state of dim 4
-        rho = outer(StateVector([1, 0, 0, 0]))
-        for dims in ((4, 0), (-2, -2), (2, 2, 1), (2, 3)):
-            with pytest.raises(DimensionMismatch):
-                rho.blocks(dims)
-            with pytest.raises(DimensionMismatch):
-                partial_trace(rho, dims, 0)
+        result = product_result(u, v)
+        product = np.kron(u.amplitudes, v.amplitudes)
+        assert np.max(np.abs(result.final_state.amplitudes - product)) < 1e-15
+        assert np.max(np.abs(dense(result.apparatus_marginal) - dense(outer(v)))) < 1e-12
 
 
 class TestEntropy:

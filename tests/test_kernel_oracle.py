@@ -115,11 +115,11 @@ TOP_SCENARIOS = {
 
 @pytest.mark.parametrize("kind", sorted(TOP_SCENARIOS))
 def test_top_rung_run_allocates_no_dense_kernel(kind):
-    config = validate_scenario_data(TOP_SCENARIOS[kind])
-    assert position_kernel(LatticeGrid(**config.document["grid"])).entries.ndim == 1
+    scenario = validate_scenario_data(TOP_SCENARIOS[kind])
+    assert position_kernel(LatticeGrid(**scenario["grid"])).entries.ndim == 1
     tracemalloc.start()
     try:
-        report = run_scenario(config)
+        report = run_scenario(scenario)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -5,17 +5,18 @@ symmetric tridiagonal core ``T = (d, e)`` on its columns, the operator
 ``M T M^dagger``.  Each example builds two: a random Hermitian ``H`` given as
 ``(M V, eigvalsh(H), 0)`` from ``eigh(H)``, checked against ``M H M^dagger``
 itself, and a random real band ``(d, e)``, so the off-diagonal term is read.
-Both of their expectations are compared with ``tr(rho W)`` on the
-dense matrix ``helpers.dense(rho)`` to ``1e-12 * max(1, |ref|)``: ``expectation`` on
-random mixtures of up to ``dim + 2`` columns, and ``product_expectation`` on
+Both of their expectations are compared with ``tr(rho W)`` on the dense
+matrix ``helpers.dense(rho)`` to ``1e-12 * max(1, |ref|)``: ``expectation``,
+which reads one pure state's amplitude matrix ``B``, summed over random
+mixtures of up to ``dim + 2`` columns, and ``product_expectation`` on
 random product mixtures ``sum_j w_j |f_j><f_j| (x) |s_j><s_j|`` given by
 their factors.  The bases are Haar columns, with fewer columns than
 dimensions on either side (as for a pointer basis with ``K < d_pointer``).
 A factor may omit its basis, meaning the identity on its core's length, as
 the observable witness's apparatus factor does; ``kronecker_entries`` then
-forms that identity itself, and mismatched states and factors are refused
-as before.  The public cores stay real, and every apply reads the complex
-copies cast at construction, with unchanged value bytes.
+forms that identity itself, and an amplitude matrix or factors of another
+shape are refused.  The public cores stay real, and every apply reads the
+complex copies cast at construction, with unchanged value bytes.
 """
 
 import numpy as np
@@ -35,6 +36,12 @@ def random_hermitian(rng, n):
 def unit_columns(rng, dim, count):
     z = rng.normal(size=(dim, count)) + 1j * rng.normal(size=(dim, count))
     return z / np.linalg.norm(z, axis=0)
+
+
+def mixture_expectation(witness, weights, columns):
+    """``sum_j w_j <v_j|W|v_j>``, each term read on the amplitude matrix of column ``v_j``."""
+    dims = witness.factor_dims
+    return sum(w * witness.expectation(v.reshape(dims)) for w, v in zip(weights, columns.T))
 
 
 def spectral_factor(basis, hermitian):
@@ -80,10 +87,11 @@ def test_congruence_expectations_match_dense_trace(d_system, d_pointer, data, se
     for witness, matrix in ((spectral, congruences), (banded, kronecker_entries(banded))):
         assert witness.factor_dims == (d_system, d_pointer)
         assert close(matrix, matrix.conj().T)
-        assert close(witness.expectation(rho), np.trace(dense(rho) @ matrix).real)
+        value = mixture_expectation(witness, rho.weights, rho.columns)
+        assert close(value, np.trace(dense(rho) @ matrix).real)
         reference = np.trace(dense(product_rho) @ matrix).real
         assert close(witness.product_expectation(weights, first, second), reference)
-        assert close(witness.expectation(product_rho), reference)
+        assert close(mixture_expectation(witness, weights, products), reference)
 
 
 def identity_factor(rng, n):
@@ -117,10 +125,11 @@ def test_identity_factors_match_dense_trace(d_system, d_pointer, data, seed):
         matrix = kronecker_entries(witness)  # forms the identity basis itself
         assert witness.factor_dims == (d_system, d_pointer)
         assert witness.apparatus[0] is None
-        assert close(witness.expectation(rho), np.trace(dense(rho) @ matrix).real)
+        value = mixture_expectation(witness, rho.weights, rho.columns)
+        assert close(value, np.trace(dense(rho) @ matrix).real)
         reference = np.trace(dense(product_rho) @ matrix).real
         assert close(witness.product_expectation(weights, first, second), reference)
-        assert close(witness.expectation(product_rho), reference)
+        assert close(mixture_expectation(witness, weights, products), reference)
 
 
 def test_identity_factor_refuses_mismatched_states_and_factors():
@@ -129,10 +138,9 @@ def test_identity_factor_refuses_mismatched_states_and_factors():
         (random_unitary(rng, 2), np.ones(2), np.zeros(1)), (None, np.ones(3), np.ones(2))
     )
     assert witness.factor_dims == (2, 3)
-    for dim in (5, 7, 12):  # 6 is the only dim that factors as (2, 3)
-        rho = DensityMatrix(columns=unit_columns(rng, dim, 1), weights=[1.0])
+    for shape in ((3, 2), (6,), (1, 6), (6, 0), (2, 3, 1), (2, 2)):  # only (2, 3) is B's shape
         with pytest.raises(DimensionMismatch):
-            witness.expectation(rho)
+            witness.expectation(np.full(shape, 0.5 + 0.5j))
     two, three = unit_columns(rng, 2, 2), unit_columns(rng, 3, 2)
     for weights, first, second in (
         ([0.5, 0.5], two, unit_columns(rng, 2, 2)),  # apparatus rows differ from r
@@ -170,9 +178,9 @@ def test_cores_stay_real_and_are_cast_once(monkeypatch):
     for _, diagonal, off in (witness.system, witness.apparatus):
         assert diagonal.dtype == off.dtype == float
         assert not (diagonal.flags.writeable or off.flags.writeable)
-    rho = DensityMatrix(columns=unit_columns(rng, 9, 2), weights=[0.25, 0.75])
+    amplitudes = unit_columns(rng, 9, 1).reshape(3, 3)
     weights, first, second = [0.5, 0.5], unit_columns(rng, 3, 2), unit_columns(rng, 3, 2)
-    values = witness.expectation(rho), witness.product_expectation(weights, first, second)
+    values = witness.expectation(amplitudes), witness.product_expectation(weights, first, second)
 
     def float_core_apply(diagonal, off, x):  # the apply with the cast left to each product
         assert diagonal.dtype == off.dtype == complex
@@ -184,6 +192,6 @@ def test_cores_stay_real_and_are_cast_once(monkeypatch):
 
     monkeypatch.setattr(hilbert, "_tridiagonal_apply", float_core_apply)
     assert values == (
-        witness.expectation(rho),
+        witness.expectation(amplitudes),
         witness.product_expectation(weights, first, second),
     )

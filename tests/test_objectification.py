@@ -9,7 +9,6 @@ from pointerlab import (
     apply_rule2,
     observable_witness,
     outer,
-    partial_trace,
     pointer_block_coherence,
     premeasure,
     shift_witness,
@@ -20,6 +19,7 @@ from pointerlab.hilbert import spectral_entropy
 from helpers import (
     canonical_spec,
     dense,
+    dense_partial_trace,
     eigenbasis,
     from_dense,
     gemenge_density_matrix,
@@ -117,26 +117,23 @@ class TestGemengeDensityMatrix:
 class TestPointerBlockCoherence:
     def test_gemenge_output_is_block_diagonal(self):
         spec, _, gemenge = bell_case()
-        dims = (2, 2)
-        rho = gemenge_density_matrix(gemenge, dims)
-        assert pointer_block_coherence(rho, spec) == 0.0
+        assert pointer_block_coherence(gemenge, spec) == 0.0
 
     def test_bell_projector_coherence(self):
         spec, result, _ = bell_case()
-        value = pointer_block_coherence(outer(result.final_state), spec)
+        value = pointer_block_coherence(result.amplitudes, spec)
         assert abs(value - INV_SQRT2) < 1e-10
 
     def test_product_state_single_block(self):
         spec = qubit_spec()
         rng = np.random.default_rng(43)
-        pointer = outer(StateVector(spec.pointers[:, 0]))
-        rho = from_dense(np.kron(dense(outer(random_state(rng, 2))), dense(pointer)))
-        assert pointer_block_coherence(rho, spec) == 0.0
+        amplitudes = np.outer(random_state(rng, 2).amplitudes, spec.pointers[:, 0])
+        assert pointer_block_coherence(amplitudes, spec) == 0.0
 
     def test_rejects_state_off_the_spec_space(self):
         rng = np.random.default_rng(48)
         with pytest.raises(DimensionMismatch):
-            pointer_block_coherence(outer(random_state(rng, 6)), qubit_spec())
+            pointer_block_coherence(random_state(rng, 6).amplitudes.reshape(2, 3), qubit_spec())
 
 
 class TestCompareStates:
@@ -144,30 +141,29 @@ class TestCompareStates:
         spec, result, gemenge = bell_case()
         witness = shift_witness(spec)
         assert np.array_equal(kronecker_entries(witness), np.kron(SIGMA_X, SIGMA_X))
-        rho = result.final_density
-        assert abs(witness.expectation(rho) - 1.0) < 1e-10
+        amplitudes = result.amplitudes
+        assert abs(witness.expectation(amplitudes) - 1.0) < 1e-10
         assert abs(rule2_expectation(witness, gemenge)) < 1e-10
-        assert abs(pointer_block_coherence(rho, spec) - INV_SQRT2) < 1e-10
-        assert trace_distance(partial_trace(rho, (2, 2), keep=0), gemenge.system_marginal) < 1e-10
+        assert abs(pointer_block_coherence(amplitudes, spec) - INV_SQRT2) < 1e-10
+        assert trace_distance(result.system_marginal, gemenge.system_marginal) < 1e-10
         assert trace_distance(result.apparatus_marginal, gemenge.apparatus_marginal) < 1e-10
-        assert von_neumann_entropy(rho) < 1e-9
+        assert von_neumann_entropy(outer(result.final_state)) < 1e-9
         assert abs(spectral_entropy(gemenge.spectrum()) - LN2) < 1e-8
 
     def test_observable_witness_survives(self):
         spec, result, gemenge = bell_case()
         witness = observable_witness(spec)
-        gap = witness.expectation(result.final_density) - rule2_expectation(witness, gemenge)
+        gap = witness.expectation(result.amplitudes) - rule2_expectation(witness, gemenge)
         assert abs(gap) < 1e-10
 
     def test_eigenstate_reports_zero_everything(self):
         spec = qubit_spec()
         result = premeasure(spec, StateVector(eigenbasis(spec)[:, 0]))
         gemenge = apply_rule2(result)
-        rho = result.final_density
-        assert pointer_block_coherence(rho, spec) < 1e-10
-        assert trace_distance(partial_trace(rho, (2, 2), keep=0), gemenge.system_marginal) < 1e-10
+        assert pointer_block_coherence(result.amplitudes, spec) < 1e-10
+        assert trace_distance(result.system_marginal, gemenge.system_marginal) < 1e-10
         assert trace_distance(result.apparatus_marginal, gemenge.apparatus_marginal) < 1e-10
-        assert von_neumann_entropy(rho) < 1e-9
+        assert von_neumann_entropy(outer(result.final_state)) < 1e-9
         assert spectral_entropy(gemenge.spectrum()) < 1e-9
 
     def test_rejects_non_hermitian_witness(self):
@@ -212,14 +208,11 @@ class TestInvariantProperties:
             result = premeasure(spec, random_state(rng, spec.system_dim))
             gemenge = apply_rule2(result)
             dims = (spec.system_dim, spec.apparatus_dim)
-            rho_unitary = outer(result.final_state)
-            rho_rule2 = gemenge_density_matrix(gemenge, dims)
-            for keep in (0, 1):
-                distance = trace_distance(
-                    partial_trace(rho_unitary, dims, keep),
-                    partial_trace(rho_rule2, dims, keep),
-                )
-                assert distance < 1e-10
+            rho_rule2 = dense(gemenge_density_matrix(gemenge, dims))
+            marginals = (result.system_marginal, result.apparatus_marginal)
+            for keep, marginal in enumerate(marginals):
+                reference = from_dense(dense_partial_trace(rho_rule2, *dims, keep))
+                assert trace_distance(marginal, reference) < 1e-10
 
     def test_apparatus_marginal_is_pointer_mixture(self):
         rng = np.random.default_rng(45)
@@ -231,10 +224,9 @@ class TestInvariantProperties:
         mixture = np.zeros((spec.apparatus_dim, spec.apparatus_dim), dtype=complex)
         for k, pointer in enumerate(spec.pointers.T):
             mixture += result.probabilities[k] * np.outer(pointer, pointer.conj())
-        distance = trace_distance(
-            partial_trace(rho_rule2, dims, keep=1), from_dense(mixture)
-        )
-        assert distance < 1e-12
+        marginal = dense_partial_trace(dense(rho_rule2), *dims, keep=1)
+        assert np.max(np.abs(marginal - mixture)) < 1e-12
+        assert trace_distance(gemenge.apparatus_marginal, from_dense(mixture)) < 1e-12
 
     def test_pointer_diagonal_witness_agreement(self):
         rng = np.random.default_rng(46)
@@ -251,7 +243,7 @@ class TestInvariantProperties:
             band = (np.eye(ds), rng.normal(size=ds), rng.normal(size=ds - 1))
             for system in ((vectors, values, np.zeros(ds - 1)), band):
                 term = KroneckerProduct(system, (pointer[:, None], *projector))
-                gap = term.expectation(result.final_density) - rule2_expectation(term, gemenge)
+                gap = term.expectation(result.amplitudes) - rule2_expectation(term, gemenge)
                 assert abs(gap) < 1e-10
 
     def test_entropy_gap(self):
@@ -260,7 +252,7 @@ class TestInvariantProperties:
         result = premeasure(spec, random_state(rng, spec.system_dim))
         gemenge = apply_rule2(result)
         p = result.probabilities[result.probabilities > 1e-15]
-        assert von_neumann_entropy(result.final_density) < 1e-9
+        assert von_neumann_entropy(outer(result.final_state)) < 1e-9
         assert abs(spectral_entropy(gemenge.spectrum()) - float(-np.sum(p * np.log(p)))) < 1e-8
 
     def test_purity_boundary(self):

@@ -196,10 +196,10 @@ def assert_values_close(values, reference):
 
 
 def check_run(document):
-    config = validate_scenario_data(document)
-    values = run_scenario(config).values
-    assert_values_close(values, dense_lattice_values(config.document))
-    assert_values_close(values, lattice_composition(config.document))
+    scenario = validate_scenario_data(document)
+    values = run_scenario(scenario).values
+    assert_values_close(values, dense_lattice_values(scenario))
+    assert_values_close(values, lattice_composition(scenario))
 
 
 @settings(max_examples=60)

@@ -50,13 +50,17 @@ def test_pointer_blocks_match_dense_projectors(degeneracies, extra_apparatus, st
     )
     dims = (spec.system_dim, spec.apparatus_dim)
     if state == "random_pure":
-        rho = outer(random_state(rng, dims[0] * dims[1]))
+        psi = random_state(rng, dims[0] * dims[1])
+        rho, read = outer(psi), psi.amplitudes.reshape(dims)
     else:
         result = premeasure(spec, random_state(rng, spec.system_dim))
         gemenge = apply_rule2(result)
         rho_unitary = outer(result.final_state)
         rho_rule2 = gemenge_density_matrix(gemenge, dims)
-        rho = rho_unitary if state == "premeasured" else rho_rule2
+        if state == "premeasured":
+            rho, read = rho_unitary, result.amplitudes
+        else:
+            rho, read = rho_rule2, gemenge
         assert np.max(np.abs(dense(rho_rule2) - dense_gemenge(gemenge))) <= 1e-12
         # complex and not symmetric on random bases, so W and W^T differ
         witness = shift_witness(spec)
@@ -64,14 +68,14 @@ def test_pointer_blocks_match_dense_projectors(degeneracies, extra_apparatus, st
             gemenge.probabilities, gemenge.system_states, gemenge.pointer_states
         )
         for expectation, reference_state in (
-            (witness.expectation(result.final_density), rho_unitary),
+            (witness.expectation(result.amplitudes), rho_unitary),
             (rule2, rho_rule2),
         ):
             trace = np.trace(dense(reference_state) @ kronecker_entries(witness)).real
             assert close(expectation, trace)
 
     assert close(rho.eigenvalues(), np.linalg.eigvalsh(dense(rho)))
-    value = pointer_block_coherence(rho, spec)
+    value = pointer_block_coherence(read, spec)
     reference = dense_coherence(dense(rho), spec.pointers, spec.system_dim)
 
     assert close(value, reference)

@@ -16,12 +16,11 @@ from pointerlab import (
     apply_rule2,
     observable_witness,
     outer,
-    partial_trace,
     premeasure,
     trace_distance,
     von_neumann_entropy,
 )
-from pointerlab import objectification, premeasurement, run_scenario
+from pointerlab import hilbert, premeasurement, run_scenario
 from pointerlab.hilbert import gram_residual
 from pointerlab.premeasurement import PremeasurementResult
 from pointerlab.scenario import validate_scenario_data
@@ -333,11 +332,9 @@ class TestPremeasure:
         _, conditionals = result.conditionals
         kept = conditionals.shape[1]
         assert np.max(np.abs(conditionals.conj().T @ conditionals - np.eye(kept))) < 1e-10
-        dims = (spec.system_dim, spec.apparatus_dim)
-        system_marginal = partial_trace(outer(result.final_state), dims, keep=0)
         p = result.probabilities[result.probabilities > 1e-15]
         expected_entropy = float(-np.sum(p * np.log(p)))
-        assert abs(von_neumann_entropy(system_marginal) - expected_entropy) < 1e-8
+        assert abs(von_neumann_entropy(result.system_marginal) - expected_entropy) < 1e-8
 
     def test_conditionals_are_read_only(self):
         # both arrays are cached on the frozen result and read again by rule 2
@@ -430,13 +427,12 @@ class TestPremeasure:
         assert type(vars(spec)["unitarity_deviation"]) is float
 
     def test_full_measurement_run_builds_shared_states_once(self, monkeypatch):
-        # one |psi><psi| of the final state and one division into conditional
-        # states serve the diagnostics, rule 2 and the comparison
+        # one |psi><psi| of the final state, for its entropy, and one division
+        # into conditional states serve the diagnostics, rule 2 and the comparison
         outers, divisions = [], []
-        build_outer = premeasurement.outer
+        build_outer = hilbert.outer
         counted_outer = lambda phi: outers.append(phi) or build_outer(phi)  # noqa: E731
-        monkeypatch.setattr(premeasurement, "outer", counted_outer)
-        monkeypatch.setattr(objectification, "outer", counted_outer, raising=False)
+        monkeypatch.setattr(hilbert, "outer", counted_outer)  # the runner reads it there
         divide = PremeasurementResult.conditionals.func
         counted = cached_property(lambda result: divisions.append(result) or divide(result))
         counted.__set_name__(PremeasurementResult, "conditionals")

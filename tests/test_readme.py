@@ -17,9 +17,9 @@ def test_readme_quick_tour_runs():
     assert pl.dlocal_residual(namespace["local"], namespace["D"]) == 0.0
     assert abs(namespace["two"] - namespace["singles"][0]) < 1e-5
     spec, result = namespace["spec"], namespace["result"]
-    assert abs(pl.pointer_block_coherence(result.final_density, spec) - 2**-0.5) < 1e-10
+    assert abs(pl.pointer_block_coherence(result.amplitudes, spec) - 2**-0.5) < 1e-10
     assert pl.pointer_block_coherence(namespace["gemenge"], spec) == 0.0
-    assert abs(pl.shift_witness(spec).expectation(result.final_density) - 1.0) < 1e-10
+    assert abs(pl.shift_witness(spec).expectation(result.amplitudes) - 1.0) < 1e-10
 
 
 def test_readme_cli_block_is_the_usage_text():

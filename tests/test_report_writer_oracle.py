@@ -205,10 +205,10 @@ def test_demo_reports_match_the_reference(name):
     if name in DEMO_SCENARIOS:
         bundled = resources.files("pointerlab").joinpath("scenarios", DEMO_SCENARIOS[name])
         with resources.as_file(bundled) as path:
-            config = load_scenario(path)
+            scenario = load_scenario(path)
     else:
-        config = validate_scenario_data(haar_document(name.removeprefix("haar-")))
-    report = run_scenario(config)
+        scenario = validate_scenario_data(haar_document(name.removeprefix("haar-")))
+    report = run_scenario(scenario)
     if "initial_state" in report.scenario:  # the echo holds amplitude arrays
         assert is_amplitude_array(report.scenario["initial_state"])
     meta = {"duration_seconds": report.duration_seconds}
@@ -327,7 +327,7 @@ def test_row_templates_are_built_once_per_indent_per_batch(monkeypatch):
     basis = document["bcl"]["basis"]
     basis["ready_state"] = [[1.0, -0.0], [-0.0, 0.0], [0.0, 0.0], [-0.0, -0.0]]
     document["bcl"]["transfer_family"] = basis["system_eigenbasis"]
-    config = validate_scenario_data(document)
+    scenario = validate_scenario_data(document)
     batches, built = [], []
     template, rows = runner._amplitude_text, runner._row_templates
 
@@ -342,12 +342,12 @@ def test_row_templates_are_built_once_per_indent_per_batch(monkeypatch):
 
     monkeypatch.setattr(runner, "_amplitude_text", counted_text)
     monkeypatch.setattr(runner, "_row_templates", counted_rows)
-    bcl = config.document["bcl"]
+    bcl = scenario["bcl"]
     basis = bcl["basis"]
     tree = [basis["system_eigenbasis"], bcl["transfer_family"], basis["ready_state"]]
     assert json_text(tree) == reference_text(tree)
     assert len(batches) == 1 and len(batches[0]) == 2  # one batch, two indents
-    report = run_scenario(config)
+    report = run_scenario(scenario)
     assert report.all_passed, [v.name for v in report.verdicts if not v.passed]
     meta = {"duration_seconds": report.duration_seconds}
     document = {"payload": payload_document(report), "meta": meta}

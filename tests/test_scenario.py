@@ -58,15 +58,15 @@ def write_scenario(tmp_path, data, name="scenario.json"):
 
 class TestLoadScenario:
     def test_minimal_bcl_defaults(self, tmp_path):
-        echo = load_scenario(write_scenario(tmp_path, MINIMAL_BCL)).document
+        echo = load_scenario(write_scenario(tmp_path, MINIMAL_BCL))
         assert echo["bcl"]["apparatus_dim"] == 2
         assert echo["bcl"]["transfer_family"] == "default"  # transfer = eigenbasis
         assert echo["bcl"]["basis"] == "canonical"
         assert echo["tolerances"]["probability_sum"] == 1e-10
 
     def test_full_measurement_witness_default(self, tmp_path):
-        config = load_scenario(write_scenario(tmp_path, FULL_MEASUREMENT))
-        assert config.document["witness"] == "sigma_x_pattern"
+        scenario = load_scenario(write_scenario(tmp_path, FULL_MEASUREMENT))
+        assert scenario["witness"] == "sigma_x_pattern"
 
     def test_rejects_non_power_of_two_grid(self, tmp_path):
         data = dict(SYMMETRIZATION)
@@ -133,11 +133,11 @@ class TestLoadScenario:
 
         feeder = threading.Thread(target=feed, daemon=True)
         feeder.start()
-        config = load_scenario(path)
+        scenario = load_scenario(path)
         feeder.join(timeout=10)
         assert not feeder.is_alive()
         expected = load_scenario(write_scenario(tmp_path, MINIMAL_BCL))
-        assert json_text(config.document) == json_text(expected.document)
+        assert json_text(scenario) == json_text(expected)
 
     @pytest.mark.parametrize(
         "text",
@@ -170,8 +170,8 @@ class TestLoadScenario:
 
 class TestRunScenario:
     def test_symmetrization_values(self, tmp_path):
-        config = load_scenario(write_scenario(tmp_path, SYMMETRIZATION))
-        report = run_scenario(config)
+        scenario = load_scenario(write_scenario(tmp_path, SYMMETRIZATION))
+        report = run_scenario(scenario)
         assert report.all_passed
         assert abs(report.values["two_particle_position_boson"] - 10.0) < 1e-5
         assert abs(report.values["single_particle_position_first"]) < 1e-6
@@ -185,23 +185,23 @@ class TestRunScenario:
         assert abs(report.values["unlocalized_difference"] - 15.0) < 1e-4
 
     def test_bcl_qubit_probabilities(self, tmp_path):
-        config = load_scenario(write_scenario(tmp_path, MINIMAL_BCL))
-        report = run_scenario(config)
+        scenario = load_scenario(write_scenario(tmp_path, MINIMAL_BCL))
+        report = run_scenario(scenario)
         assert report.all_passed
         assert abs(report.values["probability_0"] - 0.5) < 1e-12
         assert abs(report.values["probability_1"] - 0.5) < 1e-12
 
     def test_full_measurement_entropy(self, tmp_path):
-        config = load_scenario(write_scenario(tmp_path, FULL_MEASUREMENT))
-        report = run_scenario(config)
+        scenario = load_scenario(write_scenario(tmp_path, FULL_MEASUREMENT))
+        report = run_scenario(scenario)
         assert report.all_passed
         assert abs(report.values["entropy_rule2"] - LN2) < 1e-8
         assert report.values["pointer_coherence_rule2"] == 0.0
 
     def test_deterministic_payload(self, tmp_path):
-        config = load_scenario(write_scenario(tmp_path, FULL_MEASUREMENT))
-        first = payload_text(run_scenario(config))
-        second = payload_text(run_scenario(config))
+        scenario = load_scenario(write_scenario(tmp_path, FULL_MEASUREMENT))
+        first = payload_text(run_scenario(scenario))
+        second = payload_text(run_scenario(scenario))
         assert first == second
 
     def test_tolerance_override_can_fail_a_verdict(self, tmp_path):
@@ -222,10 +222,10 @@ class TestRunScenario:
         # rows stay orthonormal but the two sectors share a transfer vector,
         # so the premeasurement stage must refuse
         data["bcl"]["transfer_family"] = [[[1.0, 0.0]], [[1.0, 0.0]]]
-        config = load_scenario(write_scenario(tmp_path, data))
+        scenario = load_scenario(write_scenario(tmp_path, data))
         message = "^premeasure: transfer family is not orthonormal across sectors; residual "
         with pytest.raises(RunStageError, match=message):
-            run_scenario(config)
+            run_scenario(scenario)
 
 
 class TestEmit:
@@ -303,8 +303,8 @@ class TestCli:
     def test_run_streams_the_rendered_report_to_stdout(self, tmp_path, capsys, monkeypatch, fmt):
         reports = []
 
-        def run(config):
-            reports.append(run_scenario(config))
+        def run(scenario):
+            reports.append(run_scenario(scenario))
             return reports[-1]
 
         monkeypatch.setattr(cli, "run_scenario", run)

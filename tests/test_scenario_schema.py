@@ -132,10 +132,10 @@ def reordered(draw, value):
 @given(data=st.data())
 def test_echo_is_a_fixed_point(data):
     document = data.draw(DOCUMENTS)
-    echo = json_text(validate_scenario_data(document).document)
-    assert json_text(validate_scenario_data(json.loads(echo)).document) == echo
+    echo = json_text(validate_scenario_data(document))
+    assert json_text(validate_scenario_data(json.loads(echo))) == echo
     shuffled = data.draw(reordered(document))
-    assert json_text(validate_scenario_data(shuffled).document) == echo
+    assert json_text(validate_scenario_data(shuffled)) == echo
 
 
 def test_uniform_amplitude_lists_are_checked_without_the_walk(monkeypatch):
@@ -148,18 +148,18 @@ def test_uniform_amplitude_lists_are_checked_without_the_walk(monkeypatch):
         "bcl": {"eigenvalues": [0.0, 1.0], "degeneracies": [1024, 1024]},  # da = K = 2
         "initial_state": state.tolist(),
     }
-    echo = validate_scenario_data(document).document["initial_state"]
+    echo = validate_scenario_data(document)["initial_state"]
     assert calls == []
     assert echo.shape == (2048, 2) and not echo.flags.writeable
     assert np.array_equal(echo, state)
     # bare numbers get zero imaginary parts on the same path
     document["initial_state"] = [1, 2.5] * 1024
-    echo = validate_scenario_data(document).document["initial_state"]
+    echo = validate_scenario_data(document)["initial_state"]
     assert calls == []
     assert echo.tolist() == [[1.0, 0.0], [2.5, 0.0]] * 1024
     # a mixed list is walked, to the values the walk has always given
     document["initial_state"] = [1, [0.5, -2], 3.0, [0, -0.0]] * 512
-    echo = validate_scenario_data(document).document["initial_state"]
+    echo = validate_scenario_data(document)["initial_state"]
     assert len(calls) == 2048
     assert echo.tolist() == [[1.0, 0.0], [0.5, -2.0], [3.0, 0.0], [0.0, -0.0]] * 512
 
@@ -411,7 +411,7 @@ def family_arrays(document):
 
 
 def test_mixed_or_chunked_families_give_the_arrays_of_the_walk(monkeypatch):
-    reference = family_arrays(validate_scenario_data(LADDER).document)
+    reference = family_arrays(validate_scenario_data(LADDER))
     # a bare number among pairs in a later sector and a later pointer is walked
     mixed = copy.deepcopy(LADDER)
     mixed["bcl"]["basis"]["system_eigenbasis"][1][1] = [0, [0, 0], [1, 0]]
@@ -421,7 +421,7 @@ def test_mixed_or_chunked_families_give_the_arrays_of_the_walk(monkeypatch):
     chunked = copy.deepcopy(LADDER)
     chunked["bcl"]["transfer_family"][1][0] = [0, 1, 0]
     for document in (mixed, chunked):
-        arrays = family_arrays(validate_scenario_data(document).document)
+        arrays = family_arrays(validate_scenario_data(document))
         assert len(arrays) == len(reference)
         for array, expected in zip(arrays, reference):
             assert array.shape == expected.shape and not array.flags.writeable
