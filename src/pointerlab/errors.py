@@ -35,7 +35,12 @@ class SupportViolation(PointerlabError):
 
 
 class CapacityExceeded(PointerlabError):
-    """A dense construction would exceed the configured dimension cap."""
+    """Reserved for admission control from a cost model; nothing raises it yet.
+
+    The size caps ``DENSE_DIM_CAP`` and ``GRID_POINTS_MAX`` are schema
+    rules: the scenario schema refuses a document over either with
+    :class:`ValidationError`.
+    """
 
 
 class SpecInvalid(PointerlabError):

@@ -145,14 +145,10 @@ class BclSpec:
             # The diagonal blocks of the one Gram product are the per-row checks;
             # its off-diagonal blocks only matter to the measurement condition.
             residual = gram_residual(transfer.conj().T @ transfer)
-            sector = np.repeat(np.arange(sectors), degeneracies)
-            if not residual.max(where=sector[:, None] == sector, initial=0.0) <= INVARIANT_TOL:
-                for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):  # name the row
-                    dev = float(residual[lo:hi, lo:hi].max())
-                    if not dev <= INVARIANT_TOL:
-                        raise SpecInvalid(
-                            f"transfer row {k} is not orthonormal; deviation {dev:.3e}"
-                        )
+            for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+                dev = float(residual[lo:hi, lo:hi].max())
+                if not dev <= INVARIANT_TOL:
+                    raise SpecInvalid(f"transfer row {k} is not orthonormal; deviation {dev:.3e}")
             measurement_dev = float(residual.max())
 
         ready = self.ready_state.amplitudes

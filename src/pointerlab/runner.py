@@ -331,12 +331,6 @@ def _verdict(name: str, residual: float, tolerance: float) -> Verdict:
     )
 
 
-def _bool_verdict(name: str, passed: bool, residual: float, tolerance: float) -> Verdict:
-    return Verdict(
-        name=name, residual=float(residual), tolerance=float(tolerance), passed=bool(passed)
-    )
-
-
 def _run_symmetrization(scenario: dict) -> tuple[dict, list[Verdict]]:
     from .lattice import (
         ExchangeSymmetry,
@@ -443,18 +437,14 @@ def _run_dlocal(scenario: dict) -> tuple[dict, list[Verdict]]:
             abs(raw_difference - abs(scenario["packets"][1]["center"])),
             tol["unlocalized_discrepancy"],
         ),
-        _bool_verdict(
-            "raw_kernel_not_dlocal",
-            residual_raw > tol["dlocal"],
-            residual_raw,
-            tol["dlocal"],
+        # the one verdict that passes above its tolerance: the raw kernel must not be d-local
+        Verdict(
+            name="raw_kernel_not_dlocal",
+            residual=float(residual_raw),
+            tolerance=float(tol["dlocal"]),
+            passed=float(residual_raw) > float(tol["dlocal"]),
         ),
-        _bool_verdict(
-            "localized_kernel_dlocal",
-            residual_localized <= tol["dlocal"],
-            residual_localized,
-            tol["dlocal"],
-        ),
+        _verdict("localized_kernel_dlocal", residual_localized, tol["dlocal"]),
     ]
     return values, verdicts
 

@@ -7,6 +7,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 
@@ -27,6 +28,8 @@ from pointerlab import (
     position_kernel,
     premeasure,
     require_support,
+    run_scenario,
+    runner,
 )
 from pointerlab.runner import _float_repr, _write_json
 from pointerlab.tolerances import ENTROPY_EIGENVALUE_FLOOR, INVARIANT_TOL
@@ -345,6 +348,45 @@ def close(value, reference):
     return bool(np.all(np.abs(value - reference) <= 1e-12 * np.maximum(1.0, np.abs(reference))))
 
 
+def traced_peak(fn):
+    """``fn()`` and the traced peak, in bytes, of what it allocated."""
+    tracemalloc.start()
+    try:
+        value = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return value, peak
+
+
+def traced_stages(scenario):
+    """Run ``scenario`` traced: the report, each stage's growth and the run's peak, in bytes.
+
+    A stage's growth is its traced peak above what was traced when it began.
+    Resetting the peak at a stage's start resets the run's too, so the run's
+    peak is the largest read at a stage's start or end or after the run.
+    """
+    stage, growth, peaks = runner._stage, {}, []
+
+    @contextlib.contextmanager
+    def recorded(name):
+        current, peak = tracemalloc.get_traced_memory()
+        peaks.append(peak)
+        tracemalloc.reset_peak()
+        with stage(name):
+            yield
+        peak = tracemalloc.get_traced_memory()[1]
+        peaks.append(peak)
+        growth[name] = peak - current
+
+    runner._stage = recorded
+    try:
+        report, peak = traced_peak(lambda: run_scenario(scenario))
+    finally:
+        runner._stage = stage
+    return report, growth, max(peaks + [peak])
+
+
 def gemenge_density_matrix(gemenge, dims):
     """Dense oracle of a gemenge: ``sum_k p_k |b_k><b_k|`` over its branch columns.
 
@@ -393,6 +435,46 @@ def dense_trace_distance(first, second):
 def pairs(columns):
     """``[re, im]`` pair lists of each column of a complex matrix."""
     return np.stack([columns.real, columns.imag], axis=-1).transpose(1, 0, 2).tolist()
+
+
+def canonical_measurement(degeneracies, apparatus_dim=None, witness="sigma_x_pattern"):
+    """A canonical ``full_measurement``, eigenvalues ``0, 1, ...``, ``apparatus_dim`` ``K`` by default."""
+    state = np.random.default_rng(sum(degeneracies)).normal(size=(sum(degeneracies), 2))
+    bcl = {"eigenvalues": list(range(len(degeneracies))), "degeneracies": degeneracies}
+    bcl["apparatus_dim"] = apparatus_dim or len(degeneracies)
+    return {
+        "scenario_kind": "full_measurement",
+        "bcl": bcl,
+        "initial_state": state.tolist(),
+        "witness": witness,
+    }
+
+
+def explicit_document(
+    degeneracies, apparatus_dim, eigenbasis, transfer, pointers, state, witness="sigma_x_pattern"
+):
+    """An explicit-basis ``full_measurement``; ``transfer`` is ``None`` for the default family."""
+    bounds = np.cumsum([0, *degeneracies])
+
+    def sectors_of(columns):
+        return [pairs(columns[:, lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+    return {
+        "scenario_kind": "full_measurement",
+        "bcl": {
+            "eigenvalues": [float(k) for k in range(len(degeneracies))],
+            "degeneracies": degeneracies,
+            "apparatus_dim": apparatus_dim,
+            "basis": {
+                "system_eigenbasis": sectors_of(eigenbasis),
+                "pointer_basis": pairs(pointers),
+            },
+            "transfer_family": "default" if transfer is None else sectors_of(transfer),
+        },
+        "initial_state": pairs(state[:, None])[0],
+        "witness": witness,
+        "tolerances": {"rule2_coherence": 1e-12},
+    }
 
 
 def haar_document(witness):

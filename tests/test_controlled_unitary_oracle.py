@@ -15,8 +15,6 @@ either family explicit or ``None``, and a wrong contraction in that product
 or in the result's final state fails a run verdict.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +30,7 @@ from helpers import (
     qr_unitary,
     random_bcl_spec,
     random_state,
+    traced_peak,
     transfer_family,
 )
 
@@ -158,12 +157,7 @@ def test_premeasure_allocates_no_system_square_array():
     rng = np.random.default_rng(512)
     spec = random_bcl_spec(rng, [64] * 8)
     phi = random_state(rng, spec.system_dim)
-    tracemalloc.start()
-    try:
-        result = premeasure(spec, phi)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    result, peak = traced_peak(lambda: premeasure(spec, phi))
     assert abs(result.probabilities.sum() - 1.0) <= 1e-12
     assert peak < spec.system_dim**2 * 16, f"peak {peak / 2**20:.1f} MiB"
 

@@ -6,19 +6,14 @@ entropy, trace distance) is compared with the textbook formula on the
 materialized ``dim x dim`` matrix, and so are the bipartite readings of a
 run's two states (both marginals, pointer coherence, witness expectation):
 the premeasured state through its amplitude matrix, the gemenge through its
-factors.  The top rung runs a canonical ``full_measurement`` at
-the dimension cap and pins that the run path allocates no ``dim x dim``
-array, and a tall shape that the premeasurement diagnostics allocate no
-``d_system x d_system`` array, that a canonical run forms none at all
-and that a witness holds no square core, and the wide
-observable run (``ds = K = 1``, ``da = 4096``) no apparatus identity.  The
-marginals of a run are mixtures, so a run never diagonalizes a dense matrix
+factors.  The premeasurement diagnostics of a tall shape allocate no
+``d_system x d_system`` array and a witness holds no square core (the run
+path's memory at the corners of the dimension cap is ``test_corner_memory``'s
+table).  The marginals of a run are mixtures, so a run never diagonalizes a dense matrix
 with ``eigh``; the spectrum of a mixture wider than its dimension comes from
 its ``dim x dim`` matrix rather than its Gram matrix, and a trace distance of
 thin mixtures from their joint column span.
 """
-
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +49,7 @@ from helpers import (
     qr_unitary,
     random_bcl_spec,
     random_state,
+    traced_peak,
     transfer_family,
 )
 
@@ -134,69 +130,17 @@ def test_factored_quantities_match_dense_formulas(
     assert close(trace_distance(rho, sigma), reference)
 
 
-def test_top_rung_allocates_no_dense_product_matrix():
-    # one sector per level, K = d_system = d_pointer = 64, D = 4096
-    levels = int(np.sqrt(DENSE_DIM_CAP))
-    rng = np.random.default_rng(4096)
-    config = validate_scenario_data(
-        {
-            "scenario_kind": "full_measurement",
-            "bcl": {"eigenvalues": list(range(levels)), "degeneracies": [1] * levels},
-            "initial_state": rng.normal(size=(levels, 2)).tolist(),
-        }
-    )
-    tracemalloc.start()
-    try:
-        report = run_scenario(config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.all_passed, [v.name for v in report.verdicts if not v.passed]
-    # one D x D complex array alone is 256 MiB; the README promises under 10 MiB
-    assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MiB"
-
-
 def test_tall_diagnostics_allocate_no_system_square_array():
     # ds = 1024, da = K = 2: one ds x ds complex array is 16 MiB
     rng = np.random.default_rng(1024)
     spec = random_bcl_spec(rng, [512, 512])
     phi = random_state(rng, spec.system_dim)
-    tracemalloc.start()
-    try:
-        _, verdicts, _, _ = _bcl_diagnostics(spec, phi, TOLERANCE_DEFAULTS["bcl"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    diagnostics, peak = traced_peak(
+        lambda: _bcl_diagnostics(spec, phi, TOLERANCE_DEFAULTS["bcl"])
+    )
+    verdicts = diagnostics[1]
     assert all(v.passed for v in verdicts), [v.name for v in verdicts if not v.passed]
     assert peak < spec.system_dim**2 * 16, f"peak {peak / 2**20:.1f} MiB"
-
-
-def test_tall_canonical_run_holds_no_gram_matrix_past_its_spec():
-    # ds = 1024, da = K = 2 and ds = 4096, da = K = 1, the largest ds the cap
-    # admits: a canonical eigenbasis and the default family are held as None,
-    # so no ds x ds array (16 and 256 MiB here) is formed, and the run's
-    # largest arrays are a few of ds * da entries
-    for levels, sectors in ((1024, 2), (4096, 1)):
-        rng = np.random.default_rng(levels)
-        config = validate_scenario_data(
-            {
-                "scenario_kind": "full_measurement",
-                "bcl": {
-                    "eigenvalues": [float(k) for k in range(sectors)],
-                    "degeneracies": [levels // sectors] * sectors,
-                },
-                "initial_state": rng.normal(size=(levels, 2)).tolist(),
-            }
-        )
-        tracemalloc.start()
-        try:
-            report = run_scenario(config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert report.all_passed, [v.name for v in report.verdicts if not v.passed]
-        size = levels * sectors * 16  # one ds x da complex array
-        assert peak < 32 * size, f"ds = {levels}: peak {peak / size:.1f} x ds * da * 16 bytes"
 
 
 def traced_witness(spec, rng, builder):
@@ -208,13 +152,12 @@ def traced_witness(spec, rng, builder):
     result = premeasure(spec, random_state(rng, spec.system_dim))
     gemenge, amplitudes = apply_rule2(result), result.amplitudes
     factors = (gemenge.probabilities, gemenge.system_states, gemenge.pointer_states)
-    tracemalloc.start()
-    try:
+
+    def build_and_read():
         witness = builder(spec)
-        values = witness.expectation(amplitudes), witness.product_expectation(*factors)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        return witness.expectation(amplitudes), witness.product_expectation(*factors)
+
+    values, peak = traced_peak(build_and_read)
     return peak, values
 
 
@@ -232,27 +175,6 @@ def test_witnesses_allocate_no_square_core():
     peak, (unitary, rule2) = traced_witness(spec, rng, observable_witness)
     assert peak < spec.apparatus_dim**2 * 16 / 16, f"{peak / 2**20:.2f} MiB"
     assert abs(unitary - rule2) < 1e-10
-
-
-def test_wide_observable_run_holds_no_apparatus_identity():
-    # ds = K = 1, da = 4096, the widest shape the cap admits: a da x da complex
-    # identity basis alone would be 256 MiB
-    config = validate_scenario_data(
-        {
-            "scenario_kind": "full_measurement",
-            "bcl": {"eigenvalues": [1.0], "degeneracies": [1], "apparatus_dim": DENSE_DIM_CAP},
-            "initial_state": [1.0],
-            "witness": "system_observable",
-        }
-    )
-    tracemalloc.start()
-    try:
-        report = run_scenario(config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.all_passed, [v.name for v in report.verdicts if not v.passed]
-    assert peak < 4 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 @pytest.mark.parametrize("witness", ["sigma_x_pattern", "system_observable"])
@@ -324,14 +246,12 @@ def test_wide_mixture_spectrum_allocates_no_gram_matrix():
     # the weighted amplitude matrices sqrt(p_k) Phi_k psi_k^T of its branches, side by side
     branches = np.einsum("ik,jk->ijk", gemenge.system_states, gemenge.pointer_states)
     columns = (branches * np.sqrt(gemenge.probabilities)).reshape(levels, -1)
-    tracemalloc.start()
-    try:
+
+    def spectrum_and_entropy():
         reduced = DensityMatrix(columns=columns, weights=np.ones(columns.shape[1]))
-        spectrum = reduced.eigenvalues()
-        entropy = von_neumann_entropy(reduced)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        return reduced, reduced.eigenvalues(), von_neumann_entropy(reduced)
+
+    (reduced, spectrum, entropy), peak = traced_peak(spectrum_and_entropy)
     assert reduced.columns.shape == (levels, DENSE_DIM_CAP)
     # a 4096 x 4096 complex Gram matrix alone is 256 MiB
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
@@ -348,11 +268,6 @@ def test_trace_distance_of_thin_mixtures_allocates_no_dense_state():
     # two 2-column mixtures: one 2048 x 2048 complex matrix alone is 64 MiB
     rng = np.random.default_rng(2048)
     rho, sigma = (random_mixture(rng, 2048, 2) for _ in range(2))
-    tracemalloc.start()
-    try:
-        distance = trace_distance(rho, sigma)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    distance, peak = traced_peak(lambda: trace_distance(rho, sigma))
     assert 0.0 < distance <= 1.0
     assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"

@@ -13,10 +13,10 @@ marginals and both trace distances to the premeasured state's marginals.
 The coherence is also checked on a gemenge whose pointer states are
 rotated off the spec's, where it is not zero, and with one sector per chunk
 of its Gram stack.  The last test pins that the objectify and compare
-stages of a run allocate less than one ``D x r`` branch matrix.
+stages of a run grow the traced memory by less than one ``D x r`` branch
+matrix together.
 """
 
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -35,11 +35,12 @@ from pointerlab import (
     shift_witness,
     trace_distance,
 )
-from pointerlab import objectification, runner
+from pointerlab import objectification
 from pointerlab.hilbert import spectral_entropy
 from pointerlab.scenario import validate_scenario_data
 from pointerlab.tolerances import PROBABILITY_FLOOR
 from helpers import (
+    canonical_measurement,
     close,
     dense,
     dense_coherence,
@@ -50,6 +51,7 @@ from helpers import (
     kronecker_entries,
     random_bcl_spec,
     random_unitary,
+    traced_stages,
 )
 
 
@@ -123,30 +125,12 @@ def test_factor_identities_match_branch_columns(
         assert close(distance, reference)
 
 
-def test_objectify_and_compare_allocate_less_than_one_branch_matrix(monkeypatch):
+def test_objectify_and_compare_allocate_less_than_one_branch_matrix():
     # ds = da = K = 64, so D = 4096 and every one of the r = 64 sectors is kept
     levels = 64
-    rng = np.random.default_rng(64)
-    config = validate_scenario_data(
-        {
-            "scenario_kind": "full_measurement",
-            "bcl": {"eigenvalues": list(range(levels)), "degeneracies": [1] * levels},
-            "initial_state": rng.normal(size=(levels, 2)).tolist(),
-        }
-    )
-    diagnostics = runner._bcl_diagnostics
-
-    def trace_after_premeasure(*args):
-        outcome = diagnostics(*args)
-        tracemalloc.start()
-        return outcome
-
-    monkeypatch.setattr(runner, "_bcl_diagnostics", trace_after_premeasure)
-    try:
-        report = run_scenario(config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    report, growth, _ = traced_stages(validate_scenario_data(canonical_measurement([1] * levels)))
     assert report.all_passed, [v.name for v in report.verdicts if not v.passed]
+    # what objectify keeps is part of its growth, so the sum bounds the peak of both stages
+    peak = growth["objectify"] + growth["compare"]
     branch_matrix = levels**2 * levels * np.dtype(complex).itemsize  # D x r
     assert peak < branch_matrix, f"peak {peak / 2**20:.2f} MiB"

@@ -1,15 +1,11 @@
-"""Diagonal kernels against numpy references on ``np.diag``, and the lattice run's memory.
+"""Diagonal kernels against numpy references on ``np.diag``.
 
 A multiplication operator stored as its ``(n,)`` diagonal must give the same
 expectations as the dense ``(n, n)`` kernel ``np.diag(d)``, the same
 localization as ``np.diag(d)`` masked by the outer product of the domain,
 and the residual read off that matrix: the largest of its ``dx``-weighted
-absolute row and column sums outside the domain.  The run-path test pins
-that no ``n x n`` array is allocated by a ``symmetrization`` or ``dlocal``
-scenario at the top of the grid ladder.
+absolute row and column sums outside the domain.
 """
-
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,21 +21,14 @@ from pointerlab import (
     TwoParticleWavefunction,
     dlocal_residual,
     localize,
-    position_kernel,
-    run_scenario,
 )
-from pointerlab.scenario import validate_scenario_data
 from pointerlab.tolerances import INVARIANT_TOL
-from helpers import DenseKernel, expectation_single, pair_expectation, quadrature_inner
+from helpers import DenseKernel, close, expectation_single, pair_expectation, quadrature_inner
 
 
 def random_wavefunction(grid, rng):
     raw = rng.normal(size=grid.n_points) + 1j * rng.normal(size=grid.n_points)
     return LatticeWavefunction(grid, raw / np.sqrt(grid.dx * np.sum(np.abs(raw) ** 2)))
-
-
-def close(value, reference):
-    return abs(value - reference) <= 1e-12 * max(1.0, abs(reference))
 
 
 def dense_residual(matrix, mask, dx):
@@ -94,35 +83,3 @@ def test_rejects_wrong_shape():
     for shape in ((7,), (8, 7), (8, 8, 1), (8, 8)):
         with pytest.raises(ValueError, match="shape"):
             KernelOperator(grid, np.zeros(shape))
-
-
-TOP_N = 4096
-TOP_GRID = {"x_min": -20.0, "dx": 40.0 / TOP_N, "n_points": TOP_N}
-TOP_SCENARIOS = {
-    "symmetrization": {
-        "scenario_kind": "symmetrization",
-        "grid": TOP_GRID,
-        "packets": [{"center": 0.0, "width": 1.0}, {"center": 10.0, "width": 1.0}],
-    },
-    "dlocal": {
-        "scenario_kind": "dlocal",
-        "grid": TOP_GRID,
-        "packets": [{"center": 0.0, "width": 1.0}, {"center": 15.0, "width": 1.0}],
-        "domain": {"lower": -5.0, "upper": 5.0},
-    },
-}
-
-
-@pytest.mark.parametrize("kind", sorted(TOP_SCENARIOS))
-def test_top_rung_run_allocates_no_dense_kernel(kind):
-    scenario = validate_scenario_data(TOP_SCENARIOS[kind])
-    assert position_kernel(LatticeGrid(**scenario["grid"])).entries.ndim == 1
-    tracemalloc.start()
-    try:
-        report = run_scenario(scenario)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.all_passed, [v for v in report.verdicts if not v.passed]
-    # a sixty-fourth of one dense complex n x n kernel
-    assert peak < TOP_N * TOP_N * 16 / 64, f"peak {peak} bytes"

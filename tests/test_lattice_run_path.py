@@ -6,7 +6,10 @@ each lattice demo then runs through ``run_scenario``.  The private helpers
 that once carried the run path are gone, as are the public wrappers that
 once bundled its pair and domain checks, and the runner binds no private
 lattice name.  A ``dlocal`` document whose first packet straddles the
-domain fails the run's domain-local check with the support message.
+domain fails the run's domain-local check with the support message.  The
+two ``dlocal`` kernel verdicts meet at the raw kernel's residual:
+``raw_kernel_not_dlocal`` passes only above its tolerance, and
+``localized_kernel_dlocal`` at or below it.
 """
 
 import inspect
@@ -16,6 +19,7 @@ from importlib import resources
 import pytest
 
 from pointerlab import cli, lattice, load_scenario, run_scenario, runner
+from pointerlab.scenario import validate_scenario_data
 
 PACKETS = {"gaussian_packet", "position_kernel"}
 PAIR_VALUE = {"orbital_elements", "expectation_two_particle"}
@@ -89,3 +93,15 @@ def test_a_straddling_first_packet_fails_the_domain_local_check(tmp_path, capsys
     assert err == (
         "error: domain-local check: first packet leaves 4.844e-01 probability outside the domain\n"
     )
+
+
+def test_the_kernel_verdicts_meet_at_the_raw_residual():
+    demo = resources.files("pointerlab").joinpath("scenarios", "dlocal_agreement.json")
+    document = json.loads(demo.read_text())
+    raw = run_scenario(validate_scenario_data(document)).values["dlocal_residual_raw_kernel"]
+    assert raw > 0.0
+    for tolerance, raw_passes in ((0.0, True), (raw, False)):
+        scenario = validate_scenario_data({**document, "tolerances": {"dlocal": tolerance}})
+        passed = {v.name: v.passed for v in run_scenario(scenario).verdicts}
+        assert passed["raw_kernel_not_dlocal"] is raw_passes
+        assert passed["localized_kernel_dlocal"] is True

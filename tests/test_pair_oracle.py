@@ -26,7 +26,7 @@ from pointerlab import (
     run_scenario,
 )
 from pointerlab.scenario import validate_scenario_data
-from helpers import hermitian_kernel, lattice_composition, pair_expectation, quadrature_inner
+from helpers import close, hermitian_kernel, lattice_composition, pair_expectation, quadrature_inner
 
 
 def packet(grid, center, width, momentum):
@@ -49,10 +49,6 @@ def dense_expectation(a, amplitude):
     first = np.einsum("ij,ik,kj->", conj, a.matrix, amplitude)
     second = np.einsum("ij,jl,il->", conj, a.matrix, amplitude)
     return a.grid.dx**3 * (first + second)
-
-
-def close(value, reference):
-    return abs(value - reference) <= 1e-12 * max(1.0, abs(reference))
 
 
 packet_params = st.tuples(

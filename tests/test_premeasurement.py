@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from functools import cached_property
 from importlib import resources
 
@@ -37,6 +38,7 @@ from helpers import (
     qr_unitary,
     random_bcl_spec,
     random_state,
+    random_unitary,
     transfer_family,
 )
 
@@ -135,6 +137,20 @@ class TestBclSpecInvariants:
                 pointers=np.eye(3),
                 ready_state=basis_state(3, 0),
             )
+
+    def test_names_the_first_of_two_non_orthonormal_transfer_rows(self):
+        spec = canonical_spec((1.0, -1.0), (2, 2))
+        with pytest.raises(SpecInvalid, match="transfer row 0 is not orthonormal"):
+            replace(spec, transfer=np.eye(4)[:, [0, 0, 2, 2]])
+
+    def test_measurement_residual_reads_the_whole_transfer_gram_matrix(self):
+        # each sector orthonormal, the sectors not orthogonal to each other
+        rng = np.random.default_rng(3)
+        transfer = np.hstack([random_unitary(rng, 6)[:, :d] for d in (2, 3, 1)])
+        spec = replace(canonical_spec((0.0, 1.0, 2.0), (2, 3, 1)), transfer=transfer)
+        expected = np.abs(transfer.conj().T @ transfer - np.eye(6)).max()
+        assert expected > 1e-3
+        assert spec.measurement_residual == expected
 
     def test_rejects_misshapen_families(self):
         with pytest.raises(SpecInvalid, match="transfer family has shape"):

@@ -16,32 +16,7 @@ from hypothesis import strategies as st
 
 from pointerlab import run_scenario
 from pointerlab.scenario import validate_scenario_data
-from helpers import pairs, random_unitary
-
-
-def sectors_of(columns, bounds):
-    return [pairs(columns[:, lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-
-def document(degeneracies, apparatus_dim, eigenbasis, transfer, pointers, state, witness):
-    """An explicit-basis ``full_measurement``; ``transfer`` is ``None`` for the default family."""
-    bounds = np.cumsum([0, *degeneracies])
-    return {
-        "scenario_kind": "full_measurement",
-        "bcl": {
-            "eigenvalues": [float(k) for k in range(len(degeneracies))],
-            "degeneracies": degeneracies,
-            "apparatus_dim": apparatus_dim,
-            "basis": {
-                "system_eigenbasis": sectors_of(eigenbasis, bounds),
-                "pointer_basis": pairs(pointers),
-            },
-            "transfer_family": "default" if transfer is None else sectors_of(transfer, bounds),
-        },
-        "initial_state": pairs(state[:, None])[0],
-        "witness": witness,
-        "tolerances": {"rule2_coherence": 1e-12},
-    }
+from helpers import explicit_document, random_unitary
 
 
 @settings(max_examples=60)
@@ -72,7 +47,7 @@ def test_rotating_the_system_changes_no_value_and_no_verdict(
     reports = [
         run_scenario(
             validate_scenario_data(
-                document(
+                explicit_document(
                     degeneracies,
                     apparatus_dim,
                     turn @ eigenbasis,
