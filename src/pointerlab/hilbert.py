@@ -19,9 +19,10 @@ weights of either sign: for one column ``v`` of weight ``w`` the one
 eigenvalue ``w ||v||^2``, with no factorization; otherwise those of
 ``R diag(s) R^dagger`` for the triangular QR factor ``R`` of ``V`` when
 there are fewer columns than dimensions, else those of the ``dim x dim``
-matrix.  A state's spectrum and the trace distance of two states, the
-mixture of both column sets with weights ``[w_rho, -w_sigma]``, both come
-from it, so neither forms a matrix larger than ``min(dim, r)`` square.
+matrix.  A state's entropy reads it on the state's own columns, and the
+trace distance of two states on the mixture of both column sets with
+weights ``[w_rho, -w_sigma]``, so neither forms a matrix larger than
+``min(dim, r)`` square.
 
 A pure bipartite state is read only through its ``d_first x d_second``
 amplitude matrix ``B``, whose shape names both factors, so no reading takes
@@ -34,7 +35,6 @@ without a basis is its core alone, and its side of ``B`` is not rotated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -128,20 +128,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return int(self.columns.shape[0])
-
-    @cached_property
-    def _spectrum(self) -> np.ndarray:
-        spectrum = _mixture_spectrum(self.columns, self.weights)
-        return _readonly(np.sort(np.concatenate((np.zeros(self.dim - spectrum.size), spectrum))))
-
-    def eigenvalues(self) -> np.ndarray:
-        """Real spectrum in ascending order, read-only and computed once.
-
-        The eigenvalues of ``(V * w) @ V^dagger`` from :func:`_mixture_spectrum`:
-        with fewer columns than dimensions, its ``r`` values (``w ||v||^2`` for
-        one column) padded with ``dim - r`` exact zeros.
-        """
-        return self._spectrum
 
 
 def _tridiagonal_apply(diagonal: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -253,8 +239,12 @@ def outer(phi: StateVector) -> DensityMatrix:
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """Entropy ``-sum(p ln p)`` in nats over eigenvalues above the spectral floor."""
-    return spectral_entropy(rho.eigenvalues())
+    """Entropy ``-sum(p ln p)`` in nats over eigenvalues above the spectral floor.
+
+    The eigenvalues are those :func:`_mixture_spectrum` gives on the state's
+    columns; the ``dim - r`` zeros it leaves out lie under the floor.
+    """
+    return spectral_entropy(_mixture_spectrum(rho.columns, rho.weights))
 
 
 def spectral_entropy(eigenvalues: np.ndarray) -> float:

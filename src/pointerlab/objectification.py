@@ -147,56 +147,44 @@ def pointer_block_coherence(state: np.ndarray | GemengeDecomposition, spec: BclS
     ``spec``, which is what objectification enforces.  Block ``(k, l)`` is
     ``(1 (x) <pi_k|) rho (1 (x) |pi_l>) = A_k A_l^dagger``, and its squared
     norm is ``tr(H_k H_l)`` for the ``r x r`` Gram matrices
-    ``H_k = A_k^dagger A_k``.  For ``B``, ``A_k`` is the one column ``k`` of
-    ``B P^*``.  For a gemenge, ``A_k`` is ``Phi`` scaled by
-    ``s_k = sqrt(p) * (P^dagger Psi)[k]``, so ``H_k`` is ``Phi^dagger Phi``
-    scaled by ``s_k^*`` on the left and ``s_k`` on the right; its stack is
-    formed in chunks of sectors.  The spec has already checked the pointers
+    ``H_k = A_k^dagger A_k``; the norm is ``sqrt(sum_{k != l} tr(H_k H_l))``.
+    Every term is nonnegative, so no diagonal term is ever subtracted from a
+    total.  For ``B``, ``A_k`` is the one column ``k`` of ``B P^*``, so
+    ``H_k`` is its squared norm ``n_k`` and the sum is
+    ``2 sum_l n_l sum_{k<l} n_k``.  For a gemenge, ``A_k`` is ``Phi`` scaled
+    by ``s_k = sqrt(p) * (P^dagger Psi)[k]``, so ``H_k`` is ``Phi^dagger Phi``
+    scaled by ``s_k^*`` on the left and ``s_k`` on the right.  Its stack is
+    formed one chunk of sectors at a time: within a chunk the ``k != l``
+    terms are summed directly, and a chunk meets the earlier ones through
+    their running sum.  The spec has already checked the pointers
     orthonormal.
     """
     pointers, dims = spec.pointers, (spec.system_dim, spec.apparatus_dim)
-    if isinstance(state, GemengeDecomposition):
-        shape = (state.system_states.shape[0], state.pointer_states.shape[0])
-        if shape != dims:
-            raise DimensionMismatch(f"gemenge factor dims {shape} do not match {dims}")
-        scaled = (pointers.conj().T @ state.pointer_states) * np.sqrt(state.probabilities)
-        chunk = max(1, GRAM_STACK_ENTRIES // state.system_gram.size)
-        stacks = (
-            _sandwich(scaled[lo : lo + chunk], state.system_gram)
-            for lo in range(0, len(scaled), chunk)
-        )
-    else:
+    if not isinstance(state, GemengeDecomposition):
         amplitudes = np.asarray(state)
         if amplitudes.shape != dims:
             raise DimensionMismatch(
                 f"amplitude matrix shape {amplitudes.shape} does not match {dims}"
             )
-        rotated = (amplitudes @ pointers.conj()).T[:, :, None]  # A_k, stacked
-        stacks = (rotated.conj().transpose(0, 2, 1) @ rotated,)
-    return _off_block_norm(stacks)
-
-
-def _sandwich(scales: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """The stack of ``diag(s^*) G diag(s)``, one per row ``s`` of ``scales``."""
-    grams = scales[:, :, None].conj() * gram
-    grams *= scales[:, None]
-    return grams
-
-
-def _off_block_norm(stacks) -> float:
-    """``sqrt(sum_{k != l} tr(H_k H_l))`` over a stack of Hermitian ``H_k`` given in chunks.
-
-    ``tr(H_k H_l)`` is the real inner product of the two matrices, read as
-    real arrays.  Within a chunk the ``k != l`` terms are summed directly; a
-    chunk meets the earlier ones through their running sum.  Every term is
-    nonnegative, so no diagonal term is ever subtracted from a total.
-    """
+        rotated = amplitudes @ pointers.conj()  # A_k, column by column
+        norms = (rotated.real**2 + rotated.imag**2).sum(axis=0)
+        return float(np.sqrt(2.0 * (norms[1:] @ np.cumsum(norms)[:-1])))
+    shape = (state.system_states.shape[0], state.pointer_states.shape[0])
+    if shape != dims:
+        raise DimensionMismatch(f"gemenge factor dims {shape} do not match {dims}")
+    scaled = (pointers.conj().T @ state.pointer_states) * np.sqrt(state.probabilities)
+    gram = state.system_gram
+    chunk = max(1, GRAM_STACK_ENTRIES // gram.size)
     total, earlier = 0.0, None
-    for grams in stacks:
+    for lo in range(0, len(scaled), chunk):
+        scales = scaled[lo : lo + chunk]
+        grams = scales[:, :, None].conj() * gram
+        grams *= scales[:, None]
         flat = grams.reshape(len(grams), -1).view(float)
         overlaps = flat @ flat.T  # tr(H_k H_l)
         total += float(overlaps[~np.eye(len(grams), dtype=bool)].sum())
         summed = grams.sum(axis=0)
+        del grams, flat  # so that the next chunk is formed with this one freed
         if earlier is None:
             earlier = summed
         else:

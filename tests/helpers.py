@@ -477,6 +477,35 @@ def explicit_document(
     }
 
 
+def haar_measurement(sectors, size, witness="sigma_x_pattern"):
+    """Haar eigen- and pointer bases and a sector-wise unitary transfer family, ``da = K``.
+
+    ``sectors`` sectors of ``size`` levels each, drawn from a generator seeded by ``size``.
+    """
+    rng, dim = np.random.default_rng(size), sectors * size
+    eigenbasis, pointers = random_unitary(rng, dim), random_unitary(rng, sectors)
+    turns = [random_unitary(rng, size) for _ in range(sectors)]
+    transfer = np.hstack([block @ turn for block, turn in zip(np.hsplit(eigenbasis, sectors), turns)])
+    state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return explicit_document(
+        [size] * sectors, sectors, eigenbasis, transfer, pointers, state, witness
+    )
+
+
+def lattice_document(kind, n_points, second_center):
+    """A ``symmetrization`` or ``dlocal`` document on ``[-20, 20)`` with ``n_points`` points.
+
+    The packets have unit width, centred at 0 and ``second_center``, and a
+    ``dlocal`` document takes the domain ``[-5, 5]``.
+    """
+    grid = {"x_min": -20.0, "dx": 40.0 / n_points, "n_points": n_points}
+    packets = [{"center": 0.0, "width": 1.0}, {"center": second_center, "width": 1.0}]
+    document = {"scenario_kind": kind, "grid": grid, "packets": packets}
+    if kind == "dlocal":
+        document["domain"] = {"lower": -5.0, "upper": 5.0}
+    return document
+
+
 def haar_document(witness):
     """An explicit-basis ``full_measurement``: degeneracies 2, 1, 3 against a four-level pointer."""
     rng = np.random.default_rng(2024)

